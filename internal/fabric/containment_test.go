@@ -15,7 +15,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/slurm"
+	"repro/internal/retry"
 	"repro/internal/vfs"
 )
 
@@ -341,7 +341,7 @@ func TestWorkerMaxReconnectGivesUp(t *testing.T) {
 		ID:           "w-doomed",
 		Addr:         addr,
 		MaxReconnect: 3,
-		Retry: &slurm.RetryPolicy{
+		Retry: &retry.Policy{
 			MaxAttempts: 2,
 			BaseDelay:   time.Millisecond,
 			MaxDelay:    2 * time.Millisecond,

@@ -22,7 +22,7 @@
 //     byte-identical to a sequential run of the same pure cells.
 //
 // Workers heartbeat with progress, back off with jitter on reconnect
-// (reusing the slurm client's RetryPolicy), and self-fence on lease loss:
+// (internal/retry, shared with the slurm client), and self-fence on lease loss:
 // a heartbeat answered "fenced" makes the worker abandon the cell without
 // completing it. Every requeue, speculation, and dedup decision is logged
 // and counted in expvars (the "fabric" map).

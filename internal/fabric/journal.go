@@ -18,13 +18,14 @@ package fabric
 //	=LLLLLLLL CCCCCCCC {"kind":"cell",…}      ← one per accepted completion:
 //	                                             cell index + row bytes
 //
-// The framing is the journal-v2 idiom from PR 5 (hex payload length, hex
-// CRC32C, payload, one record per line), so the same failure taxonomy
-// applies: a torn tail — the expected artifact of a crash mid-append — is
-// physically truncated and the prefix salvaged; damage with verifiable
-// records after it is corruption and refuses to resume (cells are pure, so
-// the operator can always delete the journal and recompute from scratch —
-// silently replaying doubtful state is the only unforgivable outcome).
+// Framing, verification, and the append discipline are internal/wal's, so
+// its failure taxonomy applies: a torn tail — the expected artifact of a
+// crash mid-append — is physically truncated and the prefix salvaged; a file
+// torn before its first synced write committed anything reinitializes;
+// corruption (damage with verifiable records after it, a damaged header over
+// a non-empty log) refuses to resume. Cells are pure, so the operator can
+// always delete the journal and recompute from scratch — silently replaying
+// doubtful state, or forgetting a fence, is the only unforgivable outcome.
 //
 // Durability policy: the header, campaign, and generation records are
 // fsynced at open (losing a generation bump would un-fence stale workers);
@@ -38,11 +39,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 
 	"repro/internal/vfs"
+	"repro/internal/wal"
 )
 
 const campaignHeader = "#fabric-campaign v1 crc32c"
@@ -51,18 +52,10 @@ const campaignHeader = "#fabric-campaign v1 crc32c"
 // campaign than the one being started (spec hash or cell count disagree).
 var ErrCampaignMismatch = errors.New("fabric: journal belongs to a different campaign")
 
-// ErrJournalCorrupt marks mid-log damage: a record failed verification but
-// verifiable records follow it, so this is corruption (bit rot, concurrent
-// writers), not a torn tail, and the journal refuses to resume.
+// ErrJournalCorrupt marks a journal that refuses to resume: damage that is
+// not a torn tail (bit rot, concurrent writers), or verified records that
+// contradict each other.
 var ErrJournalCorrupt = errors.New("fabric: campaign journal corrupt")
-
-// errJournalWedged marks a journal whose tail could not be rolled back after
-// a failed append: nothing more may be written (appending past unverified
-// bytes would turn a salvageable torn tail into mid-log corruption), but the
-// committed prefix remains salvageable by the next open.
-var errJournalWedged = errors.New("fabric: journal wedged by earlier append failure")
-
-var campaignCastagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // journalRecord is one framed payload. Kind selects which fields are live.
 type journalRecord struct {
@@ -104,25 +97,29 @@ type Recovery struct {
 	SalvagedBytes int64
 }
 
-// CampaignJournal is the dispatcher's durable campaign state: an append-only
-// v2-framed file written through a vfs.FS, so PR 5's torn-write, fsync-fail,
-// and crash-point injection campaigns apply to it verbatim.
+// CampaignJournal is the dispatcher's durable campaign state: a wal.Log
+// written through a vfs.FS, so torn-write, fsync-fail, and crash-point
+// injection apply to it verbatim.
 type CampaignJournal struct {
-	fs   vfs.FS
-	path string
-	f    vfs.File
-	gen  int64
-	// off is the committed length: every byte below it is a whole verified
-	// frame. A failed append rolls the file back to off, so the log never
-	// accumulates unverifiable bytes ahead of later records.
-	off    int64
-	wedged bool
+	log *wal.Log
+	gen int64
 }
 
 // specSHA is the campaign identity: the spec bytes' SHA-256, hex.
 func specSHA(spec []byte) string {
 	sum := sha256.Sum256(spec)
 	return hex.EncodeToString(sum[:])
+}
+
+// encodeRecord renders one record's frame payload.
+func encodeRecord(rec journalRecord) []byte {
+	payload, err := json.Marshal(rec)
+	if err != nil {
+		// journalRecord marshals unconditionally; reaching here is a
+		// programming error, not an I/O condition.
+		panic(fmt.Sprintf("fabric: encode journal record: %v", err))
+	}
+	return payload
 }
 
 // OpenCampaignJournal opens (resuming) or creates (fresh) the campaign
@@ -133,73 +130,47 @@ func OpenCampaignJournal(fsys vfs.FS, path string, spec []byte, cells int) (*Cam
 	if fsys == nil {
 		fsys = vfs.OS{}
 	}
-	j := &CampaignJournal{fs: fsys, path: path}
 	data, err := fsys.ReadFile(path)
 	if err != nil && !os.IsNotExist(err) {
 		return nil, Recovery{}, fmt.Errorf("fabric: read journal: %w", err)
 	}
-	rec, perr := parseCampaignJournal(data, spec, cells)
-	if perr != nil {
-		return nil, Recovery{}, perr
+	rec, validLen, err := parseCampaignJournal(data, spec, cells)
+	if err != nil {
+		return nil, Recovery{}, err
 	}
+	var log *wal.Log
 	if !rec.Resumed {
 		// Fresh campaign (missing, empty, or torn-before-first-commit file):
-		// write header + campaign + generation 1 atomically-enough — all
-		// synced before any lease is granted.
-		buf := append([]byte(campaignHeader), '\n')
-		buf = appendCampaignFrame(buf, journalRecord{Kind: "campaign", Cells: cells, SpecSHA: specSHA(spec)})
-		buf = appendCampaignFrame(buf, journalRecord{Kind: "gen", Gen: 1})
-		f, err := fsys.Create(path)
+		// header + campaign + generation 1 in one write, synced before any
+		// lease is granted.
+		rec.Gen = 1
+		log, err = wal.Create(fsys, path, campaignHeader,
+			encodeRecord(journalRecord{Kind: "campaign", Cells: cells, SpecSHA: specSHA(spec)}),
+			encodeRecord(journalRecord{Kind: "gen", Gen: 1}))
 		if err != nil {
-			return nil, Recovery{}, fmt.Errorf("fabric: create journal: %w", err)
-		}
-		if _, err := f.Write(buf); err != nil {
-			f.Close()
 			return nil, Recovery{}, fmt.Errorf("fabric: init journal: %w", err)
 		}
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return nil, Recovery{}, fmt.Errorf("fabric: sync journal: %w", err)
-		}
-		if err := f.Close(); err != nil {
-			return nil, Recovery{}, fmt.Errorf("fabric: close journal: %w", err)
-		}
 		fsys.SyncDir(filepath.Dir(path)) // best effort: the file itself is synced
-		rec.Gen = 1
-		j.off = int64(len(buf))
 	} else {
 		// Salvage the torn tail, then journal the generation bump. The bump
 		// must be durable before any grant: a worker from the old generation
 		// must never find a dispatcher that forgot it restarted.
 		if rec.SalvagedBytes > 0 {
-			if err := fsys.Truncate(path, rec.validLen); err != nil {
+			if err := fsys.Truncate(path, validLen); err != nil {
 				return nil, Recovery{}, fmt.Errorf("fabric: salvage journal tail: %w", err)
 			}
 		}
 		rec.Gen++
-		f, err := fsys.OpenAppend(path)
-		if err != nil {
-			return nil, Recovery{}, fmt.Errorf("fabric: open journal: %w", err)
+		if log, err = wal.OpenAppend(fsys, path, validLen); err == nil {
+			if err = log.Append(encodeRecord(journalRecord{Kind: "gen", Gen: rec.Gen}), true); err != nil {
+				log.Close()
+			}
 		}
-		frame := appendCampaignFrame(nil, journalRecord{Kind: "gen", Gen: rec.Gen})
-		if _, err := f.Write(frame); err != nil {
-			f.Close()
+		if err != nil {
 			return nil, Recovery{}, fmt.Errorf("fabric: journal generation: %w", err)
 		}
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return nil, Recovery{}, fmt.Errorf("fabric: sync generation: %w", err)
-		}
-		f.Close()
-		j.off = rec.validLen + int64(len(frame))
 	}
-	j.gen = rec.Gen
-	f, err := fsys.OpenAppend(path)
-	if err != nil {
-		return nil, Recovery{}, fmt.Errorf("fabric: open journal for append: %w", err)
-	}
-	j.f = f
-	return j, rec.Recovery, nil
+	return &CampaignJournal{log: log, gen: rec.Gen}, rec, nil
 }
 
 // Generation is the incarnation this journal was opened under.
@@ -211,44 +182,19 @@ func (j *CampaignJournal) AppendCell(cell int, row []byte) error {
 	return j.appendRecord(journalRecord{Kind: "cell", Cell: cell, Row: row}, false)
 }
 
-// appendRecord frames and appends one record, optionally fsyncing it.
-// Containment records (poison, quarantine, unquarantine) are synced — they
-// are rare and load-bearing across restarts, where losing one would un-fence
-// a hostile worker or reopen a poisoned cell's budget. A failed append
-// self-heals by truncating back to the last committed offset — a torn write
-// may have persisted part of the frame, and leaving it there ahead of later
-// records would read as mid-log corruption instead of a torn tail. If the
-// rollback fails too, the journal wedges: nothing more is written, the
-// committed prefix (plus one salvageable torn tail) is what survives.
+// appendRecord appends one record, optionally fsyncing it. Containment
+// records (poison, quarantine, unquarantine) are synced — they are rare and
+// load-bearing across restarts, where losing one would un-fence a hostile
+// worker or reopen a poisoned cell's budget. A failed append is rolled back
+// (or wedges the journal) by the wal: the committed prefix, plus at most one
+// salvageable torn tail, is what survives.
 func (j *CampaignJournal) appendRecord(rec journalRecord, sync bool) error {
-	what := rec.Kind
-	if rec.Kind == "cell" {
-		what = fmt.Sprintf("cell %d", rec.Cell)
-	}
-	if j.wedged {
-		return fmt.Errorf("fabric: journal %s: %w", what, errJournalWedged)
-	}
-	frame := appendCampaignFrame(nil, rec)
-	if _, err := j.f.Write(frame); err != nil {
-		j.f.Close()
-		j.f = nil
-		if terr := j.fs.Truncate(j.path, j.off); terr != nil {
-			j.wedged = true
-			return fmt.Errorf("fabric: journal %s: %w (rollback failed: %v; journal wedged)", what, err, terr)
+	if err := j.log.Append(encodeRecord(rec), sync); err != nil {
+		what := rec.Kind
+		if rec.Kind == "cell" {
+			what = fmt.Sprintf("cell %d", rec.Cell)
 		}
-		f, oerr := j.fs.OpenAppend(j.path)
-		if oerr != nil {
-			j.wedged = true
-			return fmt.Errorf("fabric: journal %s: %w (reopen failed: %v; journal wedged)", what, err, oerr)
-		}
-		j.f = f
 		return fmt.Errorf("fabric: journal %s: %w", what, err)
-	}
-	j.off += int64(len(frame))
-	if sync {
-		if err := j.f.Sync(); err != nil {
-			return fmt.Errorf("fabric: sync journal %s: %w", what, err)
-		}
 	}
 	return nil
 }
@@ -256,249 +202,104 @@ func (j *CampaignJournal) appendRecord(rec journalRecord, sync bool) error {
 // Checkpoint forces every appended record to stable storage — the drain
 // path's guarantee that a clean shutdown loses nothing.
 func (j *CampaignJournal) Checkpoint() error {
-	if j.wedged {
-		return fmt.Errorf("fabric: checkpoint journal: %w", errJournalWedged)
-	}
-	if err := j.f.Sync(); err != nil {
+	if err := j.log.Checkpoint(); err != nil {
 		return fmt.Errorf("fabric: checkpoint journal: %w", err)
 	}
 	return nil
 }
 
 // Close releases the append handle.
-func (j *CampaignJournal) Close() error {
-	if j.f == nil {
-		return nil
-	}
-	return j.f.Close()
-}
+func (j *CampaignJournal) Close() error { return j.log.Close() }
 
-// parsedJournal is Recovery plus the salvage offset the opener needs.
-type parsedJournal struct {
-	Recovery
-	validLen int64
-}
-
-// parseCampaignJournal replays data. Missing/empty/header-torn files parse
-// as fresh; a verified prefix with a torn tail parses as a resume with
-// SalvagedBytes set; mid-log damage or a campaign mismatch is an error.
-func parseCampaignJournal(data, spec []byte, cells int) (parsedJournal, error) {
-	var p parsedJournal
-	p.Rows = make(map[int][]byte)
-	p.Poisoned = make(map[int]string)
-	p.Quarantined = make(map[string]string)
-	lines := splitJournalLines(data)
-	if len(lines) == 0 || string(lines[0].text) != campaignHeader || !lines[0].terminated {
-		// Nothing committed: a crash while writing the very first bytes left
-		// no record to honour. Reinitialize from scratch.
-		return p, nil
+// parseCampaignJournal replays data. A missing or empty file, or one whose
+// first synced write never committed a campaign and generation, parses as
+// fresh; a verified prefix with a torn tail parses as a resume with
+// SalvagedBytes set (validLen is where the salvage cuts); corruption or a
+// campaign mismatch is an error.
+func parseCampaignJournal(data, spec []byte, cells int) (Recovery, int64, error) {
+	fresh := func() Recovery {
+		return Recovery{Rows: make(map[int][]byte), Poisoned: make(map[int]string), Quarantined: make(map[string]string)}
 	}
-	p.validLen = lines[0].end()
-
-	type damaged struct {
-		line   int
-		reason string
+	p := fresh()
+	var recs []journalRecord
+	scan := wal.ScanBytes(data, campaignHeader, false, func(payload []byte) string {
+		var rec journalRecord
+		if err := json.Unmarshal(payload, &rec); err != nil {
+			return fmt.Sprintf("payload parse error: %v", err)
+		}
+		recs = append(recs, rec)
+		return ""
+	})
+	if len(scan.Damage) > 0 && !scan.Torn {
+		d := scan.Damage[0]
+		return p, 0, fmt.Errorf("%w: %s at line %d is not a torn tail (move the journal aside or start a fresh campaign)",
+			ErrJournalCorrupt, d.Reason, d.Line)
 	}
-	var firstDamage *damaged
-	validAfterDamage := false
+
 	sawCampaign := false
-	for i, ln := range lines[1:] {
-		lineNo := i + 2
-		rec, reason := parseCampaignFrame(ln)
-		if firstDamage != nil {
-			// Past the first damage nothing is trusted; keep scanning only to
-			// classify torn tail vs. mid-log corruption.
-			if reason == "" {
-				validAfterDamage = true
-			}
-			continue
-		}
-		if reason != "" {
-			firstDamage = &damaged{line: lineNo, reason: reason}
-			continue
-		}
+	for i, rec := range recs {
+		lineNo := i + 2 // the verified prefix is contiguous after the header
 		switch rec.Kind {
 		case "campaign":
 			if sawCampaign {
-				return p, fmt.Errorf("%w: duplicate campaign record at line %d", ErrJournalCorrupt, lineNo)
+				return p, 0, fmt.Errorf("%w: duplicate campaign record at line %d", ErrJournalCorrupt, lineNo)
 			}
 			sawCampaign = true
 			if rec.Cells != cells || rec.SpecSHA != specSHA(spec) {
-				return p, fmt.Errorf("%w: journal is for %d cells spec %.12s…, campaign has %d cells spec %.12s…",
+				return p, 0, fmt.Errorf("%w: journal is for %d cells spec %.12s…, campaign has %d cells spec %.12s…",
 					ErrCampaignMismatch, rec.Cells, rec.SpecSHA, cells, specSHA(spec))
 			}
 		case "gen":
 			if rec.Gen <= p.Gen {
-				return p, fmt.Errorf("%w: generation regressed to %d after %d at line %d",
+				return p, 0, fmt.Errorf("%w: generation regressed to %d after %d at line %d",
 					ErrJournalCorrupt, rec.Gen, p.Gen, lineNo)
 			}
 			p.Gen = rec.Gen
 		case "cell":
 			if rec.Cell < 0 || rec.Cell >= cells {
-				return p, fmt.Errorf("%w: cell %d out of range at line %d", ErrJournalCorrupt, rec.Cell, lineNo)
+				return p, 0, fmt.Errorf("%w: cell %d out of range at line %d", ErrJournalCorrupt, rec.Cell, lineNo)
 			}
 			if _, dup := p.Rows[rec.Cell]; dup {
-				return p, fmt.Errorf("%w: duplicate record for cell %d at line %d", ErrJournalCorrupt, rec.Cell, lineNo)
+				return p, 0, fmt.Errorf("%w: duplicate record for cell %d at line %d", ErrJournalCorrupt, rec.Cell, lineNo)
 			}
 			if _, poisoned := p.Poisoned[rec.Cell]; poisoned {
-				return p, fmt.Errorf("%w: cell %d completed after being poisoned at line %d", ErrJournalCorrupt, rec.Cell, lineNo)
+				return p, 0, fmt.Errorf("%w: cell %d completed after being poisoned at line %d", ErrJournalCorrupt, rec.Cell, lineNo)
 			}
 			p.Rows[rec.Cell] = rec.Row
 		case "poison":
 			if rec.Cell < 0 || rec.Cell >= cells {
-				return p, fmt.Errorf("%w: poisoned cell %d out of range at line %d", ErrJournalCorrupt, rec.Cell, lineNo)
+				return p, 0, fmt.Errorf("%w: poisoned cell %d out of range at line %d", ErrJournalCorrupt, rec.Cell, lineNo)
 			}
 			if _, done := p.Rows[rec.Cell]; done {
-				return p, fmt.Errorf("%w: cell %d poisoned after completing at line %d", ErrJournalCorrupt, rec.Cell, lineNo)
+				return p, 0, fmt.Errorf("%w: cell %d poisoned after completing at line %d", ErrJournalCorrupt, rec.Cell, lineNo)
 			}
 			if _, dup := p.Poisoned[rec.Cell]; dup {
-				return p, fmt.Errorf("%w: duplicate poison record for cell %d at line %d", ErrJournalCorrupt, rec.Cell, lineNo)
+				return p, 0, fmt.Errorf("%w: duplicate poison record for cell %d at line %d", ErrJournalCorrupt, rec.Cell, lineNo)
 			}
 			p.Poisoned[rec.Cell] = rec.Err
 		case "quarantine":
 			if rec.Worker == "" {
-				return p, fmt.Errorf("%w: quarantine record without a worker at line %d", ErrJournalCorrupt, lineNo)
+				return p, 0, fmt.Errorf("%w: quarantine record without a worker at line %d", ErrJournalCorrupt, lineNo)
 			}
 			p.Quarantined[rec.Worker] = rec.Reason
 		case "unquarantine":
 			if rec.Worker == "" {
-				return p, fmt.Errorf("%w: unquarantine record without a worker at line %d", ErrJournalCorrupt, lineNo)
+				return p, 0, fmt.Errorf("%w: unquarantine record without a worker at line %d", ErrJournalCorrupt, lineNo)
 			}
 			delete(p.Quarantined, rec.Worker)
 		default:
-			return p, fmt.Errorf("%w: unknown record kind %q at line %d", ErrJournalCorrupt, rec.Kind, lineNo)
+			return p, 0, fmt.Errorf("%w: unknown record kind %q at line %d", ErrJournalCorrupt, rec.Kind, lineNo)
 		}
 		if !sawCampaign {
-			return p, fmt.Errorf("%w: first record is %q, want campaign", ErrJournalCorrupt, rec.Kind)
+			return p, 0, fmt.Errorf("%w: first record is %q, want campaign", ErrJournalCorrupt, rec.Kind)
 		}
-		p.validLen = ln.end()
-	}
-	if firstDamage != nil {
-		if validAfterDamage {
-			return p, fmt.Errorf("%w: %s at line %d with verifiable records after it (move the journal aside or start a fresh campaign)",
-				ErrJournalCorrupt, firstDamage.reason, firstDamage.line)
-		}
-		p.SalvagedBytes = int64(len(data)) - p.validLen
 	}
 	if !sawCampaign || p.Gen == 0 {
-		// Header survived but the campaign/gen records did not commit: nothing
-		// to honour, reinitialize.
-		return parsedJournal{Recovery: Recovery{
-			Rows:        make(map[int][]byte),
-			Poisoned:    make(map[int]string),
-			Quarantined: make(map[string]string),
-		}}, nil
+		// The campaign/gen records did not commit (a crash inside the very
+		// first write): nothing to honour, reinitialize.
+		return fresh(), 0, nil
 	}
 	p.Resumed = true
-	return p, nil
-}
-
-// ---- framing (the PR 5 journal-v2 line discipline) ----
-
-// campaignFrameMetaLen is len("=LLLLLLLL CCCCCCCC ").
-const campaignFrameMetaLen = 19
-
-func appendCampaignFrame(dst []byte, rec journalRecord) []byte {
-	payload, err := json.Marshal(rec)
-	if err != nil {
-		// journalRecord marshals unconditionally; reaching here is a
-		// programming error, not an I/O condition.
-		panic(fmt.Sprintf("fabric: encode journal record: %v", err))
-	}
-	dst = append(dst, '=')
-	dst = appendJournalHex8(dst, uint32(len(payload)))
-	dst = append(dst, ' ')
-	dst = appendJournalHex8(dst, crc32.Checksum(payload, campaignCastagnoli))
-	dst = append(dst, ' ')
-	dst = append(dst, payload...)
-	return append(dst, '\n')
-}
-
-// parseCampaignFrame verifies one line's framing, checksum, and JSON. A
-// non-empty reason describes the damage.
-func parseCampaignFrame(ln journalLine) (journalRecord, string) {
-	var rec journalRecord
-	if !ln.terminated {
-		return rec, "torn record (no trailing newline)"
-	}
-	t := ln.text
-	if len(t) < campaignFrameMetaLen || t[0] != '=' || t[9] != ' ' || t[18] != ' ' {
-		return rec, "malformed frame"
-	}
-	length, ok1 := parseJournalHex8(t[1:9])
-	sum, ok2 := parseJournalHex8(t[10:18])
-	if !ok1 || !ok2 {
-		return rec, "malformed frame header"
-	}
-	payload := t[campaignFrameMetaLen:]
-	if uint32(len(payload)) != length {
-		return rec, fmt.Sprintf("length mismatch (header %d, payload %d)", length, len(payload))
-	}
-	if crc32.Checksum(payload, campaignCastagnoli) != sum {
-		return rec, "checksum mismatch"
-	}
-	if err := json.Unmarshal(payload, &rec); err != nil {
-		return rec, fmt.Sprintf("payload parse error: %v", err)
-	}
-	return rec, ""
-}
-
-func appendJournalHex8(dst []byte, v uint32) []byte {
-	const digits = "0123456789abcdef"
-	for shift := 28; shift >= 0; shift -= 4 {
-		dst = append(dst, digits[v>>uint(shift)&0xf])
-	}
-	return dst
-}
-
-func parseJournalHex8(s []byte) (uint32, bool) {
-	if len(s) != 8 {
-		return 0, false
-	}
-	var v uint32
-	for _, c := range s {
-		var d uint32
-		switch {
-		case c >= '0' && c <= '9':
-			d = uint32(c - '0')
-		case c >= 'a' && c <= 'f':
-			d = uint32(c-'a') + 10
-		default:
-			return 0, false
-		}
-		v = v<<4 | d
-	}
-	return v, true
-}
-
-// journalLine is one physical line with its offset; terminated records
-// whether the trailing newline was present (a final line without one is a
-// torn append).
-type journalLine struct {
-	off        int64
-	text       []byte
-	terminated bool
-}
-
-func (ln journalLine) end() int64 {
-	e := ln.off + int64(len(ln.text))
-	if ln.terminated {
-		e++
-	}
-	return e
-}
-
-func splitJournalLines(data []byte) []journalLine {
-	var lines []journalLine
-	start := 0
-	for i := 0; i < len(data); i++ {
-		if data[i] == '\n' {
-			lines = append(lines, journalLine{off: int64(start), text: data[start:i], terminated: true})
-			start = i + 1
-		}
-	}
-	if start < len(data) {
-		lines = append(lines, journalLine{off: int64(start), text: data[start:], terminated: false})
-	}
-	return lines
+	p.SalvagedBytes = scan.Size - scan.ValidLen
+	return p, scan.ValidLen, nil
 }

@@ -6,9 +6,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/vfs"
+	"repro/internal/wal"
 )
 
 // journalSpec is the campaign identity used across journal tests.
@@ -123,7 +125,7 @@ func TestCampaignJournalTruncationProperty(t *testing.T) {
 func TestCampaignJournalTornTailSalvage(t *testing.T) {
 	path, data := buildJournal(t, t.TempDir(), 16, 4)
 	// Simulate a torn append: half a frame, no trailing newline.
-	torn := appendCampaignFrame(nil, journalRecord{Kind: "cell", Cell: 9, Row: rowBytes(9)})
+	torn := wal.AppendFrame(nil, encodeRecord(journalRecord{Kind: "cell", Cell: 9, Row: rowBytes(9)}))
 	torn = torn[:len(torn)/2]
 	if err := os.WriteFile(path, append(append([]byte(nil), data...), torn...), 0o644); err != nil {
 		t.Fatal(err)
@@ -148,10 +150,8 @@ func TestCampaignJournalTornTailSalvage(t *testing.T) {
 func TestCampaignJournalRefusesMidLogCorruption(t *testing.T) {
 	path, data := buildJournal(t, t.TempDir(), 16, 6)
 	// Flip a payload byte in an early cell frame (past header+campaign+gen).
-	lines := splitJournalLines(data)
-	target := lines[3] // first cell record
 	corrupted := append([]byte(nil), data...)
-	corrupted[target.off+int64(len(target.text))-2] ^= 0x40
+	corrupted[bytes.Index(data, []byte(`"kind":"cell"`))+2] ^= 0x40 // first cell record
 	if err := os.WriteFile(path, corrupted, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -222,5 +222,96 @@ func TestCampaignJournalFaultyAppend(t *testing.T) {
 	}
 	if rec.Gen != 2 {
 		t.Fatalf("gen = %d, want 2", rec.Gen)
+	}
+}
+
+// TestCampaignJournalGoldenBytes pins the on-disk format in both directions
+// against testdata/golden-campaign.journal, written by the pre-internal/wal
+// implementation for this exact operation list: the same operations must
+// produce the same bytes, and the committed file must replay to the same
+// state.
+func TestCampaignJournalGoldenBytes(t *testing.T) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "golden-campaign.journal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "campaign.journal")
+	open := func() *CampaignJournal {
+		t.Helper()
+		j, _, err := OpenCampaignJournal(vfs.OS{}, path, journalSpec, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return j
+	}
+	j := open()
+	for i := 0; i < 4; i++ {
+		if err := j.AppendCell(i, rowBytes(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, rec := range []journalRecord{
+		{Kind: "poison", Cell: 5, Err: "boom"},
+		{Kind: "quarantine", Worker: "w-x", Reason: "checksum", Strikes: 3},
+		{Kind: "quarantine", Worker: "w-y", Reason: "spam", Strikes: 4},
+		{Kind: "unquarantine", Worker: "w-y"},
+	} {
+		if err := j.appendRecord(rec, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := j.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	j = open() // generation 2
+	if err := j.AppendCell(4, rowBytes(4)); err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, golden) {
+		t.Fatalf("on-disk bytes moved: %d bytes (golden %d)\n%s", len(got), len(golden), got)
+	}
+
+	rec, _, err := parseCampaignJournal(golden, journalSpec, 8)
+	if err != nil {
+		t.Fatalf("golden journal rejected: %v", err)
+	}
+	if !rec.Resumed || rec.Gen != 2 || len(rec.Rows) != 5 || rec.SalvagedBytes != 0 ||
+		!reflect.DeepEqual(rec.Poisoned, map[int]string{5: "boom"}) ||
+		!reflect.DeepEqual(rec.Quarantined, map[string]string{"w-x": "checksum"}) {
+		t.Fatalf("golden journal replays as %+v", rec)
+	}
+	for i := 0; i < 5; i++ {
+		if !bytes.Equal(rec.Rows[i], rowBytes(i)) {
+			t.Fatalf("golden journal: cell %d = %q", i, rec.Rows[i])
+		}
+	}
+}
+
+// TestCampaignJournalRefusesDamagedHeader: a damaged header over a log that
+// holds verifiable frames is corruption — re-creating the file would forget
+// every cell, poison and quarantine record and reset the fencing generation.
+// Only a file with nothing committed reinitializes.
+func TestCampaignJournalRefusesDamagedHeader(t *testing.T) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "golden-campaign.journal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	damaged := append([]byte(nil), golden...)
+	damaged[3] ^= 0x01
+	path := filepath.Join(t.TempDir(), "campaign.journal")
+	if err := os.WriteFile(path, damaged, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, rec, err := OpenCampaignJournal(vfs.OS{}, path, journalSpec, 8); !errors.Is(err, ErrJournalCorrupt) {
+		t.Fatalf("open = %+v, %v; want ErrJournalCorrupt", rec, err)
+	}
+	if got, _ := os.ReadFile(path); !bytes.Equal(got, damaged) {
+		t.Fatalf("refused journal was modified on disk: %d bytes, had %d", len(got), len(damaged))
 	}
 }

@@ -21,13 +21,15 @@ import (
 // completion line under maxLine with room for the envelope.
 const maxResultBytes = 3 * (maxLine / 4)
 
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
 // completionSum is the end-to-end completion checksum: CRC32C over the
 // campaign identity (the spec's SHA-256, hex), the cell index, and the
 // encoded row bytes. Binding the spec hash and index means a correct row for
 // the wrong cell — or the right cell of the wrong campaign — also fails
 // verification, not just a flipped payload byte.
 func completionSum(specSHAHex string, cell int, row []byte) uint32 {
-	h := crc32.New(campaignCastagnoli)
+	h := crc32.New(castagnoli)
 	h.Write([]byte(specSHAHex))
 	var idx [8]byte
 	binary.LittleEndian.PutUint64(idx[:], uint64(cell))

@@ -13,7 +13,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/slurm"
+	"repro/internal/retry"
 )
 
 // WorkerConfig shapes one worker loop (a simd daemon runs one per parallel
@@ -31,8 +31,8 @@ type WorkerConfig struct {
 	// reports an in-cell completion estimate (0..1) carried on heartbeats.
 	Fn func(ctx context.Context, cell int, progress func(float64)) ([]byte, error)
 	// Retry drives reconnect backoff with jitter (default:
-	// slurm.DefaultRetryPolicy seeded from the ID hash).
-	Retry *slurm.RetryPolicy
+	// retry.DefaultPolicy seeded from the ID hash).
+	Retry *retry.Policy
 	// RequestTimeout bounds one protocol round trip (default 10s); without
 	// it a black-holed (partitioned, not refused) dispatcher stalls the
 	// worker until the OS gives up.
@@ -108,7 +108,7 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 		return nil, errors.New("fabric: worker Fn is required")
 	}
 	if cfg.Retry == nil {
-		cfg.Retry = slurm.DefaultRetryPolicy(idSeed(cfg.ID))
+		cfg.Retry = retry.DefaultPolicy(idSeed(cfg.ID))
 	}
 	if cfg.RequestTimeout <= 0 {
 		cfg.RequestTimeout = 10 * time.Second
@@ -341,7 +341,7 @@ func (w *Worker) request(ctx context.Context, req request) (response, error) {
 		if attempt >= w.cfg.Retry.MaxAttempts-1 {
 			return response{}, lastErr
 		}
-		sleepFor(w.cfg.Retry, w.cfg.Retry.Delay(attempt, 0))
+		w.cfg.Retry.Wait(w.cfg.Retry.Delay(attempt, 0))
 	}
 }
 
@@ -434,14 +434,14 @@ func (w *Worker) sleepCtx(ctx context.Context, d time.Duration) bool {
 // opaque spec) — what a simd daemon needs before it can build its cell
 // function. Retries with jittered backoff until the deadline.
 func FetchSpec(addr string, timeout time.Duration) (spec []byte, cells int, err error) {
-	retry := slurm.DefaultRetryPolicy(idSeed(addr))
+	policy := retry.DefaultPolicy(idSeed(addr))
 	deadline := time.Now().Add(timeout)
 	for attempt := 0; ; attempt++ {
 		spec, cells, err = fetchSpecOnce(addr)
 		if err == nil || time.Now().After(deadline) {
 			return spec, cells, err
 		}
-		sleepFor(retry, retry.Delay(attempt, 0))
+		policy.Wait(policy.Delay(attempt, 0))
 	}
 }
 
@@ -526,16 +526,6 @@ func FetchWorkerHealth(addr string, timeout time.Duration) (HealthReport, error)
 		return HealthReport{}, fmt.Errorf("fabric: bad health reply: %w", err)
 	}
 	return h, nil
-}
-
-// sleepFor waits via the policy's own primitive (tests stub it out),
-// falling back to a real sleep.
-func sleepFor(p *slurm.RetryPolicy, d time.Duration) {
-	if p.Sleep != nil {
-		p.Sleep(d)
-	} else {
-		time.Sleep(d)
-	}
 }
 
 // atomicFloat is a lock-free float64 cell (progress reporting).

@@ -1,4 +1,6 @@
-package slurm
+// Package retry is the one client-side backoff policy: the mini-slurm client
+// and the sweep fabric's workers both reconnect and retry on it.
+package retry
 
 import (
 	"math"
@@ -7,20 +9,12 @@ import (
 	"repro/internal/des"
 )
 
-// Client-side resilience. A server practising load shedding answers some
-// requests with BUSY + retry-after; a well-behaved client backs off with
-// jitter and tries again rather than hammering. Combined with idempotent
-// submission tokens (see Controller.SubmitToken), a Submit whose response
-// was lost to a timeout can be retried on a fresh connection without ever
-// double-enqueueing the job.
-
-// RetryPolicy drives Client.Do's retry loop: exponential backoff with
-// multiplicative jitter, capped per attempt, honoring any server-supplied
-// retry-after hint. The zero value is not useful; start from
-// DefaultRetryPolicy.
-type RetryPolicy struct {
+// Policy drives a retry loop: exponential backoff with multiplicative
+// jitter, capped per attempt, honoring any server-supplied retry-after hint.
+// The zero value is not useful; start from DefaultPolicy.
+type Policy struct {
 	// MaxAttempts bounds total tries (first attempt included); when
-	// exhausted, Do returns the last error.
+	// exhausted, the caller returns the last error.
 	MaxAttempts int
 	// BaseDelay is the wait before the first retry.
 	BaseDelay time.Duration
@@ -34,19 +28,19 @@ type RetryPolicy struct {
 	Jitter float64
 	// Rand supplies uniform [0,1) variates for the jitter. Defaults to a
 	// named des.RNG stream, so retry schedules are reproducible; not safe
-	// for concurrent use — give each Client its own policy.
+	// for concurrent use — give each client its own policy.
 	Rand func() float64
 	// Sleep is the wait primitive (tests stub it out).
 	Sleep func(time.Duration)
 }
 
-// DefaultRetryPolicy returns the recommended client policy. The jitter
+// DefaultPolicy returns the recommended client policy. The jitter
 // stream is derived from seed via the named-RNG-stream pattern, so two
 // clients with different seeds spread out while a rerun with the same seed
 // reproduces the exact schedule.
-func DefaultRetryPolicy(seed uint64) *RetryPolicy {
+func DefaultPolicy(seed uint64) *Policy {
 	rng := des.NewRNG(seed).Stream("slurm/client-retry")
-	return &RetryPolicy{
+	return &Policy{
 		MaxAttempts: 8,
 		BaseDelay:   25 * time.Millisecond,
 		MaxDelay:    2 * time.Second,
@@ -64,7 +58,7 @@ func DefaultRetryPolicy(seed uint64) *RetryPolicy {
 // applies — the server said "not before then", and a jitter draw scaling
 // the wait under the hint would have the client knock exactly when it was
 // told the door is shut.
-func (p *RetryPolicy) Delay(attempt int, retryAfter time.Duration) time.Duration {
+func (p *Policy) Delay(attempt int, retryAfter time.Duration) time.Duration {
 	mult := p.Multiplier
 	if mult < 1 {
 		mult = 1
@@ -85,25 +79,11 @@ func (p *RetryPolicy) Delay(attempt int, retryAfter time.Duration) time.Duration
 	return time.Duration(d)
 }
 
-func (p *RetryPolicy) sleep(d time.Duration) {
+// Wait sleeps for d through the policy's Sleep primitive.
+func (p *Policy) Wait(d time.Duration) {
 	if p.Sleep != nil {
 		p.Sleep(d)
 	} else {
 		time.Sleep(d)
 	}
-}
-
-// idempotentRequest reports whether req may be retried after a transport
-// failure, where the client cannot know if the server executed it. Reads
-// always qualify; a submit qualifies only when it carries a dedupe token.
-// BUSY responses are retryable for every verb — they are generated before
-// the operation runs.
-func idempotentRequest(req Request) bool {
-	switch req.Op {
-	case "queue", "nodes", "stats", "now", "config", "health":
-		return true
-	case "submit":
-		return req.Token != ""
-	}
-	return false
 }

@@ -53,13 +53,13 @@ func TestCompactCrashEveryStep(t *testing.T) {
 	// at that point of compact() leaves behind. The folded snapshot is built
 	// the way compact builds it: verify both files, merge on Seq, re-encode
 	// as a manifest-sealed v2 snapshot.
-	entries, _, gap := foldScans(
+	pair := foldScans(
 		scanFile(snap, snapshotFile(dir), true),
 		scanFile(tail, journalFile(dir), false))
-	if gap != "" {
-		t.Fatalf("workload files do not fold: %s", gap)
+	if pair.gap != "" {
+		t.Fatalf("workload files do not fold: %s", pair.gap)
 	}
-	folded, err := encodeSnapshot(entries)
+	folded, err := encodeSnapshot(pair.entries)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"repro/internal/vfs"
+	"repro/internal/wal"
 )
 
 // Offline verification and repair of a controller state directory, exposed
@@ -19,23 +20,21 @@ func b64(p []byte) string { return base64.StdEncoding.EncodeToString(p) }
 // FsckFile is the verification result for one file of the pair.
 type FsckFile struct {
 	Path     string
-	Version  int // 0 = missing/empty
 	Entries  int
 	ValidLen int64
-	Size     int64
+	Size     int64 // 0 = missing or empty
 	Torn     bool
-	Damage   []Damage
+	Damage   []wal.Damage
 }
 
 func fsckFile(s *fileScan) FsckFile {
 	return FsckFile{
 		Path:     s.path,
-		Version:  s.version,
 		Entries:  len(s.entries),
-		ValidLen: s.validLen,
-		Size:     s.size,
-		Torn:     s.torn,
-		Damage:   s.damage,
+		ValidLen: s.ValidLen,
+		Size:     s.Size,
+		Torn:     s.Torn,
+		Damage:   s.Damage,
 	}
 }
 
@@ -75,12 +74,12 @@ func (r *FsckReport) Summary() string {
 	}
 	fmt.Fprintf(&b, "fsck %s: %s\n", r.Dir, status)
 	file := func(name string, f FsckFile) {
-		if f.Version == 0 {
+		if f.Size == 0 {
 			fmt.Fprintf(&b, "  %s: missing or empty\n", name)
 			return
 		}
-		fmt.Fprintf(&b, "  %s: v%d, %d entries, %d/%d bytes verified\n",
-			name, f.Version, f.Entries, f.ValidLen, f.Size)
+		fmt.Fprintf(&b, "  %s: v2, %d entries, %d/%d bytes verified\n",
+			name, f.Entries, f.ValidLen, f.Size)
 		for _, d := range f.Damage {
 			fmt.Fprintf(&b, "    line %d (offset %d): %s\n", d.Line, d.Offset, d.Reason)
 		}
@@ -96,98 +95,50 @@ func (r *FsckReport) Summary() string {
 
 // Fsck verifies the snapshot+journal pair in dir without modifying anything.
 func Fsck(fsys vfs.FS, dir string) (*FsckReport, error) {
-	snap, err := scanPath(fsys, snapshotFile(dir), true)
-	if err != nil {
-		return nil, err
-	}
-	tail, err := scanPath(fsys, journalFile(dir), false)
-	if err != nil {
-		return nil, err
-	}
-	entries, unreachable, gap := foldScans(snap, tail)
-	r := &FsckReport{
-		Dir:         dir,
-		Snapshot:    fsckFile(snap),
-		Journal:     fsckFile(tail),
-		Committed:   len(entries),
-		Gap:         gap,
-		Unreachable: len(unreachable),
-	}
-	// Snapshots are written atomically, so "torn" snapshot damage is still
-	// corruption; only the journal's torn tail is benign.
-	r.Corrupt = len(snap.damage) > 0 || (len(tail.damage) > 0 && !tail.torn) || gap != ""
-	r.Torn = !r.Corrupt && tail.torn
-	return r, nil
+	r, _, err := fsck(fsys, dir)
+	return r, err
 }
 
-// FsckRepair salvages dir: the committed prefix is rewritten as a clean v2
-// snapshot (atomic tmp+rename) plus a fresh empty v2 journal, and every
-// damaged or unreachable record is preserved in quarantine.jsonl. Returns
-// the pre-repair report. Repairing a clean directory only migrates it to v2.
-func FsckRepair(fsys vfs.FS, dir string) (*FsckReport, error) {
-	snap, err := scanPath(fsys, snapshotFile(dir), true)
+func fsck(fsys vfs.FS, dir string) (*FsckReport, *statePair, error) {
+	p, err := scanState(fsys, dir)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	tail, err := scanPath(fsys, journalFile(dir), false)
-	if err != nil {
-		return nil, err
-	}
-	entries, unreachable, gap := foldScans(snap, tail)
 	r := &FsckReport{
 		Dir:         dir,
-		Snapshot:    fsckFile(snap),
-		Journal:     fsckFile(tail),
-		Committed:   len(entries),
-		Gap:         gap,
-		Unreachable: len(unreachable),
+		Snapshot:    fsckFile(p.snap),
+		Journal:     fsckFile(p.tail),
+		Committed:   len(p.entries),
+		Gap:         p.gap,
+		Unreachable: len(p.unreachable),
+		Corrupt:     p.corrupt(),
 	}
-	r.Corrupt = len(snap.damage) > 0 || (len(tail.damage) > 0 && !tail.torn) || gap != ""
-	r.Torn = !r.Corrupt && tail.torn
+	r.Torn = !r.Corrupt && p.tail.Torn
+	return r, p, nil
+}
 
-	var quarantined []FileDamage
-	quarantined = append(quarantined, damageList("snapshot.jsonl", snap.damage, true)...)
-	quarantined = append(quarantined, damageList("journal.jsonl", tail.damage, true)...)
-	for _, e := range unreachable {
-		payload, _ := json.Marshal(e)
-		quarantined = append(quarantined, FileDamage{
-			File: "journal.jsonl", Reason: "unreachable after " + gap, RawB64: b64(payload),
-		})
+// FsckRepair salvages dir: the committed prefix is rewritten as a clean
+// sealed snapshot (atomic tmp+rename) plus a fresh empty journal, and every
+// damaged or unreachable record is preserved in quarantine.jsonl. Returns
+// the pre-repair report. Repairing a clean directory only compacts it.
+func FsckRepair(fsys vfs.FS, dir string) (*FsckReport, error) {
+	r, p, err := fsck(fsys, dir)
+	if err != nil {
+		return nil, err
 	}
-	if len(quarantined) > 0 {
-		if err := writeQuarantine(fsys, dir, quarantined); err != nil {
+	if q := p.quarantine(true); len(q) > 0 {
+		if err := writeQuarantine(fsys, dir, q); err != nil {
 			return nil, err
 		}
 	}
-
-	data, err := encodeSnapshot(entries)
-	if err != nil {
-		return nil, err
-	}
-	tmp := snapshotFile(dir) + ".tmp"
-	f, err := fsys.Create(tmp)
-	if err != nil {
-		return nil, fmt.Errorf("slurm: fsck repair: %w", err)
-	}
-	if _, err = f.Write(data); err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
+	err = writeSnapshot(fsys, dir, p.entries)
+	if err == nil {
+		var log *wal.Log
+		if log, err = wal.Create(fsys, journalFile(dir), journalHeader); err == nil {
+			err = log.Close()
+		}
 	}
 	if err != nil {
-		fsys.Remove(tmp)
-		return nil, fmt.Errorf("slurm: fsck repair: %w", err)
-	}
-	if err := fsys.Rename(tmp, snapshotFile(dir)); err != nil {
-		fsys.Remove(tmp)
-		return nil, fmt.Errorf("slurm: fsck repair: %w", err)
-	}
-	w, err := createJournalV2(fsys, journalFile(dir))
-	if err != nil {
-		return nil, fmt.Errorf("slurm: fsck repair: %w", err)
-	}
-	if err := w.close(); err != nil {
 		return nil, fmt.Errorf("slurm: fsck repair: %w", err)
 	}
 	syncDir(fsys, dir)

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/des"
+	"repro/internal/retry"
 )
 
 // Failover soak harness: concurrent clients submit tokened jobs against an
@@ -109,7 +110,7 @@ func RunFailoverSoak(cfg FailoverSoakConfig) (FailoverSoakResult, error) {
 			defer cl.Close()
 			cl.Timeout = cfg.Timeout
 			rng := des.NewRNG(cfg.Seed).Stream(fmt.Sprintf("ha-soak/client/%d", i))
-			cl.Retry = &RetryPolicy{
+			cl.Retry = &retry.Policy{
 				// Generous budget: a client must ride out the full window
 				// between partition and promotion (about one lease) while
 				// alternating endpoints.

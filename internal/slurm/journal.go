@@ -1,7 +1,6 @@
 package slurm
 
 import (
-	"bufio"
 	"encoding/json"
 	"errors"
 	"expvar"
@@ -13,6 +12,7 @@ import (
 
 	"repro/internal/acct"
 	"repro/internal/vfs"
+	"repro/internal/wal"
 )
 
 // Crash recovery. slurmctld survives restarts by writing StateSaveLocation;
@@ -24,27 +24,36 @@ import (
 // format; replay skips them (they are outputs, not inputs), but they make the
 // journal a complete accounting trail on their own.
 //
-// A snapshot compacts the log: the journal's entries are folded into
-// snapshot.jsonl (v2 frames sealed by a manifest, see frame.go) with an
-// atomic tmp+rename, and the journal truncated. Recovery reads snapshot
-// then journal, verifying every record. The recovery state machine:
+// Both files are internal/wal logs (frames, checksums, and the clean / torn /
+// corrupt classification live there); this file is the record schema and the
+// policy on top. A snapshot compacts the log: the journal's entries are
+// folded into snapshot.jsonl (a manifest-sealed file) with an atomic
+// tmp+rename, and the journal truncated. Recovery reads snapshot then
+// journal, verifying every record:
 //
-//   - clean: every record verifies → replay everything.
-//   - torn tail: the journal's damage is confined to an unverifiable tail
-//     (crash mid-append) → truncate it away, replay the prefix. The torn
-//     bytes were never acknowledged.
-//   - corrupt: a record fails verification with verifiable records after it
-//     (bit rot, mid-file truncation), or a snapshot — which is written
-//     atomically and can never legally be torn — is damaged at all. Policy
-//     CorruptFail (default) refuses to start, naming `mini-slurm fsck`;
-//     CorruptQuarantine salvages the committed prefix, copies the damaged
-//     records to quarantine.jsonl, and starts read-only (DEGRADED).
+//   - clean → replay everything.
+//   - torn journal tail (crash mid-append) → truncate it away, replay the
+//     prefix. The torn bytes were never acknowledged.
+//   - corrupt journal, or a snapshot — which is written atomically and can
+//     never legally be torn — damaged at all, or a sequence gap between the
+//     two. Policy CorruptFail (default) refuses to start, naming
+//     `mini-slurm fsck`; CorruptQuarantine salvages the committed prefix,
+//     copies the damaged records to quarantine.jsonl, and starts read-only
+//     (DEGRADED). A non-empty file with no verifiable header — plain JSONL,
+//     say — is corrupt: it is never parsed and never treated as empty.
 //
 // Recovery never silently skips a damaged record and continues past it:
 // the replayed state is always a committed prefix or a loud refusal.
 //
+// Within one file, sequence numbers must be strictly consecutive: the
+// controller stamps Seq = prev+1 on every entry, so a gap or regression
+// inside a file is damage, not history.
+//
 // All file I/O goes through vfs.FS so tests can inject torn writes, fsync
 // failures, bit rot, and crash points on every path below.
+
+// journalHeader is the first line of every journal or snapshot file.
+const journalHeader = "#mini-slurm-journal v2 crc32c"
 
 // Entry is one journal line: an external operation to replay, or an audit
 // record (Op "record") to skip.
@@ -132,13 +141,13 @@ func syncDir(fsys vfs.FS, dir string) {
 // are assigned by the controller (which also owns the in-memory copy of the
 // log for replication); the journal persists entries exactly as given.
 type journal struct {
-	fs     vfs.FS
-	dir    string
-	w      *journalWriter
-	werr   error // why w is nil (a failed compact step); appends try to heal
-	wedged bool  // a failed append could not be rolled back; nothing more is written
-	every  int   // compact after this many appends (0 = never)
-	ops    int   // appends since the last compaction
+	fs  vfs.FS
+	dir string
+	// log is the live journal's append handle; nil after a failed compaction
+	// step closed it — the next append heals via ensureLog.
+	log   *wal.Log
+	every int // compact after this many appends (0 = never)
+	ops   int // appends since the last compaction
 
 	// testAppendErr, when set, is consulted before each append; a non-nil
 	// return aborts the append with that error. Tests use it to simulate a
@@ -149,85 +158,6 @@ type journal struct {
 func snapshotFile(dir string) string   { return filepath.Join(dir, "snapshot.jsonl") }
 func journalFile(dir string) string    { return filepath.Join(dir, "journal.jsonl") }
 func quarantineFile(dir string) string { return filepath.Join(dir, "quarantine.jsonl") }
-
-// journalWriter appends entries to the live journal file in the file's
-// format: v2 checksummed frames for new files, plain JSONL for a v1 file
-// inherited from an earlier release (mixing formats inside one file would
-// corrupt it; the next compaction rewrites it as v2).
-type journalWriter struct {
-	f       vfs.File
-	bw      *bufio.Writer
-	version int
-	// committed is the byte length of the acknowledged prefix of the file;
-	// pending counts bytes buffered or written past it. A failed append is
-	// rolled back to committed (see journal.rollbackAppend): the flush may
-	// have persisted the record even though the fsync failed, and leaving it
-	// behind would collide with the retry's reissued Seq — recovery would
-	// then refuse the duplicate as out-of-sequence corruption.
-	committed int64
-	pending   int64
-}
-
-func newJournalWriter(f vfs.File, version int) *journalWriter {
-	return &journalWriter{f: f, bw: bufio.NewWriter(f), version: version}
-}
-
-// createJournalV2 truncate-creates path as an empty v2 journal: header line
-// written and synced so the file is self-describing from byte zero.
-func createJournalV2(fsys vfs.FS, path string) (*journalWriter, error) {
-	f, err := fsys.Create(path)
-	if err != nil {
-		return nil, fmt.Errorf("slurm: create journal %s: %w", path, err)
-	}
-	w := newJournalWriter(f, journalV2)
-	if _, err := w.bw.WriteString(v2Header + "\n"); err == nil {
-		w.pending = int64(len(v2Header) + 1)
-		err = w.sync()
-	}
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("slurm: init journal %s: %w", path, err)
-	}
-	return w, nil
-}
-
-func (w *journalWriter) append(e Entry) error {
-	payload, err := json.Marshal(e)
-	if err != nil {
-		return fmt.Errorf("slurm: encode entry %d: %w", e.Seq, err)
-	}
-	var line []byte
-	if w.version == journalV2 {
-		line = appendFrame(nil, payload)
-	} else {
-		line = append(payload, '\n')
-	}
-	if _, err := w.bw.Write(line); err != nil {
-		return fmt.Errorf("slurm: append to %s: %w", w.f.Name(), err)
-	}
-	w.pending += int64(len(line))
-	return nil
-}
-
-func (w *journalWriter) sync() error {
-	if err := w.bw.Flush(); err != nil {
-		return fmt.Errorf("slurm: flush %s: %w", w.f.Name(), err)
-	}
-	if err := w.f.Sync(); err != nil {
-		return fmt.Errorf("slurm: sync %s: %w", w.f.Name(), err)
-	}
-	w.committed += w.pending
-	w.pending = 0
-	return nil
-}
-
-func (w *journalWriter) close() error {
-	syncErr := w.sync()
-	if err := w.f.Close(); err != nil {
-		return fmt.Errorf("slurm: close %s: %w", w.f.Name(), err)
-	}
-	return syncErr
-}
 
 // CorruptPolicy selects what recovery does with a journal or snapshot
 // record that fails verification mid-log (torn tails are always salvaged).
@@ -267,9 +197,6 @@ type FileDamage struct {
 type RecoveryInfo struct {
 	// Entries is the number of committed entries recovered.
 	Entries int
-	// SnapshotVersion and JournalVersion are the on-disk formats found
-	// (0 = file empty or missing).
-	SnapshotVersion, JournalVersion int
 	// TornBytes is the size of the unacknowledged torn tail truncated from
 	// the journal (0 when the tail was clean).
 	TornBytes int64
@@ -281,67 +208,145 @@ type RecoveryInfo struct {
 	Damage []FileDamage
 }
 
-// scanPath reads and verifies one file; a missing file scans as empty.
-func scanPath(fsys vfs.FS, path string, wantManifest bool) (*fileScan, error) {
-	data, err := fsys.ReadFile(path)
-	if err != nil {
-		if errors.Is(err, fs.ErrNotExist) {
-			return &fileScan{path: path}, nil
-		}
-		return nil, fmt.Errorf("slurm: read journal %s: %w", path, err)
-	}
-	return scanFile(data, path, wantManifest), nil
+// fileScan is one verified journal or snapshot file: the wal scan plus the
+// entries of its verified prefix.
+type fileScan struct {
+	*wal.Scan
+	path    string
+	entries []Entry
 }
 
-// readEntries parses a journal file (either format version), tolerating a
-// torn tail and failing loudly on any other damage. Test helper and v1
-// compatibility reader.
-func readEntries(path string) ([]Entry, error) {
-	scan, err := scanPath(vfs.OS{}, path, false)
+// scanFile verifies one journal (sealed=false) or snapshot (sealed=true)
+// file image. Beyond the frame checks a record must parse as an Entry and
+// carry the next consecutive Seq — a torn write whose fragment still
+// checksums, or a record spliced in from elsewhere, shows up as a regression
+// or gap.
+func scanFile(data []byte, path string, sealed bool) *fileScan {
+	s := &fileScan{path: path}
+	var prev int64
+	first := true
+	s.Scan = wal.ScanBytes(data, journalHeader, sealed, func(payload []byte) string {
+		var e Entry
+		if err := json.Unmarshal(payload, &e); err != nil {
+			return fmt.Sprintf("payload parse error: %v", err)
+		}
+		switch {
+		case first || e.Seq == prev+1:
+		case e.Seq <= prev:
+			return fmt.Sprintf("out-of-sequence record (seq %d after %d)", e.Seq, prev)
+		default:
+			return fmt.Sprintf("sequence gap (seq %d after %d)", e.Seq, prev)
+		}
+		first, prev = false, e.Seq
+		s.entries = append(s.entries, e)
+		return ""
+	})
+	return s
+}
+
+// scanPath reads and verifies one file; a missing file scans as empty.
+func scanPath(fsys vfs.FS, path string, sealed bool) (*fileScan, error) {
+	data, err := fsys.ReadFile(path)
+	if err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return nil, fmt.Errorf("slurm: read journal %s: %w", path, err)
+	}
+	return scanFile(data, path, sealed), nil
+}
+
+// encodeSnapshot renders entries as a complete snapshot file: header, one
+// frame per entry, trailing manifest sealing the whole file.
+func encodeSnapshot(entries []Entry) ([]byte, error) {
+	payloads := make([][]byte, len(entries))
+	for i, e := range entries {
+		var err error
+		if payloads[i], err = json.Marshal(e); err != nil {
+			return nil, fmt.Errorf("slurm: encode entry %d: %w", e.Seq, err)
+		}
+	}
+	return wal.Encode(journalHeader, payloads, true), nil
+}
+
+// statePair is a state directory's verified snapshot+journal pair folded
+// into the committed prefix — the common first step of recovery, compaction,
+// and fsck.
+type statePair struct {
+	snap, tail *fileScan
+	// entries is the committed prefix. A crash between compaction's snapshot
+	// rename and journal truncation leaves the journal's entries duplicated
+	// at the snapshot's tail; the strictly increasing Seq makes the overlap
+	// detectable, so it is dropped instead of poisoning replay.
+	entries []Entry
+	// gap, when non-empty, describes a sequence gap — the log claims history
+	// it cannot connect to. Everything from the gap on is unreachable:
+	// returned separately, never silently replayed.
+	gap         string
+	unreachable []Entry
+}
+
+func scanState(fsys vfs.FS, dir string) (*statePair, error) {
+	snap, err := scanPath(fsys, snapshotFile(dir), true)
 	if err != nil {
 		return nil, err
 	}
-	if len(scan.damage) > 0 && !scan.torn {
-		d := scan.damage[0]
-		return nil, fmt.Errorf("slurm: journal %s: line %d (offset %d): %s", path, d.Line, d.Offset, d.Reason)
+	tail, err := scanPath(fsys, journalFile(dir), false)
+	if err != nil {
+		return nil, err
 	}
-	return scan.entries, nil
+	return foldScans(snap, tail), nil
 }
 
-// foldScans merges a snapshot scan and a journal scan into the committed
-// prefix. A crash between compaction's snapshot rename and journal
-// truncation leaves the journal's entries duplicated at the snapshot's
-// tail; the strictly increasing Seq makes the overlap detectable, so it is
-// dropped instead of poisoning replay. A sequence gap — the log claims
-// history it cannot connect to — makes everything from the gap on
-// unreachable: those records are returned separately, never silently
-// replayed.
-func foldScans(snap, tail *fileScan) (entries, unreachable []Entry, gap string) {
+func foldScans(snap, tail *fileScan) *statePair {
+	p := &statePair{snap: snap, tail: tail}
 	var last int64
 	consume := func(list []Entry, src string) {
 		for i, e := range list {
-			if gap != "" {
-				unreachable = append(unreachable, list[i:]...)
+			if p.gap != "" {
+				p.unreachable = append(p.unreachable, list[i:]...)
 				return
 			}
 			if e.Seq <= last {
 				continue // overlap from a crash mid-compaction
 			}
 			if e.Seq != last+1 {
-				gap = fmt.Sprintf("%s: sequence gap (log connects through seq %d, next record is seq %d)", src, last, e.Seq)
-				unreachable = append(unreachable, list[i:]...)
+				p.gap = fmt.Sprintf("%s: sequence gap (log connects through seq %d, next record is seq %d)", src, last, e.Seq)
+				p.unreachable = append(p.unreachable, list[i:]...)
 				return
 			}
-			entries = append(entries, e)
+			p.entries = append(p.entries, e)
 			last = e.Seq
 		}
 	}
 	consume(snap.entries, "snapshot")
 	consume(tail.entries, "journal")
-	return entries, unreachable, gap
+	return p
 }
 
-func damageList(file string, ds []Damage, withRaw bool) []FileDamage {
+// corrupt reports damage recovery will not silently salvage: any snapshot
+// damage (snapshots are written atomically, so even "torn" is corruption),
+// mid-log journal damage, or a sequence gap.
+func (p *statePair) corrupt() bool {
+	return len(p.snap.Damage) > 0 || (len(p.tail.Damage) > 0 && !p.tail.Torn) || p.gap != ""
+}
+
+// quarantine lists everything a salvage sets aside, raw bytes included: the
+// damaged lines of whichever file is corrupt (withTorn adds a benign torn
+// journal tail too — fsck -repair drops it from the file, so it is kept
+// here) and the records stranded behind a gap.
+func (p *statePair) quarantine(withTorn bool) []FileDamage {
+	out := damageList("snapshot.jsonl", p.snap.Damage, true)
+	if withTorn || !p.tail.Torn {
+		out = append(out, damageList("journal.jsonl", p.tail.Damage, true)...)
+	}
+	for _, e := range p.unreachable {
+		payload, _ := json.Marshal(e) // e was decoded from JSON; it re-encodes
+		out = append(out, FileDamage{
+			File: "journal.jsonl", Reason: "unreachable after " + p.gap, RawB64: b64(payload),
+		})
+	}
+	return out
+}
+
+func damageList(file string, ds []wal.Damage, withRaw bool) []FileDamage {
 	out := make([]FileDamage, 0, len(ds))
 	for _, d := range ds {
 		fd := FileDamage{File: file, Line: d.Line, Offset: d.Offset, Reason: d.Reason}
@@ -353,163 +358,126 @@ func damageList(file string, ds []Damage, withRaw bool) []FileDamage {
 	return out
 }
 
+const fsckHint = "(run `mini-slurm fsck` to inspect, `-repair` to salvage)"
+
 // openJournal opens (creating if needed) the state directory, verifies the
 // snapshot+journal pair, and returns the append handle, every committed
 // entry, and a recovery report. Damage handling follows the recovery state
 // machine documented at the top of this file.
 func openJournal(fsys vfs.FS, dir string, every int, pol CorruptPolicy) (*journal, []Entry, *RecoveryInfo, error) {
-	if pol == "" {
-		pol = CorruptFail
-	}
 	if err := fsys.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, nil, fmt.Errorf("slurm: state dir: %w", err)
 	}
 	// A leftover compaction temp file is a crash before the rename; the
 	// snapshot+journal pair is authoritative.
 	fsys.Remove(snapshotFile(dir) + ".tmp")
-	snap, err := scanPath(fsys, snapshotFile(dir), true)
+	p, err := scanState(fsys, dir)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	tail, err := scanPath(fsys, journalFile(dir), false)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	info := &RecoveryInfo{SnapshotVersion: snap.version, JournalVersion: tail.version}
+	tail := p.tail
+	info := &RecoveryInfo{Entries: len(p.entries)}
 
-	// Snapshots are written atomically (tmp+fsync+rename): they can never
-	// legally be torn, so any damage at all is corruption.
-	var quarantined []FileDamage
-	if len(snap.damage) > 0 {
+	if p.corrupt() {
 		if pol != CorruptQuarantine {
-			d := snap.damage[0]
-			return nil, nil, nil, fmt.Errorf(
-				"slurm: snapshot %s corrupt: line %d (offset %d): %s (run `mini-slurm fsck` to inspect, `-repair` to salvage)",
-				snap.path, d.Line, d.Offset, d.Reason)
+			switch {
+			case len(p.snap.Damage) > 0:
+				d := p.snap.Damage[0]
+				err = fmt.Errorf("slurm: snapshot %s corrupt: line %d (offset %d): %s %s",
+					p.snap.path, d.Line, d.Offset, d.Reason, fsckHint)
+			case len(tail.Damage) > 0 && !tail.Torn:
+				d := tail.Damage[0]
+				err = fmt.Errorf("slurm: journal %s corrupt: line %d (offset %d): %s %s",
+					tail.path, d.Line, d.Offset, d.Reason, fsckHint)
+			default:
+				err = fmt.Errorf("slurm: %s: %s %s", dir, p.gap, fsckHint)
+			}
+			return nil, nil, nil, err
 		}
-		quarantined = append(quarantined, damageList("snapshot.jsonl", snap.damage, true)...)
-		// Nothing after a damaged snapshot record can be trusted to
-		// connect; drop the journal's claim to extend it via the gap check
-		// below (the salvaged snapshot prefix ends before the journal
-		// starts, producing a sequence gap unless the overlap covers it).
-	}
-	if len(tail.damage) > 0 && !tail.torn {
-		if pol != CorruptQuarantine {
-			d := tail.damage[0]
-			return nil, nil, nil, fmt.Errorf(
-				"slurm: journal %s corrupt: line %d (offset %d): %s (run `mini-slurm fsck` to inspect, `-repair` to salvage)",
-				tail.path, d.Line, d.Offset, d.Reason)
+		// A salvaged snapshot prefix ends before the journal starts, so the
+		// journal's claim to extend it surfaces as a gap: those records are
+		// quarantined as unreachable, never replayed.
+		info.Quarantined = true
+		info.Damage = p.quarantine(false)
+		if err := writeQuarantine(fsys, dir, info.Damage); err != nil {
+			return nil, nil, nil, err
 		}
-		quarantined = append(quarantined, damageList("journal.jsonl", tail.damage, true)...)
-	}
-
-	entries, unreachable, gap := foldScans(snap, tail)
-	if gap != "" {
-		if pol != CorruptQuarantine && len(quarantined) == 0 {
-			return nil, nil, nil, fmt.Errorf(
-				"slurm: %s: %s (run `mini-slurm fsck` to inspect, `-repair` to salvage)", dir, gap)
-		}
-		for _, e := range unreachable {
-			payload, _ := json.Marshal(e)
-			quarantined = append(quarantined, FileDamage{
-				File: "journal.jsonl", Reason: "unreachable after " + gap, RawB64: b64(payload),
-			})
-		}
+	} else if len(tail.Damage) > 0 {
+		info.Damage = damageList("journal.jsonl", tail.Damage, false)
 	}
 
 	// Torn journal tail: the expected crash-mid-append artifact. Truncate
 	// the fragment physically — appending after it would fuse the torn
 	// bytes with the next record's line and lose an acknowledged entry on
 	// the following recovery.
-	if tail.torn && tail.validLen < tail.size {
-		info.TornBytes = tail.size - tail.validLen
-		if err := fsys.Truncate(journalFile(dir), tail.validLen); err != nil {
+	if tail.Torn && tail.ValidLen < tail.Size {
+		info.TornBytes = tail.Size - tail.ValidLen
+		if err := fsys.Truncate(journalFile(dir), tail.ValidLen); err != nil {
 			return nil, nil, nil, fmt.Errorf("slurm: truncate torn journal tail: %w", err)
 		}
 	}
 
-	if len(quarantined) > 0 {
-		info.Quarantined = true
-		info.Damage = quarantined
-		if err := writeQuarantine(fsys, dir, quarantined); err != nil {
-			return nil, nil, nil, err
-		}
-	} else if len(tail.damage) > 0 {
-		info.Damage = damageList("journal.jsonl", tail.damage, false)
-	}
-
-	var w *journalWriter
-	if tail.validLen == 0 || tail.version == 0 {
-		// Empty (or fully torn) journal: start a fresh self-describing v2 file.
-		w, err = createJournalV2(fsys, journalFile(dir))
-	} else {
-		var f vfs.File
-		f, err = fsys.OpenAppend(journalFile(dir))
-		if err == nil {
-			w = newJournalWriter(f, tail.version)
-			w.committed = tail.validLen
-		}
-	}
-	if err != nil {
+	j := &journal{fs: fsys, dir: dir, every: every, ops: len(tail.entries)}
+	if err := j.openLog(tail); err != nil {
 		return nil, nil, nil, err
 	}
 	// Make the freshly created files' directory entries durable too: an
 	// fsynced journal line in a file the directory has lost is still lost.
 	syncDir(fsys, dir)
-	info.Entries = len(entries)
-	j := &journal{fs: fsys, dir: dir, w: w, every: every, ops: len(tail.entries)}
-	return j, entries, info, nil
+	return j, p.entries, info, nil
 }
 
-// ensureWriter re-establishes the append handle after a failed compaction
-// step left it closed, so a transient storage fault heals instead of
-// wedging the journal until restart.
-func (j *journal) ensureWriter() error {
-	if j.w != nil {
+// openLog establishes the append handle on the live journal as scan found
+// it: a file that is empty (or was torn before its header committed) starts
+// over as a fresh self-describing log; otherwise appends continue after the
+// verified prefix. A quarantined journal keeps its damaged bytes on disk —
+// the controller runs read-only, so nothing is appended behind them.
+func (j *journal) openLog(scan *fileScan) (err error) {
+	if scan.ValidLen == 0 && (scan.Size == 0 || scan.Torn) {
+		j.log, err = wal.Create(j.fs, journalFile(j.dir), journalHeader)
+	} else {
+		j.log, err = wal.OpenAppend(j.fs, journalFile(j.dir), scan.ValidLen)
+	}
+	return err
+}
+
+// ensureLog re-establishes the append handle after a failed compaction step
+// left it closed, so a transient storage fault heals instead of wedging the
+// journal until restart.
+func (j *journal) ensureLog() error {
+	if j.log != nil {
 		return nil
 	}
 	scan, err := scanPath(j.fs, journalFile(j.dir), false)
 	if err != nil {
 		return err
 	}
-	if len(scan.damage) > 0 {
-		return fmt.Errorf("slurm: journal %s damaged after failed compaction (%s); refusing to append", scan.path, scan.damage[0].Reason)
+	if len(scan.Damage) > 0 {
+		return fmt.Errorf("slurm: journal %s damaged after failed compaction (%s); refusing to append", scan.path, scan.Damage[0].Reason)
 	}
-	if scan.validLen == 0 || scan.version == 0 {
-		j.w, err = createJournalV2(j.fs, journalFile(j.dir))
-		return err
-	}
-	f, err := j.fs.OpenAppend(journalFile(j.dir))
-	if err != nil {
-		return err
-	}
-	j.w = newJournalWriter(f, scan.version)
-	j.w.committed = scan.validLen
-	j.werr = nil
-	return nil
+	return j.openLog(scan)
 }
 
 // append durably logs one entry (whose Seq the caller has already assigned),
-// then compacts if the journal grew past the snapshot threshold. Append-path
-// failures wrap ErrJournalAppend; compaction failures wrap ErrJournalCompact.
+// then compacts if the journal grew past the snapshot threshold. A failed
+// append is rolled back by the wal, so the retry's reissued Seq never
+// collides with a half-persisted record. Append-path failures wrap
+// ErrJournalAppend; compaction failures wrap ErrJournalCompact.
 func (j *journal) append(e Entry) error {
 	if j.testAppendErr != nil {
 		if err := j.testAppendErr(e); err != nil {
 			return journalErr(ErrJournalAppend, err)
 		}
 	}
-	if j.wedged {
-		return journalErr(ErrJournalAppend,
-			fmt.Errorf("slurm: journal %s wedged by an earlier failed append rollback", journalFile(j.dir)))
-	}
-	if err := j.ensureWriter(); err != nil {
+	if err := j.ensureLog(); err != nil {
 		return journalErr(ErrJournalAppend, err)
 	}
-	if err := j.w.append(e); err != nil {
-		return journalErr(ErrJournalAppend, j.rollbackAppend(err))
+	payload, err := json.Marshal(e)
+	if err != nil {
+		return journalErr(ErrJournalAppend, fmt.Errorf("slurm: encode entry %d: %w", e.Seq, err))
 	}
-	if err := j.w.sync(); err != nil {
-		return journalErr(ErrJournalAppend, j.rollbackAppend(err))
+	if err := j.log.Append(payload, true); err != nil {
+		return journalErr(ErrJournalAppend, err)
 	}
 	j.ops++
 	if j.every > 0 && j.ops >= j.every {
@@ -518,32 +486,15 @@ func (j *journal) append(e Entry) error {
 	return nil
 }
 
-// rollbackAppend discards a failed append's possibly-persisted bytes by
-// truncating the live journal back to its committed length: the flush may
-// have landed the record on disk even though the fsync (or a partial write)
-// failed, and the retry will reissue the same Seq — without the rollback the
-// duplicate would make recovery refuse the whole journal as out-of-sequence
-// corruption. The handle is closed and reopened lazily by the next append's
-// ensureWriter. If the rollback itself fails the journal wedges — nothing
-// more is written, and the committed prefix is what the next open finds —
-// mirroring the campaign journal's policy (DESIGN §13).
-func (j *journal) rollbackAppend(err error) error {
-	committed := j.w.committed
-	j.w.f.Close()
-	j.w = nil
-	if terr := j.fs.Truncate(journalFile(j.dir), committed); terr != nil {
-		j.wedged = true
-		return fmt.Errorf("%w (rollback failed: %v; journal wedged)", err, terr)
+// writeSnapshot atomically replaces dir's snapshot with entries: sealed
+// image to a temp file, fsync, rename, directory fsync.
+func writeSnapshot(fsys vfs.FS, dir string, entries []Entry) error {
+	data, err := encodeSnapshot(entries)
+	if err != nil {
+		return err
 	}
-	j.werr = err
-	return err
-}
-
-// writeSnapshotAtomic writes data to the snapshot temp file, syncs it, and
-// atomically renames it over the snapshot.
-func (j *journal) writeSnapshotAtomic(data []byte) error {
-	tmp := snapshotFile(j.dir) + ".tmp"
-	f, err := j.fs.Create(tmp)
+	tmp := snapshotFile(dir) + ".tmp"
+	f, err := fsys.Create(tmp)
 	if err != nil {
 		return err
 	}
@@ -553,106 +504,81 @@ func (j *journal) writeSnapshotAtomic(data []byte) error {
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
-	if err != nil {
-		j.fs.Remove(tmp)
-		return err
+	if err == nil {
+		err = fsys.Rename(tmp, snapshotFile(dir))
 	}
-	if err := j.fs.Rename(tmp, snapshotFile(j.dir)); err != nil {
-		j.fs.Remove(tmp)
+	if err != nil {
+		fsys.Remove(tmp)
 		return err
 	}
 	// Without a directory fsync the rename may not survive power loss on
 	// some filesystems — the data would be safe in the temp file, but the
 	// snapshot name could still point at the old content.
-	syncDir(j.fs, j.dir)
+	syncDir(fsys, dir)
 	return nil
 }
 
 // compact folds the journal into the snapshot: verify and merge both files,
-// write the folded entries as a manifest-sealed v2 snapshot via tmp+rename,
-// then truncate the journal (to a fresh v2 header — this is where a v1
-// journal inherited from an earlier release migrates to v2). The old append
-// handle stays live until the temp snapshot is durable, so a fault in the
-// fold leaves the append path healthy. A crash at any point leaves a
-// recoverable pair of files.
+// write the folded entries as a sealed snapshot via tmp+rename, then
+// truncate the journal to a fresh header. The old append handle stays live
+// until the temp snapshot is durable, so a fault in the fold leaves the
+// append path healthy. A crash at any point leaves a recoverable pair of
+// files.
 func (j *journal) compact() error {
-	snap, err := scanPath(j.fs, snapshotFile(j.dir), true)
-	if err != nil {
-		return journalErr(ErrJournalCompact, err)
-	}
-	tail, err := scanPath(j.fs, journalFile(j.dir), false)
+	p, err := scanState(j.fs, j.dir)
 	if err != nil {
 		return journalErr(ErrJournalCompact, err)
 	}
 	// Compaction rewrites history; damaged history must never be folded
 	// into a "clean" snapshot. The files verified at open, so damage here
 	// means the disk rotted underneath the running controller.
-	if len(snap.damage) > 0 {
-		return journalErr(ErrJournalCompact, fmt.Errorf("snapshot %s damaged (%s); run fsck", snap.path, snap.damage[0].Reason))
-	}
-	if len(tail.damage) > 0 {
-		return journalErr(ErrJournalCompact, fmt.Errorf("journal %s damaged (%s); run fsck", tail.path, tail.damage[0].Reason))
-	}
-	entries, _, gap := foldScans(snap, tail)
-	if gap != "" {
-		return journalErr(ErrJournalCompact, fmt.Errorf("refusing to fold: %s", gap))
-	}
-	data, err := encodeSnapshot(entries)
-	if err != nil {
-		return journalErr(ErrJournalCompact, err)
-	}
-	if err := j.writeSnapshotAtomic(data); err != nil {
-		return journalErr(ErrJournalCompact, err)
-	}
-	return journalErr(ErrJournalCompact, j.truncateLive())
-}
-
-// truncateLive replaces the live journal with a fresh v2 file after its
-// entries have been folded into the snapshot. On failure the append handle
-// is left nil with the cause recorded; the next append retries via
-// ensureWriter.
-func (j *journal) truncateLive() error {
-	if j.w != nil {
-		err := j.w.close()
-		j.w = nil
-		if err != nil {
-			j.werr = err
-			return err
+	for _, s := range []*fileScan{p.snap, p.tail} {
+		if len(s.Damage) > 0 {
+			return journalErr(ErrJournalCompact, fmt.Errorf("%s damaged (%s); run fsck", s.path, s.Damage[0].Reason))
 		}
 	}
-	w, err := createJournalV2(j.fs, journalFile(j.dir))
+	if p.gap != "" {
+		return journalErr(ErrJournalCompact, fmt.Errorf("refusing to fold: %s", p.gap))
+	}
+	return j.rewrite(p.entries)
+}
+
+// rewrite atomically replaces the journal's entire content with entries: a
+// compaction persists the folded log this way, and a standby that accepted a
+// full resync from the primary persists the received log in one step (a
+// resync is morally a compaction, and fails as one).
+func (j *journal) rewrite(entries []Entry) error {
+	err := writeSnapshot(j.fs, j.dir, entries)
+	if err == nil {
+		err = j.truncateLive()
+	}
+	return journalErr(ErrJournalCompact, err)
+}
+
+// truncateLive replaces the live journal with a fresh file after its
+// entries have been folded into the snapshot. On failure the append handle
+// is left nil; the next append retries via ensureLog.
+func (j *journal) truncateLive() error {
+	if err := j.close(); err != nil {
+		return err
+	}
+	log, err := wal.Create(j.fs, journalFile(j.dir), journalHeader)
 	if err != nil {
-		j.werr = err
 		return err
 	}
 	syncDir(j.fs, j.dir)
-	j.w = w
-	j.werr = nil
+	j.log = log
 	j.ops = 0
 	return nil
 }
 
-// rewrite atomically replaces the journal's entire content with entries: a
-// standby that accepted a full resync from the primary persists the received
-// log in one step. The entries land in the snapshot (a resync is morally a
-// compaction, and fails as one) and the live journal is truncated.
-func (j *journal) rewrite(entries []Entry) error {
-	data, err := encodeSnapshot(entries)
-	if err != nil {
-		return journalErr(ErrJournalCompact, err)
-	}
-	if err := j.writeSnapshotAtomic(data); err != nil {
-		return journalErr(ErrJournalCompact, err)
-	}
-	return journalErr(ErrJournalCompact, j.truncateLive())
-}
-
-// close releases the append handle.
+// close releases the append handle. Nothing is left to sync: every append
+// was fsynced or rolled back.
 func (j *journal) close() error {
-	if j.w == nil {
+	if j.log == nil {
 		return nil
 	}
-	err := j.w.close()
-	j.w = nil
-	return err
+	log := j.log
+	j.log = nil
+	return log.Close()
 }

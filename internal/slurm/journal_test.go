@@ -208,10 +208,11 @@ func TestJournalFaultTrailAudit(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	entries, err := readEntries(filepath.Join(dir, "journal.jsonl"))
-	if err != nil {
-		t.Fatal(err)
+	scan := scanFile(readFileT(t, journalFile(dir)), journalFile(dir), false)
+	if len(scan.Damage) > 0 {
+		t.Fatalf("journal damaged: %+v", scan.Damage[0])
 	}
+	entries := scan.entries
 	var recs []acct.Record
 	for _, e := range entries {
 		if e.Op == "record" && e.Record != nil {

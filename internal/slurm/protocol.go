@@ -15,6 +15,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/des"
 	"repro/internal/metrics"
+	"repro/internal/retry"
 )
 
 // The wire protocol is JSON lines over TCP: one Request per line from the
@@ -708,7 +709,7 @@ type Client struct {
 	// transport failures on idempotent requests (reads, or submits
 	// carrying a Token) redial and retry, and not-primary/fenced errors
 	// fail over to the next endpoint. Nil keeps the one-shot behavior.
-	Retry *RetryPolicy
+	Retry *retry.Policy
 
 	// Timeout, when positive, bounds each request round trip with a
 	// connection deadline. Without it a black-holed (partitioned, not
@@ -796,7 +797,7 @@ func DialRetry(addr string, seed uint64) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	c.Retry = DefaultRetryPolicy(seed)
+	c.Retry = retry.DefaultPolicy(seed)
 	return c, nil
 }
 
@@ -893,7 +894,7 @@ func (c *Client) Do(req Request) (Response, error) {
 			c.rotate()
 			if rerr := c.redial(); rerr != nil {
 				err = rerr
-				c.Retry.sleep(c.Retry.Delay(attempt, 0))
+				c.Retry.Wait(c.Retry.Delay(attempt, 0))
 				continue
 			}
 		case isTransportError(err) && idempotentRequest(req):
@@ -906,7 +907,7 @@ func (c *Client) Do(req Request) (Response, error) {
 			}
 			if rerr := c.redial(); rerr != nil {
 				err = rerr
-				c.Retry.sleep(c.Retry.Delay(attempt, 0))
+				c.Retry.Wait(c.Retry.Delay(attempt, 0))
 				continue
 			}
 		default:
@@ -918,7 +919,7 @@ func (c *Client) Do(req Request) (Response, error) {
 			// deadline error carrying the last server answer.
 			return resp, &DeadlineError{Msg: fmt.Sprintf("budget spent retrying %s: %v", req.Op, err)}
 		}
-		c.Retry.sleep(delay)
+		c.Retry.Wait(delay)
 		if !stamp() {
 			return resp, &DeadlineError{Msg: fmt.Sprintf("budget spent retrying %s: %v", req.Op, err)}
 		}
@@ -983,6 +984,21 @@ func exchange(conn net.Conn, sc *bufio.Scanner, enc *json.Encoder, timeout time.
 		return resp, fmt.Errorf("slurm: server: %s", resp.Error)
 	}
 	return resp, nil
+}
+
+// idempotentRequest reports whether req may be retried after a transport
+// failure, where the client cannot know if the server executed it. Reads
+// always qualify; a submit qualifies only when it carries a dedupe token.
+// BUSY responses are retryable for every verb — they are generated before
+// the operation runs.
+func idempotentRequest(req Request) bool {
+	switch req.Op {
+	case "queue", "nodes", "stats", "now", "config", "health":
+		return true
+	case "submit":
+		return req.Token != ""
+	}
+	return false
 }
 
 // isTransportError reports whether err is a connection-level failure (as

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/des"
+	"repro/internal/retry"
 )
 
 // --- shedder units -----------------------------------------------------
@@ -267,7 +268,7 @@ func TestClientDeadlineBudgetSpansRetries(t *testing.T) {
 	cl, srv, _ := overloadServer(t, OverloadConfig{MaxInflight: 1, RetryAfter: 20 * time.Millisecond})
 	srv.sem <- struct{}{} // permanently saturated
 	cl.DeadlineBudget = 50 * time.Millisecond
-	cl.Retry = &RetryPolicy{
+	cl.Retry = &retry.Policy{
 		MaxAttempts: 100,
 		BaseDelay:   20 * time.Millisecond,
 		MaxDelay:    20 * time.Millisecond,

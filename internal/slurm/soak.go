@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/des"
+	"repro/internal/retry"
 )
 
 // Soak harness: many concurrent clients hammering an undersized server to
@@ -198,7 +199,7 @@ func RunSoak(cfg SoakConfig) (SoakResult, error) {
 			}
 			defer cl.Close()
 			rng := des.NewRNG(cfg.Seed).Stream(fmt.Sprintf("soak/client/%d", i))
-			cl.Retry = &RetryPolicy{
+			cl.Retry = &retry.Policy{
 				MaxAttempts: 24,
 				BaseDelay:   2 * time.Millisecond,
 				MaxDelay:    100 * time.Millisecond,

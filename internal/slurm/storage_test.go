@@ -1,6 +1,8 @@
 package slurm
 
 import (
+	"bytes"
+	"encoding/base64"
 	"encoding/json"
 	"errors"
 	"os"
@@ -13,6 +15,7 @@ import (
 
 	"repro/internal/des"
 	"repro/internal/vfs"
+	"repro/internal/wal"
 )
 
 // Storage-fault property campaign. The invariant under test is the recovery
@@ -261,89 +264,95 @@ func TestJournalTornTailThenAppend(t *testing.T) {
 	}
 }
 
-// TestJournalV1MigrationRoundTrip: a plain-JSONL journal written by the
-// pre-checksum releases loads with identical replayed state, keeps accepting
-// appends in its own format, and is rewritten as a sealed v2 pair by the
-// next compaction — after which recovery still reproduces the same state.
-func TestJournalV1MigrationRoundTrip(t *testing.T) {
-	w := buildWorkload(t, 0)
-
-	// Render the committed log exactly as the v1 encoder did: one
-	// json.Marshal line per entry.
-	var v1 []byte
-	for _, e := range w.committed {
-		line, err := json.Marshal(e)
-		if err != nil {
-			t.Fatal(err)
-		}
-		v1 = append(v1, line...)
-		v1 = append(v1, '\n')
+// TestJournalGoldenBytes pins the on-disk format in both directions against
+// testdata/golden-state, the snapshot+journal pair the pre-internal/wal
+// implementation wrote for driveWorkload compacting every 4 appends: the
+// same operations must produce the same bytes, and the committed files must
+// replay to the same state.
+func TestJournalGoldenBytes(t *testing.T) {
+	w := buildWorkload(t, 4)
+	golden := filepath.Join("testdata", "golden-state")
+	snap, tail := readFileT(t, snapshotFile(golden)), readFileT(t, journalFile(golden))
+	if !bytes.Equal(w.snap, snap) || !bytes.Equal(w.tail, tail) {
+		t.Fatalf("on-disk bytes moved:\nsnapshot %d bytes (golden %d)\n%s\njournal %d bytes (golden %d)\n%s",
+			len(w.snap), len(snap), w.snap, len(w.tail), len(tail), w.tail)
 	}
-	dir := t.TempDir()
-	writeFile(t, journalFile(dir), v1)
-
-	c, err := OpenJournaled(w.cfg, dir, 0)
+	c, err := OpenJournaled(w.cfg, w.restore(t, snap, tail), 0)
 	if err != nil {
-		t.Fatalf("v1 journal rejected: %v", err)
+		t.Fatalf("golden state directory rejected: %v", err)
 	}
-	if got := c.Recovery().JournalVersion; got != journalV1 {
-		t.Fatalf("journal recognized as v%d, want v1", got)
-	}
+	defer c.Close()
 	if got := stateOf(c); !reflect.DeepEqual(got, w.state) {
-		t.Fatalf("v1 replay diverges from the original run:\n got %+v\nwant %+v", got, w.state)
-	}
-
-	// Appends to a v1 file stay v1 (one format per file) until compaction
-	// migrates the pair to v2.
-	if _, err := c.Submit("minife", 1, 1800, 900, "post-v1"); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.jr.compact(); err != nil {
-		t.Fatal(err)
-	}
-	want := stateOf(c)
-	if err := c.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	snapScan := scanFile(readFileT(t, snapshotFile(dir)), snapshotFile(dir), true)
-	if snapScan.version != journalV2 || !snapScan.manifest {
-		t.Fatalf("compaction did not migrate to a sealed v2 snapshot (version %d, manifest %v)",
-			snapScan.version, snapScan.manifest)
-	}
-	c2, err := OpenJournaled(w.cfg, dir, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c2.Close()
-	if got := stateOf(c2); !reflect.DeepEqual(got, want) {
-		t.Fatalf("post-migration recovery diverges:\n got %+v\nwant %+v", got, want)
+		t.Fatalf("golden state directory replays differently:\n got %+v\nwant %+v", got, w.state)
 	}
 }
 
-// TestReadEntriesSeqInvariant: v1 parsing must cross-check sequence numbers.
-// A torn fragment that happens to parse as JSON with a stale seq is dropped
-// as a torn tail; an out-of-sequence record mid-file (verifiable records
-// after it) is corruption and errors.
-func TestReadEntriesSeqInvariant(t *testing.T) {
-	line := func(seq int) string {
-		return `{"seq":` + strconv.Itoa(seq) + `,"op":"advance","seconds":1}` + "\n"
+// TestJournalRefusesUnverifiableFiles: a non-empty journal without a
+// verifiable header — plain JSONL as the pre-checksum releases wrote it, or
+// a v2 file whose header took a bit flip — is never parsed and never treated
+// as empty. FAIL refuses naming fsck; QUARANTINE comes up read-only on
+// nothing, with every byte of the file preserved in the sidecar and the file
+// itself untouched. The per-file Seq invariant classifies on frames the way
+// it did on JSONL lines: a stale-seq tail is torn, a mid-file gap corrupt.
+func TestJournalRefusesUnverifiableFiles(t *testing.T) {
+	w := buildWorkload(t, 0)
+	var jsonl []byte
+	for _, e := range w.committed {
+		jsonl = append(append(jsonl, entryJSON(t, e)...), '\n')
 	}
-	dir := t.TempDir()
+	flipped := append([]byte(nil), w.tail...)
+	flipped[3] ^= 0x04
+	quarantineCfg := w.cfg
+	quarantineCfg.JournalCorruptPolicy = CorruptQuarantine
 
-	// Stale-seq tail: dropped, earlier entries kept.
-	p1 := filepath.Join(dir, "tail.jsonl")
-	writeFile(t, p1, []byte(line(1)+line(2)+line(2)))
-	got, err := readEntries(p1)
-	if err != nil || len(got) != 2 {
-		t.Fatalf("stale-seq tail: entries=%d err=%v, want 2 entries salvaged", len(got), err)
+	for name, file := range map[string][]byte{"headerless-jsonl": jsonl, "header-flipped": flipped} {
+		if _, err := OpenJournaled(w.cfg, w.restore(t, nil, file), 0); err == nil || !strings.Contains(err.Error(), "mini-slurm fsck") {
+			t.Fatalf("%s under FAIL: err %v, want refusal naming `mini-slurm fsck`", name, err)
+		}
+		d := w.restore(t, nil, file)
+		c, err := OpenJournaled(quarantineCfg, d, 0)
+		if err != nil {
+			t.Fatalf("%s under QUARANTINE: %v", name, err)
+		}
+		if !c.Recovery().Quarantined || c.Health() != HealthDegraded || len(c.entries) != 0 {
+			t.Fatalf("%s under QUARANTINE: quarantined=%v health=%q entries=%d, want read-only on nothing",
+				name, c.Recovery().Quarantined, c.Health(), len(c.entries))
+		}
+		c.Close()
+		var kept []byte
+		for _, line := range strings.Split(strings.TrimSpace(string(readFileT(t, quarantineFile(d)))), "\n") {
+			var fd FileDamage
+			if err := json.Unmarshal([]byte(line), &fd); err != nil {
+				t.Fatalf("%s: quarantine sidecar is not JSONL: %v", name, err)
+			}
+			raw, err := base64.StdEncoding.DecodeString(fd.RawB64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			kept = append(kept, raw...)
+		}
+		if !bytes.Equal(kept, file) {
+			t.Fatalf("%s: quarantine sidecar holds %d bytes, want all %d of the file", name, len(kept), len(file))
+		}
+		if !bytes.Equal(readFileT(t, journalFile(d)), file) {
+			t.Fatalf("%s: quarantined journal was modified on disk", name)
+		}
 	}
 
-	// Mid-file gap with valid records after it: loud error, no salvage here.
-	p2 := filepath.Join(dir, "gap.jsonl")
-	writeFile(t, p2, []byte(line(1)+line(5)+line(6)))
-	if _, err := readEntries(p2); err == nil {
-		t.Fatal("mid-file sequence gap accepted")
+	frames := func(seqs ...int) []byte {
+		var payloads [][]byte
+		for _, seq := range seqs {
+			payloads = append(payloads, []byte(`{"seq":`+strconv.Itoa(seq)+`,"op":"advance","seconds":1}`))
+		}
+		return wal.Encode(journalHeader, payloads, false)
+	}
+	// Stale-seq tail: dropped as torn, earlier entries kept.
+	if s := scanFile(frames(1, 2, 2), "tail", false); !s.Torn || len(s.entries) != 2 {
+		t.Fatalf("stale-seq tail: torn=%v entries=%d, want 2 entries salvaged from a torn tail", s.Torn, len(s.entries))
+	}
+	// Mid-file gap with verifiable records after it: corruption, no salvage.
+	if s := scanFile(frames(1, 5, 6), "gap", false); len(s.Damage) == 0 || s.Torn {
+		t.Fatalf("mid-file sequence gap: damage=%d torn=%v, want corrupt", len(s.Damage), s.Torn)
 	}
 }
 
