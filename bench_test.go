@@ -236,16 +236,16 @@ func BenchmarkEngineThroughput(b *testing.B) {
 	}
 }
 
-// sweepGrid is the canonical perf-trajectory grid for BENCH_sweep.json:
-// three policies × two loads × two seeds, 150 jobs on 32 Trinity nodes —
-// the same shape the sweep CLI runs, small enough to sample repeatedly.
+// sweepGridSpec is the grid BenchmarkSweepGrid samples: three policies × two
+// loads × two seeds, 150 jobs on 32 Trinity nodes — the same shape the sweep
+// CLI runs, small enough to sample repeatedly.
 type sweepGridSpec struct {
-	Policies []string  `json:"policies"`
-	Loads    []float64 `json:"loads"`
-	Seeds    int       `json:"seeds"`
-	Jobs     int       `json:"jobs"`
-	Nodes    int       `json:"nodes"`
-	Scale    float64   `json:"runtime_scale"`
+	Policies []string
+	Loads    []float64
+	Seeds    int
+	Jobs     int
+	Nodes    int
+	Scale    float64
 }
 
 func benchSweepGrid() sweepGridSpec {

@@ -154,11 +154,6 @@ func OpenJournaledFS(cfg Config, fsys vfs.FS, dir string, snapshotEvery int) (*C
 		j.close()
 		return nil, err
 	}
-	// Completions reproduced by replay were already journaled before the
-	// crash; start auditing after them.
-	c.finSeen = len(c.sys.Finished())
-	c.killSeen = len(c.sys.Engine().Killed())
-	c.rejSeen = len(c.sys.Engine().Rejected())
 	c.entries = entries
 	if len(entries) > 0 {
 		c.seq = entries[len(entries)-1].Seq
@@ -177,68 +172,96 @@ func (c *Controller) Recovery() *RecoveryInfo {
 	return c.recovery
 }
 
-// replay re-applies recovered journal entries in order. Audit entries are
-// skipped; any operation that errors or assigns a different job ID than the
-// original run means the journal and configuration have diverged.
+// replay re-applies recovered journal entries in order; an entry that apply
+// refuses means the journal and the configuration have diverged. Completions
+// reproduced by replay were already journaled, so auditing resumes after them.
 func (c *Controller) replay(entries []Entry) error {
 	for _, e := range entries {
-		// Recover the fencing term: the effective epoch is the highest ever
-		// journaled, so a restarted deposed primary cannot forget it was
-		// deposed.
-		if e.Epoch > c.epoch {
-			c.epoch = e.Epoch
-		}
-		var err error
-		switch e.Op {
-		case "record":
-			continue
-		case "epoch":
-			continue // promotion marker; handled by the epoch scan above
-		case "brownout":
-			continue // degradation audit trail, not an input
-		case "submit":
-			after := make([]cluster.JobID, len(e.After))
-			for i, a := range e.After {
-				after[i] = cluster.JobID(a)
-			}
-			// The journaled ID is authoritative: a submit whose append
-			// failed (and was rolled back) still burned a live ID, so the
-			// counter may trail the log. Fast-forward, then require an exact
-			// match — a journal ID *behind* the counter is real divergence.
-			c.sys.SyncNextJobID(cluster.JobID(e.ID))
-			var id cluster.JobID
-			id, err = c.applySubmit(e.App, e.Nodes,
-				des.Duration(e.Walltime), des.Duration(e.Runtime), e.Name, after)
-			if err == nil && int64(id) != e.ID {
-				err = fmt.Errorf("job ID diverged: got %d, journal has %d", id, e.ID)
-			}
-			if err == nil && e.Token != "" {
-				// Restore the idempotency mapping: a retried submit after
-				// recovery must dedupe exactly as before the crash.
-				c.tokens[e.Token] = id
-			}
-		case "cancel":
-			err = c.sys.Engine().CancelPending(cluster.JobID(e.ID))
-		case "advance":
-			c.applyAdvance(des.Duration(e.Seconds))
-		case "drain":
-			c.sys.Run()
-		case "drain_node":
-			err = c.applyDrainNode(e.Node)
-		case "resume_node":
-			err = c.applyResumeNode(e.Node)
-		case "requeue":
-			err = c.applyRequeue(cluster.JobID(e.ID))
-		case "down_node":
-			err = c.applyDownNode(e.Node)
-		case "up_node":
-			err = c.applyUpNode(e.Node)
-		default:
-			err = fmt.Errorf("unknown op %q", e.Op)
-		}
-		if err != nil {
+		if err := c.apply(&e); err != nil {
 			return fmt.Errorf("slurm: replay entry %d (%s): %w", e.Seq, e.Op, err)
 		}
+	}
+	c.skipAudits()
+	return nil
+}
+
+// maxClock bounds the simulated clock, and any one walltime or runtime, in
+// seconds (≈ 31.7 years). The engine schedules a completion at now + work/rate
+// and demands the residue be under 1 µs of work; float64 resolves 0.12 µs at
+// 1e9 s but only 15 µs at 1e11 s, where a job can no longer finish cleanly and
+// the engine panics. Nothing a client sends may carry the clock there.
+const maxClock = 1e9
+
+// apply runs one journal entry against the engine. It is the only place a
+// mutating verb touches the engine, shared by the live path (mutate), crash
+// replay and follower-apply, so all three validate and behave alike. A submit
+// whose e.ID is zero is live: the engine assigns the ID and apply records it
+// in e; a non-zero e.ID is the journaled, authoritative one, and a different
+// assignment is divergence. Callers hold c.mu.
+func (c *Controller) apply(e *Entry) error {
+	// The effective fencing term is the highest ever journaled, so a
+	// restarted deposed primary cannot forget it was deposed.
+	if e.Epoch > c.epoch {
+		c.epoch = e.Epoch
+	}
+	eng := c.sys.Engine()
+	switch e.Op {
+	case "record", "brownout", "epoch":
+		// Audit output, the degradation trail and the promotion marker are
+		// not inputs.
+		return nil
+	case "submit":
+		return c.applySubmit(e)
+	case "cancel":
+		return eng.CancelPending(cluster.JobID(e.ID))
+	case "advance":
+		if e.Seconds < 0 {
+			return nil // a negative advance is a no-op
+		}
+		to := c.sys.Now() + des.Duration(e.Seconds)
+		if !(to <= maxClock) { // NaN and +Inf fail too
+			return fmt.Errorf("slurm: advance by %gs would move the clock past %gs", e.Seconds, float64(maxClock))
+		}
+		c.sys.RunUntil(to)
+		return nil
+	case "drain":
+		c.sys.Run()
+		return nil
+	case "drain_node":
+		return c.setDrained(e.Node, true)
+	case "resume_node":
+		return c.setDrained(e.Node, false)
+	case "requeue":
+		return c.settle(eng.RequeueRunning(cluster.JobID(e.ID)))
+	case "down_node":
+		return c.settle(eng.FailNode(e.Node))
+	case "up_node":
+		return c.settle(eng.RepairNode(e.Node))
+	}
+	return fmt.Errorf("unknown op %q", e.Op)
+}
+
+// settle runs the events an engine call queued at the current instant
+// (arrivals, evictions, restarts), so the change is visible — a submitted job
+// in squeue, started if resources are free — as soon as it is acknowledged.
+func (c *Controller) settle(err error) error {
+	if err == nil {
+		c.sys.RunUntil(c.sys.Now())
+	}
+	return err
+}
+
+// setDrained takes a node out of scheduling (running jobs finish in place, no
+// new work lands) or returns it to service, kicking the scheduler so waiting
+// work can use it immediately.
+func (c *Controller) setDrained(ni int, drained bool) error {
+	cl := c.sys.Cluster()
+	if ni < 0 || ni >= cl.Size() {
+		return fmt.Errorf("slurm: node %d out of range (cluster has %d nodes)", ni, cl.Size())
+	}
+	cl.SetDrained(ni, drained)
+	if !drained {
+		c.sys.Engine().Kick()
 	}
 	return nil
 }
@@ -286,21 +309,17 @@ func (c *Controller) Health() string {
 	return HealthOK
 }
 
-// log durably appends one operation entry (plus audit records for any
+// logB durably appends one operation entry (plus audit records for any
 // completions it caused), then replicates everything the standby is missing.
 // Callers hold c.mu. Replication failures come back wrapped in
 // errReplication so callers can tell "not locally durable" from "locally
-// durable but not yet on the standby".
-func (c *Controller) log(e Entry) error {
-	return c.logB(budget{}, e)
-}
-
-// logB is log with the request's deadline budget threaded through: once the
-// entry is locally durable, an already-expired budget skips the synchronous
-// replication round-trip — the client stopped waiting, so nobody reads the
-// ack it would buy, and the heartbeat loop pushes the pending entry within
-// one Heartbeat anyway. The caller gets ErrDeadlineExceeded (wrapped), which
-// is not an acknowledgement, so HA's ack-after-replication promise holds.
+// durable but not yet on the standby". The request's deadline budget is
+// threaded through: once the entry is locally durable, an already-expired
+// budget skips the synchronous replication round-trip — the client stopped
+// waiting, so nobody reads the ack it would buy, and the heartbeat loop
+// pushes the pending entry within one Heartbeat anyway. The caller gets
+// ErrDeadlineExceeded (wrapped), which is not an acknowledgement, so HA's
+// ack-after-replication promise holds.
 func (c *Controller) logB(b budget, e Entry) error {
 	if err := c.logLocal(e); err != nil {
 		return err
@@ -347,6 +366,12 @@ func (c *Controller) logLocal(e Entry) error {
 	if err == nil {
 		err = c.auditCompletions()
 	}
+	return c.feedBreaker(err)
+}
+
+// feedBreaker reports one journal write's outcome to the circuit breaker
+// (when configured) and passes the error through.
+func (c *Controller) feedBreaker(err error) error {
 	if c.br != nil {
 		if err != nil {
 			c.br.failure()
@@ -395,6 +420,15 @@ func (c *Controller) auditCompletions() error {
 	return audit(c.sys.Engine().Rejected(), &c.rejSeen)
 }
 
+// skipAudits moves the audit cursors past every completion the engine holds:
+// after replay they were journaled before the crash, and on a follower the
+// primary's record entries arrive in-stream, so neither may re-audit them.
+func (c *Controller) skipAudits() {
+	c.finSeen = len(c.sys.Finished())
+	c.killSeen = len(c.sys.Engine().Killed())
+	c.rejSeen = len(c.sys.Engine().Rejected())
+}
+
 // Close stops HA replication, then flushes and releases the journal (no-op
 // without one).
 func (c *Controller) Close() error {
@@ -419,8 +453,95 @@ func (c *Controller) Now() des.Time {
 	return c.sys.Now()
 }
 
-// Submit admits a job at the current simulated time. Partition limits are
-// enforced here, as slurmctld does at submission. Optional dependency IDs
+// mutate is the one live write path: every mutating verb — from the wire
+// (Server.handleB) or the exported methods below — arrives as the Entry it
+// will be journaled as. An already-spent deadline budget is refused before
+// the apply and the fsync; one that expires between the local commit and
+// replication skips the synchronous round-trip (see logB). For a submit,
+// e.ID carries the assigned job ID back, also when a repeat of an accepted
+// idempotency token is answered without enqueueing anything.
+func (c *Controller) mutate(b budget, e *Entry) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if e.Token != "" {
+		if id, ok := c.tokens[e.Token]; ok {
+			e.ID = int64(id)
+			return nil
+		}
+	}
+	if err := c.checkBudget(b); err != nil {
+		return err
+	}
+	if err := c.checkWritable(); err != nil {
+		return err
+	}
+	if err := c.apply(e); err != nil {
+		return err
+	}
+	err := c.logB(b, *e)
+	if e.Token != "" && err != nil && !errors.Is(err, errReplication) && !errors.Is(err, ErrDeadlineExceeded) {
+		// Not locally durable: the job is in the engine but a restart will
+		// forget it, so a retry of the token must enqueue afresh rather than
+		// be acknowledged against it. (Failed or deferred replication is
+		// different — the job exists here, and a retry must dedupe.)
+		delete(c.tokens, e.Token)
+	}
+	return err
+}
+
+// applySubmit admits a job at the current simulated time, enforcing
+// partition limits as slurmctld does at submission, and records its
+// idempotency token (journaled with the entry, so dedupe survives recovery
+// and failover).
+func (c *Controller) applySubmit(e *Entry) error {
+	wall := des.Duration(e.Walltime)
+	if !(e.Walltime <= maxClock && e.Runtime <= maxClock) { // NaN fails too
+		return fmt.Errorf("slurm: walltime %gs / runtime %gs exceeds the %gs clock bound",
+			e.Walltime, e.Runtime, float64(maxClock))
+	}
+	if c.cfg.Partition.MaxTime > 0 && wall > c.cfg.Partition.MaxTime {
+		return fmt.Errorf("slurm: walltime %v exceeds partition MaxTime %v",
+			wall, c.cfg.Partition.MaxTime)
+	}
+	maxNodes := c.cfg.Partition.MaxNodes
+	if maxNodes == 0 {
+		maxNodes = c.cfg.Machine.Nodes
+	}
+	if e.Nodes > maxNodes {
+		return fmt.Errorf("slurm: %d nodes exceeds partition MaxNodes %d",
+			e.Nodes, maxNodes)
+	}
+	after := make([]cluster.JobID, len(e.After))
+	for i, a := range e.After {
+		after[i] = cluster.JobID(a)
+	}
+	live := e.ID == 0
+	if !live {
+		// The journaled ID is authoritative: a submit whose append failed
+		// (and was rolled back) still burned a live ID, so the counter may
+		// trail the log. Fast-forward, then require an exact match — a
+		// journal ID *behind* the counter is real divergence.
+		c.sys.SyncNextJobID(cluster.JobID(e.ID))
+	}
+	id, err := c.sys.Submit(core.JobSpec{
+		App: e.App, Nodes: e.Nodes, Walltime: wall, Runtime: des.Duration(e.Runtime),
+		Name: e.Name, After: after,
+	})
+	if err != nil {
+		return err
+	}
+	if live {
+		e.ID = int64(id)
+	} else if int64(id) != e.ID {
+		return fmt.Errorf("job ID diverged: got %d, journal has %d", id, e.ID)
+	}
+	if e.Token != "" {
+		c.tokens[e.Token] = id
+	}
+	return c.settle(nil)
+}
+
+// Submit admits a job at the current simulated time. Optional dependency IDs
 // implement sbatch --dependency=afterok.
 func (c *Controller) Submit(appName string, nodes int, wall, runtime des.Duration, name string, after ...cluster.JobID) (cluster.JobID, error) {
 	return c.SubmitToken("", appName, nodes, wall, runtime, name, after...)
@@ -429,96 +550,21 @@ func (c *Controller) Submit(appName string, nodes int, wall, runtime des.Duratio
 // SubmitToken is Submit with a client-supplied idempotency token. A repeat
 // of an already-accepted token returns the original job's ID without
 // enqueueing anything, so a client whose submit response was lost can retry
-// safely. The token is journaled with the submit entry, making the dedupe
-// durable across crash recovery.
+// safely.
 func (c *Controller) SubmitToken(token, appName string, nodes int, wall, runtime des.Duration, name string, after ...cluster.JobID) (cluster.JobID, error) {
-	return c.submitTokenB(budget{}, token, appName, nodes, wall, runtime, name, after...)
-}
-
-// submitTokenB is SubmitToken with the request's deadline budget: an
-// already-spent budget is refused before the apply and the fsync, and a
-// budget that expires between the local commit and replication skips the
-// synchronous replication round-trip (see logB).
-func (c *Controller) submitTokenB(b budget, token, appName string, nodes int, wall, runtime des.Duration, name string, after ...cluster.JobID) (cluster.JobID, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if token != "" {
-		if id, ok := c.tokens[token]; ok {
-			return id, nil
-		}
-	}
-	if err := c.checkBudget(b); err != nil {
-		return cluster.NoJob, err
-	}
-	if err := c.checkWritable(); err != nil {
-		return cluster.NoJob, err
-	}
-	id, err := c.applySubmit(appName, nodes, wall, runtime, name, after)
-	if err != nil {
-		return cluster.NoJob, err
-	}
 	deps := make([]int64, len(after))
 	for i, a := range after {
 		deps[i] = int64(a)
 	}
-	err = c.logB(b, Entry{Op: "submit", App: appName, Nodes: nodes,
-		Walltime: float64(wall), Runtime: float64(runtime), Name: name,
-		After: deps, ID: int64(id), Token: token})
-	// Register the token once the submit is locally durable, even if
-	// replication to the standby failed or was deferred past the deadline:
-	// the job exists here, so a retry of the same token must dedupe rather
-	// than double-enqueue. (A deadline error from logB means the entry WAS
-	// committed locally — the pre-work budget check runs before the apply.)
-	if token != "" && (err == nil || errors.Is(err, errReplication) || errors.Is(err, ErrDeadlineExceeded)) {
-		c.tokens[token] = id
-	}
-	return id, err
-}
-
-func (c *Controller) applySubmit(appName string, nodes int, wall, runtime des.Duration, name string, after []cluster.JobID) (cluster.JobID, error) {
-	if c.cfg.Partition.MaxTime > 0 && wall > c.cfg.Partition.MaxTime {
-		return cluster.NoJob, fmt.Errorf("slurm: walltime %v exceeds partition MaxTime %v",
-			wall, c.cfg.Partition.MaxTime)
-	}
-	maxNodes := c.cfg.Partition.MaxNodes
-	if maxNodes == 0 {
-		maxNodes = c.cfg.Machine.Nodes
-	}
-	if nodes > maxNodes {
-		return cluster.NoJob, fmt.Errorf("slurm: %d nodes exceeds partition MaxNodes %d",
-			nodes, maxNodes)
-	}
-	id, err := c.sys.Submit(core.JobSpec{
-		App: appName, Nodes: nodes, Walltime: wall, Runtime: runtime, Name: name,
-		After: after,
-	})
-	if err != nil {
-		return cluster.NoJob, err
-	}
-	// Flush the arrival event so the job is immediately visible in squeue
-	// (and can start right away if resources are free).
-	c.sys.RunUntil(c.sys.Now())
-	return id, nil
+	e := Entry{Op: "submit", App: appName, Nodes: nodes, Walltime: float64(wall),
+		Runtime: float64(runtime), Name: name, After: deps, Token: token}
+	err := c.mutate(budget{}, &e)
+	return cluster.JobID(e.ID), err
 }
 
 // Cancel cancels a pending job.
 func (c *Controller) Cancel(id cluster.JobID) error {
-	return c.cancelB(budget{}, id)
-}
-
-func (c *Controller) cancelB(b budget, id cluster.JobID) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err := c.checkBudget(b); err != nil {
-		return err
-	}
-	if err := c.checkWritable(); err != nil {
-		return err
-	}
-	if err := c.sys.Engine().CancelPending(id); err != nil {
-		return err
-	}
-	return c.logB(b, Entry{Op: "cancel", ID: int64(id)})
+	return c.mutate(budget{}, &Entry{Op: "cancel", ID: int64(id)})
 }
 
 // Advance moves the simulated clock forward by d, executing every event in
@@ -528,31 +574,12 @@ func (c *Controller) Advance(d des.Duration) des.Time {
 	return now
 }
 
-// AdvanceChecked is Advance with durability errors surfaced: it rejects
-// while the controller is DEGRADED and reports a failed journal append.
+// AdvanceChecked is Advance with errors surfaced: it rejects while the
+// controller is DEGRADED, refuses to carry the clock past maxClock, and
+// reports a failed journal append.
 func (c *Controller) AdvanceChecked(d des.Duration) (des.Time, error) {
-	return c.advanceB(budget{}, d)
-}
-
-func (c *Controller) advanceB(b budget, d des.Duration) (des.Time, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err := c.checkBudget(b); err != nil {
-		return c.sys.Now(), err
-	}
-	if err := c.checkWritable(); err != nil {
-		return c.sys.Now(), err
-	}
-	if d < 0 {
-		return c.sys.Now(), nil
-	}
-	c.applyAdvance(d)
-	err := c.logB(b, Entry{Op: "advance", Seconds: float64(d)})
-	return c.sys.Now(), err
-}
-
-func (c *Controller) applyAdvance(d des.Duration) {
-	c.sys.RunUntil(c.sys.Now() + d)
+	err := c.mutate(budget{}, &Entry{Op: "advance", Seconds: float64(d)})
+	return c.Now(), err
 }
 
 // Drain runs the simulation until all submitted work completes.
@@ -563,109 +590,39 @@ func (c *Controller) Drain() des.Time {
 
 // DrainChecked is Drain with durability errors surfaced, as AdvanceChecked.
 func (c *Controller) DrainChecked() (des.Time, error) {
-	return c.drainB(budget{})
-}
-
-func (c *Controller) drainB(b budget) (des.Time, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err := c.checkBudget(b); err != nil {
-		return c.sys.Now(), err
-	}
-	if err := c.checkWritable(); err != nil {
-		return c.sys.Now(), err
-	}
-	c.sys.Run()
-	err := c.logB(b, Entry{Op: "drain"})
-	return c.sys.Now(), err
+	err := c.mutate(budget{}, &Entry{Op: "drain"})
+	return c.Now(), err
 }
 
 // Requeue evicts a running job and returns it to the queue — scontrol
 // requeue. Lost progress is charged and the eviction counts against the
 // job's retry budget.
 func (c *Controller) Requeue(id cluster.JobID) error {
-	return c.requeueB(budget{}, id)
-}
-
-func (c *Controller) requeueB(b budget, id cluster.JobID) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err := c.checkBudget(b); err != nil {
-		return err
-	}
-	if err := c.checkWritable(); err != nil {
-		return err
-	}
-	if err := c.applyRequeue(id); err != nil {
-		return err
-	}
-	return c.logB(b, Entry{Op: "requeue", ID: int64(id)})
-}
-
-func (c *Controller) applyRequeue(id cluster.JobID) error {
-	if err := c.sys.Engine().RequeueRunning(id); err != nil {
-		return err
-	}
-	c.sys.RunUntil(c.sys.Now())
-	return nil
+	return c.mutate(budget{}, &Entry{Op: "requeue", ID: int64(id)})
 }
 
 // DownNode forces a node down — scontrol update State=DOWN. Resident jobs
 // are evicted and requeued.
 func (c *Controller) DownNode(ni int) error {
-	return c.downNodeB(budget{}, ni)
-}
-
-func (c *Controller) downNodeB(b budget, ni int) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err := c.checkBudget(b); err != nil {
-		return err
-	}
-	if err := c.checkWritable(); err != nil {
-		return err
-	}
-	if err := c.applyDownNode(ni); err != nil {
-		return err
-	}
-	return c.logB(b, Entry{Op: "down_node", Node: ni})
-}
-
-func (c *Controller) applyDownNode(ni int) error {
-	if err := c.sys.Engine().FailNode(ni); err != nil {
-		return err
-	}
-	c.sys.RunUntil(c.sys.Now())
-	return nil
+	return c.mutate(budget{}, &Entry{Op: "down_node", Node: ni})
 }
 
 // UpNode returns a down node to service — scontrol update State=RESUME on a
 // DOWN node.
 func (c *Controller) UpNode(ni int) error {
-	return c.upNodeB(budget{}, ni)
+	return c.mutate(budget{}, &Entry{Op: "up_node", Node: ni})
 }
 
-func (c *Controller) upNodeB(b budget, ni int) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err := c.checkBudget(b); err != nil {
-		return err
-	}
-	if err := c.checkWritable(); err != nil {
-		return err
-	}
-	if err := c.applyUpNode(ni); err != nil {
-		return err
-	}
-	return c.logB(b, Entry{Op: "up_node", Node: ni})
+// DrainNode removes a node from scheduling (running jobs finish in place;
+// no new work lands) — scontrol update State=DRAIN.
+func (c *Controller) DrainNode(ni int) error {
+	return c.mutate(budget{}, &Entry{Op: "drain_node", Node: ni})
 }
 
-func (c *Controller) applyUpNode(ni int) error {
-	if err := c.sys.Engine().RepairNode(ni); err != nil {
-		return err
-	}
-	c.sys.RunUntil(c.sys.Now())
-	return nil
+// ResumeNode returns a drained node to service and kicks the scheduler so
+// waiting work can use it immediately.
+func (c *Controller) ResumeNode(ni int) error {
+	return c.mutate(budget{}, &Entry{Op: "resume_node", Node: ni})
 }
 
 // Stats computes the evaluation metrics for the work so far.
@@ -673,67 +630,6 @@ func (c *Controller) Stats() metrics.Result {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.sys.Metrics()
-}
-
-// DrainNode removes a node from scheduling (running jobs finish in place;
-// no new work lands) — scontrol update State=DRAIN.
-func (c *Controller) DrainNode(ni int) error {
-	return c.drainNodeB(budget{}, ni)
-}
-
-func (c *Controller) drainNodeB(b budget, ni int) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err := c.checkBudget(b); err != nil {
-		return err
-	}
-	if err := c.checkWritable(); err != nil {
-		return err
-	}
-	if err := c.applyDrainNode(ni); err != nil {
-		return err
-	}
-	return c.logB(b, Entry{Op: "drain_node", Node: ni})
-}
-
-func (c *Controller) applyDrainNode(ni int) error {
-	cl := c.sys.Cluster()
-	if ni < 0 || ni >= cl.Size() {
-		return fmt.Errorf("slurm: node %d out of range (cluster has %d nodes)", ni, cl.Size())
-	}
-	cl.SetDrained(ni, true)
-	return nil
-}
-
-// ResumeNode returns a drained node to service and kicks the scheduler so
-// waiting work can use it immediately.
-func (c *Controller) ResumeNode(ni int) error {
-	return c.resumeNodeB(budget{}, ni)
-}
-
-func (c *Controller) resumeNodeB(b budget, ni int) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err := c.checkBudget(b); err != nil {
-		return err
-	}
-	if err := c.checkWritable(); err != nil {
-		return err
-	}
-	if err := c.applyResumeNode(ni); err != nil {
-		return err
-	}
-	return c.logB(b, Entry{Op: "resume_node", Node: ni})
-}
-
-func (c *Controller) applyResumeNode(ni int) error {
-	cl := c.sys.Cluster()
-	if ni < 0 || ni >= cl.Size() {
-		return fmt.Errorf("slurm: node %d out of range (cluster has %d nodes)", ni, cl.Size())
-	}
-	cl.SetDrained(ni, false)
-	c.sys.Engine().Kick()
-	return nil
 }
 
 // JobInfo is one squeue row.

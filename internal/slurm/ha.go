@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/des"
 )
 
 // High availability. A controller pair runs one primary and one warm
@@ -364,78 +363,16 @@ func (c *Controller) HandleReplicate(req Request) Response {
 	return Response{OK: true, Role: RoleStandby, Epoch: c.epoch, Seq: c.seq}
 }
 
-// applyReplicatedLocked applies one in-order replicated entry: run the
-// operation against the engine (replay semantics, ID divergence checked),
-// then persist the entry byte-identically to how the primary journaled it.
+// applyReplicatedLocked applies one in-order replicated entry: run it against
+// the engine exactly as replay would (Controller.apply, ID divergence
+// checked), then persist it byte-identically to how the primary journaled it.
 func (c *Controller) applyReplicatedLocked(e Entry) error {
-	var err error
-	switch e.Op {
-	case "record":
-		// Audit output, not an input; journaled for a complete trail.
-	case "brownout":
-		// Primary's degradation trail; the standby keeps its own ladder.
-	case "epoch":
-		if e.Epoch > c.epoch {
-			c.epoch = e.Epoch
-		}
-	case "submit":
-		after := make([]cluster.JobID, len(e.After))
-		for i, a := range e.After {
-			after[i] = cluster.JobID(a)
-		}
-		// The primary's ID is authoritative; its counter may be ahead of
-		// the replicated log when a local append failed and was rolled back
-		// (the burned ID is never replicated). Fast-forward, then require
-		// an exact match.
-		c.sys.SyncNextJobID(cluster.JobID(e.ID))
-		var id cluster.JobID
-		id, err = c.applySubmit(e.App, e.Nodes,
-			des.Duration(e.Walltime), des.Duration(e.Runtime), e.Name, after)
-		if err == nil && int64(id) != e.ID {
-			err = fmt.Errorf("job ID diverged: got %d, primary has %d", id, e.ID)
-		}
-		if err == nil && e.Token != "" {
-			// Keep the dedupe map current so a client retrying a submit
-			// after failover gets the original ID, not a duplicate job.
-			c.tokens[e.Token] = id
-		}
-	case "cancel":
-		err = c.sys.Engine().CancelPending(cluster.JobID(e.ID))
-	case "advance":
-		c.applyAdvance(des.Duration(e.Seconds))
-	case "drain":
-		c.sys.Run()
-	case "drain_node":
-		err = c.applyDrainNode(e.Node)
-	case "resume_node":
-		err = c.applyResumeNode(e.Node)
-	case "requeue":
-		err = c.applyRequeue(cluster.JobID(e.ID))
-	case "down_node":
-		err = c.applyDownNode(e.Node)
-	case "up_node":
-		err = c.applyUpNode(e.Node)
-	default:
-		err = fmt.Errorf("unknown op %q", e.Op)
-	}
-	if err != nil {
+	if err := c.apply(&e); err != nil {
 		return err
 	}
-	// Replicated completions are journaled by the primary as record entries
-	// that arrive in-stream; the follower must not re-audit its own copies.
-	c.finSeen = len(c.sys.Finished())
-	c.killSeen = len(c.sys.Engine().Killed())
-	c.rejSeen = len(c.sys.Engine().Rejected())
+	c.skipAudits()
 	if c.jr != nil {
-		err = c.jr.append(e)
-		if c.br != nil {
-			if err != nil {
-				c.br.failure()
-			} else {
-				c.br.success()
-			}
-		}
-		if err != nil {
+		if err := c.feedBreaker(c.jr.append(e)); err != nil {
 			// The operation ran against the engine but the entry is not on
 			// disk: this follower's journal no longer matches its state. Only
 			// a full resync (which rewrites the log wholesale) makes it safe
@@ -464,23 +401,12 @@ func (c *Controller) resetFromLogLocked(entries []Entry) error {
 	if err := c.replay(entries); err != nil {
 		return err
 	}
-	c.finSeen = len(c.sys.Finished())
-	c.killSeen = len(c.sys.Engine().Killed())
-	c.rejSeen = len(c.sys.Engine().Rejected())
 	c.entries = append([]Entry(nil), entries...)
 	if len(entries) > 0 {
 		c.seq = entries[len(entries)-1].Seq
 	}
 	if c.jr != nil {
-		err := c.jr.rewrite(entries)
-		if c.br != nil {
-			if err != nil {
-				c.br.failure()
-			} else {
-				c.br.success()
-			}
-		}
-		if err != nil {
+		if err := c.feedBreaker(c.jr.rewrite(entries)); err != nil {
 			return err
 		}
 	}

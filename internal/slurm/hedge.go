@@ -28,18 +28,6 @@ type HedgePolicy struct {
 	Delay time.Duration
 }
 
-// hedgeable reports whether a request may be safely issued twice in
-// parallel: read-only verbs with no server-side effects. Mutations (even
-// tokened submits, which are dedup-safe but not side-effect-free on the
-// journal) and time control are never hedged.
-func hedgeable(req Request) bool {
-	switch req.Op {
-	case "queue", "nodes", "stats", "now", "health", "config":
-		return true
-	}
-	return false
-}
-
 // hedgeOutcome is one attempt's result plus the transport it ran on, so the
 // winner's connection can be adopted and the loser's closed.
 type hedgeOutcome struct {

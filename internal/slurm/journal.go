@@ -116,11 +116,12 @@ func journalErr(kind, err error) error {
 	return &journalOpError{kind: kind, err: err}
 }
 
-// journalSyncErrors counts directory-fsync failures across the process so
-// soak runs can detect flaky storage (expvar "journal_sync_errors").
+// journalSyncErrors counts the storage failures the journal tolerates —
+// directory fsyncs and inline compactions — across the process, so soak runs
+// can detect flaky storage (expvar "journal_sync_errors").
 var journalSyncErrors = expvar.NewInt("journal_sync_errors")
 
-var syncDirWarnOnce sync.Once
+var syncDirWarnOnce, compactWarnOnce sync.Once
 
 // syncDir fsyncs a directory so renames and file creations inside it survive
 // power loss. Filesystems that don't support directory fsync report an error
@@ -461,8 +462,11 @@ func (j *journal) ensureLog() error {
 // append durably logs one entry (whose Seq the caller has already assigned),
 // then compacts if the journal grew past the snapshot threshold. A failed
 // append is rolled back by the wal, so the retry's reissued Seq never
-// collides with a half-persisted record. Append-path failures wrap
-// ErrJournalAppend; compaction failures wrap ErrJournalCompact.
+// collides with a half-persisted record; failures wrap ErrJournalAppend. The
+// error speaks for the entry alone: once it is durable a failed compaction
+// cannot un-commit it (a caller told otherwise would reissue its Seq and
+// corrupt the log), so that is counted, logged once, and retried by the next
+// append — ops stays over the threshold.
 func (j *journal) append(e Entry) error {
 	if j.testAppendErr != nil {
 		if err := j.testAppendErr(e); err != nil {
@@ -481,7 +485,12 @@ func (j *journal) append(e Entry) error {
 	}
 	j.ops++
 	if j.every > 0 && j.ops >= j.every {
-		return j.compact()
+		if err := j.compact(); err != nil {
+			journalSyncErrors.Add(1)
+			compactWarnOnce.Do(func() {
+				log.Printf("slurm: journal: compacting %s failed (entries stay in the journal, retried on every append; counting in journal_sync_errors): %v", j.dir, err)
+			})
+		}
 	}
 	return nil
 }

@@ -179,24 +179,6 @@ func (o OverloadConfig) retryAfter() time.Duration {
 	return DefaultRetryAfter
 }
 
-// verbCost classes a request op for the rate limiter: control verbs are
-// cheap so operator actions still land on a saturated server, everything
-// else (submissions, queries, time control) pays full price.
-func verbCost(op string, controlCost float64) float64 {
-	switch op {
-	case "requeue", "down_node", "up_node", "drain_node", "resume_node", "cancel":
-		if controlCost > 0 {
-			return controlCost
-		}
-		return DefaultControlCost
-	case "replicate":
-		// Replication keeps the standby's lease alive; rate-limiting it would
-		// let a submission storm cause a spurious failover.
-		return 0
-	}
-	return 1
-}
-
 // tokenBucket is a standard leaky token bucket. Not safe for concurrent
 // use; each connection owns one and uses it from its serve goroutine.
 type tokenBucket struct {

@@ -12,7 +12,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/des"
 	"repro/internal/metrics"
 	"repro/internal/retry"
@@ -26,9 +25,7 @@ import (
 
 // Request is one client command.
 type Request struct {
-	// Op selects the operation: submit, cancel, queue, nodes, advance,
-	// drain, stats, now, config, requeue, drain_node, resume_node,
-	// down_node, up_node, health, replicate.
+	// Op selects the operation: one of the keys of the verb table (verbs.go).
 	Op string `json:"op"`
 	// Submit arguments.
 	App      string  `json:"app,omitempty"`
@@ -485,98 +482,42 @@ func (s *Server) opErr(err error) Response {
 	return resp
 }
 
-func (s *Server) handle(req Request) Response {
-	return s.handleB(req, budget{}, BrownoutNormal)
-}
-
-// handleB dispatches one admitted request, threading its deadline budget
-// into controller mutations and applying the brownout level to reads.
+// handleB dispatches one admitted request: a mutating verb becomes its
+// journal Entry (verbs.go) and goes through Controller.mutate with the
+// request's deadline budget; reads are served at the brownout level.
 func (s *Server) handleB(req Request, b budget, level int) Response {
+	if v := verbs[req.Op]; v.entry != nil {
+		e := v.entry(req)
+		if err := s.ctl.mutate(b, &e); err != nil {
+			return s.opErr(err)
+		}
+		return Response{OK: true, ID: e.ID}
+	}
+	stale := false
+	resp := Response{OK: true}
 	switch req.Op {
-	case "submit":
-		after := make([]cluster.JobID, len(req.After))
-		for i, a := range req.After {
-			after[i] = cluster.JobID(a)
-		}
-		id, err := s.ctl.submitTokenB(b, req.Token, req.App, req.Nodes,
-			des.Duration(req.Walltime), des.Duration(req.Runtime), req.Name, after...)
-		if err != nil {
-			return s.opErr(err)
-		}
-		return Response{OK: true, ID: int64(id)}
-	case "cancel":
-		if err := s.ctl.cancelB(b, cluster.JobID(req.ID)); err != nil {
-			return s.opErr(err)
-		}
-		return Response{OK: true, ID: req.ID}
 	case "replicate":
 		return s.ctl.HandleReplicate(req)
 	case "queue":
-		jobs, stale := s.queueSnapshot(req.History, level)
-		if stale {
-			s.nStale.Add(1)
-			expStaleReads.Add(1)
-		}
-		return paginate(jobs, req, s.over, level)
+		var jobs []JobInfo
+		jobs, stale = s.queueSnapshot(req.History, level)
+		resp = paginate(jobs, req, s.over, level)
 	case "nodes":
-		nodes, stale := s.nodesSnapshot(level)
-		if stale {
-			s.nStale.Add(1)
-			expStaleReads.Add(1)
-		}
-		return Response{OK: true, Nodes: nodes}
-	case "drain_node":
-		if err := s.ctl.drainNodeB(b, req.Node); err != nil {
-			return s.opErr(err)
-		}
-		return Response{OK: true}
-	case "resume_node":
-		if err := s.ctl.resumeNodeB(b, req.Node); err != nil {
-			return s.opErr(err)
-		}
-		return Response{OK: true}
-	case "requeue":
-		if err := s.ctl.requeueB(b, cluster.JobID(req.ID)); err != nil {
-			return s.opErr(err)
-		}
-		return Response{OK: true, ID: req.ID}
-	case "down_node":
-		if err := s.ctl.downNodeB(b, req.Node); err != nil {
-			return s.opErr(err)
-		}
-		return Response{OK: true}
-	case "up_node":
-		if err := s.ctl.upNodeB(b, req.Node); err != nil {
-			return s.opErr(err)
-		}
-		return Response{OK: true}
-	case "advance":
-		if _, err := s.ctl.advanceB(b, des.Duration(req.Seconds)); err != nil {
-			return s.opErr(err)
-		}
-		return Response{OK: true}
-	case "drain":
-		if _, err := s.ctl.drainB(b); err != nil {
-			return s.opErr(err)
-		}
-		return Response{OK: true}
+		resp.Nodes, stale = s.nodesSnapshot(level)
 	case "stats":
-		st, stale := s.statsSnapshot(level)
-		if stale {
-			s.nStale.Add(1)
-			expStaleReads.Add(1)
-		}
-		return Response{OK: true, Stats: st}
-	case "now":
-		return Response{OK: true}
-	case "health":
-		return s.healthResponse(s.ctl.Health())
+		resp.Stats, stale = s.statsSnapshot(level)
+	case "now": // the payload is Response.Now, stamped on every reply
 	case "config":
 		cfg := s.ctl.Config()
-		return Response{OK: true, Cluster: cfg.ClusterName, Policy: cfg.Policy}
+		resp.Cluster, resp.Policy = cfg.ClusterName, cfg.Policy
 	default:
 		return Response{Error: fmt.Sprintf("unknown op %q", req.Op)}
 	}
+	if stale {
+		s.nStale.Add(1)
+		expStaleReads.Add(1)
+	}
+	return resp
 }
 
 // queueSnapshot, nodesSnapshot, and statsSnapshot are the brownout-aware
@@ -984,21 +925,6 @@ func exchange(conn net.Conn, sc *bufio.Scanner, enc *json.Encoder, timeout time.
 		return resp, fmt.Errorf("slurm: server: %s", resp.Error)
 	}
 	return resp, nil
-}
-
-// idempotentRequest reports whether req may be retried after a transport
-// failure, where the client cannot know if the server executed it. Reads
-// always qualify; a submit qualifies only when it carries a dedupe token.
-// BUSY responses are retryable for every verb — they are generated before
-// the operation runs.
-func idempotentRequest(req Request) bool {
-	switch req.Op {
-	case "queue", "nodes", "stats", "now", "config", "health":
-		return true
-	case "submit":
-		return req.Token != ""
-	}
-	return false
 }
 
 // isTransportError reports whether err is a connection-level failure (as

@@ -33,20 +33,6 @@ const (
 	numClasses
 )
 
-// verbClass maps an op to its priority class. Unknown ops class as queries:
-// they will be rejected anyway, and a garbage-spraying client must not ride
-// the control-class exemption.
-func verbClass(op string) int {
-	switch op {
-	case "cancel", "requeue", "drain_node", "resume_node", "down_node",
-		"up_node", "replicate", "health", "config":
-		return classControl
-	case "submit", "advance", "drain":
-		return classSubmit
-	}
-	return classQuery
-}
-
 // className names a class for wire errors and bench output.
 func className(class int) string {
 	switch class {

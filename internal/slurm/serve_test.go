@@ -238,7 +238,10 @@ func TestDeadlineBudgetRefusedBeforeMutation(t *testing.T) {
 	}
 	defer ctl.Close()
 	spent := budget{deadline: time.Now().Add(-time.Second)}
-	if _, err := ctl.submitTokenB(spent, "tok-dead", "minife", 1, 1800, 900, "x"); !errors.Is(err, ErrDeadlineExceeded) {
+	submit := func(token, name string) *Entry {
+		return &Entry{Op: "submit", Token: token, App: "minife", Nodes: 1, Walltime: 1800, Runtime: 900, Name: name}
+	}
+	if err := ctl.mutate(spent, submit("tok-dead", "x")); !errors.Is(err, ErrDeadlineExceeded) {
 		t.Fatalf("expired-budget submit error = %v, want ErrDeadlineExceeded", err)
 	}
 	if n := len(ctl.Queue()); n != 0 {
@@ -253,7 +256,7 @@ func TestDeadlineBudgetRefusedBeforeMutation(t *testing.T) {
 	}
 	// A live budget proceeds normally.
 	alive := budget{deadline: time.Now().Add(time.Minute)}
-	if _, err := ctl.submitTokenB(alive, "tok-live", "minife", 1, 1800, 900, "y"); err != nil {
+	if err := ctl.mutate(alive, submit("tok-live", "y")); err != nil {
 		t.Fatal(err)
 	}
 	if n := len(ctl.Queue()); n != 1 {

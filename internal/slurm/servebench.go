@@ -13,8 +13,7 @@ import (
 // that does not slow down when the server does, which is the only honest way
 // to measure tail latency under overload — a closed-loop driver backs off
 // with the server and flatters the percentiles (coordinated omission). The
-// harness is a library so the chaos acceptance test and cmd/slurm-bench
-// share one implementation, like soak.go.
+// harness is a library, like soak.go; TestServeChaosAcceptance drives it.
 
 // Verb mixes are drawn per-arrival from the seed's RNG: queries dominate (a
 // busy cluster is mostly squeue), submits are the goodput that matters, and
@@ -105,7 +104,7 @@ type ClassStats struct {
 	P999ms   float64 `json:"p999_ms"`
 }
 
-// BenchResult is the published artifact (BENCH_serve.json).
+// BenchResult is one run's report.
 type BenchResult struct {
 	Schema        string         `json:"schema"`
 	Seed          uint64         `json:"seed"`

@@ -476,6 +476,105 @@ func TestJournalTypedErrors(t *testing.T) {
 	}
 }
 
+// snapSyncFailFS fails the fsync of the next `fails` snapshot temp files — the
+// inline compaction an append triggers — and nothing else.
+type snapSyncFailFS struct {
+	vfs.FS
+	fails int
+}
+
+func (f *snapSyncFailFS) Create(path string) (vfs.File, error) {
+	file, err := f.FS.Create(path)
+	if err == nil && strings.HasSuffix(path, ".tmp") && f.fails > 0 {
+		f.fails--
+		return failSyncFile{file}, nil
+	}
+	return file, err
+}
+
+type failSyncFile struct{ vfs.File }
+
+func (failSyncFile) Sync() error { return vfs.ErrSyncFailed }
+
+// TestJournalFsyncFaultAtCompactionThreshold: one fsync fails on the append
+// that trips an inline compaction — either the append's own (the entry is
+// rolled back and the submit refused) or the snapshot's (the entry is already
+// durable, so the submit is acknowledged and the fold retried). Either way
+// the controller keeps serving, and recovery finds strictly consecutive Seqs
+// and exactly the acknowledged jobs. (Failing the append for a failed fold,
+// with the entry already on disk, makes the controller reissue its Seq, and
+// recovery refuses the log as out of sequence.)
+func TestJournalFsyncFaultAtCompactionThreshold(t *testing.T) {
+	cfg := testControllerConfig()
+	for _, tc := range []struct {
+		name     string
+		arm      func() (vfs.FS, func()) // the filesystem, and what injects the fault
+		refused  bool                    // is the faulted submit refused?
+		tolerate int64                   // journal_sync_errors it must add
+	}{
+		{name: "append fsync", refused: true, arm: func() (vfs.FS, func()) {
+			fsys := vfs.NewFaulty(vfs.OS{}, vfs.FaultProfile{Seed: 1, SyncFailTransient: true})
+			return fsys, func() { fsys.FailSyncs(1) }
+		}},
+		{name: "snapshot fsync", tolerate: 1, arm: func() (vfs.FS, func()) {
+			fsys := &snapSyncFailFS{FS: vfs.OS{}}
+			return fsys, func() { fsys.fails = 1 }
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fsys, inject := tc.arm()
+			dir := t.TempDir()
+			c, err := OpenJournaledFS(cfg, fsys, dir, 2) // compact every 2 appends
+			if err != nil {
+				t.Fatal(err)
+			}
+			tolerated := journalSyncErrors.Value()
+			var acked []string
+			for i, name := range []string{"a", "b", "b-retry", "c", "d"} {
+				if i == 1 {
+					inject() // "b" is the second append: the one that compacts
+				}
+				_, err := c.Submit("minife", 1, 1800, 900, name)
+				switch {
+				case err == nil:
+					acked = append(acked, name)
+				case i == 1 && tc.refused && errors.Is(err, ErrJournalAppend):
+				default:
+					t.Fatalf("submit %s: %v", name, err)
+				}
+			}
+			if refused := len(acked) == 4; refused != tc.refused {
+				t.Fatalf("acked %v; faulted submit refused = %v, want %v", acked, refused, tc.refused)
+			}
+			if got := journalSyncErrors.Value() - tolerated; got != tc.tolerate {
+				t.Errorf("journal_sync_errors grew by %d, want %d", got, tc.tolerate)
+			}
+			c.Close()
+
+			c2, err := OpenJournaled(cfg, dir, 0)
+			if err != nil {
+				t.Fatalf("recovery refused: %v", err)
+			}
+			defer c2.Close()
+			var recovered []string
+			for i, e := range c2.entries {
+				if e.Seq != int64(i+1) {
+					t.Fatalf("entry %d has Seq %d: not strictly consecutive", i, e.Seq)
+				}
+				if e.Op == "submit" {
+					recovered = append(recovered, e.Name)
+				}
+			}
+			if !reflect.DeepEqual(recovered, acked) {
+				t.Fatalf("recovered jobs %v, acknowledged %v", recovered, acked)
+			}
+			if _, err := os.Stat(snapshotFile(dir)); err != nil {
+				t.Errorf("no snapshot after the fault passed: the compaction never healed: %v", err)
+			}
+		})
+	}
+}
+
 // TestSyncDirErrorsCounted: directory-fsync failures are tolerated but
 // counted in the journal_sync_errors expvar (and logged once).
 func TestSyncDirErrorsCounted(t *testing.T) {
