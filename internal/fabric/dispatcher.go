@@ -1,17 +1,16 @@
 package fabric
 
 import (
-	"bufio"
 	"container/heap"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"net"
 	"sort"
 	"sync"
 	"time"
 
+	"repro/internal/lineproto"
 	"repro/internal/vfs"
 )
 
@@ -103,7 +102,7 @@ type Config struct {
 	Logf func(format string, args ...any)
 
 	// ReadTimeout and WriteTimeout bound one protocol exchange (defaults:
-	// 5m idle read, 30s write), mirroring the slurm server's hardening.
+	// lineproto's, 5m idle read and 30s write).
 	ReadTimeout  time.Duration
 	WriteTimeout time.Duration
 }
@@ -170,11 +169,8 @@ type Dispatcher struct {
 	jr           *CampaignJournal
 	generation   int64
 
-	ln      net.Listener
-	conns   map[net.Conn]int64
-	connSeq int64
-	closed  bool
-	wg      sync.WaitGroup
+	// srv owns the listener and the worker connections.
+	srv lineproto.Server
 }
 
 // NewDispatcher validates cfg and builds the campaign with every cell
@@ -228,12 +224,6 @@ func NewDispatcher(cfg Config) (*Dispatcher, error) {
 	if cfg.VerifyFraction > 1 {
 		cfg.VerifyFraction = 1
 	}
-	if cfg.ReadTimeout <= 0 {
-		cfg.ReadTimeout = 5 * time.Minute
-	}
-	if cfg.WriteTimeout <= 0 {
-		cfg.WriteTimeout = 30 * time.Second
-	}
 	d := &Dispatcher{
 		cfg:          cfg,
 		now:          time.Now,
@@ -243,8 +233,16 @@ func NewDispatcher(cfg Config) (*Dispatcher, error) {
 		poisonedErrs: make(map[int]string),
 		specSHAHex:   specSHA(cfg.Spec),
 		doneCh:       make(chan struct{}),
-		conns:        make(map[net.Conn]int64),
 		generation:   1,
+	}
+	d.srv = lineproto.Server{
+		Open: func(id int64) lineproto.Handler {
+			return func(raw []byte) (any, bool) { return d.serveLine(raw, id), false }
+		},
+		Closed:       d.dropConn,
+		ErrorReply:   errorReply,
+		ReadTimeout:  cfg.ReadTimeout,
+		WriteTimeout: cfg.WriteTimeout,
 	}
 	if cfg.JournalPath != "" {
 		if err := d.openJournal(); err != nil {
@@ -328,19 +326,11 @@ func (d *Dispatcher) journalCellLocked(cell int, row []byte) {
 // Listen starts accepting workers on addr ("host:port"; ":0" picks a free
 // port) and returns the bound address.
 func (d *Dispatcher) Listen(addr string) (string, error) {
-	ln, err := net.Listen("tcp", addr)
+	bound, err := d.srv.Listen(addr)
 	if err != nil {
 		return "", fmt.Errorf("fabric: listen: %w", err)
 	}
-	d.mu.Lock()
-	d.ln = ln
-	d.mu.Unlock()
-	d.wg.Add(1)
-	go func() {
-		defer d.wg.Done()
-		d.acceptLoop(ln)
-	}()
-	return ln.Addr().String(), nil
+	return bound, nil
 }
 
 // Wait blocks until the campaign completes (all cells flushed, or the
@@ -363,22 +353,13 @@ func (d *Dispatcher) Wait(ctx context.Context) error {
 // more than once.
 func (d *Dispatcher) Close() {
 	d.mu.Lock()
-	if !d.closed {
-		d.closed = true
-		if d.ln != nil {
-			d.ln.Close()
-		}
-		for c := range d.conns {
-			c.Close()
-		}
-		if !d.done {
-			d.done = true
-			d.finalErr = ErrClosed
-			close(d.doneCh)
-		}
+	if !d.done {
+		d.done = true
+		d.finalErr = ErrClosed
+		close(d.doneCh)
 	}
 	d.mu.Unlock()
-	d.wg.Wait()
+	d.srv.Shutdown(0)
 	d.mu.Lock()
 	if d.jr != nil {
 		d.jr.Close()
@@ -444,7 +425,7 @@ func (d *Dispatcher) Health() DispatchHealth {
 		Generation:      d.generation,
 		CellsTotal:      len(d.cells),
 		Flushed:         int64(d.nextFlush),
-		Connections:     len(d.conns),
+		Connections:     d.srv.Conns(),
 		Journal:         d.cfg.JournalPath != "",
 		ResumedCells:    d.counters.Resumed,
 		StaleGen:        d.counters.StaleGen,
@@ -507,63 +488,23 @@ func (d *Dispatcher) logLocked(format string, args ...any) {
 
 // ---- network plumbing ----
 
-func (d *Dispatcher) acceptLoop(ln net.Listener) {
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			return // listener closed
-		}
-		d.mu.Lock()
-		if d.closed {
-			d.mu.Unlock()
-			conn.Close()
-			return
-		}
-		d.connSeq++
-		id := d.connSeq
-		d.conns[conn] = id
-		d.mu.Unlock()
-		d.wg.Add(1)
-		go func() {
-			defer d.wg.Done()
-			d.serveConn(conn, id)
-		}()
+// serveLine answers one line from the worker connection connID, which is what
+// leases granted on it are bound to.
+func (d *Dispatcher) serveLine(raw []byte, connID int64) any {
+	req, err := decodeRequest(raw)
+	switch {
+	case err != nil:
+		return response{Error: fmt.Sprintf("bad request: %v", err)}
+	case req.Op == "health":
+		// The health verb answers with the richer DispatchHealth shape,
+		// mirroring mini-slurm health and simd -health.
+		return d.Health()
 	}
+	return d.handle(req, connID)
 }
 
-func (d *Dispatcher) serveConn(conn net.Conn, id int64) {
-	defer func() {
-		d.dropConn(id)
-		d.mu.Lock()
-		delete(d.conns, conn)
-		d.mu.Unlock()
-		conn.Close()
-	}()
-	sc := bufio.NewScanner(conn)
-	sc.Buffer(make([]byte, 0, 64*1024), maxLine)
-	enc := json.NewEncoder(conn)
-	for {
-		conn.SetReadDeadline(time.Now().Add(d.cfg.ReadTimeout))
-		if !sc.Scan() {
-			return
-		}
-		req, err := decodeRequest(sc.Bytes())
-		var out any
-		if err != nil {
-			out = response{Error: fmt.Sprintf("bad request: %v", err)}
-		} else if req.Op == "health" {
-			// The health verb answers with the richer DispatchHealth shape,
-			// mirroring mini-slurm health and simd -health.
-			out = d.Health()
-		} else {
-			out = d.handle(req, id)
-		}
-		conn.SetWriteDeadline(time.Now().Add(d.cfg.WriteTimeout))
-		if enc.Encode(out) != nil {
-			return
-		}
-	}
-}
+// errorReply shapes lineproto's framing errors as fabric responses.
+func errorReply(msg string, _ any) any { return response{Error: msg} }
 
 func (d *Dispatcher) handle(req request, connID int64) response {
 	switch req.Op {

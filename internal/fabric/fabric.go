@@ -33,6 +33,8 @@ import (
 	"expvar"
 	"sync"
 	"time"
+
+	"repro/internal/lineproto"
 )
 
 // The wire protocol is JSON lines over TCP, same idiom as internal/slurm:
@@ -110,7 +112,7 @@ type response struct {
 }
 
 // maxLine bounds one protocol line (a completed cell's payload rides in it).
-const maxLine = 1 << 20
+const maxLine = lineproto.MaxLine
 
 // cellState is one cell's position in the lease state machine.
 type cellState uint8

@@ -1,18 +1,16 @@
 package fabric
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math"
-	"net"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/lineproto"
 	"repro/internal/retry"
 )
 
@@ -71,9 +69,7 @@ type Worker struct {
 	// heartbeat goroutine and the main loop interleave whole request/response
 	// pairs, never bytes.
 	connMu  sync.Mutex
-	conn    net.Conn
-	sc      *bufio.Scanner
-	enc     *json.Encoder
+	conn    *lineproto.Conn
 	hbEvery time.Duration
 	// specSHAHex is the campaign identity from the last hello, bound into
 	// every completion checksum so the dispatcher can verify the payload it
@@ -365,17 +361,11 @@ func (w *Worker) do1(req request) (response, error) {
 }
 
 func (w *Worker) exchangeLocked(req request) (response, error) {
-	w.conn.SetDeadline(time.Now().Add(w.cfg.RequestTimeout))
-	if err := w.enc.Encode(req); err != nil {
-		return response{}, fmt.Errorf("fabric: send: %w", err)
+	line, err := w.conn.CallRaw(req, w.cfg.RequestTimeout)
+	if err != nil {
+		return response{}, fmt.Errorf("fabric: %w", err)
 	}
-	if !w.sc.Scan() {
-		if err := w.sc.Err(); err != nil {
-			return response{}, fmt.Errorf("fabric: receive: %w", err)
-		}
-		return response{}, io.ErrUnexpectedEOF
-	}
-	resp, err := decodeResponse(w.sc.Bytes())
+	resp, err := decodeResponse(line)
 	if err != nil {
 		return response{}, err
 	}
@@ -386,14 +376,11 @@ func (w *Worker) exchangeLocked(req request) (response, error) {
 }
 
 func (w *Worker) dialLocked() error {
-	conn, err := net.DialTimeout("tcp", w.cfg.Addr, w.cfg.RequestTimeout)
+	conn, err := lineproto.Dial(w.cfg.Addr, w.cfg.RequestTimeout)
 	if err != nil {
-		return fmt.Errorf("fabric: dial %s: %w", w.cfg.Addr, err)
+		return fmt.Errorf("fabric: %w", err)
 	}
 	w.conn = conn
-	w.sc = bufio.NewScanner(conn)
-	w.sc.Buffer(make([]byte, 0, 64*1024), maxLine)
-	w.enc = json.NewEncoder(conn)
 	resp, err := w.exchangeLocked(request{Op: "hello", Worker: w.cfg.ID})
 	if err != nil {
 		w.teardownLocked()
@@ -446,28 +433,24 @@ func FetchSpec(addr string, timeout time.Duration) (spec []byte, cells int, err 
 }
 
 func fetchSpecOnce(addr string) ([]byte, int, error) {
-	conn, err := net.DialTimeout("tcp", addr, 5*time.Second)
-	if err != nil {
-		return nil, 0, err
-	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(5 * time.Second))
-	if err := json.NewEncoder(conn).Encode(request{Op: "hello"}); err != nil {
-		return nil, 0, err
-	}
-	sc := bufio.NewScanner(conn)
-	sc.Buffer(make([]byte, 0, 64*1024), maxLine)
-	if !sc.Scan() {
-		return nil, 0, io.ErrUnexpectedEOF
-	}
 	var resp response
-	if err := json.Unmarshal(sc.Bytes(), &resp); err != nil {
-		return nil, 0, err
+	err := callOnce(addr, 5*time.Second, "hello", &resp)
+	return resp.Spec, resp.Cells, err
+}
+
+// callOnce is the one-shot round trip with the reply's error field checked
+// before anything else: an error reply (a framing error, a verb refused) has
+// none of out's fields, and decoded into out alone would pass for a zero one.
+func callOnce(addr string, timeout time.Duration, op string, out any) error {
+	var raw json.RawMessage
+	if err := lineproto.Call(addr, timeout, request{Op: op}, &raw); err != nil {
+		return err
 	}
-	if resp.Error != "" {
-		return nil, 0, fmt.Errorf("fabric: dispatcher: %s", resp.Error)
+	var refused struct{ Error string }
+	if json.Unmarshal(raw, &refused); refused.Error != "" {
+		return fmt.Errorf("refused: %s", refused.Error)
 	}
-	return resp.Spec, resp.Cells, nil
+	return json.Unmarshal(raw, out)
 }
 
 // FetchDispatchHealth asks a running dispatcher for its health snapshot —
@@ -475,28 +458,7 @@ func fetchSpecOnce(addr string) ([]byte, int, error) {
 // `sweep -dispatch-health`. One shot, no retry: health checks should report
 // an unreachable dispatcher, not paper over it.
 func FetchDispatchHealth(addr string, timeout time.Duration) (DispatchHealth, error) {
-	if timeout <= 0 {
-		timeout = 5 * time.Second
-	}
-	conn, err := net.DialTimeout("tcp", addr, timeout)
-	if err != nil {
-		return DispatchHealth{}, fmt.Errorf("fabric: dial %s: %w", addr, err)
-	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(timeout))
-	if err := json.NewEncoder(conn).Encode(request{Op: "health"}); err != nil {
-		return DispatchHealth{}, fmt.Errorf("fabric: send health: %w", err)
-	}
-	sc := bufio.NewScanner(conn)
-	sc.Buffer(make([]byte, 0, 4096), maxLine)
-	if !sc.Scan() {
-		return DispatchHealth{}, io.ErrUnexpectedEOF
-	}
-	var h DispatchHealth
-	if err := json.Unmarshal(sc.Bytes(), &h); err != nil {
-		return DispatchHealth{}, fmt.Errorf("fabric: bad health reply: %w", err)
-	}
-	return h, nil
+	return fetchHealth[DispatchHealth](addr, timeout)
 }
 
 // FetchWorkerHealth asks a simd daemon's health address for its report — the
@@ -504,28 +466,17 @@ func FetchDispatchHealth(addr string, timeout time.Duration) (DispatchHealth, er
 // quarantined worker via the exit code instead of parsing output. One shot,
 // no retry, same as FetchDispatchHealth.
 func FetchWorkerHealth(addr string, timeout time.Duration) (HealthReport, error) {
+	return fetchHealth[HealthReport](addr, timeout)
+}
+
+func fetchHealth[T any](addr string, timeout time.Duration) (h T, err error) {
 	if timeout <= 0 {
 		timeout = 5 * time.Second
 	}
-	conn, err := net.DialTimeout("tcp", addr, timeout)
-	if err != nil {
-		return HealthReport{}, fmt.Errorf("fabric: dial %s: %w", addr, err)
+	if err = callOnce(addr, timeout, "health", &h); err != nil {
+		err = fmt.Errorf("fabric: health: %w", err)
 	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(timeout))
-	if err := json.NewEncoder(conn).Encode(request{Op: "health"}); err != nil {
-		return HealthReport{}, fmt.Errorf("fabric: send health: %w", err)
-	}
-	sc := bufio.NewScanner(conn)
-	sc.Buffer(make([]byte, 0, 4096), maxLine)
-	if !sc.Scan() {
-		return HealthReport{}, io.ErrUnexpectedEOF
-	}
-	var h HealthReport
-	if err := json.Unmarshal(sc.Bytes(), &h); err != nil {
-		return HealthReport{}, fmt.Errorf("fabric: bad health reply: %w", err)
-	}
-	return h, nil
+	return h, err
 }
 
 // atomicFloat is a lock-free float64 cell (progress reporting).
@@ -596,43 +547,21 @@ func AggregateHealth(snaps []WorkerSnapshot) HealthReport {
 // request line {"op":"health"} per reply, built from snap at answer time.
 // Returns the bound address and a stop function.
 func ServeHealth(addr string, snap func() HealthReport) (bound string, stop func(), err error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
+	answer := func(raw []byte) (any, bool) {
+		var req request
+		if err := json.Unmarshal(raw, &req); err != nil || req.Op != "health" {
+			return response{Error: "only the health verb is served here"}, true
+		}
+		return snap(), false
+	}
+	srv := &lineproto.Server{
+		Open:         func(int64) lineproto.Handler { return answer },
+		ErrorReply:   errorReply,
+		ReadTimeout:  time.Minute,
+		WriteTimeout: 10 * time.Second,
+	}
+	if bound, err = srv.Listen(addr); err != nil {
 		return "", nil, fmt.Errorf("fabric: health listen: %w", err)
 	}
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				defer conn.Close()
-				sc := bufio.NewScanner(conn)
-				sc.Buffer(make([]byte, 0, 4096), 4096)
-				enc := json.NewEncoder(conn)
-				for {
-					conn.SetReadDeadline(time.Now().Add(time.Minute))
-					if !sc.Scan() {
-						return
-					}
-					var req request
-					if err := json.Unmarshal(sc.Bytes(), &req); err != nil || req.Op != "health" {
-						enc.Encode(response{Error: "only the health verb is served here"})
-						return
-					}
-					conn.SetWriteDeadline(time.Now().Add(10 * time.Second))
-					if enc.Encode(snap()) != nil {
-						return
-					}
-				}
-			}()
-		}
-	}()
-	return ln.Addr().String(), func() { ln.Close(); wg.Wait() }, nil
+	return bound, func() { srv.Shutdown(0) }, nil
 }

@@ -1,10 +1,9 @@
 package slurm
 
 import (
-	"bufio"
-	"encoding/json"
-	"net"
 	"time"
+
+	"repro/internal/lineproto"
 )
 
 // Hedged requests. Tail latency on read verbs is dominated by unlucky
@@ -31,13 +30,10 @@ type HedgePolicy struct {
 // hedgeOutcome is one attempt's result plus the transport it ran on, so the
 // winner's connection can be adopted and the loser's closed.
 type hedgeOutcome struct {
-	resp  Response
-	err   error
-	conn  net.Conn
-	sc    *bufio.Scanner
-	enc   *json.Encoder
-	addr  int // index into c.addrs this attempt used
-	hedge bool
+	resp Response
+	err  error
+	conn *lineproto.Conn
+	addr int // index into c.addrs this attempt used
 }
 
 // doHedged races the current connection against a fresh one dialed after
@@ -46,40 +42,33 @@ type hedgeOutcome struct {
 // connection is closed as soon as a winner is chosen, which cancels its
 // in-flight exchange. The client adopts the winning transport.
 func (c *Client) doHedged(req Request) (Response, error) {
-	if c.conn == nil {
+	if c.conn == nil || c.conn.Broken() {
 		if err := c.redial(); err != nil {
 			return Response{}, err
 		}
 	}
 	results := make(chan hedgeOutcome, 2)
-	primary := hedgeOutcome{conn: c.conn, sc: c.sc, enc: c.enc, addr: c.cur}
-	go func(o hedgeOutcome) {
-		o.resp, o.err = exchange(o.conn, o.sc, o.enc, c.Timeout, req)
+	attempt := func(o hedgeOutcome) {
+		o.resp, o.err = exchange(o.conn, c.Timeout, req)
 		results <- o
-	}(primary)
+	}
+	go attempt(hedgeOutcome{conn: c.conn, addr: c.cur})
 
 	timer := time.NewTimer(c.Hedge.Delay)
 	defer timer.Stop()
 
 	var first hedgeOutcome
-	var hconn net.Conn // the hedge's connection, when one was launched
+	var hconn *lineproto.Conn // the hedge's connection, when one was launched
 	select {
 	case first = <-results:
 	case <-timer.C:
 		// Primary is slow; race a fresh connection against it. Prefer the
 		// next endpoint so a wedged server isn't asked twice.
 		hidx := (c.cur + 1) % len(c.addrs)
-		conn, derr := net.Dial("tcp", c.addrs[hidx])
-		if derr == nil {
+		if conn, derr := lineproto.Dial(c.addrs[hidx], 0); derr == nil {
 			expClientHedges.Add(1)
 			hconn = conn
-			sc := bufio.NewScanner(conn)
-			sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
-			h := hedgeOutcome{conn: conn, sc: sc, enc: json.NewEncoder(conn), addr: hidx, hedge: true}
-			go func(o hedgeOutcome) {
-				o.resp, o.err = exchange(o.conn, o.sc, o.enc, c.Timeout, req)
-				results <- o
-			}(h)
+			go attempt(hedgeOutcome{conn: conn, addr: hidx})
 		}
 		first = <-results
 	}
@@ -99,11 +88,11 @@ func (c *Client) doHedged(req Request) (Response, error) {
 		first.conn.Close()
 		second := <-results
 		if second.err == nil {
-			c.adopt(second)
+			c.conn, c.cur = second.conn, second.addr
 			return second.resp, nil
 		}
 		second.conn.Close()
-		c.conn, c.sc, c.enc = nil, nil, nil
+		c.conn = nil
 		return first.resp, first.err
 	}
 
@@ -115,12 +104,6 @@ func (c *Client) doHedged(req Request) (Response, error) {
 	} else {
 		hconn.Close() // hedge lost (or never needed)
 	}
-	c.adopt(first)
+	c.conn, c.cur = first.conn, first.addr
 	return first.resp, first.err
-}
-
-// adopt installs the winning attempt's transport as the client's connection.
-// The loser's socket has already been closed by the caller.
-func (c *Client) adopt(w hedgeOutcome) {
-	c.conn, c.sc, c.enc, c.cur = w.conn, w.sc, w.enc, w.addr
 }

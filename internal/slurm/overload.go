@@ -141,34 +141,12 @@ func (o OverloadConfig) Validate() error {
 	return nil
 }
 
-// shedWindow, brownoutCooldown, brownoutHistoryLimit, and brownoutStaleFor
-// resolve the serve-robustness knobs' defaults.
-func (o OverloadConfig) shedWindow() time.Duration {
-	if o.ShedWindow > 0 {
-		return o.ShedWindow
-	}
-	return DefaultShedWindow
-}
-
-func (o OverloadConfig) brownoutCooldown() time.Duration {
-	if o.BrownoutCooldown > 0 {
-		return o.BrownoutCooldown
-	}
-	return 4 * o.BrownoutStep
-}
-
+// brownoutHistoryLimit resolves the paged-brownout history cap's default.
 func (o OverloadConfig) brownoutHistoryLimit() int {
 	if o.BrownoutHistoryLimit > 0 {
 		return o.BrownoutHistoryLimit
 	}
 	return DefaultBrownoutHistoryLimit
-}
-
-func (o OverloadConfig) brownoutStaleFor() time.Duration {
-	if o.BrownoutStaleFor > 0 {
-		return o.BrownoutStaleFor
-	}
-	return DefaultBrownoutStaleFor
 }
 
 // retryAfter is the BUSY hint for shed work that has no limiter-computed wait.

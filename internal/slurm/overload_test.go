@@ -254,17 +254,45 @@ func TestHealthVerb(t *testing.T) {
 	if err != nil || h != HealthOK {
 		t.Fatalf("health = %q, %v", h, err)
 	}
-	// While draining, health still answers — reporting it.
-	srv.mu.Lock()
-	srv.draining = true
-	srv.mu.Unlock()
+	// While draining, health still answers — reporting it. Shutdown keeps
+	// only connections that are mid-request when it begins, so two requests
+	// are parked on the server clock: cl's, released first, and another that
+	// holds the shutdown open while cl probes.
+	other, err := Dial(cl.conn.RemoteAddr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer other.Close()
+	gates, parked := make(chan chan struct{}, 1), make(chan struct{})
+	srv.now = func() time.Time {
+		select {
+		case g := <-gates:
+			parked <- struct{}{}
+			<-g
+		default:
+		}
+		return time.Now()
+	}
+	park := func(c *Client) (release func()) {
+		g, done := make(chan struct{}), make(chan struct{})
+		gates <- g
+		go func() { c.Do(Request{Op: "now"}); close(done) }()
+		<-parked
+		return func() { close(g); <-done }
+	}
+	releaseOther, releaseCl := park(other), park(cl)
+	shut := make(chan struct{})
+	go func() { srv.Shutdown(5 * time.Second); close(shut) }()
+	for !srv.lp.Draining() {
+		time.Sleep(time.Millisecond)
+	}
+	releaseCl()
 	h, err = cl.Health()
 	if err != nil || h != HealthDraining {
 		t.Fatalf("draining health = %q, %v", h, err)
 	}
-	srv.mu.Lock()
-	srv.draining = false
-	srv.mu.Unlock()
+	releaseOther()
+	<-shut
 }
 
 // --- degraded mode ---

@@ -1,18 +1,17 @@
 package slurm
 
 import (
-	"bufio"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/des"
+	"repro/internal/lineproto"
 	"repro/internal/metrics"
 	"repro/internal/retry"
 )
@@ -21,7 +20,8 @@ import (
 // client, one Response per line from the server. It is deliberately simple —
 // the goal is the operational shape of a workload manager (remote
 // submission, queue introspection, separate tooling processes), not RPC
-// sophistication.
+// sophistication. Framing, deadlines and the accept/shutdown state machine
+// are internal/lineproto's; this file is the verbs and the admission.
 
 // Request is one client command.
 type Request struct {
@@ -103,17 +103,17 @@ type Response struct {
 	Serve            *ServeCounters `json:"serve,omitempty"`
 }
 
-// Protocol hardening limits: a client that stops sending mid-line, never
-// reads its responses, or sends an unbounded line must not wedge the server
-// or eat its memory.
+// Protocol hardening limits (enforced by internal/lineproto): a client that
+// stops sending mid-line, never reads its responses, or sends an unbounded
+// line must not wedge the server or eat its memory.
 const (
 	// MaxLine bounds one request or response line.
-	MaxLine = 1 << 20
+	MaxLine = lineproto.MaxLine
 	// DefaultReadTimeout is how long a connection may sit idle (or dribble
 	// one request) before the server drops it.
-	DefaultReadTimeout = 5 * time.Minute
+	DefaultReadTimeout = lineproto.DefaultReadTimeout
 	// DefaultWriteTimeout bounds writing one response.
-	DefaultWriteTimeout = 30 * time.Second
+	DefaultWriteTimeout = lineproto.DefaultWriteTimeout
 )
 
 // Server serves the protocol for one controller.
@@ -147,39 +147,31 @@ type Server struct {
 	nDeadline atomic.Int64
 	nStale    atomic.Int64
 
-	mu       sync.Mutex
-	listener net.Listener
-	conns    map[net.Conn]bool
-	closed   bool
-	draining bool
-	inflight sync.WaitGroup
-	// wg tracks the accept loop and every per-connection goroutine so
-	// Shutdown can wait for all of them to exit (no goroutine leaks).
-	wg sync.WaitGroup
+	// lp owns the listener, the connections and the drain/shutdown state.
+	lp lineproto.Server
 }
 
 // NewServer wraps a controller. Admission control follows the controller
 // configuration's Overload section; the zero OverloadConfig disables it.
 func NewServer(ctl *Controller) *Server {
 	s := &Server{
-		ctl:   ctl,
-		conns: make(map[net.Conn]bool),
-		over:  ctl.Config().Overload,
-		now:   time.Now,
-		est:   &classEstimator{},
+		ctl:  ctl,
+		over: ctl.Config().Overload,
+		now:  time.Now,
+		est:  &classEstimator{},
 	}
 	if s.over.MaxInflight > 0 {
 		s.sem = make(chan struct{}, s.over.MaxInflight)
 	}
 	if s.over.ShedTarget > 0 {
-		s.shed = newShedder(s.over.ShedTarget, s.over.shedWindow())
+		s.shed = newShedder(s.over.ShedTarget, s.over.ShedWindow)
 	}
 	if s.over.BrownoutStep > 0 {
-		s.ladder = newBrownoutLadder(s.over.BrownoutStep, s.over.brownoutCooldown(), func(level int, name string) {
+		s.ladder = newBrownoutLadder(s.over.BrownoutStep, s.over.BrownoutCooldown, func(level int, name string) {
 			expBrownoutSteps.Add(1)
 			ctl.noteBrownout(level, name)
 		})
-		s.cache = newStaleCache(s.over.brownoutStaleFor())
+		s.cache = newStaleCache(s.over.BrownoutStaleFor)
 	}
 	return s
 }
@@ -188,157 +180,72 @@ func NewServer(ctl *Controller) *Server {
 // returns the bound address. Serving happens on background goroutines until
 // Close.
 func (s *Server) Listen(addr string) (string, error) {
-	l, err := net.Listen("tcp", addr)
+	s.lp.ReadTimeout, s.lp.WriteTimeout = s.ReadTimeout, s.WriteTimeout
+	s.lp.MaxConns = s.over.MaxConns
+	s.lp.Refuse = func() any {
+		// Over the connection cap: tell the client once, then hang up.
+		s.nBusy.Add(1)
+		expBusyShed.Add(1)
+		return s.stamp(s.over.busyResponse(0))
+	}
+	s.lp.ErrorReply = func(msg string, reply any) any {
+		if r, ok := reply.(Response); ok && r.Jobs != nil {
+			msg += "; page the queue with the limit and offset request fields"
+		}
+		return s.stamp(Response{Error: msg})
+	}
+	s.lp.Open = func(int64) lineproto.Handler {
+		var bucket *tokenBucket // per connection
+		if s.over.RateLimit > 0 {
+			bucket = newTokenBucket(s.over.RateLimit, s.over.RateBurst, s.now())
+		}
+		return func(raw []byte) (any, bool) {
+			resp, hangup := s.serveLine(raw, bucket)
+			return s.stamp(resp), hangup
+		}
+	}
+	bound, err := s.lp.Listen(addr)
 	if err != nil {
 		return "", fmt.Errorf("slurm: listen: %w", err)
 	}
-	s.mu.Lock()
-	s.listener = l
-	s.mu.Unlock()
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		s.acceptLoop(l)
-	}()
-	return l.Addr().String(), nil
+	return bound, nil
 }
 
-func (s *Server) acceptLoop(l net.Listener) {
-	for {
-		conn, err := l.Accept()
-		if err != nil {
-			return // listener closed
-		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			conn.Close()
-			return
-		}
-		if s.over.MaxConns > 0 && len(s.conns) >= s.over.MaxConns {
-			s.mu.Unlock()
-			// Over the connection cap: tell the client once, then hang
-			// up. Done off the accept loop so a slow peer cannot stall
-			// admission of others.
-			s.wg.Add(1)
-			go func() {
-				defer s.wg.Done()
-				s.rejectConn(conn)
-			}()
-			continue
-		}
-		s.conns[conn] = true
-		s.mu.Unlock()
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			s.serveConn(conn)
-		}()
-	}
-}
-
-// rejectConn answers one over-cap connection with a BUSY response and
-// closes it.
-func (s *Server) rejectConn(conn net.Conn) {
-	defer conn.Close()
-	writeTimeout := s.WriteTimeout
-	if writeTimeout <= 0 {
-		writeTimeout = DefaultWriteTimeout
-	}
-	s.nBusy.Add(1)
-	expBusyShed.Add(1)
-	resp := s.over.busyResponse(0)
+// stamp puts the controller clock on a reply about to be written.
+func (s *Server) stamp(resp Response) Response {
 	resp.Now = float64(s.ctl.Now())
-	conn.SetWriteDeadline(time.Now().Add(writeTimeout))
-	json.NewEncoder(conn).Encode(resp)
+	return resp
 }
 
-func (s *Server) serveConn(conn net.Conn) {
-	defer func() {
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-		conn.Close()
-	}()
-	readTimeout := s.ReadTimeout
-	if readTimeout <= 0 {
-		readTimeout = DefaultReadTimeout
-	}
-	writeTimeout := s.WriteTimeout
-	if writeTimeout <= 0 {
-		writeTimeout = DefaultWriteTimeout
-	}
-	var bucket *tokenBucket
-	if s.over.RateLimit > 0 {
-		bucket = newTokenBucket(s.over.RateLimit, s.over.RateBurst, s.now())
-	}
-	sc := bufio.NewScanner(conn)
-	sc.Buffer(make([]byte, 0, 64*1024), MaxLine)
-	enc := json.NewEncoder(conn)
-	respond := func(resp Response) bool {
-		resp.Now = float64(s.ctl.Now())
-		conn.SetWriteDeadline(time.Now().Add(writeTimeout))
-		return enc.Encode(resp) == nil
-	}
-	for {
-		conn.SetReadDeadline(time.Now().Add(readTimeout))
-		if !sc.Scan() {
-			// An over-long line is a client bug worth reporting before
-			// hanging up; everything else (EOF, timeout, shutdown) just
-			// closes the connection.
-			if errors.Is(sc.Err(), bufio.ErrTooLong) {
-				respond(Response{Error: fmt.Sprintf("request exceeds %d bytes", MaxLine)})
-			}
-			return
-		}
-		var req Request
-		parseErr := json.Unmarshal(sc.Bytes(), &req)
+// serveLine answers one request line: the reply, and whether to hang up.
+func (s *Server) serveLine(raw []byte, bucket *tokenBucket) (Response, bool) {
+	var req Request
+	parseErr := json.Unmarshal(raw, &req)
+	draining := s.lp.Draining()
 
-		// health bypasses admission control entirely: a liveness probe
-		// must answer while everything else is being shed, and still
-		// answers (reporting "draining") during shutdown.
-		if parseErr == nil && req.Op == "health" {
-			s.mu.Lock()
-			draining := s.draining
-			s.mu.Unlock()
-			h := s.ctl.Health()
-			if draining {
-				h = HealthDraining
-			}
-			if !respond(s.healthResponse(h)) || draining {
-				return
-			}
-			continue
+	// health bypasses admission control entirely: a liveness probe must
+	// answer while everything else is being shed, and still answers
+	// (reporting "draining") during shutdown.
+	if parseErr == nil && req.Op == "health" {
+		h := s.ctl.Health()
+		if draining {
+			h = HealthDraining
 		}
-
-		// Track the request so Shutdown can drain it; never start new work
-		// on a draining server.
-		s.mu.Lock()
-		if s.draining {
-			s.mu.Unlock()
-			respond(Response{Error: "server shutting down"})
-			return
-		}
-		s.inflight.Add(1)
-		s.mu.Unlock()
-
-		var resp Response
-		if parseErr != nil {
-			// Malformed lines are charged like bulk requests so a
-			// garbage-spraying client cannot dodge the limiter.
-			if bucket != nil {
-				bucket.take(1, s.now())
-			}
-			resp = Response{Error: fmt.Sprintf("bad request: %v", parseErr)}
-		} else {
-			resp = s.admit(req, bucket)
-		}
-		ok := respond(resp)
-		s.inflight.Done()
-		if !ok {
-			return
-		}
+		return s.healthResponse(h), draining
 	}
+	// Never start new work on a draining server.
+	if draining {
+		return Response{Error: "server shutting down"}, true
+	}
+	if parseErr != nil {
+		// Malformed lines are charged like bulk requests so a
+		// garbage-spraying client cannot dodge the limiter.
+		if bucket != nil {
+			bucket.take(1, s.now())
+		}
+		return Response{Error: fmt.Sprintf("bad request: %v", parseErr)}, false
+	}
+	return s.admit(req, bucket), false
 }
 
 // admit is the full admission pipeline: deadline admission, brownout, the
@@ -590,17 +497,7 @@ func paginate(jobs []JobInfo, req Request, over OverloadConfig, level int) Respo
 
 // Close stops the listener and open connections immediately. In-flight
 // requests are abandoned; use Shutdown for a graceful stop.
-func (s *Server) Close() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.closed = true
-	if s.listener != nil {
-		s.listener.Close()
-	}
-	for c := range s.conns {
-		c.Close()
-	}
-}
+func (s *Server) Close() { s.lp.Close() }
 
 // Shutdown stops the server gracefully: no new requests are accepted,
 // requests already being processed complete and their responses are written,
@@ -608,40 +505,14 @@ func (s *Server) Close() {
 // work, closes everything, then waits for the accept loop and every
 // connection goroutine to exit — after Shutdown returns, the server has
 // leaked nothing.
-func (s *Server) Shutdown(timeout time.Duration) {
-	s.mu.Lock()
-	s.draining = true
-	if s.listener != nil {
-		s.listener.Close()
-	}
-	// Zap read deadlines so idle readers wake up and observe draining;
-	// connections mid-request are past their Scan and unaffected.
-	for c := range s.conns {
-		c.SetReadDeadline(time.Now())
-	}
-	s.mu.Unlock()
-
-	done := make(chan struct{})
-	go func() {
-		s.inflight.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(timeout):
-	}
-	s.Close()
-	s.wg.Wait()
-}
+func (s *Server) Shutdown(timeout time.Duration) { s.lp.Shutdown(timeout) }
 
 // Client is a protocol client (the sbatch/squeue/sinfo tooling). It may hold
 // an ordered list of endpoints (an HA pair): dialing picks the first healthy
 // one, and with a Retry policy set, transport failures and not-primary
 // errors rotate to the next endpoint before retrying — transparent failover.
 type Client struct {
-	conn  net.Conn
-	sc    *bufio.Scanner
-	enc   *json.Encoder
+	conn  *lineproto.Conn
 	addrs []string
 	cur   int // index into addrs of the endpoint conn points at
 
@@ -742,12 +613,6 @@ func DialRetry(addr string, seed uint64) (*Client, error) {
 	return c, nil
 }
 
-func (c *Client) attach(conn net.Conn) {
-	sc := bufio.NewScanner(conn)
-	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
-	c.conn, c.sc, c.enc = conn, sc, json.NewEncoder(conn)
-}
-
 // rotate advances to the next endpoint, so the following redial tries it
 // first.
 func (c *Client) rotate() {
@@ -757,33 +622,31 @@ func (c *Client) rotate() {
 // redial replaces a broken connection, trying each endpoint starting from
 // the current one; the first that accepts wins.
 func (c *Client) redial() error {
-	if c.conn != nil {
-		c.conn.Close()
-		c.conn = nil
-	}
+	c.Close()
 	var firstErr error
 	for i := 0; i < len(c.addrs); i++ {
 		k := (c.cur + i) % len(c.addrs)
-		conn, err := net.Dial("tcp", c.addrs[k])
+		conn, err := lineproto.Dial(c.addrs[k], 0)
 		if err != nil {
 			if firstErr == nil {
-				firstErr = fmt.Errorf("slurm: dial %s: %w", c.addrs[k], err)
+				firstErr = fmt.Errorf("slurm: %w", err)
 			}
 			continue
 		}
-		c.cur = k
-		c.attach(conn)
+		c.cur, c.conn = k, conn
 		return nil
 	}
 	return firstErr
 }
 
-// Close closes the connection.
+// Close closes the connection. The client stays usable: the next Do redials.
 func (c *Client) Close() error {
 	if c.conn == nil {
 		return nil
 	}
-	return c.conn.Close()
+	err := c.conn.Close()
+	c.conn = nil
+	return err
 }
 
 // Do sends one request and reads one response. With a Retry policy set it
@@ -825,27 +688,15 @@ func (c *Client) Do(req Request) (Response, error) {
 		switch {
 		case errors.As(err, &busy):
 			retryAfter = busy.RetryAfter
-		case errors.As(err, &np):
-			// The node refused because of its HA role; the operation was
-			// not performed, so retrying elsewhere is safe even untokened.
-			// With a single endpoint there is nowhere to fail over to.
-			if len(c.addrs) < 2 {
-				return resp, err
-			}
+		case errors.As(err, &np) && len(c.addrs) > 1,
+			isTransportError(err) && idempotentRequest(req):
+			// Either the node refused because of its HA role — the operation
+			// was not performed, so retrying elsewhere is safe even untokened,
+			// given somewhere else to go — or the connection is suspect.
+			// Rebuild it against the next endpoint first, so a black-holed
+			// primary doesn't eat every retry. A failed redial is itself
+			// retried on the next loop iteration.
 			c.rotate()
-			if rerr := c.redial(); rerr != nil {
-				err = rerr
-				c.Retry.Wait(c.Retry.Delay(attempt, 0))
-				continue
-			}
-		case isTransportError(err) && idempotentRequest(req):
-			// The connection is suspect; rebuild it — against the next
-			// endpoint first, if there is one, so a black-holed primary
-			// doesn't eat every retry. A failed redial is itself retried
-			// on the next loop iteration.
-			if len(c.addrs) > 1 {
-				c.rotate()
-			}
 			if rerr := c.redial(); rerr != nil {
 				err = rerr
 				c.Retry.Wait(c.Retry.Delay(attempt, 0))
@@ -882,34 +733,23 @@ func (c *Client) doOnce(req Request) (Response, error) {
 }
 
 func (c *Client) do1(req Request) (Response, error) {
-	if c.conn == nil {
+	// No transport yet, or one a failed round trip left desynchronised.
+	if c.conn == nil || c.conn.Broken() {
 		if err := c.redial(); err != nil {
 			return Response{}, err
 		}
 	}
-	return exchange(c.conn, c.sc, c.enc, c.Timeout, req)
+	return exchange(c.conn, c.Timeout, req)
 }
 
 // exchange runs one request/response round trip over an explicit transport.
 // It is the common leg under do1 and the hedged path: the hedge goroutine
 // captures the transport by value, so a concurrent reassignment of the
 // client's fields cannot race with an in-flight attempt.
-func exchange(conn net.Conn, sc *bufio.Scanner, enc *json.Encoder, timeout time.Duration, req Request) (Response, error) {
-	if timeout > 0 {
-		conn.SetDeadline(time.Now().Add(timeout))
-	}
-	if err := enc.Encode(req); err != nil {
-		return Response{}, fmt.Errorf("slurm: send: %w", err)
-	}
-	if !sc.Scan() {
-		if err := sc.Err(); err != nil {
-			return Response{}, fmt.Errorf("slurm: receive: %w", err)
-		}
-		return Response{}, io.ErrUnexpectedEOF
-	}
+func exchange(conn *lineproto.Conn, timeout time.Duration, req Request) (Response, error) {
 	var resp Response
-	if err := json.Unmarshal(sc.Bytes(), &resp); err != nil {
-		return Response{}, fmt.Errorf("slurm: decode: %w", err)
+	if err := conn.Call(req, &resp, timeout); err != nil {
+		return Response{}, fmt.Errorf("slurm: %w", err)
 	}
 	if resp.Busy || resp.Shed {
 		return resp, &BusyError{RetryAfter: clampRetryAfterMS(resp.RetryAfterMS), Shed: resp.Shed}

@@ -140,8 +140,8 @@ func TestProtocolMalformedLine(t *testing.T) {
 }
 
 func TestProtocolConcurrentClients(t *testing.T) {
-	cl1, srv := startServer(t)
-	addrStr := srv.listener.Addr().String()
+	cl1, _ := startServer(t)
+	addrStr := cl1.conn.RemoteAddr().String()
 	cl2, err := Dial(addrStr)
 	if err != nil {
 		t.Fatal(err)

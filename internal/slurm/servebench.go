@@ -251,7 +251,6 @@ func RunBench(cfg BenchConfig) (BenchResult, error) {
 					// redials lazily.
 					if isTransportError(err) {
 						cl.Close()
-						cl.conn = nil
 					}
 				}
 				record(s)

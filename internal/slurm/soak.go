@@ -154,6 +154,7 @@ func RunSoak(cfg SoakConfig) (SoakResult, error) {
 	if err != nil {
 		return res, fmt.Errorf("soak: health dial: %w", err)
 	}
+	probe.Timeout = cfg.HealthDeadline
 	go func() {
 		defer close(healthDone)
 		defer probe.Close()
@@ -166,7 +167,6 @@ func RunSoak(cfg SoakConfig) (SoakResult, error) {
 			case <-tick.C:
 			}
 			start := time.Now()
-			probe.conn.SetDeadline(start.Add(cfg.HealthDeadline))
 			h, err := probe.Health()
 			lat := time.Since(start)
 			mu.Lock()

@@ -48,7 +48,7 @@ var verbs = map[string]verb{
 	"stats":  {class: classQuery, read: true},
 	"now":    {class: classQuery, read: true},
 	"config": {class: classControl, read: true},
-	// health additionally bypasses admission altogether (Server.serveConn).
+	// health additionally bypasses admission altogether (Server.serveLine).
 	"health": {class: classControl, read: true},
 	// Replication keeps the standby's lease alive; rate-limiting it would
 	// let a submission storm cause a spurious failover.
