@@ -12,7 +12,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // JobID identifies a job for allocation accounting. IDs are assigned by the
@@ -162,7 +162,7 @@ func (n *Node) Jobs() []JobID {
 	for id := range n.threads {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	return ids
 }
 
@@ -217,7 +217,10 @@ var (
 )
 
 // NodePlacement is one node's share of a placement: which hardware threads a
-// job binds to and how much node memory it reserves.
+// job binds to and how much node memory it reserves. Threads is read-only:
+// the placements LayerThreads, LayerPlacement and ExclusivePlacement build
+// all share one index list per cluster, so writing through it would corrupt
+// every other placement of that shape.
 type NodePlacement struct {
 	Node     int
 	Threads  []int
@@ -258,6 +261,15 @@ type Cluster struct {
 	jobNodes map[JobID][]int
 	// idx is the incremental free-capacity index (see index.go).
 	idx *index
+
+	// layerIdx[l] lists the hardware threads of SMT layer l and allIdx every
+	// thread of a node. Nodes are homogeneous, so one immutable list per
+	// cluster serves every placement (see NodePlacement.Threads).
+	layerIdx [][]int
+	allIdx   []int
+
+	// seenNode and seenThread detect duplicates while Allocate validates.
+	seenNode, seenThread []bool
 }
 
 // New builds a cluster from cfg. It panics on invalid configuration: cluster
@@ -267,10 +279,24 @@ func New(cfg Config) *Cluster {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	c := &Cluster{cfg: cfg, jobNodes: make(map[JobID][]int), idx: newIndex(cfg)}
+	c := &Cluster{
+		cfg: cfg, jobNodes: make(map[JobID][]int), idx: newIndex(cfg),
+		seenNode: make([]bool, cfg.Nodes), seenThread: make([]bool, cfg.ThreadsPerNode()),
+	}
 	c.nodes = make([]*Node, cfg.Nodes)
 	for i := range c.nodes {
 		c.nodes[i] = newNode(i, cfg)
+	}
+	c.allIdx = make([]int, cfg.ThreadsPerNode())
+	for t := range c.allIdx {
+		c.allIdx[t] = t
+	}
+	c.layerIdx = make([][]int, cfg.ThreadsPerCore)
+	for l := range c.layerIdx {
+		c.layerIdx[l] = make([]int, cfg.CoresPerNode)
+		for core := range c.layerIdx[l] {
+			c.layerIdx[l][core] = core*cfg.ThreadsPerCore + l
+		}
 	}
 	return c
 }
@@ -301,15 +327,15 @@ func (c *Cluster) Allocate(p Placement) error {
 		return fmt.Errorf("%w: empty placement for job %d", ErrBadPlace, p.Job)
 	}
 	// Phase 1: validate everything.
-	seenNode := make(map[int]bool, len(p.Nodes))
+	clear(c.seenNode)
 	for _, np := range p.Nodes {
 		if np.Node < 0 || np.Node >= len(c.nodes) {
 			return fmt.Errorf("%w: %d", ErrUnknownNode, np.Node)
 		}
-		if seenNode[np.Node] {
+		if c.seenNode[np.Node] {
 			return fmt.Errorf("%w: node %d listed twice for job %d", ErrBadPlace, np.Node, p.Job)
 		}
-		seenNode[np.Node] = true
+		c.seenNode[np.Node] = true
 		if c.nodes[np.Node].drained {
 			return fmt.Errorf("%w: node %d", ErrDrained, np.Node)
 		}
@@ -323,15 +349,15 @@ func (c *Cluster) Allocate(p Placement) error {
 			return fmt.Errorf("%w: negative memory on node %d", ErrBadPlace, np.Node)
 		}
 		n := c.nodes[np.Node]
-		seenThread := make(map[int]bool, len(np.Threads))
+		clear(c.seenThread)
 		for _, t := range np.Threads {
 			if t < 0 || t >= n.Threads() {
 				return fmt.Errorf("%w: thread %d out of range on node %d", ErrBadPlace, t, np.Node)
 			}
-			if seenThread[t] {
+			if c.seenThread[t] {
 				return fmt.Errorf("%w: thread %d listed twice on node %d", ErrBadPlace, t, np.Node)
 			}
-			seenThread[t] = true
+			c.seenThread[t] = true
 			if n.owner[t] != NoJob {
 				return fmt.Errorf("%w: node %d thread %d held by job %d",
 					ErrThreadBusy, np.Node, t, n.owner[t])

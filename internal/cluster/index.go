@@ -103,8 +103,11 @@ func (c *Cluster) reindexNode(ni int) {
 // BusyFreeLayerNodes returns the busy, schedulable nodes with at least one
 // entirely free hardware-thread layer, ascending — the sharing policies'
 // co-allocation candidate universe.
-func (c *Cluster) BusyFreeLayerNodes() []int {
-	var out []int
+func (c *Cluster) BusyFreeLayerNodes() []int { return c.AppendBusyFreeLayerNodes(nil) }
+
+// AppendBusyFreeLayerNodes appends what BusyFreeLayerNodes returns to out,
+// for callers that reuse a buffer.
+func (c *Cluster) AppendBusyFreeLayerNodes(out []int) []int {
 	for wi := range c.idx.layerFreeBusy[0].words {
 		var union uint64
 		for _, s := range c.idx.layerFreeBusy {

@@ -26,31 +26,24 @@ func (c *Cluster) LayerFree(ni int, l Layer) bool {
 	return n.freeInLayer[l] == n.cores
 }
 
-// LayerThreads returns the thread indices making up layer l on node ni.
+// LayerThreads returns the thread indices making up layer l on node ni. The
+// slice is shared by every caller and must not be modified.
 func (c *Cluster) LayerThreads(ni int, l Layer) []int {
 	n := c.Node(ni)
 	if int(l) < 0 || int(l) >= n.tpc {
 		panic(fmt.Sprintf("cluster: layer %d out of range (threads/core %d)", l, n.tpc))
 	}
-	out := make([]int, n.cores)
-	for core := 0; core < n.cores; core++ {
-		out[core] = core*n.tpc + int(l)
-	}
-	return out
+	return c.layerIdx[l]
 }
 
 // ExclusivePlacement builds a placement giving job id every hardware thread
 // and memMB of memory on each listed node — the standard node allocation the
 // paper's baselines use.
 func (c *Cluster) ExclusivePlacement(id JobID, nodes []int, memPerNodeMB int) Placement {
-	p := Placement{Job: id}
+	p := Placement{Job: id, Nodes: make([]NodePlacement, 0, len(nodes))}
 	for _, ni := range nodes {
 		n := c.Node(ni)
-		threads := make([]int, n.Threads())
-		for t := range threads {
-			threads[t] = t
-		}
-		p.Nodes = append(p.Nodes, NodePlacement{Node: ni, Threads: threads, MemoryMB: memPerNodeMB})
+		p.Nodes = append(p.Nodes, NodePlacement{Node: n.id, Threads: c.allIdx, MemoryMB: memPerNodeMB})
 	}
 	return p
 }
@@ -59,7 +52,7 @@ func (c *Cluster) ExclusivePlacement(id JobID, nodes []int, memPerNodeMB int) Pl
 // and memMB of memory on each listed node — the allocation unit of the
 // sharing strategies.
 func (c *Cluster) LayerPlacement(id JobID, nodes []int, l Layer, memPerNodeMB int) Placement {
-	p := Placement{Job: id}
+	p := Placement{Job: id, Nodes: make([]NodePlacement, 0, len(nodes))}
 	for _, ni := range nodes {
 		p.Nodes = append(p.Nodes, NodePlacement{
 			Node: ni, Threads: c.LayerThreads(ni, l), MemoryMB: memPerNodeMB,
@@ -75,8 +68,12 @@ func (c *Cluster) IdleNodes() []int {
 	if c.idx.idleAvail.count == 0 {
 		return nil
 	}
-	return c.idx.idleAvail.appendTo(make([]int, 0, c.idx.idleAvail.count))
+	return c.AppendIdleNodes(make([]int, 0, c.idx.idleAvail.count))
 }
+
+// AppendIdleNodes appends what IdleNodes returns to dst, for callers that
+// reuse a buffer.
+func (c *Cluster) AppendIdleNodes(dst []int) []int { return c.idx.idleAvail.appendTo(dst) }
 
 // CountIdle returns the number of fully idle, schedulable nodes.
 func (c *Cluster) CountIdle() int { return c.idx.idleAvail.count }

@@ -120,16 +120,28 @@ func (m *Model) NodeRates(loads []app.StressVector) []float64 {
 		return rates
 	}
 
-	// Aggregate demand per resource.
 	var demand [app.NumResources]float64
 	for _, d := range loads {
-		for r := app.Resource(0); r < app.NumResources; r++ {
-			demand[r] += d[r]
-		}
+		addDemand(&demand, d)
 	}
+	ratio := m.ratios(&demand)
+	for i, d := range loads {
+		rates[i] = m.rateUnder(d, &ratio)
+	}
+	return rates
+}
 
-	// Per-resource throughput ratio under effective capacity.
-	var ratio [app.NumResources]float64
+// addDemand adds one job's stress to the node's aggregate demand per
+// resource.
+func addDemand(demand *[app.NumResources]float64, d app.StressVector) {
+	for r := app.Resource(0); r < app.NumResources; r++ {
+		demand[r] += d[r]
+	}
+}
+
+// ratios returns the per-resource throughput ratio under effective capacity
+// for an aggregate demand.
+func (m *Model) ratios(demand *[app.NumResources]float64) (ratio [app.NumResources]float64) {
 	for r := app.Resource(0); r < app.NumResources; r++ {
 		capacity := 1.0
 		if r == app.CPU {
@@ -145,21 +157,23 @@ func (m *Model) NodeRates(loads []app.StressVector) []float64 {
 			ratio[r] = eff / demand[r]
 		}
 	}
+	return ratio
+}
 
-	for i, d := range loads {
-		rate := 1.0
-		for r := app.Resource(0); r < app.NumResources; r++ {
-			factor := 1 - d[r]*(1-ratio[r])
-			if factor < rate {
-				rate = factor
-			}
+// rateUnder returns the progress rate of a job with stress d on a node whose
+// resources deliver the given throughput ratios.
+func (m *Model) rateUnder(d app.StressVector, ratio *[app.NumResources]float64) float64 {
+	rate := 1.0
+	for r := app.Resource(0); r < app.NumResources; r++ {
+		factor := 1 - d[r]*(1-ratio[r])
+		if factor < rate {
+			rate = factor
 		}
-		if rate < m.p.MinRate {
-			rate = m.p.MinRate
-		}
-		rates[i] = rate
 	}
-	return rates
+	if rate < m.p.MinRate {
+		rate = m.p.MinRate
+	}
+	return rate
 }
 
 // PairRates returns the progress rates of two co-located jobs.

@@ -68,16 +68,33 @@ func (m *Model) HasMeasured() bool { return len(m.measured) > 0 }
 // NamedRates returns per-job progress rates like NodeRates, but consults the
 // measured-pair table first for two-job co-locations.
 func (m *Model) NamedRates(loads []Load) []float64 {
+	if len(loads) == 0 {
+		return nil
+	}
+	return m.AppendNamedRates(make([]float64, 0, len(loads)), loads)
+}
+
+// AppendNamedRates appends what NamedRates returns to dst and allocates
+// nothing when dst has room: the simulation engine re-rates every resident of
+// every node a start or a completion touches.
+func (m *Model) AppendNamedRates(dst []float64, loads []Load) []float64 {
+	if len(loads) == 1 {
+		return append(dst, 1)
+	}
 	if len(loads) == 2 && m.measured != nil {
 		if r, ok := m.measured[pairKey{loads[0].App, loads[1].App}]; ok {
-			return []float64{r[0], r[1]}
+			return append(dst, r[0], r[1])
 		}
 	}
-	vecs := make([]app.StressVector, len(loads))
-	for i, l := range loads {
-		vecs[i] = l.Stress
+	var demand [app.NumResources]float64
+	for _, l := range loads {
+		addDemand(&demand, l.Stress)
 	}
-	return m.NodeRates(vecs)
+	ratio := m.ratios(&demand)
+	for _, l := range loads {
+		dst = append(dst, m.rateUnder(l.Stress, &ratio))
+	}
+	return dst
 }
 
 // ParseCoRunCSV reads measured pairs from CSV rows of the form

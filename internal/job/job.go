@@ -11,6 +11,7 @@ package job
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/app"
 	"repro/internal/cluster"
@@ -225,16 +226,31 @@ func (j *Job) ETA(t des.Time) des.Time {
 	return t + des.Duration(j.Remaining(t)/j.rate)
 }
 
+// roundOff returns how much residual work at time t float64 arithmetic alone
+// explains. A completion is scheduled at now + remaining/rate, and the clock
+// can only land on a representable instant: at t ≈ 3.5e10 s neighbouring
+// instants are 7.6 µs apart, so a job progressing at rate r may reach its
+// completion event with a few steps × r of work still on the books. Up to
+// t ≈ 1e9 s a step is under 0.12 µs and the floor of one microsecond of work
+// — what the simulator always tolerated — is what applies.
+func (j *Job) roundOff(t des.Time) float64 {
+	step := math.Nextafter(float64(t), math.Inf(1)) - float64(t)
+	return math.Max(1e-6, 4*step*j.rate)
+}
+
+// WorkDone reports whether the work left at time t is round-off only: the
+// job has, to the clock's resolution, completed.
+func (j *Job) WorkDone(t des.Time) bool { return j.Remaining(t) < j.roundOff(t) }
+
 // Finish integrates to t and transitions the job to Finished. The residual
-// work must be zero up to round-off; a material residue means the caller
-// fired the completion event at the wrong time.
+// work must be zero up to round-off (see roundOff); a material residue means
+// the caller fired the completion event at the wrong time.
 func (j *Job) Finish(t des.Time) {
 	if j.state != Running {
 		panic(fmt.Sprintf("job %d: Finish in state %v", j.ID, j.state))
 	}
 	j.integrate(t)
-	const tolerance = 1e-6 // seconds of work; float round-off only
-	if j.remaining > tolerance {
+	if j.remaining > j.roundOff(t) {
 		panic(fmt.Sprintf("job %d: finished with %g seconds of work left", j.ID, j.remaining))
 	}
 	j.state = Finished

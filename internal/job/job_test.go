@@ -378,3 +378,28 @@ func TestValidateDependencies(t *testing.T) {
 		t.Fatal("NoJob dependency accepted")
 	}
 }
+
+// The completion tolerance follows the clock's resolution: at t = 3.5e10 s
+// float64 instants are 7.6 µs apart, so one step of residue at rate 1 is
+// round-off there — and a material residue at an ordinary clock.
+func TestFinishToleranceFollowsClockResolution(t *testing.T) {
+	far := &Job{ID: 1, Nodes: 1, ReqWalltime: 1e9, TrueRuntime: 1e9, Submit: 0}
+	far.Start(3.4e10)
+	end := des.Time(math.Nextafter(3.5e10, 0)) // one representable instant early: 7.6 µs
+	if !far.WorkDone(end) {
+		t.Fatalf("%.3g s of residue at t=3.5e10 not recognised as round-off", far.Remaining(end))
+	}
+	far.Finish(end) // panicked with the absolute 1 µs tolerance
+
+	near := &Job{ID: 2, Nodes: 1, ReqWalltime: 1000, TrueRuntime: 1000, Submit: 0}
+	near.Start(0)
+	if near.WorkDone(1000 - 3.8e-6) {
+		t.Fatal("3.8 µs of residue at t=1000 accepted as round-off")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Finish accepted 3.8 µs of work left at an ordinary clock")
+		}
+	}()
+	near.Finish(1000 - 3.8e-6)
+}

@@ -1,7 +1,8 @@
 package sched
 
 import (
-	"repro/internal/des"
+	"slices"
+
 	"repro/internal/job"
 )
 
@@ -14,18 +15,15 @@ func (FCFS) Name() string { return "fcfs" }
 
 // Schedule implements Policy.
 func (FCFS) Schedule(ctx *Context) []Decision {
+	ctx.begin()
 	var out []Decision
-	claimed := newMarks(ctx)
 	for _, j := range ctx.Queue {
 		if !fitsMachine(ctx, j) {
 			continue // can never run anywhere; do not deadlock the queue
 		}
-		nodes, ok := pickIdle(ctx, j.Nodes, claimed)
+		nodes, ok := pickIdle(ctx, j.Nodes)
 		if !ok {
 			break // strict FCFS: the head blocks
-		}
-		for _, ni := range nodes {
-			claimed[ni] = true
 		}
 		out = append(out, exclusiveDecision(ctx, j, nodes))
 	}
@@ -42,18 +40,15 @@ func (FirstFit) Name() string { return "firstfit" }
 
 // Schedule implements Policy.
 func (FirstFit) Schedule(ctx *Context) []Decision {
+	ctx.begin()
 	var out []Decision
-	claimed := newMarks(ctx)
 	for _, j := range ctx.Queue {
 		if !fitsMachine(ctx, j) {
 			continue
 		}
-		nodes, ok := pickIdle(ctx, j.Nodes, claimed)
+		nodes, ok := pickIdle(ctx, j.Nodes)
 		if !ok {
 			continue // skip and try the next job
-		}
-		for _, ni := range nodes {
-			claimed[ni] = true
 		}
 		out = append(out, exclusiveDecision(ctx, j, nodes))
 	}
@@ -87,8 +82,12 @@ func (Conservative) Schedule(ctx *Context) []Decision {
 	return backfillExclusive(ctx, len(ctx.Queue))
 }
 
-// exclusiveDecision builds the standard whole-node allocation decision.
+// exclusiveDecision claims nodes for the pass and builds the standard
+// whole-node allocation decision on them.
 func exclusiveDecision(ctx *Context, j *job.Job, nodes []int) Decision {
+	for _, ni := range nodes {
+		ctx.sc.claimed[ni] = true
+	}
 	return Decision{
 		Job:           j,
 		Placement:     ctx.Cluster.ExclusivePlacement(j.ID, nodes, j.App.MemPerNodeMB),
@@ -101,13 +100,13 @@ func exclusiveDecision(ctx *Context, j *job.Job, nodes []int) Decision {
 // reservations for the first maxReservations blocked jobs, backfill for the
 // rest. Every started job runs on exclusive whole nodes.
 func backfillExclusive(ctx *Context, maxReservations int) []Decision {
+	ctx.begin()
 	var out []Decision
-	claimed := newMarks(ctx)
 
 	// The capacity profile sees a node as released when its last resident's
 	// predicted end passes (with one job per node under exclusive policies,
 	// that is simply the job's end).
-	profile := buildNodeProfile(ctx, claimed)
+	profile := buildNodeProfile(ctx)
 
 	reservations := 0
 	for _, j := range ctx.Queue {
@@ -121,7 +120,7 @@ func backfillExclusive(ctx *Context, maxReservations int) []Decision {
 			continue
 		}
 		if start <= ctx.Now {
-			nodes, got := pickIdle(ctx, j.Nodes, claimed)
+			nodes, got := pickIdle(ctx, j.Nodes)
 			if !got {
 				// Profile says capacity exists but idle nodes disagree;
 				// treat as blocked (can happen transiently when releases
@@ -131,9 +130,6 @@ func backfillExclusive(ctx *Context, maxReservations int) []Decision {
 					reservations++
 				}
 				continue
-			}
-			for _, ni := range nodes {
-				claimed[ni] = true
 			}
 			profile.Reserve(ctx.Now, wall, j.Nodes)
 			out = append(out, exclusiveDecision(ctx, j, nodes))
@@ -150,33 +146,33 @@ func backfillExclusive(ctx *Context, maxReservations int) []Decision {
 	return out
 }
 
-// buildNodeProfile constructs the whole-node availability profile from the
-// current idle set and the running jobs' planned completion times.
-func buildNodeProfile(ctx *Context, claimed nodeMarks) *Profile {
-	freeNow := 0
-	for _, ni := range ctx.Cluster.IdleNodes() {
-		if !claimed[ni] {
-			freeNow++
-		}
-	}
+// buildNodeProfile rebuilds the scratch's whole-node availability profile at
+// the start of a pass, from the idle set and the running jobs' planned
+// completion times.
+func buildNodeProfile(ctx *Context) *Profile {
+	sc := ctx.sc
 	// A node shared by several jobs becomes a whole free node only when the
-	// latest resident leaves.
-	releaseAt := map[int]des.Time{}
+	// latest resident leaves. Zero marks a node no running job occupies.
+	sc.releaseAt = resize(sc.releaseAt, ctx.Cluster.Size())
+	clear(sc.releaseAt)
 	for _, r := range ctx.Running {
 		end := predictedEnd(r, ctx.Share)
 		for _, ni := range r.NodeIDs {
-			if end > releaseAt[ni] {
-				releaseAt[ni] = end
+			if end > sc.releaseAt[ni] {
+				sc.releaseAt[ni] = end
 			}
 		}
 	}
-	byTime := map[des.Time]int{}
-	for _, end := range releaseAt {
-		byTime[end]++
+	sc.ends = sc.ends[:0]
+	for _, end := range sc.releaseAt {
+		if end > 0 {
+			sc.ends = append(sc.ends, end)
+		}
 	}
-	releases := make([]Release, 0, len(byTime))
-	for t, n := range byTime {
-		releases = append(releases, Release{At: t, Nodes: n})
+	slices.Sort(sc.ends)
+	sc.profile.start(ctx.Now, len(sc.idle))
+	for _, end := range sc.ends {
+		sc.profile.release(end, 1)
 	}
-	return NewProfile(ctx.Now, freeNow, releases)
+	return &sc.profile
 }

@@ -1,7 +1,9 @@
 package sched
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/des"
@@ -25,31 +27,39 @@ type Profile struct {
 // the given future releases. Releases at or before now are folded into the
 // initial capacity (their jobs are finishing as we plan).
 func NewProfile(now des.Time, freeNow int, releases []Release) *Profile {
-	byTime := map[des.Time]int{}
+	releases = slices.Clone(releases)
+	slices.SortFunc(releases, func(a, b Release) int { return cmp.Compare(a.At, b.At) })
+	p := &Profile{}
+	p.start(now, freeNow)
 	for _, r := range releases {
-		if r.Nodes < 0 {
-			panic(fmt.Sprintf("sched: release of %d nodes", r.Nodes))
-		}
-		if r.At <= now {
-			freeNow += r.Nodes
-			continue
-		}
-		byTime[r.At] += r.Nodes
-	}
-	times := make([]des.Time, 0, len(byTime)+1)
-	for t := range byTime {
-		times = append(times, t)
-	}
-	sort.Slice(times, func(i, j int) bool { return times[i] < times[j] })
-
-	p := &Profile{times: []des.Time{now}, free: []int{freeNow}}
-	cum := freeNow
-	for _, t := range times {
-		cum += byTime[t]
-		p.times = append(p.times, t)
-		p.free = append(p.free, cum)
+		p.release(r.At, r.Nodes)
 	}
 	return p
+}
+
+// start empties p, keeping its memory, and opens it at now with freeNow free
+// nodes.
+func (p *Profile) start(now des.Time, freeNow int) {
+	p.times = append(p.times[:0], now)
+	p.free = append(p.free[:0], freeNow)
+}
+
+// release adds a future capacity increase while the profile is being built.
+// Calls must come in ascending time order, before any Reserve.
+func (p *Profile) release(at des.Time, nodes int) {
+	if nodes < 0 {
+		panic(fmt.Sprintf("sched: release of %d nodes", nodes))
+	}
+	last := len(p.times) - 1
+	switch {
+	case at <= p.times[0]:
+		p.free[0] += nodes // in time order, so nothing follows the start yet
+	case at == p.times[last]:
+		p.free[last] += nodes
+	default:
+		p.times = append(p.times, at)
+		p.free = append(p.free, p.free[last]+nodes)
+	}
 }
 
 // FreeAt returns the free capacity at time t (t at or after the profile

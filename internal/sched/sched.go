@@ -20,10 +20,10 @@
 package sched
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
-	"repro/internal/app"
 	"repro/internal/cluster"
 	"repro/internal/des"
 	"repro/internal/interference"
@@ -125,124 +125,10 @@ type Context struct {
 	// ordered compactly so jobs span as few leaf switches as possible.
 	Topo *topology.Topology
 
-	// residentIdx caches node → running jobs for the pass; built lazily by
-	// residents (the co-allocation paths query it once per node per queued
-	// job, so the linear scan must not repeat).
-	residentIdx [][]*RunningJob
-
-	// compatIdx memoizes pairing evaluations per (guest application,
-	// resident application multiset) class for the pass. Pairing quality is
-	// a pure function of the applications' stress vectors and the
-	// interference model, so every node hosting the same resident class
-	// shares one evaluation instead of re-running Complementarity and
-	// NamedRates per candidate node per queued job.
-	compatIdx map[compatKey]compatProfile
-	// hostRateIdx memoizes the interference model's host-rate answer per
-	// (host application, guest application) pair for the pass — the
-	// inflation-accounting path asks this once per resident per candidate
-	// placement.
-	hostRateIdx map[compatKey]float64
-}
-
-// compatKey identifies a pairing class. residents holds the single resident
-// application name in the common MaxDegree-2 case (allocation-free to
-// build); deeper sharing joins the names with NUL separators.
-type compatKey struct {
-	guest     string
-	residents string
-}
-
-func makeCompatKey(guest string, residents []*RunningJob) compatKey {
-	if len(residents) == 1 {
-		return compatKey{guest: guest, residents: residents[0].Job.App.Name}
-	}
-	joined := ""
-	for i, r := range residents {
-		if i > 0 {
-			joined += "\x00"
-		}
-		joined += r.Job.App.Name
-	}
-	return compatKey{guest: guest, residents: joined}
-}
-
-// compatProfile is one memoized pairing evaluation: whether the pairing
-// passes the configured gates, its worst complementarity score, and the
-// guest's estimated progress rate.
-type compatProfile struct {
-	ok    bool
-	score float64
-	rate  float64
-}
-
-// compatFor returns the memoized pairing evaluation of guest job j against
-// the residents of a node, computing and caching it on first use.
-func (ctx *Context) compatFor(j *job.Job, residents []*RunningJob) compatProfile {
-	key := makeCompatKey(j.App.Name, residents)
-	if p, ok := ctx.compatIdx[key]; ok {
-		return p
-	}
-	cfg := ctx.Share
-	score := 1.0
-	loads := []interference.Load{{App: j.App.Name, Stress: j.App.Stress}}
-	for _, r := range residents {
-		s := app.Complementarity(j.App.Stress, r.Job.App.Stress)
-		if s < score {
-			score = s
-		}
-		loads = append(loads, interference.Load{App: r.Job.App.Name, Stress: r.Job.App.Stress})
-	}
-	p := compatProfile{score: score}
-	if score >= cfg.MinComplementarity {
-		rates := ctx.Inter.NamedRates(loads)
-		p.ok = true
-		p.rate = rates[0]
-		if cfg.MinEstimatedRate > 0 {
-			for _, r := range rates {
-				if r < cfg.MinEstimatedRate {
-					p.ok = false
-					break
-				}
-			}
-		}
-	}
-	if ctx.compatIdx == nil {
-		ctx.compatIdx = make(map[compatKey]compatProfile)
-	}
-	ctx.compatIdx[key] = p
-	return p
-}
-
-// hostRateWith returns the memoized interference-model progress rate of a
-// running host job when guest j lands beside it.
-func (ctx *Context) hostRateWith(r *RunningJob, j *job.Job) float64 {
-	key := compatKey{guest: r.Job.App.Name, residents: j.App.Name}
-	if rate, ok := ctx.hostRateIdx[key]; ok {
-		return rate
-	}
-	rates := ctx.Inter.NamedRates([]interference.Load{
-		{App: r.Job.App.Name, Stress: r.Job.App.Stress},
-		{App: j.App.Name, Stress: j.App.Stress},
-	})
-	if ctx.hostRateIdx == nil {
-		ctx.hostRateIdx = make(map[compatKey]float64)
-	}
-	ctx.hostRateIdx[key] = rates[0]
-	return rates[0]
-}
-
-// residents returns the running jobs occupying node ni, using a lazily
-// built index over ctx.Running.
-func (ctx *Context) residents(ni int) []*RunningJob {
-	if ctx.residentIdx == nil {
-		ctx.residentIdx = make([][]*RunningJob, ctx.Cluster.Size())
-		for _, r := range ctx.Running {
-			for _, n := range r.NodeIDs {
-				ctx.residentIdx[n] = append(ctx.residentIdx[n], r)
-			}
-		}
-	}
-	return ctx.residentIdx[ni]
+	// sc is the planner's working memory (see scratch). It is created by
+	// the first Schedule on this Context and reused by every later one, so
+	// a long-lived Context — the engine's — plans without allocating.
+	sc *scratch
 }
 
 // Policy decides which queued jobs start now.
@@ -307,38 +193,11 @@ func fitsMachine(ctx *Context, j *job.Job) bool {
 	return j.Nodes <= cfg.Nodes && j.App.MemPerNodeMB <= cfg.MemoryPerNodeMB
 }
 
-// nodeMarks is a per-pass membership set over dense node indices (claimed
-// nodes, excluded hosts). A slice beats a map here: scheduling passes probe
-// and copy these sets in the hottest loops, and node indices are dense.
-type nodeMarks []bool
-
-func newMarks(ctx *Context) nodeMarks { return make(nodeMarks, ctx.Cluster.Size()) }
-
-func (m nodeMarks) clone() nodeMarks {
-	out := make(nodeMarks, len(m))
-	copy(out, m)
-	return out
-}
-
-// idleCandidates returns the schedulable idle nodes minus exclusions, in
-// locality-compact order when a topology is configured.
-func idleCandidates(ctx *Context, exclude nodeMarks) []int {
-	var out []int
-	for _, ni := range ctx.Cluster.IdleNodes() {
-		if !exclude[ni] {
-			out = append(out, ni)
-		}
-	}
-	if ctx.Topo != nil {
-		out = ctx.Topo.CompactOrder(out)
-	}
-	return out
-}
-
-// pickIdle returns the first n idle node indices and true, or nil and false
-// when fewer than n nodes are idle.
-func pickIdle(ctx *Context, n int, exclude nodeMarks) ([]int, bool) {
-	cand := idleCandidates(ctx, exclude)
+// pickIdle returns the first n idle candidates and true, or nil and false
+// when fewer than n nodes are idle. The slice is valid until the next
+// idleCandidates call.
+func pickIdle(ctx *Context, n int) ([]int, bool) {
+	cand := idleCandidates(ctx)
 	if len(cand) < n {
 		return nil, false
 	}
@@ -348,6 +207,7 @@ func pickIdle(ctx *Context, n int, exclude nodeMarks) ([]int, bool) {
 // shareCandidate is one co-allocatable node with its pairing quality.
 type shareCandidate struct {
 	node  int
+	layer cluster.Layer // the free layer the guest would take
 	score float64
 	rate  float64 // estimated progress rate for the incoming job
 }
@@ -359,88 +219,70 @@ type shareCandidate struct {
 // host down while the uncovered nodes idle along. Sharing strategies
 // therefore prefer whole-host coverage.
 type hostGroup struct {
-	nodes    []shareCandidate
+	lo, hi   int     // the group's nodes are scratch.cands[lo:hi]
+	first    int     // index of the group's first node
 	score    float64 // worst pairing score across the group
 	rate     float64 // worst estimated guest rate across the group
 	fullHost bool    // group spans every node of the host job
+	taken    bool    // placeShared has consumed the group
 }
 
-// nodeUsableFor reports whether node ni can host j as a co-runner and, if
-// so, returns the pairing score (worst complementarity across residents) and
-// the guest's estimated progress rate there.
-func nodeUsableFor(ctx *Context, j *job.Job, ni int, exclude nodeMarks) (shareCandidate, bool) {
-	cfg := ctx.Share
-	c := ctx.Cluster
-	if exclude[ni] {
-		return shareCandidate{}, false
-	}
-	n := c.Node(ni)
-	if n.Idle() || !n.Available() || n.SharingDegree() >= cfg.MaxDegree ||
-		n.MemFreeMB() < j.App.MemPerNodeMB {
-		return shareCandidate{}, false
-	}
-	if _, ok := freeLayerOn(c, ni); !ok {
-		return shareCandidate{}, false
-	}
-	residents := ctx.residents(ni)
-	if len(residents) == 0 {
-		// Node busy but no running record — a foreign allocation; skip.
-		return shareCandidate{}, false
-	}
-	p := ctx.compatFor(j, residents)
-	if !p.ok {
-		return shareCandidate{}, false
-	}
-	return shareCandidate{node: ni, score: p.score, rate: p.rate}, true
-}
-
-// hostGroupsFor collects the co-allocation host groups for j, best first
-// when pairing-aware: full-host coverage ranks above partial, then pairing
-// score, then host job ID for determinism.
-func hostGroupsFor(ctx *Context, j *job.Job, exclude nodeMarks) []hostGroup {
-	cfg := ctx.Share
-	if !cfg.Enabled {
+// hostGroupsFor collects the co-allocation host groups for j (application
+// guest) into the scratch, best first when pairing-aware: full-host coverage
+// ranks above partial, then pairing score, then the group's first node for
+// determinism. A host node joins a group when this pass has not taken or
+// barred it, it has the memory, and the pairing passes the configured gates.
+func hostGroupsFor(ctx *Context, j *job.Job, guest int32) []hostGroup {
+	sc := ctx.sc
+	sc.groups, sc.cands = sc.groups[:0], sc.cands[:0]
+	if !ctx.Share.Enabled {
 		return nil
 	}
-	var groups []hostGroup
-	seen := newMarks(ctx) // nodes already captured via an earlier host
-	for _, r := range ctx.Running {
-		g := hostGroup{score: 1, rate: 1}
-		for _, ni := range r.NodeIDs {
-			if seen[ni] {
+	for i, r := range ctx.Running {
+		g := hostGroup{lo: len(sc.cands), score: 1, rate: 1}
+		for _, ni := range sc.hostNodes[sc.hostOff[i]:sc.hostOff[i+1]] {
+			in := &sc.info[ni]
+			if sc.excluded(ni) || in.memFree < j.App.MemPerNodeMB {
 				continue
 			}
-			cand, ok := nodeUsableFor(ctx, j, ni, exclude)
-			if !ok {
+			p := ctx.compatFor(j, guest, ni, in)
+			if !p.ok {
 				continue
 			}
-			seen[ni] = true
-			g.nodes = append(g.nodes, cand)
-			if cand.score < g.score {
-				g.score = cand.score
+			sc.cands = append(sc.cands, shareCandidate{node: ni, layer: in.layer, score: p.score, rate: p.rate})
+			if p.score < g.score {
+				g.score = p.score
 			}
-			if cand.rate < g.rate {
-				g.rate = cand.rate
+			if p.rate < g.rate {
+				g.rate = p.rate
 			}
 		}
-		if len(g.nodes) == 0 {
+		g.hi = len(sc.cands)
+		if g.hi == g.lo {
 			continue
 		}
-		g.fullHost = len(g.nodes) == len(r.NodeIDs)
-		groups = append(groups, g)
+		g.first = sc.cands[g.lo].node
+		g.fullHost = g.hi-g.lo == len(r.NodeIDs)
+		sc.groups = append(sc.groups, g)
 	}
-	if cfg.PairingAware {
-		sort.SliceStable(groups, func(a, b int) bool {
-			if groups[a].fullHost != groups[b].fullHost {
-				return groups[a].fullHost
+	if ctx.Share.PairingAware {
+		slices.SortStableFunc(sc.groups, func(a, b hostGroup) int {
+			switch {
+			case a.fullHost != b.fullHost:
+				if a.fullHost {
+					return -1
+				}
+				return 1
+			case a.score != b.score:
+				if a.score > b.score {
+					return -1
+				}
+				return 1
 			}
-			if groups[a].score != groups[b].score {
-				return groups[a].score > groups[b].score
-			}
-			return groups[a].nodes[0].node < groups[b].nodes[0].node
+			return cmp.Compare(a.first, b.first)
 		})
 	}
-	return groups
+	return sc.groups
 }
 
 // freeLayerOn returns a fully free layer on node ni. It prefers the highest

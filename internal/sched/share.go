@@ -1,6 +1,8 @@
 package sched
 
 import (
+	"math"
+
 	"repro/internal/cluster"
 	"repro/internal/des"
 	"repro/internal/job"
@@ -25,53 +27,37 @@ func (p ShareFirstFit) ShareConfig() ShareConfig { return p.Config }
 
 // Schedule implements Policy.
 func (p ShareFirstFit) Schedule(ctx *Context) []Decision {
-	scoped := *ctx
-	scoped.Share = p.Config
-	ctx = &scoped
+	ctx = ctx.withShare(p.Config)
 	if !p.Config.Enabled {
 		return FirstFit{}.Schedule(ctx)
 	}
+	sc := ctx.beginShare()
 	var out []Decision
-	claimed := newMarks(ctx)
 	slots := slotBound(ctx)
-	memo := newFailMemo()
 	for _, j := range ctx.Queue {
 		if slots <= 0 {
 			break // machine exhausted; nothing later can start either
 		}
-		if !fitsMachine(ctx, j) || j.Nodes > slots || memo.knownToFail(j) {
+		if !fitsMachine(ctx, j) || j.Nodes > slots {
 			continue // cheap bounds: cannot possibly fit this pass
 		}
-		dec, ok := placeShared(ctx, j, claimed)
+		guest := sc.appOf(&j.App)
+		if sc.knownToFail(j, guest) {
+			continue
+		}
+		plan, ok := placeShared(ctx, j, guest)
 		if !ok {
-			memo.recordFail(j)
+			sc.recordFail(j, guest)
 			continue // first fit: skip and try the next job
+		}
+		dec := plan.decision(ctx, j)
+		for _, s := range sc.slots {
+			sc.claimed[s.node] = true
 		}
 		slots -= len(dec.Placement.Nodes)
 		out = append(out, dec)
 	}
 	return out
-}
-
-// failMemo prunes repeated placement attempts within one scheduling pass.
-// Capacity only shrinks as a pass claims nodes, so once a placement for an
-// application failed at n nodes, every later attempt for the same
-// application with ≥ n nodes must fail too.
-type failMemo struct {
-	minFail map[string]int
-}
-
-func newFailMemo() *failMemo { return &failMemo{minFail: map[string]int{}} }
-
-func (m *failMemo) knownToFail(j *job.Job) bool {
-	n, ok := m.minFail[j.App.Name]
-	return ok && j.Nodes >= n
-}
-
-func (m *failMemo) recordFail(j *job.Job) {
-	if n, ok := m.minFail[j.App.Name]; !ok || j.Nodes < n {
-		m.minFail[j.App.Name] = j.Nodes
-	}
 }
 
 // slotBound returns an upper bound on the node slots a sharing pass can
@@ -82,8 +68,8 @@ func (m *failMemo) recordFail(j *job.Job) {
 // not O(nodes).
 func slotBound(ctx *Context) int {
 	c := ctx.Cluster
-	bound := c.CountIdle()
-	for _, ni := range c.BusyFreeLayerNodes() {
+	bound := len(ctx.sc.idle)
+	for _, ni := range ctx.sc.busyFree {
 		if c.Node(ni).SharingDegree() < ctx.Share.MaxDegree {
 			bound++
 		}
@@ -113,9 +99,7 @@ func (p ShareBackfill) ShareConfig() ShareConfig { return p.Config }
 
 // Schedule implements Policy.
 func (p ShareBackfill) Schedule(ctx *Context) []Decision {
-	scoped := *ctx
-	scoped.Share = p.Config
-	ctx = &scoped
+	ctx = ctx.withShare(p.Config)
 	if !p.Config.Enabled {
 		return EASY{}.Schedule(ctx)
 	}
@@ -141,9 +125,7 @@ func (p ShareConservative) ShareConfig() ShareConfig { return p.Config }
 
 // Schedule implements Policy.
 func (p ShareConservative) Schedule(ctx *Context) []Decision {
-	scoped := *ctx
-	scoped.Share = p.Config
-	ctx = &scoped
+	ctx = ctx.withShare(p.Config)
 	if !p.Config.Enabled {
 		return Conservative{}.Schedule(ctx)
 	}
@@ -155,187 +137,162 @@ func (p ShareConservative) Schedule(ctx *Context) []Decision {
 // starts (exclusive or co-allocated) for everything that provably delays no
 // reservation.
 func scheduleShare(ctx *Context, maxReservations int) []Decision {
+	sc := ctx.beginShare()
 	var out []Decision
-	claimed := newMarks(ctx)
 	// endOverride records release postponements caused by co-allocations
-	// committed in this pass.
-	endOverride := map[cluster.JobID]des.Time{}
+	// committed in this pass; none yet.
+	sc.endOverride = resize(sc.endOverride, len(ctx.Running))
+	for i := range sc.endOverride {
+		sc.endOverride[i] = noOverride
+	}
 
-	profile := profileWith(ctx, claimed, endOverride)
-	var shadows []des.Time // reservation start times, in queue order
+	profile := buildNodeProfile(ctx)
 	slots := slotBound(ctx)
-	memo := newFailMemo()
 
+	// sc.shadows holds the reservation start times, in queue order.
 	for _, j := range ctx.Queue {
 		if !fitsMachine(ctx, j) {
 			continue
 		}
-		blockedBefore := len(shadows) > 0
-		if blockedBefore && slots <= 0 && len(shadows) >= maxReservations {
+		blockedBefore := len(sc.shadows) > 0
+		if blockedBefore && slots <= 0 && len(sc.shadows) >= maxReservations {
 			break // no start slots and no reservation budget left
 		}
-		if blockedBefore && (j.Nodes > slots || memo.knownToFail(j)) {
+		guest := sc.appOf(&j.App)
+		if blockedBefore && (j.Nodes > slots || sc.knownToFail(j, guest)) {
 			// Cannot start this pass; it may still deserve a reservation.
-			if len(shadows) < maxReservations {
-				if start, ok := profile.FindStart(j.Nodes, j.ReqWalltime); ok {
-					shadows = append(shadows, start)
-					profile.Reserve(start, j.ReqWalltime, j.Nodes)
-				}
+			if len(sc.shadows) < maxReservations {
+				sc.reserve(j)
 			}
 			continue
 		}
 
-		if dec, ok := placeGuarded(ctx, j, claimed, endOverride, shadows); ok {
+		if plan, ok := placeGuarded(ctx, j, guest); ok {
 			// Idle nodes consumed now must not break any reservation: the
 			// job (or its placement's idle part) must fit in the reserved
 			// profile for its whole walltime starting immediately.
-			idleCount := countIdleNodes(ctx.Cluster, dec.Placement)
-			if idleCount > 0 {
-				start, fits := profile.FindStart(idleCount, j.ReqWalltime)
+			if plan.idle > 0 {
+				start, fits := profile.FindStart(plan.idle, j.ReqWalltime)
 				if !fits || start > ctx.Now {
-					if !blockedBefore || len(shadows) < maxReservations {
-						if s, ok := profile.FindStart(j.Nodes, j.ReqWalltime); ok {
-							shadows = append(shadows, s)
-							profile.Reserve(s, j.ReqWalltime, j.Nodes)
-						}
+					if !blockedBefore || len(sc.shadows) < maxReservations {
+						sc.reserve(j)
 					}
 					continue
 				}
-				profile.Reserve(ctx.Now, j.ReqWalltime, idleCount)
+				profile.Reserve(ctx.Now, j.ReqWalltime, plan.idle)
 			}
-			out = append(out, dec)
-			commitShare(ctx, dec, claimed, endOverride)
-			slots -= len(dec.Placement.Nodes)
+			out = append(out, plan.decision(ctx, j))
+			commitShare(ctx, j, guest, plan)
+			slots -= j.Nodes
 			continue
 		}
 
 		// Blocked: plan a reservation while the budget allows.
-		if len(shadows) < maxReservations {
-			if start, ok := profile.FindStart(j.Nodes, j.ReqWalltime); ok {
-				shadows = append(shadows, start)
-				profile.Reserve(start, j.ReqWalltime, j.Nodes)
-			}
+		if len(sc.shadows) < maxReservations {
+			sc.reserve(j)
 			continue
 		}
-		memo.recordFail(j)
+		sc.recordFail(j, guest)
 	}
 	return out
 }
 
+// reserve plans a reservation for j at the earliest start the pass's
+// profile allows and records its start among the shadows.
+func (sc *scratch) reserve(j *job.Job) {
+	if start, ok := sc.profile.FindStart(j.Nodes, j.ReqWalltime); ok {
+		sc.shadows = append(sc.shadows, start)
+		sc.profile.Reserve(start, j.ReqWalltime, j.Nodes)
+	}
+}
+
 // placeGuarded attempts a sharing-aware placement for j. With inflation
 // accounting on, a co-allocation is rejected if slowing the host jobs would
-// postpone a node release past any planned reservation start in shadows.
-// Rejected host nodes are excluded and the placement is retried, so a guest
-// can still land on hosts with walltime slack.
-func placeGuarded(ctx *Context, j *job.Job, claimed nodeMarks,
-	endOverride map[cluster.JobID]des.Time, shadows []des.Time) (Decision, bool) {
-
-	excluded := claimed.clone()
+// postpone a node release past any reservation start the pass has planned
+// (scratch.shadows). Rejected host nodes are barred and the placement is
+// retried, so a guest can still land on hosts with walltime slack.
+func placeGuarded(ctx *Context, j *job.Job, guest int32) (sharePlan, bool) {
+	sc := ctx.sc
+	shadows := sc.shadows
+	clear(sc.barred)
 	for attempt := 0; attempt <= ctx.Cluster.Size(); attempt++ {
-		dec, ok := placeShared(ctx, j, excluded.clone())
+		plan, ok := placeShared(ctx, j, guest)
 		if !ok {
-			return Decision{}, false
+			return sharePlan{}, false
 		}
-		if !dec.Shared || len(shadows) == 0 || !ctx.Share.InflationAccounting {
-			return dec, true
+		if !plan.shared || len(shadows) == 0 || !ctx.Share.InflationAccounting {
+			return plan, true
 		}
 		// Find hosts whose postponed release would break a reservation:
 		// their release was due at or before some shadow time and the
 		// co-allocation pushes it past.
 		offender := -1
 	scan:
-		for _, np := range dec.Placement.Nodes {
-			for _, r := range ctx.residents(np.Node) {
-				oldEnd := effectiveEnd(r, ctx.Share, endOverride)
-				newEnd := inflatedEnd(ctx, r, j, endOverride)
+		for _, s := range sc.slots {
+			for _, ri := range ctx.residents(s.node) {
+				oldEnd := effectiveEnd(ctx, ri)
+				newEnd := inflatedEnd(ctx, ri, j, guest)
 				if newEnd <= oldEnd {
 					continue
 				}
 				for _, shadow := range shadows {
 					if oldEnd <= shadow && newEnd > shadow {
-						offender = np.Node
+						offender = s.node
 						break scan
 					}
 				}
 			}
 		}
 		if offender == -1 {
-			return dec, true
+			return plan, true
 		}
-		excluded[offender] = true
+		sc.barred[offender] = true
 	}
-	return Decision{}, false
+	return sharePlan{}, false
 }
 
 // commitShare records the local effects of a decision within this scheduling
 // pass: claimed nodes and postponed host releases.
-func commitShare(ctx *Context, dec Decision, claimed nodeMarks,
-	endOverride map[cluster.JobID]des.Time) {
-	for _, np := range dec.Placement.Nodes {
-		claimed[np.Node] = true
-		if dec.Shared {
-			for _, r := range ctx.residents(np.Node) {
-				newEnd := inflatedEnd(ctx, r, dec.Job, endOverride)
-				if cur, ok := endOverride[r.Job.ID]; !ok || newEnd > cur {
-					endOverride[r.Job.ID] = newEnd
+func commitShare(ctx *Context, j *job.Job, guest int32, plan sharePlan) {
+	sc := ctx.sc
+	for _, s := range sc.slots {
+		sc.claimed[s.node] = true
+		if plan.shared {
+			for _, ri := range ctx.residents(s.node) {
+				if newEnd := inflatedEnd(ctx, ri, j, guest); newEnd > sc.endOverride[ri] {
+					sc.endOverride[ri] = newEnd
 				}
 			}
 		}
 	}
 }
 
-// profileWith rebuilds the whole-node capacity profile applying release
-// postponements from this pass's co-allocations.
-func profileWith(ctx *Context, claimed nodeMarks,
-	endOverride map[cluster.JobID]des.Time) *Profile {
+// noOverride marks a running job whose release this pass has not postponed.
+// It compares below every end time.
+var noOverride = des.Time(math.Inf(-1))
 
-	freeNow := 0
-	for _, ni := range ctx.Cluster.IdleNodes() {
-		if !claimed[ni] {
-			freeNow++
-		}
-	}
-	releaseAt := map[int]des.Time{}
-	for _, r := range ctx.Running {
-		end := effectiveEnd(r, ctx.Share, endOverride)
-		for _, ni := range r.NodeIDs {
-			if end > releaseAt[ni] {
-				releaseAt[ni] = end
-			}
-		}
-	}
-	byTime := map[des.Time]int{}
-	for _, end := range releaseAt {
-		byTime[end]++
-	}
-	releases := make([]Release, 0, len(byTime))
-	for t, n := range byTime {
-		releases = append(releases, Release{At: t, Nodes: n})
-	}
-	return NewProfile(ctx.Now, freeNow, releases)
-}
-
-// effectiveEnd returns a running job's planning end time, honoring both the
-// inflation-accounting switch and any postponement from this pass.
-func effectiveEnd(r *RunningJob, share ShareConfig, endOverride map[cluster.JobID]des.Time) des.Time {
-	end := predictedEnd(r, share)
-	if o, ok := endOverride[r.Job.ID]; ok && o > end {
+// effectiveEnd returns the planning end time of running job ctx.Running[ri],
+// honoring both the inflation-accounting switch and any postponement from
+// this pass.
+func effectiveEnd(ctx *Context, ri int32) des.Time {
+	end := predictedEnd(ctx.Running[ri], ctx.Share)
+	if o := ctx.sc.endOverride[ri]; o > end {
 		end = o
 	}
 	return end
 }
 
-// inflatedEnd estimates when host r will release its nodes if job j is
-// co-allocated beside it: the host's remaining requested work divided by its
-// new (slower) progress rate.
-func inflatedEnd(ctx *Context, r *RunningJob, j *job.Job, endOverride map[cluster.JobID]des.Time) des.Time {
-	oldEnd := effectiveEnd(r, ctx.Share, endOverride)
-	oldRate := r.Rate
+// inflatedEnd estimates when host ctx.Running[ri] will release its nodes if
+// job j (application guest) is co-allocated beside it: the host's remaining
+// requested work divided by its new (slower) progress rate.
+func inflatedEnd(ctx *Context, ri int32, j *job.Job, guest int32) des.Time {
+	oldEnd := effectiveEnd(ctx, ri)
+	oldRate := ctx.Running[ri].Rate
 	if oldRate <= 0 {
 		oldRate = 1
 	}
 	remaining := float64(oldEnd-ctx.Now) * oldRate
-	newRate := ctx.hostRateWith(r, j)
+	newRate := ctx.hostRateWith(ri, j, guest)
 	if newRate < oldRate {
 		// Synchronized parallel semantics: the host runs at the slower of
 		// its current rate and the newly contended node's rate.
@@ -347,107 +304,114 @@ func inflatedEnd(ctx *Context, r *RunningJob, j *job.Job, endOverride map[cluste
 	return ctx.Now + des.Duration(remaining/oldRate)
 }
 
-// placeShared builds a sharing-aware placement for j from co-allocation
-// host groups and idle nodes, ordered by the PreferShared setting. Whole
-// host groups are taken before partial ones so guests cover hosts fully
-// whenever possible (see hostGroup). claimed is updated with the nodes used.
-func placeShared(ctx *Context, j *job.Job, claimed nodeMarks) (Decision, bool) {
-
-	groups := hostGroupsFor(ctx, j, claimed)
-	idle := idleCandidates(ctx, claimed)
-
-	type slot struct {
-		node   int
-		shared bool
-		rate   float64
-	}
-	var slots []slot
-	need := func() int { return j.Nodes - len(slots) }
-	takenGroup := make([]bool, len(groups))
-
-	// Whole groups that fit entirely within the remaining need.
-	addWholeGroups := func() {
-		for gi, g := range groups {
-			if takenGroup[gi] || len(g.nodes) > need() {
-				continue
-			}
-			for _, c := range g.nodes {
-				slots = append(slots, slot{c.node, true, c.rate})
-			}
-			takenGroup[gi] = true
-		}
-	}
-	// Partial fills from remaining groups (last resort: partially covering
-	// a host wastes its uncovered nodes).
-	addPartialGroups := func() {
-		for gi, g := range groups {
-			if takenGroup[gi] {
-				continue
-			}
-			for _, c := range g.nodes {
-				if need() == 0 {
-					return
-				}
-				slots = append(slots, slot{c.node, true, c.rate})
-			}
-			takenGroup[gi] = true
-		}
-	}
-	addIdle := func() {
-		for _, ni := range idle {
-			if need() == 0 {
-				return
-			}
-			slots = append(slots, slot{ni, false, 1})
-		}
-	}
-	if ctx.Share.PreferShared {
-		addWholeGroups()
-		addIdle()
-		addPartialGroups()
-	} else {
-		addIdle()
-		addWholeGroups()
-		addPartialGroups()
-	}
-	if len(slots) < j.Nodes {
-		return Decision{}, false
-	}
-	slots = slots[:j.Nodes]
-
-	p := cluster.Placement{Job: j.ID}
-	rate := 1.0
-	shared := false
-	for _, s := range slots {
-		layer := cluster.PrimaryLayer
-		if s.shared {
-			l, ok := freeLayerOn(ctx.Cluster, s.node)
-			if !ok {
-				return Decision{}, false // raced within pass; should not happen
-			}
-			layer = l
-			shared = true
-			if s.rate < rate {
-				rate = s.rate
-			}
-		}
-		p.Nodes = append(p.Nodes, cluster.NodePlacement{
-			Node:     s.node,
-			Threads:  ctx.Cluster.LayerThreads(s.node, layer),
-			MemoryMB: j.App.MemPerNodeMB,
-		})
-		claimed[s.node] = true
-	}
-	return Decision{Job: j, Placement: p, Shared: shared, EstimatedRate: rate}, true
+// slot is one node of a placement under construction.
+type slot struct {
+	node   int
+	shared bool          // a co-allocation: the node already hosts a job
+	layer  cluster.Layer // the layer the job takes there
+	rate   float64       // the job's estimated rate on a shared node
 }
 
-// countIdleNodes counts the placement's nodes that are currently idle.
-func countIdleNodes(c *cluster.Cluster, p cluster.Placement) int {
-	k := 0
-	for _, np := range p.Nodes {
-		if c.Node(np.Node).Idle() {
-			k++
+// sharePlan summarises the placement placeShared left in scratch.slots.
+type sharePlan struct {
+	shared bool    // at least one slot is a co-allocation
+	idle   int     // slots on idle nodes
+	rate   float64 // worst estimated rate across the shared slots, 1 without
+}
+
+// placeShared plans a sharing-aware placement for j (application guest)
+// from co-allocation host groups and idle nodes, ordered by the PreferShared
+// setting. Whole host groups are taken before partial ones so guests cover
+// hosts fully whenever possible (see hostGroup). The chosen nodes are left
+// in scratch.slots; nothing is claimed and nothing allocated until the
+// caller turns the plan into a decision.
+func placeShared(ctx *Context, j *job.Job, guest int32) (sharePlan, bool) {
+	sc := ctx.sc
+	groups := hostGroupsFor(ctx, j, guest)
+	sc.slots = sc.slots[:0]
+	if ctx.Share.PreferShared {
+		addWholeGroups(sc, groups, j.Nodes)
+		addIdle(ctx, j.Nodes)
+		addPartialGroups(sc, groups, j.Nodes)
+	} else {
+		addIdle(ctx, j.Nodes)
+		addWholeGroups(sc, groups, j.Nodes)
+		addPartialGroups(sc, groups, j.Nodes)
+	}
+	if len(sc.slots) < j.Nodes {
+		return sharePlan{}, false
+	}
+	plan := sharePlan{rate: 1}
+	for _, s := range sc.slots {
+		if !s.shared {
+			plan.idle++
+			continue
+		}
+		plan.shared = true
+		if s.rate < plan.rate {
+			plan.rate = s.rate
 		}
 	}
-	return k
+	return plan, true
+}
+
+// addWholeGroups takes every group that fits entirely within what the
+// placement still needs of its want nodes.
+func addWholeGroups(sc *scratch, groups []hostGroup, want int) {
+	for gi := range groups {
+		g := &groups[gi]
+		if g.taken || g.hi-g.lo > want-len(sc.slots) {
+			continue
+		}
+		for _, c := range sc.cands[g.lo:g.hi] {
+			sc.slots = append(sc.slots, slot{c.node, true, c.layer, c.rate})
+		}
+		g.taken = true
+	}
+}
+
+// addPartialGroups fills what is still missing from the remaining groups —
+// the last resort: partially covering a host wastes its uncovered nodes.
+func addPartialGroups(sc *scratch, groups []hostGroup, want int) {
+	for gi := range groups {
+		g := &groups[gi]
+		if g.taken {
+			continue
+		}
+		for _, c := range sc.cands[g.lo:g.hi] {
+			if len(sc.slots) == want {
+				return
+			}
+			sc.slots = append(sc.slots, slot{c.node, true, c.layer, c.rate})
+		}
+		g.taken = true
+	}
+}
+
+// addIdle fills what is still missing from idle nodes.
+func addIdle(ctx *Context, want int) {
+	sc := ctx.sc
+	if len(sc.slots) == want {
+		return
+	}
+	for _, ni := range idleCandidates(ctx) {
+		if len(sc.slots) == want {
+			return
+		}
+		sc.slots = append(sc.slots, slot{ni, false, cluster.PrimaryLayer, 1})
+	}
+}
+
+// decision turns the plan in scratch.slots into the Decision handed back to
+// the caller — the one piece of a pass that is freshly allocated.
+func (plan sharePlan) decision(ctx *Context, j *job.Job) Decision {
+	p := cluster.Placement{Job: j.ID, Nodes: make([]cluster.NodePlacement, len(ctx.sc.slots))}
+	for i, s := range ctx.sc.slots {
+		p.Nodes[i] = cluster.NodePlacement{
+			Node:     s.node,
+			Threads:  ctx.Cluster.LayerThreads(s.node, s.layer),
+			MemoryMB: j.App.MemPerNodeMB,
+		}
+	}
+	return Decision{Job: j, Placement: p, Shared: plan.shared, EstimatedRate: plan.rate}
 }

@@ -13,8 +13,10 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -77,7 +79,9 @@ type shareConfigurer interface {
 // runRec is the engine's bookkeeping for one running job.
 type runRec struct {
 	job        *job.Job
-	rec        *sched.RunningJob
+	rec        sched.RunningJob // the scheduler's view; Engine.runList points here
+	stress     app.StressVector // effective stress: fixed with the placement
+	complete   des.Handler      // fires onComplete; rescheduled on every rate change
 	completion *des.Event
 	kill       *des.Event // set only under strict limits
 	crash      *des.Event // set only when this attempt drew a crash
@@ -96,11 +100,13 @@ type Engine struct {
 	strictLimits  bool
 	schedInterval des.Duration
 
-	queue    []*job.Job // pending jobs, FCFS order
+	queue    []*job.Job // pending jobs, in arrival order
 	held     []*job.Job // arrived but dependency-blocked
 	done     map[cluster.JobID]bool
 	failed   map[cluster.JobID]bool // killed/cancelled: afterok never satisfied
 	running  map[cluster.JobID]*runRec
+	runList  []*sched.RunningJob // the running set by ascending job ID, maintained on start and release
+	nodeRes  [][]*runRec         // per node: its resident jobs by ascending job ID
 	finished []*job.Job
 	rejected []*job.Job
 	killed   []*job.Job
@@ -118,6 +124,18 @@ type Engine struct {
 
 	decisionTimes []time.Duration
 	schedQueued   bool
+	passFn        des.Handler // the scheduling-pass event, built once
+
+	// ctx is the one scheduling context the engine hands its policy, pass
+	// after pass. It carries the planner's scratch (see sched.Context), so
+	// keeping it is what lets a pass reuse memory instead of allocating.
+	ctx sched.Context
+
+	// Buffers the pass and the rate update reuse.
+	order    queueOrder // the queue in scheduling order
+	affected []*runRec  // jobs whose rate a start or a release changed
+	loads    []interference.Load
+	rates    []float64
 
 	// Fault injection and recovery. All zero-valued when Faults is off.
 	injector        *fault.Injector
@@ -182,8 +200,17 @@ func New(cfg Config) *Engine {
 		retries:       make(map[cluster.JobID]int),
 		requeueAt:     make(map[cluster.JobID]des.Time),
 	}
+	e.nodeRes = make([][]*runRec, e.cl.Size())
 	if sc, ok := cfg.Policy.(shareConfigurer); ok {
 		e.share = sc.ShareConfig()
+	}
+	e.ctx = sched.Context{Cluster: e.cl, Inter: e.inter, Share: e.share}
+	if e.local {
+		e.ctx.Topo = e.topo
+	}
+	e.passFn = func(*des.Simulator) {
+		e.schedQueued = false
+		e.schedulePass()
 	}
 	retry := fault.Defaults()
 	if cfg.Faults != nil && cfg.Faults.Active() {
@@ -251,7 +278,9 @@ func (e *Engine) Submit(j *job.Job) error {
 			return
 		}
 		e.queue = append(e.queue, j)
-		e.trace("submit %s", j)
+		if e.TraceFn != nil {
+			e.trace("submit %s", j)
+		}
 		e.requestSchedule()
 	})
 	return nil
@@ -347,10 +376,7 @@ func (e *Engine) requestSchedule() {
 		at = next
 	}
 	e.schedQueued = true
-	e.sim.Schedule(at, func(*des.Simulator) {
-		e.schedQueued = false
-		e.schedulePass()
-	})
+	e.sim.Schedule(at, e.passFn)
 }
 
 // schedulePass runs the policy once and commits its decisions.
@@ -358,19 +384,11 @@ func (e *Engine) schedulePass() {
 	if len(e.queue) == 0 {
 		return
 	}
-	ctx := &sched.Context{
-		Now:     e.sim.Now(),
-		Cluster: e.cl,
-		Queue:   e.queueSnapshot(),
-		Running: e.runningSnapshot(),
-		Inter:   e.inter,
-		Share:   e.share,
-	}
-	if e.local {
-		ctx.Topo = e.topo
-	}
+	e.ctx.Now = e.sim.Now()
+	e.ctx.Queue = e.orderedQueue()
+	e.ctx.Running = e.runList
 	start := time.Now()
-	decisions := e.pol.Schedule(ctx)
+	decisions := e.pol.Schedule(&e.ctx)
 	e.decisionTimes = append(e.decisionTimes, time.Since(start))
 
 	for _, d := range decisions {
@@ -396,32 +414,35 @@ func (e *Engine) commit(d sched.Decision) {
 	}
 	d.Job.Start(now)
 
+	id := d.Job.ID
 	rec := &runRec{
 		job: d.Job,
-		rec: &sched.RunningJob{
-			Job:        d.Job,
-			NodeIDs:    d.Placement.NodeIDs(),
-			Exclusive:  !d.Shared,
-			NominalEnd: now + d.Job.ReqWalltime,
-			Rate:       1,
+		rec: sched.RunningJob{
+			Job:          d.Job,
+			NodeIDs:      d.Placement.NodeIDs(),
+			Exclusive:    !d.Shared,
+			NominalEnd:   now + d.Job.ReqWalltime,
+			PredictedEnd: now + d.Job.ReqWalltime,
+			Rate:         1,
 		},
+		complete: func(*des.Simulator) { e.onComplete(id) },
 	}
-	rec.rec.PredictedEnd = rec.rec.NominalEnd
-	e.running[d.Job.ID] = rec
+	rec.stress = e.effectiveStress(rec)
+	e.enlist(rec)
 	if e.strictLimits {
-		id := d.Job.ID
 		rec.kill = e.sim.Schedule(rec.rec.NominalEnd, func(*des.Simulator) {
 			e.onKill(id)
 		})
 	}
 	if e.injector != nil {
 		if frac, crashes := e.injector.CrashDraw(int64(d.Job.ID), e.retries[d.Job.ID]); crashes {
-			id := d.Job.ID
 			rec.crash = e.sim.Schedule(now+des.Duration(frac*float64(d.Job.ReqWalltime)),
 				func(*des.Simulator) { e.onJobCrash(id) })
 		}
 	}
-	e.trace("start %s on nodes %v shared=%v", d.Job, rec.rec.NodeIDs, d.Shared)
+	if e.TraceFn != nil {
+		e.trace("start %s on nodes %v shared=%v", d.Job, rec.rec.NodeIDs, d.Shared)
+	}
 
 	// Starting this job may change rates for every resident of its nodes,
 	// including itself.
@@ -450,18 +471,16 @@ func (e *Engine) onComplete(id cluster.JobID) {
 	if rec.crash != nil {
 		e.sim.Cancel(rec.crash)
 	}
-	nodes, err := e.cl.Release(id)
-	if err != nil {
-		panic(fmt.Sprintf("sim: release job %d: %v", id, err))
-	}
-	delete(e.running, id)
+	nodes := e.vacate(rec)
 	e.finished = append(e.finished, rec.job)
 	e.done[id] = true
 	e.record(rec, job.Finished)
 	if now > e.lastEnd {
 		e.lastEnd = now
 	}
-	e.trace("finish %s", rec.job)
+	if e.TraceFn != nil {
+		e.trace("finish %s", rec.job)
+	}
 	e.releaseHeld()
 
 	// Survivors on the freed nodes speed up.
@@ -478,7 +497,7 @@ func (e *Engine) onKill(id cluster.JobID) {
 		return // completed in the same instant; the cancel raced the event
 	}
 	now := e.sim.Now()
-	if rec.job.Remaining(now) < 1e-6 {
+	if rec.job.WorkDone(now) {
 		e.onComplete(id)
 		return
 	}
@@ -490,11 +509,7 @@ func (e *Engine) onKill(id cluster.JobID) {
 	if rec.crash != nil {
 		e.sim.Cancel(rec.crash)
 	}
-	nodes, err := e.cl.Release(id)
-	if err != nil {
-		panic(fmt.Sprintf("sim: release killed job %d: %v", id, err))
-	}
-	delete(e.running, id)
+	nodes := e.vacate(rec)
 	e.killed = append(e.killed, rec.job)
 	e.failed[id] = true
 	e.record(rec, job.Killed)
@@ -528,8 +543,7 @@ func (e *Engine) onNodeFail(ni int) {
 		return // already downed by the operator; nothing more to break
 	}
 	e.account(e.sim.Now())
-	victims := append([]cluster.JobID(nil), n.Jobs()...)
-	sort.Slice(victims, func(i, j int) bool { return victims[i] < victims[j] })
+	victims := n.Jobs() // ascending, and a copy: eviction edits the node's set
 	e.trace("node %d failed (%d resident jobs)", ni, len(victims))
 	for _, id := range victims {
 		e.evict(id, "node failure")
@@ -561,7 +575,7 @@ func (e *Engine) onJobCrash(id cluster.JobID) {
 	if !ok {
 		return // completed in the same instant; the cancel raced the event
 	}
-	if rec.job.Remaining(e.sim.Now()) < 1e-6 {
+	if rec.job.WorkDone(e.sim.Now()) {
 		e.onComplete(id)
 		return
 	}
@@ -594,11 +608,7 @@ func (e *Engine) evict(id cluster.JobID, cause string) {
 	}
 	lost := rec.job.Requeue(now)
 	e.lostNodeSeconds += lost * float64(rec.job.Nodes)
-	nodes, err := e.cl.Release(id)
-	if err != nil {
-		panic(fmt.Sprintf("sim: release evicted job %d: %v", id, err))
-	}
-	delete(e.running, id)
+	nodes := e.vacate(rec)
 	e.retries[id]++
 	retry := e.retries[id]
 
@@ -685,35 +695,65 @@ func (e *Engine) FaultTrace() []fault.Event {
 // Retries returns how many evictions job id has suffered so far.
 func (e *Engine) Retries(id cluster.JobID) int { return e.retries[id] }
 
-// updateRatesOnNodes re-derives the progress rate of every job touching the
-// given nodes and reschedules their completion events.
-func (e *Engine) updateRatesOnNodes(nodes []int) {
-	affected := map[cluster.JobID]bool{}
-	for _, ni := range nodes {
-		for _, id := range e.cl.Node(ni).Jobs() {
-			affected[id] = true
+// enlist enters a started job into the engine's running-set indexes: the
+// ID map, the ID-ordered list the scheduler reads, and each node's residents.
+func (e *Engine) enlist(rec *runRec) {
+	id := rec.job.ID
+	e.running[id] = rec
+	at, _ := slices.BinarySearchFunc(e.runList, id, func(r *sched.RunningJob, id cluster.JobID) int {
+		return cmp.Compare(r.Job.ID, id)
+	})
+	e.runList = slices.Insert(e.runList, at, &rec.rec)
+	for _, ni := range rec.rec.NodeIDs {
+		res := e.nodeRes[ni]
+		at := len(res)
+		for at > 0 && res[at-1].job.ID > id {
+			at--
 		}
-	}
-	ids := make([]cluster.JobID, 0, len(affected))
-	for id := range affected {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		e.recomputeRate(id)
+		e.nodeRes[ni] = slices.Insert(res, at, rec)
 	}
 }
 
-// recomputeRate applies the interference model across all of a job's nodes.
-func (e *Engine) recomputeRate(id cluster.JobID) {
-	rec, ok := e.running[id]
-	if !ok {
-		return // foreign allocation (not engine-managed); nothing to do
+// vacate releases a job's resources, drops it from the running-set indexes
+// and returns the nodes it held.
+func (e *Engine) vacate(rec *runRec) []int {
+	id := rec.job.ID
+	nodes, err := e.cl.Release(id)
+	if err != nil {
+		panic(fmt.Sprintf("sim: release job %d: %v", id, err))
 	}
+	delete(e.running, id)
+	at := slices.Index(e.runList, &rec.rec)
+	e.runList = slices.Delete(e.runList, at, at+1)
+	for _, ni := range rec.rec.NodeIDs {
+		at := slices.Index(e.nodeRes[ni], rec)
+		e.nodeRes[ni] = slices.Delete(e.nodeRes[ni], at, at+1)
+	}
+	return nodes
+}
+
+// updateRatesOnNodes re-derives the progress rate of every job touching the
+// given nodes, in job-ID order, and reschedules their completion events.
+func (e *Engine) updateRatesOnNodes(nodes []int) {
+	aff := e.affected[:0]
+	for _, ni := range nodes {
+		aff = append(aff, e.nodeRes[ni]...)
+	}
+	slices.SortFunc(aff, func(a, b *runRec) int { return cmp.Compare(a.job.ID, b.job.ID) })
+	aff = slices.Compact(aff)
+	for _, rec := range aff {
+		e.recomputeRate(rec)
+	}
+	clear(aff)
+	e.affected = aff
+}
+
+// recomputeRate applies the interference model across all of a job's nodes.
+func (e *Engine) recomputeRate(rec *runRec) {
 	now := e.sim.Now()
 	rate := 1.0
 	for _, ni := range rec.rec.NodeIDs {
-		nodeRate := e.nodeRateFor(ni, id)
+		nodeRate := e.nodeRateFor(ni, rec)
 		if nodeRate < rate {
 			rate = nodeRate
 		}
@@ -734,30 +774,26 @@ func (e *Engine) recomputeRate(id cluster.JobID) {
 	if rec.completion != nil {
 		e.sim.Cancel(rec.completion)
 	}
-	eta := rec.job.ETA(now)
-	rec.completion = e.sim.Schedule(eta, func(*des.Simulator) {
-		e.onComplete(id)
-	})
+	rec.completion = e.sim.Schedule(rec.job.ETA(now), rec.complete)
 }
 
-// nodeRateFor returns the progress rate job id achieves on node ni given the
-// node's full co-location set.
-func (e *Engine) nodeRateFor(ni int, id cluster.JobID) float64 {
-	residents := e.cl.Node(ni).Jobs()
-	loads := make([]interference.Load, len(residents))
+// nodeRateFor returns the progress rate rec's job achieves on node ni given
+// the node's full co-location set.
+func (e *Engine) nodeRateFor(ni int, rec *runRec) float64 {
+	loads := e.loads[:0]
 	idx := -1
-	for i, rid := range residents {
-		if rid == id {
+	for i, rr := range e.nodeRes[ni] {
+		if rr == rec {
 			idx = i
 		}
-		if rr, ok := e.running[rid]; ok {
-			loads[i] = interference.Load{App: rr.job.App.Name, Stress: e.effectiveStress(rr)}
-		}
+		loads = append(loads, interference.Load{App: rr.job.App.Name, Stress: rr.stress})
 	}
 	if idx == -1 {
-		panic(fmt.Sprintf("sim: job %d not resident on node %d", id, ni))
+		panic(fmt.Sprintf("sim: job %d not resident on node %d", rec.job.ID, ni))
 	}
-	return e.inter.NamedRates(loads)[idx]
+	e.loads = loads
+	e.rates = e.inter.AppendNamedRates(e.rates[:0], loads)
+	return e.rates[idx]
 }
 
 // effectiveStress returns a job's stress vector adjusted for placement
@@ -765,7 +801,7 @@ func (e *Engine) nodeRateFor(ni int, id cluster.JobID) float64 {
 // switches pushes more traffic through the uplinks, raising its effective
 // network demand. A job's dedicated baseline already includes its own
 // communication, so the factor only changes how much it contends when
-// sharing.
+// sharing. It depends on the placement alone, so commit computes it once.
 func (e *Engine) effectiveStress(rr *runRec) app.StressVector {
 	v := rr.job.App.Stress
 	if e.topo == nil {
@@ -832,36 +868,39 @@ func (e *Engine) CancelPending(id cluster.JobID) error {
 	return fmt.Errorf("sim: job %d is not pending", id)
 }
 
-// queueSnapshot returns pending jobs in scheduling order: the installed
-// priority order, or FCFS (submit time, then ID) by default.
-func (e *Engine) queueSnapshot() []*job.Job {
-	q := make([]*job.Job, len(e.queue))
-	copy(q, e.queue)
-	less := e.lessFn
-	if less == nil {
-		less = func(a, b *job.Job) bool {
-			if a.Submit != b.Submit {
-				return a.Submit < b.Submit
-			}
-			return a.ID < b.ID
-		}
-	}
-	sort.SliceStable(q, less2(q, less))
-	return q
+// queueOrder sorts a copy of the pending queue into scheduling order.
+type queueOrder struct {
+	q    []*job.Job
+	less func(a, b *job.Job) bool
 }
 
-func less2(q []*job.Job, less func(a, b *job.Job) bool) func(i, j int) bool {
-	return func(i, j int) bool { return less(q[i], q[j]) }
+func (o *queueOrder) Len() int           { return len(o.q) }
+func (o *queueOrder) Less(i, j int) bool { return o.less(o.q[i], o.q[j]) }
+func (o *queueOrder) Swap(i, j int)      { o.q[i], o.q[j] = o.q[j], o.q[i] }
+
+// fcfs is the default queue order: submit time, then ID.
+func fcfs(a, b *job.Job) bool {
+	if a.Submit != b.Submit {
+		return a.Submit < b.Submit
+	}
+	return a.ID < b.ID
 }
 
-// runningSnapshot returns the running set ordered by job ID.
-func (e *Engine) runningSnapshot() []*sched.RunningJob {
-	out := make([]*sched.RunningJob, 0, len(e.running))
-	for _, rec := range e.running {
-		out = append(out, rec.rec)
+// orderedQueue returns pending jobs in scheduling order — the installed
+// priority order, or FCFS by default, ties in arrival order — in a buffer
+// the next call overwrites. Arrivals mostly come in scheduling order
+// already, so the stable sort runs only when the copy is out of order.
+func (e *Engine) orderedQueue() []*job.Job {
+	o := &e.order
+	o.q = append(o.q[:0], e.queue...)
+	o.less = e.lessFn
+	if o.less == nil {
+		o.less = fcfs
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Job.ID < out[j].Job.ID })
-	return out
+	if !sort.IsSorted(o) {
+		sort.Stable(o)
+	}
+	return o.q
 }
 
 // QueueLen returns the number of pending jobs.
@@ -913,7 +952,7 @@ func (e *Engine) record(rec *runRec, outcome job.State) {
 		Job:     rec.job.ID,
 		Name:    rec.job.Name,
 		App:     rec.job.App.Name,
-		Nodes:   append([]int(nil), rec.rec.NodeIDs...),
+		Nodes:   rec.rec.NodeIDs, // never written after commit, so shared
 		Start:   rec.job.StartTime(),
 		End:     rec.job.EndTime(),
 		Shared:  rec.job.EverShared(),
@@ -921,11 +960,11 @@ func (e *Engine) record(rec *runRec, outcome job.State) {
 	})
 }
 
-// Pending returns a snapshot of the queue in FCFS order.
-func (e *Engine) Pending() []*job.Job { return e.queueSnapshot() }
+// Pending returns a snapshot of the queue in scheduling order.
+func (e *Engine) Pending() []*job.Job { return slices.Clone(e.orderedQueue()) }
 
 // Running returns a snapshot of the running set ordered by job ID.
-func (e *Engine) Running() []*sched.RunningJob { return e.runningSnapshot() }
+func (e *Engine) Running() []*sched.RunningJob { return slices.Clone(e.runList) }
 
 // Result computes the run's metrics. Call after Run.
 func (e *Engine) Result() metrics.Result {

@@ -621,3 +621,40 @@ func TestSubmitAllStopsAtFirstError(t *testing.T) {
 		t.Fatal("invalid job accepted by SubmitAll")
 	}
 }
+
+// The workload that took the engine down at PR 17: fifty 3-node jobs of ~30
+// years each on four nodes, submitted one by one the way the controller does
+// (each submit settles before the next), every one inside the controller's
+// per-job clock bound. Co-allocation gives them fractional rates, the queue
+// carries the clock to t ≈ 3.5e10 s — where neighbouring float64 instants are
+// 7.6 µs apart — and a completion event can no longer land within a
+// microsecond of work: job.Finish panicked at the 38th job with 3.8 µs left.
+func TestFarClockJobsFinish(t *testing.T) {
+	e := New(Config{Cluster: cluster.Trinity(4), Policy: mustPolicy(t, "sharebackfill")})
+	cat := app.Catalogue()
+	jobs := make([]*job.Job, 50)
+	for i := range jobs {
+		jobs[i] = jb(int64(i+1), cat[i%len(cat)], 3, 0, 1e9, 0.937e9)
+		if err := e.Submit(jobs[i]); err != nil {
+			t.Fatal(err)
+		}
+		e.Run(e.Now())
+	}
+	e.RunAll()
+	if got := len(e.Finished()); got != len(jobs) {
+		t.Fatalf("finished %d of %d jobs", got, len(jobs))
+	}
+	if e.Now() < 3e10 {
+		t.Fatalf("clock only reached %g s; the test no longer exercises a far clock", float64(e.Now()))
+	}
+	shared := false
+	for _, j := range jobs {
+		shared = shared || j.EverShared()
+		if d := j.DeliveredWork(); math.Abs(d-float64(j.TrueRuntime)) > 1e-4 {
+			t.Fatalf("job %d delivered %g s of %g s", j.ID, d, float64(j.TrueRuntime))
+		}
+	}
+	if !shared {
+		t.Fatal("no job ever shared a node; the test no longer produces fractional rates")
+	}
+}

@@ -186,10 +186,12 @@ func (c *Controller) replay(entries []Entry) error {
 }
 
 // maxClock bounds the simulated clock, and any one walltime or runtime, in
-// seconds (≈ 31.7 years). The engine schedules a completion at now + work/rate
-// and demands the residue be under 1 µs of work; float64 resolves 0.12 µs at
-// 1e9 s but only 15 µs at 1e11 s, where a job can no longer finish cleanly and
-// the engine panics. Nothing a client sends may carry the clock there.
+// seconds (≈ 31.7 years): float64 resolves 0.12 µs at 1e9 s, so one request
+// cannot cost the clock its sub-microsecond resolution. It is an input bound
+// only — a drain carries the clock on by the queued walltimes — and that is
+// safe: job.Finish accepts the residue the clock's resolution at the
+// completion instant explains, however far the instant is
+// (TestControllerDrainAtFarClock).
 const maxClock = 1e9
 
 // apply runs one journal entry against the engine. It is the only place a

@@ -407,3 +407,40 @@ func TestSubmitWithDependency(t *testing.T) {
 		t.Fatalf("finished = %d", ctl.Stats().Finished)
 	}
 }
+
+// Some forty queued submits, each inside the per-job clock bound, and one
+// drain used to take the daemon down: the queued walltimes carry the clock to
+// t ≈ 3.5e10 s, where job.Finish's absolute 1 µs tolerance is below the
+// clock's resolution (ROADMAP "Clock bound is input-side only"). At PR 17 this
+// panicked with "job 38: finished with 3.814697265625e-06 seconds of work
+// left".
+func TestControllerDrainAtFarClock(t *testing.T) {
+	cfg := testControllerConfig()
+	cfg.Machine = cluster.Trinity(4)
+	cfg.Partition = Partition{Name: "batch"} // no MaxTime: only maxClock bounds a job
+	ctl, err := NewController(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 50
+	cat := app.Catalogue() // a mix, so that jobs co-allocate and run at fractional rates
+	for i := 0; i < n; i++ {
+		if _, err := ctl.Submit(cat[i%len(cat)].Name, 3, 1e9, 0.937e9, ""); err != nil {
+			t.Fatalf("submit %d: %v", i, err)
+		}
+	}
+	now, err := ctl.DrainChecked()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if now < 3e10 {
+		t.Fatalf("drain ended at %g s; the test no longer exercises a far clock", float64(now))
+	}
+	if st := ctl.Stats(); st.Finished != n {
+		t.Fatalf("finished %d of %d jobs", st.Finished, n)
+	}
+	// The daemon is still there and still takes work.
+	if _, err := ctl.Submit("minife", 1, 3600, 1800, "after"); err != nil {
+		t.Fatalf("submit after the far drain: %v", err)
+	}
+}

@@ -15,7 +15,7 @@ package topology
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Topology is a two-level interconnect: Groups leaf switches with
@@ -97,27 +97,51 @@ func (t Topology) NetworkFactor(spread int) float64 {
 // ascending within each group, group index breaking ties. Schedulers feed
 // their idle list through this to minimize spread.
 func (t Topology) CompactOrder(nodes []int) []int {
-	byGroup := map[int][]int{}
+	var c Compactor
+	return c.Order(t, nodes)
+}
+
+// Compactor is the working memory of CompactOrder, for a caller that orders
+// candidates on every scheduling pass and must not allocate each time.
+type Compactor struct {
+	slot  []int // per group: its candidate count, then its next free slot
+	order []int // groups holding candidates, most candidates first
+	out   []int
+}
+
+// Order is CompactOrder into c's memory: the result is valid until the next
+// call.
+func (c *Compactor) Order(t Topology, nodes []int) []int {
+	c.slot = append(c.slot[:0], make([]int, t.Groups)...)
+	for _, ni := range nodes {
+		c.slot[t.GroupOf(ni)]++
+	}
+	c.order = c.order[:0]
+	for g, k := range c.slot {
+		if k > 0 {
+			c.order = append(c.order, g)
+		}
+	}
+	// order is ascending, so a stable sort by size alone leaves the group
+	// index as the tie-break.
+	slices.SortStableFunc(c.order, func(a, b int) int { return c.slot[b] - c.slot[a] })
+	// Turn each group's size into its first slot and scatter the nodes.
+	at := 0
+	for _, g := range c.order {
+		at, c.slot[g] = at+c.slot[g], at
+	}
+	c.out = append(c.out[:0], nodes...)
 	for _, ni := range nodes {
 		g := t.GroupOf(ni)
-		byGroup[g] = append(byGroup[g], ni)
+		c.out[c.slot[g]] = ni
+		c.slot[g]++
 	}
-	groups := make([]int, 0, len(byGroup))
-	for g := range byGroup {
-		groups = append(groups, g)
+	// slot[g] is now group g's end; sort each group's run (a no-op for the
+	// ascending lists schedulers pass).
+	at = 0
+	for _, g := range c.order {
+		slices.Sort(c.out[at:c.slot[g]])
+		at = c.slot[g]
 	}
-	sort.Slice(groups, func(i, j int) bool {
-		gi, gj := groups[i], groups[j]
-		if len(byGroup[gi]) != len(byGroup[gj]) {
-			return len(byGroup[gi]) > len(byGroup[gj])
-		}
-		return gi < gj
-	})
-	out := make([]int, 0, len(nodes))
-	for _, g := range groups {
-		ns := byGroup[g]
-		sort.Ints(ns)
-		out = append(out, ns...)
-	}
-	return out
+	return c.out
 }
