@@ -162,7 +162,7 @@ func OpenCampaignJournal(fsys vfs.FS, path string, spec []byte, cells int) (*Cam
 		}
 		rec.Gen++
 		if log, err = wal.OpenAppend(fsys, path, validLen); err == nil {
-			if err = log.Append(encodeRecord(journalRecord{Kind: "gen", Gen: rec.Gen}), true); err != nil {
+			if err = log.Append(true, encodeRecord(journalRecord{Kind: "gen", Gen: rec.Gen})); err != nil {
 				log.Close()
 			}
 		}
@@ -189,7 +189,7 @@ func (j *CampaignJournal) AppendCell(cell int, row []byte) error {
 // (or wedges the journal) by the wal: the committed prefix, plus at most one
 // salvageable torn tail, is what survives.
 func (j *CampaignJournal) appendRecord(rec journalRecord, sync bool) error {
-	if err := j.log.Append(encodeRecord(rec), sync); err != nil {
+	if err := j.log.Append(sync, encodeRecord(rec)); err != nil {
 		what := rec.Kind
 		if rec.Kind == "cell" {
 			what = fmt.Sprintf("cell %d", rec.Cell)

@@ -311,15 +311,16 @@ func (c *Controller) Health() string {
 	return HealthOK
 }
 
-// logB durably appends one operation entry (plus audit records for any
-// completions it caused), then replicates everything the standby is missing.
-// Callers hold c.mu. Replication failures come back wrapped in
+// logB makes one mutation durable on this node — the operation entry and the
+// audit records of the completions it caused, as one append (logLocal) — then
+// replicates everything the standby is missing, which is that same group in
+// one round trip. Callers hold c.mu. Replication failures come back wrapped in
 // errReplication so callers can tell "not locally durable" from "locally
 // durable but not yet on the standby". The request's deadline budget is
-// threaded through: once the entry is locally durable, an already-expired
+// threaded through: once the group is locally durable, an already-expired
 // budget skips the synchronous replication round-trip — the client stopped
 // waiting, so nobody reads the ack it would buy, and the heartbeat loop
-// pushes the pending entry within one Heartbeat anyway. The caller gets
+// pushes the pending entries within one Heartbeat anyway. The caller gets
 // ErrDeadlineExceeded (wrapped), which is not an acknowledgement, so HA's
 // ack-after-replication promise holds.
 func (c *Controller) logB(b budget, e Entry) error {
@@ -356,19 +357,43 @@ func (c *Controller) noteBrownout(level int, name string) {
 	c.logLocal(Entry{Op: "brownout", Name: name, ID: int64(level)})
 }
 
-// logLocal appends one entry and the pending completion audits to the local
-// journal and the in-memory log, feeding the circuit breaker with the
-// outcome. Callers hold c.mu. Without a journal and without HA the log is
-// not retained at all (in-memory controllers stay cheap).
+// logLocal makes one mutation durable: the operation entry followed by an
+// audit record (an acct.Record) for every job that reached a terminal state
+// since the last audit form one group, stamped with consecutive Seqs and the
+// epoch, and reach the local journal as one append — one write, one fsync,
+// one rollback unit. The sequence counter, the in-memory log and the audit
+// cursors move only once the whole group is durable, so a failed append
+// leaves nothing of the mutation behind: not in the file, not in what the
+// standby is sent, not in the Seqs the retry reissues. The circuit breaker is
+// fed with the outcome. Callers hold c.mu. Without a journal and without HA
+// the log is not retained at all (in-memory controllers stay cheap).
 func (c *Controller) logLocal(e Entry) error {
 	if c.jr == nil && !c.haOn {
 		return nil
 	}
-	err := c.appendEntry(e)
-	if err == nil {
-		err = c.auditCompletions()
+	fin, killed, rej := c.sys.Finished(), c.sys.Engine().Killed(), c.sys.Engine().Rejected()
+	group := []Entry{e}
+	for _, jobs := range [][]*job.Job{fin[c.finSeen:], killed[c.killSeen:], rej[c.rejSeen:]} {
+		for _, j := range jobs {
+			rec := acct.FromJob(j)
+			group = append(group, Entry{Op: "record", Record: &rec})
+		}
 	}
-	return c.feedBreaker(err)
+	for i := range group {
+		group[i].Seq = c.seq + 1 + int64(i)
+		if c.haOn && group[i].Epoch == 0 {
+			group[i].Epoch = c.epoch
+		}
+	}
+	if c.jr != nil {
+		if err := c.jr.append(group); err != nil {
+			return c.feedBreaker(err)
+		}
+	}
+	c.seq += int64(len(group))
+	c.entries = append(c.entries, group...)
+	c.finSeen, c.killSeen, c.rejSeen = len(fin), len(killed), len(rej)
+	return c.feedBreaker(nil)
 }
 
 // feedBreaker reports one journal write's outcome to the circuit breaker
@@ -382,44 +407,6 @@ func (c *Controller) feedBreaker(err error) error {
 		}
 	}
 	return err
-}
-
-// appendEntry stamps seq and epoch on one entry, persists it, and records it
-// in the in-memory log. Callers hold c.mu.
-func (c *Controller) appendEntry(e Entry) error {
-	e.Seq = c.seq + 1
-	if c.haOn && e.Epoch == 0 {
-		e.Epoch = c.epoch
-	}
-	if c.jr != nil {
-		if err := c.jr.append(e); err != nil {
-			return err
-		}
-	}
-	c.seq = e.Seq
-	c.entries = append(c.entries, e)
-	return nil
-}
-
-// auditCompletions journals an acct.Record for every job that reached a
-// terminal state since the last audit.
-func (c *Controller) auditCompletions() error {
-	audit := func(jobs []*job.Job, seen *int) error {
-		for ; *seen < len(jobs); *seen++ {
-			rec := acct.FromJob(jobs[*seen])
-			if err := c.appendEntry(Entry{Op: "record", Record: &rec}); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := audit(c.sys.Finished(), &c.finSeen); err != nil {
-		return err
-	}
-	if err := audit(c.sys.Engine().Killed(), &c.killSeen); err != nil {
-		return err
-	}
-	return audit(c.sys.Engine().Rejected(), &c.rejSeen)
 }
 
 // skipAudits moves the audit cursors past every completion the engine holds:

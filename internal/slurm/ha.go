@@ -13,10 +13,10 @@ import (
 // High availability. A controller pair runs one primary and one warm
 // standby: the primary streams every journal entry to the standby over the
 // wire protocol's `replicate` verb and only acknowledges a mutation once the
-// standby has applied it (semi-synchronous replication). Because the
-// simulation is deterministic, applying the same operation log yields the
-// same state, so the standby is a pure log follower — no state transfer
-// format exists beyond the journal itself.
+// standby has applied and persisted it (semi-synchronous replication).
+// Because the simulation is deterministic, applying the same operation log
+// yields the same state, so the standby is a pure log follower — no state
+// transfer format exists beyond the journal itself.
 //
 // Split-brain is prevented by epoch fencing plus a lease:
 //
@@ -308,9 +308,10 @@ func (c *Controller) demoteLocked(newEpoch int64) {
 }
 
 // HandleReplicate is the standby side of the replicate verb: validate the
-// epoch, apply in-order entries, and acknowledge with the last applied
-// sequence number. It also serves as the fencing point — a deposed primary's
-// stale-epoch appends are rejected here without touching the journal.
+// epoch, apply in-order entries, persist them, and acknowledge with the last
+// applied — and durable — sequence number. It also serves as the fencing
+// point — a deposed primary's stale-epoch appends are rejected here without
+// touching the journal.
 func (c *Controller) HandleReplicate(req Request) Response {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -348,42 +349,50 @@ func (c *Controller) HandleReplicate(req Request) Response {
 		// Our log diverged (we were deposed); only a full resync is safe.
 		return Response{OK: true, NeedFull: true, Role: RoleStandby, Epoch: c.epoch, Seq: c.seq}
 	}
-	for _, e := range req.Entries {
-		if e.Seq <= c.seq {
-			continue // duplicate resend after a lost ack
-		}
-		if e.Seq != c.seq+1 {
-			break // gap; ack what we have, the primary resends from there
-		}
-		if err := c.applyReplicatedLocked(e); err != nil {
-			return Response{Error: fmt.Sprintf("apply entry %d (%s): %v", e.Seq, e.Op, err),
-				Role: RoleStandby, Epoch: c.epoch, Seq: c.seq}
-		}
+	if err := c.applyReplicatedLocked(req.Entries); err != nil {
+		return Response{Error: err.Error(), Role: RoleStandby, Epoch: c.epoch, Seq: c.seq}
 	}
 	return Response{OK: true, Role: RoleStandby, Epoch: c.epoch, Seq: c.seq}
 }
 
-// applyReplicatedLocked applies one in-order replicated entry: run it against
-// the engine exactly as replay would (Controller.apply, ID divergence
-// checked), then persist it byte-identically to how the primary journaled it.
-func (c *Controller) applyReplicatedLocked(e Entry) error {
-	if err := c.apply(&e); err != nil {
-		return err
+// applyReplicatedLocked applies one replicate request's in-order entries: each
+// runs against the engine exactly as replay would (Controller.apply, ID
+// divergence checked), and the applied run is then persisted as one append —
+// byte-identical to how the primary journaled it, one write and one fsync per
+// request — before c.seq moves, so the acknowledgement that reports c.seq
+// never runs ahead of this node's disk. Entries at or below c.seq are a
+// resend after a lost ack and are skipped; a gap ends the run (the
+// acknowledged c.seq tells the primary where to resend from). An entry that
+// fails to apply ends it too, after the run before it has been persisted.
+func (c *Controller) applyReplicatedLocked(entries []Entry) error {
+	for len(entries) > 0 && entries[0].Seq <= c.seq {
+		entries = entries[1:]
 	}
-	c.skipAudits()
-	if c.jr != nil {
-		if err := c.feedBreaker(c.jr.append(e)); err != nil {
-			// The operation ran against the engine but the entry is not on
-			// disk: this follower's journal no longer matches its state. Only
-			// a full resync (which rewrites the log wholesale) makes it safe
-			// to serve from again.
-			c.needFull = true
-			return err
+	n := 0
+	var applyErr error
+	for n < len(entries) && entries[n].Seq == c.seq+1+int64(n) {
+		if err := c.apply(&entries[n]); err != nil {
+			applyErr = fmt.Errorf("apply entry %d (%s): %w", entries[n].Seq, entries[n].Op, err)
+			break
 		}
+		n++
 	}
-	c.seq = e.Seq
-	c.entries = append(c.entries, e)
-	return nil
+	if run := entries[:n]; n > 0 {
+		c.skipAudits()
+		if c.jr != nil {
+			if err := c.feedBreaker(c.jr.append(run)); err != nil {
+				// The operations ran against the engine but their entries are
+				// not on disk: this follower's journal no longer matches its
+				// state. Only a full resync (which rewrites the log wholesale)
+				// makes it safe to serve from again.
+				c.needFull = true
+				return fmt.Errorf("persist entries %d-%d: %w", run[0].Seq, run[n-1].Seq, err)
+			}
+		}
+		c.seq = run[n-1].Seq
+		c.entries = append(c.entries, run...)
+	}
+	return applyErr
 }
 
 // resetFromLogLocked rebuilds the follower from scratch against the
@@ -507,9 +516,13 @@ func (r *replicator) run() {
 }
 
 // pushLocked drives replication until the follower confirms the whole log
-// (or an error). Callers hold both c.mu and r.mu; the network round trips
-// happen under the controller lock deliberately — replication is part of
-// the mutation critical section, and Timeout bounds the stall.
+// (or an error): each request carries up to replicateBatch of the entries
+// the follower is missing — after a mutation, its whole group — and the
+// follower persists a request's entries with one append before it answers,
+// so a mutation costs one round trip and one fsync on each side. Callers
+// hold both c.mu and r.mu; the network round trips happen under the
+// controller lock deliberately — replication is part of the mutation
+// critical section, and Timeout bounds the stall.
 func (r *replicator) pushLocked() error {
 	c := r.c
 	maxRounds := len(c.entries)/replicateBatch + 4

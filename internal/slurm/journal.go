@@ -137,22 +137,25 @@ func syncDir(fsys vfs.FS, dir string) {
 	}
 }
 
-// journal is the append side of the write-ahead log. Every append is synced
-// to stable storage before the operation is acknowledged. Sequence numbers
-// are assigned by the controller (which also owns the in-memory copy of the
-// log for replication); the journal persists entries exactly as given.
+// journal is the append side of the write-ahead log. The unit of durability
+// is the mutation: an operation entry and the completion records it caused
+// are one append — one write, one fsync — synced to stable storage before the
+// operation is acknowledged. Sequence numbers are assigned by the controller
+// (which also owns the in-memory copy of the log for replication); the
+// journal persists entries exactly as given.
 type journal struct {
 	fs  vfs.FS
 	dir string
 	// log is the live journal's append handle; nil after a failed compaction
 	// step closed it — the next append heals via ensureLog.
 	log   *wal.Log
-	every int // compact after this many appends (0 = never)
-	ops   int // appends since the last compaction
+	every int // compact after this many entries (0 = never)
+	ops   int // entries appended since the last compaction
 
-	// testAppendErr, when set, is consulted before each append; a non-nil
-	// return aborts the append with that error. Tests use it to simulate a
-	// failing fsync path and exercise the circuit breaker.
+	// testAppendErr, when set, is consulted for each entry of a group before
+	// anything is written; a non-nil return aborts the whole append with that
+	// error. Tests use it to simulate a failing fsync path and exercise the
+	// circuit breaker.
 	testAppendErr func(Entry) error
 }
 
@@ -254,15 +257,24 @@ func scanPath(fsys vfs.FS, path string, sealed bool) (*fileScan, error) {
 	return scanFile(data, path, sealed), nil
 }
 
-// encodeSnapshot renders entries as a complete snapshot file: header, one
-// frame per entry, trailing manifest sealing the whole file.
-func encodeSnapshot(entries []Entry) ([]byte, error) {
+// encodeEntries renders each entry as its frame payload.
+func encodeEntries(entries []Entry) ([][]byte, error) {
 	payloads := make([][]byte, len(entries))
 	for i, e := range entries {
 		var err error
 		if payloads[i], err = json.Marshal(e); err != nil {
 			return nil, fmt.Errorf("slurm: encode entry %d: %w", e.Seq, err)
 		}
+	}
+	return payloads, nil
+}
+
+// encodeSnapshot renders entries as a complete snapshot file: header, one
+// frame per entry, trailing manifest sealing the whole file.
+func encodeSnapshot(entries []Entry) ([]byte, error) {
+	payloads, err := encodeEntries(entries)
+	if err != nil {
+		return nil, err
 	}
 	return wal.Encode(journalHeader, payloads, true), nil
 }
@@ -459,31 +471,35 @@ func (j *journal) ensureLog() error {
 	return j.openLog(scan)
 }
 
-// append durably logs one entry (whose Seq the caller has already assigned),
-// then compacts if the journal grew past the snapshot threshold. A failed
-// append is rolled back by the wal, so the retry's reissued Seq never
-// collides with a half-persisted record; failures wrap ErrJournalAppend. The
-// error speaks for the entry alone: once it is durable a failed compaction
-// cannot un-commit it (a caller told otherwise would reissue its Seq and
+// append durably logs one group — the entries of one mutation, whose Seqs the
+// caller has already assigned — as a single write and a single fsync, then
+// compacts if the journal grew past the snapshot threshold. The group commits
+// or fails as a whole: a failed append is rolled back by the wal, frames
+// written before the fault included, so the retry's reissued Seqs never
+// collide with a half-persisted group; failures wrap ErrJournalAppend. The
+// error speaks for the group alone: once it is durable a failed compaction
+// cannot un-commit it (a caller told otherwise would reissue its Seqs and
 // corrupt the log), so that is counted, logged once, and retried by the next
 // append — ops stays over the threshold.
-func (j *journal) append(e Entry) error {
+func (j *journal) append(group []Entry) error {
 	if j.testAppendErr != nil {
-		if err := j.testAppendErr(e); err != nil {
-			return journalErr(ErrJournalAppend, err)
+		for _, e := range group {
+			if err := j.testAppendErr(e); err != nil {
+				return journalErr(ErrJournalAppend, err)
+			}
 		}
 	}
 	if err := j.ensureLog(); err != nil {
 		return journalErr(ErrJournalAppend, err)
 	}
-	payload, err := json.Marshal(e)
+	payloads, err := encodeEntries(group)
 	if err != nil {
-		return journalErr(ErrJournalAppend, fmt.Errorf("slurm: encode entry %d: %w", e.Seq, err))
-	}
-	if err := j.log.Append(payload, true); err != nil {
 		return journalErr(ErrJournalAppend, err)
 	}
-	j.ops++
+	if err := j.log.Append(true, payloads...); err != nil {
+		return journalErr(ErrJournalAppend, err)
+	}
+	j.ops += len(group)
 	if j.every > 0 && j.ops >= j.every {
 		if err := j.compact(); err != nil {
 			journalSyncErrors.Add(1)
@@ -581,7 +597,7 @@ func (j *journal) truncateLive() error {
 	return nil
 }
 
-// close releases the append handle. Nothing is left to sync: every append
+// close releases the append handle. Nothing is left to sync: every group
 // was fsynced or rolled back.
 func (j *journal) close() error {
 	if j.log == nil {

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/des"
 	"repro/internal/vfs"
 	"repro/internal/wal"
@@ -54,13 +55,52 @@ type builtWorkload struct {
 // snapshotEvery > 0 leaves a snapshot+journal pair; 0 leaves journal only.
 func buildWorkload(t *testing.T, snapshotEvery int) *builtWorkload {
 	t.Helper()
+	return buildWorkloadWith(t, snapshotEvery, driveWorkload)
+}
+
+// driveGroups is a workload of multi-frame groups: an advance that completes
+// four jobs (advance + 4 records in one append), a cancel (cancel + record),
+// and single-entry mutations around them.
+func driveGroups(t *testing.T, c *Controller) {
+	t.Helper()
+	for i, app := range []string{"minife", "gtc", "milc", "minife"} {
+		if _, err := c.Submit(app, 1, 600, des.Duration(100+10*i), "g"+strconv.Itoa(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Two machine-wide jobs fill both hardware threads of every node once the
+	// short jobs are gone; the third stays pending.
+	var wide [3]cluster.JobID
+	for i := range wide {
+		var err error
+		if wide[i], err = c.Submit("gtc", 4, 3600, 900, "wide"+strconv.Itoa(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	running, pending := wide[0], wide[2]
+	if _, err := c.AdvanceChecked(300); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Cancel(pending); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Requeue(running); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.AdvanceChecked(50); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func buildWorkloadWith(t *testing.T, snapshotEvery int, drive func(*testing.T, *Controller)) *builtWorkload {
+	t.Helper()
 	dir := t.TempDir()
 	cfg := testControllerConfig()
 	c, err := OpenJournaled(cfg, dir, snapshotEvery)
 	if err != nil {
 		t.Fatal(err)
 	}
-	driveWorkload(t, c)
+	drive(t, c)
 	w := &builtWorkload{
 		cfg:       cfg,
 		committed: append([]Entry(nil), c.entries...),
@@ -121,28 +161,93 @@ func checkPrefix(t *testing.T, ctx string, c *Controller, committed []Entry) {
 }
 
 // TestJournalTruncationCampaign cuts the journal at EVERY byte offset —
-// journal-only and snapshot+journal layouts — and requires recovery under
-// the default FAIL policy to produce a committed prefix or refuse.
+// journal-only and snapshot+journal layouts, and a workload of multi-frame
+// groups (one append carrying an operation and its completion records), where
+// a cut may leave whole frames of a group whose mutation was never
+// acknowledged. A cut is a torn tail like any other, never corruption:
+// recovery under the default FAIL policy must come up on a Seq-consecutive
+// committed prefix (so an operation always precedes its records), replay it
+// deterministically, and append cleanly behind it.
 func TestJournalTruncationCampaign(t *testing.T) {
 	for _, layout := range []struct {
 		name          string
 		snapshotEvery int
+		drive         func(*testing.T, *Controller)
 	}{
-		{"journal-only", 0},
-		{"snapshot-and-journal", 4},
+		{"journal-only", 0, driveWorkload},
+		{"snapshot-and-journal", 4, driveWorkload},
+		{"multi-frame-groups", 0, driveGroups},
 	} {
 		t.Run(layout.name, func(t *testing.T) {
-			w := buildWorkload(t, layout.snapshotEvery)
+			w := buildWorkloadWith(t, layout.snapshotEvery, layout.drive)
+			partial := 0 // cuts that recovered an operation and some, not all, of its records
 			for off := 0; off <= len(w.tail); off++ {
+				ctx := "truncate@" + strconv.Itoa(off)
 				d := w.restore(t, w.snap, w.tail[:off])
 				c, err := OpenJournaled(w.cfg, d, 0)
 				if err != nil {
-					continue // loud refusal is an allowed outcome
+					t.Fatalf("%s: a cut journal was refused as corrupt: %v", ctx, err)
 				}
-				checkPrefix(t, "truncate@"+strconv.Itoa(off), c, w.committed)
-				c.Close()
+				checkPrefix(t, ctx, c, w.committed)
+				if n := len(c.entries); n > 0 && n < len(w.committed) && w.committed[n].Op == "record" {
+					partial++
+				}
+				checkCutRecovery(t, ctx, w, d, c)
+			}
+			// Wherever the journal holds a record behind its operation, some
+			// cut must have separated the two.
+			for i, e := range scanFile(w.tail, "tail", false).entries {
+				if i > 0 && e.Op == "record" && partial == 0 {
+					t.Fatal("the journal holds a multi-frame group, yet no cut recovered part of one")
+				}
 			}
 		})
+	}
+}
+
+// checkCutRecovery holds a controller recovered from a cut journal to the
+// rest of the recovery contract: a torn tail, never quarantine; consecutive
+// Seqs; the same state as replaying the recovered prefix from scratch; and a
+// journal that takes a new mutation and recovers it. It closes c.
+func checkCutRecovery(t *testing.T, ctx string, w *builtWorkload, dir string, c *Controller) {
+	t.Helper()
+	if info := c.Recovery(); info.Quarantined {
+		t.Fatalf("%s: recovery quarantined a cut journal: %+v", ctx, info.Damage)
+	}
+	for i, e := range c.entries {
+		if e.Seq != int64(i+1) {
+			t.Fatalf("%s: entry %d has Seq %d: not consecutive", ctx, i, e.Seq)
+		}
+	}
+	ref, err := NewController(w.cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ref.replay(append([]Entry(nil), c.entries...)); err != nil {
+		t.Fatalf("%s: recovered prefix does not replay: %v", ctx, err)
+	}
+	if got, want := stateOf(c), stateOf(ref); !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: recovered state differs from a replay of the recovered prefix:\n got %+v\nwant %+v", ctx, got, want)
+	}
+	recovered := len(c.entries)
+	if _, err := c.Submit("minife", 1, 600, 100, "after"); err != nil {
+		t.Fatalf("%s: append after recovery: %v", ctx, err)
+	}
+	want := stateOf(c)
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	c2, err := OpenJournaled(w.cfg, dir, 0)
+	if err != nil {
+		t.Fatalf("%s: reopen after a post-recovery append: %v", ctx, err)
+	}
+	defer c2.Close()
+	if info := c2.Recovery(); info.TornBytes != 0 || len(info.Damage) != 0 || len(c2.entries) != recovered+1 {
+		t.Fatalf("%s: second recovery found %d entries (want %d), %d torn bytes, damage %+v",
+			ctx, len(c2.entries), recovered+1, info.TornBytes, info.Damage)
+	}
+	if got := stateOf(c2); !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: mutation appended after recovery was not recovered:\n got %+v\nwant %+v", ctx, got, want)
 	}
 }
 

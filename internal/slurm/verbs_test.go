@@ -193,7 +193,7 @@ func TestClockBoundRefusesPoisonedLog(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, e := range []Entry{{Seq: 1, Op: "advance", Seconds: 60}, {Seq: 2, Op: "advance", Seconds: 1e300}} {
-		if err := j.append(e); err != nil {
+		if err := j.append([]Entry{e}); err != nil {
 			t.Fatal(err)
 		}
 	}

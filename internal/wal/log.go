@@ -24,6 +24,9 @@ type Log struct {
 	// unverifiable bytes ahead of later records.
 	committed int64
 	wedged    bool
+	// buf is the frame buffer, kept between appends so a steady stream of
+	// them allocates nothing here.
+	buf []byte
 }
 
 // Create truncate-creates path as a log holding the header line and one
@@ -68,22 +71,30 @@ func (l *Log) reopen() error {
 	return nil
 }
 
-// Append frames payload and appends it in one write, fsyncing it when sync
-// is set. On a failed write — or a failed requested fsync — the file is
-// truncated back to the committed prefix: a torn write may have persisted
-// part of the frame (and a flush may have landed all of it even though the
-// fsync failed), and leaving those bytes behind would collide with the
-// caller's retry or read as mid-log corruption once later records follow.
-// If the rollback itself fails the log wedges.
-func (l *Log) Append(payload []byte, sync bool) error {
+// Append frames the payloads and appends them as one unit: one write, one
+// fsync when sync is set, one rollback. A caller whose operation produces
+// several records hands them over together, so the operation costs one trip
+// to stable storage however many records it caused. On a failed write — or a
+// failed requested fsync — the file is truncated back to the committed prefix,
+// dropping every frame of the group: a torn write may have persisted some of
+// them whole and part of the next (and a flush may have landed all of them
+// even though the fsync failed), and leaving those bytes behind would collide
+// with the caller's retry or read as mid-log corruption once later records
+// follow. If the rollback itself fails the log wedges. A crash mid-write can
+// still leave a whole-frame prefix of an unacknowledged group on disk; to a
+// scan that is a committed prefix like any other.
+func (l *Log) Append(sync bool, payloads ...[]byte) error {
 	if l.wedged {
 		return fmt.Errorf("wal: append to %s: %w", l.path, ErrWedged)
 	}
 	if err := l.reopen(); err != nil {
 		return err
 	}
-	frame := AppendFrame(nil, payload)
-	if _, err := l.f.Write(frame); err != nil {
+	l.buf = l.buf[:0]
+	for _, p := range payloads {
+		l.buf = AppendFrame(l.buf, p)
+	}
+	if _, err := l.f.Write(l.buf); err != nil {
 		return l.rollback(fmt.Errorf("wal: append to %s: %w", l.path, err))
 	}
 	if sync {
@@ -91,7 +102,7 @@ func (l *Log) Append(payload []byte, sync bool) error {
 			return l.rollback(fmt.Errorf("wal: sync %s: %w", l.path, err))
 		}
 	}
-	l.committed += int64(len(frame))
+	l.committed += int64(len(l.buf))
 	return nil
 }
 

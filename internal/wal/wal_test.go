@@ -189,23 +189,23 @@ func TestLogRollbackAndWedge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Append(toyPayload(1), true); err != nil {
+	if err := l.Append(true, toyPayload(1)); err != nil {
 		t.Fatal(err)
 	}
 
 	faulty.TearWrites(1)
-	if err := l.Append(toyPayload(2), false); !errors.Is(err, vfs.ErrTornWrite) {
+	if err := l.Append(false, toyPayload(2)); !errors.Is(err, vfs.ErrTornWrite) {
 		t.Fatalf("torn append error = %v, want ErrTornWrite", err)
 	}
 	faulty.FailSyncs(1)
-	if err := l.Append(toyPayload(2), true); !errors.Is(err, vfs.ErrSyncFailed) {
+	if err := l.Append(true, toyPayload(2)); !errors.Is(err, vfs.ErrSyncFailed) {
 		t.Fatalf("append with failed fsync error = %v, want ErrSyncFailed", err)
 	}
 	if s, got := readToy(t, path); len(s.Damage) != 0 || len(got) != 2 {
 		t.Fatalf("after two rolled-back appends the file scans as %+v (%d records), want 2 clean", s, len(got))
 	}
 	// The retry of the same record lands once, after the committed prefix.
-	if err := l.Append(toyPayload(2), true); err != nil {
+	if err := l.Append(true, toyPayload(2)); err != nil {
 		t.Fatalf("append after rollback: %v", err)
 	}
 	if err := l.Checkpoint(); err != nil {
@@ -217,12 +217,50 @@ func TestLogRollbackAndWedge(t *testing.T) {
 	}
 	checkPrefix(t, "retry", got, s)
 
+	// A multi-frame append is one rollback unit. A failed fsync has all three
+	// frames on disk, whole, before the rollback; a torn write anything from
+	// nothing to two frames and a piece. Either way the file is cut back to
+	// exactly the committed bytes — no whole frame of the failed group stays
+	// behind to collide with the retry.
+	committed, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	group := [][]byte{toyPayload(3), toyPayload(4), toyPayload(5)}
+	for i := 0; i < 12; i++ {
+		want := vfs.ErrSyncFailed
+		if i%2 == 0 {
+			faulty.TearWrites(1)
+			want = vfs.ErrTornWrite
+		} else {
+			faulty.FailSyncs(1)
+		}
+		if err := l.Append(true, group...); !errors.Is(err, want) {
+			t.Fatalf("3-frame append %d error = %v, want %v", i, err, want)
+		}
+		if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, committed) {
+			t.Fatalf("3-frame append %d left %d bytes on disk, want the %d committed ones (err %v)", i, len(after), len(committed), err)
+		}
+	}
+	if faulty.Stats().TornWrites < 7 || faulty.Stats().SyncFails < 7 {
+		t.Fatalf("fault stats %+v: the group appends were not faulted", faulty.Stats())
+	}
+	// The retry lands all three, once, in order.
+	if err := l.Append(true, group...); err != nil {
+		t.Fatalf("3-frame append after rollbacks: %v", err)
+	}
+	s, got = readToy(t, path)
+	if len(s.Damage) != 0 || len(got) != 6 {
+		t.Fatalf("after the group retry the file scans as %+v (%d records), want 6 clean", s, len(got))
+	}
+	checkPrefix(t, "group retry", got, s)
+
 	// Wedge: the write hits a crash point, so the rollback's truncate fails too.
 	faulty.CrashAfterWrites(0)
-	if err := l.Append(toyPayload(3), false); err == nil {
+	if err := l.Append(false, toyPayload(6)); err == nil {
 		t.Fatal("append through a crashed filesystem succeeded")
 	}
-	if err := l.Append(toyPayload(3), false); !errors.Is(err, ErrWedged) {
+	if err := l.Append(false, toyPayload(6)); !errors.Is(err, ErrWedged) {
 		t.Fatalf("append on a wedged log = %v, want ErrWedged", err)
 	}
 	if err := l.Checkpoint(); !errors.Is(err, ErrWedged) {
@@ -232,8 +270,8 @@ func TestLogRollbackAndWedge(t *testing.T) {
 		t.Fatal(err)
 	}
 	s, got = readToy(t, path)
-	if len(got) != 3 || (len(s.Damage) > 0 && !s.Torn) {
-		t.Fatalf("wedged log scans as %+v (%d records), want the 3 committed records and at most a torn tail", s, len(got))
+	if len(got) != 6 || (len(s.Damage) > 0 && !s.Torn) {
+		t.Fatalf("wedged log scans as %+v (%d records), want the 6 committed records and at most a torn tail", s, len(got))
 	}
 	// The next open salvages and continues.
 	if err := os.Truncate(path, s.ValidLen); err != nil {
@@ -243,12 +281,35 @@ func TestLogRollbackAndWedge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l2.Append(toyPayload(3), true); err != nil {
+	if err := l2.Append(true, toyPayload(6)); err != nil {
 		t.Fatal(err)
 	}
 	l2.Close()
-	if s, got := readToy(t, path); len(s.Damage) != 0 || len(got) != 4 {
-		t.Fatalf("reopened log scans as %+v (%d records), want 4 clean", s, len(got))
+	if s, got := readToy(t, path); len(s.Damage) != 0 || len(got) != 7 {
+		t.Fatalf("reopened log scans as %+v (%d records), want 7 clean", s, len(got))
+	}
+}
+
+// TestLogAppendReusesFrameBuffer: the handle frames every append into the one
+// buffer it keeps, so a steady stream of appends — single records or groups —
+// allocates no frame of its own.
+func TestLogAppendReusesFrameBuffer(t *testing.T) {
+	l, err := Create(vfs.OS{}, filepath.Join(t.TempDir(), "toy.log"), toyHeader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if err := l.Append(false, toyPayloads(4)...); err != nil {
+		t.Fatal(err)
+	}
+	buf := &l.buf[0]
+	for i := 4; i < 20; i++ {
+		if err := l.Append(false, toyPayloads(i%4)...); err != nil {
+			t.Fatal(err)
+		}
+		if len(l.buf) > 0 && &l.buf[0] != buf {
+			t.Fatalf("append %d framed into a fresh buffer", i)
+		}
 	}
 }
 
