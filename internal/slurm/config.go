@@ -258,49 +258,31 @@ func ParseConfig(r io.Reader) (Config, error) {
 		case "RateLimitControlCost":
 			cfg.Overload.ControlCost, err = strconv.ParseFloat(strings.TrimSpace(rest), 64)
 		case "BusyRetryAfter":
-			var v float64
-			v, err = strconv.ParseFloat(strings.TrimSpace(rest), 64)
-			cfg.Overload.RetryAfter = time.Duration(v * float64(time.Second))
+			cfg.Overload.RetryAfter, err = parseSeconds(rest)
 		case "BreakerThreshold":
 			cfg.Overload.BreakerThreshold, err = strconv.Atoi(strings.TrimSpace(rest))
 		case "BreakerCooldown":
-			var v float64
-			v, err = strconv.ParseFloat(strings.TrimSpace(rest), 64)
-			cfg.Overload.BreakerCooldown = time.Duration(v * float64(time.Second))
+			cfg.Overload.BreakerCooldown, err = parseSeconds(rest)
 		case "HistoryLimit":
 			cfg.Overload.HistoryLimit, err = strconv.Atoi(strings.TrimSpace(rest))
 		case "ShedTargetLatency":
-			var v float64
-			v, err = strconv.ParseFloat(strings.TrimSpace(rest), 64)
-			cfg.Overload.ShedTarget = time.Duration(v * float64(time.Second))
+			cfg.Overload.ShedTarget, err = parseSeconds(rest)
 		case "ShedWindow":
-			var v float64
-			v, err = strconv.ParseFloat(strings.TrimSpace(rest), 64)
-			cfg.Overload.ShedWindow = time.Duration(v * float64(time.Second))
+			cfg.Overload.ShedWindow, err = parseSeconds(rest)
 		case "BrownoutStepAfter":
-			var v float64
-			v, err = strconv.ParseFloat(strings.TrimSpace(rest), 64)
-			cfg.Overload.BrownoutStep = time.Duration(v * float64(time.Second))
+			cfg.Overload.BrownoutStep, err = parseSeconds(rest)
 		case "BrownoutCooldown":
-			var v float64
-			v, err = strconv.ParseFloat(strings.TrimSpace(rest), 64)
-			cfg.Overload.BrownoutCooldown = time.Duration(v * float64(time.Second))
+			cfg.Overload.BrownoutCooldown, err = parseSeconds(rest)
 		case "BrownoutHistoryLimit":
 			cfg.Overload.BrownoutHistoryLimit, err = strconv.Atoi(strings.TrimSpace(rest))
 		case "BrownoutStaleSeconds":
-			var v float64
-			v, err = strconv.ParseFloat(strings.TrimSpace(rest), 64)
-			cfg.Overload.BrownoutStaleFor = time.Duration(v * float64(time.Second))
+			cfg.Overload.BrownoutStaleFor, err = parseSeconds(rest)
 		case "ReplicaAddr":
 			cfg.HA.Replica = strings.TrimSpace(rest)
 		case "HALeaseSeconds":
-			var v float64
-			v, err = strconv.ParseFloat(strings.TrimSpace(rest), 64)
-			cfg.HA.Lease = time.Duration(v * float64(time.Second))
+			cfg.HA.Lease, err = parseSeconds(rest)
 		case "HAHeartbeatSeconds":
-			var v float64
-			v, err = strconv.ParseFloat(strings.TrimSpace(rest), 64)
-			cfg.HA.Heartbeat = time.Duration(v * float64(time.Second))
+			cfg.HA.Heartbeat, err = parseSeconds(rest)
 		case "JournalCorruptPolicy":
 			cfg.JournalCorruptPolicy = CorruptPolicy(strings.ToLower(strings.TrimSpace(rest)))
 			err = cfg.JournalCorruptPolicy.Validate()
@@ -354,6 +336,91 @@ func (c Config) Validate() error {
 		return err
 	}
 	return nil
+}
+
+// OverloadConfig tunes admission (admission.go), the journal circuit breaker
+// and history paging. The zero value disables every feature, which keeps the
+// protocol and journal byte-compatible with earlier releases.
+type OverloadConfig struct {
+	// MaxConns caps concurrent client connections (0 = unlimited). A
+	// connection over the cap receives one BUSY response and is closed.
+	MaxConns int
+	// MaxInflight bounds requests being processed at once across all
+	// connections (0 = unlimited); excess requests are refused with BUSY.
+	MaxInflight int
+	// RateLimit is the per-connection token refill rate in requests per
+	// second (0 = unlimited).
+	RateLimit float64
+	// RateBurst is the token bucket depth; 0 selects max(2*RateLimit, 1).
+	RateBurst float64
+	// ControlCost is the token cost of control verbs (requeue, node state
+	// changes, cancel); bulk verbs cost 1. 0 selects DefaultControlCost.
+	ControlCost float64
+	// RetryAfter is the wait hint in BUSY and SHED responses where the
+	// limiter has no better estimate. 0 selects DefaultRetryAfter.
+	RetryAfter time.Duration
+	// BreakerThreshold trips the journal circuit breaker after this many
+	// consecutive append failures (0 = breaker disabled).
+	BreakerThreshold int
+	// BreakerCooldown is how long a tripped breaker rejects mutations
+	// before going half-open. 0 selects DefaultBreakerCooldown.
+	BreakerCooldown time.Duration
+	// HistoryLimit caps JobInfo rows in one Queue(history=true) reply when
+	// the client does not pass an explicit limit (0 = unlimited).
+	HistoryLimit int
+	// ShedTarget enables priority shedding: when the EWMA of recent service
+	// latency holds above this target for a full ShedWindow, the lowest verb
+	// class still admitted is shed. 0 disables priority shedding.
+	ShedTarget time.Duration
+	// ShedWindow is the sustained-pressure window of the shed level (and its
+	// quiet window for stepping back down). 0 selects DefaultShedWindow.
+	ShedWindow time.Duration
+	// BrownoutStep enables the brownout ladder: pressure sustained this long
+	// climbs the ladder one level. Requires ShedTarget (the ladder's
+	// pressure signal is the shed level). 0 disables the ladder.
+	BrownoutStep time.Duration
+	// BrownoutCooldown is the quiet period required before the ladder steps
+	// back down one level. 0 selects 4×BrownoutStep.
+	BrownoutCooldown time.Duration
+	// BrownoutHistoryLimit caps history paging at BrownoutPaged and above.
+	// 0 selects DefaultBrownoutHistoryLimit.
+	BrownoutHistoryLimit int
+	// BrownoutStaleFor is the snapshot TTL at BrownoutStale and above.
+	// 0 selects DefaultBrownoutStaleFor.
+	BrownoutStaleFor time.Duration
+}
+
+// Validate checks the knobs for internal consistency.
+func (o OverloadConfig) Validate() error {
+	if o.MaxConns < 0 || o.MaxInflight < 0 || o.BreakerThreshold < 0 || o.HistoryLimit < 0 {
+		return fmt.Errorf("slurm: negative overload limits")
+	}
+	if o.RateLimit < 0 || o.RateBurst < 0 || o.ControlCost < 0 {
+		return fmt.Errorf("slurm: negative rate limit parameters")
+	}
+	if o.ControlCost > 1 {
+		return fmt.Errorf("slurm: RateLimitControlCost %g > 1 would deprioritize control verbs", o.ControlCost)
+	}
+	if o.RetryAfter < 0 || o.BreakerCooldown < 0 {
+		return fmt.Errorf("slurm: negative overload durations")
+	}
+	if o.ShedTarget < 0 || o.ShedWindow < 0 || o.BrownoutStep < 0 ||
+		o.BrownoutCooldown < 0 || o.BrownoutStaleFor < 0 {
+		return fmt.Errorf("slurm: negative shed/brownout durations")
+	}
+	if o.BrownoutHistoryLimit < 0 {
+		return fmt.Errorf("slurm: negative BrownoutHistoryLimit")
+	}
+	if o.BrownoutStep > 0 && o.ShedTarget <= 0 {
+		return fmt.Errorf("slurm: BrownoutStepAfter requires ShedTargetLatency (the ladder's pressure signal is the shedder)")
+	}
+	return nil
+}
+
+// parseSeconds reads a duration key's value, fractional seconds.
+func parseSeconds(s string) (time.Duration, error) {
+	v, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
+	return time.Duration(v * float64(time.Second)), err
 }
 
 func parseYesNo(s string) (bool, error) {

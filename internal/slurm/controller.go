@@ -1,10 +1,13 @@
 package slurm
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/acct"
@@ -33,6 +36,10 @@ type Controller struct {
 	mu  sync.Mutex
 	cfg Config
 	sys *core.System
+	// clock is the simulated clock (float64 bits), published wherever it
+	// moves — the end of apply, and a follower's reset — so Now and every
+	// reply's stamp read it without c.mu.
+	clock atomic.Uint64
 
 	// Journaling state; jr is nil for an in-memory-only controller.
 	jr       *journal
@@ -199,8 +206,10 @@ const maxClock = 1e9
 // replay and follower-apply, so all three validate and behave alike. A submit
 // whose e.ID is zero is live: the engine assigns the ID and apply records it
 // in e; a non-zero e.ID is the journaled, authoritative one, and a different
-// assignment is divergence. Callers hold c.mu.
+// assignment is divergence. It is also the one place the simulated clock
+// moves, so it is where the clock is published for Now. Callers hold c.mu.
 func (c *Controller) apply(e *Entry) error {
+	defer c.publishClock()
 	// The effective fencing term is the highest ever journaled, so a
 	// restarted deposed primary cannot forget it was deposed.
 	if e.Epoch > c.epoch {
@@ -268,6 +277,68 @@ func (c *Controller) setDrained(ni int, drained bool) error {
 	return nil
 }
 
+// Health states reported by the `health` verb.
+const (
+	HealthOK       = "ok"
+	HealthDegraded = "degraded"
+	HealthDraining = "draining"
+	// HealthFenced marks a primary whose replication lease has lapsed: the
+	// standby may have promoted, so mutations are rejected until the pair
+	// reconciles (see ha.go).
+	HealthFenced = "fenced"
+)
+
+// DefaultBreakerCooldown is how long a tripped breaker stays closed to
+// mutations before going half-open.
+const DefaultBreakerCooldown = 5 * time.Second
+
+// breaker is the journal circuit breaker, the controller's write gate: when
+// stable storage misbehaves (full disk, dead device) the controller trips
+// into a read-only DEGRADED mode — queries still served, mutations rejected —
+// instead of acknowledging writes it cannot make durable. After a cooldown
+// the breaker goes half-open and lets mutations probe the journal again.
+// feedBreaker feeds it and checkWritable consults it, both under c.mu.
+type breaker struct {
+	threshold int
+	cooldown  time.Duration
+	now       func() time.Time
+
+	fails   int
+	tripped bool
+	until   time.Time
+}
+
+func newBreaker(threshold int, cooldown time.Duration) *breaker {
+	return &breaker{threshold: threshold, cooldown: cmp.Or(cooldown, DefaultBreakerCooldown), now: time.Now}
+}
+
+// failure records one journal append failure, tripping (or re-tripping, if
+// half-open) the breaker once the consecutive-failure threshold is reached.
+func (b *breaker) failure() {
+	b.fails++
+	if b.fails >= b.threshold {
+		b.tripped = true
+		b.until = b.now().Add(b.cooldown)
+	}
+}
+
+// success records a durable append and fully closes the breaker.
+func (b *breaker) success() {
+	b.fails = 0
+	b.tripped = false
+}
+
+// writable reports whether mutations may proceed: always when closed, and
+// once the cooldown has elapsed (half-open — the next mutation probes the
+// journal; its outcome re-trips or resets).
+func (b *breaker) writable() bool {
+	return !b.tripped || !b.now().Before(b.until)
+}
+
+// degraded reports whether the breaker is tripped (including half-open:
+// health stays "degraded" until an append actually succeeds).
+func (b *breaker) degraded() bool { return b.tripped }
+
 // ErrDegraded is returned for mutations while the journal circuit breaker
 // is tripped: the controller cannot make writes durable, so it serves
 // queries only rather than acknowledging work it could lose.
@@ -283,10 +354,7 @@ func (c *Controller) checkWritable() error {
 	if c.repl != nil && c.repl.leaseLost(time.Now()) {
 		return ErrFenced
 	}
-	if c.quarantined {
-		return ErrDegraded
-	}
-	if c.br != nil && !c.br.writable() {
+	if c.quarantined || (c.br != nil && !c.br.writable()) {
 		return ErrDegraded
 	}
 	return nil
@@ -299,10 +367,7 @@ func (c *Controller) checkWritable() error {
 func (c *Controller) Health() string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.quarantined {
-		return HealthDegraded
-	}
-	if c.br != nil && c.br.degraded() {
+	if c.quarantined || (c.br != nil && c.br.degraded()) {
 		return HealthDegraded
 	}
 	if !c.standby && c.repl != nil && c.repl.leaseLost(time.Now()) {
@@ -331,16 +396,6 @@ func (c *Controller) logB(b budget, e Entry) error {
 		return fmt.Errorf("%w: %s committed locally, replication deferred to heartbeat", ErrDeadlineExceeded, e.Op)
 	}
 	return c.replicateLocked()
-}
-
-// checkBudget refuses a mutation whose deadline budget is already spent,
-// before it costs an apply, an fsync, or a replication round-trip. Callers
-// hold c.mu.
-func (c *Controller) checkBudget(b budget) error {
-	if b.expired(time.Now()) {
-		return fmt.Errorf("%w: budget spent before work began", ErrDeadlineExceeded)
-	}
-	return nil
 }
 
 // noteBrownout journals one brownout ladder transition (Op:"brownout",
@@ -435,11 +490,17 @@ func (c *Controller) Close() error {
 // Config returns the controller's configuration.
 func (c *Controller) Config() Config { return c.cfg }
 
-// Now returns the simulated clock.
+// Now returns the simulated clock as of the last applied entry, without
+// taking c.mu: a reply is stamped with it, and a refusal must not wait on the
+// writer whose fsync caused it.
 func (c *Controller) Now() des.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.sys.Now()
+	return des.Time(math.Float64frombits(c.clock.Load()))
+}
+
+// publishClock copies the engine clock to where Now reads it. Callers hold
+// c.mu.
+func (c *Controller) publishClock() {
+	c.clock.Store(math.Float64bits(float64(c.sys.Now())))
 }
 
 // mutate is the one live write path: every mutating verb — from the wire
@@ -458,8 +519,8 @@ func (c *Controller) mutate(b budget, e *Entry) error {
 			return nil
 		}
 	}
-	if err := c.checkBudget(b); err != nil {
-		return err
+	if b.expired(time.Now()) {
+		return fmt.Errorf("%w: budget spent before work began", ErrDeadlineExceeded)
 	}
 	if err := c.checkWritable(); err != nil {
 		return err

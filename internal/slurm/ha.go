@@ -404,6 +404,7 @@ func (c *Controller) resetFromLogLocked(entries []Entry) error {
 		return err
 	}
 	c.sys = sys
+	c.publishClock()
 	c.tokens = make(map[string]cluster.JobID)
 	c.finSeen, c.killSeen, c.rejSeen = 0, 0, 0
 	c.seq, c.entries = 0, nil

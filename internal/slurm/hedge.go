@@ -1,6 +1,7 @@
 package slurm
 
 import (
+	"expvar"
 	"time"
 
 	"repro/internal/lineproto"
@@ -18,6 +19,9 @@ import (
 // one: against an HA pair the hedge lands on the standby, which serves
 // reads, turning a stalled primary into one hedge-delay of added latency
 // instead of a timeout.
+
+// expClientHedges counts hedge attempts launched, process-wide.
+var expClientHedges = expvar.NewInt("slurm_client_hedges")
 
 // HedgePolicy tunes hedged requests. The zero value (or a nil policy on the
 // Client) disables hedging.

@@ -45,9 +45,9 @@ func TestOversizeQueueReplyKeepsClientUsable(t *testing.T) {
 // would hand that stale reply to the next request. The client dials afresh.
 func TestFailedRoundTripRedials(t *testing.T) {
 	cl, srv := startServer(t)
-	srv.ctl.mu.Lock() // every reply is stamped with the clock, which needs mu
+	srv.ctl.mu.Lock() // a queue read needs mu (the reply's clock stamp no longer does)
 	cl.Timeout = 50 * time.Millisecond
-	_, err := cl.Do(Request{Op: "config"})
+	_, err := cl.Do(Request{Op: "queue"})
 	srv.ctl.mu.Unlock()
 	if !isTransportError(err) {
 		t.Fatalf("stalled round trip = %v, want a transport error", err)
@@ -55,7 +55,7 @@ func TestFailedRoundTripRedials(t *testing.T) {
 	cl.Timeout = 5 * time.Second
 	now, err := cl.Advance(60)
 	if err != nil || now != 60 {
-		t.Fatalf("advance after a failed round trip = %v, %v: want clock 60, not the stale config reply", now, err)
+		t.Fatalf("advance after a failed round trip = %v, %v: want clock 60, not the stale queue reply", now, err)
 	}
 }
 

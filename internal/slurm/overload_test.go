@@ -237,12 +237,12 @@ func TestServerRateLimitAndVerbClasses(t *testing.T) {
 
 func TestServerInflightShedding(t *testing.T) {
 	cl, srv, _ := overloadServer(t, OverloadConfig{MaxInflight: 1})
-	srv.sem <- struct{}{} // saturate the only slot
+	srv.adm.slots <- struct{}{} // saturate the only slot
 	var busy *BusyError
 	if _, err := cl.Do(Request{Op: "queue"}); !errors.As(err, &busy) {
 		t.Fatalf("error = %v, want BusyError", err)
 	}
-	<-srv.sem
+	<-srv.adm.slots
 	if _, err := cl.Do(Request{Op: "queue"}); err != nil {
 		t.Fatalf("request after slot freed: %v", err)
 	}

@@ -1,13 +1,13 @@
 package slurm
 
 import (
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/des"
@@ -57,7 +57,7 @@ type Request struct {
 	Entries []Entry `json:"entries,omitempty"`
 	Full    bool    `json:"full,omitempty"`
 	// DeadlineMS is the request's remaining deadline budget in milliseconds,
-	// relative so client and server clocks need not agree (see serve.go).
+	// relative so client and server clocks need not agree (see admission.go).
 	// The server refuses work it cannot finish within the budget before
 	// doing any of it. Absent (0) = no deadline, byte-identical behavior to
 	// pre-deadline releases.
@@ -76,9 +76,9 @@ type Response struct {
 	Stats   *metrics.Result `json:"stats,omitempty"`
 	Cluster string          `json:"cluster,omitempty"`
 	Policy  string          `json:"policy,omitempty"`
-	// Health is the health-verb payload: ok | degraded | draining.
+	// Health is the health-verb payload: ok | degraded | draining | fenced.
 	Health string `json:"health,omitempty"`
-	// Busy marks a shed request; RetryAfterMS hints when to retry.
+	// Busy marks a refused, retryable request; RetryAfterMS hints when.
 	Busy         bool  `json:"busy,omitempty"`
 	RetryAfterMS int64 `json:"retry_after_ms,omitempty"`
 	// Total is the pre-pagination row count of a paginated queue reply.
@@ -90,10 +90,10 @@ type Response struct {
 	Epoch    int64  `json:"epoch,omitempty"`
 	Seq      int64  `json:"seq,omitempty"`
 	NeedFull bool   `json:"need_full,omitempty"`
-	// Serve-robustness payloads (see serve.go); all absent unless the
-	// request carried a deadline or the server has shed/brownout features
-	// on, keeping legacy traffic byte-identical. Shed marks a priority shed
-	// (Busy is set too, so old clients retry it like a volume shed);
+	// Refusal and degradation payloads (see admission.go); all absent unless
+	// the request carried a deadline or the server has the shed/brownout
+	// stages on, keeping legacy traffic byte-identical. Shed marks a priority
+	// shed (Busy is set too, so old clients retry it like a volume shed);
 	// DeadlineExceeded marks a request refused — or abandoned mid-mutation —
 	// because its budget ran out; Brownout is the ladder state on health
 	// replies; Serve carries the degradation counters on health replies.
@@ -125,54 +125,23 @@ type Server struct {
 	ReadTimeout  time.Duration
 	WriteTimeout time.Duration
 
-	// over is the admission-control configuration, taken from the
-	// controller's Config; sem is the bounded in-flight queue (nil when
-	// unlimited); now is injectable for deterministic bucket tests.
-	over OverloadConfig
-	sem  chan struct{}
-	now  func() time.Time
-
-	// Serve-robustness state (see serve.go): est estimates per-class
-	// service time for deadline admission (always on — it only acts when a
-	// request carries a budget); shed and ladder are nil unless configured;
-	// cache is the BrownoutStale snapshot cache.
-	est    *classEstimator
-	shed   *shedder
-	ladder *brownoutLadder
-	cache  *staleCache
-
-	// Degradation counters, exposed by the health verb as ServeCounters.
-	nBusy     atomic.Int64
-	nShed     atomic.Int64
-	nDeadline atomic.Int64
-	nStale    atomic.Int64
+	// now is the server's clock, injectable (before Listen) for
+	// deterministic bucket and hysteresis tests.
+	now func() time.Time
+	// adm is the admission pipeline (admission.go) every request line but
+	// `health` passes, configured by the controller Config's Overload
+	// section.
+	adm *admission
 
 	// lp owns the listener, the connections and the drain/shutdown state.
 	lp lineproto.Server
 }
 
-// NewServer wraps a controller. Admission control follows the controller
+// NewServer wraps a controller. Admission follows the controller
 // configuration's Overload section; the zero OverloadConfig disables it.
 func NewServer(ctl *Controller) *Server {
-	s := &Server{
-		ctl:  ctl,
-		over: ctl.Config().Overload,
-		now:  time.Now,
-		est:  &classEstimator{},
-	}
-	if s.over.MaxInflight > 0 {
-		s.sem = make(chan struct{}, s.over.MaxInflight)
-	}
-	if s.over.ShedTarget > 0 {
-		s.shed = newShedder(s.over.ShedTarget, s.over.ShedWindow)
-	}
-	if s.over.BrownoutStep > 0 {
-		s.ladder = newBrownoutLadder(s.over.BrownoutStep, s.over.BrownoutCooldown, func(level int, name string) {
-			expBrownoutSteps.Add(1)
-			ctl.noteBrownout(level, name)
-		})
-		s.cache = newStaleCache(s.over.BrownoutStaleFor)
-	}
+	s := &Server{ctl: ctl, now: time.Now}
+	s.adm = newAdmission(ctl.Config().Overload, func() time.Time { return s.now() }, ctl.noteBrownout)
 	return s
 }
 
@@ -180,13 +149,12 @@ func NewServer(ctl *Controller) *Server {
 // returns the bound address. Serving happens on background goroutines until
 // Close.
 func (s *Server) Listen(addr string) (string, error) {
+	over := s.adm.over
 	s.lp.ReadTimeout, s.lp.WriteTimeout = s.ReadTimeout, s.WriteTimeout
-	s.lp.MaxConns = s.over.MaxConns
+	s.lp.MaxConns = over.MaxConns
 	s.lp.Refuse = func() any {
 		// Over the connection cap: tell the client once, then hang up.
-		s.nBusy.Add(1)
-		expBusyShed.Add(1)
-		return s.stamp(s.over.busyResponse(0))
+		return s.stamp(s.adm.refuse(refusal{kind: cntBusy}))
 	}
 	s.lp.ErrorReply = func(msg string, reply any) any {
 		if r, ok := reply.(Response); ok && r.Jobs != nil {
@@ -196,8 +164,8 @@ func (s *Server) Listen(addr string) (string, error) {
 	}
 	s.lp.Open = func(int64) lineproto.Handler {
 		var bucket *tokenBucket // per connection
-		if s.over.RateLimit > 0 {
-			bucket = newTokenBucket(s.over.RateLimit, s.over.RateBurst, s.now())
+		if over.RateLimit > 0 {
+			bucket = newTokenBucket(over.RateLimit, over.RateBurst, s.now())
 		}
 		return func(raw []byte) (any, bool) {
 			resp, hangup := s.serveLine(raw, bucket)
@@ -211,21 +179,24 @@ func (s *Server) Listen(addr string) (string, error) {
 	return bound, nil
 }
 
-// stamp puts the controller clock on a reply about to be written.
+// stamp puts the controller clock on a reply about to be written. The clock
+// is read from the controller's published copy, not under its lock: a refusal
+// must not queue behind the writer whose fsync caused it.
 func (s *Server) stamp(resp Response) Response {
 	resp.Now = float64(s.ctl.Now())
 	return resp
 }
 
-// serveLine answers one request line: the reply, and whether to hang up.
+// serveLine answers one request line: the reply, and whether to hang up. It
+// is the only path from a line to the controller: admit, then handleB.
 func (s *Server) serveLine(raw []byte, bucket *tokenBucket) (Response, bool) {
 	var req Request
 	parseErr := json.Unmarshal(raw, &req)
 	draining := s.lp.Draining()
 
-	// health bypasses admission control entirely: a liveness probe must
-	// answer while everything else is being shed, and still answers
-	// (reporting "draining") during shutdown.
+	// health bypasses admission entirely: a liveness probe must answer
+	// while everything else is being refused, and still answers (reporting
+	// "draining") during shutdown.
 	if parseErr == nil && req.Op == "health" {
 		h := s.ctl.Health()
 		if draining {
@@ -245,114 +216,17 @@ func (s *Server) serveLine(raw []byte, bucket *tokenBucket) (Response, bool) {
 		}
 		return Response{Error: fmt.Sprintf("bad request: %v", parseErr)}, false
 	}
-	return s.admit(req, bucket), false
-}
-
-// admit is the full admission pipeline: deadline admission, brownout, the
-// priority shedder, then the volume backstops (rate limit + in-flight
-// bound), then dispatch. Refused requests never touch the controller.
-func (s *Server) admit(req Request, bucket *tokenBucket) Response {
-	now := s.now()
-	class := verbClass(req.Op)
-	b := requestBudget(req.DeadlineMS, now)
-
-	// Deadline admission: refuse before any work when the remaining budget
-	// cannot cover this class's estimated service time — the fsync and the
-	// replication round-trip are the whole point of refusing early.
-	if b.active() {
-		if est := s.est.estimate(class); b.expired(now) || est > b.remaining(now) {
-			s.nDeadline.Add(1)
-			expDeadlineExceeded.Add(1)
-			return deadlineResponse(fmt.Sprintf("%s needs ~%dms, budget has %dms",
-				req.Op, est.Milliseconds(), b.remaining(now).Milliseconds()))
-		}
+	t, refused := s.adm.admit(req, bucket)
+	if refused != nil {
+		return s.adm.refuse(*refused), false
 	}
-
-	// Brownout ladder: every admitted request feeds it a pressure sample
-	// (the shedder's level), so it climbs under sustained pressure and cools
-	// down once the shedder relaxes. At readonly, submit-class mutations are
-	// shed outright; control verbs still land (the operator's way out).
-	level := BrownoutNormal
-	if s.ladder != nil {
-		level = s.ladder.observe(s.pressure(now), now)
-		if level >= BrownoutReadOnly && class == classSubmit {
-			s.nShed.Add(1)
-			expPriorityShed.Add(1)
-			return s.over.shedResponse(class)
-		}
-	}
-
-	// Priority shedder: lowest class first, control never.
-	if s.shed != nil && class != classControl {
-		if lvl := s.shed.current(now); lvl >= shedSubmits || (lvl >= shedQueries && class == classQuery) {
-			s.nShed.Add(1)
-			expPriorityShed.Add(1)
-			return s.over.shedResponse(class)
-		}
-	}
-
-	if bucket != nil {
-		if ok, wait := bucket.take(verbCost(req.Op, s.over.ControlCost), s.now()); !ok {
-			s.sheddingSaturated(now)
-			return s.over.busyResponse(wait)
-		}
-	}
-	if s.sem != nil {
-		select {
-		case s.sem <- struct{}{}:
-			defer func() { <-s.sem }()
-		default:
-			s.sheddingSaturated(now)
-			return s.over.busyResponse(0)
-		}
-	}
-	start := s.now()
-	resp := s.handleB(req, b, level)
-	done := s.now()
-	s.est.observe(class, done.Sub(start))
-	if s.shed != nil {
-		s.shed.observe(done.Sub(start), done)
-	}
-	return resp
-}
-
-// sheddingSaturated tallies a volume shed and feeds it to the adaptive
-// signal as a saturation event: when the backstops are refusing work, that
-// is pressure even if the requests that do run are fast.
-func (s *Server) sheddingSaturated(now time.Time) {
-	s.nBusy.Add(1)
-	expBusyShed.Add(1)
-	if s.shed != nil {
-		s.shed.saturate(now)
-	}
-}
-
-// pressure is the ladder's input signal: the shedder is currently shedding.
-func (s *Server) pressure(now time.Time) bool {
-	return s.shed != nil && s.shed.current(now) > shedNone
-}
-
-// serveCounters snapshots the degradation tallies for the health verb.
-func (s *Server) serveCounters() *ServeCounters {
-	sc := &ServeCounters{
-		Busy:             s.nBusy.Load(),
-		Shed:             s.nShed.Load(),
-		DeadlineExceeded: s.nDeadline.Load(),
-		StaleReads:       s.nStale.Load(),
-		BrownoutState:    brownoutName(BrownoutNormal),
-	}
-	if s.ladder != nil {
-		lvl := s.ladder.current()
-		sc.BrownoutLevel = int64(lvl)
-		sc.BrownoutState = brownoutName(lvl)
-		sc.BrownoutSteps = s.ladder.transitions()
-	}
-	return sc
+	defer t.done()
+	return s.handleB(req, t), false
 }
 
 // healthResponse builds a health reply, attaching role and epoch only when
 // HA is on — and brownout state plus degradation counters only when the
-// serve-robustness features are on — so legacy responses stay byte-identical
+// shed or brownout stages are on — so legacy responses stay byte-identical
 // to prior releases. Health probes also feed the ladder a pressure sample:
 // they bypass admission, so after load stops they are what walks the ladder
 // back down to NORMAL.
@@ -361,12 +235,11 @@ func (s *Server) healthResponse(h string) Response {
 	if on, role, epoch := s.ctl.HAInfo(); on {
 		resp.Role, resp.Epoch = role, epoch
 	}
-	if s.ladder != nil {
-		now := s.now()
-		resp.Brownout = brownoutName(s.ladder.observe(s.pressure(now), now))
+	if s.adm.ladder.up > 0 {
+		resp.Brownout = brownoutName(s.adm.brownout(s.now()))
 	}
-	if s.shed != nil || s.ladder != nil {
-		resp.Serve = s.serveCounters()
+	if s.adm.load.target > 0 || s.adm.ladder.up > 0 {
+		resp.Serve = s.adm.counters()
 	}
 	return resp
 }
@@ -378,9 +251,7 @@ func (s *Server) opErr(err error) Response {
 	if errors.Is(err, ErrDeadlineExceeded) {
 		// The budget ran out mid-mutation (typically: locally durable,
 		// synchronous replication skipped; the heartbeat loop delivers it).
-		s.nDeadline.Add(1)
-		expDeadlineExceeded.Add(1)
-		return deadlineResponse(err.Error())
+		return s.adm.refuse(refusal{kind: cntDeadline, detail: err.Error()})
 	}
 	resp := Response{Error: err.Error()}
 	if errors.Is(err, ErrNotPrimary) || errors.Is(err, ErrFenced) {
@@ -391,28 +262,30 @@ func (s *Server) opErr(err error) Response {
 
 // handleB dispatches one admitted request: a mutating verb becomes its
 // journal Entry (verbs.go) and goes through Controller.mutate with the
-// request's deadline budget; reads are served at the brownout level.
-func (s *Server) handleB(req Request, b budget, level int) Response {
+// ticket's deadline budget; reads are served at the ticket's brownout level.
+func (s *Server) handleB(req Request, t ticket) Response {
 	if v := verbs[req.Op]; v.entry != nil {
 		e := v.entry(req)
-		if err := s.ctl.mutate(b, &e); err != nil {
+		if err := s.ctl.mutate(t.budget, &e); err != nil {
 			return s.opErr(err)
 		}
 		return Response{OK: true, ID: e.ID}
 	}
-	stale := false
 	resp := Response{OK: true}
 	switch req.Op {
 	case "replicate":
 		return s.ctl.HandleReplicate(req)
 	case "queue":
-		var jobs []JobInfo
-		jobs, stale = s.queueSnapshot(req.History, level)
-		resp = paginate(jobs, req, s.over, level)
+		slot, fetch := &s.adm.queueLive, s.ctl.Queue
+		if req.History {
+			slot, fetch = &s.adm.queueAll, func() []JobInfo { return append(s.ctl.Queue(), s.ctl.History()...) }
+		}
+		resp = paginate(brownoutRead(t, slot, fetch), req, s.adm.over, t.level)
 	case "nodes":
-		resp.Nodes, stale = s.nodesSnapshot(level)
+		resp.Nodes = brownoutRead(t, &s.adm.nodes, s.ctl.Nodes)
 	case "stats":
-		resp.Stats, stale = s.statsSnapshot(level)
+		st := brownoutRead(t, &s.adm.stats, s.ctl.Stats)
+		resp.Stats = &st
 	case "now": // the payload is Response.Now, stamped on every reply
 	case "config":
 		cfg := s.ctl.Config()
@@ -420,44 +293,7 @@ func (s *Server) handleB(req Request, b budget, level int) Response {
 	default:
 		return Response{Error: fmt.Sprintf("unknown op %q", req.Op)}
 	}
-	if stale {
-		s.nStale.Add(1)
-		expStaleReads.Add(1)
-	}
 	return resp
-}
-
-// queueSnapshot, nodesSnapshot, and statsSnapshot are the brownout-aware
-// read paths: at BrownoutStale and above they serve from the TTL snapshot
-// cache (one controller lock per TTL instead of one per request), reporting
-// whether the reply was a cache hit.
-func (s *Server) queueSnapshot(history bool, level int) ([]JobInfo, bool) {
-	fetch := func() []JobInfo {
-		jobs := s.ctl.Queue()
-		if history {
-			jobs = append(jobs, s.ctl.History()...)
-		}
-		return jobs
-	}
-	if level >= BrownoutStale && s.cache != nil {
-		return s.cache.queue(history, s.now(), fetch)
-	}
-	return fetch(), false
-}
-
-func (s *Server) nodesSnapshot(level int) ([]NodeInfo, bool) {
-	if level >= BrownoutStale && s.cache != nil {
-		return s.cache.nodeList(s.now(), s.ctl.Nodes)
-	}
-	return s.ctl.Nodes(), false
-}
-
-func (s *Server) statsSnapshot(level int) (*metrics.Result, bool) {
-	if level >= BrownoutStale && s.cache != nil {
-		return s.cache.statsResult(s.now(), s.ctl.Stats)
-	}
-	st := s.ctl.Stats()
-	return &st, false
 }
 
 // paginate bounds one queue reply. Without explicit Limit/Offset and with
@@ -472,7 +308,7 @@ func paginate(jobs []JobInfo, req Request, over OverloadConfig, level int) Respo
 		limit = over.HistoryLimit
 	}
 	if level >= BrownoutPaged && req.History {
-		if bound := over.brownoutHistoryLimit(); limit <= 0 || limit > bound {
+		if bound := cmp.Or(over.BrownoutHistoryLimit, DefaultBrownoutHistoryLimit); limit <= 0 || limit > bound {
 			limit = bound
 			explicit = true // the clamp applies even to default-shaped requests
 		}
@@ -481,14 +317,7 @@ func paginate(jobs []JobInfo, req Request, over OverloadConfig, level int) Respo
 		return Response{OK: true, Jobs: jobs}
 	}
 	total := len(jobs)
-	off := req.Offset
-	if off < 0 {
-		off = 0
-	}
-	if off > total {
-		off = total
-	}
-	jobs = jobs[off:]
+	jobs = jobs[min(max(req.Offset, 0), total):]
 	if limit > 0 && len(jobs) > limit {
 		jobs = jobs[:limit]
 	}
@@ -540,6 +369,22 @@ type Client struct {
 	// attempt races it on a fresh connection and the loser is cancelled
 	// (see hedge.go).
 	Hedge *HedgePolicy
+}
+
+// BusyError is returned by Client.Do when the server refuses the request for
+// load. The embedded hint tells the caller when a retry is worth attempting.
+// Shed distinguishes a priority shed (the server chose to drop this verb
+// class under overload) from a plain volume refusal; both are retryable.
+type BusyError struct {
+	RetryAfter time.Duration
+	Shed       bool
+}
+
+func (e *BusyError) Error() string {
+	if e.Shed {
+		return fmt.Sprintf("slurm: request shed under overload, retry after %s", e.RetryAfter)
+	}
+	return fmt.Sprintf("slurm: server busy, retry after %s", e.RetryAfter)
 }
 
 // DeadlineError is returned by Client.Do when the request's deadline budget

@@ -28,7 +28,7 @@ func appendRaw(t *testing.T, dir, raw string) {
 // surfaces the BUSY error with its hint.
 func TestRetryGiveUp(t *testing.T) {
 	cl, srv, _ := overloadServer(t, OverloadConfig{MaxInflight: 1, RetryAfter: time.Millisecond})
-	srv.sem <- struct{}{} // permanently saturated: every request sheds
+	srv.adm.slots <- struct{}{} // permanently saturated: every request sheds
 	var sleeps []time.Duration
 	cl.Retry = &retry.Policy{
 		MaxAttempts: 4,
@@ -56,7 +56,7 @@ func TestRetryGiveUp(t *testing.T) {
 // succeeds transparently once capacity frees up.
 func TestRetryBusyThenSuccess(t *testing.T) {
 	cl, srv, _ := overloadServer(t, OverloadConfig{MaxInflight: 1, RetryAfter: time.Millisecond})
-	srv.sem <- struct{}{}
+	srv.adm.slots <- struct{}{}
 	released := false
 	cl.Retry = &retry.Policy{
 		MaxAttempts: 5,
@@ -64,7 +64,7 @@ func TestRetryBusyThenSuccess(t *testing.T) {
 		Multiplier:  1,
 		Sleep: func(time.Duration) {
 			if !released {
-				<-srv.sem // free the slot after the first shed
+				<-srv.adm.slots // free the slot after the first shed
 				released = true
 			}
 		},

@@ -22,32 +22,32 @@ import (
 // faster, and never on a single slow sample.
 func TestShedderHysteresis(t *testing.T) {
 	window := 100 * time.Millisecond
-	s := newShedder(10*time.Millisecond, window)
+	s := newLoadSignal(10*time.Millisecond, window)
 	t0 := time.Unix(1000, 0)
 
 	// One slow observation: pressure starts, but no step yet.
-	s.observe(50*time.Millisecond, t0)
-	if got := s.current(t0); got != shedNone {
+	s.observe(classQuery, 50*time.Millisecond, t0)
+	if got := s.shedLevel(t0); got != shedNone {
 		t.Fatalf("level after one slow sample = %d, want %d", got, shedNone)
 	}
 	// Sustained pressure for a full window: one step, not two.
-	s.observe(50*time.Millisecond, t0.Add(window))
-	if got := s.current(t0.Add(window)); got != shedQueries {
+	s.observe(classQuery, 50*time.Millisecond, t0.Add(window))
+	if got := s.shedLevel(t0.Add(window)); got != shedQueries {
 		t.Fatalf("level after sustained window = %d, want %d", got, shedQueries)
 	}
 	// Another full window: second step, capped at shedSubmits.
-	s.observe(50*time.Millisecond, t0.Add(2*window))
-	s.observe(50*time.Millisecond, t0.Add(3*window))
-	if got := s.current(t0.Add(3 * time.Duration(window))); got != shedSubmits {
+	s.observe(classQuery, 50*time.Millisecond, t0.Add(2*window))
+	s.observe(classQuery, 50*time.Millisecond, t0.Add(3*window))
+	if got := s.shedLevel(t0.Add(3 * time.Duration(window))); got != shedSubmits {
 		t.Fatalf("level after two windows = %d, want %d", got, shedSubmits)
 	}
 	// Fast completions now: quiet must be sustained a full window per step.
 	tq := t0.Add(4 * window)
-	s.observe(time.Microsecond, tq)
+	s.observe(classQuery, time.Microsecond, tq)
 	for i := 0; i < 20; i++ {
-		s.observe(time.Microsecond, tq.Add(time.Duration(i)*window/10))
+		s.observe(classQuery, time.Microsecond, tq.Add(time.Duration(i)*window/10))
 	}
-	if got := s.current(tq.Add(3 * window)); got >= shedSubmits {
+	if got := s.shedLevel(tq.Add(3 * window)); got >= shedSubmits {
 		t.Fatalf("level did not descend after sustained quiet: %d", got)
 	}
 }
@@ -57,18 +57,18 @@ func TestShedderHysteresis(t *testing.T) {
 // itself — current() alone, with no new observations, walks the level down.
 func TestShedderIdleDecay(t *testing.T) {
 	window := 50 * time.Millisecond
-	s := newShedder(time.Millisecond, window)
+	s := newLoadSignal(time.Millisecond, window)
 	t0 := time.Unix(2000, 0)
 	// Drive to max shed level.
 	for i := 0; i <= 4; i++ {
-		s.observe(time.Second, t0.Add(time.Duration(i)*window))
+		s.observe(classQuery, time.Second, t0.Add(time.Duration(i)*window))
 	}
-	if got := s.current(t0.Add(4 * window)); got != shedSubmits {
+	if got := s.shedLevel(t0.Add(4 * window)); got != shedSubmits {
 		t.Fatalf("setup failed: level %d, want %d", got, shedSubmits)
 	}
 	// No observations at all (everything shed); far in the future the decay
 	// must have brought the signal — and the level — all the way down.
-	if got := s.current(t0.Add(100 * window)); got != shedNone {
+	if got := s.shedLevel(t0.Add(100 * window)); got != shedNone {
 		t.Fatalf("idle shedder never recovered: level %d", got)
 	}
 }
@@ -77,12 +77,12 @@ func TestShedderIdleDecay(t *testing.T) {
 // every request that does run is fast.
 func TestShedderSaturationIsPressure(t *testing.T) {
 	window := 100 * time.Millisecond
-	s := newShedder(time.Hour, window) // latency can never exceed target
+	s := newLoadSignal(time.Hour, window) // latency can never exceed target
 	t0 := time.Unix(3000, 0)
 	s.saturate(t0)
 	s.saturate(t0.Add(window / 2))
 	s.saturate(t0.Add(window))
-	if got := s.current(t0.Add(window)); got != shedQueries {
+	if got := s.shedLevel(t0.Add(window)); got != shedQueries {
 		t.Fatalf("sustained saturation did not raise level: %d", got)
 	}
 }
@@ -99,7 +99,7 @@ func TestBrownoutLadderNeverFlaps(t *testing.T) {
 	const step, cooldown = 100 * time.Millisecond, 400 * time.Millisecond
 	rng := des.NewRNG(11).Stream("serve/ladder-prop")
 
-	b := newBrownoutLadder(step, cooldown, nil)
+	b := &hysteresis{up: step, down: cooldown, max: BrownoutReadOnly}
 	now := time.Unix(5000, 0)
 	prev := BrownoutNormal
 	var pressSince, quietSince time.Time // our own shadow of the hysteresis
@@ -107,7 +107,7 @@ func TestBrownoutLadderNeverFlaps(t *testing.T) {
 	for i := 0; i < 5000; i++ {
 		pressure := rng.Float64() < 0.5
 		now = now.Add(time.Duration(rng.Uniform(float64(time.Millisecond), float64(60*time.Millisecond))))
-		got := b.observe(pressure, now)
+		got, _ := b.step(pressure, now)
 
 		if diff := got - prev; diff > 1 || diff < -1 {
 			t.Fatalf("step %d: level jumped %d -> %d", i, prev, got)
@@ -144,12 +144,12 @@ func TestBrownoutLadderNeverFlaps(t *testing.T) {
 // constant quiet unwinds fully, one cooldown per level.
 func TestBrownoutLadderMonotoneUnderSustainedPressure(t *testing.T) {
 	const step, cooldown = 10 * time.Millisecond, 40 * time.Millisecond
-	b := newBrownoutLadder(step, cooldown, nil)
+	b := &hysteresis{up: step, down: cooldown, max: BrownoutReadOnly}
 	now := time.Unix(6000, 0)
 	seen := []int{BrownoutNormal}
 	for i := 0; i < 100; i++ {
 		now = now.Add(2 * time.Millisecond)
-		lvl := b.observe(true, now)
+		lvl, _ := b.step(true, now)
 		if lvl < seen[len(seen)-1] {
 			t.Fatalf("level descended under sustained pressure: %d -> %d", seen[len(seen)-1], lvl)
 		}
@@ -162,13 +162,13 @@ func TestBrownoutLadderMonotoneUnderSustainedPressure(t *testing.T) {
 		t.Fatalf("climb order %v, want %v", seen, want)
 	}
 	// Quiet: no descent before one full cooldown.
-	lvl := b.observe(false, now.Add(time.Millisecond))
-	lvl = b.observe(false, now.Add(cooldown-time.Millisecond))
+	lvl, _ := b.step(false, now.Add(time.Millisecond))
+	lvl, _ = b.step(false, now.Add(cooldown-time.Millisecond))
 	if lvl != BrownoutReadOnly {
 		t.Fatalf("descended before cooldown: %d", lvl)
 	}
 	for i := 1; i <= 3; i++ {
-		lvl = b.observe(false, now.Add(time.Duration(i)*cooldown+2*time.Millisecond))
+		lvl, _ = b.step(false, now.Add(time.Duration(i)*cooldown+2*time.Millisecond))
 	}
 	if lvl != BrownoutNormal {
 		t.Fatalf("ladder did not unwind to normal: %d", lvl)
@@ -208,14 +208,14 @@ func TestDeadlineAdmissionRefusesUnservable(t *testing.T) {
 	cl, srv, _ := overloadServer(t, OverloadConfig{})
 	// Teach the estimator that queries take ~80ms.
 	for i := 0; i < 16; i++ {
-		srv.est.observe(classQuery, 80*time.Millisecond)
+		srv.adm.load.observe(classQuery, 80*time.Millisecond, time.Now())
 	}
 	// 5ms of budget cannot cover 80ms of estimated work.
 	var dl *DeadlineError
 	if _, err := cl.Do(Request{Op: "queue", DeadlineMS: 5}); !errors.As(err, &dl) {
 		t.Fatalf("unservable request error = %v, want DeadlineError", err)
 	}
-	if n := srv.nDeadline.Load(); n != 1 {
+	if n := srv.adm.tally[cntDeadline].Load(); n != 1 {
 		t.Fatalf("deadline counter = %d, want 1", n)
 	}
 	// A generous budget sails through.
@@ -269,7 +269,7 @@ func TestDeadlineBudgetRefusedBeforeMutation(t *testing.T) {
 // sleeping past the budget.
 func TestClientDeadlineBudgetSpansRetries(t *testing.T) {
 	cl, srv, _ := overloadServer(t, OverloadConfig{MaxInflight: 1, RetryAfter: 20 * time.Millisecond})
-	srv.sem <- struct{}{} // permanently saturated
+	srv.adm.slots <- struct{}{} // permanently saturated
 	cl.DeadlineBudget = 50 * time.Millisecond
 	cl.Retry = &retry.Policy{
 		MaxAttempts: 100,
@@ -309,9 +309,9 @@ func serveConfig() OverloadConfig {
 // still land.
 func TestBrownoutReadOnlyShedsSubmits(t *testing.T) {
 	cl, srv, _ := overloadServer(t, serveConfig())
-	srv.ladder.mu.Lock()
-	srv.ladder.level = BrownoutReadOnly
-	srv.ladder.mu.Unlock()
+	srv.adm.mu.Lock()
+	srv.adm.ladder.level = BrownoutReadOnly
+	srv.adm.mu.Unlock()
 	// Keep the shedder idle: this test isolates the ladder's readonly rung.
 	var busy *BusyError
 	_, err := cl.Do(Request{Op: "submit", App: "minife", Nodes: 1, Walltime: 1800, Runtime: 900, Name: "x"})
@@ -324,7 +324,7 @@ func TestBrownoutReadOnlyShedsSubmits(t *testing.T) {
 	if _, err := cl.Do(Request{Op: "config"}); err != nil {
 		t.Fatalf("control verb at readonly failed: %v", err)
 	}
-	if n := srv.nShed.Load(); n != 1 {
+	if n := srv.adm.tally[cntShed].Load(); n != 1 {
 		t.Fatalf("shed counter = %d, want 1", n)
 	}
 }
@@ -363,9 +363,9 @@ func TestBrownoutStaleReads(t *testing.T) {
 	if _, err := cl.Do(Request{Op: "submit", App: "minife", Nodes: 1, Walltime: 1800, Runtime: 900, Name: "a"}); err != nil {
 		t.Fatal(err)
 	}
-	srv.ladder.mu.Lock()
-	srv.ladder.level = BrownoutStale
-	srv.ladder.mu.Unlock()
+	srv.adm.mu.Lock()
+	srv.adm.ladder.level = BrownoutStale
+	srv.adm.mu.Unlock()
 	r1, err := cl.Do(Request{Op: "queue"})
 	if err != nil {
 		t.Fatal(err)
@@ -380,7 +380,7 @@ func TestBrownoutStaleReads(t *testing.T) {
 	if len(r2.Jobs) != len(r1.Jobs) {
 		t.Fatalf("stale read saw the new submit: %d then %d rows", len(r1.Jobs), len(r2.Jobs))
 	}
-	if srv.nStale.Load() == 0 {
+	if srv.adm.tally[cntStale].Load() == 0 {
 		t.Fatal("stale-read counter never ticked")
 	}
 	// After the TTL the cache refreshes.
@@ -414,11 +414,11 @@ func TestBrownoutJournaledAndReplayable(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Drive the ladder by hand through its callback path.
-	srv.ladder.mu.Lock()
-	srv.ladder.level = BrownoutPaged
-	srv.ladder.steps++
-	srv.ladder.mu.Unlock()
-	srv.ladder.onStep(BrownoutPaged, brownoutName(BrownoutPaged))
+	srv.adm.mu.Lock()
+	srv.adm.ladder.level = BrownoutPaged
+	srv.adm.count(cntBrownoutStep)
+	srv.adm.mu.Unlock()
+	srv.adm.onStep(BrownoutPaged, brownoutName(BrownoutPaged))
 	srv.Close()
 	ctl.Close()
 
@@ -444,11 +444,11 @@ func TestBrownoutJournaledAndReplayable(t *testing.T) {
 // carry the brownout state and the degradation counters.
 func TestHealthExposesServeCounters(t *testing.T) {
 	cl, srv, _ := overloadServer(t, serveConfig())
-	srv.ladder.mu.Lock()
-	srv.ladder.level = BrownoutStale
-	srv.ladder.mu.Unlock()
-	srv.nShed.Add(3)
-	srv.nDeadline.Add(2)
+	srv.adm.mu.Lock()
+	srv.adm.ladder.level = BrownoutStale
+	srv.adm.mu.Unlock()
+	srv.adm.tally[cntShed].Add(3)
+	srv.adm.tally[cntDeadline].Add(2)
 	resp, err := cl.HealthFull()
 	if err != nil {
 		t.Fatal(err)
@@ -474,9 +474,9 @@ func TestHealthProbesUnwindLadder(t *testing.T) {
 	over := serveConfig()
 	over.BrownoutCooldown = 20 * time.Millisecond
 	cl, srv, _ := overloadServer(t, over)
-	srv.ladder.mu.Lock()
-	srv.ladder.level = BrownoutReadOnly
-	srv.ladder.mu.Unlock()
+	srv.adm.mu.Lock()
+	srv.adm.ladder.level = BrownoutReadOnly
+	srv.adm.mu.Unlock()
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
 		resp, err := cl.HealthFull()
@@ -488,7 +488,7 @@ func TestHealthProbesUnwindLadder(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	t.Fatalf("ladder never unwound; still at %d", srv.ladder.current())
+	t.Fatalf("ladder never unwound; still at %d", srv.adm.counters().BrownoutLevel)
 }
 
 // --- byte-compatibility differential ----------------------------------

@@ -111,7 +111,7 @@ func TestSoakHealthDuringShedding(t *testing.T) {
 	srv := NewServer(ctl)
 	// Fill the single in-flight slot manually so every admitted request
 	// would shed...
-	srv.sem <- struct{}{}
+	srv.adm.slots <- struct{}{}
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -1,5 +1,7 @@
 package slurm
 
+import "cmp"
+
 // limiterCost is what a verb pays the per-connection token bucket.
 type limiterCost int
 
@@ -71,10 +73,7 @@ func verbCost(op string, controlCost float64) float64 {
 	case costFree:
 		return 0
 	case costControl:
-		if controlCost > 0 {
-			return controlCost
-		}
-		return DefaultControlCost
+		return cmp.Or(controlCost, DefaultControlCost)
 	}
 	return 1
 }
