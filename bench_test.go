@@ -1,8 +1,8 @@
 package repro
 
 // The benchmark harness: one benchmark per table and figure of the
-// evaluation (DESIGN.md §4) plus the ablations (§5) and micro-benchmarks of
-// the hot paths. Each table/figure benchmark regenerates its experiment
+// evaluation (DESIGN.md §4) plus the ablations (§5) and the micro-benchmarks
+// benchmark/micro.go does not already time. Each table/figure benchmark regenerates its experiment
 // end to end through the simulator and reports the experiment's headline
 // quantity as a custom metric, so
 //
@@ -20,12 +20,12 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/des"
 	"repro/internal/exp"
-	"repro/internal/interference"
 	"repro/internal/job"
 	"repro/internal/parallel"
 	"repro/internal/report"
 	"repro/internal/sched"
 	"repro/internal/sim"
+	"repro/internal/sweepgrid"
 	"repro/internal/workload"
 )
 
@@ -236,134 +236,32 @@ func BenchmarkEngineThroughput(b *testing.B) {
 	}
 }
 
-// sweepGridSpec is the grid BenchmarkSweepGrid samples: three policies × two
-// loads × two seeds, 150 jobs on 32 Trinity nodes — the same shape the sweep
-// CLI runs, small enough to sample repeatedly.
-type sweepGridSpec struct {
-	Policies []string
-	Loads    []float64
-	Seeds    int
-	Jobs     int
-	Nodes    int
-	Scale    float64
-}
-
-func benchSweepGrid() sweepGridSpec {
-	return sweepGridSpec{
-		Policies: []string{"easy", "sharefirstfit", "sharebackfill"},
-		Loads:    []float64{0.9, 1.4},
-		Seeds:    2,
-		Jobs:     150,
-		Nodes:    32,
-		Scale:    0.05,
-	}
-}
-
-func (g sweepGridSpec) cells() int { return len(g.Policies) * len(g.Loads) * g.Seeds }
-
-// runSweepGrid executes the grid through the parallel runner exactly as
-// cmd/sweep does: every cell an isolated simulation, results reassembled in
-// grid order.
-func runSweepGrid(g sweepGridSpec, workers int) error {
-	machine := cluster.Trinity(g.Nodes)
-	mix := workload.TrinityMix()
-	type cell struct {
-		policy string
-		load   float64
-		seed   uint64
-	}
-	var cells []cell
-	for _, p := range g.Policies {
-		for _, l := range g.Loads {
-			for s := 0; s < g.Seeds; s++ {
-				cells = append(cells, cell{p, l, uint64(42 + s)})
-			}
-		}
-	}
-	_, err := parallel.Run(len(cells), workers, func(i int) (float64, error) {
-		c := cells[i]
-		jobs, err := workload.Generate(workload.Spec{
-			Mix: mix, Jobs: g.Jobs, Arrival: workload.Poisson, Load: c.load,
-			Cluster: machine, RuntimeScale: g.Scale, Seed: c.seed,
-		})
-		if err != nil {
-			return 0, err
-		}
-		pol, err := sched.New(c.policy, sched.DefaultShareConfig())
-		if err != nil {
-			return 0, err
-		}
-		e := sim.New(sim.Config{Cluster: machine, Policy: pol})
-		if err := e.SubmitAll(jobs); err != nil {
-			return 0, err
-		}
-		e.RunAll()
-		return e.Result().CompEfficiency, nil
-	})
-	return err
-}
-
 // BenchmarkSweepGrid measures experiment-grid throughput in cells/second —
 // the quantity that decides how much statistical power a parameter sweep
-// can afford. workers=1 is the sequential baseline; workers=4 shows the
-// parallel runner's scaling on multicore hosts.
+// can afford — on the path cmd/sweep takes: sweepgrid cells through the
+// parallel runner. Three policies × two loads × two seeds, 150 jobs on 32
+// Trinity nodes: the CLI's shape, small enough to sample repeatedly.
+// workers=1 is the sequential baseline; workers=4 shows the runner's scaling
+// on multicore hosts.
 func BenchmarkSweepGrid(b *testing.B) {
-	g := benchSweepGrid()
+	g := sweepgrid.Spec{
+		Policies: []string{"easy", "sharefirstfit", "sharebackfill"},
+		Loads:    []float64{0.9, 1.4},
+		Seeds:    2, Nodes: 32, Jobs: 150, Mix: "trinity", Scale: 0.05,
+	}
+	if err := g.Validate(); err != nil {
+		b.Fatal(err)
+	}
 	for _, workers := range []int{1, 4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if err := runSweepGrid(g, workers); err != nil {
+				if _, err := parallel.Run(g.NumCells(), workers, g.RunCell); err != nil {
 					b.Fatal(err)
 				}
 			}
-			b.ReportMetric(float64(g.cells()*b.N)/b.Elapsed().Seconds(), "cells/s")
+			b.ReportMetric(float64(g.NumCells()*b.N)/b.Elapsed().Seconds(), "cells/s")
 		})
 	}
-}
-
-// BenchmarkInterferenceNodeRates measures the co-run model evaluation that
-// runs on every co-location change.
-func BenchmarkInterferenceNodeRates(b *testing.B) {
-	m := interference.Default()
-	cat := app.Catalogue()
-	loads := []app.StressVector{cat[0].Stress, cat[1].Stress}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.NodeRates(loads)
-	}
-}
-
-// BenchmarkClusterAllocate measures layer allocation + release, the
-// engine's per-start bookkeeping.
-func BenchmarkClusterAllocate(b *testing.B) {
-	c := cluster.New(cluster.Trinity(32))
-	nodes := []int{0, 1, 2, 3}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		id := cluster.JobID(i + 1)
-		if err := c.Allocate(c.LayerPlacement(id, nodes, cluster.PrimaryLayer, 1024)); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := c.Release(id); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkEventKernel measures raw discrete-event throughput.
-func BenchmarkEventKernel(b *testing.B) {
-	s := des.NewSimulator()
-	var tick des.Handler
-	n := 0
-	tick = func(sim *des.Simulator) {
-		n++
-		if n < b.N {
-			sim.ScheduleIn(1, tick)
-		}
-	}
-	b.ResetTimer()
-	s.Schedule(0, tick)
-	s.RunAll()
 }
 
 // BenchmarkJobProgressIntegration measures the rate-change path (SetRate +

@@ -92,18 +92,6 @@ func (p *Proxy) SetPartition(c2s, s2c bool) {
 	p.mu.Unlock()
 }
 
-// SetFaults swaps the probabilistic fault parameters at runtime (Seed and
-// Name are fixed at Listen; the RNG streams keep their position, so a
-// scenario that turns faults on mid-run stays a deterministic function of
-// the seed). Used by load harnesses that want distinct calm / stormy phases
-// over one proxy.
-func (p *Proxy) SetFaults(drop, delayProb float64, delayMin, delayMax time.Duration) {
-	p.mu.Lock()
-	p.cfg.Drop, p.cfg.DelayProb = drop, delayProb
-	p.cfg.DelayMin, p.cfg.DelayMax = delayMin, delayMax
-	p.mu.Unlock()
-}
-
 // Stats is a snapshot of the faults actually injected, so a harness can
 // report how much chaos a run really saw (a seed that happened to draw no
 // faults proves nothing).

@@ -6,7 +6,6 @@ package exp
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/cluster"
 	"repro/internal/des"
@@ -289,16 +288,6 @@ var (
 func allPolicies() []string {
 	out := append([]string{}, baselinePolicies...)
 	return append(out, sharingPolicies...)
-}
-
-// sortedKeys returns map keys in sorted order (deterministic table rows).
-func sortedKeys[K ~string, V any](m map[K]V) []K {
-	keys := make([]K, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	return keys
 }
 
 // metricsResult shortens closure signatures in the experiment files.

@@ -127,3 +127,32 @@ func TestWorkerHealthManyLoops(t *testing.T) {
 		t.Fatalf("oversized report fetched as %+v, %v; want a reply-exceeds error", h.Health, err)
 	}
 }
+
+// TestFetchSpecHonoursTimeout: against a dispatcher that accepts and never
+// answers, FetchSpec gives up when its timeout does — this is simd's
+// -spec-timeout. Each attempt used to get a fixed 5 s and the backoff sleep
+// whatever the policy drew, so a 200 ms timeout took five seconds.
+func TestFetchSpecHonoursTimeout(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			defer c.Close() // held open and silent until the test ends
+		}
+	}()
+	const timeout = 200 * time.Millisecond
+	start := time.Now()
+	if _, _, err := FetchSpec(ln.Addr().String(), timeout); err == nil {
+		t.Fatal("FetchSpec succeeded against a silent listener")
+	}
+	if took := time.Since(start); took > 2*timeout {
+		t.Fatalf("FetchSpec(%s) returned after %s", timeout, took)
+	}
+}

@@ -419,23 +419,22 @@ func (w *Worker) sleepCtx(ctx context.Context, d time.Duration) bool {
 
 // FetchSpec asks the dispatcher for the campaign shape (cell count and the
 // opaque spec) — what a simd daemon needs before it can build its cell
-// function. Retries with jittered backoff until the deadline.
+// function. Retries with jittered backoff until the deadline, which bounds
+// the attempts and the waits alike: a dispatcher that accepts and never
+// answers costs the caller timeout, not a fixed round-trip allowance.
 func FetchSpec(addr string, timeout time.Duration) (spec []byte, cells int, err error) {
 	policy := retry.DefaultPolicy(idSeed(addr))
 	deadline := time.Now().Add(timeout)
 	for attempt := 0; ; attempt++ {
-		spec, cells, err = fetchSpecOnce(addr)
-		if err == nil || time.Now().After(deadline) {
-			return spec, cells, err
+		var resp response
+		// At least a millisecond: lineproto reads a zero timeout as none.
+		err = callOnce(addr, min(5*time.Second, max(time.Until(deadline), time.Millisecond)), "hello", &resp)
+		left := time.Until(deadline)
+		if err == nil || left <= 0 {
+			return resp.Spec, resp.Cells, err
 		}
-		policy.Wait(policy.Delay(attempt, 0))
+		policy.Wait(min(policy.Delay(attempt, 0), left))
 	}
-}
-
-func fetchSpecOnce(addr string) ([]byte, int, error) {
-	var resp response
-	err := callOnce(addr, 5*time.Second, "hello", &resp)
-	return resp.Spec, resp.Cells, err
 }
 
 // callOnce is the one-shot round trip with the reply's error field checked

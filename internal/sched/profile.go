@@ -1,19 +1,11 @@
 package sched
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 	"sort"
 
 	"repro/internal/des"
 )
-
-// Release is a future capacity increase: nodes whole nodes become free at At.
-type Release struct {
-	At    des.Time
-	Nodes int
-}
 
 // Profile is a step function of free whole-node capacity over time, used by
 // the backfill policies to plan reservations. Capacity changes only at
@@ -21,20 +13,6 @@ type Release struct {
 type Profile struct {
 	times []des.Time // ascending breakpoints; times[0] is the planning time
 	free  []int      // free[i] holds on [times[i], times[i+1])
-}
-
-// NewProfile builds a profile starting at now with freeNow free nodes and
-// the given future releases. Releases at or before now are folded into the
-// initial capacity (their jobs are finishing as we plan).
-func NewProfile(now des.Time, freeNow int, releases []Release) *Profile {
-	releases = slices.Clone(releases)
-	slices.SortFunc(releases, func(a, b Release) int { return cmp.Compare(a.At, b.At) })
-	p := &Profile{}
-	p.start(now, freeNow)
-	for _, r := range releases {
-		p.release(r.At, r.Nodes)
-	}
-	return p
 }
 
 // start empties p, keeping its memory, and opens it at now with freeNow free

@@ -1,14 +1,38 @@
 package sched
 
 import (
+	"cmp"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/des"
 )
 
+// futureRelease is a future capacity increase: nodes whole nodes become free
+// at At.
+type futureRelease struct {
+	At    des.Time
+	Nodes int
+}
+
+// newProfile builds a profile on the planner's own start/release path,
+// starting at now with freeNow free nodes and the given future releases in
+// any order. Releases at or before now are folded into the initial capacity
+// (their jobs are finishing as we plan).
+func newProfile(now des.Time, freeNow int, releases []futureRelease) *Profile {
+	releases = slices.Clone(releases)
+	slices.SortFunc(releases, func(a, b futureRelease) int { return cmp.Compare(a.At, b.At) })
+	p := &Profile{}
+	p.start(now, freeNow)
+	for _, r := range releases {
+		p.release(r.At, r.Nodes)
+	}
+	return p
+}
+
 func TestProfileFreeAt(t *testing.T) {
-	p := NewProfile(0, 2, []Release{{At: 100, Nodes: 3}, {At: 200, Nodes: 1}})
+	p := newProfile(0, 2, []futureRelease{{At: 100, Nodes: 3}, {At: 200, Nodes: 1}})
 	cases := []struct {
 		t    des.Time
 		want int
@@ -23,21 +47,21 @@ func TestProfileFreeAt(t *testing.T) {
 }
 
 func TestProfileReleaseAggregation(t *testing.T) {
-	p := NewProfile(0, 0, []Release{{At: 50, Nodes: 1}, {At: 50, Nodes: 2}})
+	p := newProfile(0, 0, []futureRelease{{At: 50, Nodes: 1}, {At: 50, Nodes: 2}})
 	if got := p.FreeAt(50); got != 3 {
 		t.Fatalf("FreeAt(50) = %d, want 3 (same-time releases must aggregate)", got)
 	}
 }
 
 func TestProfilePastReleaseFoldedIn(t *testing.T) {
-	p := NewProfile(100, 1, []Release{{At: 100, Nodes: 2}, {At: 50, Nodes: 1}})
+	p := newProfile(100, 1, []futureRelease{{At: 100, Nodes: 2}, {At: 50, Nodes: 1}})
 	if got := p.FreeAt(100); got != 4 {
 		t.Fatalf("FreeAt(now) = %d, want 4 (releases at/before now fold into base)", got)
 	}
 }
 
 func TestProfileFindStart(t *testing.T) {
-	p := NewProfile(0, 2, []Release{{At: 100, Nodes: 2}, {At: 300, Nodes: 4}})
+	p := newProfile(0, 2, []futureRelease{{At: 100, Nodes: 2}, {At: 300, Nodes: 4}})
 	// 2 nodes available immediately.
 	if at, ok := p.FindStart(2, 50); !ok || at != 0 {
 		t.Fatalf("FindStart(2) = %v,%v, want 0,true", at, ok)
@@ -62,7 +86,7 @@ func TestProfileFindStart(t *testing.T) {
 
 func TestProfileFindStartRespectsDips(t *testing.T) {
 	// Capacity: 4 now, dips to 1 at t=100 (a reservation), back to 5 at 200.
-	p := NewProfile(0, 4, []Release{{At: 200, Nodes: 1}})
+	p := newProfile(0, 4, []futureRelease{{At: 200, Nodes: 1}})
 	p.Reserve(100, 100, 3)
 	// A 2-node job of length 150 cannot start now (dip at 100 breaks it)…
 	if at, ok := p.FindStart(2, 150); !ok || at != 200 {
@@ -75,7 +99,7 @@ func TestProfileFindStartRespectsDips(t *testing.T) {
 }
 
 func TestProfileReserve(t *testing.T) {
-	p := NewProfile(0, 4, nil)
+	p := newProfile(0, 4, nil)
 	p.Reserve(10, 20, 3)
 	if got := p.FreeAt(5); got != 4 {
 		t.Fatalf("FreeAt(5) = %d", got)
@@ -98,7 +122,7 @@ func TestProfileReserve(t *testing.T) {
 }
 
 func TestProfileReserveForever(t *testing.T) {
-	p := NewProfile(0, 4, nil)
+	p := newProfile(0, 4, nil)
 	p.Reserve(10, des.Forever, 2)
 	if got := p.FreeAt(1e12); got != 2 {
 		t.Fatalf("open-ended reservation not applied: FreeAt(1e12) = %d", got)
@@ -106,7 +130,7 @@ func TestProfileReserveForever(t *testing.T) {
 }
 
 func TestProfileOverdrawPanics(t *testing.T) {
-	p := NewProfile(0, 2, nil)
+	p := newProfile(0, 2, nil)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("overdraw did not panic")
@@ -116,7 +140,7 @@ func TestProfileOverdrawPanics(t *testing.T) {
 }
 
 func TestProfileFreeAtBeforeStartPanics(t *testing.T) {
-	p := NewProfile(100, 2, nil)
+	p := newProfile(100, 2, nil)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("FreeAt before start did not panic")
@@ -131,7 +155,7 @@ func TestProfileNegativeReleasePanics(t *testing.T) {
 			t.Fatal("negative release did not panic")
 		}
 	}()
-	NewProfile(0, 1, []Release{{At: 10, Nodes: -1}})
+	newProfile(0, 1, []futureRelease{{At: 10, Nodes: -1}})
 }
 
 // Property: after any sequence of valid reservations found via FindStart,
@@ -142,7 +166,7 @@ func TestProperty_ProfileReservationsConsistent(t *testing.T) {
 		N   uint8
 		Dur uint16
 	}) bool {
-		p := NewProfile(0, 8, []Release{{At: 500, Nodes: 4}, {At: 1000, Nodes: 4}})
+		p := newProfile(0, 8, []futureRelease{{At: 500, Nodes: 4}, {At: 1000, Nodes: 4}})
 		if len(jobs) > 12 {
 			jobs = jobs[:12]
 		}

@@ -292,27 +292,33 @@ func TestHAFailoverChaosDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	res, err := RunFailoverSoak(FailoverSoakConfig{
-		Addrs:            pCli.Addr() + "," + b.addr,
-		Clients:          4,
-		SubmitsPerClient: 4,
-		Seed:             seed,
-		Timeout:          150 * time.Millisecond,
-		DisruptAt:        4,
+	res, err := Storm{
+		Addrs:     pCli.Addr() + "," + b.addr,
+		Seed:      seed,
+		Clients:   4,
+		Submits:   4,
+		Timeout:   150 * time.Millisecond,
+		DisruptAt: 4,
 		Disrupt: func() {
 			pCli.Partition()
 			pAB.Partition()
 			pBA.Partition()
 		},
-	})
+	}.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Log(res)
 	if res.Failures > 0 {
 		t.Fatalf("%d submissions exhausted retries (errors: %v)", res.Failures, res.Errors)
 	}
 	if len(res.Acked) != 16 {
 		t.Fatalf("acked %d submits, want 16", len(res.Acked))
+	}
+	// Idempotency across the promotion: a token acknowledged by the old
+	// primary and replayed to the new one names the same job.
+	if res.Resubmits == 0 || res.DuplicateIDs > 0 {
+		t.Fatalf("%d of %d replayed tokens resolved to a second job ID", res.DuplicateIDs, res.Resubmits)
 	}
 
 	// Promotion: the standby must take over within one lease of noticing.
@@ -325,7 +331,7 @@ func TestHAFailoverChaosDeterministic(t *testing.T) {
 	}
 
 	// Zero lost acknowledged submits, each exactly once, on the survivor.
-	if err := AuditExactlyOnce(b.addr, seed, res.Acked); err != nil {
+	if _, err := res.Audit(b.addr, seed); err != nil {
 		t.Fatal(err)
 	}
 

@@ -103,14 +103,15 @@ func TestServeChaosAcceptance(t *testing.T) {
 	}
 	defer px.Close()
 
-	res, err := RunBench(BenchConfig{
-		Addr:           px.Addr(),
+	res, err := Storm{
+		Addrs:          px.Addr(),
 		Seed:           seed,
-		Duration:       3 * time.Second,
+		Clients:        24,
 		Rate:           1200, // ~480 submits/s offered against ~250/s of fsync capacity
-		Conns:          24,
+		Duration:       3 * time.Second,
+		Timeout:        2 * time.Second,
 		DeadlineBudget: 500 * time.Millisecond,
-	})
+	}.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,12 +124,7 @@ func TestServeChaosAcceptance(t *testing.T) {
 
 	// Control verbs: bounded tail. The bound is generous (shared CI boxes,
 	// -race) but a cliff — a wedged controller — blows far past it.
-	var control ClassStats
-	for _, c := range res.Classes {
-		if c.Class == "control" {
-			control = c
-		}
-	}
+	control := res.Classes[classControl]
 	if control.Sent == 0 {
 		t.Fatal("no control-class requests ran")
 	}
@@ -146,10 +142,11 @@ func TestServeChaosAcceptance(t *testing.T) {
 
 	// The machinery must have engaged: the server shed something (volume or
 	// priority), or the storm was not actually overload.
-	if res.Serve == nil {
+	sc := res.Health.Serve
+	if sc == nil {
 		t.Fatal("health reply carried no serve counters")
 	}
-	if res.Serve.Busy+res.Serve.Shed+res.Serve.DeadlineExceeded == 0 {
+	if sc.Busy+sc.Shed+sc.DeadlineExceeded == 0 {
 		t.Error("no request was ever shed; offered load did not exceed capacity")
 	}
 
@@ -171,5 +168,19 @@ func TestServeChaosAcceptance(t *testing.T) {
 			t.Fatalf("controller never returned to NORMAL: health=%+v err=%v", hr, err)
 		}
 		time.Sleep(50 * time.Millisecond)
+	}
+
+	// Exactly once, through the same proxy: every submit the storm saw
+	// acknowledged — shed, delayed and dropped neighbours notwithstanding —
+	// is one job under its acknowledged ID, and no replay made a second.
+	// Unacknowledged extras are allowed: a dropped reply's submit may have
+	// landed. (After recovery, so no page of the scan is a stale snapshot.)
+	if res.DuplicateIDs > 0 {
+		t.Errorf("%d of %d replayed tokens resolved to a second job ID", res.DuplicateIDs, res.Resubmits)
+	}
+	if extras, err := res.Audit(px.Addr(), seed); err != nil {
+		t.Error(err)
+	} else {
+		t.Logf("audit: %d acknowledged submits present exactly once, %d unacknowledged extras", len(res.Acked), extras)
 	}
 }

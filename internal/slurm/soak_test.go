@@ -65,20 +65,29 @@ func TestSoakOverload(t *testing.T) {
 	}
 
 	const clients, perClient = 64, 8
-	res, err := RunSoak(SoakConfig{
-		Addr:             addr,
-		Clients:          clients,
-		SubmitsPerClient: perClient,
-		Seed:             42,
-		HealthInterval:   5 * time.Millisecond,
-		HealthDeadline:   2 * time.Second,
-	})
+	res, err := Storm{
+		Addrs:      addr,
+		Seed:       42,
+		Clients:    clients,
+		Submits:    perClient,
+		Timeout:    2 * time.Second,
+		ProbeEvery: 5 * time.Millisecond,
+	}.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Log(res)
-	if err := res.Ok(clients * perClient); err != nil {
-		t.Fatalf("%v (errors: %v)", err, res.Errors)
+	// Every submit acknowledged exactly once, replays deduplicated, nothing
+	// lost, duplicated or leaked server-side, every health probe answered.
+	if res.DuplicateIDs > 0 || res.Failures > 0 || len(res.Acked) != clients*perClient {
+		t.Fatalf("%d tokens resolved to two job IDs, %d submits failed, %d acked (want %d); errors: %v",
+			res.DuplicateIDs, res.Failures, len(res.Acked), clients*perClient, res.Errors)
+	}
+	if extras, err := res.Audit(addr, 42); err != nil || extras != 0 {
+		t.Fatalf("audit: %d unacknowledged jobs on the server, err %v", extras, err)
+	}
+	if res.Probes == 0 || res.ProbeFailures > 0 {
+		t.Fatalf("%d/%d health probes failed", res.ProbeFailures, res.Probes)
 	}
 	// The server must actually have been overloaded — a soak that never
 	// sheds proves nothing.

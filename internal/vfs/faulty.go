@@ -132,13 +132,6 @@ func (f *Faulty) CrashAfterWrites(n int) {
 	f.crashWrites = n
 }
 
-// Crashed reports whether a crash point has fired.
-func (f *Faulty) Crashed() bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.crashed
-}
-
 // Revive clears the crashed state, modelling a process restart on the same
 // storage. Broken-sync state persists: the files' lost writes stay lost.
 func (f *Faulty) Revive() {
