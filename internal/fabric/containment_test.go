@@ -148,6 +148,34 @@ func TestRetryBackoffGatesRequeuedCell(t *testing.T) {
 	}
 }
 
+// TestVerifySampleStable pins the redundant-verification sample. It is a pure
+// function of (campaign identity, VerifySeed, cell) and "stable across
+// restarts" by contract — a dispatcher resuming a journal written by an older
+// build must draw the same cells — so the table below, recorded before the
+// hash moved to hash/fnv, may never change.
+func TestVerifySampleStable(t *testing.T) {
+	const want = "" + // cells 0…255, x = sampled
+		"xx............x.xx............xx.x..........x.xx............x.xx" +
+		"............xxxx..........x.xx.x..........x.xx............xxxx.." +
+		"........x.xx.x..........x.xx..........x.xxxx..........xxxx.x...." +
+		"......xxxx..........x.xxxx..........xxxx.x..........xxxx........"
+	d, _, _ := newTestDispatcher(t, 256, func(c *Config) {
+		c.Spec = []byte(`{"grid":"verify-sample"}`)
+		c.VerifySeed = 7
+		c.VerifyFraction = 0.25
+	})
+	got := make([]byte, 256)
+	for cell := range got {
+		got[cell] = '.'
+		if d.verifySampled(cell) {
+			got[cell] = 'x'
+		}
+	}
+	if string(got) != want {
+		t.Fatalf("verify sample moved:\n got %s\nwant %s", got, want)
+	}
+}
+
 // TestVerifyMatchAccepts: a sampled cell is executed on two distinct workers
 // and accepted when the bytes agree — and the same worker is never allowed
 // to confirm itself.
