@@ -28,9 +28,10 @@ package fabric
 
 import (
 	"bytes"
-	"container/heap"
 	"encoding/binary"
 	"fmt"
+	"hash/fnv"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -123,30 +124,9 @@ func (d *Dispatcher) quarantineLocked(worker, cause string) {
 	w.quarantined = true
 	w.quarantinedAt = d.now()
 	w.reason = cause
-	d.counters.QuarantinedWorkers++
-	fabricVars().Add("quarantined_workers", 1)
-	d.journalContainLocked(journalRecord{Kind: "quarantine", Worker: worker, Reason: cause, Strikes: w.strikes})
-	for idx := range d.cells {
-		c := &d.cells[idx]
-		if c.state != stateLeased {
-			continue
-		}
-		kept := c.leases[:0]
-		for _, l := range c.leases {
-			if l.worker != worker {
-				kept = append(kept, l)
-				continue
-			}
-			d.logLocked("quarantine-fence cell=%d epoch=%d worker=%s", idx, l.epoch, worker)
-		}
-		c.leases = kept
-		if len(c.leases) == 0 {
-			c.state = statePending
-			heap.Push(&d.pending, idx)
-			d.counters.Requeues++
-			fabricVars().Add("requeues", 1)
-		}
-	}
+	d.count(cQuarantinedWorkers)
+	d.journalLocked(&journalRecord{Kind: "quarantine", Worker: worker, Reason: cause, Strikes: w.strikes})
+	d.dropLeasesLocked(exitFence, func(_ int, l *leaseRec) bool { return l.worker == worker })
 	d.logLocked("quarantine worker=%s cause=%s strikes=%d cooldown=%s",
 		worker, cause, w.strikes, d.cfg.QuarantineCooldown)
 	d.maybeFinishDrainLocked()
@@ -162,9 +142,8 @@ func (d *Dispatcher) quarantinedLocked(worker string) bool {
 	if d.cfg.QuarantineCooldown > 0 && d.now().Sub(w.quarantinedAt) >= d.cfg.QuarantineCooldown {
 		w.quarantined = false
 		w.strikes = 0
-		d.counters.QuarantineReleases++
-		fabricVars().Add("quarantine_releases", 1)
-		d.journalContainLocked(journalRecord{Kind: "unquarantine", Worker: worker})
+		d.count(cQuarantineReleases)
+		d.journalLocked(&journalRecord{Kind: "unquarantine", Worker: worker})
 		d.logLocked("quarantine-release worker=%s after=%s", worker, d.cfg.QuarantineCooldown)
 		return false
 	}
@@ -183,21 +162,6 @@ func (d *Dispatcher) quarantinedWorkersLocked() []string {
 	return out
 }
 
-// journalContainLocked appends one containment record (poison, quarantine,
-// unquarantine). These are rare and load-bearing across restarts — losing a
-// quarantine record would un-fence a hostile worker — so they are fsynced,
-// unlike cell records. A failed append degrades durability, not correctness.
-func (d *Dispatcher) journalContainLocked(rec journalRecord) {
-	if d.jr == nil {
-		return
-	}
-	if err := d.jr.appendRecord(rec, true); err != nil {
-		d.counters.JournalErrors++
-		fabricVars().Add("journal_errors", 1)
-		d.logLocked("journal-error kind=%s err=%v", rec.Kind, err)
-	}
-}
-
 // failLeaseLocked handles a cell-function failure reported under a live
 // lease: the lease dies, the failure is charged to both the worker (one
 // strike) and the cell (one retry from its budget), and the cell either
@@ -205,14 +169,13 @@ func (d *Dispatcher) journalContainLocked(rec journalRecord) {
 // distinct workers, or past the absolute cap — goes terminal POISONED.
 func (d *Dispatcher) failLeaseLocked(cell, li int, worker, errStr string) {
 	c := &d.cells[cell]
-	c.leases = append(c.leases[:li], c.leases[li+1:]...)
+	c.leases = slices.Delete(c.leases, li, li+1)
 	c.failures++
 	if c.failedWorkers == nil {
 		c.failedWorkers = make(map[string]bool)
 	}
 	c.failedWorkers[worker] = true
-	d.counters.Failed++
-	fabricVars().Add("failed", 1)
+	d.count(cFailed)
 	d.logLocked("fail cell=%d worker=%s failures=%d distinct=%d err=%q",
 		cell, worker, c.failures, len(c.failedWorkers), errStr)
 	d.strikeLocked(worker, "cell-failure", 1)
@@ -220,19 +183,15 @@ func (d *Dispatcher) failLeaseLocked(cell, li int, worker, errStr string) {
 		d.poisonCellLocked(cell, errStr)
 		return
 	}
-	if c.state == stateLeased && len(c.leases) == 0 {
+	// Not when the strike above quarantined the reporter: the fence already
+	// requeued the cell it found bare, with no backoff.
+	if d.requeueLocked(cell, exitFailure) {
 		backoff := d.cfg.RetryBackoff
 		for i := 1; i < c.failures && backoff < d.cfg.LeaseTTL; i++ {
 			backoff *= 2
 		}
-		if backoff > d.cfg.LeaseTTL {
-			backoff = d.cfg.LeaseTTL
-		}
+		backoff = min(backoff, d.cfg.LeaseTTL)
 		c.notBefore = d.now().Add(backoff)
-		c.state = statePending
-		heap.Push(&d.pending, cell)
-		d.counters.CellRetries++
-		fabricVars().Add("cell_retries", 1)
 		d.logLocked("retry cell=%d failures=%d backoff=%s", cell, c.failures, backoff)
 	}
 	d.maybeFinishDrainLocked()
@@ -242,19 +201,11 @@ func (d *Dispatcher) failLeaseLocked(cell, li int, worker, errStr string) {
 // cell, skipped by the flush, reported in the campaign's final error. The
 // rest of the grid proceeds as if the cell never existed.
 func (d *Dispatcher) poisonCellLocked(cell int, errStr string) {
-	c := &d.cells[cell]
-	c.state = statePoisoned
-	c.leases = nil
-	c.verify = nil
-	d.poisonedErrs[cell] = errStr
-	d.counters.Poisoned++
-	fabricVars().Add("poisoned", 1)
-	d.journalContainLocked(journalRecord{Kind: "poison", Cell: cell, Err: errStr})
+	c := d.retireLocked(cell, statePoisoned, cPoisoned, &journalRecord{Kind: "poison", Cell: cell, Err: errStr})
+	c.err = errStr
 	d.logLocked("poison cell=%d failures=%d distinct=%d err=%q",
 		cell, c.failures, len(c.failedWorkers), errStr)
 	d.flushLocked()
-	d.checkDoneLocked()
-	d.maybeFinishDrainLocked()
 }
 
 // poisonedCellsLocked lists the POISONED cells in index order.
@@ -262,7 +213,7 @@ func (d *Dispatcher) poisonedCellsLocked() []PoisonedCell {
 	var out []PoisonedCell
 	for idx := range d.cells {
 		if d.cells[idx].state == statePoisoned {
-			out = append(out, PoisonedCell{Cell: idx, Err: d.poisonedErrs[idx]})
+			out = append(out, PoisonedCell{Cell: idx, Err: d.cells[idx].err})
 		}
 	}
 	return out
@@ -306,18 +257,10 @@ func (d *Dispatcher) verifySampled(cell int) bool {
 	if d.cfg.VerifyFraction >= 1 {
 		return true
 	}
-	h := uint64(14695981039346656037) // FNV-1a
-	mix := func(b byte) { h ^= uint64(b); h *= 1099511628211 }
-	for i := 0; i < len(d.specSHAHex); i++ {
-		mix(d.specSHAHex[i])
-	}
-	var buf [16]byte
-	binary.LittleEndian.PutUint64(buf[:8], d.cfg.VerifySeed)
-	binary.LittleEndian.PutUint64(buf[8:], uint64(cell))
-	for _, b := range buf {
-		mix(b)
-	}
-	return float64(h%(1<<24))/float64(1<<24) < d.cfg.VerifyFraction
+	h := fnv.New64a()
+	h.Write([]byte(d.specSHAHex))
+	h.Write(binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint64(nil, d.cfg.VerifySeed), uint64(cell)))
+	return float64(h.Sum64()%(1<<24))/float64(1<<24) < d.cfg.VerifyFraction
 }
 
 // verifyAcceptLocked records one checksum-valid candidate for a sampled cell
@@ -327,42 +270,33 @@ func (d *Dispatcher) verifySampled(cell int) bool {
 // correct checksum — re-execute on a third worker, then majority wins and
 // the odd worker out is quarantined. Three-way disagreement has no majority
 // to trust, so the cell is poisoned rather than guessed at.
-func (d *Dispatcher) verifyAcceptLocked(cell, li int, worker string, result []byte) response {
+func (d *Dispatcher) verifyAcceptLocked(cell, li int, worker string, result []byte) {
 	c := &d.cells[cell]
 	lease := c.leases[li]
-	c.leases = append(c.leases[:li], c.leases[li+1:]...)
+	c.leases = slices.Delete(c.leases, li, li+1)
 	if c.verify == nil {
 		c.verify = &verifyState{}
-		d.counters.VerifySampled++
-		fabricVars().Add("verify_sampled", 1)
+		d.count(cVerifySampled)
 	}
 	c.verify.results = append(c.verify.results, verifyResult{worker: worker, row: result})
 	switch n := len(c.verify.results); n {
 	case 1:
-		d.samples = append(d.samples, d.now().Sub(lease.started).Seconds())
-		if len(c.leases) == 0 {
-			c.state = statePending
-			heap.Push(&d.pending, cell)
-		}
+		d.observeLocked(lease)
+		d.requeueLocked(cell, exitVerify)
 		d.logLocked("verify-hold cell=%d worker=%s", cell, worker)
 	case 2:
 		first, second := c.verify.results[0], c.verify.results[1]
 		if bytes.Equal(first.row, second.row) {
-			d.counters.VerifyMatches++
-			fabricVars().Add("verify_matches", 1)
+			d.count(cVerifyMatches)
 			d.rewardLocked(first.worker)
 			d.rewardLocked(second.worker)
 			d.logLocked("verify-match cell=%d workers=%s,%s", cell, first.worker, second.worker)
 			d.acceptCellLocked(cell, first.row)
 		} else {
-			d.counters.VerifyDivergence++
-			fabricVars().Add("verify_divergence", 1)
+			d.count(cVerifyDivergence)
 			d.logLocked("verify-diverge cell=%d workers=%s,%s (re-executing on a third)",
 				cell, first.worker, second.worker)
-			if len(c.leases) == 0 {
-				c.state = statePending
-				heap.Push(&d.pending, cell)
-			}
+			d.requeueLocked(cell, exitVerify)
 		}
 	default:
 		first, second, third := c.verify.results[0], c.verify.results[1], c.verify.results[2]
@@ -382,5 +316,4 @@ func (d *Dispatcher) verifyAcceptLocked(cell, li int, worker string, result []by
 			d.poisonCellLocked(cell, "redundant verification: three executions disagree")
 		}
 	}
-	return response{OK: true, Done: d.done}
 }

@@ -1,11 +1,11 @@
 package fabric
 
 import (
-	"container/heap"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -41,8 +41,9 @@ type Config struct {
 	HeartbeatEvery time.Duration
 
 	// Window bounds out-of-order completion: a fresh cell is granted only
-	// while its index is below flushed-prefix + Window, so reassembly memory
-	// and the cost of losing a straggler both stay bounded (default 1024).
+	// while its index is below flushed-prefix + Window, so the rows held for
+	// reassembly, every walk of the lease table and the cost of losing a
+	// straggler all stay bounded (default 1024).
 	Window int
 
 	// Speculation policy: once SpecMinSamples cell runtimes have been
@@ -100,11 +101,6 @@ type Config struct {
 	// speculation, dedup, stale, fence, flush milestones) in addition to the
 	// in-memory decision log.
 	Logf func(format string, args ...any)
-
-	// ReadTimeout and WriteTimeout bound one protocol exchange (defaults:
-	// lineproto's, 5m idle read and 30s write).
-	ReadTimeout  time.Duration
-	WriteTimeout time.Duration
 }
 
 // leaseRec is one active lease on a cell.
@@ -118,13 +114,21 @@ type leaseRec struct {
 	started     time.Time
 }
 
-// cellRec is one cell's lease-machine state. epoch is the high-water lease
-// epoch and is strictly monotone: every grant bumps it, so any message
-// carrying an older epoch is recognisably stale.
+// cellRec is everything the dispatcher knows about one cell — the table of
+// these is the lease machine's only structure: a PENDING cell is queued by
+// being PENDING, a DONE cell above the flush prefix holds its own row, a
+// POISONED cell its own error. epoch is the high-water lease epoch and is
+// strictly monotone: every grant bumps it, so any message carrying an older
+// epoch is recognisably stale.
 type cellRec struct {
 	state  cellState
 	epoch  int64
 	leases []leaseRec
+	// row is the accepted result between acceptance and its turn in the flush
+	// (DONE cells at or above nextFlush, nobody else: FAB-2); err is the error
+	// that retired a POISONED cell.
+	row []byte
+	err string
 	// Retry budget: failures counts cell-function errors, failedWorkers the
 	// distinct workers they came from, notBefore gates the next grant behind
 	// the exponential requeue backoff.
@@ -145,29 +149,26 @@ var ErrClosed = errors.New("fabric: dispatcher closed")
 // this one stopped.
 var ErrDrained = errors.New("fabric: campaign drained (journal checkpointed; restart with the same journal to resume)")
 
-// Dispatcher owns a campaign: the lease table, the reassembly window, and
-// the listener workers connect to.
+// Dispatcher owns a campaign: the lease table and the listener workers
+// connect to.
 type Dispatcher struct {
 	cfg Config
 	now func() time.Time // injectable for deterministic lease tests
 
-	mu           sync.Mutex
-	cells        []cellRec
-	pending      intHeap // min-heap of grantable indices (lazy deletion)
-	samples      []float64
-	buffer       map[int][]byte // done but not yet flushed (bounded by Window)
-	nextFlush    int
-	workers      map[string]*workerRec // strike/quarantine records
-	poisonedErrs map[int]string        // POISONED cell → last error
-	specSHAHex   string                // campaign identity, bound into completion checksums
-	done         bool
-	draining     bool
-	finalErr     error
-	doneCh       chan struct{}
-	counters     Counters
-	decisions    []string
-	jr           *CampaignJournal
-	generation   int64
+	mu         sync.Mutex
+	cells      []cellRec
+	nextFlush  int                   // cells below it are flushed or poisoned; the window starts here
+	samples    []float64             // accepted cell runtimes in seconds, kept sorted
+	workers    map[string]*workerRec // strike/quarantine records
+	specSHAHex string                // campaign identity, bound into completion checksums
+	done       bool
+	draining   bool
+	finalErr   error
+	doneCh     chan struct{}
+	counters   Counters
+	decisions  []string
+	jr         *CampaignJournal
+	generation int64
 
 	// srv owns the listener and the worker connections.
 	srv lineproto.Server
@@ -225,34 +226,24 @@ func NewDispatcher(cfg Config) (*Dispatcher, error) {
 		cfg.VerifyFraction = 1
 	}
 	d := &Dispatcher{
-		cfg:          cfg,
-		now:          time.Now,
-		cells:        make([]cellRec, cfg.Cells),
-		buffer:       make(map[int][]byte),
-		workers:      make(map[string]*workerRec),
-		poisonedErrs: make(map[int]string),
-		specSHAHex:   specSHA(cfg.Spec),
-		doneCh:       make(chan struct{}),
-		generation:   1,
+		cfg:        cfg,
+		now:        time.Now,
+		cells:      make([]cellRec, cfg.Cells),
+		workers:    make(map[string]*workerRec),
+		specSHAHex: specSHA(cfg.Spec),
+		doneCh:     make(chan struct{}),
+		generation: 1,
 	}
 	d.srv = lineproto.Server{
 		Open: func(id int64) lineproto.Handler {
 			return func(raw []byte) (any, bool) { return d.serveLine(raw, id), false }
 		},
-		Closed:       d.dropConn,
-		ErrorReply:   errorReply,
-		ReadTimeout:  cfg.ReadTimeout,
-		WriteTimeout: cfg.WriteTimeout,
+		Closed:     d.dropConn,
+		ErrorReply: errorReply,
 	}
 	if cfg.JournalPath != "" {
 		if err := d.openJournal(); err != nil {
 			return nil, err
-		}
-	}
-	d.pending = make(intHeap, 0, cfg.Cells)
-	for i := range d.cells {
-		if d.cells[i].state == statePending {
-			d.pending = append(d.pending, i)
 		}
 	}
 	return d, nil
@@ -261,9 +252,9 @@ func NewDispatcher(cfg Config) (*Dispatcher, error) {
 // openJournal opens or resumes the campaign journal and applies the
 // recovery: recovered cells become DONE, the committed prefix is re-emitted
 // through Consume in strict order, and the generation adopts the journaled
-// bump. Recovered rows above the flush prefix stay buffered, so no committed
-// work is recomputed. Runs before Listen — a worker can never observe a
-// half-recovered campaign.
+// bump. Recovered rows above the flush prefix stay on their cells, so no
+// committed work is recomputed. Runs before Listen — a worker can never
+// observe a half-recovered campaign.
 func (d *Dispatcher) openJournal() error {
 	jr, rec, err := OpenCampaignJournal(d.cfg.FS, d.cfg.JournalPath, d.cfg.Spec, d.cfg.Cells)
 	if err != nil {
@@ -275,12 +266,11 @@ func (d *Dispatcher) openJournal() error {
 		d.logLocked("campaign journal=%s gen=%d", d.cfg.JournalPath, d.generation)
 		return nil
 	}
-	fabricVars().Add("dispatcher_restarts", 1)
-	d.counters.Resumed = int64(len(rec.Rows))
-	fabricVars().Add("resumed_cells", int64(len(rec.Rows)))
+	d.count(cRestarts)
 	for i, row := range rec.Rows {
 		d.cells[i].state = stateDone
-		d.buffer[i] = row
+		d.cells[i].row = row
+		d.count(cResumed)
 	}
 	// Containment state survives the restart: POISONED cells stay terminal
 	// (the flush skips them below exactly as the pre-crash dispatcher did),
@@ -289,7 +279,7 @@ func (d *Dispatcher) openJournal() error {
 	// configured, restarts at resume time.
 	for cell, errStr := range rec.Poisoned {
 		d.cells[cell].state = statePoisoned
-		d.poisonedErrs[cell] = errStr
+		d.cells[cell].err = errStr
 		d.logLocked("resume-poison cell=%d err=%q", cell, errStr)
 	}
 	for id, reason := range rec.Quarantined {
@@ -304,23 +294,7 @@ func (d *Dispatcher) openJournal() error {
 	d.logLocked("resume journal=%s gen=%d recovered=%d poisoned=%d quarantined=%d salvaged_bytes=%d",
 		d.cfg.JournalPath, d.generation, len(rec.Rows), len(rec.Poisoned), len(rec.Quarantined), rec.SalvagedBytes)
 	d.flushLocked()
-	d.checkDoneLocked()
 	return nil
-}
-
-// journalCellLocked appends one accepted completion to the campaign journal.
-// An append failure degrades durability, never correctness: the cell is pure
-// and a restarted dispatcher recomputes what the journal lost, so the
-// campaign keeps running and the error is counted instead of fatal.
-func (d *Dispatcher) journalCellLocked(cell int, row []byte) {
-	if d.jr == nil {
-		return
-	}
-	if err := d.jr.AppendCell(cell, row); err != nil {
-		d.counters.JournalErrors++
-		fabricVars().Add("journal_errors", 1)
-		d.logLocked("journal-error cell=%d err=%v", cell, err)
-	}
 }
 
 // Listen starts accepting workers on addr ("host:port"; ":0" picks a free
@@ -333,11 +307,11 @@ func (d *Dispatcher) Listen(addr string) (string, error) {
 	return bound, nil
 }
 
-// Wait blocks until the campaign completes (all cells flushed, or the
-// prefix reached a failed cell), the dispatcher is closed, or ctx is done.
-// On a cell failure the error is a *parallel.CellError for the lowest
-// failing index, after the complete prefix below it was consumed — the same
-// contract as parallel.RunOrdered, extended across the network.
+// Wait blocks until the campaign ends, the dispatcher is closed, or ctx is
+// done. A campaign that flushed every cell returns nil; one that completed
+// around poisoned cells delivered every healthy row in strict order and
+// returns a *PoisonedError naming the rest; a drained one returns ErrDrained,
+// a closed one ErrClosed, and a Consume error comes back as it was.
 func (d *Dispatcher) Wait(ctx context.Context) error {
 	select {
 	case <-d.doneCh:
@@ -380,13 +354,7 @@ func (d *Dispatcher) Drain() {
 		return
 	}
 	d.draining = true
-	if d.jr != nil {
-		if err := d.jr.Checkpoint(); err != nil {
-			d.counters.JournalErrors++
-			fabricVars().Add("journal_errors", 1)
-			d.logLocked("journal-error checkpoint err=%v", err)
-		}
-	}
+	d.journalLocked(nil)
 	d.logLocked("drain gen=%d flushed=%d", d.generation, d.nextFlush)
 	d.maybeFinishDrainLocked()
 }
@@ -398,12 +366,21 @@ func (d *Dispatcher) maybeFinishDrainLocked() {
 	if !d.draining || d.done {
 		return
 	}
-	for i := range d.cells {
-		if d.cells[i].state == stateLeased {
+	for idx := d.nextFlush; idx < d.windowEndLocked(); idx++ {
+		if d.cells[idx].state == stateLeased {
 			return
 		}
 	}
 	d.finishLocked(ErrDrained)
+}
+
+// windowEndLocked is one past the highest index that can be leased or hold an
+// unflushed row. A lease is only ever granted below it, and nextFlush cannot
+// pass a cell that is not terminal, so every LEASED cell sits in
+// [nextFlush, windowEndLocked()) (FAB-1) and no walk of the lease table needs
+// to look anywhere else.
+func (d *Dispatcher) windowEndLocked() int {
+	return min(d.nextFlush+d.cfg.Window, len(d.cells))
 }
 
 // Generation is the dispatcher's fencing generation: 1 for a fresh or
@@ -540,12 +517,13 @@ func (d *Dispatcher) hello() response {
 // ---- lease state machine ----
 // Every mutation runs under d.mu; the injectable clock plus these methods
 // being callable without a listener is what makes the seeded property test
-// (lease_prop_test.go) a pure function of its RNG.
+// (lease_prop_test.go) a pure function of its RNG. DESIGN §12 has the
+// transition table.
 
 // grant hands out the next lease to worker: the lowest PENDING cell inside
-// the reassembly window, else a speculative duplicate of the lowest eligible
-// straggler, else a poll-again hint. Expired leases are swept first, so idle
-// workers polling for work is also what drives reclamation forward.
+// the window, else a speculative duplicate of the lowest eligible straggler,
+// else a poll-again hint. Expired leases are swept first, so idle workers
+// polling for work is also what drives reclamation forward.
 func (d *Dispatcher) grant(worker string, connID int64) response {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -563,31 +541,16 @@ func (d *Dispatcher) grant(worker string, connID int64) response {
 		// Drain: nothing new is granted; in-flight completions still land.
 		return response{OK: true, WaitMS: d.cfg.IdleWaitMS}
 	}
-	// Fresh cell: lowest pending index, gated by the window. Cells inside
+	// Fresh cell: the lowest PENDING index in the window (when none is left
+	// there, completing the prefix is the only way forward). Cells inside
 	// their failure backoff, and verify-sampled cells this worker already
-	// executed, are skipped for now and re-queued on the way out.
+	// executed, are passed over for now.
 	now := d.now()
-	var deferred []int
-	defer func() {
-		for _, idx := range deferred {
-			heap.Push(&d.pending, idx)
-		}
-	}()
-	for len(d.pending) > 0 {
-		idx := d.pending[0]
-		if idx >= d.nextFlush+d.cfg.Window {
-			break // window full: completing the prefix is the only way forward
-		}
-		heap.Pop(&d.pending)
+	for idx := d.nextFlush; idx < d.windowEndLocked(); idx++ {
 		c := &d.cells[idx]
-		if c.state != statePending {
-			continue // lazily deleted (was re-leased or completed meanwhile)
+		if c.state == statePending && !c.notBefore.After(now) && !c.verifyContributor(worker) {
+			return d.grantCellLocked(idx, worker, connID, false)
 		}
-		if c.notBefore.After(now) || c.verifyContributor(worker) {
-			deferred = append(deferred, idx)
-			continue
-		}
-		return d.grantCellLocked(idx, worker, connID, false)
 	}
 	// Speculation: duplicate the lowest straggler not already duplicated and
 	// not held by this same worker.
@@ -611,31 +574,26 @@ func (d *Dispatcher) grantCellLocked(idx int, worker string, connID int64, specu
 		deadline:    now.Add(d.cfg.LeaseTTL),
 		started:     now,
 	})
-	d.counters.Granted++
-	fabricVars().Add("granted", 1)
+	d.count(cGranted)
 	kind := "grant"
 	if speculative {
 		kind = "speculate"
-		d.counters.SpeculativeGrants++
-		fabricVars().Add("speculative_grants", 1)
+		d.count(cSpeculativeGrants)
 	}
 	d.logLocked("%s cell=%d epoch=%d gen=%d worker=%s", kind, idx, c.epoch, d.generation, worker)
 	return response{OK: true, Granted: true, Cell: idx, Epoch: c.epoch, Gen: d.generation, Speculative: speculative}
 }
 
 // speculationTargetLocked picks the lowest single-leased cell whose oldest
-// lease has outlived the straggler threshold.
+// lease has outlived the straggler threshold: SpecMultiplier × the
+// SpecPercentile of the runtimes observed so far.
 func (d *Dispatcher) speculationTargetLocked(worker string) (int, bool) {
 	if len(d.samples) < d.cfg.SpecMinSamples {
 		return 0, false
 	}
-	threshold := d.cfg.SpecMultiplier * d.percentileLocked(d.cfg.SpecPercentile)
+	threshold := d.cfg.SpecMultiplier * d.samples[int(d.cfg.SpecPercentile*float64(len(d.samples)-1))]
 	now := d.now()
-	hi := d.nextFlush + d.cfg.Window
-	if hi > len(d.cells) {
-		hi = len(d.cells)
-	}
-	for idx := d.nextFlush; idx < hi; idx++ {
+	for idx := d.nextFlush; idx < d.windowEndLocked(); idx++ {
 		c := &d.cells[idx]
 		if c.state != stateLeased || len(c.leases) != 1 {
 			continue
@@ -651,67 +609,111 @@ func (d *Dispatcher) speculationTargetLocked(worker string) (int, bool) {
 	return 0, false
 }
 
-// percentileLocked is the p-th percentile of observed cell runtimes in
-// seconds.
-func (d *Dispatcher) percentileLocked(p float64) float64 {
-	sorted := append([]float64(nil), d.samples...)
-	sort.Float64s(sorted)
-	i := int(p * float64(len(sorted)-1))
-	return sorted[i]
+// observeLocked files the runtime of a lease whose result was just taken,
+// keeping samples sorted so the speculation percentile is an index rather
+// than a sort per idle poll.
+func (d *Dispatcher) observeLocked(l leaseRec) {
+	secs := d.now().Sub(l.started).Seconds()
+	d.samples = slices.Insert(d.samples, sort.SearchFloat64s(d.samples, secs), secs)
 }
 
-// sweepExpiredLocked reclaims every lease past its deadline inside the
-// active window and requeues cells left with no lease. Driven from grant
-// (idle workers polling) — there is no background timer to race with tests.
-func (d *Dispatcher) sweepExpiredLocked() {
-	now := d.now()
-	hi := d.nextFlush + d.cfg.Window
-	if hi > len(d.cells) {
-		hi = len(d.cells)
-	}
-	// Strikes are applied after the sweep: a strike can tip a worker into
-	// quarantine, which walks and edits the lease table itself — re-entering
-	// that mid-sweep would corrupt the slice being filtered.
-	type strikeNote struct{ worker, cause string }
-	var strikes []strikeNote
-	for idx := d.nextFlush; idx < hi; idx++ {
+// leaseExit is why a lease ended without its completion being accepted.
+type leaseExit uint8
+
+const (
+	exitExpiry     leaseExit = iota // the deadline passed with no heartbeat
+	exitDisconnect                  // a deadline shortened by a connection loss or goodbye passed
+	exitFence                       // the holder was quarantined
+	exitFailure                     // the cell function returned an error
+	exitVerify                      // the result is held as a verification candidate
+)
+
+// leaseExits is the per-cause accounting, stated once. dropLeasesLocked reads
+// the first three columns for each lease it drops, requeueLocked the last two
+// when that leaves the cell bare. exitFailure and exitVerify end one known
+// lease rather than a walk's worth, so their callers log the exit themselves
+// (fail / verify-hold / verify-diverge) and only the requeue is tallied here.
+var leaseExits = [...]struct {
+	dropped  counter // tallied per lease dropped
+	line     string  // decision line per lease dropped: cell, epoch, worker
+	strike   string  // cause of the one strike charged to the holder ("" = none)
+	requeued counter // tallied per cell returned to PENDING
+	logged   bool    // the requeue gets its own "requeue cell=… next_epoch=…" line
+}{
+	exitExpiry:     {cRequeueExpiry, "reclaim cell=%d epoch=%d worker=%s cause=expiry", "lease-expiry", cRequeues, true},
+	exitDisconnect: {cRequeueDisconnect, "reclaim cell=%d epoch=%d worker=%s cause=disconnect", "lease-disconnect", cRequeues, true},
+	exitFence:      {line: "quarantine-fence cell=%d epoch=%d worker=%s", requeued: cRequeues},
+	exitFailure:    {requeued: cCellRetries},
+	exitVerify:     {},
+}
+
+// dropLeasesLocked is the one walk over live leases (the window holds them
+// all: FAB-1). visit sees every lease, may edit it, and reports whether it
+// ends; an ended lease is dropped under why's accounting — an expired lease
+// that a disconnect had shortened is a disconnect — and a cell left with no
+// lease requeues.
+func (d *Dispatcher) dropLeasesLocked(why leaseExit, visit func(idx int, l *leaseRec) (ended bool)) {
+	type strike struct{ worker, cause string }
+	var strikes []strike
+	for idx := d.nextFlush; idx < d.windowEndLocked(); idx++ {
 		c := &d.cells[idx]
 		if c.state != stateLeased {
 			continue
 		}
 		kept := c.leases[:0]
-		for _, l := range c.leases {
-			if l.deadline.After(now) {
-				kept = append(kept, l)
+		for i := range c.leases {
+			l := &c.leases[i]
+			if !visit(idx, l) {
+				kept = append(kept, *l)
 				continue
 			}
-			cause := "expiry"
-			if l.graced {
-				cause = "disconnect"
-				d.counters.RequeueDisconnect++
-				fabricVars().Add("requeue_disconnect", 1)
-			} else {
-				d.counters.RequeueExpiry++
-				fabricVars().Add("requeue_expiry", 1)
+			exit := &leaseExits[why]
+			if why == exitExpiry && l.graced {
+				exit = &leaseExits[exitDisconnect]
 			}
-			d.logLocked("reclaim cell=%d epoch=%d worker=%s cause=%s", idx, l.epoch, l.worker, cause)
-			strikes = append(strikes, strikeNote{worker: l.worker, cause: "lease-" + cause})
+			d.count(exit.dropped)
+			d.logLocked(exit.line, idx, l.epoch, l.worker)
+			if exit.strike != "" {
+				strikes = append(strikes, strike{l.worker, exit.strike})
+			}
 		}
 		c.leases = kept
-		if len(c.leases) == 0 {
-			c.state = statePending
-			heap.Push(&d.pending, idx)
-			d.counters.Requeues++
-			fabricVars().Add("requeues", 1)
-			d.logLocked("requeue cell=%d next_epoch=%d", idx, c.epoch+1)
-		}
+		d.requeueLocked(idx, why)
 	}
+	// Losing a lease to expiry or disconnect is one strike: an isolated hiccup
+	// decays on the next accepted completion, a crash-looping or hung worker
+	// accumulates its way into quarantine. Charged after the walk, because a
+	// strike can tip a worker into quarantine, which runs this walk itself —
+	// re-entering it mid-cell would corrupt the slice being filtered.
 	for _, s := range strikes {
-		// Losing a lease to expiry or disconnect is one strike: an isolated
-		// hiccup decays on the next accepted completion, a crash-looping or
-		// hung worker accumulates its way into quarantine.
 		d.strikeLocked(s.worker, s.cause, 1)
 	}
+}
+
+// requeueLocked is the one way back to PENDING: a LEASED cell whose last
+// lease just ended is grantable again under a higher epoch. It reports
+// whether idx was requeued — a cell that still has a lease, or that something
+// in between already requeued or retired, is left alone.
+func (d *Dispatcher) requeueLocked(idx int, why leaseExit) bool {
+	c := &d.cells[idx]
+	if c.state != stateLeased || len(c.leases) > 0 {
+		return false
+	}
+	c.state = statePending
+	exit := &leaseExits[why]
+	d.count(exit.requeued)
+	if exit.logged {
+		d.logLocked("requeue cell=%d next_epoch=%d", idx, c.epoch+1)
+	}
+	return true
+}
+
+// sweepExpiredLocked reclaims every lease past its deadline. Driven from
+// grant (idle workers polling) — there is no background timer to race with
+// tests.
+func (d *Dispatcher) sweepExpiredLocked() {
+	now := d.now()
+	d.dropLeasesLocked(exitExpiry, func(_ int, l *leaseRec) bool { return !l.deadline.After(now) })
 	d.maybeFinishDrainLocked()
 }
 
@@ -731,10 +733,8 @@ func (d *Dispatcher) heartbeat(worker string, cell int, epoch, gen, connID int64
 		// A lease from a pre-restart incarnation: the restarted dispatcher
 		// requeued the cell, so the holder must abandon it and re-lease under
 		// the current generation (its reconnect already re-helloed).
-		d.counters.Fenced++
-		d.counters.StaleGen++
-		fabricVars().Add("fenced", 1)
-		fabricVars().Add("stale_generation", 1)
+		d.count(cFenced)
+		d.count(cStaleGen)
 		d.logLocked("fence-gen cell=%d epoch=%d worker=%s gen=%d current_gen=%d",
 			cell, epoch, worker, gen, d.generation)
 		return response{OK: true, Fenced: true}
@@ -743,17 +743,14 @@ func (d *Dispatcher) heartbeat(worker string, cell int, epoch, gen, connID int64
 	if c.state == stateDone || c.state == statePoisoned {
 		return response{OK: true, Done: d.done}
 	}
-	for i := range c.leases {
-		l := &c.leases[i]
-		if l.epoch == epoch && l.worker == worker {
-			l.deadline = d.now().Add(d.cfg.LeaseTTL)
-			l.conn = connID
-			l.graced = false
-			return response{OK: true}
-		}
+	if li := c.leaseIndex(worker, epoch); li >= 0 {
+		l := &c.leases[li]
+		l.deadline = d.now().Add(d.cfg.LeaseTTL)
+		l.conn = connID
+		l.graced = false
+		return response{OK: true}
 	}
-	d.counters.Fenced++
-	fabricVars().Add("fenced", 1)
+	d.count(cFenced)
 	d.logLocked("fence cell=%d epoch=%d worker=%s", cell, epoch, worker)
 	return response{OK: true, Fenced: true}
 }
@@ -777,16 +774,14 @@ func (d *Dispatcher) complete(worker string, cell int, epoch, gen int64, result 
 		// accepting a pre-crash result would race the current lease holder,
 		// so it is rejected and counted — the worker re-leases under the new
 		// generation and the campaign stays exactly-once.
-		d.counters.StaleGen++
-		fabricVars().Add("stale_generation", 1)
+		d.count(cStaleGen)
 		d.logLocked("stale-gen cell=%d epoch=%d worker=%s gen=%d current_gen=%d",
 			cell, epoch, worker, gen, d.generation)
 		return response{OK: true, Stale: true, Done: d.done}
 	}
 	if errStr == "" {
 		if want := completionSum(d.specSHAHex, cell, result); want != sum {
-			d.counters.ChecksumRejects++
-			fabricVars().Add("checksum_rejects", 1)
+			d.count(cChecksumRejects)
 			d.logLocked("checksum-reject cell=%d epoch=%d worker=%s sum=%08x want=%08x",
 				cell, epoch, worker, sum, want)
 			d.strikeLocked(worker, "checksum-reject", d.cfg.QuarantineAfter)
@@ -794,63 +789,57 @@ func (d *Dispatcher) complete(worker string, cell int, epoch, gen int64, result 
 		}
 	}
 	c := &d.cells[cell]
+	li := c.leaseIndex(worker, epoch)
 	switch {
 	case c.state == stateDone || c.state == statePoisoned:
-		d.counters.Deduped++
-		fabricVars().Add("deduped", 1)
+		d.count(cDeduped)
 		d.logLocked("dedupe cell=%d epoch=%d worker=%s", cell, epoch, worker)
 		return response{OK: true, Duplicate: true, Done: d.done}
-	case d.leaseIndexLocked(c, worker, epoch) >= 0:
-		li := d.leaseIndexLocked(c, worker, epoch)
+	case li < 0:
+		d.count(cStale)
+		d.logLocked("stale cell=%d epoch=%d worker=%s current_epoch=%d", cell, epoch, worker, c.epoch)
+		return response{OK: true, Stale: true}
+	case errStr != "":
+		d.failLeaseLocked(cell, li, worker, errStr)
+	case d.verifySampled(cell):
+		d.verifyAcceptLocked(cell, li, worker, result)
+	default:
 		l := c.leases[li]
-		if errStr != "" {
-			d.failLeaseLocked(cell, li, worker, errStr)
-			return response{OK: true, Done: d.done}
-		}
-		if d.verifySampled(cell) {
-			return d.verifyAcceptLocked(cell, li, worker, result)
-		}
-		d.samples = append(d.samples, d.now().Sub(l.started).Seconds())
+		d.observeLocked(l)
 		d.rewardLocked(worker)
 		if l.speculative {
-			d.counters.SpeculativeWins++
-			fabricVars().Add("speculative_wins", 1)
+			d.count(cSpeculativeWins)
 			d.logLocked("speculative-win cell=%d epoch=%d worker=%s", cell, epoch, worker)
 		}
 		d.logLocked("complete cell=%d epoch=%d worker=%s", cell, epoch, worker)
 		d.acceptCellLocked(cell, result)
-		return response{OK: true, Done: d.done}
-	default:
-		d.counters.Stale++
-		fabricVars().Add("stale", 1)
-		d.logLocked("stale cell=%d epoch=%d worker=%s current_epoch=%d", cell, epoch, worker, c.epoch)
-		return response{OK: true, Stale: true}
 	}
+	return response{OK: true, Done: d.done}
 }
 
-// acceptCellLocked commits one verified row: terminal DONE, journaled,
-// buffered into the reassembly window, flushed as far as the prefix allows.
-func (d *Dispatcher) acceptCellLocked(cell int, result []byte) {
+// leaseIndex finds worker's lease under epoch, -1 when there is none (never
+// granted, reclaimed, superseded, or the cell is terminal).
+func (c *cellRec) leaseIndex(worker string, epoch int64) int {
+	return slices.IndexFunc(c.leases, func(l leaseRec) bool { return l.epoch == epoch && l.worker == worker })
+}
+
+// retireLocked is the terminal step DONE and POISONED share: the cell leaves
+// the lease machine for good — no lease, no verification candidates — and the
+// verdict is journaled and tallied. The caller flushes.
+func (d *Dispatcher) retireLocked(cell int, state cellState, tally counter, rec *journalRecord) *cellRec {
 	c := &d.cells[cell]
-	c.state = stateDone
-	c.leases = nil
-	c.verify = nil
-	d.journalCellLocked(cell, result)
-	d.counters.Completed++
-	fabricVars().Add("completed", 1)
-	d.buffer[cell] = result
-	d.flushLocked()
-	d.checkDoneLocked()
-	d.maybeFinishDrainLocked()
+	c.state, c.leases, c.verify = state, nil, nil
+	d.journalLocked(rec)
+	d.count(tally)
+	return c
 }
 
-func (d *Dispatcher) leaseIndexLocked(c *cellRec, worker string, epoch int64) int {
-	for i, l := range c.leases {
-		if l.epoch == epoch && l.worker == worker {
-			return i
-		}
-	}
-	return -1
+// acceptCellLocked commits one verified row: terminal DONE, journaled, held
+// on the cell until the flush prefix reaches it.
+func (d *Dispatcher) acceptCellLocked(cell int, result []byte) {
+	c := d.retireLocked(cell, stateDone, cCompleted, &journalRecord{Kind: "cell", Cell: cell, Row: result})
+	c.row = result
+	d.flushLocked()
 }
 
 // goodbye is a clean disconnect (drain): the worker holds no lease it
@@ -874,64 +863,47 @@ func (d *Dispatcher) dropConn(connID int64) {
 }
 
 // releaseConnLocked shortens (grace > 0) or expires (grace == 0) every lease
-// bound to connID; expired cells requeue on the next sweep.
+// bound to connID, then sweeps: what it expired requeues at once.
 func (d *Dispatcher) releaseConnLocked(connID int64, grace time.Duration) {
 	deadline := d.now().Add(grace)
-	for idx := range d.cells {
-		c := &d.cells[idx]
-		if c.state != stateLeased {
-			continue
-		}
-		for i := range c.leases {
-			l := &c.leases[i]
-			if l.conn != connID || l.graced {
-				continue
-			}
+	d.dropLeasesLocked(exitDisconnect, func(idx int, l *leaseRec) bool {
+		if l.conn == connID && !l.graced {
 			if l.deadline.After(deadline) {
 				l.deadline = deadline
 			}
 			l.graced = true
 			d.logLocked("disconnect cell=%d epoch=%d worker=%s grace=%s", idx, l.epoch, l.worker, grace)
 		}
-	}
+		return false
+	})
 	d.sweepExpiredLocked()
 }
 
-// flushLocked delivers the completed prefix in strict index order. POISONED
-// cells are skipped — the prefix advances past them with no Consume call,
-// because the campaign completes around a poisoned cell and the final error
-// names it.
+// flushLocked delivers the completed prefix in strict index order, then ends
+// the campaign if the prefix covers the grid, or a drain if nothing is leased
+// any more. POISONED cells are skipped — the prefix advances past them with
+// no Consume call, because the campaign completes around a poisoned cell and
+// the final error names it. Once the campaign is over — a Consume error
+// included — nothing more is delivered.
 func (d *Dispatcher) flushLocked() {
-	for d.nextFlush < len(d.cells) {
-		if d.cells[d.nextFlush].state == statePoisoned {
-			d.nextFlush++
+	for ; !d.done && d.nextFlush < len(d.cells); d.nextFlush++ {
+		c := &d.cells[d.nextFlush]
+		if c.state == statePoisoned {
 			continue
 		}
-		res, ok := d.buffer[d.nextFlush]
-		if !ok {
+		if c.state != stateDone {
+			d.maybeFinishDrainLocked()
 			return
 		}
-		delete(d.buffer, d.nextFlush)
-		if err := d.cfg.Consume(d.nextFlush, res); err != nil {
+		if err := d.cfg.Consume(d.nextFlush, c.row); err != nil {
 			d.logLocked("consume-error cell=%d err=%v", d.nextFlush, err)
 			d.finishLocked(err)
 			return
 		}
-		d.counters.Flushed++
-		fabricVars().Add("flushed", 1)
-		d.nextFlush++
+		c.row = nil
+		d.count(cFlushed)
 	}
-}
-
-// checkDoneLocked ends the campaign when the flush prefix covers the grid
-// (poisoned cells included — flushLocked advances past them).
-func (d *Dispatcher) checkDoneLocked() {
-	if d.done {
-		return
-	}
-	if d.nextFlush >= len(d.cells) {
-		d.finishLocked(nil)
-	}
+	d.finishLocked(nil)
 }
 
 func (d *Dispatcher) finishLocked(err error) {
@@ -949,30 +921,9 @@ func (d *Dispatcher) finishLocked(err error) {
 	}
 	d.done = true
 	d.finalErr = err
-	if d.jr != nil {
-		// Best-effort final checkpoint: a finished (or drained) campaign's
-		// journal should survive power loss without relying on the OS cache.
-		if cerr := d.jr.Checkpoint(); cerr != nil {
-			d.counters.JournalErrors++
-			fabricVars().Add("journal_errors", 1)
-			d.logLocked("journal-error checkpoint err=%v", cerr)
-		}
-	}
+	// Best-effort final checkpoint: a finished (or drained) campaign's
+	// journal should survive power loss without relying on the OS cache.
+	d.journalLocked(nil)
 	d.logLocked("campaign-done flushed=%d gen=%d err=%v", d.nextFlush, d.generation, err)
 	close(d.doneCh)
-}
-
-// intHeap is a plain min-heap of cell indices.
-type intHeap []int
-
-func (h intHeap) Len() int           { return len(h) }
-func (h intHeap) Less(i, j int) bool { return h[i] < h[j] }
-func (h intHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *intHeap) Push(x any)        { *h = append(*h, x.(int)) }
-func (h *intHeap) Pop() any {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
 }

@@ -1,13 +1,18 @@
 package fabric
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/retry"
 )
 
 // fakeClock is a hand-cranked clock for driving lease deadlines without
@@ -514,6 +519,79 @@ func TestWorkerDrainFinishesInFlightCell(t *testing.T) {
 	}
 	if w.Snapshot().CellsDone != 1 {
 		t.Fatalf("worker cells done = %d, want 1", w.Snapshot().CellsDone)
+	}
+}
+
+// TestWorkerKilledDuringBackoffNeverDialsAgain: a Kill (or cancel) that lands
+// while the worker waits out a reconnect backoff ends the request there. The
+// worker used to check before the wait and not after it, so it dialed again,
+// helloed, took a lease and ran the cell on a cancelled context — leaving the
+// dispatcher a lease that could only die by disconnect grace and a strike
+// against the worker.
+func TestWorkerKilledDuringBackoffNeverDialsAgain(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	var conns, fnRuns atomic.Int32
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			if conns.Add(1) == 1 {
+				c.Close() // the first hello fails: the worker goes into its backoff
+				continue
+			}
+			// Any later connection is the bug. Answer it the way a dispatcher
+			// would — hello, then a grant — so the whole of it shows.
+			go func() {
+				defer c.Close()
+				for sc := bufio.NewScanner(c); sc.Scan(); {
+					reply := `{"ok":true,"cells":1,"gen":1,"heartbeat_ms":1000}`
+					if bytes.Contains(sc.Bytes(), []byte(`"lease"`)) {
+						reply = `{"ok":true,"granted":true,"cell":0,"epoch":1,"gen":1}`
+					}
+					fmt.Fprintln(c, reply)
+				}
+			}()
+		}
+	}()
+
+	var w *Worker
+	w, err = NewWorker(WorkerConfig{
+		ID: "killed-in-backoff", Addr: ln.Addr().String(),
+		Retry: &retry.Policy{
+			MaxAttempts: 4,
+			BaseDelay:   time.Millisecond,
+			Multiplier:  1,
+			Sleep:       func(time.Duration) { w.Kill() },
+		},
+		Fn: func(ctx context.Context, cell int, progress func(float64)) ([]byte, error) {
+			fnRuns.Add(1)
+			return payload(cell), nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runDone := make(chan error, 1)
+	go func() { runDone <- w.Run(context.Background()) }()
+	select {
+	case err := <-runDone:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("Run after Kill = %v, want context.Canceled", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("killed worker did not exit")
+	}
+	if n := conns.Load(); n != 1 {
+		t.Errorf("worker opened %d connections, want 1: it dialed again after Kill", n)
+	}
+	if n := fnRuns.Load(); n != 0 {
+		t.Errorf("cell function ran %d times after Kill, want 0", n)
 	}
 }
 

@@ -242,8 +242,55 @@ type DispatchHealth struct {
 	Quarantined        []string `json:"quarantined,omitempty"`
 }
 
-// fabricVars is the process-wide expvar map ("fabric"); every dispatcher in
-// the process adds its decisions to it, mirroring its Counters.
+// counter names one tally: its key in the process-wide "fabric" expvar map
+// and its field in a dispatcher's Counters. Both spellings are read from
+// outside the process, so the two that differ (stale_gen, resumed) stay as
+// they are. The zero counter tallies nothing.
+type counter struct {
+	key   string
+	field func(*Counters) *int64
+}
+
+var (
+	cGranted            = counter{"granted", func(c *Counters) *int64 { return &c.Granted }}
+	cSpeculativeGrants  = counter{"speculative_grants", func(c *Counters) *int64 { return &c.SpeculativeGrants }}
+	cRequeues           = counter{"requeues", func(c *Counters) *int64 { return &c.Requeues }}
+	cRequeueExpiry      = counter{"requeue_expiry", func(c *Counters) *int64 { return &c.RequeueExpiry }}
+	cRequeueDisconnect  = counter{"requeue_disconnect", func(c *Counters) *int64 { return &c.RequeueDisconnect }}
+	cCompleted          = counter{"completed", func(c *Counters) *int64 { return &c.Completed }}
+	cSpeculativeWins    = counter{"speculative_wins", func(c *Counters) *int64 { return &c.SpeculativeWins }}
+	cDeduped            = counter{"deduped", func(c *Counters) *int64 { return &c.Deduped }}
+	cStale              = counter{"stale", func(c *Counters) *int64 { return &c.Stale }}
+	cFenced             = counter{"fenced", func(c *Counters) *int64 { return &c.Fenced }}
+	cFailed             = counter{"failed", func(c *Counters) *int64 { return &c.Failed }}
+	cCellRetries        = counter{"cell_retries", func(c *Counters) *int64 { return &c.CellRetries }}
+	cPoisoned           = counter{"poisoned", func(c *Counters) *int64 { return &c.Poisoned }}
+	cChecksumRejects    = counter{"checksum_rejects", func(c *Counters) *int64 { return &c.ChecksumRejects }}
+	cQuarantinedWorkers = counter{"quarantined_workers", func(c *Counters) *int64 { return &c.QuarantinedWorkers }}
+	cQuarantineReleases = counter{"quarantine_releases", func(c *Counters) *int64 { return &c.QuarantineReleases }}
+	cVerifySampled      = counter{"verify_sampled", func(c *Counters) *int64 { return &c.VerifySampled }}
+	cVerifyMatches      = counter{"verify_matches", func(c *Counters) *int64 { return &c.VerifyMatches }}
+	cVerifyDivergence   = counter{"verify_divergence", func(c *Counters) *int64 { return &c.VerifyDivergence }}
+	cFlushed            = counter{"flushed", func(c *Counters) *int64 { return &c.Flushed }}
+	cResumed            = counter{"resumed_cells", func(c *Counters) *int64 { return &c.Resumed }}
+	cStaleGen           = counter{"stale_generation", func(c *Counters) *int64 { return &c.StaleGen }}
+	cJournalErrors      = counter{"journal_errors", func(c *Counters) *int64 { return &c.JournalErrors }}
+	// cRestarts is process-wide only: a dispatcher is one incarnation.
+	cRestarts = counter{key: "dispatcher_restarts"}
+)
+
+// count is the one place a decision is tallied: the dispatcher's Counters and
+// the process-wide expvar map ("fabric", summed over every dispatcher in the
+// process) move together. Callers hold d.mu.
+func (d *Dispatcher) count(c counter) {
+	if c.field != nil {
+		*c.field(&d.counters)++
+	}
+	if c.key != "" {
+		fabricVars().Add(c.key, 1)
+	}
+}
+
 var (
 	expOnce sync.Once
 	expMap  *expvar.Map

@@ -176,12 +176,6 @@ func OpenCampaignJournal(fsys vfs.FS, path string, spec []byte, cells int) (*Cam
 // Generation is the incarnation this journal was opened under.
 func (j *CampaignJournal) Generation() int64 { return j.gen }
 
-// AppendCell records one accepted completion. Unsynced: a crash may lose the
-// tail, costing only a recompute (see the durability policy above).
-func (j *CampaignJournal) AppendCell(cell int, row []byte) error {
-	return j.appendRecord(journalRecord{Kind: "cell", Cell: cell, Row: row}, false)
-}
-
 // appendRecord appends one record, optionally fsyncing it. Containment
 // records (poison, quarantine, unquarantine) are synced — they are rare and
 // load-bearing across restarts, where losing one would un-fence a hostile
@@ -210,6 +204,30 @@ func (j *CampaignJournal) Checkpoint() error {
 
 // Close releases the append handle.
 func (j *CampaignJournal) Close() error { return j.log.Close() }
+
+// journalLocked is the one place the dispatcher writes its journal, with or
+// without one: a record is appended under the durability policy above (cell
+// records unsynced, everything else fsynced), nil checkpoints the tail. A
+// failed write degrades durability, never correctness — cells are pure, a
+// restarted dispatcher recomputes what the journal lost — so the campaign
+// keeps running and the error is counted and logged instead of fatal. The
+// error already names what was being written; nothing is formatted unless
+// there is one.
+func (d *Dispatcher) journalLocked(rec *journalRecord) {
+	if d.jr == nil {
+		return
+	}
+	var err error
+	if rec == nil {
+		err = d.jr.Checkpoint()
+	} else {
+		err = d.jr.appendRecord(*rec, rec.Kind != "cell")
+	}
+	if err != nil {
+		d.count(cJournalErrors)
+		d.logLocked("journal-error %v", err)
+	}
+}
 
 // parseCampaignJournal replays data. A missing or empty file, or one whose
 // first synced write never committed a campaign and generation, parses as

@@ -16,6 +16,12 @@ import (
 // journalSpec is the campaign identity used across journal tests.
 var journalSpec = []byte(`{"kind":"journal-test"}`)
 
+// appendCell journals one accepted completion the way the dispatcher's sink
+// does: unsynced.
+func appendCell(j *CampaignJournal, cell int, row []byte) error {
+	return j.appendRecord(journalRecord{Kind: "cell", Cell: cell, Row: row}, false)
+}
+
 func rowBytes(i int) []byte { return []byte(fmt.Sprintf("row-%d-payload", i)) }
 
 // buildJournal creates a campaign journal with k appended cell records (in
@@ -31,7 +37,7 @@ func buildJournal(t *testing.T, dir string, cells, k int) (string, []byte) {
 		t.Fatalf("fresh open: %+v, want gen 1 unresumed", rec)
 	}
 	for i := 0; i < k; i++ {
-		if err := j.AppendCell(i, rowBytes(i)); err != nil {
+		if err := appendCell(j, i, rowBytes(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -99,7 +105,7 @@ func TestCampaignJournalTruncationProperty(t *testing.T) {
 		// The salvaged journal must be immediately usable: append one more
 		// record and reopen — the write path proves the truncation left a
 		// clean frame boundary.
-		if err := j.AppendCell(cells-1, rowBytes(cells-1)); err != nil {
+		if err := appendCell(j, cells-1, rowBytes(cells-1)); err != nil {
 			t.Fatalf("cut=%d: append after salvage: %v", cut, err)
 		}
 		if err := j.Close(); err != nil {
@@ -204,12 +210,12 @@ func TestCampaignJournalFaultyAppend(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if err := j.AppendCell(i, rowBytes(i)); err != nil {
+		if err := appendCell(j, i, rowBytes(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	faulty.TearWrites(1)
-	if err := j.AppendCell(3, rowBytes(3)); !errors.Is(err, vfs.ErrTornWrite) {
+	if err := appendCell(j, 3, rowBytes(3)); !errors.Is(err, vfs.ErrTornWrite) {
 		t.Fatalf("torn append error = %v, want ErrTornWrite", err)
 	}
 	j.Close()
@@ -246,7 +252,7 @@ func TestCampaignJournalGoldenBytes(t *testing.T) {
 	}
 	j := open()
 	for i := 0; i < 4; i++ {
-		if err := j.AppendCell(i, rowBytes(i)); err != nil {
+		if err := appendCell(j, i, rowBytes(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -265,7 +271,7 @@ func TestCampaignJournalGoldenBytes(t *testing.T) {
 	}
 	j.Close()
 	j = open() // generation 2
-	if err := j.AppendCell(4, rowBytes(4)); err != nil {
+	if err := appendCell(j, 4, rowBytes(4)); err != nil {
 		t.Fatal(err)
 	}
 	j.Close()

@@ -93,10 +93,7 @@ type heldLease struct {
 
 // rowHeld reports whether cell i holds an accepted row that has not been
 // handed to Consume yet.
-func rowHeld(d *Dispatcher, i int) bool {
-	_, ok := d.buffer[i]
-	return ok
-}
+func rowHeld(d *Dispatcher, i int) bool { return d.cells[i].row != nil }
 
 // runLeaseInterleaving drives one seeded campaign and returns its golden
 // record: the SHA-256 of the decision log and the final DispatchHealth,

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -76,7 +77,7 @@ type Worker struct {
 	// receives is the payload this worker computed, for this campaign.
 	specSHAHex string
 
-	cancel      context.CancelFunc
+	cancel      atomic.Pointer[context.CancelFunc] // Run's, for Kill
 	draining    atomic.Bool
 	killed      atomic.Bool
 	fenced      atomic.Bool
@@ -121,20 +122,21 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 // daemons reconnecting after the same partition spreads out instead of
 // stampeding in lockstep.
 func idSeed(id string) uint64 {
-	var h uint64 = 1469598103934665603
-	for i := 0; i < len(id); i++ {
-		h ^= uint64(id[i])
-		h *= 1099511628211
-	}
-	return h
+	h := fnv.New64a()
+	h.Write([]byte(id))
+	return h.Sum64()
 }
 
 // Run leases, executes, and completes cells until the campaign is done
 // (returns nil), ctx is cancelled, or Kill is called. Drain lets the
 // in-flight cell finish and complete before returning.
 func (w *Worker) Run(ctx context.Context) error {
-	ctx, w.cancel = context.WithCancel(ctx)
-	defer w.cancel()
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	w.cancel.Store(&cancel)
+	if w.killed.Load() {
+		cancel() // Kill came first and found nothing to cancel
+	}
 	defer w.closeConn()
 	failedRounds := 0
 	for {
@@ -190,7 +192,9 @@ func (w *Worker) Run(ctx context.Context) error {
 			continue
 		}
 		w.fenced.Store(false)
-		w.runCell(ctx, resp.Cell, resp.Epoch, resp.Gen)
+		if ctx.Err() == nil { // a Kill that landed during the grant's round trip runs nothing
+			w.runCell(ctx, resp.Cell, resp.Epoch, resp.Gen)
+		}
 	}
 }
 
@@ -203,8 +207,8 @@ func (w *Worker) Drain() { w.draining.Store(true) }
 // the chaos test injects at seeded points.
 func (w *Worker) Kill() {
 	w.killed.Store(true)
-	if w.cancel != nil {
-		w.cancel()
+	if cancel := w.cancel.Load(); cancel != nil {
+		(*cancel)()
 	}
 	w.closeConn()
 }
@@ -322,45 +326,70 @@ func (w *Worker) heartbeatLoop(ctx context.Context, cell int, epoch, gen int64, 
 }
 
 // request performs one exchange, transparently redialing (with jittered
-// backoff and a fresh hello) on transport errors, up to the retry budget.
+// backoff and a fresh hello) on transport errors, up to the retry budget. A
+// cancel or Kill ends it where it stands — between attempts and in the
+// middle of a backoff alike: a worker told to stop must not dial again.
 func (w *Worker) request(ctx context.Context, req request) (response, error) {
-	var lastErr error
 	for attempt := 0; ; attempt++ {
-		resp, err := w.do1(req)
+		resp, err := w.exchange(req)
 		if err == nil {
 			return resp, nil
 		}
-		lastErr = err
-		if ctx.Err() != nil || w.killed.Load() {
-			return response{}, lastErr
-		}
-		if attempt >= w.cfg.Retry.MaxAttempts-1 {
-			return response{}, lastErr
-		}
-		w.cfg.Retry.Wait(w.cfg.Retry.Delay(attempt, 0))
-	}
-}
-
-// do1 sends one line and reads one line, dialing (and helloing) first if the
-// connection is down. Any failure tears the connection down so the next
-// attempt starts clean.
-func (w *Worker) do1(req request) (response, error) {
-	w.connMu.Lock()
-	defer w.connMu.Unlock()
-	if w.conn == nil {
-		if err := w.dialLocked(); err != nil {
+		if attempt >= w.cfg.Retry.MaxAttempts-1 || !w.backoff(ctx, w.cfg.Retry.Delay(attempt, 0)) {
 			return response{}, err
 		}
 	}
-	resp, err := w.exchangeLocked(req)
-	if err != nil {
-		w.teardownLocked()
-		return response{}, err
-	}
-	return resp, nil
 }
 
-func (w *Worker) exchangeLocked(req request) (response, error) {
+// backoff waits d through the policy's Sleep primitive, or until ctx ends if
+// that is sooner, and reports whether the worker is still meant to be
+// running. The sleep runs on a goroutine of its own, which ends with the
+// sleep (at most the policy's capped delay later) and touches nothing else.
+func (w *Worker) backoff(ctx context.Context, d time.Duration) bool {
+	if ctx.Err() == nil && !w.killed.Load() {
+		slept := make(chan struct{})
+		go func() {
+			defer close(slept)
+			w.cfg.Retry.Wait(d)
+		}()
+		select {
+		case <-slept:
+		case <-ctx.Done():
+		}
+	}
+	return ctx.Err() == nil && !w.killed.Load()
+}
+
+// exchange is one locked round trip: dial and hello first if the connection
+// is down, then send one line and read one line. Any failure tears the
+// connection down so the next attempt starts clean.
+func (w *Worker) exchange(req request) (resp response, err error) {
+	w.connMu.Lock()
+	defer w.connMu.Unlock()
+	defer func() {
+		if err != nil {
+			w.teardownLocked()
+		}
+	}()
+	if w.conn == nil {
+		if w.conn, err = lineproto.Dial(w.cfg.Addr, w.cfg.RequestTimeout); err != nil {
+			return response{}, fmt.Errorf("fabric: %w", err)
+		}
+		var hello response
+		if hello, err = w.callLocked(request{Op: "hello", Worker: w.cfg.ID}); err != nil {
+			return response{}, err
+		}
+		w.hbEvery = time.Duration(hello.HeartbeatMS) * time.Millisecond
+		// The spec bytes round-trip verbatim (json.RawMessage), so hashing what
+		// arrived here yields the same campaign identity the dispatcher hashed
+		// from its own config — the two ends of every completion checksum.
+		w.specSHAHex = specSHA(hello.Spec)
+		w.gen.Store(hello.Gen)
+	}
+	return w.callLocked(req)
+}
+
+func (w *Worker) callLocked(req request) (response, error) {
 	line, err := w.conn.CallRaw(req, w.cfg.RequestTimeout)
 	if err != nil {
 		return response{}, fmt.Errorf("fabric: %w", err)
@@ -373,26 +402,6 @@ func (w *Worker) exchangeLocked(req request) (response, error) {
 		return resp, fmt.Errorf("fabric: dispatcher: %s", resp.Error)
 	}
 	return resp, nil
-}
-
-func (w *Worker) dialLocked() error {
-	conn, err := lineproto.Dial(w.cfg.Addr, w.cfg.RequestTimeout)
-	if err != nil {
-		return fmt.Errorf("fabric: %w", err)
-	}
-	w.conn = conn
-	resp, err := w.exchangeLocked(request{Op: "hello", Worker: w.cfg.ID})
-	if err != nil {
-		w.teardownLocked()
-		return err
-	}
-	w.hbEvery = time.Duration(resp.HeartbeatMS) * time.Millisecond
-	// The spec bytes round-trip verbatim (json.RawMessage), so hashing what
-	// arrived here yields the same campaign identity the dispatcher hashed
-	// from its own config — the two ends of every completion checksum.
-	w.specSHAHex = specSHA(resp.Spec)
-	w.gen.Store(resp.Gen)
-	return nil
 }
 
 func (w *Worker) teardownLocked() {
