@@ -20,6 +20,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/des"
 	"repro/internal/exp"
+	"repro/internal/interference"
 	"repro/internal/job"
 	"repro/internal/parallel"
 	"repro/internal/report"
@@ -183,24 +184,72 @@ func BenchmarkTableT4PerApp(b *testing.B) {
 // --- Micro-benchmarks of the hot paths ---
 
 // BenchmarkSchedulerPass measures one policy decision pass on a realistic
-// mid-run state (the F3 latency experiment's inner loop).
+// mid-run state (the F3 latency experiment's inner loop), and per policy on
+// the deep state an overloaded sweep cell spends its time in.
 func BenchmarkSchedulerPass(b *testing.B) {
 	for _, policy := range []string{"easy", "conservative", "sharefirstfit", "sharebackfill"} {
-		b.Run(policy, func(b *testing.B) {
-			ctx, err := exp.BuildOverheadContext(exp.Options{}, 200)
-			if err != nil {
-				b.Fatal(err)
-			}
-			pol, err := sched.New(policy, sched.DefaultShareConfig())
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				pol.Schedule(ctx)
-			}
+		states := []struct {
+			name  string
+			build func() (*sched.Context, error)
+		}{
+			{policy, func() (*sched.Context, error) { return exp.BuildOverheadContext(exp.Options{}, 200) }},
+			{policy + "_deep", deepQueueContext},
+		}
+		for _, st := range states {
+			b.Run(st.name, func(b *testing.B) {
+				ctx, err := st.build()
+				if err != nil {
+					b.Fatal(err)
+				}
+				pol, err := sched.New(policy, sched.DefaultShareConfig())
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					pol.Schedule(ctx)
+				}
+			})
+		}
+	}
+}
+
+// deepQueueContext is a 32-node machine with 2 nodes idle, 30 running
+// one-node jobs that end a minute apart, and 500 queued jobs of 1–8 nodes:
+// load ≈ 1.4 long after the queue built up.
+func deepQueueContext() (*sched.Context, error) {
+	c := cluster.New(cluster.Trinity(32))
+	cat := app.Catalogue()
+	var running []*sched.RunningJob
+	id := cluster.JobID(0)
+	for ni := 0; ni < c.Size()-2; ni++ {
+		id++
+		a := cat[ni%len(cat)]
+		j := &job.Job{ID: id, Name: "run", App: a, Nodes: 1, ReqWalltime: 7200, TrueRuntime: 3600}
+		if err := c.Allocate(c.ExclusivePlacement(id, []int{ni}, a.MemPerNodeMB)); err != nil {
+			return nil, err
+		}
+		j.Start(0)
+		end := des.Time(3600 + 60*ni)
+		running = append(running, &sched.RunningJob{
+			Job: j, NodeIDs: []int{ni}, Exclusive: true, NominalEnd: end, PredictedEnd: end, Rate: 1,
 		})
 	}
+	var queue []*job.Job
+	for i := 0; i < 500; i++ {
+		id++
+		queue = append(queue, &job.Job{
+			ID: id, Name: "q", App: cat[(i*3+1)%len(cat)],
+			Nodes:       1 + (i+2)%8,
+			ReqWalltime: des.Duration(1800 + 300*(i%10)),
+			TrueRuntime: des.Duration(900 + 150*(i%10)),
+			Submit:      des.Time(i),
+		})
+	}
+	return &sched.Context{
+		Now: 501, Cluster: c, Queue: queue, Running: running,
+		Inter: interference.Default(), Share: sched.DefaultShareConfig(),
+	}, nil
 }
 
 // BenchmarkEngineThroughput measures full simulation speed in jobs/second of

@@ -13,6 +13,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"repro/internal/acct"
 	"repro/internal/app"
@@ -23,13 +24,14 @@ import (
 	"repro/internal/interference"
 	"repro/internal/job"
 	"repro/internal/report"
+	"repro/internal/sched"
 	"repro/internal/swf"
 	"repro/internal/topology"
 	"repro/internal/workload"
 )
 
 func main() {
-	policy := flag.String("policy", "sharebackfill", "scheduling policy (fcfs|firstfit|easy|conservative|sharefirstfit|sharebackfill)")
+	policy := flag.String("policy", "sharebackfill", "scheduling policy ("+strings.Join(sched.Names(), "|")+")")
 	nodes := flag.Int("nodes", 32, "machine size in nodes")
 	jobsN := flag.Int("jobs", 300, "synthetic workload job count")
 	mixName := flag.String("mix", "trinity", "application mix")

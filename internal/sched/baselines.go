@@ -98,10 +98,17 @@ func exclusiveDecision(ctx *Context, j *job.Job, nodes []int) Decision {
 
 // backfillExclusive is the shared skeleton of EASY and Conservative:
 // reservations for the first maxReservations blocked jobs, backfill for the
-// rest. Every started job runs on exclusive whole nodes.
+// rest. Every started job runs on exclusive whole nodes, so the walk ends at
+// the last queue position whose job the unclaimed idle nodes can still hold
+// (see smallestRequests).
 func backfillExclusive(ctx *Context, maxReservations int) []Decision {
-	ctx.begin()
+	sc := ctx.begin()
+	idle := len(sc.idle) // not yet claimed by this pass
+	if idle == 0 {
+		return nil
+	}
 	var out []Decision
+	minNodes := ctx.smallestRequests()
 
 	// The capacity profile sees a node as released when its last resident's
 	// predicted end passes (with one job per node under exclusive policies,
@@ -109,7 +116,10 @@ func backfillExclusive(ctx *Context, maxReservations int) []Decision {
 	profile := buildNodeProfile(ctx)
 
 	reservations := 0
-	for _, j := range ctx.Queue {
+	for i, j := range ctx.Queue {
+		if minNodes[i] > idle {
+			break
+		}
 		if !fitsMachine(ctx, j) {
 			continue
 		}
@@ -133,6 +143,7 @@ func backfillExclusive(ctx *Context, maxReservations int) []Decision {
 			}
 			profile.Reserve(ctx.Now, wall, j.Nodes)
 			out = append(out, exclusiveDecision(ctx, j, nodes))
+			idle -= j.Nodes
 			continue
 		}
 		// Blocked: plan a reservation if the budget allows; once the budget

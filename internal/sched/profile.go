@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/des"
@@ -23,13 +24,16 @@ func (p *Profile) start(now des.Time, freeNow int) {
 }
 
 // release adds a future capacity increase while the profile is being built.
-// Calls must come in ascending time order, before any Reserve.
+// Calls must come in ascending time order, before any Reserve: Reserve
+// searches the breakpoints, so a release out of order panics.
 func (p *Profile) release(at des.Time, nodes int) {
 	if nodes < 0 {
 		panic(fmt.Sprintf("sched: release of %d nodes", nodes))
 	}
 	last := len(p.times) - 1
 	switch {
+	case last > 0 && at < p.times[last]:
+		panic(fmt.Sprintf("sched: release at %v follows one at %v", at, p.times[last]))
 	case at <= p.times[0]:
 		p.free[0] += nodes // in time order, so nothing follows the start yet
 	case at == p.times[last]:
@@ -50,31 +54,40 @@ func (p *Profile) FreeAt(t des.Time) int {
 	return p.free[i]
 }
 
+// endOf returns when a reservation of duration d starting at at ends:
+// des.Forever for an open-ended one.
+func endOf(at des.Time, d des.Duration) des.Time {
+	if d < des.Forever-at {
+		return at + d
+	}
+	return des.Forever
+}
+
 // FindStart returns the earliest time at or after the profile start when n
 // nodes are continuously free for duration d. d may be des.Forever for an
 // open-ended reservation. The search always succeeds if n never exceeds the
 // final (fully drained) capacity; otherwise ok is false.
+//
+// It is one forward sweep. Only the first breakpoint of a run of segments
+// with free ≥ n can be the answer: the dip that cuts a reservation started
+// there short also cuts short every later start in the same run.
 func (p *Profile) FindStart(n int, d des.Duration) (des.Time, bool) {
 	if n <= 0 {
 		return p.times[0], true
 	}
-	for i := range p.times {
-		start := p.times[i]
-		if p.free[i] < n {
+	times, free := p.times, p.free[:len(p.times)]
+	for i := 0; i < len(times); {
+		if free[i] < n {
+			i++
 			continue
 		}
-		end := des.Forever
-		if d < des.Forever-start {
-			end = start + d
+		// A run starts here; follow it to its first dip or past the end of
+		// a reservation that starts with it.
+		start := times[i]
+		end := endOf(start, d)
+		for i++; i < len(times) && times[i] < end && free[i] >= n; i++ {
 		}
-		ok := true
-		for k := i + 1; k < len(p.times) && p.times[k] < end; k++ {
-			if p.free[k] < n {
-				ok = false
-				break
-			}
-		}
-		if ok {
+		if i == len(times) || times[i] >= end {
 			return start, true
 		}
 	}
@@ -82,45 +95,69 @@ func (p *Profile) FindStart(n int, d des.Duration) (des.Time, bool) {
 }
 
 // Reserve subtracts n nodes over [at, at+d). It panics if the reservation
-// overdraws the profile — callers must have validated with FindStart.
+// overdraws the profile — callers must have validated with FindStart. An
+// empty interval leaves the profile as it is.
 func (p *Profile) Reserve(at des.Time, d des.Duration, n int) {
-	if n <= 0 {
+	end := endOf(at, d)
+	if n <= 0 || end <= at {
 		return
 	}
-	end := des.Forever
-	if d < des.Forever-at {
-		end = at + d
-	}
-	p.insertBreak(at)
+	// The reservation covers times[lo:hi]. A breakpoint is missing where an
+	// edge of the interval falls inside a segment; the part of the interval
+	// before the profile start and an end at des.Forever need none.
+	size := len(p.times)
+	lo := p.search(0, at)
+	hi := size
 	if end != des.Forever {
-		p.insertBreak(end)
+		hi = p.search(lo, end)
 	}
-	for i := range p.times {
-		if p.times[i] >= at && p.times[i] < end {
-			p.free[i] -= n
-			if p.free[i] < 0 {
-				panic(fmt.Sprintf("sched: reservation overdraws profile at %v (free %d)",
-					p.times[i], p.free[i]))
-			}
+	addLo := lo > 0 && (lo == size || p.times[lo] != at)
+	addHi := hi > 0 && end != des.Forever && (hi == size || p.times[hi] != end)
+	grow := 0
+	if addLo {
+		grow++
+	}
+	if addHi {
+		grow++
+	}
+	if grow > 0 {
+		// One move makes room for both: the tail shifts by every new
+		// breakpoint, the covered range by the one in front of it.
+		p.times = slices.Grow(p.times, grow)[:size+grow]
+		p.free = slices.Grow(p.free, grow)[:size+grow]
+		copy(p.times[hi+grow:], p.times[hi:size])
+		copy(p.free[hi+grow:], p.free[hi:size])
+		if addHi {
+			p.times[hi+grow-1], p.free[hi+grow-1] = end, p.free[hi-1]
+		}
+		if addLo {
+			copy(p.times[lo+1:], p.times[lo:hi])
+			copy(p.free[lo+1:], p.free[lo:hi])
+			p.times[lo], p.free[lo] = at, p.free[lo-1]
+			hi++
+		}
+	}
+	for i := lo; i < hi; i++ {
+		p.free[i] -= n
+		if p.free[i] < 0 {
+			panic(fmt.Sprintf("sched: reservation overdraws profile at %v (free %d)",
+				p.times[i], p.free[i]))
 		}
 	}
 }
 
-// insertBreak adds a breakpoint at t (no-op if present or before start).
-func (p *Profile) insertBreak(t des.Time) {
-	if t <= p.times[0] {
-		return
+// search returns the first index at or after from whose breakpoint is at or
+// after t, len(p.times) when there is none.
+func (p *Profile) search(from int, t des.Time) int {
+	lo, hi := from, len(p.times)
+	for lo < hi {
+		if mid := int(uint(lo+hi) >> 1); p.times[mid] < t {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
 	}
-	i := sort.Search(len(p.times), func(i int) bool { return p.times[i] >= t })
-	if i < len(p.times) && p.times[i] == t {
-		return
-	}
-	p.times = append(p.times, 0)
-	p.free = append(p.free, 0)
-	copy(p.times[i+1:], p.times[i:])
-	copy(p.free[i+1:], p.free[i:])
-	p.times[i] = t
-	p.free[i] = p.free[i-1]
+	return lo
 }
 
 // Len returns the number of breakpoints (exported for tests).

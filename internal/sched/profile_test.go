@@ -158,6 +158,43 @@ func TestProfileNegativeReleasePanics(t *testing.T) {
 	newProfile(0, 1, []futureRelease{{At: 10, Nodes: -1}})
 }
 
+// A release earlier than the last breakpoint would leave the breakpoints out
+// of order under the searches of Reserve.
+func TestProfileOutOfOrderReleasePanics(t *testing.T) {
+	p := newProfile(0, 1, []futureRelease{{At: 100, Nodes: 1}, {At: 200, Nodes: 1}})
+	for _, at := range []des.Time{150, 100, 0, -5} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("release at %v after one at 200 did not panic", at)
+				}
+			}()
+			p.release(at, 1)
+		}()
+	}
+	p.release(200, 1) // the last breakpoint again is in order
+	if got := p.FreeAt(200); got != 4 {
+		t.Fatalf("FreeAt(200) = %d, want 4", got)
+	}
+}
+
+// A request that holds nodes for no time asks and reserves without leaving a
+// trace: no breakpoint, no capacity change, wherever it falls.
+func TestProfileZeroDurationLeavesProfileUnchanged(t *testing.T) {
+	p := newProfile(0, 2, []futureRelease{{At: 100, Nodes: 2}, {At: 300, Nodes: 4}})
+	p.Reserve(50, 100, 1)
+	times, free := slices.Clone(p.times), slices.Clone(p.free)
+	for _, at := range []des.Time{-10, 0, 25, 50, 120, 150, 300, 1e9} {
+		p.Reserve(at, 0, 1)
+		if start, ok := p.FindStart(3, 0); !ok || start != 100 {
+			t.Fatalf("FindStart(3, 0) = %v,%v, want 100,true", start, ok)
+		}
+		if !slices.Equal(p.times, times) || !slices.Equal(p.free, free) {
+			t.Fatalf("Reserve(%v, 0, 1) changed the profile to %v %v, was %v %v", at, p.times, p.free, times, free)
+		}
+	}
+}
+
 // Property: after any sequence of valid reservations found via FindStart,
 // capacity never goes negative and FindStart results are consistent (the
 // returned start admits the reservation).

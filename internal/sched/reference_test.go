@@ -1,0 +1,473 @@
+package sched
+
+import (
+	"fmt"
+	"slices"
+	"sort"
+	"strings"
+	"testing"
+
+	"repro/internal/app"
+	"repro/internal/cluster"
+	"repro/internal/des"
+	"repro/internal/interference"
+	"repro/internal/job"
+	"repro/internal/topology"
+)
+
+// The unoptimised planner, kept as the reference the optimised one is held
+// against: the profile with the quadratic FindStart, the full-range Reserve
+// and the two insertBreaks, and the two backfill skeletons that walk the
+// whole queue. Nothing outside this file's tests may call them.
+
+type refProfile struct {
+	times []des.Time
+	free  []int
+}
+
+func (p *refProfile) start(now des.Time, freeNow int) {
+	p.times = append(p.times[:0], now)
+	p.free = append(p.free[:0], freeNow)
+}
+
+func (p *refProfile) release(at des.Time, nodes int) {
+	last := len(p.times) - 1
+	switch {
+	case at <= p.times[0]:
+		p.free[0] += nodes
+	case at == p.times[last]:
+		p.free[last] += nodes
+	default:
+		p.times = append(p.times, at)
+		p.free = append(p.free, p.free[last]+nodes)
+	}
+}
+
+func (p *refProfile) FindStart(n int, d des.Duration) (des.Time, bool) {
+	if n <= 0 {
+		return p.times[0], true
+	}
+	for i := range p.times {
+		start := p.times[i]
+		if p.free[i] < n {
+			continue
+		}
+		end := des.Forever
+		if d < des.Forever-start {
+			end = start + d
+		}
+		ok := true
+		for k := i + 1; k < len(p.times) && p.times[k] < end; k++ {
+			if p.free[k] < n {
+				ok = false
+				break
+			}
+		}
+		if ok {
+			return start, true
+		}
+	}
+	return 0, false
+}
+
+func (p *refProfile) Reserve(at des.Time, d des.Duration, n int) {
+	if n <= 0 {
+		return
+	}
+	end := des.Forever
+	if d < des.Forever-at {
+		end = at + d
+	}
+	p.insertBreak(at)
+	if end != des.Forever {
+		p.insertBreak(end)
+	}
+	for i := range p.times {
+		if p.times[i] >= at && p.times[i] < end {
+			p.free[i] -= n
+			if p.free[i] < 0 {
+				panic(fmt.Sprintf("sched: reservation overdraws profile at %v (free %d)",
+					p.times[i], p.free[i]))
+			}
+		}
+	}
+}
+
+func (p *refProfile) insertBreak(t des.Time) {
+	if t <= p.times[0] {
+		return
+	}
+	i := sort.Search(len(p.times), func(i int) bool { return p.times[i] >= t })
+	if i < len(p.times) && p.times[i] == t {
+		return
+	}
+	p.times = append(p.times, 0)
+	p.free = append(p.free, 0)
+	copy(p.times[i+1:], p.times[i:])
+	copy(p.free[i+1:], p.free[i:])
+	p.times[i] = t
+	p.free[i] = p.free[i-1]
+}
+
+// fits reports whether n nodes are free over the whole of [at, at+d).
+func (p *refProfile) fits(at des.Time, d des.Duration, n int) bool {
+	end := endOf(at, d)
+	for i := range p.times {
+		segEnd := des.Forever
+		if i+1 < len(p.times) {
+			segEnd = p.times[i+1]
+		}
+		if segEnd > at && p.times[i] < end && p.free[i] < n {
+			return false
+		}
+	}
+	return at >= p.times[0]
+}
+
+func refBuildNodeProfile(ctx *Context) *refProfile {
+	releaseAt := make([]des.Time, ctx.Cluster.Size())
+	for _, r := range ctx.Running {
+		end := predictedEnd(r, ctx.Share)
+		for _, ni := range r.NodeIDs {
+			if end > releaseAt[ni] {
+				releaseAt[ni] = end
+			}
+		}
+	}
+	var ends []des.Time
+	for _, end := range releaseAt {
+		if end > 0 {
+			ends = append(ends, end)
+		}
+	}
+	slices.Sort(ends)
+	p := &refProfile{}
+	p.start(ctx.Now, len(ctx.sc.idle))
+	for _, end := range ends {
+		p.release(end, 1)
+	}
+	return p
+}
+
+func refBackfillExclusive(ctx *Context, maxReservations int) ([]Decision, *refProfile) {
+	ctx.begin()
+	var out []Decision
+	profile := refBuildNodeProfile(ctx)
+	reservations := 0
+	for _, j := range ctx.Queue {
+		if !fitsMachine(ctx, j) {
+			continue
+		}
+		wall := j.ReqWalltime
+		start, ok := profile.FindStart(j.Nodes, wall)
+		if !ok {
+			continue
+		}
+		if start <= ctx.Now {
+			nodes, got := pickIdle(ctx, j.Nodes)
+			if !got {
+				if reservations < maxReservations {
+					profile.Reserve(start, wall, j.Nodes)
+					reservations++
+				}
+				continue
+			}
+			profile.Reserve(ctx.Now, wall, j.Nodes)
+			out = append(out, exclusiveDecision(ctx, j, nodes))
+			continue
+		}
+		if reservations < maxReservations {
+			profile.Reserve(start, wall, j.Nodes)
+			reservations++
+		}
+	}
+	return out, profile
+}
+
+func refScheduleShare(ctx *Context, maxReservations int) []Decision {
+	sc := ctx.beginShare()
+	var out []Decision
+	sc.endOverride = resize(sc.endOverride, len(ctx.Running))
+	for i := range sc.endOverride {
+		sc.endOverride[i] = noOverride
+	}
+	profile := refBuildNodeProfile(ctx)
+	reserve := func(j *job.Job) {
+		if start, ok := profile.FindStart(j.Nodes, j.ReqWalltime); ok {
+			sc.shadows = append(sc.shadows, start)
+			profile.Reserve(start, j.ReqWalltime, j.Nodes)
+		}
+	}
+	slots := slotBound(ctx)
+	for _, j := range ctx.Queue {
+		if !fitsMachine(ctx, j) {
+			continue
+		}
+		blockedBefore := len(sc.shadows) > 0
+		if blockedBefore && slots <= 0 && len(sc.shadows) >= maxReservations {
+			break
+		}
+		guest := sc.appOf(&j.App)
+		if blockedBefore && (j.Nodes > slots || sc.knownToFail(j, guest)) {
+			if len(sc.shadows) < maxReservations {
+				reserve(j)
+			}
+			continue
+		}
+		if plan, ok := placeGuarded(ctx, j, guest); ok {
+			if plan.idle > 0 {
+				start, fits := profile.FindStart(plan.idle, j.ReqWalltime)
+				if !fits || start > ctx.Now {
+					if !blockedBefore || len(sc.shadows) < maxReservations {
+						reserve(j)
+					}
+					continue
+				}
+				profile.Reserve(ctx.Now, j.ReqWalltime, plan.idle)
+			}
+			out = append(out, plan.decision(ctx, j))
+			commitShare(ctx, j, guest, plan)
+			slots -= j.Nodes
+			continue
+		}
+		if len(sc.shadows) < maxReservations {
+			reserve(j)
+			continue
+		}
+		sc.recordFail(j, guest)
+	}
+	return out
+}
+
+// refSchedule plans one pass of the named policy with the reference
+// skeletons. FCFS, FirstFit and ShareFirstFit have no skeleton of their own
+// to refer to: they plan as they always did.
+func refSchedule(t *testing.T, name string, ctx *Context) []Decision {
+	t.Helper()
+	var out []Decision
+	switch name {
+	case "easy":
+		out, _ = refBackfillExclusive(ctx, 1)
+	case "conservative":
+		out, _ = refBackfillExclusive(ctx, len(ctx.Queue))
+	case "sharebackfill":
+		out = refScheduleShare(ctx.withShare(DefaultShareConfig()), 1)
+	case "shareconservative":
+		out = refScheduleShare(ctx.withShare(DefaultShareConfig()), len(ctx.Queue))
+	default:
+		pol, err := New(name, DefaultShareConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = pol.Schedule(ctx)
+	}
+	return out
+}
+
+// Differential: on seeded random start / release / FindStart / Reserve
+// sequences the one-sweep profile answers every FindStart as the quadratic
+// one does and holds the same (times, free) step function after every
+// Reserve. The sequences draw times from a coarse grid so breakpoints
+// coincide, ask for more nodes than the machine ever frees, hold nodes
+// forever, and reserve at the profile start, inside segments and on
+// breakpoints.
+func TestProfileMatchesReference(t *testing.T) {
+	const sequences = 12000
+	unplaceable, forever, atStart, later := 0, 0, 0, 0
+	for seed := uint64(1); seed <= sequences; seed++ {
+		rng := des.NewRNG(seed)
+		now := des.Time(rng.Intn(4) * 50)
+		grid := func(n int) des.Time { return des.Time(rng.Intn(n) * 50) }
+		duration := func() des.Duration {
+			switch rng.Intn(12) {
+			case 0:
+				return des.Forever
+			case 1:
+				return des.Duration(rng.Uniform(1, 700))
+			}
+			return 50 + grid(12)
+		}
+
+		freeNow := rng.Intn(6)
+		capacity := freeNow
+		got, want := &Profile{}, &refProfile{}
+		got.start(now, freeNow)
+		want.start(now, freeNow)
+		at := now - 50
+		for k := rng.Intn(8); k > 0; k-- {
+			at += grid(4) // 0 repeats the previous release time
+			nodes := rng.Intn(4)
+			capacity += nodes
+			got.release(at, nodes)
+			want.release(at, nodes)
+		}
+		same := func(op string) {
+			t.Helper()
+			if !slices.Equal(got.times, want.times) || !slices.Equal(got.free, want.free) {
+				t.Fatalf("seed %d: after %s the profile is\n%v\n%v, the reference\n%v\n%v",
+					seed, op, got.times, got.free, want.times, want.free)
+			}
+		}
+		same("release")
+
+		for k := 2 + rng.Intn(14); k > 0; k-- {
+			n, d := rng.Intn(capacity+3), duration()
+			if rng.Intn(10) == 0 {
+				d = 0 // asked, never reserved
+			}
+			gotAt, gotOK := got.FindStart(n, d)
+			wantAt, wantOK := want.FindStart(n, d)
+			if gotAt != wantAt || gotOK != wantOK {
+				t.Fatalf("seed %d: FindStart(%d, %v) = %v,%v, the reference %v,%v on\n%v\n%v",
+					seed, n, d, gotAt, gotOK, wantAt, wantOK, want.times, want.free)
+			}
+			switch {
+			case !wantOK:
+				unplaceable++
+				continue
+			case d == 0:
+				continue
+			case d == des.Forever:
+				forever++
+			}
+			// Reserve at the answer, or at a later time that still fits.
+			resAt := wantAt
+			if shifted := wantAt + des.Time(rng.Uniform(0, 400)); rng.Intn(3) == 0 && want.fits(shifted, d, n) {
+				resAt = shifted
+				later++
+			}
+			if resAt == now {
+				atStart++
+			}
+			op := fmt.Sprintf("Reserve(%v, %v, %d)", resAt, d, n)
+			got.Reserve(resAt, d, n)
+			want.Reserve(resAt, d, n)
+			same(op)
+		}
+	}
+	for name, n := range map[string]int{
+		"request above the final capacity": unplaceable, "open-ended reservation": forever,
+		"reservation at the profile start": atStart, "reservation after the earliest start": later,
+	} {
+		if n < sequences/20 {
+			t.Errorf("only %d steps exercised a %s", n, name)
+		}
+	}
+}
+
+// deepState builds a mid-run state of a 16-node machine from a seed: idle
+// nodes left idle, the rest under exclusive, single-layer and doubly occupied
+// running jobs of one to four nodes, and depth queued jobs whose requests run
+// from one node to one more than the machine has.
+func deepState(t *testing.T, seed uint64, depth, idle int, topo bool) *Context {
+	t.Helper()
+	const nodes = 16
+	rng := des.NewRNG(seed)
+	c := cluster.New(cluster.Config{Nodes: nodes, CoresPerNode: 4, ThreadsPerCore: 2, MemoryPerNodeMB: 128 * 1024})
+	cat := app.Catalogue()
+	id := cluster.JobID(1000)
+	var running []*RunningJob
+	start := func(a app.Model, on []int, layer cluster.Layer, exclusive bool) {
+		id++
+		p := c.LayerPlacement(id, on, layer, a.MemPerNodeMB)
+		if exclusive {
+			p = c.ExclusivePlacement(id, on, a.MemPerNodeMB)
+		}
+		if err := c.Allocate(p); err != nil {
+			t.Fatalf("setup allocation failed: %v", err)
+		}
+		j := &job.Job{ID: id, Name: "run", App: a, Nodes: len(on), ReqWalltime: 4000, TrueRuntime: 3000}
+		j.Start(0)
+		end := des.Time(600 + 100*rng.Intn(12)) // coarse, so releases coincide
+		running = append(running, &RunningJob{
+			Job: j, NodeIDs: on, Exclusive: exclusive,
+			NominalEnd: end, PredictedEnd: end + des.Time(50*rng.Intn(3)), Rate: 1,
+		})
+	}
+	busy := rng.Perm(nodes)[:nodes-idle]
+	for len(busy) > 0 {
+		on := slices.Clone(busy[:min(1+rng.Intn(4), len(busy))])
+		busy = busy[len(on):]
+		slices.Sort(on)
+		switch rng.Intn(3) {
+		case 0:
+			start(cat[rng.Intn(len(cat))], on, cluster.PrimaryLayer, true)
+		case 1:
+			start(cat[rng.Intn(len(cat))], on, cluster.PrimaryLayer, false)
+		default:
+			start(cat[rng.Intn(len(cat))], on, cluster.PrimaryLayer, false)
+			start(cat[rng.Intn(len(cat))], on, cluster.Layer(1), false)
+		}
+	}
+
+	queue := make([]*job.Job, depth)
+	for i := range queue {
+		id++
+		want := 1 + rng.Intn(4)
+		if rng.Intn(4) == 0 {
+			want = 1 + rng.Intn(nodes+1) // may exceed the machine
+		}
+		wall := des.Duration(300 + 100*rng.Intn(20))
+		if rng.Intn(100) == 0 {
+			wall = des.Forever
+		}
+		queue[i] = &job.Job{ID: id, Name: "q", App: cat[rng.Intn(len(cat))], Nodes: want,
+			ReqWalltime: wall, TrueRuntime: wall, Submit: des.Time(i)}
+	}
+	ctx := &Context{Now: 500, Cluster: c, Queue: queue, Running: running,
+		Inter: interference.Default(), Share: DefaultShareConfig()}
+	if topo {
+		tp := topology.Default(nodes)
+		ctx.Topo = &tp
+	}
+	return ctx
+}
+
+// Differential (INV-10 across the cut-off): all seven policies plan, byte for
+// byte, what the uncut skeletons on the quadratic profile plan — from an
+// empty queue to one 400 deep, from a full machine to an empty one, with and
+// without a topology.
+func TestSkeletonsMatchReference(t *testing.T) {
+	depths := []int{0, 1, 2, 5, 17, 60, 150, 400}
+	idles := []int{0, 1, 2, 5, 8, 16}
+	seeds := uint64(4)
+	if testing.Short() {
+		depths, seeds = []int{0, 2, 17, 150}, 2
+	}
+	for _, name := range Names() {
+		t.Run(name, func(t *testing.T) {
+			pol, err := New(name, DefaultShareConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			started, shared := 0, 0
+			for seed := uint64(1); seed <= seeds; seed++ {
+				for _, depth := range depths {
+					for _, idle := range idles {
+						for _, topo := range []bool{false, true} {
+							s := seed*1000 + uint64(depth*17+idle)
+							got := pol.Schedule(deepState(t, s, depth, idle, topo))
+							want := refSchedule(t, name, deepState(t, s, depth, idle, topo))
+							if g, w := decisionSignature(got), decisionSignature(want); g != w {
+								t.Fatalf("seed %d depth %d idle %d topo %v: planned\n%s, the reference\n%s",
+									s, depth, idle, topo, g, w)
+							}
+							for _, d := range got {
+								started++
+								if d.Shared {
+									shared++
+								}
+							}
+						}
+					}
+				}
+			}
+			if started == 0 {
+				t.Fatal("no state planned a start")
+			}
+			if strings.HasPrefix(name, "share") && shared == 0 {
+				t.Fatal("no state planned a co-allocation")
+			}
+		})
+	}
+}

@@ -3,6 +3,7 @@ package sched
 import (
 	"encoding/binary"
 	"math"
+	"slices"
 
 	"repro/internal/app"
 	"repro/internal/cluster"
@@ -79,6 +80,7 @@ type scratch struct {
 	profile   Profile
 	releaseAt []des.Time // per node: when its last resident leaves
 	ends      []des.Time // releaseAt of the occupied nodes, ascending
+	minNodes  []int      // per queue position: smallest request at or behind it (see smallestRequests)
 
 	loads  []interference.Load
 	keyBuf []byte
@@ -175,6 +177,27 @@ func (ctx *Context) beginShare() *scratch {
 	sc.shadows = sc.shadows[:0]
 	sc.buildResidents(ctx)
 	return sc
+}
+
+// smallestRequests fills sc.minNodes for the backfill skeletons' cut-off:
+// minNodes[i] is the smallest node request among the jobs of ctx.Queue[i:]
+// that fit the machine, math.MaxInt when none does. Once it exceeds what the
+// pass can still hand out, no job at or behind position i can start, and a
+// pass returns nothing but starts: its profile and the reservations in it are
+// rebuilt from nothing by the next one, so planning further is unobservable.
+func (ctx *Context) smallestRequests() []int {
+	sc := ctx.sc
+	// The queue grows a job at a time: Grow, not resize, so the table is not
+	// reallocated at every new depth.
+	sc.minNodes = slices.Grow(sc.minNodes[:0], len(ctx.Queue))[:len(ctx.Queue)]
+	smallest := math.MaxInt
+	for i := len(ctx.Queue) - 1; i >= 0; i-- {
+		if j := ctx.Queue[i]; j.Nodes < smallest && fitsMachine(ctx, j) {
+			smallest = j.Nodes
+		}
+		sc.minNodes[i] = smallest
+	}
+	return sc.minNodes
 }
 
 func (sc *scratch) dropMemo() {

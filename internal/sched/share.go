@@ -135,10 +135,17 @@ func (p ShareConservative) Schedule(ctx *Context) []Decision {
 // scheduleShare is the sharing-backfill skeleton: reservations for the
 // first maxReservations blocked jobs on whole-node capacity, immediate
 // starts (exclusive or co-allocated) for everything that provably delays no
-// reservation.
+// reservation. Every start takes one of slotBound's slots per node, so the
+// walk ends at the last queue position whose job the remaining slots can
+// still hold (see smallestRequests).
 func scheduleShare(ctx *Context, maxReservations int) []Decision {
 	sc := ctx.beginShare()
+	slots := slotBound(ctx)
+	if slots <= 0 {
+		return nil
+	}
 	var out []Decision
+	minNodes := ctx.smallestRequests()
 	// endOverride records release postponements caused by co-allocations
 	// committed in this pass; none yet.
 	sc.endOverride = resize(sc.endOverride, len(ctx.Running))
@@ -147,17 +154,16 @@ func scheduleShare(ctx *Context, maxReservations int) []Decision {
 	}
 
 	profile := buildNodeProfile(ctx)
-	slots := slotBound(ctx)
 
 	// sc.shadows holds the reservation start times, in queue order.
-	for _, j := range ctx.Queue {
+	for i, j := range ctx.Queue {
+		if minNodes[i] > slots {
+			break // nothing from here on can start; reservations alone decide nothing
+		}
 		if !fitsMachine(ctx, j) {
 			continue
 		}
 		blockedBefore := len(sc.shadows) > 0
-		if blockedBefore && slots <= 0 && len(sc.shadows) >= maxReservations {
-			break // no start slots and no reservation budget left
-		}
 		guest := sc.appOf(&j.App)
 		if blockedBefore && (j.Nodes > slots || sc.knownToFail(j, guest)) {
 			// Cannot start this pass; it may still deserve a reservation.
