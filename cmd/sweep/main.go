@@ -160,9 +160,6 @@ func validate(policies, loads string, seeds, nodes, jobs int, mixName string,
 	if err := cfg.spec().Validate(); err != nil {
 		return config{}, err
 	}
-	if seeds < 1 {
-		return config{}, fmt.Errorf("-seeds must be ≥ 1, got %d", seeds)
-	}
 	return cfg, nil
 }
 

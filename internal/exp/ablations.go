@@ -27,7 +27,7 @@ func runA1(o Options) (*report.Table, error) {
 	for i, v := range variants {
 		cfg := sched.DefaultShareConfig()
 		v.mut(&cfg)
-		rs, err := seedMean(canonicalScenario(o, "sharebackfill", cfg), o.Seeds)
+		rs, _, err := seedMean(canonicalScenario(o, "sharebackfill", cfg), o.Seeds)
 		if err != nil {
 			return nil, err
 		}
@@ -67,22 +67,17 @@ func runA2(o Options) (*report.Table, error) {
 	} {
 		cfg := sched.DefaultShareConfig()
 		cfg.InflationAccounting = v.on
-		sc := canonicalScenario(o, "sharebackfill", cfg)
-		var bigWaits, waits, waitsP95, ces []float64
-		for _, seed := range o.Seeds {
-			sc.seed = seed
-			r, finished, err := runScenarioJobs(sc)
-			if err != nil {
-				return nil, err
-			}
-			ces = append(ces, r.CompEfficiency)
-			waits = append(waits, r.Wait.Mean)
-			waitsP95 = append(waitsP95, r.Wait.P95)
+		rs, finished, err := seedMean(canonicalScenario(o, "sharebackfill", cfg), o.Seeds)
+		if err != nil {
+			return nil, err
+		}
+		var bigWaits []float64
+		for _, jobs := range finished {
 			// Big jobs (top node-count quartile) are the ones EASY
 			// reservations exist to protect.
 			big := 0.0
 			n := 0
-			for _, j := range finished {
+			for _, j := range jobs {
 				if j.Nodes >= 8 {
 					big += float64(j.WaitTime())
 					n++
@@ -94,9 +89,9 @@ func runA2(o Options) (*report.Table, error) {
 		}
 		t.Add(
 			v.name,
-			report.F(stats.Mean(ces), 3),
-			report.F(stats.Mean(waits), 0),
-			report.F(stats.Mean(waitsP95), 0),
+			report.F(meanOf(rs, func(r metricsResult) float64 { return r.CompEfficiency }), 3),
+			report.F(meanOf(rs, func(r metricsResult) float64 { return r.Wait.Mean }), 0),
+			report.F(meanOf(rs, func(r metricsResult) float64 { return r.Wait.P95 }), 0),
 			report.F(stats.Mean(bigWaits), 0),
 		)
 	}
@@ -120,7 +115,7 @@ func runA3(o Options) (*report.Table, error) {
 	} {
 		cfg := sched.DefaultShareConfig()
 		cfg.PreferShared = v.prefer
-		rs, err := seedMean(canonicalScenario(o, "sharebackfill", cfg), o.Seeds)
+		rs, _, err := seedMean(canonicalScenario(o, "sharebackfill", cfg), o.Seeds)
 		if err != nil {
 			return nil, err
 		}
@@ -154,17 +149,13 @@ func runA4(o Options) (*report.Table, error) {
 	} {
 		for _, pname := range []string{"easy", "sharebackfill"} {
 			sc := canonicalScenario(o, pname, sched.DefaultShareConfig())
-			sc.strictLimits = v.strict
-			var ces, killed, wasted, lost []float64
-			for _, seed := range o.Seeds {
-				sc.seed = seed
-				r, err := runScenario(sc)
-				if err != nil {
-					return nil, err
-				}
-				ces = append(ces, r.CompEfficiency)
-				killed = append(killed, float64(r.Killed))
-				wasted = append(wasted, r.WastedNodeSeconds/3600)
+			sc.StrictLimits = v.strict
+			rs, _, err := seedMean(sc, o.Seeds)
+			if err != nil {
+				return nil, err
+			}
+			var lost []float64
+			for _, r := range rs {
 				if r.Submitted > 0 {
 					lost = append(lost, float64(r.Killed)/float64(r.Submitted))
 				}
@@ -172,9 +163,9 @@ func runA4(o Options) (*report.Table, error) {
 			t.Add(
 				v.name,
 				pname,
-				report.F(stats.Mean(ces), 3),
-				report.F(stats.Mean(killed), 1),
-				report.F(stats.Mean(wasted), 1),
+				report.F(meanOf(rs, func(r metricsResult) float64 { return r.CompEfficiency }), 3),
+				report.F(meanOf(rs, func(r metricsResult) float64 { return float64(r.Killed) }), 1),
+				report.F(meanOf(rs, func(r metricsResult) float64 { return r.WastedNodeSeconds / 3600 }), 1),
 				report.Pct(stats.Mean(lost)),
 			)
 		}

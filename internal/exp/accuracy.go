@@ -24,8 +24,8 @@ func runF9(o Options) (*report.Table, error) {
 	for _, rg := range ranges {
 		for _, pname := range []string{"easy", "sharebackfill"} {
 			sc := canonicalScenario(o, pname, sched.DefaultShareConfig())
-			sc.overMin, sc.overMax = rg.lo, rg.hi
-			rs, err := seedMean(sc, o.Seeds)
+			sc.Workload.OverestimateMin, sc.Workload.OverestimateMax = rg.lo, rg.hi
+			rs, _, err := seedMean(sc, o.Seeds)
 			if err != nil {
 				return nil, err
 			}

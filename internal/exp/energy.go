@@ -20,7 +20,7 @@ func runE1(o Options) (*report.Table, error) {
 	type agg struct{ kwh, jpw, power []float64 }
 	results := map[string]*agg{}
 	for _, pname := range allPolicies() {
-		rs, err := seedMean(closedScenario(o, pname, sched.DefaultShareConfig()), o.Seeds)
+		rs, _, err := seedMean(closedScenario(o, pname, sched.DefaultShareConfig()), o.Seeds)
 		if err != nil {
 			return nil, err
 		}

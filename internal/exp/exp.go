@@ -8,15 +8,12 @@ import (
 	"fmt"
 
 	"repro/internal/cluster"
-	"repro/internal/des"
-	"repro/internal/fault"
 	"repro/internal/job"
 	"repro/internal/metrics"
 	"repro/internal/parallel"
 	"repro/internal/report"
 	"repro/internal/sched"
-	"repro/internal/sim"
-	"repro/internal/topology"
+	"repro/internal/sweepgrid"
 	"repro/internal/workload"
 )
 
@@ -149,96 +146,32 @@ func IDs() []string {
 	return out
 }
 
-// scenario describes one simulation run request.
-type scenario struct {
-	policy  string
-	share   sched.ShareConfig
-	mix     workload.Mix
-	arrival workload.Arrival
-	load    float64
-	jobs    int
-	cluster cluster.Config
-	scale   float64
-	seed    uint64
-	// strictLimits enables walltime kills (ablation A4).
-	strictLimits bool
-	// overMin/overMax override the walltime overestimation range (F9);
-	// zero keeps the generator defaults.
-	overMin, overMax float64
-	// topo enables the interconnect model; locality additionally makes
-	// the policies placement-locality-aware (F10).
-	topo     *topology.Topology
-	locality bool
-	// schedInterval batches scheduling onto periodic ticks (F11); zero is
-	// event-driven.
-	schedInterval float64
-	// faults enables fault injection (F12); nil runs failure-free.
-	faults *fault.Config
-}
-
-// runScenarioJobs executes one simulation and returns its metrics along
-// with the finished jobs (for experiments that slice per-job data).
-func runScenarioJobs(sc scenario) (metrics.Result, []*job.Job, error) {
-	pol, err := sched.New(sc.policy, sc.share)
-	if err != nil {
-		return metrics.Result{}, nil, err
-	}
-	jobs, err := workload.Generate(workload.Spec{
-		Mix:             sc.mix,
-		Jobs:            sc.jobs,
-		Arrival:         sc.arrival,
-		Load:            sc.load,
-		Cluster:         sc.cluster,
-		RuntimeScale:    sc.scale,
-		OverestimateMin: sc.overMin,
-		OverestimateMax: sc.overMax,
-		Seed:            sc.seed,
+// seedMean is the one seed fan-out: it runs the scenario once per seed and
+// returns the per-seed results and finished jobs in seed order. A fault
+// configuration is reseeded from the workload seed, so averaging covers
+// failure traces as well as arrival patterns while every policy at one seed
+// sees the same trace (a paired comparison). Seeds fan out across all cores:
+// each run is an isolated simulation (its own workload RNG stream, cluster,
+// policy, and engine), and results are reassembled in seed order — never
+// completion order — so the output is bit-identical to a sequential loop.
+func seedMean(sc sweepgrid.Scenario, seeds []uint64) ([]metrics.Result, [][]*job.Job, error) {
+	finished := make([][]*job.Job, len(seeds))
+	rs, err := parallel.Run(len(seeds), 0, func(i int) (metrics.Result, error) {
+		s := sc
+		s.Workload.Seed = seeds[i]
+		if s.Faults != nil {
+			f := *s.Faults
+			f.Seed = seeds[i]
+			s.Faults = &f
+		}
+		r, jobs, err := s.Run()
+		finished[i] = jobs
+		return r, err
 	})
 	if err != nil {
-		return metrics.Result{}, nil, err
+		return nil, nil, err
 	}
-	e := sim.New(sim.Config{
-		Cluster: sc.cluster, Policy: pol, StrictLimits: sc.strictLimits,
-		Topo: sc.topo, LocalityAware: sc.locality,
-		SchedInterval: des.Duration(sc.schedInterval),
-		Faults:        sc.faults,
-	})
-	if err := e.SubmitAll(jobs); err != nil {
-		return metrics.Result{}, nil, err
-	}
-	e.RunAll()
-	r := e.Result()
-	if err := r.Validate(); err != nil {
-		return metrics.Result{}, nil, fmt.Errorf("exp: %s seed %d: %w", sc.policy, sc.seed, err)
-	}
-	if r.Finished+r.Killed != r.Submitted-len(e.Rejected()) {
-		return metrics.Result{}, nil, fmt.Errorf("exp: %s seed %d: %d of %d jobs unaccounted",
-			sc.policy, sc.seed, r.Submitted-r.Finished-r.Killed, r.Submitted)
-	}
-	return r, e.Finished(), nil
-}
-
-// runScenario executes one simulation and returns its metrics.
-func runScenario(sc scenario) (metrics.Result, error) {
-	r, _, err := runScenarioJobs(sc)
-	return r, err
-}
-
-// seedMean runs the scenario across seeds and returns per-seed results in
-// seed order. Seeds fan out across all cores: each run is an isolated
-// simulation (its own workload RNG stream, cluster, policy, and engine), and
-// results are reassembled in seed order — never completion order — so the
-// averages are bit-identical to a sequential loop.
-func seedMean(sc scenario, seeds []uint64) ([]metrics.Result, error) {
-	out, err := parallel.Run(len(seeds), 0, func(i int) (metrics.Result, error) {
-		run := sc
-		run.seed = seeds[i]
-		return runScenario(run)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	return rs, finished, nil
 }
 
 // meanOf extracts a mean over per-seed results.
@@ -255,26 +188,28 @@ func meanOf(rs []metrics.Result, f func(metrics.Result) float64) float64 {
 
 // canonicalScenario is the evaluation's standard high-load open workload
 // (F1, T3, ablations): Trinity mix on 32 Trinity nodes at offered load 1.4.
-func canonicalScenario(o Options, policy string, share sched.ShareConfig) scenario {
-	return scenario{
-		policy:  policy,
-		share:   share,
-		mix:     workload.TrinityMix(),
-		arrival: workload.Poisson,
-		load:    1.4,
-		jobs:    o.Jobs,
-		cluster: cluster.Trinity(o.Nodes),
-		scale:   o.RuntimeScale,
-		seed:    o.Seeds[0],
+func canonicalScenario(o Options, policy string, share sched.ShareConfig) sweepgrid.Scenario {
+	return sweepgrid.Scenario{
+		Workload: workload.Spec{
+			Mix:          workload.TrinityMix(),
+			Jobs:         o.Jobs,
+			Arrival:      workload.Poisson,
+			Load:         1.4,
+			Cluster:      cluster.Trinity(o.Nodes),
+			RuntimeScale: o.RuntimeScale,
+			Seed:         o.Seeds[0],
+		},
+		Policy: policy,
+		Share:  share,
 	}
 }
 
 // closedScenario is the makespan experiment's batch workload (F2).
-func closedScenario(o Options, policy string, share sched.ShareConfig) scenario {
+func closedScenario(o Options, policy string, share sched.ShareConfig) sweepgrid.Scenario {
 	sc := canonicalScenario(o, policy, share)
-	sc.arrival = workload.Batch
-	sc.load = 0
-	sc.jobs = o.Jobs * 2 / 3
+	sc.Workload.Arrival = workload.Batch
+	sc.Workload.Load = 0
+	sc.Workload.Jobs = o.Jobs * 2 / 3
 	return sc
 }
 

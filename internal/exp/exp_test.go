@@ -194,7 +194,7 @@ func TestF12FaultFreeRowIsClean(t *testing.T) {
 func TestScenarioRunnerRejectsBadPolicy(t *testing.T) {
 	o := fastOpts()
 	sc := canonicalScenario(o, "nope", sched.DefaultShareConfig())
-	if _, err := runScenario(sc); err == nil {
+	if _, _, err := sc.Run(); err == nil {
 		t.Fatal("unknown policy accepted")
 	}
 }

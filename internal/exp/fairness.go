@@ -3,13 +3,12 @@ package exp
 import (
 	"fmt"
 
-	"repro/internal/cluster"
+	"repro/internal/job"
 	"repro/internal/report"
 	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/slurm"
 	"repro/internal/stats"
-	"repro/internal/workload"
 )
 
 // runF8 regenerates the fairness comparison: a Zipf-skewed multi-user
@@ -29,52 +28,30 @@ func runF8(o Options) (*report.Table, error) {
 		{"fcfs order", false},
 		{"fairshare priority", true},
 	} {
-		var ces, means, heavies, lights []float64
-		for _, seed := range o.Seeds {
-			jobs, err := workload.Generate(workload.Spec{
-				Mix:          workload.TrinityMix(),
-				Jobs:         o.Jobs,
-				Arrival:      workload.Poisson,
-				Load:         1.4,
-				Cluster:      cluster.Trinity(o.Nodes),
-				RuntimeScale: o.RuntimeScale,
-				Users:        users,
-				Seed:         seed,
-			})
-			if err != nil {
-				return nil, err
+		sc := canonicalScenario(o, "sharebackfill", sched.DefaultShareConfig())
+		sc.Workload.Users = users
+		if variant.fairshare {
+			prio := slurm.DefaultPriorityConfig()
+			prio.WeightFairshare = 5000 // dominate age so the effect is visible
+			sc.QueueOrder = func(e *sim.Engine) func(a, b *job.Job) bool {
+				return prio.LessWithUsage(e.Now, o.Nodes, slurm.UsageFromEngine(e))
 			}
-			pol, err := sched.New("sharebackfill", sched.DefaultShareConfig())
-			if err != nil {
-				return nil, err
-			}
-			e := sim.New(sim.Config{Cluster: cluster.Trinity(o.Nodes), Policy: pol})
-			if variant.fairshare {
-				prio := slurm.DefaultPriorityConfig()
-				prio.WeightFairshare = 5000 // dominate age so the effect is visible
-				e.SetQueueOrder(prio.LessWithUsage(e.Now, o.Nodes, slurm.UsageFromEngine(e)))
-			}
-			if err := e.SubmitAll(jobs); err != nil {
-				return nil, err
-			}
-			e.RunAll()
-			r := e.Result()
-			if err := r.Validate(); err != nil {
-				return nil, err
-			}
-			ces = append(ces, r.CompEfficiency)
-			means = append(means, r.Wait.Mean)
-
+		}
+		rs, finished, err := seedMean(sc, o.Seeds)
+		if err != nil {
+			return nil, err
+		}
+		var heavies, lights []float64
+		for _, jobs := range finished {
 			byUser := map[string][]float64{}
-			for _, j := range e.Finished() {
+			for _, j := range jobs {
 				byUser[j.User] = append(byUser[j.User], float64(j.WaitTime()))
 			}
-			heavy := stats.Mean(byUser["user01"])
 			var lightWaits []float64
 			for u := 2; u <= users; u++ {
 				lightWaits = append(lightWaits, byUser[fmt.Sprintf("user%02d", u)]...)
 			}
-			heavies = append(heavies, heavy)
+			heavies = append(heavies, stats.Mean(byUser["user01"]))
 			lights = append(lights, stats.Mean(lightWaits))
 		}
 		heavy, light := stats.Mean(heavies), stats.Mean(lights)
@@ -84,8 +61,8 @@ func runF8(o Options) (*report.Table, error) {
 		}
 		t.Add(
 			variant.name,
-			report.F(stats.Mean(ces), 3),
-			report.F(stats.Mean(means), 0),
+			report.F(meanOf(rs, func(r metricsResult) float64 { return r.CompEfficiency }), 3),
+			report.F(meanOf(rs, func(r metricsResult) float64 { return r.Wait.Mean }), 0),
 			report.F(heavy, 0),
 			report.F(light, 0),
 			report.F(ratio, 2),

@@ -18,7 +18,7 @@ func runF1(o Options) (*report.Table, error) {
 		"policy", "CE mean", "CE ±95%", "gain vs easy")
 	ces := map[string][]float64{}
 	for _, pname := range allPolicies() {
-		rs, err := seedMean(canonicalScenario(o, pname, sched.DefaultShareConfig()), o.Seeds)
+		rs, _, err := seedMean(canonicalScenario(o, pname, sched.DefaultShareConfig()), o.Seeds)
 		if err != nil {
 			return nil, err
 		}
@@ -45,7 +45,7 @@ func runF2(o Options) (*report.Table, error) {
 	ses := map[string][]float64{}
 	makespans := map[string][]float64{}
 	for _, pname := range allPolicies() {
-		rs, err := seedMean(closedScenario(o, pname, sched.DefaultShareConfig()), o.Seeds)
+		rs, _, err := seedMean(closedScenario(o, pname, sched.DefaultShareConfig()), o.Seeds)
 		if err != nil {
 			return nil, err
 		}
@@ -126,8 +126,8 @@ func runF4(o Options) (*report.Table, error) {
 	for _, load := range []float64{0.7, 0.9, 1.1} {
 		for _, pname := range []string{"easy", "sharefirstfit", "sharebackfill"} {
 			sc := canonicalScenario(o, pname, sched.DefaultShareConfig())
-			sc.load = load
-			rs, err := seedMean(sc, o.Seeds)
+			sc.Workload.Load = load
+			rs, _, err := seedMean(sc, o.Seeds)
 			if err != nil {
 				return nil, err
 			}
@@ -153,14 +153,14 @@ func runF5(o Options) (*report.Table, error) {
 		"load", "util easy", "util share", "CE easy", "CE share", "CE gain")
 	for _, load := range []float64{0.3, 0.5, 0.7, 0.9, 1.1, 1.3, 1.5} {
 		scE := canonicalScenario(o, "easy", sched.DefaultShareConfig())
-		scE.load = load
-		rsE, err := seedMean(scE, o.Seeds)
+		scE.Workload.Load = load
+		rsE, _, err := seedMean(scE, o.Seeds)
 		if err != nil {
 			return nil, err
 		}
 		scS := canonicalScenario(o, "sharebackfill", sched.DefaultShareConfig())
-		scS.load = load
-		rsS, err := seedMean(scS, o.Seeds)
+		scS.Workload.Load = load
+		rsS, _, err := seedMean(scS, o.Seeds)
 		if err != nil {
 			return nil, err
 		}
@@ -187,14 +187,14 @@ func runF6(o Options) (*report.Table, error) {
 		"mix", "CE easy", "CE share", "CE gain", "shared frac")
 	for _, mix := range workload.Mixes() {
 		scE := canonicalScenario(o, "easy", sched.DefaultShareConfig())
-		scE.mix = mix
-		rsE, err := seedMean(scE, o.Seeds)
+		scE.Workload.Mix = mix
+		rsE, _, err := seedMean(scE, o.Seeds)
 		if err != nil {
 			return nil, err
 		}
 		scS := canonicalScenario(o, "sharebackfill", sched.DefaultShareConfig())
-		scS.mix = mix
-		rsS, err := seedMean(scS, o.Seeds)
+		scS.Workload.Mix = mix
+		rsS, _, err := seedMean(scS, o.Seeds)
 		if err != nil {
 			return nil, err
 		}
@@ -236,14 +236,14 @@ func runF7(o Options) (*report.Table, error) {
 			ThreadsPerCore: v.tpc, MemoryPerNodeMB: v.memGB * 1024,
 		}
 		scE := canonicalScenario(o, "easy", sched.DefaultShareConfig())
-		scE.cluster = ccfg
-		rsE, err := seedMean(scE, o.Seeds)
+		scE.Workload.Cluster = ccfg
+		rsE, _, err := seedMean(scE, o.Seeds)
 		if err != nil {
 			return nil, err
 		}
 		scS := canonicalScenario(o, "sharebackfill", sched.DefaultShareConfig())
-		scS.cluster = ccfg
-		rsS, err := seedMean(scS, o.Seeds)
+		scS.Workload.Cluster = ccfg
+		rsS, _, err := seedMean(scS, o.Seeds)
 		if err != nil {
 			return nil, err
 		}

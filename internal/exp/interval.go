@@ -3,6 +3,7 @@ package exp
 import (
 	"fmt"
 
+	"repro/internal/des"
 	"repro/internal/report"
 	"repro/internal/sched"
 )
@@ -20,8 +21,8 @@ func runF11(o Options) (*report.Table, error) {
 	for _, interval := range []float64{0, 30, 60, 120} {
 		for _, pname := range []string{"easy", "sharebackfill"} {
 			sc := canonicalScenario(o, pname, sched.DefaultShareConfig())
-			sc.schedInterval = interval
-			rs, err := seedMean(sc, o.Seeds)
+			sc.SchedInterval = des.Duration(interval)
+			rs, _, err := seedMean(sc, o.Seeds)
 			if err != nil {
 				return nil, err
 			}

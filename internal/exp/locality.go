@@ -29,9 +29,9 @@ func runF10(o Options) (*report.Table, error) {
 	}
 	for _, v := range variants {
 		sc := canonicalScenario(o, "sharebackfill", sched.DefaultShareConfig())
-		sc.topo = v.topo
-		sc.locality = v.locality
-		rs, err := seedMean(sc, o.Seeds)
+		sc.Topo = v.topo
+		sc.LocalityAware = v.locality
+		rs, _, err := seedMean(sc, o.Seeds)
 		if err != nil {
 			return nil, err
 		}

@@ -30,14 +30,12 @@ func runT4(o Options) (*report.Table, error) {
 		return a
 	}
 	collect := func(policy string, into func(a *appAgg, j *job.Job)) error {
-		for _, seed := range o.Seeds {
-			sc := canonicalScenario(o, policy, sched.DefaultShareConfig())
-			sc.seed = seed
-			_, finished, err := runScenarioJobs(sc)
-			if err != nil {
-				return err
-			}
-			for _, j := range finished {
+		_, finished, err := seedMean(canonicalScenario(o, policy, sched.DefaultShareConfig()), o.Seeds)
+		if err != nil {
+			return err
+		}
+		for _, jobs := range finished {
+			for _, j := range jobs {
 				into(get(j.App.Name), j)
 			}
 		}

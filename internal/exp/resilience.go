@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/fault"
-	"repro/internal/metrics"
 	"repro/internal/report"
 	"repro/internal/sched"
 )
@@ -31,9 +30,21 @@ func runF12(o Options) (*report.Table, error) {
 	}
 	for _, lvl := range sweep {
 		for _, pname := range []string{"easy", "sharebackfill"} {
-			rs, err := resilienceRuns(o, pname, lvl.mtbf)
+			sc := canonicalScenario(o, pname, sched.DefaultShareConfig())
+			if lvl.mtbf > 0 { // the "none" level runs fully fault-free as the reference
+				sc.Faults = &fault.Config{
+					Enabled:   true,
+					MTBF:      lvl.mtbf,
+					MTTR:      o.FaultMTTR,
+					Shape:     o.FaultShape,
+					CrashProb: o.FaultCrashProb,
+				}
+			}
+			// seedMean seeds each fault trace from its workload seed, so the
+			// two policies at one MTBF see identical node outages.
+			rs, _, err := seedMean(sc, o.Seeds)
 			if err != nil {
-				return nil, err
+				return nil, fmt.Errorf("F12 mtbf=%g: %w", lvl.mtbf, err)
 			}
 			t.Add(
 				fmt.Sprintf("%s/%s", pname, lvl.label),
@@ -49,35 +60,4 @@ func runF12(o Options) (*report.Table, error) {
 	t.AddNote("per-node MTBF sweep at MTTR %.0f s, crash prob %.2g/attempt; failure traces", o.FaultMTTR, o.FaultCrashProb)
 	t.AddNote("are seed-paired across policies, so rows at one MTBF see identical node outages")
 	return t, nil
-}
-
-// resilienceRuns executes the canonical scenario across seeds with a fault
-// configuration whose seed is derived from the workload seed, so averaging
-// covers failure traces as well as arrival patterns while keeping each trace
-// identical across the two policies (a paired comparison).
-func resilienceRuns(o Options, policy string, mtbf float64) ([]metrics.Result, error) {
-	out := make([]metrics.Result, 0, len(o.Seeds))
-	for _, seed := range o.Seeds {
-		sc := canonicalScenario(o, policy, sched.DefaultShareConfig())
-		sc.seed = seed
-		if mtbf > 0 { // the "none" level runs fully fault-free as the reference
-			sc.faults = &fault.Config{
-				Enabled:   true,
-				MTBF:      mtbf,
-				MTTR:      o.FaultMTTR,
-				Shape:     o.FaultShape,
-				CrashProb: o.FaultCrashProb,
-				Seed:      seed,
-			}
-			if err := sc.faults.Validate(); err != nil {
-				return nil, err
-			}
-		}
-		r, err := runScenario(sc)
-		if err != nil {
-			return nil, fmt.Errorf("F12 mtbf=%g: %w", mtbf, err)
-		}
-		out = append(out, r)
-	}
-	return out, nil
 }

@@ -79,7 +79,7 @@ func runT3(o Options) (*report.Table, error) {
 	ces := map[string]float64{}
 	ses := map[string]float64{}
 	for _, pname := range allPolicies() {
-		rs, err := seedMean(canonicalScenario(o, pname, sched.DefaultShareConfig()), o.Seeds)
+		rs, _, err := seedMean(canonicalScenario(o, pname, sched.DefaultShareConfig()), o.Seeds)
 		if err != nil {
 			return nil, err
 		}

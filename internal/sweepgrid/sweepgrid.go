@@ -1,10 +1,9 @@
-// Package sweepgrid is the shared definition of a sweep campaign: the grid
-// spec, the cell enumeration order, the per-cell simulation, and the exact
-// CSV row encoding. Both execution paths — cmd/sweep running cells in-process
-// and the fabric dispatcher handing cells to simd daemons — build on this
-// one package, which is what makes their outputs byte-identical: a cell is a
-// pure function of the spec and its index, and a row's bytes are produced by
-// the same encoder regardless of where the cell ran.
+// Package sweepgrid defines one simulation run and one sweep campaign:
+// Scenario.Run (the one scenario runner, shared by every experiment table and
+// every sweep or fabric cell), the grid spec, the cell enumeration order, and
+// the exact CSV row encoding. A cell is a pure function of the spec and its
+// index, and a row's bytes come from one encoder wherever the cell ran, so
+// cmd/sweep's in-process pool and simd daemons emit byte-identical CSV.
 package sweepgrid
 
 import (
@@ -12,11 +11,83 @@ import (
 	"encoding/csv"
 	"encoding/json"
 	"fmt"
+	"strings"
 
 	"repro/internal/cluster"
-	"repro/internal/core"
+	"repro/internal/des"
+	"repro/internal/fault"
+	"repro/internal/job"
+	"repro/internal/metrics"
+	"repro/internal/sched"
+	"repro/internal/sim"
+	"repro/internal/topology"
 	"repro/internal/workload"
 )
+
+// Scenario is the complete input of one simulation: the generated workload
+// (whose Cluster is also the simulated machine), the policy, and the engine
+// options. Every field but Workload and Policy may be left zero.
+type Scenario struct {
+	Workload workload.Spec
+	Policy   string
+	Share    sched.ShareConfig
+	// Topo enables the interconnect model; LocalityAware additionally makes
+	// the policies placement-locality-aware.
+	Topo          *topology.Topology
+	LocalityAware bool
+	// SchedInterval batches scheduling onto periodic ticks; 0 = event-driven.
+	SchedInterval des.Duration
+	// Faults enables fault injection; nil runs failure-free.
+	Faults *fault.Config
+	// StrictLimits enables walltime kills.
+	StrictLimits bool
+	// QueueOrder, when set, builds the pending-queue comparator from the
+	// engine it will order (e.g. a fairshare priority that reads the
+	// engine's usage); nil is FCFS.
+	QueueOrder func(*sim.Engine) func(a, b *job.Job) bool
+}
+
+// Run executes the simulation and returns its metrics along with the
+// finished jobs (for callers that slice per-job data). The result must pass
+// metrics.Result.Validate, and every submitted job must be accounted for:
+// finished + killed = submitted − rejected.
+func (sc Scenario) Run() (metrics.Result, []*job.Job, error) {
+	pol, err := sched.New(sc.Policy, sc.Share)
+	if err != nil {
+		return metrics.Result{}, nil, err
+	}
+	if sc.Faults != nil {
+		if err := sc.Faults.Validate(); err != nil {
+			return metrics.Result{}, nil, err
+		}
+	}
+	jobs, err := workload.Generate(sc.Workload)
+	if err != nil {
+		return metrics.Result{}, nil, err
+	}
+	e := sim.New(sim.Config{
+		Cluster: sc.Workload.Cluster, Policy: pol, StrictLimits: sc.StrictLimits,
+		Topo: sc.Topo, LocalityAware: sc.LocalityAware,
+		SchedInterval: sc.SchedInterval,
+		Faults:        sc.Faults,
+	})
+	if sc.QueueOrder != nil {
+		e.SetQueueOrder(sc.QueueOrder(e))
+	}
+	if err := e.SubmitAll(jobs); err != nil {
+		return metrics.Result{}, nil, err
+	}
+	e.RunAll()
+	r := e.Result()
+	if err := r.Validate(); err != nil {
+		return metrics.Result{}, nil, fmt.Errorf("sweepgrid: %s seed %d: %w", sc.Policy, sc.Workload.Seed, err)
+	}
+	if r.Finished+r.Killed != r.Submitted-len(e.Rejected()) {
+		return metrics.Result{}, nil, fmt.Errorf("sweepgrid: %s seed %d: %d of %d jobs unaccounted",
+			sc.Policy, sc.Workload.Seed, r.Submitted-r.Finished-r.Killed, r.Submitted)
+	}
+	return r, e.Finished(), nil
+}
 
 // Spec is a fully-described sweep grid. It marshals to JSON so a dispatcher
 // can ship it to workers in the hello exchange; a worker needs nothing else
@@ -44,6 +115,11 @@ type Cell struct {
 func (s Spec) Validate() error {
 	if len(s.Policies) == 0 {
 		return fmt.Errorf("sweepgrid: no policies")
+	}
+	for _, p := range s.Policies {
+		if _, err := sched.New(p, sched.DefaultShareConfig()); err != nil {
+			return fmt.Errorf("sweepgrid: %w (known: %s)", err, strings.Join(sched.Names(), ", "))
+		}
 	}
 	if len(s.Loads) == 0 {
 		return fmt.Errorf("sweepgrid: no loads")
@@ -106,23 +182,17 @@ func (s Spec) RunCell(i int) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	machine := cluster.Trinity(s.Nodes)
-	generated, err := workload.Generate(workload.Spec{
-		Mix: mix, Jobs: s.Jobs, Arrival: workload.Poisson, Load: c.Load,
-		Cluster: machine, RuntimeScale: s.Scale, Seed: c.Seed,
-	})
+	r, _, err := Scenario{
+		Workload: workload.Spec{
+			Mix: mix, Jobs: s.Jobs, Arrival: workload.Poisson, Load: c.Load,
+			Cluster: cluster.Trinity(s.Nodes), RuntimeScale: s.Scale, Seed: c.Seed,
+		},
+		Policy: c.Policy,
+		Share:  sched.DefaultShareConfig(),
+	}.Run()
 	if err != nil {
 		return nil, err
 	}
-	sys, err := core.NewSystem(core.Config{Machine: machine, Policy: c.Policy})
-	if err != nil {
-		return nil, err
-	}
-	if err := sys.SubmitJobs(generated); err != nil {
-		return nil, err
-	}
-	sys.Run()
-	r := sys.Metrics()
 	return []string{
 		c.Policy,
 		fmt.Sprintf("%g", c.Load),
