@@ -34,7 +34,7 @@ import (
 // while preserving the workload shape; the exprun CLI runs the full-size
 // versions.
 func benchOpts() exp.Options {
-	return exp.Options{Seeds: []uint64{42}, Nodes: 32, Jobs: 150, RuntimeScale: 0.02}
+	return exp.Options{Seeds: []uint64{42}, Nodes: 32, Jobs: 150, RuntimeScale: 0.02, FaultCrashProb: 0.02}
 }
 
 // runExperiment drives one registry entry b.N times and reports metric

@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/exp"
@@ -16,7 +17,7 @@ var update = flag.Bool("update", false, "rewrite golden files with current outpu
 // testOpts shrinks the experiments so the full test grid runs in about a
 // second while still driving every policy through the scheduler.
 func testOpts() exp.Options {
-	return exp.Options{Seeds: []uint64{42, 43}, Nodes: 32, Jobs: 80, RuntimeScale: 0.02}
+	return exp.Options{Seeds: []uint64{42, 43}, Nodes: 32, Jobs: 80, RuntimeScale: 0.02, FaultCrashProb: 0.02}
 }
 
 func runToBytes(t *testing.T, ids []string, workers int) []byte {
@@ -128,6 +129,25 @@ func TestOptionsRejectsBadFlags(t *testing.T) {
 	}
 	if len(o.Seeds) != 2 || o.Seeds[0] != 42 || o.Seeds[1] != 43 || o.Nodes != 8 || o.Jobs != 60 {
 		t.Fatalf("options = %+v", o)
+	}
+}
+
+// A zero -fault-crashprob means no crashes: it survives options and the
+// experiment defaults, and F12 runs and reports it as zero.
+func TestZeroCrashProbStaysZero(t *testing.T) {
+	o, err := options(1, 8, 40, 0.01, 900, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if o.FaultCrashProb != 0 {
+		t.Fatalf("options turned crash prob 0 into %g", o.FaultCrashProb)
+	}
+	var buf bytes.Buffer
+	if err := run([]string{"F12"}, o, 1, "", &buf); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), "crash prob 0/attempt") {
+		t.Fatalf("F12 does not report crash prob 0:\n%s", buf.String())
 	}
 }
 

@@ -10,8 +10,10 @@
 package cluster
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"math/bits"
 	"slices"
 )
 
@@ -70,42 +72,48 @@ func Trinity(n int) Config {
 // Node is one compute node. Hardware threads are indexed
 // core*ThreadsPerCore + sibling, so the primary thread of core c is index
 // c*tpc and its SMT siblings follow immediately.
+//
+// Ownership is kept by mask, not by thread: busy is a bitset over the
+// node's hardware threads and each resident job holds the mask of the
+// threads it owns. Every query (Owner, JobThreads, FreeSiblingThreads,
+// LayerFree) is derived from those two.
 type Node struct {
-	id    int
-	cores int
-	tpc   int
-	memMB int
+	id      int
+	cores   int
+	tpc     int
+	threads int
+	memMB   int
 
-	owner   []JobID       // per hardware thread; NoJob when free
-	memUsed map[JobID]int // per-job resident memory on this node, MB
-	threads map[JobID]int // per-job allocated thread count on this node
-	free    int           // free hardware threads
-	drained bool          // administratively removed from scheduling
-	down    bool          // failed hardware: no allocations until repaired
+	busy    []uint64   // allocated hardware threads
+	res     []resident // jobs holding threads here, ascending ID
+	free    int        // free hardware threads
+	drained bool       // administratively removed from scheduling
+	down    bool       // failed hardware: no allocations until repaired
 
-	// Incrementally maintained counters backing the free-capacity index
-	// (see index.go): per-layer free-thread counts and the node's total
-	// reserved memory, so LayerFree and MemFreeMB are O(1) on the
-	// scheduler's candidate-scan hot path.
-	freeInLayer []int // free threads per SMT layer; layer fully free at cores
-	memUsedSum  int   // total reserved memory, MB
+	layers     [][]uint64 // the cluster's per-layer masks (read-only)
+	memUsedSum int        // total reserved memory, MB
 }
 
-func newNode(id int, cfg Config) *Node {
+// resident is one job's share of a node: the threads it holds and the
+// memory it reserves. mask may be one of the cluster's shared layer or
+// whole-node masks, so it is never written through.
+type resident struct {
+	id    JobID
+	mask  []uint64
+	memMB int
+}
+
+func newNode(id int, cfg Config, layers [][]uint64) *Node {
 	n := &Node{
-		id:          id,
-		cores:       cfg.CoresPerNode,
-		tpc:         cfg.ThreadsPerCore,
-		memMB:       cfg.MemoryPerNodeMB,
-		owner:       make([]JobID, cfg.ThreadsPerNode()),
-		memUsed:     make(map[JobID]int),
-		threads:     make(map[JobID]int),
-		freeInLayer: make([]int, cfg.ThreadsPerCore),
+		id:      id,
+		cores:   cfg.CoresPerNode,
+		tpc:     cfg.ThreadsPerCore,
+		threads: cfg.ThreadsPerNode(),
+		memMB:   cfg.MemoryPerNodeMB,
+		busy:    make([]uint64, (cfg.ThreadsPerNode()+63)/64),
+		layers:  layers,
 	}
-	n.free = len(n.owner)
-	for l := range n.freeInLayer {
-		n.freeInLayer[l] = n.cores
-	}
+	n.free = n.threads
 	return n
 }
 
@@ -119,7 +127,7 @@ func (n *Node) Cores() int { return n.cores }
 func (n *Node) ThreadsPerCore() int { return n.tpc }
 
 // Threads returns the number of hardware threads.
-func (n *Node) Threads() int { return len(n.owner) }
+func (n *Node) Threads() int { return n.threads }
 
 // MemoryMB returns the node's total memory.
 func (n *Node) MemoryMB() int { return n.memMB }
@@ -128,7 +136,7 @@ func (n *Node) MemoryMB() int { return n.memMB }
 func (n *Node) FreeThreads() int { return n.free }
 
 // Idle reports whether no job holds any thread on the node.
-func (n *Node) Idle() bool { return n.free == len(n.owner) }
+func (n *Node) Idle() bool { return n.free == n.threads }
 
 // Drained reports whether the node is administratively removed from
 // scheduling (running jobs keep their allocations; no new work lands).
@@ -147,7 +155,14 @@ func (n *Node) Available() bool { return !n.drained && !n.down }
 func (n *Node) MemFreeMB() int { return n.memMB - n.memUsedSum }
 
 // Owner returns the job holding hardware thread t, or NoJob.
-func (n *Node) Owner(t int) JobID { return n.owner[t] }
+func (n *Node) Owner(t int) JobID {
+	for _, r := range n.res {
+		if hasBit(r.mask, t) {
+			return r.id
+		}
+	}
+	return NoJob
+}
 
 // CoreOf returns the physical core that hardware thread t belongs to.
 func (n *Node) CoreOf(t int) int { return t / n.tpc }
@@ -158,35 +173,40 @@ func (n *Node) SiblingOf(t, s int) int { return n.CoreOf(t)*n.tpc + s }
 // Jobs returns the IDs of jobs holding at least one thread, in ascending
 // order (deterministic for scheduling and tests).
 func (n *Node) Jobs() []JobID {
-	ids := make([]JobID, 0, len(n.threads))
-	for id := range n.threads {
-		ids = append(ids, id)
+	ids := make([]JobID, len(n.res))
+	for i, r := range n.res {
+		ids[i] = r.id
 	}
-	slices.Sort(ids)
 	return ids
+}
+
+// findResident returns the index of job id in n.res and whether it is there;
+// when it is not, the index is where it would be inserted.
+func (n *Node) findResident(id JobID) (int, bool) {
+	return slices.BinarySearchFunc(n.res, id, func(r resident, id JobID) int { return cmp.Compare(r.id, id) })
 }
 
 // JobThreads returns the hardware threads job id holds on this node,
 // ascending.
 func (n *Node) JobThreads(id JobID) []int {
-	if n.threads[id] == 0 {
+	i, ok := n.findResident(id)
+	if !ok {
 		return nil
 	}
-	out := make([]int, 0, n.threads[id])
-	for t, o := range n.owner {
-		if o == id {
-			out = append(out, t)
-		}
-	}
-	return out
+	return appendBits(nil, n.res[i].mask)
 }
 
 // JobMemoryMB returns the memory reserved by job id on this node.
-func (n *Node) JobMemoryMB(id JobID) int { return n.memUsed[id] }
+func (n *Node) JobMemoryMB(id JobID) int {
+	if i, ok := n.findResident(id); ok {
+		return n.res[i].memMB
+	}
+	return 0
+}
 
 // SharingDegree returns the number of distinct jobs on the node; 0 means
 // idle, 1 exclusive, ≥2 shared.
-func (n *Node) SharingDegree() int { return len(n.threads) }
+func (n *Node) SharingDegree() int { return len(n.res) }
 
 // FreeSiblingThreads returns the hardware threads of layer `sibling`
 // (0 = primary, 1 = first SMT sibling, ...) that are currently free,
@@ -197,13 +217,15 @@ func (n *Node) FreeSiblingThreads(sibling int) []int {
 	}
 	var out []int
 	for c := 0; c < n.cores; c++ {
-		t := c*n.tpc + sibling
-		if n.owner[t] == NoJob {
+		if t := c*n.tpc + sibling; !hasBit(n.busy, t) {
 			out = append(out, t)
 		}
 	}
 	return out
 }
+
+// layerFree reports whether no thread of layer l is allocated.
+func (n *Node) layerFree(l int) bool { return !overlaps(n.busy, n.layers[l]) }
 
 // Errors returned by allocation operations.
 var (
@@ -263,13 +285,18 @@ type Cluster struct {
 	idx *index
 
 	// layerIdx[l] lists the hardware threads of SMT layer l and allIdx every
-	// thread of a node. Nodes are homogeneous, so one immutable list per
-	// cluster serves every placement (see NodePlacement.Threads).
-	layerIdx [][]int
-	allIdx   []int
+	// thread of a node; layerMask and allMask are their masks. Nodes are
+	// homogeneous, so one immutable list and mask per cluster serve every
+	// placement (see NodePlacement.Threads).
+	layerIdx  [][]int
+	allIdx    []int
+	layerMask [][]uint64
+	allMask   []uint64
 
-	// seenNode and seenThread detect duplicates while Allocate validates.
-	seenNode, seenThread []bool
+	// seenNode detects duplicate nodes and masks holds each node's thread
+	// mask while Allocate validates.
+	seenNode []bool
+	masks    [][]uint64
 }
 
 // New builds a cluster from cfg. It panics on invalid configuration: cluster
@@ -281,22 +308,26 @@ func New(cfg Config) *Cluster {
 	}
 	c := &Cluster{
 		cfg: cfg, jobNodes: make(map[JobID][]int), idx: newIndex(cfg),
-		seenNode: make([]bool, cfg.Nodes), seenThread: make([]bool, cfg.ThreadsPerNode()),
+		seenNode: make([]bool, cfg.Nodes), layerMask: make([][]uint64, cfg.ThreadsPerCore),
 	}
 	c.nodes = make([]*Node, cfg.Nodes)
 	for i := range c.nodes {
-		c.nodes[i] = newNode(i, cfg)
+		c.nodes[i] = newNode(i, cfg, c.layerMask)
 	}
+	// The masks come from the one mask builder, on a node that is still
+	// empty, so it cannot refuse them.
 	c.allIdx = make([]int, cfg.ThreadsPerNode())
 	for t := range c.allIdx {
 		c.allIdx[t] = t
 	}
+	c.allMask, _ = c.nodes[0].threadMask(c.allIdx)
 	c.layerIdx = make([][]int, cfg.ThreadsPerCore)
 	for l := range c.layerIdx {
 		c.layerIdx[l] = make([]int, cfg.CoresPerNode)
 		for core := range c.layerIdx[l] {
 			c.layerIdx[l][core] = core*cfg.ThreadsPerCore + l
 		}
+		c.layerMask[l], _ = c.nodes[0].threadMask(c.layerIdx[l])
 	}
 	return c
 }
@@ -328,6 +359,7 @@ func (c *Cluster) Allocate(p Placement) error {
 	}
 	// Phase 1: validate everything.
 	clear(c.seenNode)
+	c.masks = c.masks[:0]
 	for _, np := range p.Nodes {
 		if np.Node < 0 || np.Node >= len(c.nodes) {
 			return fmt.Errorf("%w: %d", ErrUnknownNode, np.Node)
@@ -349,41 +381,100 @@ func (c *Cluster) Allocate(p Placement) error {
 			return fmt.Errorf("%w: negative memory on node %d", ErrBadPlace, np.Node)
 		}
 		n := c.nodes[np.Node]
-		clear(c.seenThread)
-		for _, t := range np.Threads {
-			if t < 0 || t >= n.Threads() {
-				return fmt.Errorf("%w: thread %d out of range on node %d", ErrBadPlace, t, np.Node)
-			}
-			if c.seenThread[t] {
-				return fmt.Errorf("%w: thread %d listed twice on node %d", ErrBadPlace, t, np.Node)
-			}
-			c.seenThread[t] = true
-			if n.owner[t] != NoJob {
-				return fmt.Errorf("%w: node %d thread %d held by job %d",
-					ErrThreadBusy, np.Node, t, n.owner[t])
-			}
+		m, err := c.placementMask(n, np.Threads)
+		if err != nil {
+			return err
 		}
 		if np.MemoryMB > n.MemFreeMB() {
 			return fmt.Errorf("%w: node %d has %d MB free, need %d MB",
 				ErrNoMemory, np.Node, n.MemFreeMB(), np.MemoryMB)
 		}
+		c.masks = append(c.masks, m)
 	}
 	// Phase 2: commit.
-	for _, np := range p.Nodes {
+	held := c.jobNodes[p.Job]
+	for k, np := range p.Nodes {
 		n := c.nodes[np.Node]
-		for _, t := range np.Threads {
-			n.owner[t] = p.Job
-			n.freeInLayer[t%n.tpc]--
-		}
+		orInto(n.busy, c.masks[k])
 		n.free -= len(np.Threads)
-		n.threads[p.Job] += len(np.Threads)
-		n.memUsed[p.Job] += np.MemoryMB
 		n.memUsedSum += np.MemoryMB
-		c.jobNodes[p.Job] = append(c.jobNodes[p.Job], np.Node)
+		n.addResident(p.Job, c.masks[k], np.MemoryMB)
+		held = append(held, np.Node)
 		c.idx.busyThreads += len(np.Threads)
 		c.reindexNode(np.Node)
 	}
+	c.jobNodes[p.Job] = held
+	clear(c.masks)
 	return nil
+}
+
+// placementMask returns the mask of threads on node n, or the error for the
+// first of them, in list order, that is out of range, listed twice or held.
+// The cluster's own layer and whole-node lists have their masks already;
+// they cannot be out of range or repeat a thread, and list their threads
+// ascending, so the lowest held thread of the mask is the first in the list.
+func (c *Cluster) placementMask(n *Node, threads []int) ([]uint64, error) {
+	m := c.sharedMask(threads)
+	if m == nil {
+		return n.threadMask(threads)
+	}
+	for w := range m {
+		if held := n.busy[w] & m[w]; held != 0 {
+			return nil, n.busyError(w*64 + bits.TrailingZeros64(held))
+		}
+	}
+	return m, nil
+}
+
+// sharedMask returns the precomputed mask of threads when threads is one of
+// the cluster's own lists (LayerThreads, ExclusivePlacement), nil otherwise.
+func (c *Cluster) sharedMask(threads []int) []uint64 {
+	if len(threads) == len(c.allIdx) && &threads[0] == &c.allIdx[0] {
+		return c.allMask
+	}
+	for l, idx := range c.layerIdx {
+		if len(threads) == len(idx) && &threads[0] == &idx[0] {
+			return c.layerMask[l]
+		}
+	}
+	return nil
+}
+
+// threadMask builds the mask of a thread list on node n, checking each
+// thread in list order: in range, not listed twice, not held.
+func (n *Node) threadMask(threads []int) ([]uint64, error) {
+	m := make([]uint64, len(n.busy))
+	for _, t := range threads {
+		switch {
+		case t < 0 || t >= n.threads:
+			return nil, fmt.Errorf("%w: thread %d out of range on node %d", ErrBadPlace, t, n.id)
+		case hasBit(m, t):
+			return nil, fmt.Errorf("%w: thread %d listed twice on node %d", ErrBadPlace, t, n.id)
+		case hasBit(n.busy, t):
+			return nil, n.busyError(t)
+		}
+		m[t>>6] |= 1 << (uint(t) & 63)
+	}
+	return m, nil
+}
+
+func (n *Node) busyError(t int) error {
+	return fmt.Errorf("%w: node %d thread %d held by job %d", ErrThreadBusy, n.id, t, n.Owner(t))
+}
+
+// addResident records that job id holds mask and memMB on n. A job that
+// already holds threads here keeps one entry, holding the union.
+func (n *Node) addResident(id JobID, mask []uint64, memMB int) {
+	i, ok := n.findResident(id)
+	if !ok {
+		n.res = slices.Insert(n.res, i, resident{id: id, mask: mask, memMB: memMB})
+		return
+	}
+	r := &n.res[i]
+	union := slices.Clone(r.mask) // r.mask may be a shared mask
+	orInto(union, mask)
+	r.mask = union
+	r.memMB += memMB
 }
 
 // Release frees every resource held by job id across the cluster and returns
@@ -396,17 +487,19 @@ func (c *Cluster) Release(id JobID) ([]int, error) {
 	}
 	for _, ni := range nodes {
 		n := c.nodes[ni]
-		for t, o := range n.owner {
-			if o == id {
-				n.owner[t] = NoJob
-				n.free++
-				n.freeInLayer[t%n.tpc]++
-				c.idx.busyThreads--
+		// A node listed twice (the job allocated there twice) was cleared
+		// on its first visit.
+		if i, ok := n.findResident(id); ok {
+			r := n.res[i]
+			for w := range n.busy {
+				n.busy[w] &^= r.mask[w]
 			}
+			k := popcount(r.mask)
+			n.free += k
+			c.idx.busyThreads -= k
+			n.memUsedSum -= r.memMB
+			n.res = slices.Delete(n.res, i, i+1)
 		}
-		n.memUsedSum -= n.memUsed[id]
-		delete(n.threads, id)
-		delete(n.memUsed, id)
 		c.reindexNode(ni)
 	}
 	delete(c.jobNodes, id)
@@ -453,8 +546,8 @@ func (c *Cluster) DrainedNodes() []int {
 // so SetDown panics in that case.
 func (c *Cluster) SetDown(ni int, down bool) {
 	n := c.Node(ni)
-	if down && len(n.threads) > 0 {
-		panic(fmt.Sprintf("cluster: node %d set down with %d resident jobs", ni, len(n.threads)))
+	if down && len(n.res) > 0 {
+		panic(fmt.Sprintf("cluster: node %d set down with %d resident jobs", ni, len(n.res)))
 	}
 	n.down = down
 	c.reindexNode(ni)

@@ -43,8 +43,16 @@ func (s *nodeSet) set(i int, present bool) {
 func (s *nodeSet) has(i int) bool { return s.words[i/64]&(uint64(1)<<(i%64)) != 0 }
 
 // appendTo appends the members in ascending order to out.
-func (s *nodeSet) appendTo(out []int) []int {
-	for wi, w := range s.words {
+func (s *nodeSet) appendTo(out []int) []int { return appendBits(out, s.words) }
+
+// The thread masks of a node (Node.busy, resident.mask) are plain word
+// slices over thread indices; these are their operations.
+
+func hasBit(m []uint64, i int) bool { return m[i>>6]&(1<<(uint(i)&63)) != 0 }
+
+// appendBits appends the indices of m's set bits, ascending, to out.
+func appendBits(out []int, m []uint64) []int {
+	for wi, w := range m {
 		base := wi * 64
 		for w != 0 {
 			out = append(out, base+bits.TrailingZeros64(w))
@@ -52,6 +60,31 @@ func (s *nodeSet) appendTo(out []int) []int {
 		}
 	}
 	return out
+}
+
+// orInto sets in dst every bit set in m.
+func orInto(dst, m []uint64) {
+	for i, w := range m {
+		dst[i] |= w
+	}
+}
+
+// overlaps reports whether a and b share a set bit.
+func overlaps(a, b []uint64) bool {
+	for i, w := range b {
+		if a[i]&w != 0 {
+			return true
+		}
+	}
+	return false
+}
+
+func popcount(m []uint64) int {
+	k := 0
+	for _, w := range m {
+		k += bits.OnesCount64(w)
+	}
+	return k
 }
 
 // index holds the cluster's incremental capacity bookkeeping.
@@ -86,17 +119,18 @@ func newIndex(cfg Config) *index {
 }
 
 // reindexNode recomputes node ni's membership in every set from the node's
-// own counters. It is O(threads-per-core) and is called after any state
-// change of the node (allocate, release, drain, repair).
+// busy mask and residents. It is O(threads-per-core × mask words) and is
+// called after any state change of the node (allocate, release, drain,
+// repair).
 func (c *Cluster) reindexNode(ni int) {
 	n := c.nodes[ni]
-	idle := n.free == len(n.owner)
-	avail := !n.drained && !n.down
+	idle := n.Idle()
+	avail := n.Available()
 	c.idx.idleAvail.set(ni, idle && avail)
 	c.idx.nonIdle.set(ni, !idle)
-	c.idx.shared.set(ni, len(n.threads) >= 2)
+	c.idx.shared.set(ni, len(n.res) >= 2)
 	for l := 0; l < n.tpc; l++ {
-		c.idx.layerFreeBusy[l].set(ni, avail && !idle && n.freeInLayer[l] == n.cores)
+		c.idx.layerFreeBusy[l].set(ni, avail && !idle && n.layerFree(l))
 	}
 }
 

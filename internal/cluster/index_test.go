@@ -2,16 +2,28 @@ package cluster
 
 import (
 	"math/rand/v2"
+	"slices"
 	"testing"
 )
 
-// bruteIdleNodes recomputes IdleNodes the pre-index way: a full rescan using
-// only per-node accessors that read the owner array directly.
+// The brute-force side rescans what the residents' masks say (Owner walks
+// them) and never reads the busy mask, the counters or the index.
+
+// bruteIdle reports whether no resident owns any thread of n.
+func bruteIdle(n *Node) bool {
+	for t := 0; t < n.Threads(); t++ {
+		if n.Owner(t) != NoJob {
+			return false
+		}
+	}
+	return true
+}
+
 func bruteIdleNodes(c *Cluster) []int {
 	var out []int
 	for i := 0; i < c.Size(); i++ {
 		n := c.Node(i)
-		if n.Idle() && n.Available() {
+		if bruteIdle(n) && n.Available() {
 			out = append(out, i)
 		}
 	}
@@ -23,14 +35,19 @@ func bruteLayerFree(c *Cluster, ni int, l Layer) bool {
 	if int(l) < 0 || int(l) >= n.ThreadsPerCore() {
 		return false
 	}
-	return len(n.FreeSiblingThreads(int(l))) == n.Cores()
+	for core := 0; core < n.Cores(); core++ {
+		if n.Owner(core*n.ThreadsPerCore()+int(l)) != NoJob {
+			return false
+		}
+	}
+	return true
 }
 
 func bruteShareCandidates(c *Cluster, l Layer, memMB int) []int {
 	var out []int
 	for i := 0; i < c.Size(); i++ {
 		n := c.Node(i)
-		if n.Idle() || !n.Available() || !bruteLayerFree(c, i, l) {
+		if bruteIdle(n) || !n.Available() || !bruteLayerFree(c, i, l) {
 			continue
 		}
 		if bruteMemFree(n) < memMB {
@@ -55,7 +72,7 @@ func bruteBusyFreeLayerNodes(c *Cluster) []int {
 	var out []int
 	for i := 0; i < c.Size(); i++ {
 		n := c.Node(i)
-		if n.Idle() || !n.Available() {
+		if bruteIdle(n) || !n.Available() {
 			continue
 		}
 		for l := 0; l < n.ThreadsPerCore(); l++ {
@@ -80,9 +97,43 @@ func equalInts(a, b []int) bool {
 	return true
 }
 
+// checkOwnership checks the ownership representation itself: the
+// residents' masks are non-empty and pairwise disjoint (no thread is
+// double-booked), listed in ascending job order, and their union is the
+// busy mask, which the free counter and the memory sum agree with.
+func checkOwnership(t *testing.T, c *Cluster, step int) {
+	t.Helper()
+	for i := 0; i < c.Size(); i++ {
+		n := c.Node(i)
+		union := make([]uint64, len(n.busy))
+		mem := 0
+		for k, r := range n.res {
+			if k > 0 && n.res[k-1].id >= r.id {
+				t.Fatalf("step %d: node %d residents out of order: %d before %d", step, i, n.res[k-1].id, r.id)
+			}
+			if popcount(r.mask) == 0 {
+				t.Fatalf("step %d: node %d resident %d holds no thread", step, i, r.id)
+			}
+			if overlaps(union, r.mask) {
+				t.Fatalf("step %d: node %d resident %d holds a thread another resident holds", step, i, r.id)
+			}
+			orInto(union, r.mask)
+			mem += r.memMB
+		}
+		if !slices.Equal(union, n.busy) {
+			t.Fatalf("step %d: node %d busy mask %x, residents' union %x", step, i, n.busy, union)
+		}
+		if n.FreeThreads() != n.Threads()-popcount(union) || n.memUsedSum != mem {
+			t.Fatalf("step %d: node %d free %d / memory %d MB, residents hold %d threads / %d MB",
+				step, i, n.FreeThreads(), n.memUsedSum, popcount(union), mem)
+		}
+	}
+}
+
 // checkIndex cross-checks every indexed query against a brute-force rescan.
 func checkIndex(t *testing.T, c *Cluster, step int) {
 	t.Helper()
+	checkOwnership(t, c, step)
 	if got, want := c.IdleNodes(), bruteIdleNodes(c); !equalInts(got, want) {
 		t.Fatalf("step %d: IdleNodes = %v, brute force = %v", step, got, want)
 	}
@@ -95,8 +146,12 @@ func checkIndex(t *testing.T, c *Cluster, step int) {
 	busyThreads, busyNodes, sharedNodes := 0, 0, 0
 	for i := 0; i < c.Size(); i++ {
 		n := c.Node(i)
-		busyThreads += n.Threads() - n.FreeThreads()
-		if !n.Idle() {
+		for th := 0; th < n.Threads(); th++ {
+			if n.Owner(th) != NoJob {
+				busyThreads++
+			}
+		}
+		if !bruteIdle(n) {
 			busyNodes++
 		}
 		if n.SharingDegree() >= 2 {
@@ -133,10 +188,11 @@ func checkIndex(t *testing.T, c *Cluster, step int) {
 
 // TestProperty_IndexMatchesRescan hammers the cluster with a random but
 // deterministic mix of layer/exclusive allocations, releases, drains, and
-// down/repair cycles, cross-checking every indexed query against a full
-// rescan after each step. This is the safety argument for the free-capacity
-// index: indexed answers are exactly the rescan answers, at every reachable
-// state.
+// down/repair cycles, checking the ownership representation and
+// cross-checking every indexed query against a full rescan of the residents'
+// masks after each step. This is the safety argument for the busy masks and
+// the free-capacity index: their answers are exactly the rescan answers, at
+// every reachable state.
 func TestProperty_IndexMatchesRescan(t *testing.T) {
 	rng := rand.New(rand.NewPCG(7, 11))
 	cfg := Config{Nodes: 24, CoresPerNode: 4, ThreadsPerCore: 2, MemoryPerNodeMB: 8192}

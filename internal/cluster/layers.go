@@ -16,14 +16,14 @@ const (
 )
 
 // LayerFree reports whether every thread of the given layer is free on node
-// ni. O(1) via the node's per-layer free counters — this is the scheduler's
-// innermost candidate probe.
+// ni: one AND of the node's busy mask with the layer's mask per 64 threads —
+// this is the scheduler's innermost candidate probe.
 func (c *Cluster) LayerFree(ni int, l Layer) bool {
 	n := c.Node(ni)
 	if int(l) < 0 || int(l) >= n.tpc {
 		return false
 	}
-	return n.freeInLayer[l] == n.cores
+	return n.layerFree(int(l))
 }
 
 // LayerThreads returns the thread indices making up layer l on node ni. The

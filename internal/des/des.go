@@ -9,7 +9,6 @@
 package des
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"math"
@@ -74,10 +73,8 @@ type Handler func(sim *Simulator)
 // and friends; the zero value is not usable.
 type Event struct {
 	at       Time
-	seq      uint64 // tie-breaker: FIFO among equal timestamps
-	index    int    // heap index, -1 once removed
 	canceled bool
-	fn       Handler
+	fn       Handler // nil once fired
 }
 
 // At returns the simulated time at which the event fires (or was scheduled to
@@ -87,33 +84,65 @@ func (e *Event) At() Time { return e.at }
 // Canceled reports whether Cancel was called on the event.
 func (e *Event) Canceled() bool { return e.canceled }
 
-type eventHeap []*Event
+// entry is one slot of the event queue: the ordering key by value beside the
+// event, so ordering the queue never dereferences an event.
+type entry struct {
+	at  Time
+	seq uint64 // tie-breaker: FIFO among equal timestamps
+	ev  *Event
+}
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+func (a entry) before(b entry) bool {
+	return a.at < b.at || a.at == b.at && a.seq < b.seq
+}
+
+// eventQueue is a binary min-heap of entries ordered by (at, seq).
+type eventQueue []entry
+
+func (q *eventQueue) push(e entry) {
+	h := append(*q, e)
+	i := len(h) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !e.before(h[parent]) {
+			break
+		}
+		h[i] = h[parent]
+		i = parent
 	}
-	return h[i].seq < h[j].seq
+	h[i] = e
+	*q = h
 }
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *eventHeap) Push(x any) {
-	e := x.(*Event)
-	e.index = len(*h)
-	*h = append(*h, e)
-}
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.index = -1
-	*h = old[:n-1]
-	return e
+
+// pop removes and returns the earliest entry; the queue must not be empty.
+func (q *eventQueue) pop() entry {
+	h := *q
+	top := h[0]
+	n := len(h) - 1
+	last := h[n]
+	h[n] = entry{}
+	h = h[:n]
+	if n > 0 {
+		// Sift the former last entry down from the root.
+		i := 0
+		for {
+			child := 2*i + 1
+			if child >= n {
+				break
+			}
+			if r := child + 1; r < n && h[r].before(h[child]) {
+				child = r
+			}
+			if !h[child].before(last) {
+				break
+			}
+			h[i] = h[child]
+			i = child
+		}
+		h[i] = last
+	}
+	*q = h
+	return top
 }
 
 // ErrPastEvent is returned when an event is scheduled before the current
@@ -126,7 +155,7 @@ var ErrPastEvent = errors.New("des: event scheduled in the past")
 // simulation runs by the experiment harness instead.
 type Simulator struct {
 	now     Time
-	queue   eventHeap
+	queue   eventQueue
 	nextSeq uint64
 	stopped bool
 
@@ -168,10 +197,10 @@ func (s *Simulator) Schedule(at Time, fn Handler) *Event {
 	if fn == nil {
 		panic("des: Schedule with nil handler")
 	}
-	e := &Event{at: at, seq: s.nextSeq, fn: fn}
+	e := &Event{at: at, fn: fn}
+	s.queue.push(entry{at: at, seq: s.nextSeq, ev: e})
 	s.nextSeq++
 	s.scheduled++
-	heap.Push(&s.queue, e)
 	return e
 }
 
@@ -187,13 +216,11 @@ func (s *Simulator) ScheduleIn(d Duration, fn Handler) *Event {
 // already-canceled event is a no-op. Cancellation is O(1); the event is
 // dropped lazily when popped.
 func (s *Simulator) Cancel(e *Event) {
-	if e == nil || e.canceled || e.index == -1 && e.fn == nil {
+	if e == nil || e.canceled || e.fn == nil {
 		return
 	}
-	if !e.canceled {
-		e.canceled = true
-		s.cancelled++
-	}
+	e.canceled = true
+	s.cancelled++
 }
 
 // Stop halts the run loop after the currently executing event returns.
@@ -204,7 +231,7 @@ func (s *Simulator) Stop() { s.stopped = true }
 // time).
 func (s *Simulator) Step() bool {
 	for len(s.queue) > 0 {
-		e := heap.Pop(&s.queue).(*Event)
+		e := s.queue.pop().ev
 		if e.canceled {
 			continue
 		}
@@ -229,11 +256,8 @@ func (s *Simulator) Run(until Time) {
 	s.stopped = false
 	for !s.stopped {
 		// Peek: do not pop events beyond the horizon.
-		next := s.peek()
-		if next == nil {
-			break
-		}
-		if next.at > until {
+		next, ok := s.peek()
+		if !ok || next > until {
 			break
 		}
 		s.Step()
@@ -246,13 +270,14 @@ func (s *Simulator) Run(until Time) {
 // RunAll executes events until the queue is empty or Stop is called.
 func (s *Simulator) RunAll() { s.Run(Forever) }
 
-func (s *Simulator) peek() *Event {
+// peek drops canceled events from the head of the queue and returns the
+// time of the earliest live one, false when none is left.
+func (s *Simulator) peek() (Time, bool) {
 	for len(s.queue) > 0 {
-		e := s.queue[0]
-		if !e.canceled {
-			return e
+		if !s.queue[0].ev.canceled {
+			return s.queue[0].at, true
 		}
-		heap.Pop(&s.queue)
+		s.queue.pop()
 	}
-	return nil
+	return 0, false
 }

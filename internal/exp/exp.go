@@ -31,9 +31,9 @@ type Options struct {
 	// RuntimeScale multiplies application runtimes (see workload.Spec).
 	RuntimeScale float64
 	// FaultMTTR, FaultShape, and FaultCrashProb parameterize the F12
-	// resilience sweep (which varies MTBF itself). Zero values default to a
-	// 900 s repair time, exponential failures, and a 2% per-attempt crash
-	// probability.
+	// resilience sweep (which varies MTBF itself). Zero MTTR and shape
+	// default to a 900 s repair time and exponential failures; a zero crash
+	// probability is zero: jobs never crash.
 	FaultMTTR      float64
 	FaultShape     float64
 	FaultCrashProb float64
@@ -57,9 +57,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.FaultShape == 0 {
 		o.FaultShape = 1
-	}
-	if o.FaultCrashProb == 0 {
-		o.FaultCrashProb = 0.02
 	}
 	return o
 }

@@ -164,7 +164,7 @@ func TestF7SMTOffMeansNoSharing(t *testing.T) {
 }
 
 func TestF12FaultFreeRowIsClean(t *testing.T) {
-	o := Options{Seeds: []uint64{7, 8}, Nodes: 16, Jobs: 120, RuntimeScale: 0.02}
+	o := Options{Seeds: []uint64{7, 8}, Nodes: 16, Jobs: 120, RuntimeScale: 0.02, FaultCrashProb: 0.02}
 	tbl, err := runF12(o)
 	if err != nil {
 		t.Fatal(err)

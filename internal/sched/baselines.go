@@ -1,8 +1,10 @@
 package sched
 
 import (
+	"cmp"
 	"slices"
 
+	"repro/internal/des"
 	"repro/internal/job"
 )
 
@@ -160,10 +162,15 @@ func backfillExclusive(ctx *Context, maxReservations int) []Decision {
 // buildNodeProfile rebuilds the scratch's whole-node availability profile at
 // the start of a pass, from the idle set and the running jobs' planned
 // completion times.
+//
+// A node shared by several jobs becomes a whole free node only when the
+// latest resident leaves. Each occupied node is released by the first running
+// job whose end is that release time, so the profile is built from one
+// (end, nodes) release per running job, sorted by end: releases at equal
+// times merge, which makes it the profile of one release per node.
 func buildNodeProfile(ctx *Context) *Profile {
 	sc := ctx.sc
-	// A node shared by several jobs becomes a whole free node only when the
-	// latest resident leaves. Zero marks a node no running job occupies.
+	// Zero marks a node no running job occupies, -1 one already released.
 	sc.releaseAt = resize(sc.releaseAt, ctx.Cluster.Size())
 	clear(sc.releaseAt)
 	for _, r := range ctx.Running {
@@ -174,16 +181,33 @@ func buildNodeProfile(ctx *Context) *Profile {
 			}
 		}
 	}
-	sc.ends = sc.ends[:0]
-	for _, end := range sc.releaseAt {
-		if end > 0 {
-			sc.ends = append(sc.ends, end)
+	sc.releases = sc.releases[:0]
+	for _, r := range ctx.Running {
+		end := predictedEnd(r, ctx.Share)
+		if end <= 0 {
+			continue // cannot be a release time: those are positive
+		}
+		k := 0
+		for _, ni := range r.NodeIDs {
+			if sc.releaseAt[ni] == end {
+				sc.releaseAt[ni] = -1
+				k++
+			}
+		}
+		if k > 0 {
+			sc.releases = append(sc.releases, nodeRelease{end, k})
 		}
 	}
-	slices.Sort(sc.ends)
+	slices.SortFunc(sc.releases, func(a, b nodeRelease) int { return cmp.Compare(a.at, b.at) })
 	sc.profile.start(ctx.Now, len(sc.idle))
-	for _, end := range sc.ends {
-		sc.profile.release(end, 1)
+	for _, rel := range sc.releases {
+		sc.profile.release(rel.at, rel.nodes)
 	}
 	return &sc.profile
+}
+
+// nodeRelease is k nodes becoming whole free nodes at one time.
+type nodeRelease struct {
+	at    des.Time
+	nodes int
 }

@@ -471,3 +471,56 @@ func TestSkeletonsMatchReference(t *testing.T) {
 		})
 	}
 }
+
+// Differential: buildNodeProfile, which releases nodes per running job,
+// opens the same (times, free) as the per-node build it replaced — on
+// seeded mid-run states and on hand-built ones whose shared nodes' residents
+// end together, one after the other either way round, at or before Now, and
+// at 0; each with inflation accounting on and off.
+func TestBuildNodeProfileMatchesReference(t *testing.T) {
+	check := func(name string, ctx *Context) {
+		t.Helper()
+		for _, inflation := range []bool{true, false} {
+			ctx.Share.InflationAccounting = inflation
+			ctx.begin()
+			got, want := buildNodeProfile(ctx), refBuildNodeProfile(ctx)
+			if !slices.Equal(got.times, want.times) || !slices.Equal(got.free, want.free) {
+				t.Fatalf("%s, inflation %v: profile\n%v\n%v, the reference\n%v\n%v",
+					name, inflation, got.times, got.free, want.times, want.free)
+			}
+		}
+	}
+	for seed := uint64(1); seed <= 300; seed++ {
+		for _, idle := range []int{0, 3, 16} {
+			check(fmt.Sprintf("seed %d idle %d", seed, idle), deepState(t, seed, 0, idle, false))
+		}
+	}
+
+	c := cluster.New(cluster.Config{Nodes: 10, CoresPerNode: 4, ThreadsPerCore: 2, MemoryPerNodeMB: 1024})
+	a := app.Catalogue()[0]
+	var running []*RunningJob
+	start := func(on []int, layer cluster.Layer, nominal, predicted des.Time) {
+		id := cluster.JobID(len(running) + 1)
+		if err := c.Allocate(c.LayerPlacement(id, on, layer, 0)); err != nil {
+			t.Fatal(err)
+		}
+		j := &job.Job{ID: id, App: a, Nodes: len(on), ReqWalltime: 4000, TrueRuntime: 3000}
+		running = append(running, &RunningJob{Job: j, NodeIDs: on, NominalEnd: nominal, PredictedEnd: predicted, Rate: 1})
+	}
+	start([]int{0, 1, 2}, cluster.PrimaryLayer, 1000, 1000)
+	start([]int{1, 2, 3}, cluster.SecondaryLayer, 1000, 1000) // same end on shared nodes
+	start([]int{4, 5}, cluster.PrimaryLayer, 800, 850)
+	start([]int{4, 5}, cluster.SecondaryLayer, 1200, 1150) // the later resident second
+	start([]int{6}, cluster.PrimaryLayer, 1500, 1400)
+	start([]int{6}, cluster.SecondaryLayer, 900, 1400) // the later resident first; equal when inflated
+	start([]int{7}, cluster.PrimaryLayer, 600, 400)    // predicted end before Now
+	start([]int{7}, cluster.SecondaryLayer, 500, 500)  // ends at Now
+	start([]int{8}, cluster.PrimaryLayer, 0, 0)        // ends at 0: the node counts as unoccupied
+	for _, order := range [][]int{{0, 1, 2, 3, 4, 5, 6, 7, 8}, {8, 7, 6, 5, 4, 3, 2, 1, 0}, {3, 1, 5, 7, 0, 2, 8, 4, 6}} {
+		ctx := &Context{Now: 500, Cluster: c, Inter: interference.Default(), Share: DefaultShareConfig()}
+		for _, i := range order {
+			ctx.Running = append(ctx.Running, running[i])
+		}
+		check(fmt.Sprintf("hand-built, running order %v", order), ctx)
+	}
+}

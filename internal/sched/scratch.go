@@ -78,9 +78,9 @@ type scratch struct {
 	shadows []des.Time
 
 	profile   Profile
-	releaseAt []des.Time // per node: when its last resident leaves
-	ends      []des.Time // releaseAt of the occupied nodes, ascending
-	minNodes  []int      // per queue position: smallest request at or behind it (see smallestRequests)
+	releaseAt []des.Time    // per node: when its last resident leaves
+	releases  []nodeRelease // per running job: the nodes it releases, by end
+	minNodes  []int         // per queue position: smallest request at or behind it (see smallestRequests)
 
 	loads  []interference.Load
 	keyBuf []byte

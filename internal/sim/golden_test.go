@@ -402,7 +402,7 @@ func (c *invariantChecker) check() error {
 		isRunning[r.Job.ID] = r
 	}
 
-	// INV-2: resource conservation. What the owner arrays hold, what the
+	// INV-2: resource conservation. What the residents' masks hold, what the
 	// per-node counters say, what the free-capacity index answers and what
 	// the running set claims are four views of one allocation state.
 	cl := e.Cluster()

@@ -48,9 +48,18 @@ func Percentile(xs []float64, p float64) float64 {
 	if p < 0 || p > 100 {
 		panic(fmt.Sprintf("stats: Percentile(%g)", p))
 	}
+	return percentileSorted(sortedCopy(xs), p)
+}
+
+func sortedCopy(xs []float64) []float64 {
 	sorted := make([]float64, len(xs))
 	copy(sorted, xs)
 	sort.Float64s(sorted)
+	return sorted
+}
+
+// percentileSorted is Percentile on an already sorted sample.
+func percentileSorted(sorted []float64, p float64) float64 {
 	if len(sorted) == 1 {
 		return sorted[0]
 	}
@@ -85,11 +94,12 @@ type Summary struct {
 }
 
 // Summarize computes a Summary; the zero Summary is returned for an empty
-// sample.
+// sample. It sorts one copy of the sample for all four percentiles.
 func Summarize(xs []float64) Summary {
 	if len(xs) == 0 {
 		return Summary{}
 	}
+	sorted := sortedCopy(xs)
 	s := Summary{
 		N:      len(xs),
 		Mean:   Mean(xs),
@@ -97,10 +107,10 @@ func Summarize(xs []float64) Summary {
 		CI95:   CI95(xs),
 		Min:    xs[0],
 		Max:    xs[0],
-		P50:    Percentile(xs, 50),
-		P90:    Percentile(xs, 90),
-		P95:    Percentile(xs, 95),
-		P99:    Percentile(xs, 99),
+		P50:    percentileSorted(sorted, 50),
+		P90:    percentileSorted(sorted, 90),
+		P95:    percentileSorted(sorted, 95),
+		P99:    percentileSorted(sorted, 99),
 	}
 	for _, x := range xs {
 		if x < s.Min {

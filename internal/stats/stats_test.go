@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"math/rand/v2"
 	"testing"
 	"testing/quick"
 )
@@ -204,5 +205,64 @@ func TestProperty_MeanBounded(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Property: Summarize, which sorts one copy of the sample, returns bit for
+// bit what Percentile (a sorted copy per call) and the moment functions
+// return — on samples of length 1, 2 and more, with duplicates, both zeros,
+// and magnitudes from 1e-300 to 1e300.
+func TestProperty_SummarizeMatchesPercentile(t *testing.T) {
+	rng := rand.New(rand.NewPCG(5, 8))
+	value := func(pool []float64) float64 {
+		switch rng.IntN(6) {
+		case 0:
+			return math.Copysign(0, float64(rng.IntN(2)*2-1)) // +0 or -0
+		case 1:
+			if len(pool) > 0 {
+				return pool[rng.IntN(len(pool))] // a duplicate
+			}
+		case 2:
+			return float64(rng.IntN(5)) // small integers repeat often
+		}
+		return (rng.Float64()*2 - 1) * math.Pow(10, float64(rng.IntN(601)-300))
+	}
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	for trial := 0; trial < 3000; trial++ {
+		n := 1 + trial%3
+		if trial >= 300 {
+			n = 1 + rng.IntN(200)
+		}
+		xs := make([]float64, 0, n)
+		for range n {
+			xs = append(xs, value(xs))
+		}
+		orig := append([]float64(nil), xs...)
+		s := Summarize(xs)
+		lo, hi := xs[0], xs[0]
+		for _, x := range xs {
+			if x < lo {
+				lo = x
+			}
+			if x > hi {
+				hi = x
+			}
+		}
+		want := Summary{
+			N: n, Mean: Mean(xs), Stddev: Stddev(xs), CI95: CI95(xs), Min: lo, Max: hi,
+			P50: Percentile(xs, 50), P90: Percentile(xs, 90), P95: Percentile(xs, 95), P99: Percentile(xs, 99),
+		}
+		got := []float64{s.Mean, s.Stddev, s.CI95, s.Min, s.Max, s.P50, s.P90, s.P95, s.P99}
+		wantv := []float64{want.Mean, want.Stddev, want.CI95, want.Min, want.Max, want.P50, want.P90, want.P95, want.P99}
+		for i := range got {
+			if !same(got[i], wantv[i]) || s.N != n {
+				t.Fatalf("trial %d: Summarize(%v) = %+v, want %+v", trial, orig, s, want)
+			}
+		}
+		for i := range xs {
+			if !same(xs[i], orig[i]) {
+				t.Fatalf("trial %d: Summarize reordered its input", trial)
+			}
+		}
 	}
 }
