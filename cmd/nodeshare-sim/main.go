@@ -10,8 +10,11 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
+	"math"
 	"os"
 	"strings"
 
@@ -31,36 +34,55 @@ import (
 )
 
 func main() {
-	policy := flag.String("policy", "sharebackfill", "scheduling policy ("+strings.Join(sched.Names(), "|")+")")
-	nodes := flag.Int("nodes", 32, "machine size in nodes")
-	jobsN := flag.Int("jobs", 300, "synthetic workload job count")
-	mixName := flag.String("mix", "trinity", "application mix")
-	arrival := flag.String("arrival", "poisson", "arrival process: batch|poisson|dailycycle")
-	load := flag.Float64("load", 1.4, "offered load for open arrivals")
-	scale := flag.Float64("scale", 0.05, "runtime scale")
-	seed := flag.Uint64("seed", 42, "workload seed")
-	swfPath := flag.String("swf", "", "replay an SWF trace instead of generating a workload")
-	trace := flag.Bool("trace", false, "print per-event trace lines")
-	gantt := flag.Bool("gantt", false, "print an ASCII node-occupancy timeline after the run")
-	acctPath := flag.String("acct", "", "write a JSON-lines accounting file (analyze with acct-report)")
-	topoOn := flag.Bool("topo", false, "enable the interconnect model with locality-aware placement")
-	corun := flag.String("corun", "", "CSV of measured co-run pairs overriding the analytic model (appA,appB,rateA,rateB)")
-	corunExport := flag.Bool("corun-template", false, "print the analytic co-run matrix as a CSV template and exit")
-	horizon := flag.Float64("horizon", 0, "stop after this many simulated seconds (0 = run to completion)")
-	mtbf := flag.Float64("mtbf", 0, "per-node mean time between failures in seconds (0 = no node failures)")
-	mttr := flag.Float64("mttr", 900, "per-node mean time to repair in seconds")
-	faultShape := flag.Float64("fault-shape", 1, "Weibull shape of time-to-failure (1 = exponential)")
-	crashProb := flag.Float64("crashprob", 0, "per-attempt job crash probability")
-	maxRetries := flag.Int("max-retries", 3, "requeue attempts before a job is marked failed (negative = none)")
-	backoff := flag.Float64("backoff", 30, "base requeue backoff in seconds, doubling per retry (negative = none)")
-	faultSeed := flag.Uint64("fault-seed", 1, "failure-trace RNG seed")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return
+		}
+		fmt.Fprintln(os.Stderr, "nodeshare-sim:", err)
+		os.Exit(1)
+	}
+}
+
+// run parses args, runs one simulation and writes its report to stdout.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("nodeshare-sim", flag.ContinueOnError)
+	policy := fs.String("policy", "sharebackfill", "scheduling policy ("+strings.Join(sched.Names(), "|")+")")
+	nodes := fs.Int("nodes", 32, "machine size in nodes")
+	jobsN := fs.Int("jobs", 300, "synthetic workload job count")
+	mixName := fs.String("mix", "trinity", "application mix")
+	arrival := fs.String("arrival", "poisson", "arrival process: batch|poisson|dailycycle")
+	load := fs.Float64("load", 1.4, "offered load for open arrivals")
+	scale := fs.Float64("scale", 0.05, "runtime scale")
+	seed := fs.Uint64("seed", 42, "workload seed")
+	swfPath := fs.String("swf", "", "replay an SWF trace instead of generating a workload")
+	trace := fs.Bool("trace", false, "print per-event trace lines")
+	gantt := fs.Bool("gantt", false, "print an ASCII node-occupancy timeline after the run")
+	acctPath := fs.String("acct", "", "write a JSON-lines accounting file (analyze with acct-report)")
+	topoOn := fs.Bool("topo", false, "enable the interconnect model with locality-aware placement")
+	corun := fs.String("corun", "", "CSV of measured co-run pairs overriding the analytic model (appA,appB,rateA,rateB)")
+	corunExport := fs.Bool("corun-template", false, "print the analytic co-run matrix as a CSV template and exit")
+	horizon := fs.Float64("horizon", 0, "stop after this many simulated seconds (0 = run to completion)")
+	mtbf := fs.Float64("mtbf", 0, "per-node mean time between failures in seconds (0 = no node failures)")
+	mttr := fs.Float64("mttr", 900, "per-node mean time to repair in seconds")
+	faultShape := fs.Float64("fault-shape", 1, "Weibull shape of time-to-failure (1 = exponential)")
+	crashProb := fs.Float64("crashprob", 0, "per-attempt job crash probability")
+	maxRetries := fs.Int("max-retries", 3, "requeue attempts before a job is marked failed (negative = none)")
+	backoff := fs.Float64("backoff", 30, "base requeue backoff in seconds, doubling per retry (negative = none)")
+	faultSeed := fs.Uint64("fault-seed", 1, "failure-trace RNG seed")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	// The workload generator reads a zero scale as "unscaled" and the run
+	// loop a negative horizon as "to completion"; neither is what was asked.
+	if !(*scale > 0) || math.IsInf(*scale, 1) {
+		return fmt.Errorf("-scale must be positive and finite, got %g", *scale)
+	}
+	if !(*horizon >= 0) {
+		return fmt.Errorf("-horizon must be ≥ 0 (0 runs to completion), got %g", *horizon)
+	}
 
 	if *corunExport {
-		if err := interference.Default().ExportCoRunCSV(os.Stdout, app.Catalogue()); err != nil {
-			fatal(err)
-		}
-		return
+		return interference.Default().ExportCoRunCSV(stdout, app.Catalogue())
 	}
 
 	machine := cluster.Trinity(*nodes)
@@ -68,12 +90,12 @@ func main() {
 	if *corun != "" {
 		f, err := os.Open(*corun)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		pairs, err := interference.ParseCoRunCSV(f)
 		f.Close()
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		cfg.MeasuredPairs = pairs
 	}
@@ -83,7 +105,7 @@ func main() {
 		cfg.LocalityAware = true
 	}
 	if *mtbf < 0 || *crashProb < 0 {
-		fatal(fmt.Errorf("-mtbf and -crashprob must be non-negative"))
+		return fmt.Errorf("-mtbf and -crashprob must be non-negative")
 	}
 	faultsOn := *mtbf > 0 || *crashProb > 0
 	if faultsOn {
@@ -93,36 +115,36 @@ func main() {
 			Backoff: des.Duration(*backoff), Seed: *faultSeed,
 		}
 		if err := cfg.Faults.Validate(); err != nil {
-			fatal(err)
+			return err
 		}
 	}
 	sys, err := core.NewSystem(cfg)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	if *trace {
-		sys.Trace(func(line string) { fmt.Println(line) })
+		sys.Trace(func(line string) { fmt.Fprintln(stdout, line) })
 	}
 
 	var jobs []*job.Job
 	if *swfPath != "" {
 		f, err := os.Open(*swfPath)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		tr, err := swf.Parse(f)
 		f.Close()
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		jobs, err = swf.ToJobs(tr, machine)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 	} else {
 		mix, err := workload.MixByName(*mixName)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		var arr workload.Arrival
 		switch *arrival {
@@ -134,19 +156,19 @@ func main() {
 		case "dailycycle":
 			arr = workload.DailyCycle
 		default:
-			fatal(fmt.Errorf("unknown arrival %q", *arrival))
+			return fmt.Errorf("unknown arrival %q", *arrival)
 		}
 		jobs, err = workload.Generate(workload.Spec{
 			Mix: mix, Jobs: *jobsN, Arrival: arr, Load: *load,
 			Cluster: machine, RuntimeScale: *scale, Seed: *seed,
 		})
 		if err != nil {
-			fatal(err)
+			return err
 		}
 	}
 
 	if err := sys.SubmitJobs(jobs); err != nil {
-		fatal(err)
+		return err
 	}
 	if *horizon > 0 {
 		sys.RunUntil(des.Time(*horizon))
@@ -160,7 +182,7 @@ func main() {
 		all = append(all, sys.Engine().Killed()...)
 		all = append(all, sys.Engine().Rejected()...)
 		if err := acct.WriteFile(*acctPath, acct.FromJobs(all)); err != nil {
-			fatal(err)
+			return err
 		}
 	}
 
@@ -174,33 +196,29 @@ func main() {
 				})
 			}
 		}
-		fmt.Print(report.Gantt(spans, machine.Nodes, 100, 0, 0))
-		fmt.Println()
+		fmt.Fprint(stdout, report.Gantt(spans, machine.Nodes, 100, 0, 0))
+		fmt.Fprintln(stdout)
 	}
 
 	r := sys.Metrics()
-	fmt.Println(r)
-	fmt.Printf("  computational efficiency: %.3f\n", r.CompEfficiency)
-	fmt.Printf("  scheduling efficiency:    %.3f\n", r.SchedEfficiency)
-	fmt.Printf("  utilization:              %.3f\n", r.Utilization)
-	fmt.Printf("  shared node-time:         %.1f%%\n", r.SharedFraction*100)
-	fmt.Printf("  wait mean / p95:          %.0fs / %.0fs\n", r.Wait.Mean, r.Wait.P95)
-	fmt.Printf("  bounded slowdown mean:    %.2f\n", r.Slowdown.Mean)
-	fmt.Printf("  stretch mean:             %.3f\n", r.Stretch.Mean)
-	fmt.Printf("  scheduler pass mean:      %.1fµs over %d passes\n",
+	fmt.Fprintln(stdout, r)
+	fmt.Fprintf(stdout, "  computational efficiency: %.3f\n", r.CompEfficiency)
+	fmt.Fprintf(stdout, "  scheduling efficiency:    %.3f\n", r.SchedEfficiency)
+	fmt.Fprintf(stdout, "  utilization:              %.3f\n", r.Utilization)
+	fmt.Fprintf(stdout, "  shared node-time:         %.1f%%\n", r.SharedFraction*100)
+	fmt.Fprintf(stdout, "  wait mean / p95:          %.0fs / %.0fs\n", r.Wait.Mean, r.Wait.P95)
+	fmt.Fprintf(stdout, "  bounded slowdown mean:    %.2f\n", r.Slowdown.Mean)
+	fmt.Fprintf(stdout, "  stretch mean:             %.3f\n", r.Stretch.Mean)
+	fmt.Fprintf(stdout, "  scheduler pass mean:      %.1fµs over %d passes\n",
 		r.DecisionNanos.Mean/1e3, r.DecisionNanos.N)
 	if faultsOn {
-		fmt.Printf("  goodput:                  %.3f\n", r.Goodput)
-		fmt.Printf("  node failures / repairs:  %d / %d\n", r.NodeFailures, r.NodeRepairs)
-		fmt.Printf("  job crashes / requeues:   %d / %d\n", r.JobCrashes, r.Requeues)
-		fmt.Printf("  jobs failed permanently:  %d\n", r.FailedJobs)
-		fmt.Printf("  lost node-seconds:        %.0f\n", r.LostNodeSeconds)
-		fmt.Printf("  down node-seconds:        %.0f\n", r.DownNodeSeconds)
-		fmt.Printf("  mean time to reschedule:  %.0fs\n", r.MeanRescheduleSeconds)
+		fmt.Fprintf(stdout, "  goodput:                  %.3f\n", r.Goodput)
+		fmt.Fprintf(stdout, "  node failures / repairs:  %d / %d\n", r.NodeFailures, r.NodeRepairs)
+		fmt.Fprintf(stdout, "  job crashes / requeues:   %d / %d\n", r.JobCrashes, r.Requeues)
+		fmt.Fprintf(stdout, "  jobs failed permanently:  %d\n", r.FailedJobs)
+		fmt.Fprintf(stdout, "  lost node-seconds:        %.0f\n", r.LostNodeSeconds)
+		fmt.Fprintf(stdout, "  down node-seconds:        %.0f\n", r.DownNodeSeconds)
+		fmt.Fprintf(stdout, "  mean time to reschedule:  %.0fs\n", r.MeanRescheduleSeconds)
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "nodeshare-sim:", err)
-	os.Exit(1)
+	return nil
 }

@@ -1,0 +1,120 @@
+package main
+
+import (
+	"bytes"
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
+	"regexp"
+	"strings"
+	"testing"
+
+	"repro/internal/cluster"
+	"repro/internal/swf"
+	"repro/internal/workload"
+)
+
+var update = flag.Bool("update", false, "rewrite testdata/golden.txt with current output")
+
+// passMean is the one wall-clock number in a report.
+var passMean = regexp.MustCompile(`scheduler pass mean: +[0-9.]+µs`)
+
+// TestGolden runs the command over flag sets that reach every way it builds
+// and drives its engine — synthetic, topology, measured co-run pairs, faults,
+// SWF replay, trace, horizon, Gantt and the accounting file — and compares
+// the output with testdata/golden.txt. Never regenerate it to make an engine
+// change pass.
+func TestGolden(t *testing.T) {
+	dir := t.TempDir()
+	corunCSV := filepath.Join(dir, "corun.csv")
+	traceSWF := filepath.Join(dir, "trace.swf")
+	acctFile := filepath.Join(dir, "run.acct")
+
+	machine := cluster.Trinity(16)
+	jobs, err := workload.Generate(workload.Spec{
+		Mix: workload.TrinityMix(), Jobs: 40, Arrival: workload.Poisson, Load: 1.2,
+		Cluster: machine, RuntimeScale: 0.05, Seed: 9,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tr bytes.Buffer
+	if err := swf.Write(&tr, swf.FromJobs(jobs, machine)); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(traceSWF, tr.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	var out bytes.Buffer
+	runCase := func(args ...string) {
+		t.Helper()
+		fmt.Fprintf(&out, "$ nodeshare-sim %s\n", strings.ReplaceAll(strings.Join(args, " "), dir, "$TMP"))
+		var b bytes.Buffer
+		if err := run(args, &b); err != nil {
+			t.Fatalf("%v: %v", args, err)
+		}
+		out.Write(passMean.ReplaceAll(b.Bytes(), []byte("scheduler pass mean: <wall-clock>")))
+	}
+
+	runCase("-corun-template")
+	var tmpl bytes.Buffer
+	if err := run([]string{"-corun-template"}, &tmpl); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(corunCSV, tmpl.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	runCase("-jobs", "60", "-nodes", "16")
+	runCase("-jobs", "60", "-nodes", "16", "-policy", "easy", "-arrival", "batch")
+	runCase("-jobs", "60", "-nodes", "16", "-arrival", "dailycycle", "-load", "0.9", "-seed", "3")
+	runCase("-jobs", "60", "-nodes", "16", "-topo")
+	runCase("-jobs", "60", "-nodes", "16", "-corun", corunCSV)
+	runCase("-jobs", "60", "-nodes", "16", "-topo", "-mtbf", "20000", "-crashprob", "0.02")
+	runCase("-jobs", "60", "-nodes", "16", "-policy", "shareconservative", "-mtbf", "5000", "-mttr", "600",
+		"-fault-shape", "0.7", "-max-retries", "1", "-backoff", "10", "-fault-seed", "4")
+	runCase("-nodes", "16", "-swf", traceSWF, "-policy", "conservative")
+	runCase("-jobs", "6", "-nodes", "4", "-trace")
+	runCase("-jobs", "60", "-nodes", "16", "-horizon", "3600")
+	runCase("-jobs", "30", "-nodes", "8", "-gantt", "-acct", acctFile)
+	acct, err := os.ReadFile(acctFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fmt.Fprintf(&out, "$ cat $TMP/run.acct\n%s", acct)
+
+	golden := filepath.Join("testdata", "golden.txt")
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(golden, out.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("missing golden file: %v", err)
+	}
+	if !bytes.Equal(out.Bytes(), want) {
+		t.Fatalf("nodeshare-sim output diverged from %s:\n--- got ---\n%s", golden, out.Bytes())
+	}
+}
+
+// A zero scale used to run unscaled (a 12-day makespan instead of 15 h) and
+// a negative horizon to run to completion; both are refused before any run.
+func TestRefusesBadScaleAndHorizon(t *testing.T) {
+	for _, args := range [][]string{
+		{"-scale", "0"}, {"-scale", "-1"}, {"-scale", "NaN"}, {"-scale", "+Inf"},
+		{"-horizon", "-1"}, {"-horizon", "NaN"},
+	} {
+		var out bytes.Buffer
+		if err := run(append([]string{"-jobs", "5", "-nodes", "4"}, args...), &out); err == nil {
+			t.Errorf("%v accepted", args)
+		}
+		if out.Len() != 0 {
+			t.Errorf("%v printed before refusing:\n%s", args, out.Bytes())
+		}
+	}
+}

@@ -178,7 +178,7 @@ func TestMaxRetriesBound(t *testing.T) {
 		if j.State() != job.Failed {
 			t.Fatalf("job %d state = %v, want FAILED", j.ID, j.State())
 		}
-		if got := e.Retries(j.ID); got != maxRetries+1 {
+		if got := e.retries[j.ID]; got != maxRetries+1 {
 			t.Fatalf("job %d suffered %d evictions, want %d (retry budget + final)",
 				j.ID, got, maxRetries+1)
 		}

@@ -692,9 +692,6 @@ func (e *Engine) FaultTrace() []fault.Event {
 	return e.injector.Trace()
 }
 
-// Retries returns how many evictions job id has suffered so far.
-func (e *Engine) Retries(id cluster.JobID) int { return e.retries[id] }
-
 // enlist enters a started job into the engine's running-set indexes: the
 // ID map, the ID-ordered list the scheduler reads, and each node's residents.
 func (e *Engine) enlist(rec *runRec) {
