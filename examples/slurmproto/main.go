@@ -41,7 +41,7 @@ PriorityWeightJobSize=100
 		log.Fatal(err)
 	}
 	defer srv.Close()
-	fmt.Printf("controller for %q listening on %s\n\n", cfg.ClusterName, addr)
+	fmt.Printf("controller for %q listening\n\n", cfg.ClusterName)
 
 	cl, err := slurm.Dial(addr)
 	if err != nil {
