@@ -1,0 +1,48 @@
+package main
+
+import (
+	"bytes"
+	"flag"
+	"os"
+	"path/filepath"
+	"testing"
+)
+
+var update = flag.Bool("update", false, "rewrite testdata/stdout.golden with current output")
+
+// TestStdout runs the example and compares everything it prints with
+// testdata/stdout.golden. Some lines end in spaces (padded table columns),
+// which is why this is not an Example test. Never regenerate the file to make
+// a library change pass.
+func TestStdout(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "stdout")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = f
+	main()
+	os.Stdout = stdout
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden := filepath.Join("testdata", "stdout.golden")
+	if *update {
+		if err := os.WriteFile(golden, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("stdout differs from %s:\n got:\n%s\nwant:\n%s", golden, got, want)
+	}
+}
