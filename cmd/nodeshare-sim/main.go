@@ -21,13 +21,13 @@ import (
 	"repro/internal/acct"
 	"repro/internal/app"
 	"repro/internal/cluster"
-	"repro/internal/core"
 	"repro/internal/des"
 	"repro/internal/fault"
 	"repro/internal/interference"
 	"repro/internal/job"
 	"repro/internal/report"
 	"repro/internal/sched"
+	"repro/internal/sweepgrid"
 	"repro/internal/swf"
 	"repro/internal/topology"
 	"repro/internal/workload"
@@ -86,7 +86,11 @@ func run(args []string, stdout io.Writer) error {
 	}
 
 	machine := cluster.Trinity(*nodes)
-	cfg := core.Config{Machine: machine, Policy: *policy}
+	sc := sweepgrid.Scenario{
+		Workload: workload.Spec{Cluster: machine},
+		Policy:   *policy,
+		Share:    sched.DefaultShareConfig(),
+	}
 	if *corun != "" {
 		f, err := os.Open(*corun)
 		if err != nil {
@@ -97,33 +101,29 @@ func run(args []string, stdout io.Writer) error {
 		if err != nil {
 			return err
 		}
-		cfg.MeasuredPairs = pairs
+		sc.MeasuredPairs = pairs
 	}
 	if *topoOn {
 		t := topology.Default(*nodes)
-		cfg.Topology = &t
-		cfg.LocalityAware = true
+		sc.Topo, sc.LocalityAware = &t, true
 	}
 	if *mtbf < 0 || *crashProb < 0 {
 		return fmt.Errorf("-mtbf and -crashprob must be non-negative")
 	}
 	faultsOn := *mtbf > 0 || *crashProb > 0
 	if faultsOn {
-		cfg.Faults = &fault.Config{
+		sc.Faults = &fault.Config{
 			Enabled: true, MTBF: *mtbf, MTTR: *mttr, Shape: *faultShape,
 			CrashProb: *crashProb, MaxRetries: *maxRetries,
 			Backoff: des.Duration(*backoff), Seed: *faultSeed,
 		}
-		if err := cfg.Faults.Validate(); err != nil {
-			return err
-		}
 	}
-	sys, err := core.NewSystem(cfg)
+	eng, err := sc.Engine()
 	if err != nil {
 		return err
 	}
 	if *trace {
-		sys.Trace(func(line string) { fmt.Fprintln(stdout, line) })
+		eng.TraceFn = func(line string) { fmt.Fprintln(stdout, line) }
 	}
 
 	var jobs []*job.Job
@@ -167,20 +167,20 @@ func run(args []string, stdout io.Writer) error {
 		}
 	}
 
-	if err := sys.SubmitJobs(jobs); err != nil {
+	if err := eng.SubmitAll(jobs); err != nil {
 		return err
 	}
 	if *horizon > 0 {
-		sys.RunUntil(des.Time(*horizon))
+		eng.Run(des.Time(*horizon))
 	} else {
-		sys.Run()
+		eng.RunAll()
 	}
 
 	if *acctPath != "" {
 		var all []*job.Job
-		all = append(all, sys.Finished()...)
-		all = append(all, sys.Engine().Killed()...)
-		all = append(all, sys.Engine().Rejected()...)
+		all = append(all, eng.Finished()...)
+		all = append(all, eng.Killed()...)
+		all = append(all, eng.Rejected()...)
 		if err := acct.WriteFile(*acctPath, acct.FromJobs(all)); err != nil {
 			return err
 		}
@@ -188,7 +188,7 @@ func run(args []string, stdout io.Writer) error {
 
 	if *gantt {
 		var spans []report.Span
-		for _, rec := range sys.History() {
+		for _, rec := range eng.History() {
 			for _, ni := range rec.Nodes {
 				spans = append(spans, report.Span{
 					Node: ni, Start: float64(rec.Start), End: float64(rec.End),
@@ -200,7 +200,7 @@ func run(args []string, stdout io.Writer) error {
 		fmt.Fprintln(stdout)
 	}
 
-	r := sys.Metrics()
+	r := eng.Result()
 	fmt.Fprintln(stdout, r)
 	fmt.Fprintf(stdout, "  computational efficiency: %.3f\n", r.CompEfficiency)
 	fmt.Fprintf(stdout, "  scheduling efficiency:    %.3f\n", r.SchedEfficiency)

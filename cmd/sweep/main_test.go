@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"errors"
 	"flag"
+	"math"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -112,12 +115,40 @@ func TestValidateRejectsBadFlags(t *testing.T) {
 		{"zero jobs", "easy", "1.0", 1, 8, 0, "trinity", 0.05},
 		{"bad mix", "easy", "1.0", 1, 8, 10, "nosuchmix", 0.05},
 		{"zero scale", "easy", "1.0", 1, 8, 10, "trinity", 0},
+		{"infinite scale", "easy", "1.0", 1, 8, 10, "trinity", math.Inf(1)},
 	}
 	for _, tc := range cases {
 		if _, err := validate(tc.policies, tc.loads, tc.seeds, tc.nodes, tc.jobs,
 			tc.mix, tc.scale, 0); err == nil {
 			t.Errorf("%s: validate accepted it", tc.name)
 		}
+	}
+}
+
+// TestInfiniteScaleWritesNothing runs the command itself (this test binary,
+// re-executed as main) with -scale inf: it must exit 1 with the reason on
+// stderr before the CSV header reaches stdout.
+func TestInfiniteScaleWritesNothing(t *testing.T) {
+	if os.Getenv("SWEEP_TEST_MAIN") == "1" {
+		os.Args = []string{"sweep", "-policies", "easy", "-loads", "1", "-seeds", "1",
+			"-nodes", "8", "-jobs", "20", "-scale", "inf"}
+		main()
+		return
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^TestInfiniteScaleWritesNothing$")
+	cmd.Env = append(os.Environ(), "SWEEP_TEST_MAIN=1")
+	var stdout, stderr bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	err := cmd.Run()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+		t.Fatalf("exit = %v, want status 1; stderr %q", err, stderr.String())
+	}
+	if stdout.Len() != 0 {
+		t.Fatalf("stdout = %q, want nothing", stdout.String())
+	}
+	if !strings.Contains(stderr.String(), "scale must be positive and finite") {
+		t.Fatalf("stderr = %q", stderr.String())
 	}
 }
 

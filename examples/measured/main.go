@@ -13,10 +13,12 @@ import (
 
 	"repro/internal/app"
 	"repro/internal/cluster"
-	"repro/internal/core"
 	"repro/internal/des"
 	"repro/internal/interference"
+	"repro/internal/job"
 	"repro/internal/sched"
+	"repro/internal/sweepgrid"
+	"repro/internal/workload"
 )
 
 func main() {
@@ -38,28 +40,24 @@ func main() {
 	run := func(pairs []interference.MeasuredPair, minRate float64) (des.Time, bool) {
 		share := sched.DefaultShareConfig()
 		share.MinEstimatedRate = minRate
-		sys, err := core.NewSystem(core.Config{
-			Machine:       cluster.Trinity(4),
+		eng, err := sweepgrid.Scenario{
+			Workload:      workload.Spec{Cluster: cluster.Trinity(4)},
 			Policy:        "sharebackfill",
-			Sharing:       &share,
+			Share:         share,
 			MeasuredPairs: pairs,
-		})
+		}.Engine()
 		if err != nil {
 			log.Fatal(err)
 		}
-		host, err := sys.Submit(core.JobSpec{
-			App: "minife", Nodes: 4, Walltime: 8 * des.Hour, Runtime: 2 * des.Hour})
-		if err != nil {
+		host := &job.Job{ID: 1, Name: "minife-1", App: fe, Nodes: 4,
+			ReqWalltime: 8 * des.Hour, TrueRuntime: 2 * des.Hour}
+		guest := &job.Job{ID: 2, Name: "minimd-2", App: md, Nodes: 4,
+			ReqWalltime: 8 * des.Hour, TrueRuntime: 2 * des.Hour, Submit: des.Minute}
+		if err := eng.SubmitAll([]*job.Job{host, guest}); err != nil {
 			log.Fatal(err)
 		}
-		if _, err := sys.Submit(core.JobSpec{
-			App: "minimd", Nodes: 4, Walltime: 8 * des.Hour, Runtime: 2 * des.Hour,
-			At: des.Minute}); err != nil {
-			log.Fatal(err)
-		}
-		sys.Run()
-		h := sys.Job(host)
-		return sys.Now(), h.EverShared()
+		eng.RunAll()
+		return eng.Now(), host.EverShared()
 	}
 
 	end, shared := run(nil, 0)

@@ -13,21 +13,26 @@ import (
 
 	"repro/internal/acct"
 	"repro/internal/cluster"
-	"repro/internal/core"
 	"repro/internal/des"
 	"repro/internal/report"
+	"repro/internal/sched"
+	"repro/internal/sweepgrid"
 	"repro/internal/workload"
 )
 
 func main() {
 	machine := cluster.Trinity(8)
-	sys, err := core.NewSystem(core.Config{Machine: machine, Policy: "sharebackfill"})
+	eng, err := sweepgrid.Scenario{
+		Workload: workload.Spec{Cluster: machine},
+		Policy:   "sharebackfill",
+		Share:    sched.DefaultShareConfig(),
+	}.Engine()
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	// Node 3 needs a DIMM swap before the morning rush.
-	sys.Cluster().SetDrained(3, true)
+	eng.Cluster().SetDrained(3, true)
 	fmt.Println("node 3 drained for maintenance")
 
 	// The morning's workload arrives.
@@ -38,24 +43,24 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := sys.SubmitJobs(jobs); err != nil {
+	if err := eng.SubmitAll(jobs); err != nil {
 		log.Fatal(err)
 	}
 
 	// Run the first simulated half hour with the node out.
-	sys.RunUntil(30 * des.Minute)
+	eng.Run(30 * des.Minute)
 	fmt.Printf("t=%s: %d running, %d queued, node 3 still drained\n",
-		sys.Now(), len(sys.Running()), len(sys.Pending()))
+		eng.Now(), len(eng.Running()), len(eng.Pending()))
 
 	// Maintenance done — resume and let the day play out.
-	sys.Cluster().SetDrained(3, false)
-	sys.Engine().Kick()
+	eng.Cluster().SetDrained(3, false)
+	eng.Kick()
 	fmt.Println("node 3 resumed")
-	sys.Run()
+	eng.RunAll()
 
 	// The occupancy timeline: node 3's row starts idle (the '·' prefix).
 	var spans []report.Span
-	for _, rec := range sys.History() {
+	for _, rec := range eng.History() {
 		for _, ni := range rec.Nodes {
 			spans = append(spans, report.Span{
 				Node: ni, Start: float64(rec.Start), End: float64(rec.End),
@@ -68,8 +73,8 @@ func main() {
 
 	// End-of-day accounting, per application.
 	fmt.Println()
-	if err := acct.Summary(acct.FromJobs(sys.Finished())).Render(os.Stdout); err != nil {
+	if err := acct.Summary(acct.FromJobs(eng.Finished())).Render(os.Stdout); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\n%s\n", sys.Metrics())
+	fmt.Printf("\n%s\n", eng.Result())
 }

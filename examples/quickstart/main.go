@@ -8,52 +8,58 @@ import (
 	"fmt"
 	"log"
 
+	"repro/internal/app"
 	"repro/internal/cluster"
-	"repro/internal/core"
 	"repro/internal/des"
+	"repro/internal/job"
+	"repro/internal/sched"
+	"repro/internal/sweepgrid"
+	"repro/internal/workload"
 )
 
 func main() {
 	// A small 8-node machine with 2-way SMT (the sharing substrate) under
 	// the paper's primary strategy, co-allocation-aware backfill.
-	sys, err := core.NewSystem(core.Config{
-		Machine: cluster.Trinity(8),
-		Policy:  "sharebackfill",
-	})
+	eng, err := sweepgrid.Scenario{
+		Workload: workload.Spec{Cluster: cluster.Trinity(8)},
+		Policy:   "sharebackfill",
+		Share:    sched.DefaultShareConfig(),
+	}.Engine()
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	// Watch the scheduler work.
-	sys.Trace(func(line string) { fmt.Println(line) })
+	eng.TraceFn = func(line string) { fmt.Println(line) }
 
-	// A bandwidth-bound solver takes the whole machine...
-	host, err := sys.Submit(core.JobSpec{
-		App: "minife", Nodes: 8, Walltime: 4 * des.Hour, Runtime: 2 * des.Hour,
-	})
+	minife, err := app.ByName("minife")
 	if err != nil {
 		log.Fatal(err)
 	}
+	minimd, err := app.ByName("minimd")
+	if err != nil {
+		log.Fatal(err)
+	}
+	// A bandwidth-bound solver takes the whole machine...
+	host := &job.Job{ID: 1, Name: "minife-1", App: minife, Nodes: 8,
+		ReqWalltime: 4 * des.Hour, TrueRuntime: 2 * des.Hour}
 	// ...and a compute-bound MD run arrives a minute later. Under exclusive
 	// allocation it would wait two hours; under node sharing it co-allocates
 	// onto the SMT sibling threads immediately.
-	guest, err := sys.Submit(core.JobSpec{
-		App: "minimd", Nodes: 8, Walltime: 2 * des.Hour, Runtime: 1 * des.Hour,
-		At: des.Minute,
-	})
-	if err != nil {
+	guest := &job.Job{ID: 2, Name: "minimd-2", App: minimd, Nodes: 8,
+		ReqWalltime: 2 * des.Hour, TrueRuntime: 1 * des.Hour, Submit: des.Minute}
+	if err := eng.SubmitAll([]*job.Job{host, guest}); err != nil {
 		log.Fatal(err)
 	}
 
-	sys.Run()
+	eng.RunAll()
 
-	h, g := sys.Job(host), sys.Job(guest)
 	fmt.Printf("\nhost  %s: waited %s, ran %s→%s (stretch %.2f)\n",
-		h.App.Name, h.WaitTime(), h.StartTime(), h.EndTime(), h.Stretch())
+		host.App.Name, host.WaitTime(), host.StartTime(), host.EndTime(), host.Stretch())
 	fmt.Printf("guest %s: waited %s, ran %s→%s (stretch %.2f)\n",
-		g.App.Name, g.WaitTime(), g.StartTime(), g.EndTime(), g.Stretch())
+		guest.App.Name, guest.WaitTime(), guest.StartTime(), guest.EndTime(), guest.Stretch())
 
-	m := sys.Metrics()
+	m := eng.Result()
 	fmt.Printf("\ncomputational efficiency: %.3f (1.0 = standard allocation)\n", m.CompEfficiency)
 	fmt.Printf("machine time spent shared: %.0f%%\n", m.SharedFraction*100)
 }

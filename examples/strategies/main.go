@@ -11,8 +11,9 @@ import (
 	"os"
 
 	"repro/internal/cluster"
-	"repro/internal/core"
 	"repro/internal/report"
+	"repro/internal/sched"
+	"repro/internal/sweepgrid"
 	"repro/internal/workload"
 )
 
@@ -33,20 +34,13 @@ func main() {
 
 	tbl := report.New("node sharing strategies on one Trinity workload",
 		"policy", "CE", "SE", "util", "wait mean", "slowdown")
-	for _, policy := range core.Policies() {
-		jobs, err := workload.Generate(spec)
+	for _, policy := range sched.Names() {
+		m, _, err := sweepgrid.Scenario{
+			Workload: spec, Policy: policy, Share: sched.DefaultShareConfig(),
+		}.Run()
 		if err != nil {
 			log.Fatal(err)
 		}
-		sys, err := core.NewSystem(core.Config{Machine: machine, Policy: policy})
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := sys.SubmitJobs(jobs); err != nil {
-			log.Fatal(err)
-		}
-		sys.Run()
-		m := sys.Metrics()
 		tbl.Add(policy,
 			report.F(m.CompEfficiency, 3),
 			report.F(m.SchedEfficiency, 3),

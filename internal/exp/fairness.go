@@ -3,10 +3,8 @@ package exp
 import (
 	"fmt"
 
-	"repro/internal/job"
 	"repro/internal/report"
 	"repro/internal/sched"
-	"repro/internal/sim"
 	"repro/internal/slurm"
 	"repro/internal/stats"
 )
@@ -33,9 +31,7 @@ func runF8(o Options) (*report.Table, error) {
 		if variant.fairshare {
 			prio := slurm.DefaultPriorityConfig()
 			prio.WeightFairshare = 5000 // dominate age so the effect is visible
-			sc.QueueOrder = func(e *sim.Engine) func(a, b *job.Job) bool {
-				return prio.LessWithUsage(e.Now, o.Nodes, slurm.UsageFromEngine(e))
-			}
+			sc.QueueOrder = prio.QueueOrder(o.Nodes)
 		}
 		rs, finished, err := seedMean(sc, o.Seeds)
 		if err != nil {

@@ -11,13 +11,16 @@ import (
 	"time"
 
 	"repro/internal/acct"
+	"repro/internal/app"
 	"repro/internal/cluster"
-	"repro/internal/core"
 	"repro/internal/des"
 	"repro/internal/fault"
 	"repro/internal/job"
 	"repro/internal/metrics"
+	"repro/internal/sim"
+	"repro/internal/sweepgrid"
 	"repro/internal/vfs"
+	"repro/internal/workload"
 )
 
 // Controller is the slurmctld-equivalent: it owns a batch-system instance,
@@ -35,7 +38,9 @@ import (
 type Controller struct {
 	mu  sync.Mutex
 	cfg Config
-	sys *core.System
+	eng *sim.Engine
+	// lastID is the last job ID assigned; a submit takes lastID+1.
+	lastID cluster.JobID
 	// clock is the simulated clock (float64 bits), published wherever it
 	// moves — the end of apply, and a follower's reset — so Now and every
 	// reply's stamp read it without c.mu.
@@ -86,32 +91,21 @@ type Controller struct {
 	repl      *replicator
 }
 
-// buildSystem constructs the simulation core for a validated configuration,
-// with the queue ordered by the configured multifactor priority.
-func buildSystem(cfg Config) (*core.System, error) {
-	share := cfg.Share
+// newEngine builds the simulation engine for a validated configuration, with
+// the queue ordered by the configured multifactor priority.
+func newEngine(cfg Config) (*sim.Engine, error) {
 	var faults *fault.Config
 	if cfg.Fault.Active() {
 		f := cfg.Fault
 		faults = &f
 	}
-	sys, err := core.NewSystem(core.Config{
-		Machine: cfg.Machine,
-		Policy:  cfg.Policy,
-		Sharing: &share,
-		Faults:  faults,
-	})
-	if err != nil {
-		return nil, err
-	}
-	engine := sys.Engine()
-	if cfg.Priority.WeightFairshare > 0 {
-		engine.SetQueueOrder(cfg.Priority.LessWithUsage(
-			engine.Now, cfg.Machine.Nodes, UsageFromEngine(engine)))
-	} else {
-		engine.SetQueueOrder(cfg.Priority.Less(engine.Now, cfg.Machine.Nodes))
-	}
-	return sys, nil
+	return sweepgrid.Scenario{
+		Workload:   workload.Spec{Cluster: cfg.Machine},
+		Policy:     cfg.Policy,
+		Share:      cfg.Share,
+		Faults:     faults,
+		QueueOrder: cfg.Priority.QueueOrder(cfg.Machine.Nodes),
+	}.Engine()
 }
 
 // NewController builds a controller from a validated configuration.
@@ -119,11 +113,11 @@ func NewController(cfg Config) (*Controller, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	sys, err := buildSystem(cfg)
+	eng, err := newEngine(cfg)
 	if err != nil {
 		return nil, err
 	}
-	c := &Controller{cfg: cfg, sys: sys, tokens: make(map[string]cluster.JobID)}
+	c := &Controller{cfg: cfg, eng: eng, tokens: make(map[string]cluster.JobID)}
 	if cfg.Overload.BreakerThreshold > 0 {
 		c.br = newBreaker(cfg.Overload.BreakerThreshold, cfg.Overload.BreakerCooldown)
 	}
@@ -204,8 +198,8 @@ const maxClock = 1e9
 // apply runs one journal entry against the engine. It is the only place a
 // mutating verb touches the engine, shared by the live path (mutate), crash
 // replay and follower-apply, so all three validate and behave alike. A submit
-// whose e.ID is zero is live: the engine assigns the ID and apply records it
-// in e; a non-zero e.ID is the journaled, authoritative one, and a different
+// whose e.ID is zero is live: apply assigns the next ID and records it in
+// e; a non-zero e.ID is the journaled, authoritative one, and a different
 // assignment is divergence. It is also the one place the simulated clock
 // moves, so it is where the clock is published for Now. Callers hold c.mu.
 func (c *Controller) apply(e *Entry) error {
@@ -215,7 +209,6 @@ func (c *Controller) apply(e *Entry) error {
 	if e.Epoch > c.epoch {
 		c.epoch = e.Epoch
 	}
-	eng := c.sys.Engine()
 	switch e.Op {
 	case "record", "brownout", "epoch":
 		// Audit output, the degradation trail and the promotion marker are
@@ -224,30 +217,30 @@ func (c *Controller) apply(e *Entry) error {
 	case "submit":
 		return c.applySubmit(e)
 	case "cancel":
-		return eng.CancelPending(cluster.JobID(e.ID))
+		return c.eng.CancelPending(cluster.JobID(e.ID))
 	case "advance":
 		if e.Seconds < 0 {
 			return nil // a negative advance is a no-op
 		}
-		to := c.sys.Now() + des.Duration(e.Seconds)
+		to := c.eng.Now() + des.Duration(e.Seconds)
 		if !(to <= maxClock) { // NaN and +Inf fail too
 			return fmt.Errorf("slurm: advance by %gs would move the clock past %gs", e.Seconds, float64(maxClock))
 		}
-		c.sys.RunUntil(to)
+		c.eng.Run(to)
 		return nil
 	case "drain":
-		c.sys.Run()
+		c.eng.RunAll()
 		return nil
 	case "drain_node":
 		return c.setDrained(e.Node, true)
 	case "resume_node":
 		return c.setDrained(e.Node, false)
 	case "requeue":
-		return c.settle(eng.RequeueRunning(cluster.JobID(e.ID)))
+		return c.settle(c.eng.RequeueRunning(cluster.JobID(e.ID)))
 	case "down_node":
-		return c.settle(eng.FailNode(e.Node))
+		return c.settle(c.eng.FailNode(e.Node))
 	case "up_node":
-		return c.settle(eng.RepairNode(e.Node))
+		return c.settle(c.eng.RepairNode(e.Node))
 	}
 	return fmt.Errorf("unknown op %q", e.Op)
 }
@@ -257,7 +250,7 @@ func (c *Controller) apply(e *Entry) error {
 // in squeue, started if resources are free — as soon as it is acknowledged.
 func (c *Controller) settle(err error) error {
 	if err == nil {
-		c.sys.RunUntil(c.sys.Now())
+		c.eng.Run(c.eng.Now())
 	}
 	return err
 }
@@ -266,13 +259,13 @@ func (c *Controller) settle(err error) error {
 // new work lands) or returns it to service, kicking the scheduler so waiting
 // work can use it immediately.
 func (c *Controller) setDrained(ni int, drained bool) error {
-	cl := c.sys.Cluster()
+	cl := c.eng.Cluster()
 	if ni < 0 || ni >= cl.Size() {
 		return fmt.Errorf("slurm: node %d out of range (cluster has %d nodes)", ni, cl.Size())
 	}
 	cl.SetDrained(ni, drained)
 	if !drained {
-		c.sys.Engine().Kick()
+		c.eng.Kick()
 	}
 	return nil
 }
@@ -426,7 +419,7 @@ func (c *Controller) logLocal(e Entry) error {
 	if c.jr == nil && !c.haOn {
 		return nil
 	}
-	fin, killed, rej := c.sys.Finished(), c.sys.Engine().Killed(), c.sys.Engine().Rejected()
+	fin, killed, rej := c.eng.Finished(), c.eng.Killed(), c.eng.Rejected()
 	group := []Entry{e}
 	for _, jobs := range [][]*job.Job{fin[c.finSeen:], killed[c.killSeen:], rej[c.rejSeen:]} {
 		for _, j := range jobs {
@@ -468,9 +461,9 @@ func (c *Controller) feedBreaker(err error) error {
 // after replay they were journaled before the crash, and on a follower the
 // primary's record entries arrive in-stream, so neither may re-audit them.
 func (c *Controller) skipAudits() {
-	c.finSeen = len(c.sys.Finished())
-	c.killSeen = len(c.sys.Engine().Killed())
-	c.rejSeen = len(c.sys.Engine().Rejected())
+	c.finSeen = len(c.eng.Finished())
+	c.killSeen = len(c.eng.Killed())
+	c.rejSeen = len(c.eng.Rejected())
 }
 
 // Close stops HA replication, then flushes and releases the journal (no-op
@@ -500,7 +493,7 @@ func (c *Controller) Now() des.Time {
 // publishClock copies the engine clock to where Now reads it. Callers hold
 // c.mu.
 func (c *Controller) publishClock() {
-	c.clock.Store(math.Float64bits(float64(c.sys.Now())))
+	c.clock.Store(math.Float64bits(float64(c.eng.Now())))
 }
 
 // mutate is the one live write path: every mutating verb — from the wire
@@ -565,19 +558,37 @@ func (c *Controller) applySubmit(e *Entry) error {
 	for i, a := range e.After {
 		after[i] = cluster.JobID(a)
 	}
+	model, err := app.ByName(e.App)
+	if err != nil {
+		return err
+	}
+	if wall <= 0 {
+		return fmt.Errorf("slurm: job needs a positive walltime, got %v", wall)
+	}
+	runtime := des.Duration(e.Runtime)
+	if runtime == 0 {
+		runtime = wall * 6 / 10 // a typical overestimation ratio
+	}
 	live := e.ID == 0
-	if !live {
+	if !live && cluster.JobID(e.ID)-1 > c.lastID {
 		// The journaled ID is authoritative: a submit whose append failed
 		// (and was rolled back) still burned a live ID, so the counter may
 		// trail the log. Fast-forward, then require an exact match — a
 		// journal ID *behind* the counter is real divergence.
-		c.sys.SyncNextJobID(cluster.JobID(e.ID))
+		c.lastID = cluster.JobID(e.ID) - 1
 	}
-	id, err := c.sys.Submit(core.JobSpec{
-		App: e.App, Nodes: e.Nodes, Walltime: wall, Runtime: des.Duration(e.Runtime),
-		Name: e.Name, After: after,
-	})
-	if err != nil {
+	// The ID is taken before the engine validates the job, so a refused
+	// submit burns it too.
+	c.lastID++
+	id := c.lastID
+	name := e.Name
+	if name == "" {
+		name = fmt.Sprintf("%s-%d", e.App, id)
+	}
+	if err := c.eng.Submit(&job.Job{
+		ID: id, Name: name, App: model, Nodes: e.Nodes, ReqWalltime: wall,
+		TrueRuntime: runtime, Submit: c.eng.Now(), After: after,
+	}); err != nil {
 		return err
 	}
 	if live {
@@ -679,7 +690,7 @@ func (c *Controller) ResumeNode(ni int) error {
 func (c *Controller) Stats() metrics.Result {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.sys.Metrics()
+	return c.eng.Result()
 }
 
 // JobInfo is one squeue row.
@@ -706,9 +717,9 @@ type JobInfo struct {
 func (c *Controller) Queue() []JobInfo {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	now := c.sys.Now()
+	now := c.eng.Now()
 	var out []JobInfo
-	for _, r := range c.sys.Running() {
+	for _, r := range c.eng.Running() {
 		out = append(out, JobInfo{
 			ID: int64(r.Job.ID), Name: r.Job.Name, App: r.Job.App.Name,
 			State: r.Job.State().String(), Nodes: r.Job.Nodes,
@@ -718,7 +729,7 @@ func (c *Controller) Queue() []JobInfo {
 			Priority: c.cfg.Priority.Priority(r.Job, now, c.cfg.Machine.Nodes),
 		})
 	}
-	for _, j := range c.sys.Pending() {
+	for _, j := range c.eng.Pending() {
 		out = append(out, JobInfo{
 			ID: int64(j.ID), Name: j.Name, App: j.App.Name,
 			State: j.State().String(), Nodes: j.Nodes,
@@ -726,7 +737,7 @@ func (c *Controller) Queue() []JobInfo {
 			Priority: c.cfg.Priority.Priority(j, now, c.cfg.Machine.Nodes),
 		})
 	}
-	for _, j := range c.sys.Held() {
+	for _, j := range c.eng.Held() {
 		out = append(out, JobInfo{
 			ID: int64(j.ID), Name: j.Name, App: j.App.Name,
 			State: j.State().String(), Nodes: j.Nodes,
@@ -755,13 +766,13 @@ func (c *Controller) History() []JobInfo {
 		}
 		out = append(out, info)
 	}
-	for _, j := range c.sys.Finished() {
+	for _, j := range c.eng.Finished() {
 		add(j)
 	}
-	for _, j := range c.sys.Engine().Killed() {
+	for _, j := range c.eng.Killed() {
 		add(j)
 	}
-	for _, j := range c.sys.Engine().Rejected() {
+	for _, j := range c.eng.Rejected() {
 		add(j)
 	}
 	sort.Slice(out, func(i, k int) bool { return out[i].ID < out[k].ID })
@@ -781,7 +792,7 @@ type NodeInfo struct {
 func (c *Controller) Nodes() []NodeInfo {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	cl := c.sys.Cluster()
+	cl := c.eng.Cluster()
 	out := make([]NodeInfo, 0, cl.Size())
 	for i := 0; i < cl.Size(); i++ {
 		n := cl.Node(i)

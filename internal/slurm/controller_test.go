@@ -1,6 +1,7 @@
 package slurm
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -61,6 +62,48 @@ func TestControllerPartitionLimits(t *testing.T) {
 	}
 	if _, err := ctl.Submit("no-such-app", 1, 3600, 0, ""); err == nil {
 		t.Fatal("unknown app accepted")
+	}
+}
+
+// A submit without a runtime runs for 60 % of its walltime, and one without
+// a name is called <app>-<id>.
+func TestControllerSubmitDefaults(t *testing.T) {
+	ctl, err := NewController(testControllerConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, err := ctl.Submit("minife", 2, 1000, 0, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if q := ctl.Queue(); len(q) != 1 || q[0].Name != fmt.Sprintf("minife-%d", id) {
+		t.Fatalf("queue = %+v, want one job named minife-%d", q, id)
+	}
+	ctl.Drain()
+	if h := ctl.History(); len(h) != 1 || h[0].End-h[0].Start != 600 {
+		t.Fatalf("history = %+v, want one job that ran 600s", h)
+	}
+}
+
+// A zero walltime is refused before an ID is taken, with these reply bytes;
+// zero nodes is refused by the engine after one is, so the next submit
+// skips it.
+func TestControllerSubmitRefusals(t *testing.T) {
+	ctl, err := NewController(testControllerConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, addr := refusalServer(t, ctl, nil)
+	w := dialRaw(t, addr)
+	want := `{"ok":false,"error":"slurm: job needs a positive walltime, got 00:00:00.000","now":0}`
+	if got := w.ask(`{"op":"submit","app":"minife","nodes":1}`); got != want {
+		t.Fatalf("zero walltime reply\n got %s\nwant %s", got, want)
+	}
+	if _, err := ctl.Submit("minife", 0, 3600, 0, ""); err == nil {
+		t.Fatal("zero-node submission accepted")
+	}
+	if id, err := ctl.Submit("minife", 1, 3600, 0, ""); err != nil || id != 2 {
+		t.Fatalf("next submit = %d, %v; want ID 2 (the refused one burned 1)", id, err)
 	}
 }
 
@@ -159,7 +202,7 @@ func TestPriorityOrdering(t *testing.T) {
 	// Older job outranks newer.
 	older := mkPrioJob(t, 1, 2, 0)
 	newer := mkPrioJob(t, 2, 2, 5000)
-	less := c.Less(func() des.Time { return 10000 }, 32)
+	less := c.LessWithUsage(func() des.Time { return 10000 }, 32, nil)
 	if !less(older, newer) {
 		t.Fatal("older job not prioritized")
 	}
@@ -168,12 +211,12 @@ func TestPriorityOrdering(t *testing.T) {
 	c2.FavorSmall = true
 	small := mkPrioJob(t, 3, 1, 0)
 	large := mkPrioJob(t, 4, 32, 0)
-	less2 := c2.Less(func() des.Time { return 100 }, 32)
+	less2 := c2.LessWithUsage(func() des.Time { return 100 }, 32, nil)
 	if !less2(small, large) {
 		t.Fatal("FavorSmall did not prioritize the small job")
 	}
 	// Default (favor large): large job outranks small at equal age.
-	less3 := c.Less(func() des.Time { return 100 }, 32)
+	less3 := c.LessWithUsage(func() des.Time { return 100 }, 32, nil)
 	if !less3(large, small) {
 		t.Fatal("default size weight did not prioritize the large job")
 	}
@@ -269,7 +312,7 @@ func TestFairsharePriority(t *testing.T) {
 	}
 	// Without a usage supplier the factor is inert: equal priorities fall
 	// back to the ID tie-break, so the hog (lower ID) ranks first again.
-	plain := c.Less(func() des.Time { return 100 }, 32)
+	plain := c.LessWithUsage(func() des.Time { return 100 }, 32, nil)
 	if !plain(hogJob, lightJob) {
 		t.Fatal("fairshare applied without usage data")
 	}
@@ -288,7 +331,7 @@ func TestUsageFromEngineShares(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctl.Drain()
-	usage := UsageFromEngine(ctl.sys.Engine())
+	usage := UsageFromEngine(ctl.eng)
 	if got := usage(""); got != 1 {
 		t.Fatalf("usage(\"\") = %g, want 1", got)
 	}

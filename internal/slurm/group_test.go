@@ -154,9 +154,9 @@ func referenceJournal(t *testing.T, fsys vfs.FS, trace []Entry, epoch int64) []b
 			t.Fatalf("reference op %d (%s): %v", i, op.Op, err)
 		}
 		one(e)
-		audit(ref.sys.Finished(), &fin)
-		audit(ref.sys.Engine().Killed(), &killed)
-		audit(ref.sys.Engine().Rejected(), &rej)
+		audit(ref.eng.Finished(), &fin)
+		audit(ref.eng.Killed(), &killed)
+		audit(ref.eng.Rejected(), &rej)
 	}
 	if err := j.close(); err != nil {
 		t.Fatal(err)

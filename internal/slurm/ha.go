@@ -399,11 +399,11 @@ func (c *Controller) applyReplicatedLocked(entries []Entry) error {
 // primary's full log: fresh engine, replay, journal rewritten atomically.
 // Replay determinism makes this the complete state-transfer mechanism.
 func (c *Controller) resetFromLogLocked(entries []Entry) error {
-	sys, err := buildSystem(c.cfg)
+	eng, err := newEngine(c.cfg)
 	if err != nil {
 		return err
 	}
-	c.sys = sys
+	c.eng, c.lastID = eng, 0
 	c.publishClock()
 	c.tokens = make(map[string]cluster.JobID)
 	c.finSeen, c.killSeen, c.rejSeen = 0, 0, 0

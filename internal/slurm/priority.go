@@ -88,14 +88,9 @@ func (c PriorityConfig) PriorityWithUsage(j *job.Job, now des.Time, maxNodes int
 	return p
 }
 
-// Less returns a queue comparator for the engine: descending priority with
-// FCFS tie-breaking, evaluated against a clock callback so age factors track
-// simulated time.
-func (c PriorityConfig) Less(now func() des.Time, maxNodes int) func(a, b *job.Job) bool {
-	return c.LessWithUsage(now, maxNodes, nil)
-}
-
-// LessWithUsage is Less with a fairshare usage supplier.
+// LessWithUsage returns a queue comparator: descending priority with FCFS
+// tie-breaking, evaluated against a clock callback so age factors track
+// simulated time, with fairshare usage from usage (nil disables the factor).
 func (c PriorityConfig) LessWithUsage(now func() des.Time, maxNodes int, usage UsageFn) func(a, b *job.Job) bool {
 	return func(a, b *job.Job) bool {
 		t := now()

@@ -1,8 +1,23 @@
 package slurm
 
 import (
+	"repro/internal/job"
 	"repro/internal/sim"
 )
+
+// QueueOrder is the multifactor priority as an engine queue order (the shape
+// of sweepgrid.Scenario.QueueOrder): descending priority against the
+// engine's clock on a machine of maxNodes nodes, with the fairshare factor
+// fed from the engine's finished jobs when WeightFairshare is set.
+func (c PriorityConfig) QueueOrder(maxNodes int) func(*sim.Engine) func(a, b *job.Job) bool {
+	return func(e *sim.Engine) func(a, b *job.Job) bool {
+		var usage UsageFn
+		if c.WeightFairshare > 0 {
+			usage = UsageFromEngine(e)
+		}
+		return c.LessWithUsage(e.Now, maxNodes, usage)
+	}
+}
 
 // UsageFromEngine returns a UsageFn that computes each user's share of the
 // delivered node-seconds among finished jobs. The shares are recomputed only

@@ -1,9 +1,11 @@
 // Package sweepgrid defines one simulation run and one sweep campaign:
-// Scenario.Run (the one scenario runner, shared by every experiment table and
-// every sweep or fabric cell), the grid spec, the cell enumeration order, and
-// the exact CSV row encoding. A cell is a pure function of the spec and its
-// index, and a row's bytes come from one encoder wherever the cell ran, so
-// cmd/sweep's in-process pool and simd daemons emit byte-identical CSV.
+// Scenario.Engine (the one engine builder, shared by the SLURM-like
+// controller, nodeshare-sim and the examples), Scenario.Run (the one scenario
+// runner, shared by every experiment table and every sweep or fabric cell),
+// the grid spec, the cell enumeration order, and the exact CSV row encoding.
+// A cell is a pure function of the spec and its index, and a row's bytes come
+// from one encoder wherever the cell ran, so cmd/sweep's in-process pool and
+// simd daemons emit byte-identical CSV.
 package sweepgrid
 
 import (
@@ -11,11 +13,13 @@ import (
 	"encoding/csv"
 	"encoding/json"
 	"fmt"
+	"math"
 	"strings"
 
 	"repro/internal/cluster"
 	"repro/internal/des"
 	"repro/internal/fault"
+	"repro/internal/interference"
 	"repro/internal/job"
 	"repro/internal/metrics"
 	"repro/internal/sched"
@@ -26,7 +30,8 @@ import (
 
 // Scenario is the complete input of one simulation: the generated workload
 // (whose Cluster is also the simulated machine), the policy, and the engine
-// options. Every field but Workload and Policy may be left zero.
+// options. Every field but Workload and Policy may be left zero; a zero Share
+// is not sched.DefaultShareConfig().
 type Scenario struct {
 	Workload workload.Spec
 	Policy   string
@@ -41,38 +46,65 @@ type Scenario struct {
 	Faults *fault.Config
 	// StrictLimits enables walltime kills.
 	StrictLimits bool
+	// MeasuredPairs installs empirical co-run rates that override the
+	// analytic interference model for matching two-job co-locations (see
+	// interference.ParseCoRunCSV for the file format).
+	MeasuredPairs []interference.MeasuredPair
 	// QueueOrder, when set, builds the pending-queue comparator from the
 	// engine it will order (e.g. a fairshare priority that reads the
 	// engine's usage); nil is FCFS.
 	QueueOrder func(*sim.Engine) func(a, b *job.Job) bool
 }
 
-// Run executes the simulation and returns its metrics along with the
-// finished jobs (for callers that slice per-job data). The result must pass
-// metrics.Result.Validate, and every submitted job must be accounted for:
-// finished + killed = submitted − rejected.
-func (sc Scenario) Run() (metrics.Result, []*job.Job, error) {
+// Engine validates the machine, the policy and the fault configuration and
+// builds an engine with QueueOrder installed and no jobs submitted. Of the
+// Workload it reads only Cluster, the machine.
+func (sc Scenario) Engine() (*sim.Engine, error) {
+	if err := sc.Workload.Cluster.Validate(); err != nil {
+		return nil, err
+	}
 	pol, err := sched.New(sc.Policy, sc.Share)
 	if err != nil {
-		return metrics.Result{}, nil, err
+		return nil, err
 	}
 	if sc.Faults != nil {
 		if err := sc.Faults.Validate(); err != nil {
-			return metrics.Result{}, nil, err
+			return nil, err
 		}
 	}
-	jobs, err := workload.Generate(sc.Workload)
-	if err != nil {
-		return metrics.Result{}, nil, err
+	var inter *interference.Model // nil is interference.Default()
+	if len(sc.MeasuredPairs) > 0 {
+		inter = interference.Default()
+		if err := inter.SetMeasured(sc.MeasuredPairs); err != nil {
+			return nil, err
+		}
 	}
 	e := sim.New(sim.Config{
-		Cluster: sc.Workload.Cluster, Policy: pol, StrictLimits: sc.StrictLimits,
-		Topo: sc.Topo, LocalityAware: sc.LocalityAware,
+		Cluster: sc.Workload.Cluster, Policy: pol, Inter: inter,
+		StrictLimits: sc.StrictLimits,
+		Topo:         sc.Topo, LocalityAware: sc.LocalityAware,
 		SchedInterval: sc.SchedInterval,
 		Faults:        sc.Faults,
 	})
 	if sc.QueueOrder != nil {
 		e.SetQueueOrder(sc.QueueOrder(e))
+	}
+	return e, nil
+}
+
+// Run builds the engine, generates and submits the workload, and runs it to
+// completion, returning its metrics along with the finished jobs (for callers
+// that slice per-job data). The result must pass metrics.Result.Validate, and
+// every submitted job must be accounted for: finished + killed = submitted −
+// rejected.
+func (sc Scenario) Run() (metrics.Result, []*job.Job, error) {
+	e, err := sc.Engine()
+	if err != nil {
+		return metrics.Result{}, nil, err
+	}
+	jobs, err := workload.Generate(sc.Workload)
+	if err != nil {
+		return metrics.Result{}, nil, err
 	}
 	if err := e.SubmitAll(jobs); err != nil {
 		return metrics.Result{}, nil, err
@@ -138,8 +170,8 @@ func (s Spec) Validate() error {
 	if s.Jobs < 1 {
 		return fmt.Errorf("sweepgrid: jobs must be ≥ 1, got %d", s.Jobs)
 	}
-	if !(s.Scale > 0) {
-		return fmt.Errorf("sweepgrid: scale must be > 0, got %g", s.Scale)
+	if !(s.Scale > 0) || math.IsInf(s.Scale, 1) {
+		return fmt.Errorf("sweepgrid: scale must be positive and finite, got %g", s.Scale)
 	}
 	if _, err := workload.MixByName(s.Mix); err != nil {
 		return err

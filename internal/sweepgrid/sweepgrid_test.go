@@ -4,13 +4,19 @@ import (
 	"bytes"
 	"encoding/csv"
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
+	"repro/internal/app"
 	"repro/internal/cluster"
-	"repro/internal/core"
+	"repro/internal/des"
 	"repro/internal/fault"
+	"repro/internal/interference"
+	"repro/internal/job"
 	"repro/internal/sched"
+	"repro/internal/sim"
+	"repro/internal/topology"
 	"repro/internal/workload"
 )
 
@@ -102,6 +108,18 @@ func TestDecodeSpecRejectsInvalid(t *testing.T) {
 	}
 }
 
+// JSON cannot carry an infinite scale, so the check is on the Spec itself: it
+// is what cmd/sweep, DecodeSpec and simd's hello all go through.
+func TestValidateRejectsNonFiniteScale(t *testing.T) {
+	for _, scale := range []float64{math.Inf(1), math.Inf(-1), math.NaN()} {
+		s := testSpec()
+		s.Scale = scale
+		if err := s.Validate(); err == nil {
+			t.Errorf("scale %g accepted", scale)
+		}
+	}
+}
+
 // A cell is a pure function of (spec, index): two executions must produce
 // identical bytes — the invariant first-result-wins dedup relies on.
 func TestRunCellDeterministic(t *testing.T) {
@@ -123,8 +141,9 @@ func TestRunCellDeterministic(t *testing.T) {
 }
 
 // refRunCell is RunCell as it was before cells went through Scenario.Run:
-// the library façade builds the engine. It is the reference the runner is
-// held to, byte for byte.
+// the engine built inline with the default share configuration and
+// interference model. It is the reference the runner is held to, byte for
+// byte.
 func refRunCell(s Spec, i int) ([]byte, error) {
 	c := s.CellAt(i)
 	mix, err := workload.MixByName(s.Mix)
@@ -139,15 +158,16 @@ func refRunCell(s Spec, i int) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	sys, err := core.NewSystem(core.Config{Machine: machine, Policy: c.Policy})
+	pol, err := sched.New(c.Policy, sched.DefaultShareConfig())
 	if err != nil {
 		return nil, err
 	}
-	if err := sys.SubmitJobs(generated); err != nil {
+	e := sim.New(sim.Config{Cluster: machine, Policy: pol, Inter: interference.Default()})
+	if err := e.SubmitAll(generated); err != nil {
 		return nil, err
 	}
-	sys.Run()
-	r := sys.Metrics()
+	e.RunAll()
+	r := e.Result()
 	return EncodeRow([]string{
 		c.Policy,
 		fmt.Sprintf("%g", c.Load),
@@ -165,7 +185,7 @@ func refRunCell(s Spec, i int) ([]byte, error) {
 	})
 }
 
-// Every cell of every policy must produce the bytes the façade path did.
+// Every cell of every policy must produce the bytes the inline engine did.
 func TestRunCellMatchesCoreReference(t *testing.T) {
 	s := testSpec()
 	s.Policies = sched.Names()
@@ -198,5 +218,124 @@ func TestScenarioRunRejectsBadFaults(t *testing.T) {
 	}
 	if _, _, err := sc.Run(); err == nil {
 		t.Fatal("MTBF without MTTR accepted")
+	}
+}
+
+// machineScenario is a Scenario with only the machine set: what callers that
+// submit their own jobs pass to Engine.
+func machineScenario(nodes int, policy string) Scenario {
+	return Scenario{
+		Workload: workload.Spec{Cluster: cluster.Trinity(nodes)},
+		Policy:   policy,
+		Share:    sched.DefaultShareConfig(),
+	}
+}
+
+// Every configuration Engine is handed is checked before an engine exists:
+// each of these is an error, not a panic inside sim.New.
+func TestScenarioEngineRejectsInvalid(t *testing.T) {
+	cases := map[string]func(*Scenario){
+		"invalid machine": func(sc *Scenario) {
+			sc.Workload.Cluster = cluster.Config{Nodes: -1, CoresPerNode: 1, ThreadsPerCore: 1, MemoryPerNodeMB: 1}
+		},
+		"unknown policy": func(sc *Scenario) { sc.Policy = "nope" },
+		"invalid faults": func(sc *Scenario) {
+			sc.Faults = &fault.Config{Enabled: true, MTBF: 3600, MTTR: 0}
+		},
+		"malformed measured pair": func(sc *Scenario) {
+			sc.MeasuredPairs = []interference.MeasuredPair{{A: "", B: "x", RateA: 1, RateB: 1}}
+		},
+	}
+	for name, mutate := range cases {
+		sc := machineScenario(4, "sharebackfill")
+		mutate(&sc)
+		if e, err := sc.Engine(); err == nil {
+			t.Errorf("%s: Engine returned %v, nil", name, e)
+		}
+	}
+}
+
+// submit enqueues one job built from catalogue app name on e.
+func submit(t *testing.T, e *sim.Engine, id cluster.JobID, name string, nodes int, wall, runtime des.Duration, at des.Time) {
+	t.Helper()
+	a, err := app.ByName(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Submit(&job.Job{ID: id, Name: name, App: a, Nodes: nodes,
+		ReqWalltime: wall, TrueRuntime: runtime, Submit: at}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Measured pairs, topology with locality, and strict limits each reach the
+// engine: each changes what the same jobs do.
+func TestScenarioEngineWiresOptions(t *testing.T) {
+	// Two whole-machine jobs that share nodes under sharebackfill. Measured
+	// rates far below the analytic ones stretch the run.
+	corun := func(sc Scenario) *sim.Engine {
+		e, err := sc.Engine()
+		if err != nil {
+			t.Fatal(err)
+		}
+		submit(t, e, 1, "minife", 4, 8*des.Hour, 2*des.Hour, 0)
+		submit(t, e, 2, "minimd", 4, 8*des.Hour, 2*des.Hour, des.Minute)
+		e.RunAll()
+		return e
+	}
+	analytic := corun(machineScenario(4, "sharebackfill"))
+	sc := machineScenario(4, "sharebackfill")
+	sc.MeasuredPairs = []interference.MeasuredPair{{A: "minife", B: "minimd", RateA: 0.35, RateB: 0.40}}
+	if measured := corun(sc); !(measured.Now() > analytic.Now()) {
+		t.Errorf("measured pairs: run ends at %v, analytic at %v", measured.Now(), analytic.Now())
+	}
+
+	// A job whose walltime equals its runtime overruns once a co-runner
+	// slows it: only strict limits kill it.
+	strictRun := func(strict bool) int {
+		sc := machineScenario(4, "sharebackfill")
+		sc.StrictLimits = strict
+		e, err := sc.Engine()
+		if err != nil {
+			t.Fatal(err)
+		}
+		submit(t, e, 1, "minife", 4, des.Hour, des.Hour, 0)
+		submit(t, e, 2, "minimd", 4, 8*des.Hour, 2*des.Hour, des.Minute)
+		e.RunAll()
+		return len(e.Killed())
+	}
+	if lax, strict := strictRun(false), strictRun(true); lax != 0 || strict != 1 {
+		t.Errorf("killed: %d without strict limits, %d with; want 0 and 1", lax, strict)
+	}
+
+	// Sixteen nodes in two leaves of eight. With nodes 0-5 busy, a two-node
+	// job lands on the lowest free nodes (6, 7) unless placement is
+	// locality-aware, which prefers the emptier leaf (8, 9).
+	placed := func(local bool) []int {
+		sc := machineScenario(16, "easy")
+		if local {
+			topo := topology.Default(16)
+			sc.Topo, sc.LocalityAware = &topo, true
+		}
+		e, err := sc.Engine()
+		if err != nil {
+			t.Fatal(err)
+		}
+		submit(t, e, 1, "gtc", 6, des.Hour, des.Hour, 0)
+		submit(t, e, 2, "gtc", 2, des.Hour, des.Hour, 0)
+		e.Run(1)
+		for _, r := range e.Running() {
+			if r.Job.ID == 2 {
+				return r.NodeIDs
+			}
+		}
+		t.Fatal("job 2 not running")
+		return nil
+	}
+	if got := placed(false); !reflect.DeepEqual(got, []int{6, 7}) {
+		t.Errorf("default placement = %v, want [6 7]", got)
+	}
+	if got := placed(true); !reflect.DeepEqual(got, []int{8, 9}) {
+		t.Errorf("locality-aware placement = %v, want [8 9]", got)
 	}
 }
