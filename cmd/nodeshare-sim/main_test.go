@@ -118,3 +118,26 @@ func TestRefusesBadScaleAndHorizon(t *testing.T) {
 		}
 	}
 }
+
+// A load that is not a positive finite number is refused by the workload's
+// own check before any run: an infinite one used to panic in the arrival
+// process, NaN to run and print a NaN report.
+func TestRefusesNonFiniteLoad(t *testing.T) {
+	for _, load := range []string{"inf", "+Inf", "-inf", "nan", "NaN", "0"} {
+		var out bytes.Buffer
+		err := func() (err error) {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("-load %s panicked: %v", load, r)
+				}
+			}()
+			return run([]string{"-jobs", "5", "-nodes", "4", "-load", load}, &out)
+		}()
+		if err == nil {
+			t.Errorf("-load %s accepted", load)
+		}
+		if out.Len() != 0 {
+			t.Errorf("-load %s printed before refusing:\n%s", load, out.Bytes())
+		}
+	}
+}

@@ -1,12 +1,14 @@
 package exp
 
 import (
+	"fmt"
 	"strconv"
 	"strings"
 	"testing"
 
 	"repro/internal/app"
 	"repro/internal/sched"
+	"repro/internal/workload"
 )
 
 // fastOpts keeps experiment tests quick: one seed, small machine, short jobs.
@@ -160,6 +162,57 @@ func TestF7SMTOffMeansNoSharing(t *testing.T) {
 	}
 	if !strings.HasPrefix(row[4], "+0.0%") && !strings.HasPrefix(row[4], "-0.0%") {
 		t.Fatalf("SMT-off CE gain = %s, want ±0.0%%", row[4])
+	}
+}
+
+// Without SMT there is no free layer to share, so a sharing policy has no
+// host slot (its witness takes no node from running jobs) and must place
+// every job where its exclusive ancestor does: over 20 seeds of the F1
+// workload at half size (16 nodes, 150 jobs) on single-thread cores, at F1's
+// load and under overload, the History() of each sharing policy is the
+// ancestor's, record for record. With SMT on, the same pairs must part ways,
+// or the comparison shows nothing.
+func TestSMTOffSharingMatchesExclusive(t *testing.T) {
+	o := Options{Nodes: 16, Jobs: 150}.withDefaults()
+	history := func(policy string, seed uint64, tpc int, load float64) string {
+		t.Helper()
+		sc := canonicalScenario(o, policy, sched.DefaultShareConfig())
+		sc.Workload.Seed, sc.Workload.Load = seed, load
+		sc.Workload.Cluster.ThreadsPerCore = tpc
+		e, err := sc.Engine()
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs, err := workload.Generate(sc.Workload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := e.SubmitAll(jobs); err != nil {
+			t.Fatal(err)
+		}
+		e.RunAll()
+		h := e.History()
+		if len(h) == 0 {
+			t.Fatalf("%s seed %d: no job completed", policy, seed)
+		}
+		return fmt.Sprintf("%+v", h)
+	}
+	for _, pair := range [][2]string{{"sharebackfill", "easy"}, {"sharefirstfit", "firstfit"}, {"shareconservative", "conservative"}} {
+		share, excl := pair[0], pair[1]
+		differs := 0
+		for seed := uint64(1); seed <= 20; seed++ {
+			for _, load := range []float64{1.4, 3} {
+				if got, want := history(share, seed, 1, load), history(excl, seed, 1, load); got != want {
+					t.Fatalf("SMT off, seed %d, load %g: %s placed\n%s\n%s placed\n%s", seed, load, share, got, excl, want)
+				}
+			}
+			if history(share, seed, 2, 1.4) != history(excl, seed, 2, 1.4) {
+				differs++
+			}
+		}
+		if differs == 0 {
+			t.Fatalf("with SMT on, %s placed every seed as %s did", share, excl)
+		}
 	}
 }
 

@@ -88,7 +88,7 @@ func (Conservative) Schedule(ctx *Context) []Decision {
 // whole-node allocation decision on them.
 func exclusiveDecision(ctx *Context, j *job.Job, nodes []int) Decision {
 	for _, ni := range nodes {
-		ctx.sc.claimed[ni] = true
+		ctx.sc.claim(ni)
 	}
 	return Decision{
 		Job:           j,
@@ -100,9 +100,9 @@ func exclusiveDecision(ctx *Context, j *job.Job, nodes []int) Decision {
 
 // backfillExclusive is the shared skeleton of EASY and Conservative:
 // reservations for the first maxReservations blocked jobs, backfill for the
-// rest. Every started job runs on exclusive whole nodes, so the walk ends at
-// the last queue position whose job the unclaimed idle nodes can still hold
-// (see smallestRequests).
+// rest. Every started job runs on exclusive whole nodes, so the walk ends
+// where no job at or behind it can start now on the unclaimed idle nodes
+// (see nowStartable).
 func backfillExclusive(ctx *Context, maxReservations int) []Decision {
 	sc := ctx.begin()
 	idle := len(sc.idle) // not yet claimed by this pass
@@ -110,7 +110,6 @@ func backfillExclusive(ctx *Context, maxReservations int) []Decision {
 		return nil
 	}
 	var out []Decision
-	minNodes := ctx.smallestRequests()
 
 	// The capacity profile sees a node as released when its last resident's
 	// predicted end passes (with one job per node under exclusive policies,
@@ -118,8 +117,9 @@ func backfillExclusive(ctx *Context, maxReservations int) []Decision {
 	profile := buildNodeProfile(ctx)
 
 	reservations := 0
+	w := 0 // the now-start witness
 	for i, j := range ctx.Queue {
-		if minNodes[i] > idle {
+		if w = nowStartable(ctx, profile, max(w, i), idle, 0); w == len(ctx.Queue) {
 			break
 		}
 		if !fitsMachine(ctx, j) {
@@ -157,6 +157,30 @@ func backfillExclusive(ctx *Context, maxReservations int) []Decision {
 		}
 	}
 	return out
+}
+
+// nowStartable returns the first queue position at or after from whose job
+// could still start now, len(ctx.Queue) when there is none: the job fits the
+// machine, asks for at most avail nodes — what the pass can still hand out —
+// and the profile keeps all but shared of its nodes free from now for its
+// whole walltime, shared being the most nodes a start can take beside
+// running jobs instead of from the profile.
+//
+// It is the backfill skeletons' cut-off, and it is exact. Within a pass
+// capacity only shrinks — Reserve subtracts, claims and slots only go down —
+// so a job that fails the test once fails it for the rest of the pass, and
+// the witness only moves forward: O(queue) tests per pass. Every job a pass
+// starts passes it, so once no job at or behind a position does, the walk
+// can stop there: a pass returns nothing but starts, and its profile, with
+// every reservation in it, is rebuilt from nothing by the next one.
+func nowStartable(ctx *Context, profile *Profile, from, avail, shared int) int {
+	for ; from < len(ctx.Queue); from++ {
+		j := ctx.Queue[from]
+		if j.Nodes <= avail && fitsMachine(ctx, j) && profile.fitsNow(j.Nodes-shared, j.ReqWalltime) {
+			break
+		}
+	}
+	return from
 }
 
 // buildNodeProfile rebuilds the scratch's whole-node availability profile at

@@ -52,7 +52,7 @@ func TestCutoffFullMachinePlansNothing(t *testing.T) {
 }
 
 // With k nodes idle and the last job of at most k nodes at queue position p,
-// a pass plans positions 0…p and no further. EASY runs the same skeleton as
+// a pass plans no position behind p. EASY runs the same skeleton as
 // Conservative but keeps one reservation, so only the conservative planners
 // leave a count behind.
 func TestCutoffStopsAtLastStartableJob(t *testing.T) {
@@ -100,6 +100,71 @@ func TestCutoffStopsAtLastStartableJob(t *testing.T) {
 		}
 		if got := ctx.sc.profile.Len(); got != opened {
 			t.Fatalf("profile has %d breakpoints, want the %d it opens with", got, opened)
+		}
+	})
+}
+
+// windowState is an 8-node machine with 4 nodes idle and the others under
+// exclusive one-node jobs ending at 1000…1300, and 1000 queued jobs: an
+// 8-node head holding the whole machine from 1300 for a day, then two- and
+// three-node jobs too long to end before it — every request fits the idle
+// nodes, but no window before the head's reservation holds any of them —
+// except a two-node job at position p short enough to start now.
+func windowState(t *testing.T, p int) *Context {
+	t.Helper()
+	c := testCluster()
+	var running []*RunningJob
+	for ni := 0; ni < 4; ni++ {
+		running = append(running, run(t, c, mkJob(computeApp, 1, 5000), []int{ni}, des.Time(1000+100*ni)))
+	}
+	queue := make([]*job.Job, 1000)
+	queue[0] = mkJob(computeApp, 8, 86400)
+	for i := 1; i < len(queue); i++ {
+		queue[i] = mkJob(computeApp, 2+i%2, des.Duration(2000+i))
+	}
+	queue[p] = mkJob(computeApp, 2, 1000)
+	return mkCtx(c, queue, running)
+}
+
+// Idle nodes cover every request, so no count of free nodes can end the walk;
+// reservations can. The head's reservation closes every window a job behind
+// p would need, so after starting the job at p a pass plans nothing more:
+// positions 0…p, one start, where the uncut walks plan all 1000.
+func TestCutoffStopsWhereReservationsCloseEveryWindow(t *testing.T) {
+	const p = 40
+	opened := 1 + 4 // the profile start and one release per running job
+	bound := opened + 2*(p+1)
+	startsOnlyP := func(t *testing.T, ctx *Context, got []Decision) {
+		t.Helper()
+		if len(got) != 1 || got[0].Job != ctx.Queue[p] {
+			t.Fatalf("planned %s, want the start of position %d alone", decisionSignature(got), p)
+		}
+	}
+
+	t.Run("conservative", func(t *testing.T) {
+		ctx := windowState(t, p)
+		startsOnlyP(t, ctx, (Conservative{}).Schedule(ctx))
+		if got := ctx.sc.profile.Len(); got > bound {
+			t.Fatalf("profile has %d breakpoints, want at most %d", got, bound)
+		}
+		ref := windowState(t, p)
+		got, profile := refBackfillExclusive(ref, 1000)
+		startsOnlyP(t, ref, got)
+		if len(profile.times) <= bound {
+			t.Fatalf("the uncut walk leaves %d breakpoints, within the bound %d: the gate shows nothing", len(profile.times), bound)
+		}
+	})
+
+	t.Run("shareconservative", func(t *testing.T) {
+		ctx := windowState(t, p)
+		startsOnlyP(t, ctx, (ShareConservative{Config: DefaultShareConfig()}).Schedule(ctx))
+		if got := len(ctx.sc.shadows); got != p {
+			t.Fatalf("planned %d reservations, want the %d ahead of position %d", got, p, p)
+		}
+		ref := windowState(t, p)
+		startsOnlyP(t, ref, refScheduleShare(ref.withShare(DefaultShareConfig()), 1000))
+		if got := len(ref.sc.shadows); got <= p+1 {
+			t.Fatalf("the uncut walk plans %d reservations, within the bound %d: the gate shows nothing", got, p+1)
 		}
 	})
 }

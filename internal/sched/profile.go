@@ -94,6 +94,25 @@ func (p *Profile) FindStart(n int, d des.Duration) (des.Time, bool) {
 	return 0, false
 }
 
+// fitsNow reports whether n nodes are free from the profile start for
+// duration d — FindStart(n, d) answering the profile start, found without
+// looking past the first dip. A non-positive n fits.
+func (p *Profile) fitsNow(n int, d des.Duration) bool {
+	if n <= 0 {
+		return true
+	}
+	end := endOf(p.times[0], d)
+	for i, t := range p.times {
+		if i > 0 && t >= end {
+			break
+		}
+		if p.free[i] < n {
+			return false
+		}
+	}
+	return true
+}
+
 // Reserve subtracts n nodes over [at, at+d). It panics if the reservation
 // overdraws the profile — callers must have validated with FindStart. An
 // empty interval leaves the profile as it is.

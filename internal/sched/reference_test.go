@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -237,6 +238,72 @@ func refScheduleShare(ctx *Context, maxReservations int) []Decision {
 		sc.recordFail(j, guest)
 	}
 	return out
+}
+
+// refHostGroupsFor collects the host groups for j (application guest) from
+// nothing at every call, as hostGroupsFor did before its memo: into fresh
+// candidates, judging every host node's pairing on its own.
+func refHostGroupsFor(ctx *Context, j *job.Job, guest int32) ([]hostGroup, []shareCandidate) {
+	sc := ctx.sc
+	if !ctx.Share.Enabled {
+		return nil, nil
+	}
+	var groups []hostGroup
+	var cands []shareCandidate
+	for i, r := range ctx.Running {
+		g := hostGroup{lo: len(cands), score: 1, rate: 1}
+		for _, ni := range sc.hostNodes[sc.hostOff[i]:sc.hostOff[i+1]] {
+			in := &sc.info[ni]
+			if sc.claimed[ni] || sc.barred[ni] || in.memFree < j.App.MemPerNodeMB {
+				continue
+			}
+			p := ctx.compatFor(j, guest, ni, in)
+			if !p.ok {
+				continue
+			}
+			cands = append(cands, shareCandidate{node: ni, layer: in.layer, score: p.score, rate: p.rate})
+			g.score = min(g.score, p.score)
+			g.rate = min(g.rate, p.rate)
+		}
+		g.hi = len(cands)
+		if g.hi == g.lo {
+			continue
+		}
+		g.first = cands[g.lo].node
+		g.fullHost = g.hi-g.lo == len(r.NodeIDs)
+		groups = append(groups, g)
+	}
+	if ctx.Share.PairingAware {
+		slices.SortStableFunc(groups, func(a, b hostGroup) int {
+			switch {
+			case a.fullHost != b.fullHost:
+				if a.fullHost {
+					return -1
+				}
+				return 1
+			case a.score != b.score:
+				if a.score > b.score {
+					return -1
+				}
+				return 1
+			}
+			return cmp.Compare(a.first, b.first)
+		})
+	}
+	return groups, cands
+}
+
+// groupsSignature renders host groups with their candidates for comparison.
+func groupsSignature(groups []hostGroup, cands []shareCandidate) string {
+	var b strings.Builder
+	for _, g := range groups {
+		fmt.Fprintf(&b, "[first %d full %v score %g rate %g taken %v:", g.first, g.fullHost, g.score, g.rate, g.taken)
+		for _, c := range cands[g.lo:g.hi] {
+			fmt.Fprintf(&b, " %d/%d/%g/%g", c.node, c.layer, c.score, c.rate)
+		}
+		b.WriteString("]\n")
+	}
+	return b.String()
 }
 
 // refSchedule plans one pass of the named policy with the reference
@@ -522,5 +589,63 @@ func TestBuildNodeProfileMatchesReference(t *testing.T) {
 			ctx.Running = append(ctx.Running, running[i])
 		}
 		check(fmt.Sprintf("hand-built, running order %v", order), ctx)
+	}
+}
+
+// Differential: within a pass, the memoised host groups equal those built
+// from nothing on every query — on seeded sharing passes that ask for the
+// same applications again and again while claiming nodes, barring hosts and
+// lifting the bars in between, and that consume groups the way placeShared
+// does before the next query. Every reused answer must come back untaken.
+func TestHostGroupsMatchReference(t *testing.T) {
+	hits, misses, stale, found := 0, 0, 0, 0
+	for seed := uint64(1); seed <= 400; seed++ {
+		rng := des.NewRNG(seed)
+		ctx := deepState(t, seed, 12, rng.Intn(5), false)
+		cfg := DefaultShareConfig()
+		cfg.PairingAware = rng.Intn(4) != 0
+		cfg.MinComplementarity = []float64{0, 0.2, 0.4}[rng.Intn(3)]
+		ctx = ctx.withShare(cfg)
+		sc := ctx.beginShare()
+		asked := map[int32]uint64{} // generation of each application's last query
+		for step := 0; step < 60; step++ {
+			switch op := rng.Intn(10); {
+			case op == 0:
+				sc.claim(rng.Intn(ctx.Cluster.Size()))
+			case op == 1:
+				sc.bar(rng.Intn(ctx.Cluster.Size()))
+			case op == 2:
+				sc.unbar()
+			default:
+				j := ctx.Queue[rng.Intn(3)] // few applications, so queries repeat
+				guest := sc.appOf(&j.App)
+				if gen, ok := asked[guest]; !ok {
+					misses++
+				} else if gen == sc.gen {
+					hits++
+				} else {
+					stale++
+				}
+				asked[guest] = sc.gen
+				groups, cands := hostGroupsFor(ctx, j, guest)
+				wantGroups, wantCands := refHostGroupsFor(ctx, j, guest)
+				if got, want := groupsSignature(groups, cands), groupsSignature(wantGroups, wantCands); got != want {
+					t.Fatalf("seed %d step %d: host groups\n%s, the reference\n%s", seed, step, got, want)
+				}
+				if len(groups) > 0 {
+					found++
+				}
+				for gi := range groups {
+					groups[gi].taken = rng.Intn(2) == 0
+				}
+			}
+		}
+	}
+	for what, n := range map[string]int{
+		"memo hit": hits, "first query": misses, "query after a claim, bar or unbar": stale, "query with a host group": found,
+	} {
+		if n < 1000 {
+			t.Errorf("only %d queries were a %s", n, what)
+		}
 	}
 }

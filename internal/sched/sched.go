@@ -219,7 +219,7 @@ type shareCandidate struct {
 // host down while the uncovered nodes idle along. Sharing strategies
 // therefore prefer whole-host coverage.
 type hostGroup struct {
-	lo, hi   int     // the group's nodes are scratch.cands[lo:hi]
+	lo, hi   int     // the group's nodes are cands[lo:hi] of its groupMemo
 	first    int     // index of the group's first node
 	score    float64 // worst pairing score across the group
 	rate     float64 // worst estimated guest rate across the group
@@ -227,29 +227,65 @@ type hostGroup struct {
 	taken    bool    // placeShared has consumed the group
 }
 
-// hostGroupsFor collects the co-allocation host groups for j (application
-// guest) into the scratch, best first when pairing-aware: full-host coverage
-// ranks above partial, then pairing score, then the group's first node for
-// determinism. A host node joins a group when this pass has not taken or
-// barred it, it has the memory, and the pairing passes the configured gates.
-func hostGroupsFor(ctx *Context, j *job.Job, guest int32) []hostGroup {
+// groupMemo is one application's host groups and their candidates, as
+// hostGroupsFor found them at generation gen of the pass.
+type groupMemo struct {
+	gen    uint64
+	groups []hostGroup
+	cands  []shareCandidate
+}
+
+// hostGroupsFor returns the co-allocation host groups for j (application
+// guest) and the candidates they index, best first when pairing-aware:
+// full-host coverage ranks above partial, then pairing score, then the
+// group's first node for determinism. A host node joins a group when this
+// pass has not taken or barred it, it has the memory, and the pairing passes
+// the configured gates.
+//
+// The groups depend on the job only through its application, and on the
+// pass only through the claimed and barred nodes, so they are memoised per
+// application until the next claim, bar or unbar; a reused memo comes back
+// with every group untaken.
+func hostGroupsFor(ctx *Context, j *job.Job, guest int32) ([]hostGroup, []shareCandidate) {
 	sc := ctx.sc
-	sc.groups, sc.cands = sc.groups[:0], sc.cands[:0]
 	if !ctx.Share.Enabled {
-		return nil
+		return nil, nil
 	}
+	for len(sc.groups) <= int(guest) {
+		sc.groups = append(sc.groups, groupMemo{})
+	}
+	m := &sc.groups[guest]
+	if m.gen == sc.gen {
+		for gi := range m.groups {
+			m.groups[gi].taken = false
+		}
+		return m.groups, m.cands
+	}
+	m.gen = sc.gen
+	m.groups, m.cands = m.groups[:0], m.cands[:0]
 	for i, r := range ctx.Running {
-		g := hostGroup{lo: len(sc.cands), score: 1, rate: 1}
+		g := hostGroup{lo: len(m.cands), score: 1, rate: 1}
+		// A node whose only resident is r pairs the guest with r alone, so
+		// that pairing is evaluated once per group.
+		var alone compatProfile
 		for _, ni := range sc.hostNodes[sc.hostOff[i]:sc.hostOff[i+1]] {
 			in := &sc.info[ni]
 			if sc.excluded(ni) || in.memFree < j.App.MemPerNodeMB {
 				continue
 			}
-			p := ctx.compatFor(j, guest, ni, in)
+			var p compatProfile
+			if in.class >= 0 {
+				if !alone.done {
+					alone = ctx.compatFor(j, guest, ni, in)
+				}
+				p = alone
+			} else {
+				p = ctx.compatFor(j, guest, ni, in)
+			}
 			if !p.ok {
 				continue
 			}
-			sc.cands = append(sc.cands, shareCandidate{node: ni, layer: in.layer, score: p.score, rate: p.rate})
+			m.cands = append(m.cands, shareCandidate{node: ni, layer: in.layer, score: p.score, rate: p.rate})
 			if p.score < g.score {
 				g.score = p.score
 			}
@@ -257,16 +293,16 @@ func hostGroupsFor(ctx *Context, j *job.Job, guest int32) []hostGroup {
 				g.rate = p.rate
 			}
 		}
-		g.hi = len(sc.cands)
+		g.hi = len(m.cands)
 		if g.hi == g.lo {
 			continue
 		}
-		g.first = sc.cands[g.lo].node
+		g.first = m.cands[g.lo].node
 		g.fullHost = g.hi-g.lo == len(r.NodeIDs)
-		sc.groups = append(sc.groups, g)
+		m.groups = append(m.groups, g)
 	}
 	if ctx.Share.PairingAware {
-		slices.SortStableFunc(sc.groups, func(a, b hostGroup) int {
+		slices.SortStableFunc(m.groups, func(a, b hostGroup) int {
 			switch {
 			case a.fullHost != b.fullHost:
 				if a.fullHost {
@@ -282,7 +318,7 @@ func hostGroupsFor(ctx *Context, j *job.Job, guest int32) []hostGroup {
 			return cmp.Compare(a.first, b.first)
 		})
 	}
-	return sc.groups
+	return m.groups, m.cands
 }
 
 // freeLayerOn returns a fully free layer on node ni. It prefers the highest

@@ -3,7 +3,6 @@ package sched
 import (
 	"encoding/binary"
 	"math"
-	"slices"
 
 	"repro/internal/app"
 	"repro/internal/cluster"
@@ -22,7 +21,9 @@ import (
 // derives from the Context — the node → residents index, the idle list, the
 // claimed-node marks, host groups, candidate slots, the capacity profile —
 // is rebuilt in this memory by begin, cleared or truncated, never
-// reallocated. The only memory a pass hands out is the decisions it returns.
+// reallocated. Within a pass, host groups are memoised per application until
+// the next claim, bar or unbar (see hostGroupsFor). The only memory a pass
+// hands out is the decisions it returns.
 //
 // Two tables outlive a pass: the interned applications and the pairing memo
 // built on them. Pairing quality is a pure function of the two applications
@@ -72,15 +73,15 @@ type scratch struct {
 	idleCand  []int // idleCandidates' result before locality ordering
 	compactor topology.Compactor
 
-	groups  []hostGroup
-	cands   []shareCandidate
+	groups  []groupMemo // per application: its host groups, see hostGroupsFor
+	gen     uint64      // bumped by every change to claimed or barred
+	anyBar  bool        // some node is barred
 	slots   []slot
 	shadows []des.Time
 
 	profile   Profile
 	releaseAt []des.Time    // per node: when its last resident leaves
 	releases  []nodeRelease // per running job: the nodes it releases, by end
-	minNodes  []int         // per queue position: smallest request at or behind it (see smallestRequests)
 
 	loads  []interference.Load
 	keyBuf []byte
@@ -161,6 +162,8 @@ func (ctx *Context) begin() *scratch {
 	clear(sc.claimed)
 	sc.barred = resize(sc.barred, n)
 	clear(sc.barred)
+	sc.anyBar = false
+	sc.gen++
 	sc.idle = ctx.Cluster.AppendIdleNodes(sc.idle[:0])
 	if sc.memoInter != ctx.Inter || sc.memoShare != ctx.Share {
 		sc.memoInter, sc.memoShare = ctx.Inter, ctx.Share
@@ -179,27 +182,6 @@ func (ctx *Context) beginShare() *scratch {
 	return sc
 }
 
-// smallestRequests fills sc.minNodes for the backfill skeletons' cut-off:
-// minNodes[i] is the smallest node request among the jobs of ctx.Queue[i:]
-// that fit the machine, math.MaxInt when none does. Once it exceeds what the
-// pass can still hand out, no job at or behind position i can start, and a
-// pass returns nothing but starts: its profile and the reservations in it are
-// rebuilt from nothing by the next one, so planning further is unobservable.
-func (ctx *Context) smallestRequests() []int {
-	sc := ctx.sc
-	// The queue grows a job at a time: Grow, not resize, so the table is not
-	// reallocated at every new depth.
-	sc.minNodes = slices.Grow(sc.minNodes[:0], len(ctx.Queue))[:len(ctx.Queue)]
-	smallest := math.MaxInt
-	for i := len(ctx.Queue) - 1; i >= 0; i-- {
-		if j := ctx.Queue[i]; j.Nodes < smallest && fitsMachine(ctx, j) {
-			smallest = j.Nodes
-		}
-		sc.minNodes[i] = smallest
-	}
-	return sc.minNodes
-}
-
 func (sc *scratch) dropMemo() {
 	clear(sc.pair)
 	clear(sc.hostRate)
@@ -209,6 +191,31 @@ func (sc *scratch) dropMemo() {
 // excluded reports whether node ni is out of bounds for the placement being
 // built: taken earlier in the pass or ruled out as a host.
 func (sc *scratch) excluded(ni int) bool { return sc.claimed[ni] || sc.barred[ni] }
+
+// claim, bar and unbar are the pass's only writers of claimed and barred:
+// each change moves the generation on, which voids the memoised host groups.
+
+// claim takes node ni for a decision of this pass.
+func (sc *scratch) claim(ni int) {
+	sc.claimed[ni] = true
+	sc.gen++
+}
+
+// bar rules node ni out as a host for the placement being built.
+func (sc *scratch) bar(ni int) {
+	sc.barred[ni] = true
+	sc.anyBar = true
+	sc.gen++
+}
+
+// unbar lifts every bar.
+func (sc *scratch) unbar() {
+	if sc.anyBar {
+		clear(sc.barred)
+		sc.anyBar = false
+		sc.gen++
+	}
+}
 
 // appOf interns an application and makes room for it in the dense tables.
 func (sc *scratch) appOf(a *app.Model) int32 {

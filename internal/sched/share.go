@@ -52,7 +52,7 @@ func (p ShareFirstFit) Schedule(ctx *Context) []Decision {
 		}
 		dec := plan.decision(ctx, j)
 		for _, s := range sc.slots {
-			sc.claimed[s.node] = true
+			sc.claim(s.node)
 		}
 		slots -= len(dec.Placement.Nodes)
 		out = append(out, dec)
@@ -135,9 +135,9 @@ func (p ShareConservative) Schedule(ctx *Context) []Decision {
 // scheduleShare is the sharing-backfill skeleton: reservations for the
 // first maxReservations blocked jobs on whole-node capacity, immediate
 // starts (exclusive or co-allocated) for everything that provably delays no
-// reservation. Every start takes one of slotBound's slots per node, so the
-// walk ends at the last queue position whose job the remaining slots can
-// still hold (see smallestRequests).
+// reservation. Every start takes one of slotBound's slots per node and at
+// most its slots beyond the idle nodes from running hosts, so the walk ends
+// where no job at or behind it can start now (see nowStartable).
 func scheduleShare(ctx *Context, maxReservations int) []Decision {
 	sc := ctx.beginShare()
 	slots := slotBound(ctx)
@@ -145,7 +145,9 @@ func scheduleShare(ctx *Context, maxReservations int) []Decision {
 		return nil
 	}
 	var out []Decision
-	minNodes := ctx.smallestRequests()
+	// A start takes at most the slots beyond the idle nodes from running
+	// hosts; the rest of its nodes come out of the profile.
+	shared := slots - len(sc.idle)
 	// endOverride records release postponements caused by co-allocations
 	// committed in this pass; none yet.
 	sc.endOverride = resize(sc.endOverride, len(ctx.Running))
@@ -156,8 +158,9 @@ func scheduleShare(ctx *Context, maxReservations int) []Decision {
 	profile := buildNodeProfile(ctx)
 
 	// sc.shadows holds the reservation start times, in queue order.
+	w := 0 // the now-start witness
 	for i, j := range ctx.Queue {
-		if minNodes[i] > slots {
+		if w = nowStartable(ctx, profile, max(w, i), slots, shared); w == len(ctx.Queue) {
 			break // nothing from here on can start; reservations alone decide nothing
 		}
 		if !fitsMachine(ctx, j) {
@@ -220,7 +223,7 @@ func (sc *scratch) reserve(j *job.Job) {
 func placeGuarded(ctx *Context, j *job.Job, guest int32) (sharePlan, bool) {
 	sc := ctx.sc
 	shadows := sc.shadows
-	clear(sc.barred)
+	sc.unbar()
 	for attempt := 0; attempt <= ctx.Cluster.Size(); attempt++ {
 		plan, ok := placeShared(ctx, j, guest)
 		if !ok {
@@ -252,7 +255,7 @@ func placeGuarded(ctx *Context, j *job.Job, guest int32) (sharePlan, bool) {
 		if offender == -1 {
 			return plan, true
 		}
-		sc.barred[offender] = true
+		sc.bar(offender)
 	}
 	return sharePlan{}, false
 }
@@ -262,7 +265,7 @@ func placeGuarded(ctx *Context, j *job.Job, guest int32) (sharePlan, bool) {
 func commitShare(ctx *Context, j *job.Job, guest int32, plan sharePlan) {
 	sc := ctx.sc
 	for _, s := range sc.slots {
-		sc.claimed[s.node] = true
+		sc.claim(s.node)
 		if plan.shared {
 			for _, ri := range ctx.residents(s.node) {
 				if newEnd := inflatedEnd(ctx, ri, j, guest); newEnd > sc.endOverride[ri] {
@@ -333,16 +336,16 @@ type sharePlan struct {
 // caller turns the plan into a decision.
 func placeShared(ctx *Context, j *job.Job, guest int32) (sharePlan, bool) {
 	sc := ctx.sc
-	groups := hostGroupsFor(ctx, j, guest)
+	groups, cands := hostGroupsFor(ctx, j, guest)
 	sc.slots = sc.slots[:0]
 	if ctx.Share.PreferShared {
-		addWholeGroups(sc, groups, j.Nodes)
+		addWholeGroups(sc, groups, cands, j.Nodes)
 		addIdle(ctx, j.Nodes)
-		addPartialGroups(sc, groups, j.Nodes)
+		addPartialGroups(sc, groups, cands, j.Nodes)
 	} else {
 		addIdle(ctx, j.Nodes)
-		addWholeGroups(sc, groups, j.Nodes)
-		addPartialGroups(sc, groups, j.Nodes)
+		addWholeGroups(sc, groups, cands, j.Nodes)
+		addPartialGroups(sc, groups, cands, j.Nodes)
 	}
 	if len(sc.slots) < j.Nodes {
 		return sharePlan{}, false
@@ -363,13 +366,13 @@ func placeShared(ctx *Context, j *job.Job, guest int32) (sharePlan, bool) {
 
 // addWholeGroups takes every group that fits entirely within what the
 // placement still needs of its want nodes.
-func addWholeGroups(sc *scratch, groups []hostGroup, want int) {
+func addWholeGroups(sc *scratch, groups []hostGroup, cands []shareCandidate, want int) {
 	for gi := range groups {
 		g := &groups[gi]
 		if g.taken || g.hi-g.lo > want-len(sc.slots) {
 			continue
 		}
-		for _, c := range sc.cands[g.lo:g.hi] {
+		for _, c := range cands[g.lo:g.hi] {
 			sc.slots = append(sc.slots, slot{c.node, true, c.layer, c.rate})
 		}
 		g.taken = true
@@ -378,13 +381,13 @@ func addWholeGroups(sc *scratch, groups []hostGroup, want int) {
 
 // addPartialGroups fills what is still missing from the remaining groups —
 // the last resort: partially covering a host wastes its uncovered nodes.
-func addPartialGroups(sc *scratch, groups []hostGroup, want int) {
+func addPartialGroups(sc *scratch, groups []hostGroup, cands []shareCandidate, want int) {
 	for gi := range groups {
 		g := &groups[gi]
 		if g.taken {
 			continue
 		}
-		for _, c := range sc.cands[g.lo:g.hi] {
+		for _, c := range cands[g.lo:g.hi] {
 			if len(sc.slots) == want {
 				return
 			}

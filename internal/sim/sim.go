@@ -100,7 +100,8 @@ type Engine struct {
 	strictLimits  bool
 	schedInterval des.Duration
 
-	queue    []*job.Job // pending jobs, in arrival order
+	queue    []*job.Job // pending jobs, in arrival order; see enqueue and dequeue
+	unsorted int        // adjacent pairs of queue out of fcfs order
 	held     []*job.Job // arrived but dependency-blocked
 	done     map[cluster.JobID]bool
 	failed   map[cluster.JobID]bool // killed/cancelled: afterok never satisfied
@@ -277,7 +278,7 @@ func (e *Engine) Submit(j *job.Job) error {
 			e.trace("hold %s (dependencies pending)", j)
 			return
 		}
-		e.queue = append(e.queue, j)
+		e.enqueue(j)
 		if e.TraceFn != nil {
 			e.trace("submit %s", j)
 		}
@@ -312,7 +313,7 @@ func (e *Engine) releaseHeld() {
 				e.trace("cancel %s (dependency failed)", j)
 				progressed = true // may doom transitive dependents
 			case e.depsMet(j):
-				e.queue = append(e.queue, j)
+				e.enqueue(j)
 				e.trace("release %s (dependencies met)", j)
 				e.requestSchedule()
 				progressed = true
@@ -635,12 +636,12 @@ func (e *Engine) evict(id cluster.JobID, cause string) {
 			j := rec.job
 			e.sim.ScheduleIn(hold, func(*des.Simulator) {
 				e.backoffPending--
-				e.queue = append(e.queue, j)
+				e.enqueue(j)
 				e.trace("release %s from backoff", j)
 				e.requestSchedule()
 			})
 		} else {
-			e.queue = append(e.queue, rec.job)
+			e.enqueue(rec.job)
 			e.requestSchedule()
 		}
 	}
@@ -828,11 +829,36 @@ func (e *Engine) account(t des.Time) {
 func (e *Engine) removeFromQueue(id cluster.JobID) {
 	for i, j := range e.queue {
 		if j.ID == id {
-			e.queue = append(e.queue[:i], e.queue[i+1:]...)
+			e.dequeue(i)
 			return
 		}
 	}
 	panic(fmt.Sprintf("sim: started job %d not in queue", id))
+}
+
+// enqueue appends j to the pending queue. It and dequeue are the only
+// writers of e.queue: they keep e.unsorted, the number of adjacent pairs out
+// of fcfs order, so orderedQueue knows without a look whether the queue is
+// already in FCFS order.
+func (e *Engine) enqueue(j *job.Job) {
+	e.queue = append(e.queue, j)
+	e.unsorted += e.inversion(len(e.queue) - 1)
+}
+
+// dequeue removes the job at position i of the pending queue.
+func (e *Engine) dequeue(i int) {
+	e.unsorted -= e.inversion(i) + e.inversion(i+1)
+	e.queue = append(e.queue[:i], e.queue[i+1:]...)
+	e.unsorted += e.inversion(i)
+}
+
+// inversion is 1 when the job at position k of the pending queue is out of
+// fcfs order with its predecessor, 0 otherwise or when either is missing.
+func (e *Engine) inversion(k int) int {
+	if k <= 0 || k >= len(e.queue) || !fcfs(e.queue[k], e.queue[k-1]) {
+		return 0
+	}
+	return 1
 }
 
 // Kick forces a scheduling pass at the current instant, for callers that
@@ -853,7 +879,7 @@ func (e *Engine) SetQueueOrder(less func(a, b *job.Job) bool) { e.lessFn = less 
 func (e *Engine) CancelPending(id cluster.JobID) error {
 	for i, j := range e.queue {
 		if j.ID == id {
-			e.queue = append(e.queue[:i], e.queue[i+1:]...)
+			e.dequeue(i)
 			j.Cancel(e.sim.Now())
 			e.failed[j.ID] = true
 			e.rejected = append(e.rejected, j)
@@ -886,12 +912,17 @@ func fcfs(a, b *job.Job) bool {
 // orderedQueue returns pending jobs in scheduling order — the installed
 // priority order, or FCFS by default, ties in arrival order — in a buffer
 // the next call overwrites. Arrivals mostly come in scheduling order
-// already, so the stable sort runs only when the copy is out of order.
+// already, so the stable sort runs only when the copy is out of order; under
+// FCFS the inversion count says so without a look (sort.IsSorted is exactly
+// "no adjacent pair out of order").
 func (e *Engine) orderedQueue() []*job.Job {
 	o := &e.order
 	o.q = append(o.q[:0], e.queue...)
 	o.less = e.lessFn
 	if o.less == nil {
+		if e.unsorted == 0 {
+			return o.q
+		}
 		o.less = fcfs
 	}
 	if !sort.IsSorted(o) {

@@ -198,18 +198,24 @@ func (s Spec) Validate() error {
 	if err := s.Cluster.Validate(); err != nil {
 		return err
 	}
-	if s.Arrival != Batch && s.Load <= 0 {
-		return fmt.Errorf("workload: open arrivals need positive load, got %g", s.Load)
+	// The comparisons are written so that NaN fails them, and each bound is
+	// checked for finiteness: an infinite load is a zero mean inter-arrival
+	// time.
+	if s.Arrival != Batch && !positiveFinite(s.Load) {
+		return fmt.Errorf("workload: open arrivals need a positive finite load, got %g", s.Load)
 	}
-	if s.OverestimateMin < 1 || s.OverestimateMax < s.OverestimateMin {
+	if !(s.OverestimateMin >= 1) || !(s.OverestimateMax >= s.OverestimateMin) || math.IsInf(s.OverestimateMax, 1) {
 		return fmt.Errorf("workload: overestimate range [%g, %g]",
 			s.OverestimateMin, s.OverestimateMax)
 	}
-	if s.RuntimeScale <= 0 {
+	if !positiveFinite(s.RuntimeScale) {
 		return fmt.Errorf("workload: runtime scale %g", s.RuntimeScale)
 	}
 	return nil
 }
+
+// positiveFinite reports whether x is a number above zero and below +Inf.
+func positiveFinite(x float64) bool { return x > 0 && !math.IsInf(x, 1) }
 
 // MeanJobDemand returns the expected node-seconds per job of the spec's mix
 // (used for load calibration).

@@ -195,6 +195,42 @@ func TestGenerateValidation(t *testing.T) {
 	}
 }
 
+// Validate is the check every entry point's spec passes through, so it must
+// refuse what is not a number and what is infinite: a NaN load used to pass
+// and run, an infinite one to panic in the arrival process.
+func TestSpecValidate(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		name string
+		edit func(*Spec)
+		ok   bool
+	}{
+		{"defaults", func(*Spec) {}, true},
+		{"load nan", func(s *Spec) { s.Load = nan }, false},
+		{"load +inf", func(s *Spec) { s.Load = inf }, false},
+		{"load -inf", func(s *Spec) { s.Load = -inf }, false},
+		{"load 0", func(s *Spec) { s.Load = 0 }, false},
+		{"batch ignores load", func(s *Spec) { s.Arrival, s.Load = Batch, nan }, true},
+		{"daily cycle load +inf", func(s *Spec) { s.Arrival, s.Load = DailyCycle, inf }, false},
+		{"runtime scale nan", func(s *Spec) { s.RuntimeScale = nan }, false},
+		{"runtime scale +inf", func(s *Spec) { s.RuntimeScale = inf }, false},
+		{"runtime scale -1", func(s *Spec) { s.RuntimeScale = -1 }, false},
+		{"overestimate min nan", func(s *Spec) { s.OverestimateMin = nan }, false},
+		{"overestimate max nan", func(s *Spec) { s.OverestimateMax = nan }, false},
+		{"overestimate max +inf", func(s *Spec) { s.OverestimateMax = inf }, false},
+		{"overestimate min +inf", func(s *Spec) { s.OverestimateMin, s.OverestimateMax = inf, inf }, false},
+		{"overestimate min 0.5", func(s *Spec) { s.OverestimateMin = 0.5 }, false},
+		{"overestimate exact", func(s *Spec) { s.OverestimateMin, s.OverestimateMax = 1, 1 }, true},
+	}
+	for _, c := range cases {
+		s := testSpec()
+		c.edit(&s)
+		if err := s.Validate(); (err == nil) != c.ok {
+			t.Errorf("%s: Validate() = %v, want ok %v", c.name, err, c.ok)
+		}
+	}
+}
+
 func TestRuntimeScale(t *testing.T) {
 	spec := testSpec()
 	spec.RuntimeScale = 0.01
