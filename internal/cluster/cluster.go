@@ -283,6 +283,8 @@ type Cluster struct {
 	jobNodes map[JobID][]int
 	// idx is the incremental free-capacity index (see index.go).
 	idx *index
+	// changes counts node state changes; see Changes.
+	changes uint64
 
 	// layerIdx[l] lists the hardware threads of SMT layer l and allIdx every
 	// thread of a node; layerMask and allMask are their masks. Nodes are

@@ -41,7 +41,7 @@ func (p ShareFirstFit) Schedule(ctx *Context) []Decision {
 		if !fitsMachine(ctx, j) || j.Nodes > slots {
 			continue // cheap bounds: cannot possibly fit this pass
 		}
-		guest := sc.appOf(&j.App)
+		guest := sc.appOfJob(j)
 		if sc.knownToFail(j, guest) {
 			continue
 		}
@@ -64,17 +64,10 @@ func (p ShareFirstFit) Schedule(ctx *Context) []Decision {
 // still hand out: idle nodes plus busy nodes with a free layer within the
 // sharing degree. It exists so deep queues cost an integer compare per
 // hopeless job instead of a full candidate scan. Both terms come from the
-// cluster's free-capacity index, so the bound itself costs O(candidates),
-// not O(nodes).
+// cluster's free-capacity index, and the host count is kept with the
+// per-world state, so the bound costs nothing per pass.
 func slotBound(ctx *Context) int {
-	c := ctx.Cluster
-	bound := len(ctx.sc.idle)
-	for _, ni := range ctx.sc.busyFree {
-		if c.Node(ni).SharingDegree() < ctx.Share.MaxDegree {
-			bound++
-		}
-	}
-	return bound
+	return len(ctx.sc.idle) + ctx.sc.hostable
 }
 
 // ShareBackfill is co-allocation-aware EASY backfill. The queue head's
@@ -150,12 +143,14 @@ func scheduleShare(ctx *Context, maxReservations int) []Decision {
 	shared := slots - len(sc.idle)
 	// endOverride records release postponements caused by co-allocations
 	// committed in this pass; none yet.
-	sc.endOverride = resize(sc.endOverride, len(ctx.Running))
+	sc.endOverride = resize(sc.endOverride, len(sc.bySlot))
 	for i := range sc.endOverride {
 		sc.endOverride[i] = noOverride
 	}
 
-	profile := buildNodeProfile(ctx)
+	// The release list is the world's; only the profile opened from it is
+	// the pass's.
+	profile := sc.openProfile(ctx.Now, sc.shareRel)
 
 	// sc.shadows holds the reservation start times, in queue order.
 	w := 0 // the now-start witness
@@ -167,7 +162,7 @@ func scheduleShare(ctx *Context, maxReservations int) []Decision {
 			continue
 		}
 		blockedBefore := len(sc.shadows) > 0
-		guest := sc.appOf(&j.App)
+		guest := sc.appOfJob(j)
 		if blockedBefore && (j.Nodes > slots || sc.knownToFail(j, guest)) {
 			// Cannot start this pass; it may still deserve a reservation.
 			if len(sc.shadows) < maxReservations {
@@ -238,9 +233,9 @@ func placeGuarded(ctx *Context, j *job.Job, guest int32) (sharePlan, bool) {
 		offender := -1
 	scan:
 		for _, s := range sc.slots {
-			for _, ri := range ctx.residents(s.node) {
-				oldEnd := effectiveEnd(ctx, ri)
-				newEnd := inflatedEnd(ctx, ri, j, guest)
+			for _, rs := range ctx.residents(s.node) {
+				oldEnd := effectiveEnd(ctx, rs)
+				newEnd := inflatedEnd(ctx, rs, j, guest)
 				if newEnd <= oldEnd {
 					continue
 				}
@@ -267,9 +262,9 @@ func commitShare(ctx *Context, j *job.Job, guest int32, plan sharePlan) {
 	for _, s := range sc.slots {
 		sc.claim(s.node)
 		if plan.shared {
-			for _, ri := range ctx.residents(s.node) {
-				if newEnd := inflatedEnd(ctx, ri, j, guest); newEnd > sc.endOverride[ri] {
-					sc.endOverride[ri] = newEnd
+			for _, rs := range ctx.residents(s.node) {
+				if newEnd := inflatedEnd(ctx, rs, j, guest); newEnd > sc.endOverride[rs] {
+					sc.endOverride[rs] = newEnd
 				}
 			}
 		}
@@ -280,28 +275,28 @@ func commitShare(ctx *Context, j *job.Job, guest int32, plan sharePlan) {
 // It compares below every end time.
 var noOverride = des.Time(math.Inf(-1))
 
-// effectiveEnd returns the planning end time of running job ctx.Running[ri],
+// effectiveEnd returns the planning end time of the running job in slot s,
 // honoring both the inflation-accounting switch and any postponement from
 // this pass.
-func effectiveEnd(ctx *Context, ri int32) des.Time {
-	end := predictedEnd(ctx.Running[ri], ctx.Share)
-	if o := ctx.sc.endOverride[ri]; o > end {
+func effectiveEnd(ctx *Context, s int32) des.Time {
+	end := ctx.sc.bySlot[s].end
+	if o := ctx.sc.endOverride[s]; o > end {
 		end = o
 	}
 	return end
 }
 
-// inflatedEnd estimates when host ctx.Running[ri] will release its nodes if
+// inflatedEnd estimates when the host in slot s will release its nodes if
 // job j (application guest) is co-allocated beside it: the host's remaining
 // requested work divided by its new (slower) progress rate.
-func inflatedEnd(ctx *Context, ri int32, j *job.Job, guest int32) des.Time {
-	oldEnd := effectiveEnd(ctx, ri)
-	oldRate := ctx.Running[ri].Rate
+func inflatedEnd(ctx *Context, s int32, j *job.Job, guest int32) des.Time {
+	oldEnd := effectiveEnd(ctx, s)
+	oldRate := ctx.sc.bySlot[s].run.Rate
 	if oldRate <= 0 {
 		oldRate = 1
 	}
 	remaining := float64(oldEnd-ctx.Now) * oldRate
-	newRate := ctx.hostRateWith(ri, j, guest)
+	newRate := ctx.hostRateWith(s, j, guest)
 	if newRate < oldRate {
 		// Synchronized parallel semantics: the host runs at the slower of
 		// its current rate and the newly contended node's rate.

@@ -113,6 +113,12 @@ type Engine struct {
 	killed   []*job.Job
 	history  []PlacementRecord
 
+	// nodeRates[ni] holds the progress rates of nodeRes[ni]'s jobs, in that
+	// order, or nothing when a resident came or went since it was computed.
+	// A node's rates are a function of its residents' applications and
+	// effective stress alone, and both are fixed at commit.
+	nodeRates [][]float64
+
 	wastedNodeSeconds float64
 
 	submitted int
@@ -136,7 +142,6 @@ type Engine struct {
 	order    queueOrder // the queue in scheduling order
 	affected []*runRec  // jobs whose rate a start or a release changed
 	loads    []interference.Load
-	rates    []float64
 
 	// Fault injection and recovery. All zero-valued when Faults is off.
 	injector        *fault.Injector
@@ -202,6 +207,13 @@ func New(cfg Config) *Engine {
 		requeueAt:     make(map[cluster.JobID]des.Time),
 	}
 	e.nodeRes = make([][]*runRec, e.cl.Size())
+	// One backing array with room for two residents' rates a node; a node
+	// with more grows its own.
+	e.nodeRates = make([][]float64, e.cl.Size())
+	rates := make([]float64, 2*len(e.nodeRates))
+	for ni := range e.nodeRates {
+		e.nodeRates[ni] = rates[2*ni : 2*ni : 2*ni+2]
+	}
 	if sc, ok := cfg.Policy.(shareConfigurer); ok {
 		e.share = sc.ShareConfig()
 	}
@@ -709,6 +721,7 @@ func (e *Engine) enlist(rec *runRec) {
 			at--
 		}
 		e.nodeRes[ni] = slices.Insert(res, at, rec)
+		e.nodeRates[ni] = e.nodeRates[ni][:0]
 	}
 }
 
@@ -726,6 +739,7 @@ func (e *Engine) vacate(rec *runRec) []int {
 	for _, ni := range rec.rec.NodeIDs {
 		at := slices.Index(e.nodeRes[ni], rec)
 		e.nodeRes[ni] = slices.Delete(e.nodeRes[ni], at, at+1)
+		e.nodeRates[ni] = e.nodeRates[ni][:0]
 	}
 	return nodes
 }
@@ -776,22 +790,23 @@ func (e *Engine) recomputeRate(rec *runRec) {
 }
 
 // nodeRateFor returns the progress rate rec's job achieves on node ni given
-// the node's full co-location set.
+// the node's full co-location set. The node's rates are computed once per
+// change of its residents and kept in nodeRates.
 func (e *Engine) nodeRateFor(ni int, rec *runRec) float64 {
-	loads := e.loads[:0]
-	idx := -1
-	for i, rr := range e.nodeRes[ni] {
-		if rr == rec {
-			idx = i
-		}
-		loads = append(loads, interference.Load{App: rr.job.App.Name, Stress: rr.stress})
-	}
+	res := e.nodeRes[ni]
+	idx := slices.Index(res, rec)
 	if idx == -1 {
 		panic(fmt.Sprintf("sim: job %d not resident on node %d", rec.job.ID, ni))
 	}
-	e.loads = loads
-	e.rates = e.inter.AppendNamedRates(e.rates[:0], loads)
-	return e.rates[idx]
+	if len(e.nodeRates[ni]) == 0 {
+		loads := e.loads[:0]
+		for _, rr := range res {
+			loads = append(loads, interference.Load{App: rr.job.App.Name, Stress: rr.stress})
+		}
+		e.loads = loads
+		e.nodeRates[ni] = e.inter.AppendNamedRates(e.nodeRates[ni], loads)
+	}
+	return e.nodeRates[ni][idx]
 }
 
 // effectiveStress returns a job's stress vector adjusted for placement
