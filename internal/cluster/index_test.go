@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"math/rand/v2"
 	"slices"
 	"testing"
@@ -192,13 +193,19 @@ func checkIndex(t *testing.T, c *Cluster, step int) {
 // cross-checking every indexed query against a full rescan of the residents'
 // masks after each step. This is the safety argument for the busy masks and
 // the free-capacity index: their answers are exactly the rescan answers, at
-// every reachable state.
+// every reachable state. Along the way ChangedSince, asked about a reading
+// of Changes taken a random number of steps back, must name every node whose
+// state differs from what it was at that reading, and must remember at least
+// as many changes as the cluster has nodes.
 func TestProperty_IndexMatchesRescan(t *testing.T) {
 	rng := rand.New(rand.NewPCG(7, 11))
 	cfg := Config{Nodes: 24, CoresPerNode: 4, ThreadsPerCore: 2, MemoryPerNodeMB: 8192}
 	c := New(cfg)
 	var live []JobID
 	nextID := JobID(1)
+	var since uint64
+	var then []string
+	remembered, forgotten := 0, 0
 
 	for step := 0; step < 2500; step++ {
 		switch op := rng.IntN(10); {
@@ -257,5 +264,40 @@ func TestProperty_IndexMatchesRescan(t *testing.T) {
 			}
 		}
 		checkIndex(t, c, step)
+
+		if step%40 == 0 {
+			since, then = c.Changes(), nodeStates(c)
+		}
+		changed, ok := c.ChangedSince(since, nil)
+		if n := c.Changes() - since; !ok && n <= uint64(cfg.Nodes) {
+			t.Fatalf("step %d: %d changes since the reading, %d nodes, yet ChangedSince forgot them", step, n, cfg.Nodes)
+		}
+		if !ok {
+			forgotten++
+			continue
+		}
+		remembered++
+		for ni, st := range nodeStates(c) {
+			if st != then[ni] && !slices.Contains(changed, ni) {
+				t.Fatalf("step %d: node %d changed since the reading but ChangedSince names only %v", step, ni, changed)
+			}
+		}
 	}
+	if remembered < 500 || forgotten < 100 {
+		t.Fatalf("ChangedSince remembered %d and forgot %d times: too few to check either", remembered, forgotten)
+	}
+}
+
+// nodeStates renders every node's owners, memory, drain and down state.
+func nodeStates(c *Cluster) []string {
+	out := make([]string, c.Size())
+	for ni := range out {
+		n := c.Node(ni)
+		owners := make([]JobID, n.Threads())
+		for th := range owners {
+			owners[th] = n.Owner(th)
+		}
+		out[ni] = fmt.Sprint(owners, n.MemFreeMB(), n.Drained(), n.Down())
+	}
+	return out
 }
