@@ -14,7 +14,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"strings"
 
@@ -72,11 +71,8 @@ func run(args []string, stdout io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	// The workload generator reads a zero scale as "unscaled" and the run
-	// loop a negative horizon as "to completion"; neither is what was asked.
-	if !(*scale > 0) || math.IsInf(*scale, 1) {
-		return fmt.Errorf("-scale must be positive and finite, got %g", *scale)
-	}
+	// The run loop reads a negative horizon as "to completion", which is not
+	// what was asked. The scale is the workload's to refuse.
 	if !(*horizon >= 0) {
 		return fmt.Errorf("-horizon must be ≥ 0 (0 runs to completion), got %g", *horizon)
 	}

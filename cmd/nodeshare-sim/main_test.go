@@ -103,7 +103,8 @@ func TestGolden(t *testing.T) {
 }
 
 // A zero scale used to run unscaled (a 12-day makespan instead of 15 h) and
-// a negative horizon to run to completion; both are refused before any run.
+// a negative horizon to run to completion; both are refused before any run,
+// the scale by the workload's own check.
 func TestRefusesBadScaleAndHorizon(t *testing.T) {
 	for _, args := range [][]string{
 		{"-scale", "0"}, {"-scale", "-1"}, {"-scale", "NaN"}, {"-scale", "+Inf"},
@@ -138,6 +139,31 @@ func TestRefusesNonFiniteLoad(t *testing.T) {
 		}
 		if out.Len() != 0 {
 			t.Errorf("-load %s printed before refusing:\n%s", load, out.Bytes())
+		}
+	}
+}
+
+// A trace job whose submit time is not a number, or whose runtime is
+// infinite, is refused by the job's own check: the first used to run and
+// print a garbage wait, the second to finish one job of two and exit 0.
+func TestRefusesNonFiniteSWFTimes(t *testing.T) {
+	for name, trace := range map[string]string{
+		"nan submit":  "1 NaN 0 100 32 -1 -1 32 200 -1 1 1 1 1 1 1 -1 -1\n2 10 0 100 32 -1 -1 32 200 -1 1 1 1 1 1 1 -1 -1\n",
+		"inf runtime": "1 0 0 Inf 32 -1 -1 32 200 -1 1 1 1 1 1 1 -1 -1\n2 10 0 100 32 -1 -1 32 200 -1 1 1 1 1 1 1 -1 -1\n",
+		"inf request": "1 0 0 100 32 -1 -1 32 Inf -1 1 1 1 1 1 1 -1 -1\n",
+		"inf submit":  "1 +Inf 0 100 32 -1 -1 32 200 -1 1 1 1 1 1 1 -1 -1\n",
+		"nan runtime": "1 0 0 NaN 32 -1 -1 32 200 -1 1 1 1 1 1 1 -1 -1\n",
+	} {
+		path := filepath.Join(t.TempDir(), "t.swf")
+		if err := os.WriteFile(path, []byte(trace), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var out bytes.Buffer
+		if err := run([]string{"-swf", path, "-nodes", "8"}, &out); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+		if out.Len() != 0 {
+			t.Errorf("%s: printed before refusing:\n%s", name, out.Bytes())
 		}
 	}
 }

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -20,36 +21,48 @@ import (
 )
 
 func main() {
-	jobs := flag.Int("jobs", 300, "number of jobs")
-	mixName := flag.String("mix", "trinity", "application mix: trinity|cpubound|membound|comm")
-	arrival := flag.String("arrival", "poisson", "arrival process: batch|poisson|dailycycle")
-	load := flag.Float64("load", 1.0, "offered load for open arrivals")
-	nodes := flag.Int("nodes", 32, "target machine size (node-count cap and load calibration)")
-	scale := flag.Float64("scale", 1.0, "runtime scale (0.05 shrinks hours to minutes)")
-	seed := flag.Uint64("seed", 42, "generator seed")
-	out := flag.String("o", "", "output file (default stdout)")
-	analyze := flag.String("analyze", "", "print statistics for an existing SWF trace and exit")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return
+		}
+		fmt.Fprintln(os.Stderr, "wlgen:", err)
+		os.Exit(1)
+	}
+}
+
+// run parses args and writes the generated trace (or the -analyze report) to
+// stdout, or to the -o file.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("wlgen", flag.ContinueOnError)
+	jobs := fs.Int("jobs", 300, "number of jobs")
+	mixName := fs.String("mix", "trinity", "application mix: trinity|cpubound|membound|comm")
+	arrival := fs.String("arrival", "poisson", "arrival process: batch|poisson|dailycycle")
+	load := fs.Float64("load", 1.0, "offered load for open arrivals")
+	nodes := fs.Int("nodes", 32, "target machine size (node-count cap and load calibration)")
+	scale := fs.Float64("scale", 1.0, "runtime scale (0.05 shrinks hours to minutes)")
+	seed := fs.Uint64("seed", 42, "generator seed")
+	out := fs.String("o", "", "output file (default stdout)")
+	analyze := fs.String("analyze", "", "print statistics for an existing SWF trace and exit")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	if *analyze != "" {
 		f, err := os.Open(*analyze)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		defer f.Close()
 		tr, err := swf.Parse(f)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		if err := swf.Analyze(tr).Render().Render(os.Stdout); err != nil {
-			fatal(err)
-		}
-		return
+		return swf.Analyze(tr).Render().Render(stdout)
 	}
 
 	mix, err := workload.MixByName(*mixName)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	var arr workload.Arrival
 	switch *arrival {
@@ -60,7 +73,7 @@ func main() {
 	case "dailycycle":
 		arr = workload.DailyCycle
 	default:
-		fatal(fmt.Errorf("unknown arrival %q", *arrival))
+		return fmt.Errorf("unknown arrival %q", *arrival)
 	}
 
 	machine := cluster.Trinity(*nodes)
@@ -73,27 +86,22 @@ func main() {
 	}
 	generated, err := workload.Generate(spec)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 
-	var w io.Writer = os.Stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		w = f
-	}
 	trace := swf.FromJobs(generated, machine)
 	trace.Header.Comments = append(trace.Header.Comments,
 		fmt.Sprintf("Mix: %s, Arrival: %s, Load: %g, Seed: %d", mix.Name, arr, *load, *seed))
-	if err := swf.Write(w, trace); err != nil {
-		fatal(err)
+	if *out == "" {
+		return swf.Write(stdout, trace)
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "wlgen:", err)
-	os.Exit(1)
+	f, err := os.Create(*out)
+	if err != nil {
+		return err
+	}
+	if err := swf.Write(f, trace); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

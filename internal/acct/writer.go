@@ -1,105 +1,35 @@
 package acct
 
 import (
-	"bufio"
-	"encoding/json"
 	"fmt"
 
 	"repro/internal/vfs"
 )
 
-// LineWriter is a durable JSON-lines appender: every value becomes one line,
-// Sync flushes buffers and forces the data to stable storage, and Close
-// propagates every error on the way down. The accounting exporter and the
-// controller's write-ahead journal both write through it — accounting data
-// that vanishes in a crash defeats its purpose. File I/O goes through a
-// vfs.FS so storage faults are injectable under every durability test.
-type LineWriter struct {
-	f   vfs.File
-	bw  *bufio.Writer
-	enc *json.Encoder
-}
-
-// Create opens path truncated for line-writing on the real filesystem.
-func Create(path string) (*LineWriter, error) {
-	return CreateOn(vfs.OS{}, path)
-}
-
-// CreateOn opens path truncated for line-writing on fsys.
-func CreateOn(fsys vfs.FS, path string) (*LineWriter, error) {
-	f, err := fsys.Create(path)
-	if err != nil {
-		return nil, fmt.Errorf("acct: open %s: %w", path, err)
-	}
-	return NewLineWriter(f), nil
-}
-
-// OpenAppend opens path for appending on the real filesystem, creating it
-// if missing.
-func OpenAppend(path string) (*LineWriter, error) {
-	return OpenAppendOn(vfs.OS{}, path)
-}
-
-// OpenAppendOn opens path for appending on fsys, creating it if missing.
-func OpenAppendOn(fsys vfs.FS, path string) (*LineWriter, error) {
-	f, err := fsys.OpenAppend(path)
-	if err != nil {
-		return nil, fmt.Errorf("acct: open %s: %w", path, err)
-	}
-	return NewLineWriter(f), nil
-}
-
-// NewLineWriter wraps an already-open file handle.
-func NewLineWriter(f vfs.File) *LineWriter {
-	bw := bufio.NewWriter(f)
-	return &LineWriter{f: f, bw: bw, enc: json.NewEncoder(bw)}
-}
-
-// Append writes one value as a JSON line.
-func (w *LineWriter) Append(v any) error {
-	if err := w.enc.Encode(v); err != nil {
-		return fmt.Errorf("acct: append to %s: %w", w.f.Name(), err)
-	}
-	return nil
-}
-
-// Sync flushes buffered lines and forces them to stable storage.
-func (w *LineWriter) Sync() error {
-	if err := w.bw.Flush(); err != nil {
-		return fmt.Errorf("acct: flush %s: %w", w.f.Name(), err)
-	}
-	if err := w.f.Sync(); err != nil {
-		return fmt.Errorf("acct: sync %s: %w", w.f.Name(), err)
-	}
-	return nil
-}
-
-// Close syncs and closes, reporting the first failure.
-func (w *LineWriter) Close() error {
-	syncErr := w.Sync()
-	if err := w.f.Close(); err != nil {
-		return fmt.Errorf("acct: close %s: %w", w.f.Name(), err)
-	}
-	return syncErr
-}
-
 // WriteFile durably writes an accounting file: records are written, synced to
-// stable storage, and the file closed, with every error checked.
+// stable storage, and the file closed, with every error checked — accounting
+// data that vanishes in a crash defeats its purpose.
 func WriteFile(path string, records []Record) error {
 	return WriteFileOn(vfs.OS{}, path, records)
 }
 
-// WriteFileOn is WriteFile on an explicit filesystem.
+// WriteFileOn is WriteFile on an explicit filesystem, so storage faults are
+// injectable.
 func WriteFileOn(fsys vfs.FS, path string, records []Record) error {
-	w, err := CreateOn(fsys, path)
+	f, err := fsys.Create(path)
 	if err != nil {
-		return err
+		return fmt.Errorf("acct: open %s: %w", path, err)
 	}
-	for _, r := range records {
-		if err := w.Append(r); err != nil {
-			w.Close()
-			return err
-		}
+	if err := Write(f, records); err != nil {
+		f.Close()
+		return fmt.Errorf("acct: write %s: %w", path, err)
 	}
-	return w.Close()
+	if err := f.Sync(); err != nil {
+		f.Close()
+		return fmt.Errorf("acct: sync %s: %w", path, err)
+	}
+	if err := f.Close(); err != nil {
+		return fmt.Errorf("acct: close %s: %w", path, err)
+	}
+	return nil
 }

@@ -59,9 +59,6 @@ func (c Config) Validate() error {
 // ThreadsPerNode returns the total hardware threads a node exposes.
 func (c Config) ThreadsPerNode() int { return c.CoresPerNode * c.ThreadsPerCore }
 
-// TotalThreads returns the hardware-thread capacity of the whole machine.
-func (c Config) TotalThreads() int { return c.Nodes * c.ThreadsPerNode() }
-
 // Trinity returns a configuration modeled after a Trinity-class partition:
 // dual-socket 16-core nodes (32 cores), 2-way SMT, 128 GiB of memory.
 // n selects the number of nodes.
@@ -79,7 +76,6 @@ func Trinity(n int) Config {
 // LayerFree) is derived from those two.
 type Node struct {
 	id      int
-	cores   int
 	tpc     int
 	threads int
 	memMB   int
@@ -106,7 +102,6 @@ type resident struct {
 func newNode(id int, cfg Config, layers [][]uint64) *Node {
 	n := &Node{
 		id:      id,
-		cores:   cfg.CoresPerNode,
 		tpc:     cfg.ThreadsPerCore,
 		threads: cfg.ThreadsPerNode(),
 		memMB:   cfg.MemoryPerNodeMB,
@@ -116,21 +111,6 @@ func newNode(id int, cfg Config, layers [][]uint64) *Node {
 	n.free = n.threads
 	return n
 }
-
-// ID returns the node's index within the cluster.
-func (n *Node) ID() int { return n.id }
-
-// Cores returns the number of physical cores.
-func (n *Node) Cores() int { return n.cores }
-
-// ThreadsPerCore returns the SMT width.
-func (n *Node) ThreadsPerCore() int { return n.tpc }
-
-// Threads returns the number of hardware threads.
-func (n *Node) Threads() int { return n.threads }
-
-// MemoryMB returns the node's total memory.
-func (n *Node) MemoryMB() int { return n.memMB }
 
 // FreeThreads returns the number of unallocated hardware threads.
 func (n *Node) FreeThreads() int { return n.free }
@@ -163,12 +143,6 @@ func (n *Node) Owner(t int) JobID {
 	}
 	return NoJob
 }
-
-// CoreOf returns the physical core that hardware thread t belongs to.
-func (n *Node) CoreOf(t int) int { return t / n.tpc }
-
-// SiblingOf returns the s-th sibling thread index on the same core as t.
-func (n *Node) SiblingOf(t, s int) int { return n.CoreOf(t)*n.tpc + s }
 
 // Jobs returns the IDs of jobs holding at least one thread, in ascending
 // order (deterministic for scheduling and tests).
@@ -208,22 +182,6 @@ func (n *Node) JobMemoryMB(id JobID) int {
 // idle, 1 exclusive, ≥2 shared.
 func (n *Node) SharingDegree() int { return len(n.res) }
 
-// FreeSiblingThreads returns the hardware threads of layer `sibling`
-// (0 = primary, 1 = first SMT sibling, ...) that are currently free,
-// ascending. It panics if sibling is out of range for the SMT width.
-func (n *Node) FreeSiblingThreads(sibling int) []int {
-	if sibling < 0 || sibling >= n.tpc {
-		panic(fmt.Sprintf("cluster: sibling %d out of range (threads/core %d)", sibling, n.tpc))
-	}
-	var out []int
-	for c := 0; c < n.cores; c++ {
-		if t := c*n.tpc + sibling; !hasBit(n.busy, t) {
-			out = append(out, t)
-		}
-	}
-	return out
-}
-
 // layerFree reports whether no thread of layer l is allocated.
 func (n *Node) layerFree(l int) bool { return !overlaps(n.busy, n.layers[l]) }
 
@@ -253,15 +211,6 @@ type NodePlacement struct {
 type Placement struct {
 	Job   JobID
 	Nodes []NodePlacement
-}
-
-// TotalThreads returns the number of hardware threads the placement binds.
-func (p Placement) TotalThreads() int {
-	n := 0
-	for _, np := range p.Nodes {
-		n += len(np.Threads)
-	}
-	return n
 }
 
 // NodeIDs returns the distinct node indices the placement touches, in
@@ -508,15 +457,6 @@ func (c *Cluster) Release(id JobID) ([]int, error) {
 	return nodes, nil
 }
 
-// JobNodes returns the node indices job id occupies, in allocation order,
-// or nil if the job holds nothing.
-func (c *Cluster) JobNodes(id JobID) []int {
-	nodes := c.jobNodes[id]
-	out := make([]int, len(nodes))
-	copy(out, nodes)
-	return out
-}
-
 // Holds reports whether job id currently holds any resources.
 func (c *Cluster) Holds(id JobID) bool {
 	_, ok := c.jobNodes[id]
@@ -529,17 +469,6 @@ func (c *Cluster) Holds(id JobID) bool {
 func (c *Cluster) SetDrained(ni int, drained bool) {
 	c.Node(ni).drained = drained
 	c.reindexNode(ni)
-}
-
-// DrainedNodes returns the indices of drained nodes, ascending.
-func (c *Cluster) DrainedNodes() []int {
-	var out []int
-	for i, n := range c.nodes {
-		if n.drained {
-			out = append(out, i)
-		}
-	}
-	return out
 }
 
 // SetDown marks node ni as failed (true) or repaired (false). The caller —

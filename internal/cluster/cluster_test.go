@@ -34,9 +34,6 @@ func TestConfigDerived(t *testing.T) {
 	if cfg.ThreadsPerNode() != 8 {
 		t.Fatalf("ThreadsPerNode = %d, want 8", cfg.ThreadsPerNode())
 	}
-	if cfg.TotalThreads() != 32 {
-		t.Fatalf("TotalThreads = %d, want 32", cfg.TotalThreads())
-	}
 }
 
 func TestTrinityConfig(t *testing.T) {
@@ -63,18 +60,15 @@ func TestFreshClusterState(t *testing.T) {
 	if c.Size() != 4 {
 		t.Fatalf("Size = %d", c.Size())
 	}
-	if got := len(c.IdleNodes()); got != 4 {
+	if got := len(c.AppendIdleNodes(nil)); got != 4 {
 		t.Fatalf("IdleNodes = %d, want 4", got)
 	}
 	if c.BusyThreads() != 0 || c.BusyNodes() != 0 || c.SharedNodes() != 0 {
 		t.Fatal("fresh cluster reports busy resources")
 	}
-	if c.Utilization() != 0 || c.NodeUtilization() != 0 {
-		t.Fatal("fresh cluster reports nonzero utilization")
-	}
 	n := c.Node(0)
-	if n.Threads() != 8 || n.FreeThreads() != 8 || !n.Idle() {
-		t.Fatalf("fresh node state wrong: threads=%d free=%d", n.Threads(), n.FreeThreads())
+	if n.threads != 8 || n.FreeThreads() != 8 || !n.Idle() {
+		t.Fatalf("fresh node state wrong: threads=%d free=%d", n.threads, n.FreeThreads())
 	}
 	if n.MemFreeMB() != 1000 {
 		t.Fatalf("MemFreeMB = %d", n.MemFreeMB())
@@ -288,17 +282,6 @@ func TestShareCandidates(t *testing.T) {
 	}
 }
 
-func TestNodeThreadGeometry(t *testing.T) {
-	c := New(testConfig())
-	n := c.Node(0)
-	if n.CoreOf(0) != 0 || n.CoreOf(1) != 0 || n.CoreOf(2) != 1 || n.CoreOf(7) != 3 {
-		t.Fatal("CoreOf geometry wrong")
-	}
-	if n.SiblingOf(2, 1) != 3 || n.SiblingOf(3, 0) != 2 {
-		t.Fatal("SiblingOf geometry wrong")
-	}
-}
-
 func TestFreeSiblingThreadsPanicsOutOfRange(t *testing.T) {
 	c := New(testConfig())
 	defer func() {
@@ -322,8 +305,8 @@ func TestNodePanicsOutOfRange(t *testing.T) {
 func TestPlacementHelpers(t *testing.T) {
 	c := New(testConfig())
 	p := c.ExclusivePlacement(1, []int{0, 3}, 10)
-	if p.TotalThreads() != 16 {
-		t.Fatalf("TotalThreads = %d, want 16", p.TotalThreads())
+	if n := len(p.Nodes[0].Threads) + len(p.Nodes[1].Threads); n != 16 {
+		t.Fatalf("placement binds %d threads, want 16", n)
 	}
 	ids := p.NodeIDs()
 	if len(ids) != 2 || ids[0] != 0 || ids[1] != 3 {
@@ -337,11 +320,11 @@ func TestUtilizationAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	// 8 of 32 threads busy.
-	if got := c.Utilization(); got != 0.25 {
-		t.Fatalf("Utilization = %g, want 0.25", got)
+	if got := c.BusyThreads(); got != 8 {
+		t.Fatalf("BusyThreads = %d, want 8", got)
 	}
-	if got := c.NodeUtilization(); got != 0.5 {
-		t.Fatalf("NodeUtilization = %g, want 0.5", got)
+	if got := c.BusyNodes(); got != 2 {
+		t.Fatalf("BusyNodes = %d, want 2", got)
 	}
 }
 
@@ -392,10 +375,10 @@ func TestProperty_Conservation(t *testing.T) {
 				for _, id := range n.Jobs() {
 					owned += len(n.JobThreads(id))
 				}
-				if owned+n.FreeThreads() != n.Threads() {
+				if owned+n.FreeThreads() != n.threads {
 					return false
 				}
-				if n.MemFreeMB() < 0 || n.MemFreeMB() > n.MemoryMB() {
+				if n.MemFreeMB() < 0 || n.MemFreeMB() > n.memMB {
 					return false
 				}
 			}
@@ -414,7 +397,7 @@ func TestDrain(t *testing.T) {
 		t.Fatal("node not marked drained")
 	}
 	// Drained nodes vanish from scheduling queries.
-	for _, ni := range c.IdleNodes() {
+	for _, ni := range c.AppendIdleNodes(nil) {
 		if ni == 1 {
 			t.Fatal("drained node listed idle")
 		}

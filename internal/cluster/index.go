@@ -164,13 +164,9 @@ func (c *Cluster) ChangedSince(since uint64, dst []int) ([]int, bool) {
 	return dst, true
 }
 
-// BusyFreeLayerNodes returns the busy, schedulable nodes with at least one
-// entirely free hardware-thread layer, ascending — the sharing policies'
-// co-allocation candidate universe.
-func (c *Cluster) BusyFreeLayerNodes() []int { return c.AppendBusyFreeLayerNodes(nil) }
-
-// AppendBusyFreeLayerNodes appends what BusyFreeLayerNodes returns to out,
-// for callers that reuse a buffer.
+// AppendBusyFreeLayerNodes appends the busy, schedulable nodes with at least
+// one entirely free hardware-thread layer to out, ascending — the sharing
+// policies' co-allocation candidate universe.
 func (c *Cluster) AppendBusyFreeLayerNodes(out []int) []int {
 	for wi := range c.idx.layerFreeBusy[0].words {
 		var union uint64

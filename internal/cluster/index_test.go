@@ -12,7 +12,7 @@ import (
 
 // bruteIdle reports whether no resident owns any thread of n.
 func bruteIdle(n *Node) bool {
-	for t := 0; t < n.Threads(); t++ {
+	for t := 0; t < n.threads; t++ {
 		if n.Owner(t) != NoJob {
 			return false
 		}
@@ -33,11 +33,11 @@ func bruteIdleNodes(c *Cluster) []int {
 
 func bruteLayerFree(c *Cluster, ni int, l Layer) bool {
 	n := c.Node(ni)
-	if int(l) < 0 || int(l) >= n.ThreadsPerCore() {
+	if int(l) < 0 || int(l) >= n.tpc {
 		return false
 	}
-	for core := 0; core < n.Cores(); core++ {
-		if n.Owner(core*n.ThreadsPerCore()+int(l)) != NoJob {
+	for core := 0; core < n.threads/n.tpc; core++ {
+		if n.Owner(core*n.tpc+int(l)) != NoJob {
 			return false
 		}
 	}
@@ -66,7 +66,7 @@ func bruteMemFree(n *Node) int {
 	for _, id := range n.Jobs() {
 		used += n.JobMemoryMB(id)
 	}
-	return n.MemoryMB() - used
+	return n.memMB - used
 }
 
 func bruteBusyFreeLayerNodes(c *Cluster) []int {
@@ -76,7 +76,7 @@ func bruteBusyFreeLayerNodes(c *Cluster) []int {
 		if bruteIdle(n) || !n.Available() {
 			continue
 		}
-		for l := 0; l < n.ThreadsPerCore(); l++ {
+		for l := 0; l < n.tpc; l++ {
 			if bruteLayerFree(c, i, Layer(l)) {
 				out = append(out, i)
 				break
@@ -124,7 +124,7 @@ func checkOwnership(t *testing.T, c *Cluster, step int) {
 		if !slices.Equal(union, n.busy) {
 			t.Fatalf("step %d: node %d busy mask %x, residents' union %x", step, i, n.busy, union)
 		}
-		if n.FreeThreads() != n.Threads()-popcount(union) || n.memUsedSum != mem {
+		if n.FreeThreads() != n.threads-popcount(union) || n.memUsedSum != mem {
 			t.Fatalf("step %d: node %d free %d / memory %d MB, residents hold %d threads / %d MB",
 				step, i, n.FreeThreads(), n.memUsedSum, popcount(union), mem)
 		}
@@ -135,19 +135,19 @@ func checkOwnership(t *testing.T, c *Cluster, step int) {
 func checkIndex(t *testing.T, c *Cluster, step int) {
 	t.Helper()
 	checkOwnership(t, c, step)
-	if got, want := c.IdleNodes(), bruteIdleNodes(c); !equalInts(got, want) {
+	if got, want := c.AppendIdleNodes(nil), bruteIdleNodes(c); !equalInts(got, want) {
 		t.Fatalf("step %d: IdleNodes = %v, brute force = %v", step, got, want)
 	}
 	if got, want := c.CountIdle(), len(bruteIdleNodes(c)); got != want {
 		t.Fatalf("step %d: CountIdle = %d, brute force = %d", step, got, want)
 	}
-	if got, want := c.BusyFreeLayerNodes(), bruteBusyFreeLayerNodes(c); !equalInts(got, want) {
+	if got, want := c.AppendBusyFreeLayerNodes(nil), bruteBusyFreeLayerNodes(c); !equalInts(got, want) {
 		t.Fatalf("step %d: BusyFreeLayerNodes = %v, brute force = %v", step, got, want)
 	}
 	busyThreads, busyNodes, sharedNodes := 0, 0, 0
 	for i := 0; i < c.Size(); i++ {
 		n := c.Node(i)
-		for th := 0; th < n.Threads(); th++ {
+		for th := 0; th < n.threads; th++ {
 			if n.Owner(th) != NoJob {
 				busyThreads++
 			}
@@ -161,7 +161,7 @@ func checkIndex(t *testing.T, c *Cluster, step int) {
 		if got, want := n.MemFreeMB(), bruteMemFree(n); got != want {
 			t.Fatalf("step %d: node %d MemFreeMB = %d, brute force = %d", step, i, got, want)
 		}
-		for l := 0; l < n.ThreadsPerCore(); l++ {
+		for l := 0; l < n.tpc; l++ {
 			if got, want := c.LayerFree(i, Layer(l)), bruteLayerFree(c, i, Layer(l)); got != want {
 				t.Fatalf("step %d: LayerFree(%d, %d) = %v, brute force = %v", step, i, l, got, want)
 			}
@@ -228,7 +228,7 @@ func TestProperty_IndexMatchesRescan(t *testing.T) {
 			}
 			live = append(live, id)
 		case op < 6: // allocate an exclusive placement on 1–2 idle nodes
-			idle := c.IdleNodes()
+			idle := c.AppendIdleNodes(nil)
 			if len(idle) == 0 {
 				continue
 			}
@@ -293,7 +293,7 @@ func nodeStates(c *Cluster) []string {
 	out := make([]string, c.Size())
 	for ni := range out {
 		n := c.Node(ni)
-		owners := make([]JobID, n.Threads())
+		owners := make([]JobID, n.threads)
 		for th := range owners {
 			owners[th] = n.Owner(th)
 		}

@@ -61,18 +61,9 @@ func (c *Cluster) LayerPlacement(id JobID, nodes []int, l Layer, memPerNodeMB in
 	return p
 }
 
-// IdleNodes returns the indices of fully idle, schedulable (neither drained
-// nor down) nodes, ascending. Served from the free-capacity index: the walk
-// touches set bits only, not every node.
-func (c *Cluster) IdleNodes() []int {
-	if c.idx.idleAvail.count == 0 {
-		return nil
-	}
-	return c.AppendIdleNodes(make([]int, 0, c.idx.idleAvail.count))
-}
-
-// AppendIdleNodes appends what IdleNodes returns to dst, for callers that
-// reuse a buffer.
+// AppendIdleNodes appends the indices of fully idle, schedulable (neither
+// drained nor down) nodes to dst, ascending. Served from the free-capacity
+// index: the walk touches set bits only, not every node.
 func (c *Cluster) AppendIdleNodes(dst []int) []int { return c.idx.idleAvail.appendTo(dst) }
 
 // CountIdle returns the number of fully idle, schedulable nodes.
@@ -103,20 +94,3 @@ func (c *Cluster) BusyNodes() int { return c.idx.nonIdle.count }
 
 // SharedNodes returns the number of nodes occupied by two or more jobs.
 func (c *Cluster) SharedNodes() int { return c.idx.shared.count }
-
-// Utilization returns the fraction of hardware threads allocated, in [0, 1].
-func (c *Cluster) Utilization() float64 {
-	total := c.cfg.TotalThreads()
-	if total == 0 {
-		return 0
-	}
-	return float64(c.BusyThreads()) / float64(total)
-}
-
-// NodeUtilization returns the fraction of nodes busy, in [0, 1].
-func (c *Cluster) NodeUtilization() float64 {
-	if len(c.nodes) == 0 {
-		return 0
-	}
-	return float64(c.BusyNodes()) / float64(len(c.nodes))
-}

@@ -217,7 +217,7 @@ func compareClusters(t *testing.T, step int, got *Cluster, want *refCluster, ids
 	var drained, down []int
 	for ni := 0; ni < got.Size(); ni++ {
 		g, w := got.Node(ni), want.nodes[ni]
-		for th := 0; th < g.Threads(); th++ {
+		for th := 0; th < g.threads; th++ {
 			if g.Owner(th) != w.owner[th] {
 				fail("node %d Owner(%d) = %d, reference %d", ni, th, g.Owner(th), w.owner[th])
 			}
@@ -270,10 +270,10 @@ func compareClusters(t *testing.T, step int, got *Cluster, want *refCluster, ids
 			fail("JobNodes(%d) = %v (holds %v), reference %v (holds %v)", id, gn, got.Holds(id), want.jobNodes[id], holds)
 		}
 	}
-	if g, w := got.IdleNodes(), want.idleNodes(); !slices.Equal(g, w) || got.CountIdle() != len(w) {
+	if g, w := got.AppendIdleNodes(nil), want.idleNodes(); !slices.Equal(g, w) || got.CountIdle() != len(w) {
 		fail("IdleNodes = %v (count %d), reference %v", g, got.CountIdle(), w)
 	}
-	if g, w := got.BusyFreeLayerNodes(), want.busyFreeLayerNodes(); !slices.Equal(g, w) {
+	if g, w := got.AppendBusyFreeLayerNodes(nil), want.busyFreeLayerNodes(); !slices.Equal(g, w) {
 		fail("BusyFreeLayerNodes = %v, reference %v", g, w)
 	}
 	for l := 0; l < cfg.ThreadsPerCore; l++ {

@@ -34,15 +34,6 @@ const (
 // Forever is a sentinel meaning "run until the event queue drains".
 const Forever Time = Time(math.MaxFloat64)
 
-// Seconds returns the time as a plain float64 second count.
-func (t Time) Seconds() float64 { return float64(t) }
-
-// Before reports whether t is strictly earlier than u.
-func (t Time) Before(u Time) bool { return t < u }
-
-// Add returns t shifted by d.
-func (t Time) Add(d Duration) Time { return t + d }
-
 // String renders the time as D+HH:MM:SS.fff for readable traces.
 func (t Time) String() string {
 	if t == Forever {
@@ -76,13 +67,6 @@ type Event struct {
 	canceled bool
 	fn       Handler // nil once fired
 }
-
-// At returns the simulated time at which the event fires (or was scheduled to
-// fire, if canceled).
-func (e *Event) At() Time { return e.at }
-
-// Canceled reports whether Cancel was called on the event.
-func (e *Event) Canceled() bool { return e.canceled }
 
 // entry is one slot of the event queue: the ordering key by value beside the
 // event, so ordering the queue never dereferences an event.
@@ -173,19 +157,6 @@ func NewSimulator() *Simulator {
 // Now returns the current simulated time.
 func (s *Simulator) Now() Time { return s.now }
 
-// Pending returns the number of events waiting in the queue (including
-// canceled events that have not yet been popped).
-func (s *Simulator) Pending() int { return len(s.queue) }
-
-// Executed returns the number of events that have fired so far.
-func (s *Simulator) Executed() uint64 { return s.executed }
-
-// Scheduled returns the total number of events ever scheduled.
-func (s *Simulator) Scheduled() uint64 { return s.scheduled }
-
-// Cancelled returns the number of events that were canceled before firing.
-func (s *Simulator) Cancelled() uint64 { return s.cancelled }
-
 // Schedule registers fn to run at absolute simulated time at.
 // Scheduling at the current time is allowed (the event runs after all events
 // already queued for that instant). Scheduling in the past panics: it is
@@ -222,9 +193,6 @@ func (s *Simulator) Cancel(e *Event) {
 	e.canceled = true
 	s.cancelled++
 }
-
-// Stop halts the run loop after the currently executing event returns.
-func (s *Simulator) Stop() { s.stopped = true }
 
 // Step executes the single earliest pending event. It returns false when the
 // queue is empty. Canceled events are skipped (and consume no simulated

@@ -236,19 +236,6 @@ func TestTimeString(t *testing.T) {
 	}
 }
 
-func TestTimeHelpers(t *testing.T) {
-	tm := Time(10)
-	if !tm.Before(11) || tm.Before(10) {
-		t.Fatal("Before misbehaves")
-	}
-	if tm.Add(5) != 15 {
-		t.Fatal("Add misbehaves")
-	}
-	if Time(2.5).Seconds() != 2.5 {
-		t.Fatal("Seconds misbehaves")
-	}
-}
-
 // Property: for any set of (bounded) timestamps, the kernel fires events in
 // non-decreasing time order and the clock ends at the maximum timestamp.
 func TestProperty_EventOrderSorted(t *testing.T) {

@@ -383,14 +383,6 @@ func (d *Dispatcher) windowEndLocked() int {
 	return min(d.nextFlush+d.cfg.Window, len(d.cells))
 }
 
-// Generation is the dispatcher's fencing generation: 1 for a fresh or
-// journal-less campaign, +1 per journaled restart.
-func (d *Dispatcher) Generation() int64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.generation
-}
-
 // Health is the dispatcher's health snapshot, served on the listener as the
 // health verb and exposed here for in-process callers.
 func (d *Dispatcher) Health() DispatchHealth {
@@ -436,15 +428,6 @@ func (d *Dispatcher) Counters() Counters {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.counters
-}
-
-// Decisions returns a copy of the in-memory decision log.
-func (d *Dispatcher) Decisions() []string {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	out := make([]string, len(d.decisions))
-	copy(out, d.decisions)
-	return out
 }
 
 // maxDecisions bounds the in-memory decision log; beyond it the oldest half

@@ -173,9 +173,6 @@ func OpenCampaignJournal(fsys vfs.FS, path string, spec []byte, cells int) (*Cam
 	return &CampaignJournal{log: log, gen: rec.Gen}, rec, nil
 }
 
-// Generation is the incarnation this journal was opened under.
-func (j *CampaignJournal) Generation() int64 { return j.gen }
-
 // appendRecord appends one record, optionally fsyncing it. Containment
 // records (poison, quarantine, unquarantine) are synced — they are rare and
 // load-bearing across restarts, where losing one would un-fence a hostile

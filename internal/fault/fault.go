@@ -208,15 +208,6 @@ func (in *Injector) CrashDraw(id int64, attempt int) (frac float64, crashes bool
 	return u, true
 }
 
-// MaxRetries returns the (default-completed) retry cap.
-func (in *Injector) MaxRetries() int { return in.cfg.MaxRetries }
-
-// Backoff returns the requeue hold for the given retry number (1-based):
-// Backoff × 2^(retry−1), capped at 2^20 × Backoff to avoid overflow.
-func (in *Injector) BackoffFor(retry int) des.Duration {
-	return BackoffFor(in.cfg.Backoff, retry)
-}
-
 // BackoffFor computes the exponential requeue hold base × 2^(retry−1) for a
 // 1-based retry number, capped at 2^20 doublings.
 func BackoffFor(base des.Duration, retry int) des.Duration {

@@ -103,9 +103,6 @@ func New(p Params) *Model {
 // Default returns a model with DefaultParams.
 func Default() *Model { return New(DefaultParams()) }
 
-// Params returns the model's parameters.
-func (m *Model) Params() Params { return m.p }
-
 // NodeRates returns the progress rate of each co-located job, aligned with
 // loads. Each load is one job's stress vector (the job occupies one
 // hardware-thread layer of the node). len(loads) == 0 returns nil; a single

@@ -62,9 +62,6 @@ func (m *Model) SetMeasured(pairs []MeasuredPair) error {
 	return nil
 }
 
-// HasMeasured reports whether a measured table is installed.
-func (m *Model) HasMeasured() bool { return len(m.measured) > 0 }
-
 // NamedRates returns per-job progress rates like NodeRates, but consults the
 // measured-pair table first for two-job co-locations.
 func (m *Model) NamedRates(loads []Load) []float64 {

@@ -22,7 +22,7 @@ func namedLoads(names ...string) []Load {
 
 func TestSetMeasuredOverridesPairs(t *testing.T) {
 	m := Default()
-	if m.HasMeasured() {
+	if len(m.measured) > 0 {
 		t.Fatal("fresh model reports measurements")
 	}
 	if err := m.SetMeasured([]MeasuredPair{
@@ -30,7 +30,7 @@ func TestSetMeasuredOverridesPairs(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if !m.HasMeasured() {
+	if len(m.measured) == 0 {
 		t.Fatal("measurements not installed")
 	}
 	rates := m.NamedRates(namedLoads("minife", "minimd"))
@@ -59,7 +59,7 @@ func TestSetMeasuredOverridesPairs(t *testing.T) {
 	if err := m.SetMeasured(nil); err != nil {
 		t.Fatal(err)
 	}
-	if m.HasMeasured() {
+	if len(m.measured) > 0 {
 		t.Fatal("measurements not cleared")
 	}
 }

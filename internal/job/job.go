@@ -95,31 +95,33 @@ type Job struct {
 
 	// Sharing statistics.
 	sharedSeconds float64 // wall seconds spent at rate < 1
-	minRate       float64 // worst rate experienced (1 if never shared)
 
 	// Failure statistics.
 	requeues int     // times the job was evicted and returned to the queue
 	lostWork float64 // dedicated-seconds of progress discarded by evictions
 }
 
-// Validate checks submission-time invariants.
+// Validate checks submission-time invariants. The time comparisons are
+// written so that NaN fails them, and each time must be finite: the engine's
+// clock and every completion estimate are computed from them.
 func (j *Job) Validate() error {
+	wall, run, submit := float64(j.ReqWalltime), float64(j.TrueRuntime), float64(j.Submit)
 	switch {
 	case j.ID == cluster.NoJob:
 		return fmt.Errorf("job: reserved ID %d", j.ID)
 	case j.Nodes <= 0:
 		return fmt.Errorf("job %d: non-positive node request %d", j.ID, j.Nodes)
-	case j.ReqWalltime <= 0:
-		return fmt.Errorf("job %d: non-positive walltime request %v", j.ID, j.ReqWalltime)
-	case j.TrueRuntime <= 0:
-		return fmt.Errorf("job %d: non-positive true runtime %v", j.ID, j.TrueRuntime)
-	case j.TrueRuntime > j.ReqWalltime:
+	case !(wall > 0) || math.IsInf(wall, 1):
+		return fmt.Errorf("job %d: walltime request %g is not positive and finite", j.ID, wall)
+	case !(run > 0) || math.IsInf(run, 1):
+		return fmt.Errorf("job %d: true runtime %g is not positive and finite", j.ID, run)
+	case run > wall:
 		// Real systems kill jobs at the limit; the generator always draws
 		// TrueRuntime ≤ ReqWalltime, so a violation is a generator bug.
 		return fmt.Errorf("job %d: true runtime %v exceeds requested walltime %v",
 			j.ID, j.TrueRuntime, j.ReqWalltime)
-	case j.Submit < 0:
-		return fmt.Errorf("job %d: negative submit time %v", j.ID, j.Submit)
+	case !(submit >= 0) || math.IsInf(submit, 1):
+		return fmt.Errorf("job %d: submit time %g is not non-negative and finite", j.ID, submit)
 	}
 	for _, dep := range j.After {
 		if dep == j.ID {
@@ -156,15 +158,6 @@ func (j *Job) Start(t des.Time) {
 	j.lastUpdate = t
 	j.remaining = float64(j.TrueRuntime)
 	j.rate = 1
-	j.minRate = 1
-}
-
-// Rate returns the job's current progress rate.
-func (j *Job) Rate() float64 {
-	if j.state != Running {
-		return 0
-	}
-	return j.rate
 }
 
 // SetRate integrates progress up to time t at the old rate, then switches to
@@ -179,9 +172,6 @@ func (j *Job) SetRate(t des.Time, rate float64) {
 	}
 	j.integrate(t)
 	j.rate = rate
-	if rate < j.minRate {
-		j.minRate = rate
-	}
 }
 
 func (j *Job) integrate(t des.Time) {
@@ -373,19 +363,6 @@ func (j *Job) BoundedSlowdown(tau des.Duration) float64 {
 		return 1
 	}
 	return s
-}
-
-// SharedSeconds returns the wall-clock seconds the job spent co-located
-// (progress rate below 1).
-func (j *Job) SharedSeconds() float64 { return j.sharedSeconds }
-
-// MinRate returns the lowest progress rate the job experienced; 1 means the
-// job never shared.
-func (j *Job) MinRate() float64 {
-	if j.minRate == 0 {
-		return 1 // never started
-	}
-	return j.minRate
 }
 
 // EverShared reports whether the job ever ran at a reduced rate.

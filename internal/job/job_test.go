@@ -39,6 +39,15 @@ func TestValidate(t *testing.T) {
 		func(j *Job) { j.TrueRuntime = 0 },
 		func(j *Job) { j.TrueRuntime = 3000 }, // exceeds request
 		func(j *Job) { j.Submit = -1 },
+		// Times that are not numbers or not finite: NaN passes a plain
+		// comparison, so each used to be accepted.
+		func(j *Job) { j.Submit = des.Time(math.NaN()) },
+		func(j *Job) { j.Submit = des.Time(math.Inf(1)) },
+		func(j *Job) { j.ReqWalltime = des.Duration(math.NaN()) },
+		func(j *Job) { j.ReqWalltime = des.Duration(math.Inf(1)) },
+		func(j *Job) { j.TrueRuntime = des.Duration(math.NaN()) },
+		func(j *Job) { j.TrueRuntime = des.Duration(math.Inf(1)) },
+		func(j *Job) { j.ReqWalltime, j.TrueRuntime = des.Duration(math.Inf(1)), des.Duration(math.Inf(1)) },
 	}
 	for i, mutate := range mutations {
 		jj := newJob(1)
@@ -57,9 +66,6 @@ func TestLifecycleDedicated(t *testing.T) {
 	j.Start(150)
 	if j.State() != Running || j.StartTime() != 150 {
 		t.Fatalf("state after Start: %v at %v", j.State(), j.StartTime())
-	}
-	if j.Rate() != 1 {
-		t.Fatalf("initial rate = %g", j.Rate())
 	}
 	if got := j.Remaining(150); got != 1000 {
 		t.Fatalf("Remaining at start = %g", got)
@@ -83,9 +89,6 @@ func TestLifecycleDedicated(t *testing.T) {
 	if j.EverShared() {
 		t.Fatal("dedicated job reports sharing")
 	}
-	if j.MinRate() != 1 {
-		t.Fatalf("MinRate = %g, want 1", j.MinRate())
-	}
 }
 
 func TestRateChangeStretchesExecution(t *testing.T) {
@@ -105,12 +108,6 @@ func TestRateChangeStretchesExecution(t *testing.T) {
 	if j.Stretch() != 1.5 {
 		t.Fatalf("Stretch = %g, want 1.5", j.Stretch())
 	}
-	if j.SharedSeconds() != 1000 {
-		t.Fatalf("SharedSeconds = %g, want 1000", j.SharedSeconds())
-	}
-	if j.MinRate() != 0.5 {
-		t.Fatalf("MinRate = %g, want 0.5", j.MinRate())
-	}
 	if !j.EverShared() {
 		t.Fatal("job with reduced rate not marked shared")
 	}
@@ -129,13 +126,6 @@ func TestMultipleRateChanges(t *testing.T) {
 	j.Finish(1400)
 	if j.EndTime() != 1400 {
 		t.Fatal("end time wrong")
-	}
-	// Shared while at 0.5 (200s) and 0.25 (400s).
-	if j.SharedSeconds() != 600 {
-		t.Fatalf("SharedSeconds = %g, want 600", j.SharedSeconds())
-	}
-	if j.MinRate() != 0.25 {
-		t.Fatalf("MinRate = %g, want 0.25", j.MinRate())
 	}
 }
 
@@ -231,9 +221,6 @@ func TestRemainingByState(t *testing.T) {
 	if got := j.Remaining(2000); got != 0 {
 		t.Fatalf("finished Remaining = %g, want 0", got)
 	}
-	if j.Rate() != 0 {
-		t.Fatalf("finished Rate = %g, want 0", j.Rate())
-	}
 }
 
 func TestBoundedSlowdown(t *testing.T) {
@@ -294,8 +281,9 @@ func TestProperty_ProgressConservation(t *testing.T) {
 		if len(segments) > 8 {
 			segments = segments[:8]
 		}
+		rate := 1.0
 		for _, s := range segments {
-			rate := 0.1 + 0.9*float64(s)/255
+			rate = 0.1 + 0.9*float64(s)/255
 			j.SetRate(now, rate)
 			dt := 100.0
 			if workLeft <= rate*dt {
@@ -305,7 +293,7 @@ func TestProperty_ProgressConservation(t *testing.T) {
 			workLeft -= rate * dt
 		}
 		// Finish at the exact projected completion of the final rate.
-		j.SetRate(now, j.Rate()) // integrate to now (no-op rate change)
+		j.SetRate(now, rate) // integrate to now (no-op rate change)
 		finish := j.ETA(now)
 		j.Finish(finish)
 		return j.State() == Finished

@@ -112,36 +112,3 @@ func secs(v float64) string {
 		return fmt.Sprintf("%.0fs", v)
 	}
 }
-
-// Sparkline renders a numeric series as a block-glyph strip, normalized to
-// [min, max] of the data (or [0, 1] if the series is flat at zero).
-func Sparkline(values []float64) string {
-	if len(values) == 0 {
-		return ""
-	}
-	glyphs := []rune("▁▂▃▄▅▆▇█")
-	lo, hi := values[0], values[0]
-	for _, v := range values {
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
-	}
-	if hi == lo {
-		hi = lo + 1
-	}
-	var b strings.Builder
-	for _, v := range values {
-		i := int((v - lo) / (hi - lo) * float64(len(glyphs)-1))
-		if i < 0 {
-			i = 0
-		}
-		if i >= len(glyphs) {
-			i = len(glyphs) - 1
-		}
-		b.WriteRune(glyphs[i])
-	}
-	return b.String()
-}

@@ -79,21 +79,3 @@ func TestGanttLabelCycling(t *testing.T) {
 		t.Fatalf("high label not painted: %q", out)
 	}
 }
-
-func TestSparkline(t *testing.T) {
-	if Sparkline(nil) != "" {
-		t.Fatal("empty sparkline non-empty")
-	}
-	s := Sparkline([]float64{0, 0.5, 1})
-	runes := []rune(s)
-	if len(runes) != 3 {
-		t.Fatalf("sparkline length %d", len(runes))
-	}
-	if runes[0] != '▁' || runes[2] != '█' {
-		t.Fatalf("sparkline = %q", s)
-	}
-	// Flat series must not divide by zero.
-	if len([]rune(Sparkline([]float64{5, 5, 5}))) != 3 {
-		t.Fatal("flat sparkline wrong")
-	}
-}

@@ -7,8 +7,6 @@ import (
 	"fmt"
 	"io"
 	"strings"
-
-	"repro/internal/des"
 )
 
 // Table is a titled grid with column headers and optional footnotes.
@@ -128,11 +126,6 @@ func F(v float64, places int) string {
 // Pct formats a fraction as a signed percentage, e.g. 0.19 → "+19.0%".
 func Pct(v float64) string {
 	return fmt.Sprintf("%+.1f%%", v*100)
-}
-
-// Dur formats a simulated duration compactly.
-func Dur(d des.Duration) string {
-	return d.String()
 }
 
 // Ns formats nanoseconds with a readable unit.

@@ -104,7 +104,4 @@ func TestFormatters(t *testing.T) {
 			t.Errorf("Ns(%g) = %q, want %q", ns, got, want)
 		}
 	}
-	if Dur(90) != "00:01:30.000" {
-		t.Errorf("Dur = %q", Dur(90))
-	}
 }

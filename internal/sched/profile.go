@@ -3,7 +3,6 @@ package sched
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"repro/internal/des"
 )
@@ -42,16 +41,6 @@ func (p *Profile) release(at des.Time, nodes int) {
 		p.times = append(p.times, at)
 		p.free = append(p.free, p.free[last]+nodes)
 	}
-}
-
-// FreeAt returns the free capacity at time t (t at or after the profile
-// start).
-func (p *Profile) FreeAt(t des.Time) int {
-	i := sort.Search(len(p.times), func(i int) bool { return p.times[i] > t }) - 1
-	if i < 0 {
-		panic(fmt.Sprintf("sched: FreeAt(%v) before profile start %v", t, p.times[0]))
-	}
-	return p.free[i]
 }
 
 // endOf returns when a reservation of duration d starting at at ends:
@@ -178,6 +167,3 @@ func (p *Profile) search(from int, t des.Time) int {
 	}
 	return lo
 }
-
-// Len returns the number of breakpoints (exported for tests).
-func (p *Profile) Len() int { return len(p.times) }

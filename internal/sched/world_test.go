@@ -107,7 +107,7 @@ func TestCarriedWorldMatchesFresh(t *testing.T) {
 				a := ctx.Queue[rng.Intn(len(ctx.Queue))].App
 				nextID++
 				j := &job.Job{ID: nextID, Name: "hand", App: a, Nodes: 1, ReqWalltime: 900, TrueRuntime: 900}
-				if idle := c.IdleNodes(); len(idle) > 0 && rng.Intn(2) == 0 {
+				if idle := c.AppendIdleNodes(nil); len(idle) > 0 && rng.Intn(2) == 0 {
 					insert(allocate(j, c.ExclusivePlacement(j.ID, idle[:1], a.MemPerNodeMB), ctx.Now+900))
 				} else if hosts := c.ShareCandidates(cluster.SecondaryLayer, a.MemPerNodeMB); len(hosts) > 0 {
 					insert(allocate(j, c.LayerPlacement(j.ID, hosts[:1], cluster.SecondaryLayer, a.MemPerNodeMB), ctx.Now+900))

@@ -413,6 +413,7 @@ func (c *invariantChecker) check() error {
 	busyThreads, busyNodes, sharedNodes := 0, 0, 0
 	var idle []int
 	holds := map[cluster.JobID][]int{}
+	threads, memMB := cl.Config().ThreadsPerNode(), cl.Config().MemoryPerNodeMB
 	for ni := 0; ni < cl.Size(); ni++ {
 		n := cl.Node(ni)
 		// Threads by owner; a node hosts a handful of jobs at most, so a
@@ -423,7 +424,7 @@ func (c *invariantChecker) check() error {
 		}
 		var owned []share
 		used := 0
-		for t := 0; t < n.Threads(); t++ {
+		for t := 0; t < threads; t++ {
 			o := n.Owner(t)
 			if o == cluster.NoJob {
 				continue
@@ -446,9 +447,9 @@ func (c *invariantChecker) check() error {
 			}
 			return false
 		}
-		if used != n.Threads()-n.FreeThreads() {
+		if used != threads-n.FreeThreads() {
 			return fmt.Errorf("INV-2: node %d owner scan finds %d busy threads, counter says %d",
-				ni, used, n.Threads()-n.FreeThreads())
+				ni, used, threads-n.FreeThreads())
 		}
 		ids := n.Jobs()
 		if len(ids) != len(owned) || len(ids) != n.SharingDegree() {
@@ -469,9 +470,9 @@ func (c *invariantChecker) check() error {
 			mem += n.JobMemoryMB(id)
 			holds[id] = append(holds[id], ni)
 		}
-		if mem != n.MemoryMB()-n.MemFreeMB() || mem > n.MemoryMB() {
+		if mem != memMB-n.MemFreeMB() || mem > memMB {
 			return fmt.Errorf("INV-2: node %d reserves %d MB by job, counter says %d of %d MB",
-				ni, mem, n.MemoryMB()-n.MemFreeMB(), n.MemoryMB())
+				ni, mem, memMB-n.MemFreeMB(), memMB)
 		}
 		// INV-4: sharing never exceeds the configured degree.
 		if len(ids) > maxDegree {
@@ -495,7 +496,7 @@ func (c *invariantChecker) check() error {
 		return fmt.Errorf("INV-2: rescan busy threads/nodes/shared %d/%d/%d, index %d/%d/%d",
 			busyThreads, busyNodes, sharedNodes, cl.BusyThreads(), cl.BusyNodes(), cl.SharedNodes())
 	}
-	if got := cl.IdleNodes(); !slices.Equal(got, idle) {
+	if got := cl.AppendIdleNodes(nil); !slices.Equal(got, idle) {
 		return fmt.Errorf("INV-2: index idle nodes %v, rescan %v", got, idle)
 	}
 	if cl.CountIdle() != len(idle) {

@@ -246,9 +246,6 @@ func (e *Engine) Cluster() *cluster.Cluster { return e.cl }
 // Now returns the current simulated time.
 func (e *Engine) Now() des.Time { return e.sim.Now() }
 
-// Policy returns the policy under test.
-func (e *Engine) Policy() sched.Policy { return e.pol }
-
 // Submit registers a job for arrival at j.Submit. Jobs whose node request
 // exceeds the machine are recorded as rejected at arrival time. Submission
 // is also legal mid-run (the interactive SLURM layer uses it) as long as
@@ -697,14 +694,6 @@ func (e *Engine) RequeueRunning(id cluster.JobID) error {
 	return nil
 }
 
-// FaultTrace returns the injected failure trace (nil without an injector).
-func (e *Engine) FaultTrace() []fault.Event {
-	if e.injector == nil {
-		return nil
-	}
-	return e.injector.Trace()
-}
-
 // enlist enters a started job into the engine's running-set indexes: the
 // ID map, the ID-ordered list the scheduler reads, and each node's residents.
 func (e *Engine) enlist(rec *runRec) {
@@ -945,12 +934,6 @@ func (e *Engine) orderedQueue() []*job.Job {
 	}
 	return o.q
 }
-
-// QueueLen returns the number of pending jobs.
-func (e *Engine) QueueLen() int { return len(e.queue) }
-
-// RunningLen returns the number of running jobs.
-func (e *Engine) RunningLen() int { return len(e.running) }
 
 // Finished returns the finished jobs in completion order.
 func (e *Engine) Finished() []*job.Job { return e.finished }

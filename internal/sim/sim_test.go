@@ -535,8 +535,8 @@ func TestSchedIntervalBatchesPasses(t *testing.T) {
 
 func TestEngineAccessorsAndCancel(t *testing.T) {
 	e := New(Config{Cluster: smallCluster(), Policy: mustPolicy(t, "easy")})
-	if e.Policy().Name() != "easy" {
-		t.Fatalf("Policy = %q", e.Policy().Name())
+	if e.pol.Name() != "easy" {
+		t.Fatalf("Policy = %q", e.pol.Name())
 	}
 	blocker := jb(1, computeApp, 4, 0, 2000, 2000)
 	victim := jb(2, computeApp, 4, 1, 1000, 1000)

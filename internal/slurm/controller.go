@@ -26,8 +26,8 @@ import (
 // Controller is the slurmctld-equivalent: it owns a batch-system instance,
 // admits interactive submissions against partition limits, orders the queue
 // by multifactor priority, and answers queue/node introspection. Time is
-// simulated; clients advance it explicitly (Advance), which is what lets a
-// whole day of batch operation replay in milliseconds.
+// simulated; clients advance it explicitly (AdvanceChecked), which is what
+// lets a whole day of batch operation replay in milliseconds.
 //
 // A controller opened with OpenJournaled additionally write-ahead-journals
 // every external operation, so a crashed or killed controller restarts into
@@ -163,14 +163,6 @@ func OpenJournaledFS(cfg Config, fsys vfs.FS, dir string, snapshotEvery int) (*C
 	c.recovery = info
 	c.quarantined = info.Quarantined
 	return c, nil
-}
-
-// Recovery reports what opening the journal found (nil for in-memory
-// controllers).
-func (c *Controller) Recovery() *RecoveryInfo {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.recovery
 }
 
 // replay re-applies recovered journal entries in order; an entry that apply
@@ -602,16 +594,11 @@ func (c *Controller) applySubmit(e *Entry) error {
 	return c.settle(nil)
 }
 
-// Submit admits a job at the current simulated time. Optional dependency IDs
-// implement sbatch --dependency=afterok.
-func (c *Controller) Submit(appName string, nodes int, wall, runtime des.Duration, name string, after ...cluster.JobID) (cluster.JobID, error) {
-	return c.SubmitToken("", appName, nodes, wall, runtime, name, after...)
-}
-
-// SubmitToken is Submit with a client-supplied idempotency token. A repeat
-// of an already-accepted token returns the original job's ID without
-// enqueueing anything, so a client whose submit response was lost can retry
-// safely.
+// SubmitToken admits a job at the current simulated time. Optional
+// dependency IDs implement sbatch --dependency=afterok. A non-empty token is
+// a client-supplied idempotency key: a repeat of an already-accepted token
+// returns the original job's ID without enqueueing anything, so a client
+// whose submit response was lost can retry safely.
 func (c *Controller) SubmitToken(token, appName string, nodes int, wall, runtime des.Duration, name string, after ...cluster.JobID) (cluster.JobID, error) {
 	deps := make([]int64, len(after))
 	for i, a := range after {
@@ -623,67 +610,12 @@ func (c *Controller) SubmitToken(token, appName string, nodes int, wall, runtime
 	return cluster.JobID(e.ID), err
 }
 
-// Cancel cancels a pending job.
-func (c *Controller) Cancel(id cluster.JobID) error {
-	return c.mutate(budget{}, &Entry{Op: "cancel", ID: int64(id)})
-}
-
-// Advance moves the simulated clock forward by d, executing every event in
-// the window.
-func (c *Controller) Advance(d des.Duration) des.Time {
-	now, _ := c.AdvanceChecked(d)
-	return now
-}
-
-// AdvanceChecked is Advance with errors surfaced: it rejects while the
-// controller is DEGRADED, refuses to carry the clock past maxClock, and
-// reports a failed journal append.
+// AdvanceChecked moves the simulated clock forward by d, executing every
+// event in the window. It rejects while the controller is DEGRADED, refuses
+// to carry the clock past maxClock, and reports a failed journal append.
 func (c *Controller) AdvanceChecked(d des.Duration) (des.Time, error) {
 	err := c.mutate(budget{}, &Entry{Op: "advance", Seconds: float64(d)})
 	return c.Now(), err
-}
-
-// Drain runs the simulation until all submitted work completes.
-func (c *Controller) Drain() des.Time {
-	now, _ := c.DrainChecked()
-	return now
-}
-
-// DrainChecked is Drain with durability errors surfaced, as AdvanceChecked.
-func (c *Controller) DrainChecked() (des.Time, error) {
-	err := c.mutate(budget{}, &Entry{Op: "drain"})
-	return c.Now(), err
-}
-
-// Requeue evicts a running job and returns it to the queue — scontrol
-// requeue. Lost progress is charged and the eviction counts against the
-// job's retry budget.
-func (c *Controller) Requeue(id cluster.JobID) error {
-	return c.mutate(budget{}, &Entry{Op: "requeue", ID: int64(id)})
-}
-
-// DownNode forces a node down — scontrol update State=DOWN. Resident jobs
-// are evicted and requeued.
-func (c *Controller) DownNode(ni int) error {
-	return c.mutate(budget{}, &Entry{Op: "down_node", Node: ni})
-}
-
-// UpNode returns a down node to service — scontrol update State=RESUME on a
-// DOWN node.
-func (c *Controller) UpNode(ni int) error {
-	return c.mutate(budget{}, &Entry{Op: "up_node", Node: ni})
-}
-
-// DrainNode removes a node from scheduling (running jobs finish in place;
-// no new work lands) — scontrol update State=DRAIN.
-func (c *Controller) DrainNode(ni int) error {
-	return c.mutate(budget{}, &Entry{Op: "drain_node", Node: ni})
-}
-
-// ResumeNode returns a drained node to service and kicks the scheduler so
-// waiting work can use it immediately.
-func (c *Controller) ResumeNode(ni int) error {
-	return c.mutate(budget{}, &Entry{Op: "resume_node", Node: ni})
 }
 
 // Stats computes the evaluation metrics for the work so far.

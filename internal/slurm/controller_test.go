@@ -35,7 +35,7 @@ func TestControllerSubmitAndDrain(t *testing.T) {
 	if len(q) != 1 || q[0].State != "RUNNING" {
 		t.Fatalf("queue = %+v", q)
 	}
-	ctl.Drain()
+	drain(t, ctl)
 	if got := len(ctl.Queue()); got != 0 {
 		t.Fatalf("queue after drain = %d", got)
 	}
@@ -79,7 +79,7 @@ func TestControllerSubmitDefaults(t *testing.T) {
 	if q := ctl.Queue(); len(q) != 1 || q[0].Name != fmt.Sprintf("minife-%d", id) {
 		t.Fatalf("queue = %+v, want one job named minife-%d", q, id)
 	}
-	ctl.Drain()
+	drain(t, ctl)
 	if h := ctl.History(); len(h) != 1 || h[0].End-h[0].Start != 600 {
 		t.Fatalf("history = %+v, want one job that ran 600s", h)
 	}
@@ -115,7 +115,7 @@ func TestControllerAdvance(t *testing.T) {
 	if _, err := ctl.Submit("gtc", 4, 7200, 3600, ""); err != nil {
 		t.Fatal(err)
 	}
-	now := ctl.Advance(1800)
+	now := advance(t, ctl, 1800)
 	if now != 1800 {
 		t.Fatalf("Advance → %v", now)
 	}
@@ -123,12 +123,12 @@ func TestControllerAdvance(t *testing.T) {
 	if len(q) != 1 || q[0].State != "RUNNING" {
 		t.Fatalf("queue at t=1800: %+v", q)
 	}
-	ctl.Advance(1801)
+	advance(t, ctl, 1801)
 	if len(ctl.Queue()) != 0 {
 		t.Fatal("job still queued after its runtime elapsed")
 	}
 	// Negative advance is a no-op.
-	if got := ctl.Advance(-5); got != ctl.Now() {
+	if got := advance(t, ctl, -5); got != ctl.Now() {
 		t.Fatal("negative advance moved the clock")
 	}
 }
@@ -330,7 +330,7 @@ func TestUsageFromEngineShares(t *testing.T) {
 	if _, err := ctl.Submit("minife", 2, 3600, 1800, "a"); err != nil {
 		t.Fatal(err)
 	}
-	ctl.Drain()
+	drain(t, ctl)
 	usage := UsageFromEngine(ctl.eng)
 	if got := usage(""); got != 1 {
 		t.Fatalf("usage(\"\") = %g, want 1", got)
@@ -439,13 +439,13 @@ func TestSubmitWithDependency(t *testing.T) {
 		t.Fatalf("child info = %+v", childInfo)
 	}
 	// When the parent finishes, the child runs.
-	ctl.Advance(1801)
+	advance(t, ctl, 1801)
 	for _, j := range ctl.Queue() {
 		if j.ID == int64(child) && j.State != "RUNNING" {
 			t.Fatalf("child not running after parent finished: %s", j.State)
 		}
 	}
-	ctl.Drain()
+	drain(t, ctl)
 	if ctl.Stats().Finished != 2 {
 		t.Fatalf("finished = %d", ctl.Stats().Finished)
 	}

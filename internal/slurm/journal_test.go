@@ -42,14 +42,14 @@ func driveWorkload(t *testing.T, c *Controller) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Advance(300)
+	advance(t, c, 300)
 	if err := c.Cancel(id3); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.DrainNode(3); err != nil {
 		t.Fatal(err)
 	}
-	c.Advance(200)
+	advance(t, c, 200)
 	if err := c.ResumeNode(3); err != nil {
 		t.Fatal(err)
 	}
@@ -59,11 +59,11 @@ func driveWorkload(t *testing.T, c *Controller) {
 	if err := c.DownNode(0); err != nil {
 		t.Fatal(err)
 	}
-	c.Advance(100)
+	advance(t, c, 100)
 	if err := c.UpNode(0); err != nil {
 		t.Fatal(err)
 	}
-	c.Advance(500)
+	advance(t, c, 500)
 }
 
 // TestJournalCrashRecovery kills a journaled controller without any shutdown
@@ -95,7 +95,7 @@ func TestJournalCrashRecovery(t *testing.T) {
 	if _, err := c2.Submit("minife", 1, 1800, 900, "post-crash"); err != nil {
 		t.Fatal(err)
 	}
-	c2.Drain()
+	drain(t, c2)
 	post := stateOf(c2)
 
 	c3, err := OpenJournaled(cfg, dir, 0)
@@ -199,11 +199,11 @@ func TestJournalFaultTrailAudit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Advance(100)
+	advance(t, c, 100)
 	if err := c.Requeue(id); err != nil {
 		t.Fatal(err)
 	}
-	c.Drain()
+	drain(t, c)
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}

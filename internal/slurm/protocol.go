@@ -716,12 +716,6 @@ func (c *Client) Stats() (metrics.Result, error) {
 	return *resp.Stats, nil
 }
 
-// Info fetches cluster name and policy.
-func (c *Client) Info() (clusterName, policy string, err error) {
-	resp, err := c.Do(Request{Op: "config"})
-	return resp.Cluster, resp.Policy, err
-}
-
 // DrainNode removes a node from scheduling.
 func (c *Client) DrainNode(ni int) error {
 	_, err := c.Do(Request{Op: "drain_node", Node: ni})

@@ -129,7 +129,7 @@ func TestIdempotencyAcrossRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c1.Advance(100)
+	advance(t, c1, 100)
 	// Crash: no Close, no flush beyond the per-op WAL sync.
 
 	c2, err := OpenJournaled(cfg, dir, 0)

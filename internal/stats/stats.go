@@ -123,53 +123,6 @@ func Summarize(xs []float64) Summary {
 	return s
 }
 
-// Histogram bins xs into n equal-width buckets over [min, max] and returns
-// the counts. Values outside the range clamp into the edge buckets. It
-// panics if n ≤ 0 or max ≤ min.
-func Histogram(xs []float64, n int, min, max float64) []int {
-	if n <= 0 {
-		panic(fmt.Sprintf("stats: Histogram with %d buckets", n))
-	}
-	if max <= min {
-		panic(fmt.Sprintf("stats: Histogram range [%g, %g]", min, max))
-	}
-	counts := make([]int, n)
-	width := (max - min) / float64(n)
-	for _, x := range xs {
-		i := int((x - min) / width)
-		if i < 0 {
-			i = 0
-		}
-		if i >= n {
-			i = n - 1
-		}
-		counts[i]++
-	}
-	return counts
-}
-
-// LinearFit returns the least-squares slope and intercept of y over x.
-// It panics when the lengths differ or fewer than 2 points are given.
-func LinearFit(x, y []float64) (slope, intercept float64) {
-	if len(x) != len(y) {
-		panic(fmt.Sprintf("stats: LinearFit length mismatch %d vs %d", len(x), len(y)))
-	}
-	if len(x) < 2 {
-		panic("stats: LinearFit needs at least 2 points")
-	}
-	mx, my := Mean(x), Mean(y)
-	num, den := 0.0, 0.0
-	for i := range x {
-		num += (x[i] - mx) * (y[i] - my)
-		den += (x[i] - mx) * (x[i] - mx)
-	}
-	if den == 0 {
-		return 0, my
-	}
-	slope = num / den
-	return slope, my - slope*mx
-}
-
 // RelChange returns (b−a)/a, the relative change from a to b, as used for
 // the paper's "+19%" style comparisons. It panics when a is 0.
 func RelChange(a, b float64) float64 {

@@ -100,61 +100,6 @@ func TestSummarize(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	xs := []float64{0.1, 0.2, 0.5, 0.9, -1, 2}
-	h := Histogram(xs, 2, 0, 1)
-	// Bucket 0: 0.1, 0.2, -1 (clamped); bucket 1: 0.5, 0.9, 2 (clamped).
-	if h[0] != 3 || h[1] != 3 {
-		t.Fatalf("Histogram = %v", h)
-	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("Histogram(0 buckets) did not panic")
-			}
-		}()
-		Histogram(xs, 0, 0, 1)
-	}()
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("Histogram bad range did not panic")
-			}
-		}()
-		Histogram(xs, 2, 1, 1)
-	}()
-}
-
-func TestLinearFit(t *testing.T) {
-	x := []float64{1, 2, 3, 4}
-	y := []float64{3, 5, 7, 9} // y = 2x + 1
-	slope, intercept := LinearFit(x, y)
-	if !almost(slope, 2) || !almost(intercept, 1) {
-		t.Fatalf("fit = %g, %g", slope, intercept)
-	}
-	// Degenerate x: slope 0, intercept mean(y).
-	slope, intercept = LinearFit([]float64{2, 2}, []float64{1, 3})
-	if slope != 0 || !almost(intercept, 2) {
-		t.Fatalf("degenerate fit = %g, %g", slope, intercept)
-	}
-}
-
-func TestLinearFitPanics(t *testing.T) {
-	for name, f := range map[string]func(){
-		"mismatch": func() { LinearFit([]float64{1}, []float64{1, 2}) },
-		"short":    func() { LinearFit([]float64{1}, []float64{1}) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s did not panic", name)
-				}
-			}()
-			f()
-		}()
-	}
-}
-
 func TestRelChange(t *testing.T) {
 	if !almost(RelChange(100, 119), 0.19) {
 		t.Fatal("RelChange wrong")

@@ -1,8 +1,6 @@
 package swf
 
 import (
-	"sort"
-
 	"repro/internal/report"
 	"repro/internal/stats"
 )
@@ -92,29 +90,4 @@ func (s TraceStats) Render() *report.Table {
 	t.AddNote("%d records (%d usable for replay), %d users, %d with dependencies, span %.1f h",
 		s.Records, s.Usable, s.Users, s.WithDependencies, s.SpanSeconds/3600)
 	return t
-}
-
-// PerUserCounts returns submission counts per user ID, descending, for the
-// records replay keeps.
-func PerUserCounts(t *Trace) []struct {
-	User, Count int
-} {
-	counts := map[int]int{}
-	for _, r := range t.Records {
-		if r.Status == 0 || r.Status == 5 || r.RunTime <= 0 || r.UserID < 0 {
-			continue
-		}
-		counts[r.UserID]++
-	}
-	out := make([]struct{ User, Count int }, 0, len(counts))
-	for u, c := range counts {
-		out = append(out, struct{ User, Count int }{u, c})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Count != out[j].Count {
-			return out[i].Count > out[j].Count
-		}
-		return out[i].User < out[j].User
-	})
-	return out
 }

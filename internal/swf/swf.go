@@ -148,27 +148,3 @@ func num(v float64) string {
 	}
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
-
-// Validate checks the invariants replay depends on: positive processor
-// counts, non-negative submit times, and monotone submission order.
-func (t *Trace) Validate() error {
-	last := -1.0
-	for i, r := range t.Records {
-		if r.SubmitTime < 0 {
-			return fmt.Errorf("swf: record %d: negative submit time %g", i, r.SubmitTime)
-		}
-		if r.SubmitTime < last {
-			return fmt.Errorf("swf: record %d: submit time %g before predecessor %g",
-				i, r.SubmitTime, last)
-		}
-		last = r.SubmitTime
-		procs := r.ReqProcs
-		if procs <= 0 {
-			procs = r.UsedProcs
-		}
-		if procs <= 0 {
-			return fmt.Errorf("swf: record %d: no processor count", i)
-		}
-	}
-	return nil
-}

@@ -77,26 +77,6 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
-func TestValidate(t *testing.T) {
-	good := &Trace{Records: []Record{
-		{JobNumber: 1, SubmitTime: 0, ReqProcs: 4},
-		{JobNumber: 2, SubmitTime: 5, UsedProcs: 2, ReqProcs: -1},
-	}}
-	if err := good.Validate(); err != nil {
-		t.Fatalf("valid trace rejected: %v", err)
-	}
-	bad := []*Trace{
-		{Records: []Record{{SubmitTime: -1, ReqProcs: 1}}},
-		{Records: []Record{{SubmitTime: 5, ReqProcs: 1}, {SubmitTime: 1, ReqProcs: 1}}},
-		{Records: []Record{{SubmitTime: 0, ReqProcs: -1, UsedProcs: -1}}},
-	}
-	for i, tr := range bad {
-		if err := tr.Validate(); err == nil {
-			t.Errorf("bad trace %d accepted", i)
-		}
-	}
-}
-
 func TestToJobs(t *testing.T) {
 	tr, err := Parse(strings.NewReader(sample))
 	if err != nil {
@@ -122,6 +102,27 @@ func TestToJobs(t *testing.T) {
 		if err := j.Validate(); err != nil {
 			t.Fatalf("converted job invalid: %v", err)
 		}
+	}
+}
+
+// A record without a processor request falls back to the processors it
+// used; a record with neither is refused.
+func TestToJobsProcessorCount(t *testing.T) {
+	cfg := cluster.Config{Nodes: 4, CoresPerNode: 32, ThreadsPerCore: 2, MemoryPerNodeMB: 64 << 10}
+	tr := &Trace{Records: []Record{
+		{JobNumber: 1, SubmitTime: 0, RunTime: 10, ReqProcs: 4, Status: 1},
+		{JobNumber: 2, SubmitTime: 5, RunTime: 10, UsedProcs: 64, ReqProcs: -1, Status: 1},
+	}}
+	jobs, err := ToJobs(tr, cfg)
+	if err != nil {
+		t.Fatalf("valid trace rejected: %v", err)
+	}
+	if len(jobs) != 2 || jobs[0].Nodes != 1 || jobs[1].Nodes != 2 {
+		t.Fatalf("converted %d jobs, nodes %v", len(jobs), jobs)
+	}
+	bad := &Trace{Records: []Record{{SubmitTime: 0, RunTime: 10, ReqProcs: -1, UsedProcs: -1, Status: 1}}}
+	if _, err := ToJobs(bad, cfg); err == nil {
+		t.Error("record without a processor count accepted")
 	}
 }
 
@@ -297,10 +298,6 @@ func TestAnalyze(t *testing.T) {
 	tbl := s.Render()
 	if len(tbl.Rows) != 4 {
 		t.Fatalf("rendered rows = %d", len(tbl.Rows))
-	}
-	counts := PerUserCounts(tr)
-	if len(counts) != 2 || counts[0].Count != 1 {
-		t.Fatalf("per-user counts = %+v", counts)
 	}
 }
 

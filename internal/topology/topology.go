@@ -54,9 +54,6 @@ func (t Topology) Validate() error {
 	return nil
 }
 
-// Nodes returns the machine size the topology describes.
-func (t Topology) Nodes() int { return t.Groups * t.NodesPerGroup }
-
 // GroupOf returns the leaf switch of node ni.
 func (t Topology) GroupOf(ni int) int {
 	if ni < 0 {
@@ -92,25 +89,20 @@ func (t Topology) NetworkFactor(spread int) float64 {
 	return 1 + t.UplinkPenalty*float64(spread-1)/float64(t.Groups-1)
 }
 
-// CompactOrder returns the given nodes reordered for locality: groups with
-// the most candidate nodes first (so small jobs fit inside one leaf), nodes
-// ascending within each group, group index breaking ties. Schedulers feed
-// their idle list through this to minimize spread.
-func (t Topology) CompactOrder(nodes []int) []int {
-	var c Compactor
-	return c.Order(t, nodes)
-}
-
-// Compactor is the working memory of CompactOrder, for a caller that orders
-// candidates on every scheduling pass and must not allocate each time.
+// Compactor reorders candidate nodes for locality: groups with the most
+// candidate nodes first (so small jobs fit inside one leaf), nodes ascending
+// within each group, group index breaking ties. Schedulers feed their idle
+// list through it to minimize spread. It keeps its working memory, so a
+// caller that orders candidates on every scheduling pass does not allocate
+// each time.
 type Compactor struct {
 	slot  []int // per group: its candidate count, then its next free slot
 	order []int // groups holding candidates, most candidates first
 	out   []int
 }
 
-// Order is CompactOrder into c's memory: the result is valid until the next
-// call.
+// Order returns nodes in compact order, in c's memory: the result is valid
+// until the next call.
 func (c *Compactor) Order(t Topology, nodes []int) []int {
 	c.slot = append(c.slot[:0], make([]int, t.Groups)...)
 	for _, ni := range nodes {

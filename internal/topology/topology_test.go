@@ -98,12 +98,12 @@ func TestCompactOrder(t *testing.T) {
 	// Groups: {0,1} {2,3} {4,5} {6,7}. Candidates: group 1 full, group 0
 	// half, group 3 half → group 1's nodes first.
 	in := []int{6, 2, 0, 3}
-	out := topo.CompactOrder(in)
+	out := new(Compactor).Order(topo, in)
 	if out[0] != 2 || out[1] != 3 {
-		t.Fatalf("CompactOrder = %v, want group 1 (nodes 2,3) first", out)
+		t.Fatalf("Compactor.Order = %v, want group 1 (nodes 2,3) first", out)
 	}
 	if len(out) != 4 {
-		t.Fatalf("CompactOrder dropped nodes: %v", out)
+		t.Fatalf("Compactor.Order dropped nodes: %v", out)
 	}
 	// Tie between groups 0 and 3 breaks by group index.
 	if out[2] != 0 || out[3] != 6 {
@@ -111,7 +111,7 @@ func TestCompactOrder(t *testing.T) {
 	}
 }
 
-// Property: CompactOrder is a permutation and never splits a group's nodes
+// Property: Compactor.Order is a permutation and never splits a group's nodes
 // apart in the output.
 func TestProperty_CompactOrderPermutation(t *testing.T) {
 	topo := Topology{Groups: 8, NodesPerGroup: 4}
@@ -119,13 +119,13 @@ func TestProperty_CompactOrderPermutation(t *testing.T) {
 		seen := map[int]bool{}
 		var in []int
 		for _, r := range raw {
-			ni := int(r) % topo.Nodes()
+			ni := int(r) % (topo.Groups * topo.NodesPerGroup)
 			if !seen[ni] {
 				seen[ni] = true
 				in = append(in, ni)
 			}
 		}
-		out := topo.CompactOrder(in)
+		out := new(Compactor).Order(topo, in)
 		if len(out) != len(in) {
 			return false
 		}

@@ -132,14 +132,6 @@ func (f *Faulty) CrashAfterWrites(n int) {
 	f.crashWrites = n
 }
 
-// Revive clears the crashed state, modelling a process restart on the same
-// storage. Broken-sync state persists: the files' lost writes stay lost.
-func (f *Faulty) Revive() {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.crashed = false
-}
-
 func (f *Faulty) checkCrashed() error {
 	if f.crashed {
 		return ErrCrashed

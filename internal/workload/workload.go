@@ -161,7 +161,9 @@ type Spec struct {
 	OverestimateMin, OverestimateMax float64
 	// RuntimeScale multiplies every app's mean runtime (1 = catalogue
 	// values); experiments shrink it to keep simulations fast without
-	// changing workload shape.
+	// changing workload shape. It has no default: zero is refused like any
+	// other scale that is not positive and finite, so a caller that asks
+	// for scale 0 never silently gets scale 1.
 	RuntimeScale float64
 	// Users, when positive, assigns each job a submitting user drawn from
 	// a Zipf-like popularity distribution (user 1 submits most — the
@@ -179,9 +181,6 @@ func (s Spec) withDefaults() Spec {
 	}
 	if s.OverestimateMax == 0 {
 		s.OverestimateMax = 3.0
-	}
-	if s.RuntimeScale == 0 {
-		s.RuntimeScale = 1
 	}
 	return s
 }

@@ -9,12 +9,13 @@ import (
 
 func testSpec() Spec {
 	return Spec{
-		Mix:     TrinityMix(),
-		Jobs:    200,
-		Arrival: Poisson,
-		Load:    0.8,
-		Cluster: cluster.Trinity(32),
-		Seed:    42,
+		Mix:          TrinityMix(),
+		Jobs:         200,
+		Arrival:      Poisson,
+		Load:         0.8,
+		Cluster:      cluster.Trinity(32),
+		RuntimeScale: 1,
+		Seed:         42,
 	}
 }
 
@@ -212,6 +213,7 @@ func TestSpecValidate(t *testing.T) {
 		{"load 0", func(s *Spec) { s.Load = 0 }, false},
 		{"batch ignores load", func(s *Spec) { s.Arrival, s.Load = Batch, nan }, true},
 		{"daily cycle load +inf", func(s *Spec) { s.Arrival, s.Load = DailyCycle, inf }, false},
+		{"runtime scale 0", func(s *Spec) { s.RuntimeScale = 0 }, false},
 		{"runtime scale nan", func(s *Spec) { s.RuntimeScale = nan }, false},
 		{"runtime scale +inf", func(s *Spec) { s.RuntimeScale = inf }, false},
 		{"runtime scale -1", func(s *Spec) { s.RuntimeScale = -1 }, false},
