@@ -23,12 +23,10 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"path/filepath"
 
 	"repro/internal/exp"
-	"repro/internal/fault"
 	"repro/internal/parallel"
 )
 
@@ -69,27 +67,13 @@ func main() {
 	}
 }
 
-// options checks the numeric flags and builds the experiment options. Every
-// check runs before any experiment does, so a bad flag never prints part of
-// the output: exp.Options reads zero as "use the default", so -nodes 0,
-// -jobs 0 or -scale 0 would otherwise run at the defaults, and a negative
-// value would fail the first simulating experiment after earlier tables were
-// already printed.
+// options builds the experiment options from the numeric flags and checks
+// them before any experiment runs, so a bad flag never prints part of the
+// output. exp.Options.Validate checks them as given: zero is not "use the
+// default" here.
 func options(seeds, nodes, jobs int, scale, mttr, shape, crashProb float64) (exp.Options, error) {
-	switch {
-	case seeds < 1:
+	if seeds < 1 {
 		return exp.Options{}, fmt.Errorf("-seeds must be ≥ 1, got %d", seeds)
-	case nodes < 1:
-		return exp.Options{}, fmt.Errorf("-nodes must be ≥ 1, got %d", nodes)
-	case jobs < 1:
-		return exp.Options{}, fmt.Errorf("-jobs must be ≥ 1, got %d", jobs)
-	case !(scale > 0) || math.IsInf(scale, 1):
-		return exp.Options{}, fmt.Errorf("-scale must be positive and finite, got %g", scale)
-	}
-	// F12 runs these at every MTBF of its sweep; any finite MTBF checks them.
-	faults := fault.Config{Enabled: true, MTBF: 86400, MTTR: mttr, Shape: shape, CrashProb: crashProb}
-	if err := faults.Validate(); err != nil {
-		return exp.Options{}, fmt.Errorf("fault flags: %w", err)
 	}
 	opts := exp.Options{
 		Nodes:          nodes,
@@ -101,6 +85,9 @@ func options(seeds, nodes, jobs int, scale, mttr, shape, crashProb float64) (exp
 	}
 	for s := 0; s < seeds; s++ {
 		opts.Seeds = append(opts.Seeds, uint64(42+s))
+	}
+	if err := opts.Validate(); err != nil {
+		return exp.Options{}, err
 	}
 	return opts, nil
 }

@@ -114,7 +114,10 @@ func TestOptionsRejectsBadFlags(t *testing.T) {
 		{"NaN scale", 3, 32, 300, math.NaN(), 900, 1, 0.02},
 		{"infinite scale", 3, 32, 300, math.Inf(1), 900, 1, 0.02},
 		{"zero MTTR", 3, 32, 300, 0.05, 0, 1, 0.02},
+		{"infinite MTTR", 3, 32, 300, 0.05, math.Inf(1), 1, 0.02},
 		{"negative shape", 3, 32, 300, 0.05, 900, -1, 0.02},
+		{"zero shape", 3, 32, 300, 0.05, 900, 0, 0.02},
+		{"infinite shape", 3, 32, 300, 0.05, 900, math.Inf(1), 0.02},
 		{"crash prob above 1", 3, 32, 300, 0.05, 900, 1, 1.5},
 		{"NaN crash prob", 3, 32, 300, 0.05, 900, 1, math.NaN()},
 	}

@@ -14,6 +14,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strings"
 
@@ -65,16 +66,17 @@ func run(args []string, stdout io.Writer) error {
 	mttr := fs.Float64("mttr", 900, "per-node mean time to repair in seconds")
 	faultShape := fs.Float64("fault-shape", 1, "Weibull shape of time-to-failure (1 = exponential)")
 	crashProb := fs.Float64("crashprob", 0, "per-attempt job crash probability")
-	maxRetries := fs.Int("max-retries", 3, "requeue attempts before a job is marked failed (negative = none)")
-	backoff := fs.Float64("backoff", 30, "base requeue backoff in seconds, doubling per retry (negative = none)")
+	maxRetries := fs.Int("max-retries", 3, "requeue attempts before a job is marked failed (0 = none)")
+	backoff := fs.Float64("backoff", 30, "base requeue backoff in seconds, doubling per retry (0 = none)")
 	faultSeed := fs.Uint64("fault-seed", 1, "failure-trace RNG seed")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	// The run loop reads a negative horizon as "to completion", which is not
-	// what was asked. The scale is the workload's to refuse.
-	if !(*horizon >= 0) {
-		return fmt.Errorf("-horizon must be ≥ 0 (0 runs to completion), got %g", *horizon)
+	// The horizon is a run argument, not a simulation input: the run loop
+	// reads a negative one as "to completion", and an infinite one would end
+	// on an infinite clock. Every other flag is checked by the type it fills.
+	if !(*horizon >= 0) || math.IsInf(*horizon, 1) {
+		return fmt.Errorf("-horizon must be ≥ 0 and finite (0 runs to completion), got %g", *horizon)
 	}
 
 	if *corunExport {
@@ -86,6 +88,11 @@ func run(args []string, stdout io.Writer) error {
 		Workload: workload.Spec{Cluster: machine},
 		Policy:   *policy,
 		Share:    sched.DefaultShareConfig(),
+		Faults: fault.Config{
+			MTBF: *mtbf, MTTR: *mttr, Shape: *faultShape,
+			CrashProb: *crashProb, MaxRetries: *maxRetries,
+			Backoff: des.Duration(*backoff), Seed: *faultSeed,
+		},
 	}
 	if *corun != "" {
 		f, err := os.Open(*corun)
@@ -102,17 +109,6 @@ func run(args []string, stdout io.Writer) error {
 	if *topoOn {
 		t := topology.Default(*nodes)
 		sc.Topo, sc.LocalityAware = &t, true
-	}
-	if *mtbf < 0 || *crashProb < 0 {
-		return fmt.Errorf("-mtbf and -crashprob must be non-negative")
-	}
-	faultsOn := *mtbf > 0 || *crashProb > 0
-	if faultsOn {
-		sc.Faults = &fault.Config{
-			Enabled: true, MTBF: *mtbf, MTTR: *mttr, Shape: *faultShape,
-			CrashProb: *crashProb, MaxRetries: *maxRetries,
-			Backoff: des.Duration(*backoff), Seed: *faultSeed,
-		}
 	}
 	eng, err := sc.Engine()
 	if err != nil {
@@ -142,17 +138,9 @@ func run(args []string, stdout io.Writer) error {
 		if err != nil {
 			return err
 		}
-		var arr workload.Arrival
-		switch *arrival {
-		case "batch":
-			arr = workload.Batch
-			*load = 0
-		case "poisson":
-			arr = workload.Poisson
-		case "dailycycle":
-			arr = workload.DailyCycle
-		default:
-			return fmt.Errorf("unknown arrival %q", *arrival)
+		arr, err := workload.ArrivalByName(*arrival)
+		if err != nil {
+			return err
 		}
 		jobs, err = workload.Generate(workload.Spec{
 			Mix: mix, Jobs: *jobsN, Arrival: arr, Load: *load,
@@ -207,7 +195,7 @@ func run(args []string, stdout io.Writer) error {
 	fmt.Fprintf(stdout, "  stretch mean:             %.3f\n", r.Stretch.Mean)
 	fmt.Fprintf(stdout, "  scheduler pass mean:      %.1fµs over %d passes\n",
 		r.DecisionNanos.Mean/1e3, r.DecisionNanos.N)
-	if faultsOn {
+	if sc.Faults.Active() {
 		fmt.Fprintf(stdout, "  goodput:                  %.3f\n", r.Goodput)
 		fmt.Fprintf(stdout, "  node failures / repairs:  %d / %d\n", r.NodeFailures, r.NodeRepairs)
 		fmt.Fprintf(stdout, "  job crashes / requeues:   %d / %d\n", r.JobCrashes, r.Requeues)

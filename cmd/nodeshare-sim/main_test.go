@@ -102,16 +102,30 @@ func TestGolden(t *testing.T) {
 	}
 }
 
-// A zero scale used to run unscaled (a 12-day makespan instead of 15 h) and
-// a negative horizon to run to completion; both are refused before any run,
-// the scale by the workload's own check.
+// A zero scale used to run unscaled (a 12-day makespan instead of 15 h), a
+// negative horizon to run to completion and an infinite one to print a NaN
+// utilization; a scale of 1e-320 panicked in the arrival process, a NaN
+// failure rate ran with no faults, a zero fault shape ran as exponential, and
+// a negative retry budget meant none. Each is refused before any run, by the
+// type that owns the value (the horizon, a run argument, by the command).
 func TestRefusesBadScaleAndHorizon(t *testing.T) {
 	for _, args := range [][]string{
-		{"-scale", "0"}, {"-scale", "-1"}, {"-scale", "NaN"}, {"-scale", "+Inf"},
-		{"-horizon", "-1"}, {"-horizon", "NaN"},
+		{"-scale", "0"}, {"-scale", "-1"}, {"-scale", "NaN"}, {"-scale", "+Inf"}, {"-scale", "1e-320"},
+		{"-horizon", "-1"}, {"-horizon", "NaN"}, {"-horizon", "+Inf"},
+		{"-mtbf", "NaN"}, {"-crashprob", "NaN"}, {"-max-retries", "-1"}, {"-backoff", "NaN"},
+		{"-mtbf", "100000", "-fault-shape", "0"}, {"-mtbf", "100000", "-fault-shape", "+Inf"},
+		{"-mtbf", "100000", "-mttr", "+Inf"},
 	} {
 		var out bytes.Buffer
-		if err := run(append([]string{"-jobs", "5", "-nodes", "4"}, args...), &out); err == nil {
+		err := func() (err error) {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("%v panicked: %v", args, r)
+				}
+			}()
+			return run(append([]string{"-jobs", "5", "-nodes", "4"}, args...), &out)
+		}()
+		if err == nil {
 			t.Errorf("%v accepted", args)
 		}
 		if out.Len() != 0 {
@@ -120,11 +134,30 @@ func TestRefusesBadScaleAndHorizon(t *testing.T) {
 	}
 }
 
-// A load that is not a positive finite number is refused by the workload's
-// own check before any run: an infinite one used to panic in the arrival
-// process, NaN to run and print a NaN report.
+// Zero retries, zero backoff and fault seed 0 mean what they say: each used
+// to run as the default (3, 30 s and seed 1) and print the same report.
+func TestZeroFaultSettingsAreNotDefaults(t *testing.T) {
+	report := func(args ...string) string {
+		t.Helper()
+		var b bytes.Buffer
+		base := []string{"-jobs", "40", "-nodes", "8", "-mtbf", "20000", "-crashprob", "0.2"}
+		if err := run(append(base, args...), &b); err != nil {
+			t.Fatalf("%v: %v", args, err)
+		}
+		return passMean.ReplaceAllString(b.String(), "")
+	}
+	for _, pair := range [][2]string{{"-max-retries", "3"}, {"-backoff", "30"}, {"-fault-seed", "1"}} {
+		if report(pair[0], "0") == report(pair[0], pair[1]) {
+			t.Errorf("%s 0 prints the same report as the default %s", pair[0], pair[1])
+		}
+	}
+}
+
+// A load that is not a positive finite number at most 1e9 is refused by the
+// workload's own check before any run: an infinite one, or 1e308, used to
+// panic in the arrival process, NaN to run and print a NaN report.
 func TestRefusesNonFiniteLoad(t *testing.T) {
-	for _, load := range []string{"inf", "+Inf", "-inf", "nan", "NaN", "0"} {
+	for _, load := range []string{"inf", "+Inf", "-inf", "nan", "NaN", "0", "1e308"} {
 		var out bytes.Buffer
 		err := func() (err error) {
 			defer func() {

@@ -142,13 +142,14 @@ func main() {
 	}
 }
 
-// validate checks every flag up front so the grid never starts doomed.
+// validate parses the list flags and checks the grid up front, through
+// sweepgrid.Spec.Validate, so the grid never starts doomed.
 func validate(policies, loads string, seeds, nodes, jobs int, mixName string,
 	scale float64, workers int) (config, error) {
 
 	var cfg config
 	var err error
-	if cfg.policies, err = parsePolicies(policies); err != nil {
+	if cfg.policies, err = splitList("policies", policies); err != nil {
 		return config{}, err
 	}
 	if cfg.loads, err = parseLoads(loads); err != nil {

@@ -10,6 +10,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/sched"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files with current output")
@@ -116,6 +118,15 @@ func TestValidateRejectsBadFlags(t *testing.T) {
 		{"bad mix", "easy", "1.0", 1, 8, 10, "nosuchmix", 0.05},
 		{"zero scale", "easy", "1.0", 1, 8, 10, "trinity", 0},
 		{"infinite scale", "easy", "1.0", 1, 8, 10, "trinity", math.Inf(1)},
+		{"tiny scale", "easy", "1.0", 1, 8, 10, "trinity", 1e-320},
+		{"policy not in registry", "easy,slurm", "1.0", 1, 8, 10, "trinity", 0.05},
+		{"zero load", "easy", "0", 1, 8, 10, "trinity", 0.05},
+		{"-Inf load", "easy", "-Inf", 1, 8, 10, "trinity", 0.05},
+		{"+Inf load", "easy", "+Inf", 1, 8, 10, "trinity", 0.05},
+		{"load above 1e9", "easy", "1e300", 1, 8, 10, "trinity", 0.05},
+		{"huge load", "easy", "1e308", 1, 8, 10, "trinity", 0.05},
+		{"malformed load", "easy", "0x", 1, 8, 10, "trinity", 0.05},
+		{"one bad load of two", "easy", "1.0,oops", 1, 8, 10, "trinity", 0.05},
 	}
 	for _, tc := range cases {
 		if _, err := validate(tc.policies, tc.loads, tc.seeds, tc.nodes, tc.jobs,
@@ -153,6 +164,9 @@ func TestInfiniteScaleWritesNothing(t *testing.T) {
 }
 
 func TestValidateAcceptsSpaces(t *testing.T) {
+	if _, err := validate(strings.Join(sched.Names(), ","), "0.6,1e9", 1, 8, 10, "trinity", 0.05, 0); err != nil {
+		t.Fatalf("every registry policy and the load bound: %v", err)
+	}
 	cfg, err := validate(" easy , sharebackfill ", " 0.9 , 1.4 ", 1, 8, 10, "trinity", 0.05, 0)
 	if err != nil {
 		t.Fatal(err)

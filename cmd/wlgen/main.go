@@ -64,27 +64,16 @@ func run(args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	var arr workload.Arrival
-	switch *arrival {
-	case "batch":
-		arr = workload.Batch
-	case "poisson":
-		arr = workload.Poisson
-	case "dailycycle":
-		arr = workload.DailyCycle
-	default:
-		return fmt.Errorf("unknown arrival %q", *arrival)
+	arr, err := workload.ArrivalByName(*arrival)
+	if err != nil {
+		return err
 	}
 
 	machine := cluster.Trinity(*nodes)
-	spec := workload.Spec{
+	generated, err := workload.Generate(workload.Spec{
 		Mix: mix, Jobs: *jobs, Arrival: arr, Load: *load,
 		Cluster: machine, RuntimeScale: *scale, Seed: *seed,
-	}
-	if arr == workload.Batch {
-		spec.Load = 0
-	}
-	generated, err := workload.Generate(spec)
+	})
 	if err != nil {
 		return err
 	}

@@ -23,14 +23,15 @@ func TestGolden(t *testing.T) {
 	}
 }
 
-// A scale or load that is not a positive finite number, and an empty
-// workload, are refused before anything is written: -scale 0 used to run
-// unscaled, a NaN load to write NaN submit times and an infinite scale
-// infinite runtimes.
+// A scale or load that is not a positive finite number, a load above 1e9, a
+// scale that leaves no demand to calibrate against, and an empty workload are
+// refused before anything is written: -scale 0 used to run unscaled, a NaN
+// load to write NaN submit times, an infinite scale infinite runtimes, and a
+// load of 1e308 or a scale of 1e-320 to panic in the arrival process.
 func TestRefusesBadSpec(t *testing.T) {
 	for _, args := range [][]string{
 		{"-scale", "0"}, {"-scale", "-1"}, {"-scale", "NaN"}, {"-scale", "+Inf"},
-		{"-load", "inf"}, {"-load", "nan"},
+		{"-load", "inf"}, {"-load", "nan"}, {"-load", "1e308"}, {"-scale", "1e-320"},
 		{"-jobs", "0"},
 	} {
 		var out bytes.Buffer

@@ -39,6 +39,19 @@ type Options struct {
 	FaultCrashProb float64
 }
 
+// Validate checks the options as given, before withDefaults fills a zero:
+// the canonical workload at these nodes, jobs and runtime scale, and the
+// fault configuration F12 runs at every MTBF of its sweep. The seeds are the
+// caller's to supply.
+func (o Options) Validate() error {
+	sc := canonicalScenario(o, "easy", sched.DefaultShareConfig())
+	sc.Faults = o.faultsAt(86400)
+	if err := sc.Validate(); err != nil {
+		return err
+	}
+	return sc.Workload.Validate()
+}
+
 func (o Options) withDefaults() Options {
 	if len(o.Seeds) == 0 {
 		o.Seeds = []uint64{42, 43, 44}
@@ -155,12 +168,7 @@ func seedMean(sc sweepgrid.Scenario, seeds []uint64) ([]metrics.Result, [][]*job
 	finished := make([][]*job.Job, len(seeds))
 	rs, err := parallel.Run(len(seeds), 0, func(i int) (metrics.Result, error) {
 		s := sc
-		s.Workload.Seed = seeds[i]
-		if s.Faults != nil {
-			f := *s.Faults
-			f.Seed = seeds[i]
-			s.Faults = &f
-		}
+		s.Workload.Seed, s.Faults.Seed = seeds[i], seeds[i]
 		r, jobs, err := s.Run()
 		finished[i] = jobs
 		return r, err
@@ -194,7 +202,6 @@ func canonicalScenario(o Options, policy string, share sched.ShareConfig) sweepg
 			Load:         1.4,
 			Cluster:      cluster.Trinity(o.Nodes),
 			RuntimeScale: o.RuntimeScale,
-			Seed:         o.Seeds[0],
 		},
 		Policy: policy,
 		Share:  share,

@@ -8,6 +8,14 @@ import (
 	"repro/internal/sched"
 )
 
+// faultsAt is F12's fault configuration at one MTBF: the default retry
+// policy with the options' repair time, shape and crash probability.
+func (o Options) faultsAt(mtbf float64) fault.Config {
+	f := fault.Defaults()
+	f.MTBF, f.MTTR, f.Shape, f.CrashProb = mtbf, o.FaultMTTR, o.FaultShape, o.FaultCrashProb
+	return f
+}
+
 // runF12 regenerates the resilience sweep: the canonical high-load workload
 // under progressively harsher per-node failure rates (plus a small software
 // crash probability), exclusive EASY backfill vs ShareBackfill. Sharing has a
@@ -32,13 +40,7 @@ func runF12(o Options) (*report.Table, error) {
 		for _, pname := range []string{"easy", "sharebackfill"} {
 			sc := canonicalScenario(o, pname, sched.DefaultShareConfig())
 			if lvl.mtbf > 0 { // the "none" level runs fully fault-free as the reference
-				sc.Faults = &fault.Config{
-					Enabled:   true,
-					MTBF:      lvl.mtbf,
-					MTTR:      o.FaultMTTR,
-					Shape:     o.FaultShape,
-					CrashProb: o.FaultCrashProb,
-				}
+				sc.Faults = o.faultsAt(lvl.mtbf)
 			}
 			// seedMean seeds each fault trace from its workload seed, so the
 			// two policies at one MTBF see identical node outages.

@@ -22,13 +22,13 @@ import (
 	"repro/internal/des"
 )
 
-// Config parameterizes the failure model. The zero value disables fault
-// injection entirely; a disabled configuration schedules no events and draws
-// no random numbers, so it is bit-identical to not having the package at all.
+// Config parameterizes the failure model. The zero value injects no faults:
+// faults are on exactly when a rate is (Active), and an inactive
+// configuration schedules no events and draws no random numbers, so it is
+// bit-identical to not having the package at all. Every field means what it
+// says — zero retries, backoff or seed is zero, not a default; the defaults
+// live in Defaults alone.
 type Config struct {
-	// Enabled master-switches the model. Both failure processes below also
-	// require their own rates to be positive.
-	Enabled bool
 	// MTBF is the per-node mean time between failures in simulated seconds;
 	// 0 (or +Inf) disables node failures.
 	MTBF float64
@@ -36,80 +36,61 @@ type Config struct {
 	MTTR float64
 	// Shape is the Weibull shape of the time-to-failure distribution:
 	// 1 is exponential (memoryless), <1 models infant mortality, >1 wear-out.
-	// Zero defaults to 1.
 	Shape float64
 	// CrashProb is the probability that one job attempt crashes before
 	// completing (software failure independent of node hardware); 0 disables
 	// job crashes.
 	CrashProb float64
 	// MaxRetries caps how many times a failed or crashed job is requeued
-	// before the system gives up and marks it failed. Zero defaults to 3;
-	// negative means no retries at all.
+	// before the system gives up and marks it failed; 0 means no retries.
 	MaxRetries int
 	// Backoff is the hold applied before a requeued job re-enters the
-	// queue, doubling with each retry (exponential backoff). Zero defaults
-	// to 30 simulated seconds; negative disables the hold.
+	// queue, doubling with each retry (exponential backoff); 0 means no
+	// hold.
 	Backoff des.Duration
-	// Seed roots the failure RNG streams. Zero defaults to 1.
+	// Seed roots the failure RNG streams.
 	Seed uint64
 }
 
-// withDefaults fills the defaulted fields.
-func (c Config) withDefaults() Config {
-	if c.Shape == 0 {
-		c.Shape = 1
-	}
-	if c.MaxRetries == 0 {
-		c.MaxRetries = 3
-	}
-	if c.MaxRetries < 0 {
-		c.MaxRetries = 0
-	}
-	if c.Backoff == 0 {
-		c.Backoff = 30
-	}
-	if c.Backoff < 0 {
-		c.Backoff = 0
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	return c
-}
+// Defaults returns the default configuration: no faults, exponential
+// failures once a rate is set, seed 1, and the retry policy (MaxRetries 3,
+// 30 s base backoff) the engine applies when injection is off, e.g. for
+// operator-forced failures.
+func Defaults() Config { return Config{Shape: 1, MaxRetries: 3, Backoff: 30, Seed: 1} }
 
-// Defaults returns the default-completed zero configuration: the retry policy
-// (MaxRetries 3, 30 s base backoff) the engine applies even when injection is
-// off, e.g. for operator-forced failures.
-func Defaults() Config { return Config{}.withDefaults() }
-
-// Validate reports whether the configuration is usable.
+// Validate reports whether the configuration is usable. The repair time and
+// the Weibull shape must be positive and finite while node failures are on.
 func (c Config) Validate() error {
 	switch {
-	case c.MTBF < 0 || math.IsNaN(c.MTBF):
-		return fmt.Errorf("fault: negative MTBF %g", c.MTBF)
-	case c.MTBF > 0 && !math.IsInf(c.MTBF, 1) && c.MTTR <= 0:
-		return fmt.Errorf("fault: node failures need a positive MTTR, got %g", c.MTTR)
-	case c.MTTR < 0 || math.IsNaN(c.MTTR):
-		return fmt.Errorf("fault: negative MTTR %g", c.MTTR)
-	case c.Shape < 0 || math.IsNaN(c.Shape):
-		return fmt.Errorf("fault: negative Weibull shape %g", c.Shape)
-	case c.CrashProb < 0 || c.CrashProb > 1 || math.IsNaN(c.CrashProb):
+	case !(c.MTBF >= 0):
+		return fmt.Errorf("fault: MTBF %g is not non-negative", c.MTBF)
+	case !(c.MTTR >= 0):
+		return fmt.Errorf("fault: MTTR %g is not non-negative", c.MTTR)
+	case !(c.Shape >= 0):
+		return fmt.Errorf("fault: Weibull shape %g is not non-negative", c.Shape)
+	case c.nodeFailures() && !positiveFinite(c.MTTR):
+		return fmt.Errorf("fault: node failures need a positive finite MTTR, got %g", c.MTTR)
+	case c.nodeFailures() && !positiveFinite(c.Shape):
+		return fmt.Errorf("fault: node failures need a positive finite Weibull shape, got %g", c.Shape)
+	case !(c.CrashProb >= 0 && c.CrashProb <= 1):
 		return fmt.Errorf("fault: crash probability %g outside [0,1]", c.CrashProb)
+	case c.MaxRetries < 0:
+		return fmt.Errorf("fault: negative retry budget %d", c.MaxRetries)
+	case !(c.Backoff >= 0) || math.IsInf(float64(c.Backoff), 1):
+		return fmt.Errorf("fault: backoff %g is not non-negative and finite", float64(c.Backoff))
 	}
 	return nil
 }
 
 // Active reports whether the configuration injects any faults at all.
-func (c Config) Active() bool {
-	if !c.Enabled {
-		return false
-	}
-	return c.nodeFailures() || c.CrashProb > 0
-}
+func (c Config) Active() bool { return c.nodeFailures() || c.CrashProb > 0 }
 
 func (c Config) nodeFailures() bool {
 	return c.MTBF > 0 && !math.IsInf(c.MTBF, 1)
 }
+
+// positiveFinite reports whether x is a number above zero and below +Inf.
+func positiveFinite(x float64) bool { return x > 0 && !math.IsInf(x, 1) }
 
 // EventKind tags one failure-trace entry.
 type EventKind string
@@ -146,7 +127,6 @@ func NewInjector(cfg Config, nodes int) (*Injector, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	cfg = cfg.withDefaults()
 	in := &Injector{cfg: cfg, root: des.NewRNG(cfg.Seed)}
 	in.nodes = make([]*des.RNG, nodes)
 	for i := range in.nodes {
@@ -155,16 +135,13 @@ func NewInjector(cfg Config, nodes int) (*Injector, error) {
 	return in, nil
 }
 
-// Config returns the injector's (default-completed) configuration.
-func (in *Injector) Config() Config { return in.cfg }
-
 // Install schedules the first failure of every node. fail and repair are the
 // engine's reaction callbacks; workRemains gates rescheduling so an otherwise
 // drained simulation terminates — once no workload remains, a due failure is
 // dropped instead of fired, and no further failures are scheduled. Pending
 // repairs always fire, so the machine ends the run whole.
 func (in *Injector) Install(s *des.Simulator, fail, repair func(node int), workRemains func() bool) {
-	if !in.cfg.Enabled || !in.cfg.nodeFailures() {
+	if !in.cfg.nodeFailures() {
 		return
 	}
 	for ni := range in.nodes {
@@ -194,7 +171,7 @@ func (in *Injector) scheduleFail(s *des.Simulator, ni int, fail, repair func(int
 // function of (seed, id, attempt), so retries redraw independently and the
 // decision does not depend on simulation state.
 func (in *Injector) CrashDraw(id int64, attempt int) (frac float64, crashes bool) {
-	if !in.cfg.Enabled || in.cfg.CrashProb <= 0 {
+	if in.cfg.CrashProb <= 0 {
 		return 0, false
 	}
 	r := in.root.Stream(fmt.Sprintf("fault/crash/%d/%d", id, attempt))

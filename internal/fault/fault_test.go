@@ -18,6 +18,14 @@ func TestValidate(t *testing.T) {
 		{CrashProb: 1.5},
 		{MTBF: math.NaN()},
 		{CrashProb: math.NaN()},
+		{MTBF: 100, MTTR: math.Inf(1), Shape: 1},
+		{MTBF: 100, MTTR: 10}, // zero shape is not exponential
+		{MTBF: 100, MTTR: 10, Shape: math.Inf(1)},
+		{MTBF: 100, MTTR: 10, Shape: math.NaN()},
+		{MaxRetries: -1},
+		{Backoff: -1},
+		{Backoff: des.Duration(math.NaN())},
+		{Backoff: des.Duration(math.Inf(1))},
 	}
 	for _, c := range bad {
 		if err := c.Validate(); err == nil {
@@ -26,9 +34,10 @@ func TestValidate(t *testing.T) {
 	}
 	good := []Config{
 		{},
-		{MTBF: 86400, MTTR: 900},
+		Defaults(),
+		{MTBF: 86400, MTTR: 900, Shape: 1},
 		{MTBF: math.Inf(1)}, // +Inf MTBF disables node failures
-		{CrashProb: 1},
+		{CrashProb: 1},      // shape and repair time matter only to node failures
 	}
 	for _, c := range good {
 		if err := c.Validate(); err != nil {
@@ -43,11 +52,10 @@ func TestActive(t *testing.T) {
 		want bool
 	}{
 		{Config{}, false},
-		{Config{Enabled: true}, false},
-		{Config{MTBF: 100, MTTR: 10}, false}, // not enabled
-		{Config{Enabled: true, MTBF: 100, MTTR: 10}, true},
-		{Config{Enabled: true, CrashProb: 0.5}, true},
-		{Config{Enabled: true, MTBF: math.Inf(1)}, false},
+		{Defaults(), false},
+		{Config{MTBF: 100, MTTR: 10, Shape: 1}, true},
+		{Config{CrashProb: 0.5}, true},
+		{Config{MTBF: math.Inf(1)}, false},
 	}
 	for _, tc := range cases {
 		if got := tc.c.Active(); got != tc.want {
@@ -60,11 +68,6 @@ func TestDefaults(t *testing.T) {
 	d := Defaults()
 	if d.MaxRetries != 3 || d.Backoff != 30 || d.Shape != 1 || d.Seed != 1 {
 		t.Fatalf("Defaults() = %+v", d)
-	}
-	// Negative sentinels mean "none", not "default".
-	c := Config{MaxRetries: -1, Backoff: -1}.withDefaults()
-	if c.MaxRetries != 0 || c.Backoff != 0 {
-		t.Fatalf("negative sentinels not zeroed: %+v", c)
 	}
 }
 
@@ -84,7 +87,7 @@ func TestBackoffFor(t *testing.T) {
 }
 
 func TestCrashDrawDeterministicAndIndependent(t *testing.T) {
-	cfg := Config{Enabled: true, CrashProb: 0.5, Seed: 9}
+	cfg := Config{CrashProb: 0.5, Seed: 9}
 	a, err := NewInjector(cfg, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -124,7 +127,7 @@ func TestCrashDrawDeterministicAndIndependent(t *testing.T) {
 }
 
 func TestInjectorTraceDeterminism(t *testing.T) {
-	cfg := Config{Enabled: true, MTBF: 500, MTTR: 50, Seed: 4}
+	cfg := Config{MTBF: 500, MTTR: 50, Shape: 1, Seed: 4}
 	run := func() []Event {
 		in, err := NewInjector(cfg, 8)
 		if err != nil {
@@ -172,7 +175,7 @@ func TestInjectorTraceDeterminism(t *testing.T) {
 func TestWeibullShapePreservesMean(t *testing.T) {
 	// The Weibull scale is chosen so the mean TTF equals MTBF for any shape.
 	for _, shape := range []float64{0.7, 1, 2} {
-		cfg := Config{Enabled: true, MTBF: 1000, MTTR: 1, Shape: shape, Seed: 11}
+		cfg := Config{MTBF: 1000, MTTR: 1, Shape: shape, Seed: 11}
 		in, err := NewInjector(cfg, 1)
 		if err != nil {
 			t.Fatal(err)

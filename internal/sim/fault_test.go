@@ -41,7 +41,7 @@ func stripTiming(r metrics.Result) metrics.Result {
 	return r
 }
 
-func runFaulty(t *testing.T, policy string, faults *fault.Config, n int) (*Engine, metrics.Result) {
+func runFaulty(t *testing.T, policy string, faults fault.Config, n int) (*Engine, metrics.Result) {
 	t.Helper()
 	e := New(Config{Cluster: smallCluster(), Policy: mustPolicy(t, policy), Faults: faults})
 	if err := e.SubmitAll(faultWorkload(n)); err != nil {
@@ -58,7 +58,7 @@ func runFaulty(t *testing.T, policy string, faults *fault.Config, n int) (*Engin
 // TestFaultDeterminism: the same seed must yield the same failure trace and
 // the same run, draw for draw; a different seed must yield a different trace.
 func TestFaultDeterminism(t *testing.T) {
-	cfg := &fault.Config{Enabled: true, MTBF: 4000, MTTR: 400, CrashProb: 0.1, Seed: 7}
+	cfg := fault.Config{MTBF: 4000, MTTR: 400, Shape: 1, CrashProb: 0.1, MaxRetries: 3, Backoff: 30, Seed: 7}
 	e1, r1 := runFaulty(t, "sharebackfill", cfg, 40)
 	e2, r2 := runFaulty(t, "sharebackfill", cfg, 40)
 
@@ -73,25 +73,22 @@ func TestFaultDeterminism(t *testing.T) {
 		t.Fatal("fault sweep injected no node failures; test is vacuous")
 	}
 
-	other := *cfg
+	other := cfg
 	other.Seed = 8
-	e3, _ := runFaulty(t, "sharebackfill", &other, 40)
+	e3, _ := runFaulty(t, "sharebackfill", other, 40)
 	if reflect.DeepEqual(e1.FaultTrace(), e3.FaultTrace()) {
 		t.Fatal("different seeds produced identical failure traces")
 	}
 }
 
-// TestFaultZeroCostWhenOff: a nil Faults config, a disabled one, and an
-// enabled-but-rateless one must all be bit-identical to each other — the
-// fault layer may not perturb existing results when off.
+// TestFaultZeroCostWhenOff: the zero Faults config and a rateless one that
+// sets everything else must be bit-identical — the fault layer may not
+// perturb existing results when off.
 func TestFaultZeroCostWhenOff(t *testing.T) {
-	_, base := runFaulty(t, "sharebackfill", nil, 40)
-	_, disabled := runFaulty(t, "sharebackfill", &fault.Config{}, 40)
-	_, rateless := runFaulty(t, "sharebackfill", &fault.Config{Enabled: true}, 40)
+	_, base := runFaulty(t, "sharebackfill", fault.Config{}, 40)
+	_, rateless := runFaulty(t, "sharebackfill",
+		fault.Config{MTBF: math.Inf(1), MTTR: 900, Shape: 1, MaxRetries: 5, Backoff: 60, Seed: 9}, 40)
 
-	if got, want := stripTiming(disabled), stripTiming(base); !reflect.DeepEqual(got, want) {
-		t.Fatalf("disabled fault config perturbed the run:\n%+v\n%+v", got, want)
-	}
 	if got, want := stripTiming(rateless), stripTiming(base); !reflect.DeepEqual(got, want) {
 		t.Fatalf("rateless fault config perturbed the run:\n%+v\n%+v", got, want)
 	}
@@ -106,7 +103,7 @@ func TestFaultZeroCostWhenOff(t *testing.T) {
 // after the workload drains).
 func TestFaultConservationUnderChurn(t *testing.T) {
 	for _, policy := range []string{"easy", "sharebackfill"} {
-		cfg := &fault.Config{Enabled: true, MTBF: 2500, MTTR: 300, CrashProb: 0.05, Seed: 3}
+		cfg := fault.Config{MTBF: 2500, MTTR: 300, Shape: 1, CrashProb: 0.05, MaxRetries: 3, Backoff: 30, Seed: 3}
 		e, r := runFaulty(t, policy, cfg, 60)
 
 		if r.NodeFailures == 0 {
@@ -147,47 +144,49 @@ func TestFaultConservationUnderChurn(t *testing.T) {
 
 // TestMaxRetriesBound: with every attempt guaranteed to crash, each job is
 // retried exactly MaxRetries times and then permanently failed — requeues
-// never exceed the budget.
+// never exceed the budget, and a budget of zero means no retries.
 func TestMaxRetriesBound(t *testing.T) {
-	const n, maxRetries = 8, 2
-	cfg := &fault.Config{Enabled: true, CrashProb: 1, MaxRetries: maxRetries, Backoff: 10, Seed: 5}
-	e := New(Config{Cluster: smallCluster(), Policy: mustPolicy(t, "fcfs"), Faults: cfg})
-	jobs := make([]*job.Job, n)
-	for i := range jobs {
-		// TrueRuntime == ReqWalltime so a crash (drawn strictly inside the
-		// walltime) always lands before completion.
-		jobs[i] = jb(int64(i+1), computeApp, 1, des.Duration(10*i), 1000, 1000)
-	}
-	if err := e.SubmitAll(jobs); err != nil {
-		t.Fatal(err)
-	}
-	e.RunAll()
-	r := e.Result()
-	if err := r.Validate(); err != nil {
-		t.Fatal(err)
-	}
+	const n = 8
+	for _, maxRetries := range []int{2, 0} {
+		cfg := fault.Config{CrashProb: 1, MaxRetries: maxRetries, Backoff: 10, Seed: 5}
+		e := New(Config{Cluster: smallCluster(), Policy: mustPolicy(t, "fcfs"), Faults: cfg})
+		jobs := make([]*job.Job, n)
+		for i := range jobs {
+			// TrueRuntime == ReqWalltime so a crash (drawn strictly inside the
+			// walltime) always lands before completion.
+			jobs[i] = jb(int64(i+1), computeApp, 1, des.Duration(10*i), 1000, 1000)
+		}
+		if err := e.SubmitAll(jobs); err != nil {
+			t.Fatal(err)
+		}
+		e.RunAll()
+		r := e.Result()
+		if err := r.Validate(); err != nil {
+			t.Fatal(err)
+		}
 
-	if r.FailedJobs != n {
-		t.Fatalf("failed jobs = %d, want all %d", r.FailedJobs, n)
-	}
-	if want := n * maxRetries; r.Requeues != want {
-		t.Fatalf("requeues = %d, want exactly %d (%d jobs × %d retries)",
-			r.Requeues, want, n, maxRetries)
-	}
-	for _, j := range jobs {
-		if j.State() != job.Failed {
-			t.Fatalf("job %d state = %v, want FAILED", j.ID, j.State())
+		if r.FailedJobs != n {
+			t.Fatalf("max %d: failed jobs = %d, want all %d", maxRetries, r.FailedJobs, n)
 		}
-		if got := e.retries[j.ID]; got != maxRetries+1 {
-			t.Fatalf("job %d suffered %d evictions, want %d (retry budget + final)",
-				j.ID, got, maxRetries+1)
+		if want := n * maxRetries; r.Requeues != want {
+			t.Fatalf("requeues = %d, want exactly %d (%d jobs × %d retries)",
+				r.Requeues, want, n, maxRetries)
 		}
-		if j.LostWork() <= 0 {
-			t.Fatalf("job %d crashed %d times with no lost work", j.ID, j.Requeues())
+		for _, j := range jobs {
+			if j.State() != job.Failed {
+				t.Fatalf("max %d: job %d state = %v, want FAILED", maxRetries, j.ID, j.State())
+			}
+			if got := e.retries[j.ID]; got != maxRetries+1 {
+				t.Fatalf("job %d suffered %d evictions, want %d (retry budget + final)",
+					j.ID, got, maxRetries+1)
+			}
+			if j.LostWork() <= 0 {
+				t.Fatalf("max %d: job %d crashed %d times with no lost work", maxRetries, j.ID, j.Requeues())
+			}
 		}
-	}
-	if e.Cluster().BusyThreads() != 0 {
-		t.Fatal("threads leaked after retries exhausted")
+		if e.Cluster().BusyThreads() != 0 {
+			t.Fatalf("max %d: threads leaked after retries exhausted", maxRetries)
+		}
 	}
 }
 

@@ -74,7 +74,7 @@ func goldenConfigs() []goldenConfig {
 
 	c := base("faults")
 	c.setup = func(cfg *Config) {
-		cfg.Faults = &fault.Config{Enabled: true, MTBF: 60000, MTTR: 600, CrashProb: 0.03, Seed: 7}
+		cfg.Faults = fault.Config{MTBF: 60000, MTTR: 600, Shape: 1, CrashProb: 0.03, MaxRetries: 3, Backoff: 30, Seed: 7}
 	}
 	c.check = func(t *testing.T, e *Engine) {
 		if r := e.Result(); r.NodeFailures == 0 || r.JobCrashes == 0 || r.Requeues == 0 {
@@ -87,7 +87,7 @@ func goldenConfigs() []goldenConfig {
 	c = base("faults-shareconservative")
 	c.policy = "shareconservative"
 	c.setup = func(cfg *Config) {
-		cfg.Faults = &fault.Config{Enabled: true, MTBF: 40000, MTTR: 900, CrashProb: 0.02, Seed: 9}
+		cfg.Faults = fault.Config{MTBF: 40000, MTTR: 900, Shape: 1, CrashProb: 0.02, MaxRetries: 3, Backoff: 30, Seed: 9}
 	}
 	out = append(out, c)
 

@@ -22,9 +22,9 @@ func TestQueueInversionCount(t *testing.T) {
 	largestFirst := func(a, b *job.Job) bool { return a.Nodes > b.Nodes }
 	inversions, skipped, sorted := 0, 0, 0
 	for seed := uint64(1); seed <= 12; seed++ {
-		for _, backoff := range []des.Duration{0, -1} {
+		for _, backoff := range []des.Duration{30, 0} {
 			rng := des.NewRNG(seed)
-			faults := &fault.Config{Enabled: true, MTBF: 3000, MTTR: 300, CrashProb: 0.2,
+			faults := fault.Config{MTBF: 3000, MTTR: 300, Shape: 1, CrashProb: 0.2,
 				MaxRetries: 2, Backoff: backoff, Seed: seed}
 			e := New(Config{Cluster: smallCluster(), Policy: mustPolicy(t, "easy"), Faults: faults})
 			jobs := make([]*job.Job, 60)

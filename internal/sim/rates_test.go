@@ -26,7 +26,7 @@ func rateRun(t *testing.T, policy string, seed uint64, faults, topo bool) *Engin
 	}
 	cfg := Config{Cluster: machine, Policy: mustPolicy(t, policy)}
 	if faults {
-		cfg.Faults = &fault.Config{Enabled: true, MTBF: 20000, MTTR: 600, CrashProb: 0.05, Seed: seed}
+		cfg.Faults = fault.Config{MTBF: 20000, MTTR: 600, Shape: 1, CrashProb: 0.05, MaxRetries: 3, Backoff: 30, Seed: seed}
 	}
 	if topo {
 		tp := topology.Default(machine.Nodes)

@@ -65,9 +65,11 @@ type Config struct {
 	// Faults enables deterministic fault injection: per-node MTBF/MTTR
 	// failures that kill every resident job (co-located victims included)
 	// and per-job crash probability, with requeue under max-retries and
-	// exponential backoff. Nil or inactive is bit-identical to a build
-	// without the fault layer: no events, no RNG draws, no cost.
-	Faults *fault.Config
+	// exponential backoff. The zero value, like any inactive one, is
+	// bit-identical to a build without the fault layer: no events, no RNG
+	// draws, no cost; the engine then requeues operator-forced failures
+	// under fault.Defaults' retry policy.
+	Faults fault.Config
 }
 
 // shareConfigurer is implemented by the sharing policies to expose their
@@ -226,13 +228,13 @@ func New(cfg Config) *Engine {
 		e.schedulePass()
 	}
 	retry := fault.Defaults()
-	if cfg.Faults != nil && cfg.Faults.Active() {
-		inj, err := fault.NewInjector(*cfg.Faults, cfg.Cluster.Nodes)
+	if cfg.Faults.Active() {
+		inj, err := fault.NewInjector(cfg.Faults, cfg.Cluster.Nodes)
 		if err != nil {
 			panic(err)
 		}
 		e.injector = inj
-		retry = inj.Config()
+		retry = cfg.Faults
 		inj.Install(e.sim, e.onNodeFail, e.onNodeRepair, e.workRemains)
 	}
 	e.retryMax = retry.MaxRetries

@@ -42,8 +42,9 @@ type Config struct {
 	Partition Partition
 	// Priority configures the multifactor priority plugin.
 	Priority PriorityConfig
-	// Fault configures fault injection (populated from the Fault* keys);
-	// Enabled is derived: any positive failure rate turns it on.
+	// Fault configures fault injection (populated from the Fault* keys and
+	// JobCrashProb, over fault.Defaults()): any positive failure rate turns
+	// it on.
 	Fault fault.Config
 	// Overload configures admission control and graceful degradation for
 	// the protocol server and controller (populated from MaxClientConns,
@@ -95,6 +96,7 @@ func DefaultConfig() Config {
 		Share:       sched.DefaultShareConfig(),
 		Partition:   Partition{Name: "batch"},
 		Priority:    DefaultPriorityConfig(),
+		Fault:       fault.Defaults(),
 	}
 }
 
@@ -126,11 +128,14 @@ var nodeRangeRe = regexp.MustCompile(`^([a-zA-Z_-]*)\[(\d+)-(\d+)\]$`)
 //	FaultMTBF=<seconds>                (fault injection: mean time between
 //	                                    per-node failures; 0 = off)
 //	FaultMTTR=<seconds>                (mean time to repair)
-//	FaultShape=<float>                 (Weibull time-to-failure shape)
+//	FaultShape=<float>                 (Weibull time-to-failure shape;
+//	                                    default 1 = exponential)
 //	JobCrashProb=<float>               (per-attempt crash probability)
-//	FaultMaxRetries=<int>              (requeue budget before a job fails)
-//	FaultBackoff=<seconds>             (base requeue backoff, doubling)
-//	FaultSeed=<uint>                   (failure-trace RNG seed)
+//	FaultMaxRetries=<int>              (requeue budget before a job fails;
+//	                                    default 3, 0 = none)
+//	FaultBackoff=<seconds>             (base requeue backoff, doubling;
+//	                                    default 30, 0 = none)
+//	FaultSeed=<uint>                   (failure-trace RNG seed; default 1)
 //	MaxClientConns=<int>               (overload: concurrent connection cap;
 //	                                    0 = unlimited)
 //	MaxInflight=<int>                  (overload: concurrent in-flight
@@ -299,19 +304,17 @@ func ParseConfig(r io.Reader) (Config, error) {
 	if !sawNodes {
 		return Config{}, fmt.Errorf("slurm: configuration has no NodeName line")
 	}
-	cfg.Fault.Enabled = cfg.Fault.MTBF > 0 || cfg.Fault.CrashProb > 0
 	if err := cfg.Validate(); err != nil {
 		return Config{}, err
 	}
 	return cfg, nil
 }
 
-// Validate checks the configuration's internal consistency.
+// Validate checks the configuration's internal consistency. The machine,
+// the policy and the fault configuration are the engine's inputs, checked by
+// the scenario the controller's engine is built from.
 func (c Config) Validate() error {
-	if err := c.Machine.Validate(); err != nil {
-		return err
-	}
-	if _, err := sched.New(c.Policy, c.Share); err != nil {
+	if err := c.scenario().Validate(); err != nil {
 		return err
 	}
 	if c.Partition.Name == "" {
@@ -321,9 +324,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("slurm: negative partition limits")
 	}
 	if err := c.Priority.Validate(); err != nil {
-		return err
-	}
-	if err := c.Fault.Validate(); err != nil {
 		return err
 	}
 	if err := c.Overload.Validate(); err != nil {

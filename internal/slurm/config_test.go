@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/fault"
 )
 
 const sampleConf = `
@@ -73,11 +75,37 @@ func TestParseConfigErrors(t *testing.T) {
 		"empty partition": base + "PartitionName=\n",
 		"bad partition":   base + "PartitionName=batch MaxTime=abc\n",
 		"neg priority":    base + "PriorityWeightAge=-5\n",
+		"neg retries":     base + "FaultMaxRetries=-1\n",
+		"neg backoff":     base + "FaultBackoff=-1\n",
+		"zero shape":      base + "FaultMTBF=100\nFaultMTTR=10\nFaultShape=0\n",
+		"inf repair":      base + "FaultMTBF=100\nFaultMTTR=+Inf\n",
 	}
 	for name, input := range cases {
 		if _, err := ParseConfig(strings.NewReader(input)); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
+	}
+}
+
+// Absent fault keys are fault.Defaults(); a key set to zero is zero: no
+// retries, no backoff, seed 0.
+func TestParseConfigFaultKeys(t *testing.T) {
+	base := "NodeName=n[1-4] CPUs=8 ThreadsPerCore=2 RealMemory=1024\n"
+	plain, err := ParseConfig(strings.NewReader(base))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plain.Fault != fault.Defaults() || plain.Fault.Active() {
+		t.Errorf("fault config without keys = %+v", plain.Fault)
+	}
+	zeros, err := ParseConfig(strings.NewReader(base +
+		"FaultMTBF=100\nFaultMTTR=10\nFaultMaxRetries=0\nFaultBackoff=0\nFaultSeed=0\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fault.Config{MTBF: 100, MTTR: 10, Shape: 1}
+	if zeros.Fault != want {
+		t.Errorf("fault config = %+v, want %+v", zeros.Fault, want)
 	}
 }
 

@@ -14,7 +14,6 @@ import (
 	"repro/internal/app"
 	"repro/internal/cluster"
 	"repro/internal/des"
-	"repro/internal/fault"
 	"repro/internal/job"
 	"repro/internal/metrics"
 	"repro/internal/sim"
@@ -91,22 +90,21 @@ type Controller struct {
 	repl      *replicator
 }
 
-// newEngine builds the simulation engine for a validated configuration, with
-// the queue ordered by the configured multifactor priority.
-func newEngine(cfg Config) (*sim.Engine, error) {
-	var faults *fault.Config
-	if cfg.Fault.Active() {
-		f := cfg.Fault
-		faults = &f
-	}
+// scenario is the simulation a configuration describes, with the queue
+// ordered by the configured multifactor priority; Config.Validate checks it
+// and newEngine builds it.
+func (cfg Config) scenario() sweepgrid.Scenario {
 	return sweepgrid.Scenario{
 		Workload:   workload.Spec{Cluster: cfg.Machine},
 		Policy:     cfg.Policy,
 		Share:      cfg.Share,
-		Faults:     faults,
+		Faults:     cfg.Fault,
 		QueueOrder: cfg.Priority.QueueOrder(cfg.Machine.Nodes),
-	}.Engine()
+	}
 }
+
+// newEngine builds the simulation engine for a validated configuration.
+func newEngine(cfg Config) (*sim.Engine, error) { return cfg.scenario().Engine() }
 
 // NewController builds a controller from a validated configuration.
 func NewController(cfg Config) (*Controller, error) {

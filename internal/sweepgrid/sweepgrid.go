@@ -13,7 +13,6 @@ import (
 	"encoding/csv"
 	"encoding/json"
 	"fmt"
-	"math"
 	"strings"
 
 	"repro/internal/cluster"
@@ -42,8 +41,8 @@ type Scenario struct {
 	LocalityAware bool
 	// SchedInterval batches scheduling onto periodic ticks; 0 = event-driven.
 	SchedInterval des.Duration
-	// Faults enables fault injection; nil runs failure-free.
-	Faults *fault.Config
+	// Faults configures fault injection; the zero value runs failure-free.
+	Faults fault.Config
 	// StrictLimits enables walltime kills.
 	StrictLimits bool
 	// MeasuredPairs installs empirical co-run rates that override the
@@ -56,28 +55,52 @@ type Scenario struct {
 	QueueOrder func(*sim.Engine) func(a, b *job.Job) bool
 }
 
-// Engine validates the machine, the policy and the fault configuration and
-// builds an engine with QueueOrder installed and no jobs submitted. Of the
-// Workload it reads only Cluster, the machine.
-func (sc Scenario) Engine() (*sim.Engine, error) {
+// Validate checks every engine input: the machine, the policy with its share
+// configuration, the fault configuration, the topology and the measured
+// pairs. Of the Workload it reads only Cluster; the rest is the workload's
+// own to check (workload.Spec.Validate, which Run reaches through
+// workload.Generate).
+func (sc Scenario) Validate() error {
+	_, _, err := sc.parts()
+	return err
+}
+
+// parts validates the engine inputs and builds the policy and the co-run
+// model (nil is interference.Default()).
+func (sc Scenario) parts() (sched.Policy, *interference.Model, error) {
 	if err := sc.Workload.Cluster.Validate(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	pol, err := sched.New(sc.Policy, sc.Share)
 	if err != nil {
-		return nil, err
+		return nil, nil, fmt.Errorf("%w (known: %s)", err, strings.Join(sched.Names(), ", "))
 	}
-	if sc.Faults != nil {
-		if err := sc.Faults.Validate(); err != nil {
-			return nil, err
+	if err := sc.Faults.Validate(); err != nil {
+		return nil, nil, err
+	}
+	if sc.Topo != nil {
+		if err := sc.Topo.Validate(); err != nil {
+			return nil, nil, err
 		}
+	} else if sc.LocalityAware {
+		return nil, nil, fmt.Errorf("sweepgrid: locality-aware placement needs a topology")
 	}
-	var inter *interference.Model // nil is interference.Default()
+	var inter *interference.Model
 	if len(sc.MeasuredPairs) > 0 {
 		inter = interference.Default()
 		if err := inter.SetMeasured(sc.MeasuredPairs); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
+	}
+	return pol, inter, nil
+}
+
+// Engine validates the scenario and builds an engine with QueueOrder
+// installed and no jobs submitted.
+func (sc Scenario) Engine() (*sim.Engine, error) {
+	pol, inter, err := sc.parts()
+	if err != nil {
+		return nil, err
 	}
 	e := sim.New(sim.Config{
 		Cluster: sc.Workload.Cluster, Policy: pol, Inter: inter,
@@ -144,39 +167,49 @@ type Cell struct {
 
 // Validate rejects a spec that could never run; workers call this before
 // accepting leases so a bad spec fails loudly at hello time, not mid-grid.
+// It checks the grid's shape and leaves every other rule to the scenario and
+// the workload each (policy, load) pair runs, built as RunCell builds them.
 func (s Spec) Validate() error {
-	if len(s.Policies) == 0 {
+	switch {
+	case len(s.Policies) == 0:
 		return fmt.Errorf("sweepgrid: no policies")
-	}
-	for _, p := range s.Policies {
-		if _, err := sched.New(p, sched.DefaultShareConfig()); err != nil {
-			return fmt.Errorf("sweepgrid: %w (known: %s)", err, strings.Join(sched.Names(), ", "))
-		}
-	}
-	if len(s.Loads) == 0 {
+	case len(s.Loads) == 0:
 		return fmt.Errorf("sweepgrid: no loads")
-	}
-	for _, l := range s.Loads {
-		if !(l > 0) {
-			return fmt.Errorf("sweepgrid: load must be > 0, got %g", l)
-		}
-	}
-	if s.Seeds < 1 {
+	case s.Seeds < 1:
 		return fmt.Errorf("sweepgrid: seeds must be ≥ 1, got %d", s.Seeds)
 	}
-	if s.Nodes < 1 {
-		return fmt.Errorf("sweepgrid: nodes must be ≥ 1, got %d", s.Nodes)
-	}
-	if s.Jobs < 1 {
-		return fmt.Errorf("sweepgrid: jobs must be ≥ 1, got %d", s.Jobs)
-	}
-	if !(s.Scale > 0) || math.IsInf(s.Scale, 1) {
-		return fmt.Errorf("sweepgrid: scale must be positive and finite, got %g", s.Scale)
-	}
-	if _, err := workload.MixByName(s.Mix); err != nil {
-		return err
+	for _, p := range s.Policies {
+		for _, l := range s.Loads {
+			sc, err := s.scenario(Cell{Policy: p, Load: l})
+			if err != nil {
+				return err
+			}
+			if err := sc.Validate(); err != nil {
+				return err
+			}
+			if err := sc.Workload.Validate(); err != nil {
+				return err
+			}
+		}
 	}
 	return nil
+}
+
+// scenario is the simulation of one cell: its own workload, machine and
+// engine, built from the spec and the cell's coordinates alone.
+func (s Spec) scenario(c Cell) (Scenario, error) {
+	mix, err := workload.MixByName(s.Mix)
+	if err != nil {
+		return Scenario{}, err
+	}
+	return Scenario{
+		Workload: workload.Spec{
+			Mix: mix, Jobs: s.Jobs, Arrival: workload.Poisson, Load: c.Load,
+			Cluster: cluster.Trinity(s.Nodes), RuntimeScale: s.Scale, Seed: c.Seed,
+		},
+		Policy: c.Policy,
+		Share:  sched.DefaultShareConfig(),
+	}, nil
 }
 
 // NumCells is the grid size: |policies| × |loads| × seeds.
@@ -210,18 +243,11 @@ func Header() []string {
 // another one.
 func (s Spec) RunCell(i int) ([]string, error) {
 	c := s.CellAt(i)
-	mix, err := workload.MixByName(s.Mix)
+	sc, err := s.scenario(c)
 	if err != nil {
 		return nil, err
 	}
-	r, _, err := Scenario{
-		Workload: workload.Spec{
-			Mix: mix, Jobs: s.Jobs, Arrival: workload.Poisson, Load: c.Load,
-			Cluster: cluster.Trinity(s.Nodes), RuntimeScale: s.Scale, Seed: c.Seed,
-		},
-		Policy: c.Policy,
-		Share:  sched.DefaultShareConfig(),
-	}.Run()
+	r, _, err := sc.Run()
 	if err != nil {
 		return nil, err
 	}

@@ -100,6 +100,10 @@ func TestDecodeSpecRejectsInvalid(t *testing.T) {
 		"bad mix":    `{"policies":["easy"],"loads":[0.9],"seeds":1,"nodes":8,"jobs":10,"mix":"nope","scale":0.05}`,
 		"zero load":  `{"policies":["easy"],"loads":[0],"seeds":1,"nodes":8,"jobs":10,"mix":"trinity","scale":0.05}`,
 		"bad policy": `{"policies":["easy","nope"],"loads":[0.9],"seeds":1,"nodes":8,"jobs":10,"mix":"trinity","scale":0.05}`,
+		"huge load":  `{"policies":["easy"],"loads":[1e308],"seeds":1,"nodes":8,"jobs":10,"mix":"trinity","scale":0.05}`,
+		"tiny scale": `{"policies":["easy"],"loads":[0.9],"seeds":1,"nodes":8,"jobs":10,"mix":"trinity","scale":1e-320}`,
+		"no nodes":   `{"policies":["easy"],"loads":[0.9],"seeds":1,"nodes":0,"jobs":10,"mix":"trinity","scale":0.05}`,
+		"no jobs":    `{"policies":["easy"],"loads":[0.9],"seeds":1,"nodes":8,"jobs":0,"mix":"trinity","scale":0.05}`,
 	}
 	for name, raw := range cases {
 		if _, err := DecodeSpec([]byte(raw)); err == nil {
@@ -118,6 +122,33 @@ func TestValidateRejectsNonFiniteScale(t *testing.T) {
 			t.Errorf("scale %g accepted", scale)
 		}
 	}
+}
+
+// FuzzDecodeSpec holds the peer door: a spec from a dispatcher is either
+// refused by DecodeSpec, or its first cell runs without panicking and twice
+// to the same bytes. A load of 1e308 used to pass and panic in the arrival
+// process.
+func FuzzDecodeSpec(f *testing.F) {
+	for _, seed := range []string{
+		`{"policies":["easy"],"loads":[1e308],"seeds":1,"nodes":8,"jobs":10,"mix":"trinity","scale":0.05}`,
+		`{"policies":["sharebackfill"],"loads":[0.9],"seeds":1,"nodes":8,"jobs":10,"mix":"trinity","scale":0.05}`,
+		`{"policies":["easy"],"loads":[0.9],"seeds":1,"nodes":8,"jobs":10,"mix":"trinity","scale":1e-320}`,
+		`{"policies":["easy"],"loads":[1e9],"seeds":1,"nodes":1,"jobs":3,"mix":"comm","scale":1e300}`,
+		`{`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		s, err := DecodeSpec(b)
+		if err != nil || s.Jobs > 100 || s.Nodes > 64 {
+			return
+		}
+		first, err1 := s.RunCellBytes(0)
+		again, err2 := s.RunCellBytes(0)
+		if (err1 == nil) != (err2 == nil) || !bytes.Equal(first, again) {
+			t.Fatalf("cell 0 of %s: %q (%v), then %q (%v)", b, first, err1, again, err2)
+		}
+	})
 }
 
 // A cell is a pure function of (spec, index): two executions must produce
@@ -214,7 +245,7 @@ func TestScenarioRunRejectsBadFaults(t *testing.T) {
 			Cluster: cluster.Trinity(8), RuntimeScale: 0.05, Seed: 42,
 		},
 		Policy: "easy",
-		Faults: &fault.Config{Enabled: true, MTBF: 3600, MTTR: 0},
+		Faults: fault.Config{MTBF: 3600, MTTR: 0, Shape: 1},
 	}
 	if _, _, err := sc.Run(); err == nil {
 		t.Fatal("MTBF without MTTR accepted")
@@ -240,8 +271,16 @@ func TestScenarioEngineRejectsInvalid(t *testing.T) {
 		},
 		"unknown policy": func(sc *Scenario) { sc.Policy = "nope" },
 		"invalid faults": func(sc *Scenario) {
-			sc.Faults = &fault.Config{Enabled: true, MTBF: 3600, MTTR: 0}
+			sc.Faults = fault.Config{MTBF: 3600, MTTR: 0, Shape: 1}
 		},
+		"fault shape zero": func(sc *Scenario) {
+			sc.Faults = fault.Config{MTBF: 3600, MTTR: 600}
+		},
+		"negative retries": func(sc *Scenario) { sc.Faults = fault.Config{MaxRetries: -1} },
+		"invalid topology": func(sc *Scenario) {
+			sc.Topo = &topology.Topology{Groups: 0, NodesPerGroup: 8}
+		},
+		"locality without topology": func(sc *Scenario) { sc.LocalityAware = true },
 		"malformed measured pair": func(sc *Scenario) {
 			sc.MeasuredPairs = []interference.MeasuredPair{{A: "", B: "x", RateA: 1, RateB: 1}}
 		},

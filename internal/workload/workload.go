@@ -142,6 +142,16 @@ func MixByName(name string) (Mix, error) {
 	return Mix{}, fmt.Errorf("workload: unknown mix %q", name)
 }
 
+// ArrivalByName returns the arrival process of the given name (see String).
+func ArrivalByName(name string) (Arrival, error) {
+	for _, a := range []Arrival{Batch, Poisson, DailyCycle} {
+		if a.String() == name {
+			return a, nil
+		}
+	}
+	return 0, fmt.Errorf("workload: unknown arrival %q", name)
+}
+
 // Spec parameterizes one generated workload.
 type Spec struct {
 	// Mix is the application blend.
@@ -151,7 +161,8 @@ type Spec struct {
 	// Arrival selects the submission process.
 	Arrival Arrival
 	// Load is the offered load (arrival rate × mean job demand / machine
-	// capacity) for Poisson and DailyCycle arrivals; ignored for Batch.
+	// capacity), in (0, 1e9] for Poisson and DailyCycle arrivals; ignored
+	// for Batch.
 	Load float64
 	// Cluster provides machine capacity for load calibration and caps node
 	// requests at the machine size.
@@ -200,21 +211,39 @@ func (s Spec) Validate() error {
 	// The comparisons are written so that NaN fails them, and each bound is
 	// checked for finiteness: an infinite load is a zero mean inter-arrival
 	// time.
-	if s.Arrival != Batch && !positiveFinite(s.Load) {
-		return fmt.Errorf("workload: open arrivals need a positive finite load, got %g", s.Load)
+	if s.Arrival != Batch && !(s.Load > 0 && s.Load <= maxLoad) {
+		return fmt.Errorf("workload: open arrivals need a load in (0, %g], got %g", maxLoad, s.Load)
 	}
 	if !(s.OverestimateMin >= 1) || !(s.OverestimateMax >= s.OverestimateMin) || math.IsInf(s.OverestimateMax, 1) {
 		return fmt.Errorf("workload: overestimate range [%g, %g]",
 			s.OverestimateMin, s.OverestimateMax)
 	}
 	if !positiveFinite(s.RuntimeScale) {
-		return fmt.Errorf("workload: runtime scale %g", s.RuntimeScale)
+		return fmt.Errorf("workload: runtime scale must be positive and finite, got %g", s.RuntimeScale)
+	}
+	// The values derived from load and scale can still underflow or
+	// overflow: a scale of 1e-320 leaves no demand to calibrate against.
+	if d := s.MeanJobDemand(); !positiveFinite(d) {
+		return fmt.Errorf("workload: mean job demand %g node-seconds at runtime scale %g", d, s.RuntimeScale)
+	}
+	if s.Arrival != Batch && !positiveFinite(s.meanInterarrival()) {
+		return fmt.Errorf("workload: load %g at runtime scale %g leaves a mean inter-arrival time of %g s",
+			s.Load, s.RuntimeScale, s.meanInterarrival())
 	}
 	return nil
 }
 
+// maxLoad bounds the offered load of open arrivals.
+const maxLoad = 1e9
+
 // positiveFinite reports whether x is a number above zero and below +Inf.
 func positiveFinite(x float64) bool { return x > 0 && !math.IsInf(x, 1) }
+
+// meanInterarrival calibrates the arrival rate so that offered load = Load:
+// λ = Load × capacity / E[demand], capacity in node-seconds per second.
+func (s Spec) meanInterarrival() float64 {
+	return 1 / (s.Load * float64(s.Cluster.Nodes) / s.MeanJobDemand())
+}
 
 // MeanJobDemand returns the expected node-seconds per job of the spec's mix
 // (used for load calibration).
@@ -257,12 +286,9 @@ func Generate(spec Spec) ([]*job.Job, error) {
 		userWeights = append(userWeights, 1/float64(u))
 	}
 
-	// Calibrate the arrival rate so that offered load = Load:
-	// λ = Load × capacity / E[demand], capacity in node-seconds per second.
 	var meanInterarrival float64
 	if spec.Arrival != Batch {
-		lambda := spec.Load * float64(spec.Cluster.Nodes) / spec.MeanJobDemand()
-		meanInterarrival = 1 / lambda
+		meanInterarrival = spec.meanInterarrival()
 	}
 
 	jobs := make([]*job.Job, 0, spec.Jobs)
@@ -308,7 +334,7 @@ func Generate(spec Spec) ([]*job.Job, error) {
 			user = fmt.Sprintf("user%02d", userRNG.Choice(userWeights)+1)
 		}
 
-		jobs = append(jobs, &job.Job{
+		j := &job.Job{
 			ID:          cluster.JobID(i + 1),
 			Name:        fmt.Sprintf("%s-%d", a.Name, i+1),
 			User:        user,
@@ -317,7 +343,11 @@ func Generate(spec Spec) ([]*job.Job, error) {
 			ReqWalltime: des.Duration(wall),
 			TrueRuntime: des.Duration(runtime),
 			Submit:      des.Time(now),
-		})
+		}
+		if err := j.Validate(); err != nil {
+			return nil, fmt.Errorf("workload: %w", err)
+		}
+		jobs = append(jobs, j)
 	}
 	return jobs, nil
 }

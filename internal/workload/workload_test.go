@@ -211,6 +211,10 @@ func TestSpecValidate(t *testing.T) {
 		{"load +inf", func(s *Spec) { s.Load = inf }, false},
 		{"load -inf", func(s *Spec) { s.Load = -inf }, false},
 		{"load 0", func(s *Spec) { s.Load = 0 }, false},
+		{"load 1e9", func(s *Spec) { s.Load = 1e9 }, true},
+		{"load 1e308", func(s *Spec) { s.Load = 1e308 }, false},
+		{"runtime scale 1e-320", func(s *Spec) { s.RuntimeScale = 1e-320 }, false},
+		{"batch runtime scale 1e-320", func(s *Spec) { s.Arrival, s.RuntimeScale = Batch, 1e-320 }, true},
 		{"batch ignores load", func(s *Spec) { s.Arrival, s.Load = Batch, nan }, true},
 		{"daily cycle load +inf", func(s *Spec) { s.Arrival, s.Load = DailyCycle, inf }, false},
 		{"runtime scale 0", func(s *Spec) { s.RuntimeScale = 0 }, false},
@@ -279,6 +283,12 @@ func TestArrivalString(t *testing.T) {
 		if a.String() != want {
 			t.Errorf("%d.String() = %q", int(a), a.String())
 		}
+		if got, err := ArrivalByName(want); err != nil || got != a {
+			t.Errorf("ArrivalByName(%q) = %v, %v", want, got, err)
+		}
+	}
+	if _, err := ArrivalByName("arrival(7)"); err == nil {
+		t.Error("unknown arrival accepted")
 	}
 }
 
