@@ -20,6 +20,7 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -28,82 +29,74 @@ import (
 
 	"repro/internal/exp"
 	"repro/internal/parallel"
+	"repro/internal/report"
 )
 
 func main() {
-	list := flag.Bool("list", false, "list experiments and exit")
-	csv := flag.Bool("csv", false, "also write CSV files (requires -out)")
-	out := flag.String("out", "", "directory for CSV output")
-	seeds := flag.Int("seeds", 3, "number of workload seeds to average over")
-	nodes := flag.Int("nodes", 32, "machine size in nodes")
-	jobs := flag.Int("jobs", 300, "jobs per run")
-	scale := flag.Float64("scale", 0.05, "application runtime scale (1 = full-length runs)")
-	mttr := flag.Float64("fault-mttr", 900, "F12: per-node mean time to repair in seconds")
-	shape := flag.Float64("fault-shape", 1, "F12: Weibull shape of time-to-failure (1 = exponential)")
-	crashProb := flag.Float64("fault-crashprob", 0.02, "F12: per-attempt job crash probability")
-	workers := flag.Int("workers", 0, "parallel experiment workers (0 = all cores)")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return
+		}
+		fmt.Fprintln(os.Stderr, "exprun:", err)
+		os.Exit(1)
+	}
+}
+
+// run parses args and writes the tables of the experiments they name (all,
+// by default) to stdout. The numeric flags bind onto exp.Options, which
+// checks them as given before any experiment runs, so a bad flag never
+// prints part of the output: zero is not "use the default" here. -seeds N
+// runs seeds 42…42+N−1; it and -workers are the command's own.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("exprun", flag.ContinueOnError)
+	var opts exp.Options
+	list := fs.Bool("list", false, "list experiments and exit")
+	csv := fs.Bool("csv", false, "also write CSV files (requires -out)")
+	out := fs.String("out", "", "directory for CSV output")
+	seeds := fs.Int("seeds", 3, "number of workload seeds to average over")
+	fs.IntVar(&opts.Nodes, "nodes", 32, "machine size in nodes")
+	fs.IntVar(&opts.Jobs, "jobs", 300, "jobs per run")
+	fs.Float64Var(&opts.RuntimeScale, "scale", 0.05, "application runtime scale (1 = full-length runs)")
+	fs.Float64Var(&opts.FaultMTTR, "fault-mttr", 900, "F12: per-node mean time to repair in seconds")
+	fs.Float64Var(&opts.FaultShape, "fault-shape", 1, "F12: Weibull shape of time-to-failure (1 = exponential)")
+	fs.Float64Var(&opts.FaultCrashProb, "fault-crashprob", 0.02, "F12: per-attempt job crash probability")
+	workers := fs.Int("workers", 0, "parallel experiment workers (0 = all cores)")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	if *list {
 		for _, e := range exp.All() {
-			fmt.Printf("%-3s %-22s %s\n        expectation: %s\n", e.ID, e.Name, e.Title, e.Paper)
+			fmt.Fprintf(stdout, "%-3s %-22s %s\n        expectation: %s\n", e.ID, e.Name, e.Title, e.Paper)
 		}
-		return
+		return nil
 	}
-	if *csv && *out == "" {
-		fatal(fmt.Errorf("-csv requires -out"))
+	switch {
+	case *csv && *out == "":
+		return errors.New("-csv requires -out")
+	case *seeds < 1:
+		return fmt.Errorf("-seeds must be ≥ 1, got %d", *seeds)
+	case *workers < 0:
+		return fmt.Errorf("-workers must be ≥ 0 (0 = all cores), got %d", *workers)
 	}
-	opts, err := options(*seeds, *nodes, *jobs, *scale, *mttr, *shape, *crashProb)
-	if err != nil {
-		fatal(err)
-	}
-
-	ids := flag.Args()
-	if len(ids) == 0 {
-		ids = exp.IDs()
-	}
-	if err := run(ids, opts, *workers, *out, os.Stdout); err != nil {
-		fatal(err)
-	}
-}
-
-// options builds the experiment options from the numeric flags and checks
-// them before any experiment runs, so a bad flag never prints part of the
-// output. exp.Options.Validate checks them as given: zero is not "use the
-// default" here.
-func options(seeds, nodes, jobs int, scale, mttr, shape, crashProb float64) (exp.Options, error) {
-	if seeds < 1 {
-		return exp.Options{}, fmt.Errorf("-seeds must be ≥ 1, got %d", seeds)
-	}
-	opts := exp.Options{
-		Nodes:          nodes,
-		Jobs:           jobs,
-		RuntimeScale:   scale,
-		FaultMTTR:      mttr,
-		FaultShape:     shape,
-		FaultCrashProb: crashProb,
-	}
-	for s := 0; s < seeds; s++ {
+	for s := 0; s < *seeds; s++ {
 		opts.Seeds = append(opts.Seeds, uint64(42+s))
 	}
 	if err := opts.Validate(); err != nil {
-		return exp.Options{}, err
+		return err
 	}
-	return opts, nil
+	ids := fs.Args()
+	if len(ids) == 0 {
+		ids = exp.IDs()
+	}
+	return runExperiments(ids, opts, *workers, *out, stdout)
 }
 
-// rendered is one experiment's output, produced in a worker and emitted in
-// registry order.
-type rendered struct {
-	id    string
-	table []byte
-	csv   []byte
-}
-
-// run executes the selected experiments across workers goroutines and
-// writes their tables to out in the order requested. When csvDir is
-// non-empty, each experiment's CSV is also written to csvDir/<ID>.csv.
-func run(ids []string, opts exp.Options, workers int, csvDir string, out io.Writer) error {
+// runExperiments executes the selected experiments across workers
+// goroutines and writes their tables to out in the order requested. When
+// csvDir is non-empty, each experiment's CSV is also written to
+// csvDir/<ID>.csv.
+func runExperiments(ids []string, opts exp.Options, workers int, csvDir string, out io.Writer) error {
 	// Resolve IDs up front so an unknown experiment fails before any run.
 	exps := make([]exp.Experiment, len(ids))
 	for i, id := range ids {
@@ -118,40 +111,26 @@ func run(ids []string, opts exp.Options, workers int, csvDir string, out io.Writ
 			return err
 		}
 	}
-	return parallel.RunOrdered(len(exps), workers, func(i int) (rendered, error) {
-		e := exps[i]
-		tbl, err := e.Run(opts)
+	return parallel.RunOrdered(len(exps), workers, func(i int) (*report.Table, error) {
+		tbl, err := exps[i].Run(opts)
 		if err != nil {
-			return rendered{}, fmt.Errorf("%s: %w", e.ID, err)
+			return nil, fmt.Errorf("%s: %w", exps[i].ID, err)
 		}
-		var buf bytes.Buffer
-		if err := tbl.Render(&buf); err != nil {
-			return rendered{}, err
-		}
-		buf.WriteByte('\n')
-		r := rendered{id: e.ID, table: buf.Bytes()}
-		if csvDir != "" {
-			var cbuf bytes.Buffer
-			if err := tbl.RenderCSV(&cbuf); err != nil {
-				return rendered{}, err
-			}
-			r.csv = cbuf.Bytes()
-		}
-		return r, nil
-	}, func(i int, r rendered) error {
-		if _, err := out.Write(r.table); err != nil {
+		return tbl, nil
+	}, func(i int, tbl *report.Table) error {
+		if err := tbl.Render(out); err != nil {
 			return err
 		}
-		if csvDir != "" {
-			if err := os.WriteFile(filepath.Join(csvDir, r.id+".csv"), r.csv, 0o644); err != nil {
-				return err
-			}
+		if _, err := fmt.Fprintln(out); err != nil {
+			return err
 		}
-		return nil
+		if csvDir == "" {
+			return nil
+		}
+		var csv bytes.Buffer
+		if err := tbl.RenderCSV(&csv); err != nil {
+			return err
+		}
+		return os.WriteFile(filepath.Join(csvDir, exps[i].ID+".csv"), csv.Bytes(), 0o644)
 	})
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "exprun:", err)
-	os.Exit(1)
 }

@@ -3,27 +3,27 @@ package main
 import (
 	"bytes"
 	"flag"
-	"math"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
+	"repro/cmd/internal/flagtable"
 	"repro/internal/exp"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files with current output")
 
-// testOpts shrinks the experiments so the full test grid runs in about a
-// second while still driving every policy through the scheduler.
-func testOpts() exp.Options {
-	return exp.Options{Seeds: []uint64{42, 43}, Nodes: 32, Jobs: 80, RuntimeScale: 0.02, FaultCrashProb: 0.02}
-}
-
-func runToBytes(t *testing.T, ids []string, workers int) []byte {
+// runToBytes runs exprun on ids with the experiments shrunk so the full test
+// grid runs in about a second while still driving every policy through the
+// scheduler: seeds 42 and 43, 32 nodes, 80 jobs, runtime scale 0.02.
+func runToBytes(t *testing.T, ids []string, workers int, flags ...string) []byte {
 	t.Helper()
+	args := append([]string{"-seeds", "2", "-nodes", "32", "-jobs", "80", "-scale", "0.02",
+		"-workers", strconv.Itoa(workers)}, flags...)
 	var buf bytes.Buffer
-	if err := run(ids, testOpts(), workers, "", &buf); err != nil {
+	if err := run(append(args, ids...), &buf); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -88,7 +88,7 @@ func TestGoldenTables(t *testing.T) {
 
 func TestRunRejectsUnknownID(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run([]string{"F1", "ZZ"}, testOpts(), 1, "", &buf); err == nil {
+	if err := run([]string{"-seeds", "1", "-jobs", "20", "F1", "ZZ"}, &buf); err == nil {
 		t.Fatal("unknown experiment ID accepted")
 	}
 	if buf.Len() != 0 {
@@ -96,57 +96,37 @@ func TestRunRejectsUnknownID(t *testing.T) {
 	}
 }
 
-// Out-of-range flags are refused before any experiment runs; zero must not
-// fall through to exp.Options' defaults.
+// Out-of-range flags are refused before any experiment runs, with nothing
+// written; zero must not fall through to exp.Options' defaults.
 func TestOptionsRejectsBadFlags(t *testing.T) {
-	cases := []struct {
-		name                    string
-		seeds, nodes, jobs      int
-		scale, mttr, shape, crp float64
-	}{
-		{"zero seeds", 0, 32, 300, 0.05, 900, 1, 0.02},
-		{"zero nodes", 3, 0, 300, 0.05, 900, 1, 0.02},
-		{"negative nodes", 3, -4, 300, 0.05, 900, 1, 0.02},
-		{"zero jobs", 3, 32, 0, 0.05, 900, 1, 0.02},
-		{"negative jobs", 3, 32, -1, 0.05, 900, 1, 0.02},
-		{"zero scale", 3, 32, 300, 0, 900, 1, 0.02},
-		{"negative scale", 3, 32, 300, -0.5, 900, 1, 0.02},
-		{"NaN scale", 3, 32, 300, math.NaN(), 900, 1, 0.02},
-		{"infinite scale", 3, 32, 300, math.Inf(1), 900, 1, 0.02},
-		{"zero MTTR", 3, 32, 300, 0.05, 0, 1, 0.02},
-		{"infinite MTTR", 3, 32, 300, 0.05, math.Inf(1), 1, 0.02},
-		{"negative shape", 3, 32, 300, 0.05, 900, -1, 0.02},
-		{"zero shape", 3, 32, 300, 0.05, 900, 0, 0.02},
-		{"infinite shape", 3, 32, 300, 0.05, 900, math.Inf(1), 0.02},
-		{"crash prob above 1", 3, 32, 300, 0.05, 900, 1, 1.5},
-		{"NaN crash prob", 3, 32, 300, 0.05, 900, 1, math.NaN()},
-	}
-	for _, tc := range cases {
-		if _, err := options(tc.seeds, tc.nodes, tc.jobs, tc.scale, tc.mttr, tc.shape, tc.crp); err == nil {
-			t.Errorf("%s: options accepted it", tc.name)
+	for _, args := range [][]string{
+		{"-seeds", "0"},
+		{"-nodes", "0"}, {"-nodes", "-4"},
+		{"-jobs", "0"}, {"-jobs", "-1"},
+		{"-scale", "0"}, {"-scale", "-0.5"}, {"-scale", "NaN"}, {"-scale", "+Inf"},
+		{"-fault-mttr", "0"}, {"-fault-mttr", "+Inf"},
+		{"-fault-shape", "-1"}, {"-fault-shape", "0"}, {"-fault-shape", "+Inf"},
+		{"-fault-shape", "0.001"}, // Γ(1001) overflows: it panicked in F12's first failure draw
+		{"-fault-crashprob", "1.5"}, {"-fault-crashprob", "NaN"},
+		{"-workers", "-1"}, // it ran on all cores
+		{"-csv"},
+	} {
+		var out bytes.Buffer
+		if err := run(append(args, "F12"), &out); err == nil {
+			t.Errorf("%v accepted", args)
 		}
-	}
-	o, err := options(2, 8, 60, 0.01, 900, 1, 0.02)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(o.Seeds) != 2 || o.Seeds[0] != 42 || o.Seeds[1] != 43 || o.Nodes != 8 || o.Jobs != 60 {
-		t.Fatalf("options = %+v", o)
+		if out.Len() != 0 {
+			t.Errorf("%v printed before refusing:\n%s", args, out.Bytes())
+		}
 	}
 }
 
-// A zero -fault-crashprob means no crashes: it survives options and the
+// A zero -fault-crashprob means no crashes: it survives the options and the
 // experiment defaults, and F12 runs and reports it as zero.
 func TestZeroCrashProbStaysZero(t *testing.T) {
-	o, err := options(1, 8, 40, 0.01, 900, 1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if o.FaultCrashProb != 0 {
-		t.Fatalf("options turned crash prob 0 into %g", o.FaultCrashProb)
-	}
 	var buf bytes.Buffer
-	if err := run([]string{"F12"}, o, 1, "", &buf); err != nil {
+	args := []string{"-seeds", "1", "-nodes", "8", "-jobs", "40", "-scale", "0.01", "-fault-crashprob", "0", "-workers", "1", "F12"}
+	if err := run(args, &buf); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "crash prob 0/attempt") {
@@ -156,10 +136,7 @@ func TestZeroCrashProbStaysZero(t *testing.T) {
 
 func TestCSVOutput(t *testing.T) {
 	dir := t.TempDir()
-	var buf bytes.Buffer
-	if err := run([]string{"T1"}, testOpts(), 2, dir, &buf); err != nil {
-		t.Fatal(err)
-	}
+	runToBytes(t, []string{"T1"}, 2, "-csv", "-out", dir)
 	data, err := os.ReadFile(filepath.Join(dir, "T1.csv"))
 	if err != nil {
 		t.Fatal(err)
@@ -167,4 +144,21 @@ func TestCSVOutput(t *testing.T) {
 	if len(data) == 0 {
 		t.Fatal("empty T1.csv")
 	}
+}
+
+// TestNumericFlags is the cross-command table (cmd/internal/flagtable): every
+// numeric flag with 0, −1, NaN, +Inf and 1e308.
+func TestNumericFlags(t *testing.T) {
+	ok, no := true, false
+	flagtable.Check(t, run, []string{"-seeds", "1", "-jobs", "5", "-nodes", "4"}, []string{"F12"}, map[string][5]bool{
+		// The outcomes for 0, −1, NaN, +Inf and 1e308.
+		"seeds":           {no, no, no, no, no},
+		"nodes":           {no, no, no, no, no},
+		"jobs":            {no, no, no, no, no},
+		"scale":           {no, no, no, no, no},
+		"fault-mttr":      {no, no, no, no, no},
+		"fault-shape":     {no, no, no, no, ok}, // 1e308: every node fails at exactly the MTBF
+		"fault-crashprob": {ok, no, no, no, no}, // 0: jobs never crash
+		"workers":         {ok, no, no, no, no}, // 0: all cores
+	})
 }

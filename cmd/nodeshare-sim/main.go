@@ -16,13 +16,13 @@ import (
 	"io"
 	"math"
 	"os"
+	"slices"
 	"strings"
 
 	"repro/internal/acct"
 	"repro/internal/app"
 	"repro/internal/cluster"
 	"repro/internal/des"
-	"repro/internal/fault"
 	"repro/internal/interference"
 	"repro/internal/job"
 	"repro/internal/report"
@@ -43,17 +43,20 @@ func main() {
 	}
 }
 
-// run parses args, runs one simulation and writes its report to stdout.
+// run parses args, runs one simulation and writes its report to stdout. The
+// flags bind onto the scenario they describe; only -horizon, a run argument,
+// is checked here.
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("nodeshare-sim", flag.ContinueOnError)
-	policy := fs.String("policy", "sharebackfill", "scheduling policy ("+strings.Join(sched.Names(), "|")+")")
-	nodes := fs.Int("nodes", 32, "machine size in nodes")
-	jobsN := fs.Int("jobs", 300, "synthetic workload job count")
-	mixName := fs.String("mix", "trinity", "application mix")
-	arrival := fs.String("arrival", "poisson", "arrival process: batch|poisson|dailycycle")
-	load := fs.Float64("load", 1.4, "offered load for open arrivals")
-	scale := fs.Float64("scale", 0.05, "runtime scale")
-	seed := fs.Uint64("seed", 42, "workload seed")
+	sc := sweepgrid.Scenario{
+		Workload: workload.Spec{
+			Mix: workload.TrinityMix(), Jobs: 300, Arrival: workload.Poisson, Load: 1.4,
+			Cluster: cluster.Trinity(32), RuntimeScale: 0.05, Seed: 42,
+		},
+		Share: sched.DefaultShareConfig(),
+	}
+	workloadFlags := workload.BindFlags(fs, &sc.Workload)
+	fs.StringVar(&sc.Policy, "policy", "sharebackfill", "scheduling policy ("+strings.Join(sched.Names(), "|")+")")
 	swfPath := fs.String("swf", "", "replay an SWF trace instead of generating a workload")
 	trace := fs.Bool("trace", false, "print per-event trace lines")
 	gantt := fs.Bool("gantt", false, "print an ASCII node-occupancy timeline after the run")
@@ -62,13 +65,13 @@ func run(args []string, stdout io.Writer) error {
 	corun := fs.String("corun", "", "CSV of measured co-run pairs overriding the analytic model (appA,appB,rateA,rateB)")
 	corunExport := fs.Bool("corun-template", false, "print the analytic co-run matrix as a CSV template and exit")
 	horizon := fs.Float64("horizon", 0, "stop after this many simulated seconds (0 = run to completion)")
-	mtbf := fs.Float64("mtbf", 0, "per-node mean time between failures in seconds (0 = no node failures)")
-	mttr := fs.Float64("mttr", 900, "per-node mean time to repair in seconds")
-	faultShape := fs.Float64("fault-shape", 1, "Weibull shape of time-to-failure (1 = exponential)")
-	crashProb := fs.Float64("crashprob", 0, "per-attempt job crash probability")
-	maxRetries := fs.Int("max-retries", 3, "requeue attempts before a job is marked failed (0 = none)")
-	backoff := fs.Float64("backoff", 30, "base requeue backoff in seconds, doubling per retry (0 = none)")
-	faultSeed := fs.Uint64("fault-seed", 1, "failure-trace RNG seed")
+	fs.Float64Var(&sc.Faults.MTBF, "mtbf", 0, "per-node mean time between failures in seconds (0 = no node failures)")
+	fs.Float64Var(&sc.Faults.MTTR, "mttr", 900, "per-node mean time to repair in seconds")
+	fs.Float64Var(&sc.Faults.Shape, "fault-shape", 1, "Weibull shape of time-to-failure (1 = exponential)")
+	fs.Float64Var(&sc.Faults.CrashProb, "crashprob", 0, "per-attempt job crash probability")
+	fs.IntVar(&sc.Faults.MaxRetries, "max-retries", 3, "requeue attempts before a job is marked failed (0 = none)")
+	fs.Float64Var((*float64)(&sc.Faults.Backoff), "backoff", 30, "base requeue backoff in seconds, doubling per retry (0 = none)")
+	fs.Uint64Var(&sc.Faults.Seed, "fault-seed", 1, "failure-trace RNG seed")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -82,17 +85,8 @@ func run(args []string, stdout io.Writer) error {
 	if *corunExport {
 		return interference.Default().ExportCoRunCSV(stdout, app.Catalogue())
 	}
-
-	machine := cluster.Trinity(*nodes)
-	sc := sweepgrid.Scenario{
-		Workload: workload.Spec{Cluster: machine},
-		Policy:   *policy,
-		Share:    sched.DefaultShareConfig(),
-		Faults: fault.Config{
-			MTBF: *mtbf, MTTR: *mttr, Shape: *faultShape,
-			CrashProb: *crashProb, MaxRetries: *maxRetries,
-			Backoff: des.Duration(*backoff), Seed: *faultSeed,
-		},
+	if err := workloadFlags(); err != nil {
+		return err
 	}
 	if *corun != "" {
 		f, err := os.Open(*corun)
@@ -107,7 +101,7 @@ func run(args []string, stdout io.Writer) error {
 		sc.MeasuredPairs = pairs
 	}
 	if *topoOn {
-		t := topology.Default(*nodes)
+		t := topology.Default(sc.Workload.Cluster.Nodes)
 		sc.Topo, sc.LocalityAware = &t, true
 	}
 	eng, err := sc.Engine()
@@ -129,26 +123,12 @@ func run(args []string, stdout io.Writer) error {
 		if err != nil {
 			return err
 		}
-		jobs, err = swf.ToJobs(tr, machine)
+		jobs, err = swf.ToJobs(tr, sc.Workload.Cluster)
 		if err != nil {
 			return err
 		}
-	} else {
-		mix, err := workload.MixByName(*mixName)
-		if err != nil {
-			return err
-		}
-		arr, err := workload.ArrivalByName(*arrival)
-		if err != nil {
-			return err
-		}
-		jobs, err = workload.Generate(workload.Spec{
-			Mix: mix, Jobs: *jobsN, Arrival: arr, Load: *load,
-			Cluster: machine, RuntimeScale: *scale, Seed: *seed,
-		})
-		if err != nil {
-			return err
-		}
+	} else if jobs, err = workload.Generate(sc.Workload); err != nil {
+		return err
 	}
 
 	if err := eng.SubmitAll(jobs); err != nil {
@@ -161,10 +141,7 @@ func run(args []string, stdout io.Writer) error {
 	}
 
 	if *acctPath != "" {
-		var all []*job.Job
-		all = append(all, eng.Finished()...)
-		all = append(all, eng.Killed()...)
-		all = append(all, eng.Rejected()...)
+		all := slices.Concat(eng.Finished(), eng.Killed(), eng.Rejected())
 		if err := acct.WriteFile(*acctPath, acct.FromJobs(all)); err != nil {
 			return err
 		}
@@ -180,7 +157,7 @@ func run(args []string, stdout io.Writer) error {
 				})
 			}
 		}
-		fmt.Fprint(stdout, report.Gantt(spans, machine.Nodes, 100, 0, 0))
+		fmt.Fprint(stdout, report.Gantt(spans, sc.Workload.Cluster.Nodes, 100, 0, 0))
 		fmt.Fprintln(stdout)
 	}
 

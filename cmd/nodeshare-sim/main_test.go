@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/cmd/internal/flagtable"
 	"repro/internal/cluster"
 	"repro/internal/swf"
 	"repro/internal/workload"
@@ -106,8 +107,10 @@ func TestGolden(t *testing.T) {
 // negative horizon to run to completion and an infinite one to print a NaN
 // utilization; a scale of 1e-320 panicked in the arrival process, a NaN
 // failure rate ran with no faults, a zero fault shape ran as exponential, and
-// a negative retry budget meant none. Each is refused before any run, by the
-// type that owns the value (the horizon, a run argument, by the command).
+// a negative retry budget meant none; a fault shape of 0.001 panicked on a
+// zero Weibull scale, and a backoff of 1e300 printed a garbage makespan. Each
+// is refused before any run, by the type that owns the value (the horizon, a
+// run argument, by the command).
 func TestRefusesBadScaleAndHorizon(t *testing.T) {
 	for _, args := range [][]string{
 		{"-scale", "0"}, {"-scale", "-1"}, {"-scale", "NaN"}, {"-scale", "+Inf"}, {"-scale", "1e-320"},
@@ -115,6 +118,9 @@ func TestRefusesBadScaleAndHorizon(t *testing.T) {
 		{"-mtbf", "NaN"}, {"-crashprob", "NaN"}, {"-max-retries", "-1"}, {"-backoff", "NaN"},
 		{"-mtbf", "100000", "-fault-shape", "0"}, {"-mtbf", "100000", "-fault-shape", "+Inf"},
 		{"-mtbf", "100000", "-mttr", "+Inf"},
+		{"-mtbf", "100000", "-fault-shape", "0.001"}, // a zero Weibull scale: it panicked
+		{"-crashprob", "0.5", "-backoff", "1e308"},   // it printed a garbage makespan and exited 0
+		{"-crashprob", "0.5", "-backoff", "1e300"},
 	} {
 		var out bytes.Buffer
 		err := func() (err error) {
@@ -199,4 +205,26 @@ func TestRefusesNonFiniteSWFTimes(t *testing.T) {
 			t.Errorf("%s: printed before refusing:\n%s", name, out.Bytes())
 		}
 	}
+}
+
+// TestNumericFlags is the cross-command table (cmd/internal/flagtable): every
+// numeric flag with 0, −1, NaN, +Inf and 1e308.
+func TestNumericFlags(t *testing.T) {
+	ok, no := true, false
+	flagtable.Check(t, run, []string{"-jobs", "5", "-nodes", "4", "-mtbf", "100000", "-crashprob", "0.1"}, nil, map[string][5]bool{
+		// The outcomes for 0, −1, NaN, +Inf and 1e308.
+		"nodes":       {no, no, no, no, no},
+		"jobs":        {no, no, no, no, no},
+		"load":        {no, no, no, no, no},
+		"scale":       {no, no, no, no, no},
+		"seed":        {ok, no, no, no, no},
+		"horizon":     {ok, no, no, no, ok}, // 0 runs to completion, and so does a horizon past the end
+		"mtbf":        {ok, no, no, ok, ok}, // 0 and +Inf turn node failures off (fault.Config); 1e308 is a rate
+		"mttr":        {no, no, no, no, no}, // node failures are on, and 1e308 is past fault.MaxDelay
+		"fault-shape": {no, no, no, no, ok}, // 1e308: every node fails at exactly the MTBF
+		"crashprob":   {ok, no, no, no, no}, // 0: jobs never crash
+		"max-retries": {ok, no, no, no, no}, // 0: no retries
+		"backoff":     {ok, no, no, no, no}, // 0: no hold
+		"fault-seed":  {ok, no, no, no, no},
+	})
 }

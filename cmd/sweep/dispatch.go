@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"log"
 	"os"
 	"os/signal"
 	"syscall"
@@ -16,39 +15,17 @@ import (
 	"repro/internal/vfs"
 )
 
-// dispatchOpts carries the optional dispatch-mode knobs: decision-log
-// verbosity, the integrity/containment configuration forwarded to the
-// fabric, where to write the poisoned-cell sidecar, and the started hook
-// (which receives the bound address once listening, so tests can dial an
-// ephemeral port).
-type dispatchOpts struct {
-	verbose         bool
-	verifySample    float64
-	verifySeed      uint64
-	poisonAfter     int
-	poisonedSidecar string
-	started         func(string)
-}
-
-// sidecarPath resolves where the poisoned-cell report goes: the explicit
-// flag, else next to the journal, else nowhere (the exit error still names
-// every poisoned cell).
-func (o dispatchOpts) sidecarPath(journal string) string {
-	if o.poisonedSidecar != "" {
-		return o.poisonedSidecar
-	}
-	if journal != "" {
-		return journal + ".poisoned.json"
-	}
-	return ""
-}
-
 // runDispatch serves the grid to simd daemons: sweep becomes the fabric
 // dispatcher and the CSV is reassembled from remotely-computed rows in
 // strict grid order — byte-identical to the local path, because both sides
 // run the same sweepgrid cells and row encoder.
 //
-// With journal set the campaign is crash-recoverable: accepted rows are
+// fcfg carries the dispatch-mode flags (journal, verification sample,
+// poison threshold, decision log); runDispatch adds the grid, the row sink
+// and the filesystem. started, when set, receives the bound address once
+// listening, so tests can dial an ephemeral port.
+//
+// With a journal the campaign is crash-recoverable: accepted rows are
 // journaled, and a dispatcher restarted on the same journal re-emits the
 // committed prefix, requeues the rest, and fences workers still holding
 // pre-crash leases. The signal ladder matches simd and mini-slurm: the
@@ -59,9 +36,11 @@ func (o dispatchOpts) sidecarPath(journal string) string {
 // A campaign that completes around poisoned cells returns the fabric's
 // *PoisonedError (sweep exits nonzero — the CSV is incomplete) after writing
 // a machine-readable sidecar naming each poisoned cell and why, so an
-// operator can recompute exactly the missing rows.
-func runDispatch(cfg config, addr, journal string, out io.Writer, opts dispatchOpts) error {
-	spec := cfg.spec()
+// operator can recompute exactly the missing rows. The sidecar goes to
+// sidecar, else next to the journal, else nowhere (the exit error still
+// names every poisoned cell).
+func runDispatch(spec sweepgrid.Spec, addr string, fcfg fabric.Config, sidecar string, out io.Writer,
+	started func(string)) error {
 	specBytes, err := spec.Marshal()
 	if err != nil {
 		return err
@@ -77,22 +56,10 @@ func runDispatch(cfg config, addr, journal string, out io.Writer, opts dispatchO
 	if _, err := out.Write(header); err != nil {
 		return err
 	}
-	fcfg := fabric.Config{
-		Cells: spec.NumCells(),
-		Spec:  specBytes,
-		Consume: func(i int, row []byte) error {
-			_, err := out.Write(row)
-			return err
-		},
-		JournalPath:    journal,
-		FS:             vfs.OS{},
-		VerifyFraction: opts.verifySample,
-		VerifySeed:     opts.verifySeed,
-		PoisonAfter:    opts.poisonAfter,
-	}
-	if opts.verbose {
-		logger := log.New(os.Stderr, "sweep: ", log.Ltime|log.Lmicroseconds)
-		fcfg.Logf = logger.Printf
+	fcfg.Cells, fcfg.Spec, fcfg.FS = spec.NumCells(), specBytes, vfs.OS{}
+	fcfg.Consume = func(i int, row []byte) error {
+		_, err := out.Write(row)
+		return err
 	}
 	d, err := fabric.NewDispatcher(fcfg)
 	if err != nil {
@@ -128,13 +95,16 @@ func runDispatch(cfg config, addr, journal string, out io.Writer, opts dispatchO
 	if err != nil {
 		return err
 	}
-	if opts.started != nil {
-		opts.started(bound)
+	if started != nil {
+		started(bound)
 	}
 	err = d.Wait(context.Background())
 	var perr *fabric.PoisonedError
 	if errors.As(err, &perr) {
-		writePoisonedSidecar(opts.sidecarPath(journal), perr)
+		if sidecar == "" && fcfg.JournalPath != "" {
+			sidecar = fcfg.JournalPath + ".poisoned.json"
+		}
+		writePoisonedSidecar(sidecar, perr)
 	}
 	return err
 }

@@ -20,15 +20,15 @@ import (
 // are computed remotely, complete out of order, and are reassembled in
 // strict grid order — the bytes must not care.
 func TestDifferentialDispatch(t *testing.T) {
-	cfg := gridConfig(t, 2)
-	local := runToBytes(t, cfg)
+	grid := gridSpec()
+	local := runToBytes(t, grid, 2)
 
 	var remote bytes.Buffer
 	started := make(chan string, 1)
 	dispatchErr := make(chan error, 1)
 	go func() {
-		dispatchErr <- runDispatch(cfg, "127.0.0.1:0", "", &remote,
-			dispatchOpts{started: func(addr string) { started <- addr }})
+		dispatchErr <- runDispatch(grid, "127.0.0.1:0", fabric.Config{}, "", &remote,
+			func(addr string) { started <- addr })
 	}()
 
 	var addr string
@@ -90,8 +90,8 @@ func TestDifferentialDispatch(t *testing.T) {
 // no cell is recomputed, the header lands before the replayed rows, and the
 // second run exits as soon as the recovered prefix covers the grid.
 func TestDispatchJournalResume(t *testing.T) {
-	cfg := gridConfig(t, 2)
-	local := runToBytes(t, cfg)
+	grid := gridSpec()
+	local := runToBytes(t, grid, 2)
 	journal := filepath.Join(t.TempDir(), "grid.journal")
 
 	// First run: a journaled campaign completed by real workers.
@@ -99,8 +99,8 @@ func TestDispatchJournalResume(t *testing.T) {
 	started := make(chan string, 1)
 	dispatchErr := make(chan error, 1)
 	go func() {
-		dispatchErr <- runDispatch(cfg, "127.0.0.1:0", journal, &first,
-			dispatchOpts{started: func(addr string) { started <- addr }})
+		dispatchErr <- runDispatch(grid, "127.0.0.1:0", fabric.Config{JournalPath: journal}, "", &first,
+			func(addr string) { started <- addr })
 	}()
 	var addr string
 	select {
@@ -149,7 +149,7 @@ func TestDispatchJournalResume(t *testing.T) {
 	// Second run: same journal, no workers. Every row must come back from
 	// the journal alone, byte-identical.
 	var second bytes.Buffer
-	if err := runDispatch(cfg, "127.0.0.1:0", journal, &second, dispatchOpts{}); err != nil {
+	if err := runDispatch(grid, "127.0.0.1:0", fabric.Config{JournalPath: journal}, "", &second, nil); err != nil {
 		t.Fatalf("journal replay: %v", err)
 	}
 	if !bytes.Equal(local, second.Bytes()) {
@@ -161,12 +161,12 @@ func TestDispatchJournalResume(t *testing.T) {
 // TestDispatchJournalRefusesOtherGrid: restarting with the same journal but
 // a different grid must refuse rather than mix campaigns.
 func TestDispatchJournalRefusesOtherGrid(t *testing.T) {
-	cfg := gridConfig(t, 2)
+	grid := gridSpec()
 	journal := filepath.Join(t.TempDir(), "grid.journal")
 	var out bytes.Buffer
 	done := make(chan error, 1)
 	go func() {
-		done <- runDispatch(cfg, "127.0.0.1:0", journal, &out, dispatchOpts{})
+		done <- runDispatch(grid, "127.0.0.1:0", fabric.Config{JournalPath: journal}, "", &out, nil)
 	}()
 	// The journal header+campaign records are written inside NewDispatcher,
 	// before Listen; poll until the file exists, then abandon the campaign.
@@ -181,12 +181,10 @@ func TestDispatchJournalRefusesOtherGrid(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 
-	other, err := validate("easy", "0.9", 1, 32, 150, "trinity", 0.05, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	other := grid
+	other.Policies, other.Loads, other.Seeds = []string{"easy"}, []float64{0.9}, 1
 	var out2 bytes.Buffer
-	if err := runDispatch(other, "127.0.0.1:0", journal, &out2, dispatchOpts{}); !errors.Is(err, fabric.ErrCampaignMismatch) {
+	if err := runDispatch(other, "127.0.0.1:0", fabric.Config{JournalPath: journal}, "", &out2, nil); !errors.Is(err, fabric.ErrCampaignMismatch) {
 		t.Fatalf("dispatch on foreign journal = %v, want ErrCampaignMismatch", err)
 	}
 }
@@ -199,16 +197,16 @@ func TestDispatchJournalRefusesOtherGrid(t *testing.T) {
 // the local run byte-for-byte.
 func TestDispatchPoisonedSidecar(t *testing.T) {
 	const badCell = 3
-	cfg := gridConfig(t, 2)
-	local := runToBytes(t, cfg)
+	grid := gridSpec()
+	local := runToBytes(t, grid, 2)
 	journal := filepath.Join(t.TempDir(), "grid.journal")
 
 	var remote bytes.Buffer
 	started := make(chan string, 1)
 	dispatchErr := make(chan error, 1)
 	go func() {
-		dispatchErr <- runDispatch(cfg, "127.0.0.1:0", journal, &remote,
-			dispatchOpts{poisonAfter: 2, started: func(addr string) { started <- addr }})
+		dispatchErr <- runDispatch(grid, "127.0.0.1:0", fabric.Config{JournalPath: journal, PoisonAfter: 2}, "", &remote,
+			func(addr string) { started <- addr })
 	}()
 	var addr string
 	select {

@@ -35,6 +35,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"log"
 	"os"
 	"time"
 
@@ -43,137 +44,105 @@ import (
 	"repro/internal/sweepgrid"
 )
 
-// config is a fully validated sweep invocation.
-type config struct {
-	policies []string
-	loads    []float64
-	seeds    int
-	nodes    int
-	jobs     int
-	mixName  string
-	scale    float64
-	workers  int
-}
-
-// spec renders the config as the shared grid definition both execution
-// paths (local goroutines, dispatched daemons) run from.
-func (c config) spec() sweepgrid.Spec {
-	return sweepgrid.Spec{
-		Policies: c.policies,
-		Loads:    c.loads,
-		Seeds:    c.seeds,
-		Nodes:    c.nodes,
-		Jobs:     c.jobs,
-		Mix:      c.mixName,
-		Scale:    c.scale,
+func main() {
+	err := run(os.Args[1:], os.Stdout)
+	if err == nil || errors.Is(err, flag.ErrHelp) {
+		return
+	}
+	fmt.Fprintln(os.Stderr, "sweep:", err)
+	// A drained campaign is a clean, resumable stop, not a failure. After any
+	// other error the completed rows were already flushed.
+	if !errors.Is(err, fabric.ErrDrained) {
+		os.Exit(1)
 	}
 }
 
-func main() {
-	policies := flag.String("policies", "easy,sharefirstfit,sharebackfill",
-		"comma-separated policy list")
-	loads := flag.String("loads", "0.6,0.9,1.2,1.5", "comma-separated offered loads")
-	seeds := flag.Int("seeds", 3, "seeds per cell (42, 43, …)")
-	nodes := flag.Int("nodes", 32, "machine size")
-	jobs := flag.Int("jobs", 300, "jobs per run")
-	mixName := flag.String("mix", "trinity", "application mix")
-	scale := flag.Float64("scale", 0.05, "runtime scale")
-	workers := flag.Int("workers", 0, "parallel grid workers (0 = all cores)")
-	dispatch := flag.String("dispatch", "",
+// run parses args and runs the grid in-process, or serves it to simd daemons
+// with -dispatch, streaming the CSV to stdout. The grid flags bind onto
+// sweepgrid.Spec, whose Validate checks the whole grid before any cell runs;
+// -workers and the dispatch-mode numbers are run arguments, checked here.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
+	var spec sweepgrid.Spec
+	var fcfg fabric.Config
+	policies := fs.String("policies", "easy,sharefirstfit,sharebackfill", "comma-separated policy list")
+	loads := fs.String("loads", "0.6,0.9,1.2,1.5", "comma-separated offered loads")
+	fs.IntVar(&spec.Seeds, "seeds", 3, "seeds per cell (42, 43, …)")
+	fs.IntVar(&spec.Nodes, "nodes", 32, "machine size")
+	fs.IntVar(&spec.Jobs, "jobs", 300, "jobs per run")
+	fs.StringVar(&spec.Mix, "mix", "trinity", "application mix")
+	fs.Float64Var(&spec.Scale, "scale", 0.05, "runtime scale")
+	workers := fs.Int("workers", 0, "parallel grid workers (0 = all cores)")
+	dispatch := fs.String("dispatch", "",
 		"serve the grid to simd daemons on this address (e.g. :7077) instead of running locally")
-	journal := flag.String("journal", "",
+	fs.StringVar(&fcfg.JournalPath, "journal", "",
 		"campaign journal path (dispatch mode): makes the campaign crash-recoverable; restart with the same journal to resume")
-	dispatchHealth := flag.String("dispatch-health", "",
+	dispatchHealth := fs.String("dispatch-health", "",
 		"query a running dispatcher's health at this address, print the JSON reply, and exit")
-	verbose := flag.Bool("verbose", false, "log every lease decision to stderr (dispatch mode)")
-	verifySample := flag.Float64("verify-sample", 0,
+	verbose := fs.Bool("verbose", false, "log every lease decision to stderr (dispatch mode)")
+	fs.Float64Var(&fcfg.VerifyFraction, "verify-sample", 0,
 		"fraction of cells to re-execute on a second worker and byte-compare (dispatch mode; 0 disables, 1 verifies every cell; needs ≥2 workers)")
-	verifySeed := flag.Uint64("verify-seed", 0,
+	fs.Uint64Var(&fcfg.VerifySeed, "verify-seed", 0,
 		"seed selecting which cells fall in the verification sample (dispatch mode)")
-	poisonAfter := flag.Int("poison-after", 0,
+	fs.IntVar(&fcfg.PoisonAfter, "poison-after", 0,
 		"retire a cell as POISONED after it fails on this many distinct workers (dispatch mode; 0 = fabric default of 3)")
-	poisonedSidecar := flag.String("poisoned-sidecar", "",
+	sidecar := fs.String("poisoned-sidecar", "",
 		"where to write the poisoned-cell JSON report (dispatch mode; default <journal>.poisoned.json when -journal is set)")
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	if *dispatchHealth != "" {
 		h, err := fabric.FetchDispatchHealth(*dispatchHealth, 5*time.Second)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
-		if err := enc.Encode(h); err != nil {
-			fatal(err)
-		}
-		return
+		return enc.Encode(h)
 	}
 
-	cfg, err := validate(*policies, *loads, *seeds, *nodes, *jobs, *mixName, *scale, *workers)
-	if err != nil {
-		fatal(err)
+	var err error
+	if spec.Policies, err = splitList("policies", *policies); err != nil {
+		return err
+	}
+	if spec.Loads, err = parseLoads(*loads); err != nil {
+		return err
+	}
+	if err := spec.Validate(); err != nil {
+		return err
+	}
+	switch {
+	case *workers < 0:
+		return fmt.Errorf("-workers must be ≥ 0 (0 = all cores), got %d", *workers)
+	case !(fcfg.VerifyFraction >= 0 && fcfg.VerifyFraction <= 1):
+		return fmt.Errorf("-verify-sample must be in [0, 1], got %g", fcfg.VerifyFraction)
+	case fcfg.PoisonAfter < 0:
+		return fmt.Errorf("-poison-after must be ≥ 0 (0 = fabric default), got %d", fcfg.PoisonAfter)
 	}
 	if *dispatch != "" {
-		err = runDispatch(cfg, *dispatch, *journal, os.Stdout, dispatchOpts{
-			verbose:         *verbose,
-			verifySample:    *verifySample,
-			verifySeed:      *verifySeed,
-			poisonAfter:     *poisonAfter,
-			poisonedSidecar: *poisonedSidecar,
-			started: func(addr string) {
-				fmt.Fprintln(os.Stderr, "sweep: dispatching grid on", addr)
-			},
+		if *verbose {
+			fcfg.Logf = log.New(os.Stderr, "sweep: ", log.Ltime|log.Lmicroseconds).Printf
+		}
+		return runDispatch(spec, *dispatch, fcfg, *sidecar, stdout, func(addr string) {
+			fmt.Fprintln(os.Stderr, "sweep: dispatching grid on", addr)
 		})
-		if errors.Is(err, fabric.ErrDrained) {
-			// A drained campaign is a clean, resumable stop, not a failure.
-			fmt.Fprintln(os.Stderr, "sweep:", err)
-			return
-		}
-	} else {
-		if *journal != "" {
-			fatal(errors.New("-journal requires -dispatch (the local path recomputes cells instead)"))
-		}
-		err = run(cfg, os.Stdout)
 	}
-	if err != nil {
-		// Completed rows were already flushed; exit non-zero without
-		// dropping them.
-		fatal(err)
+	if fcfg.JournalPath != "" {
+		return errors.New("-journal requires -dispatch (the local path recomputes cells instead)")
 	}
+	return runGrid(spec, *workers, stdout)
 }
 
-// validate parses the list flags and checks the grid up front, through
-// sweepgrid.Spec.Validate, so the grid never starts doomed.
-func validate(policies, loads string, seeds, nodes, jobs int, mixName string,
-	scale float64, workers int) (config, error) {
-
-	var cfg config
-	var err error
-	if cfg.policies, err = splitList("policies", policies); err != nil {
-		return config{}, err
-	}
-	if cfg.loads, err = parseLoads(loads); err != nil {
-		return config{}, err
-	}
-	cfg.seeds, cfg.nodes, cfg.jobs, cfg.scale = seeds, nodes, jobs, scale
-	cfg.mixName = mixName
-	cfg.workers = workers
-	if err := cfg.spec().Validate(); err != nil {
-		return config{}, err
-	}
-	return cfg, nil
-}
-
-// run executes the grid in-process and streams CSV rows to out in grid
+// runGrid executes the grid in-process and streams CSV rows to out in grid
 // order. On error the completed row prefix is flushed before returning, so a
 // mid-grid failure never discards finished work.
-func run(cfg config, out io.Writer) error {
-	spec := cfg.spec()
+func runGrid(spec sweepgrid.Spec, workers int, out io.Writer) error {
 	w := csv.NewWriter(out)
 	if err := w.Write(sweepgrid.Header()); err != nil {
 		return err
 	}
-	err := parallel.RunOrdered(spec.NumCells(), cfg.workers,
+	err := parallel.RunOrdered(spec.NumCells(), workers,
 		func(i int) ([]string, error) { return spec.RunCell(i) },
 		func(i int, row []string) error { return w.Write(row) })
 	// Flush whatever reached the writer — on failure that is every row below
@@ -183,9 +152,4 @@ func run(cfg config, out io.Writer) error {
 		return err
 	}
 	return w.Error()
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "sweep:", err)
-	os.Exit(1)
 }

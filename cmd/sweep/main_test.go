@@ -4,34 +4,47 @@ import (
 	"bytes"
 	"errors"
 	"flag"
-	"math"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
+	"repro/cmd/internal/flagtable"
 	"repro/internal/sched"
+	"repro/internal/sweepgrid"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files with current output")
 
-// gridConfig is the test grid: small enough to run in well under a second,
+// gridSpec is the test grid: small enough to run in well under a second,
 // rich enough to exercise every sharing policy and two load regimes.
-func gridConfig(t *testing.T, workers int) config {
-	t.Helper()
-	cfg, err := validate("easy,sharefirstfit,sharebackfill", "0.9,1.4",
-		2, 32, 150, "trinity", 0.05, workers)
-	if err != nil {
-		t.Fatal(err)
+func gridSpec() sweepgrid.Spec {
+	return sweepgrid.Spec{
+		Policies: []string{"easy", "sharefirstfit", "sharebackfill"}, Loads: []float64{0.9, 1.4},
+		Seeds: 2, Nodes: 32, Jobs: 150, Mix: "trinity", Scale: 0.05,
 	}
-	return cfg
 }
 
-func runToBytes(t *testing.T, cfg config) []byte {
+// specArgs renders a grid as sweep's flags.
+func specArgs(s sweepgrid.Spec, workers int) []string {
+	loads := make([]string, len(s.Loads))
+	for i, l := range s.Loads {
+		loads[i] = strconv.FormatFloat(l, 'g', -1, 64)
+	}
+	return []string{
+		"-policies", strings.Join(s.Policies, ","), "-loads", strings.Join(loads, ","),
+		"-seeds", strconv.Itoa(s.Seeds), "-nodes", strconv.Itoa(s.Nodes), "-jobs", strconv.Itoa(s.Jobs),
+		"-mix", s.Mix, "-scale", strconv.FormatFloat(s.Scale, 'g', -1, 64), "-workers", strconv.Itoa(workers),
+	}
+}
+
+// runToBytes runs sweep in-process on the grid's flags.
+func runToBytes(t *testing.T, s sweepgrid.Spec, workers int) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := run(cfg, &buf); err != nil {
+	if err := run(specArgs(s, workers), &buf); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -42,9 +55,9 @@ func runToBytes(t *testing.T, cfg config) []byte {
 // because rows are reassembled in grid order and each cell is a pure
 // function of its seed.
 func TestDifferentialWorkers(t *testing.T) {
-	sequential := runToBytes(t, gridConfig(t, 1))
+	sequential := runToBytes(t, gridSpec(), 1)
 	for _, workers := range []int{2, 4, 16} {
-		par := runToBytes(t, gridConfig(t, workers))
+		par := runToBytes(t, gridSpec(), workers)
 		if !bytes.Equal(sequential, par) {
 			t.Fatalf("workers=%d output differs from sequential run:\n--- workers=1 ---\n%s\n--- workers=%d ---\n%s",
 				workers, sequential, workers, par)
@@ -56,7 +69,7 @@ func TestDifferentialWorkers(t *testing.T) {
 // generated before the scheduler's free-capacity index landed; a diff here
 // means scheduler decisions (not just performance) changed.
 func TestGoldenCSV(t *testing.T) {
-	got := runToBytes(t, gridConfig(t, 4))
+	got := runToBytes(t, gridSpec(), 4)
 	golden := filepath.Join("testdata", "sweep_golden.csv")
 	if *update {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
@@ -82,56 +95,57 @@ func TestGridHammerRace(t *testing.T) {
 	if testing.Short() {
 		t.Skip("large grid; skipped in -short")
 	}
-	cfg, err := validate("easy,sharefirstfit,sharebackfill", "0.6,1.0,1.4",
-		4, 16, 40, "trinity", 0.02, 16)
-	if err != nil {
-		t.Fatal(err)
+	s := sweepgrid.Spec{
+		Policies: []string{"easy", "sharefirstfit", "sharebackfill"}, Loads: []float64{0.6, 1.0, 1.4},
+		Seeds: 4, Nodes: 16, Jobs: 40, Mix: "trinity", Scale: 0.02,
 	}
-	seq := cfg
-	seq.workers = 1
-	if !bytes.Equal(runToBytes(t, cfg), runToBytes(t, seq)) {
+	if !bytes.Equal(runToBytes(t, s, 16), runToBytes(t, s, 1)) {
 		t.Fatal("hammer grid output differs between 16 workers and sequential")
 	}
 }
 
+// Every bad grid or run argument is refused before the CSV header is
+// written.
 func TestValidateRejectsBadFlags(t *testing.T) {
-	cases := []struct {
-		name               string
-		policies, loads    string
-		seeds, nodes, jobs int
-		mix                string
-		scale              float64
+	for _, tc := range []struct {
+		name string
+		args []string
 	}{
-		{"trailing comma in policies", "easy,", "1.0", 1, 8, 10, "trinity", 0.05},
-		{"duplicate comma in policies", "easy,,sharebackfill", "1.0", 1, 8, 10, "trinity", 0.05},
-		{"unknown policy", "easy,notapolicy", "1.0", 1, 8, 10, "trinity", 0.05},
-		{"trailing comma in loads", "easy", "0.9,1.4,", 1, 8, 10, "trinity", 0.05},
-		{"duplicate comma in loads", "easy", "0.9,,1.4", 1, 8, 10, "trinity", 0.05},
-		{"empty loads", "easy", "", 1, 8, 10, "trinity", 0.05},
-		{"non-numeric load", "easy", "fast", 1, 8, 10, "trinity", 0.05},
-		{"negative load", "easy", "-0.5", 1, 8, 10, "trinity", 0.05},
-		{"NaN load", "easy", "NaN", 1, 8, 10, "trinity", 0.05},
-		{"zero seeds", "easy", "1.0", 0, 8, 10, "trinity", 0.05},
-		{"negative seeds", "easy", "1.0", -2, 8, 10, "trinity", 0.05},
-		{"zero nodes", "easy", "1.0", 1, 0, 10, "trinity", 0.05},
-		{"zero jobs", "easy", "1.0", 1, 8, 0, "trinity", 0.05},
-		{"bad mix", "easy", "1.0", 1, 8, 10, "nosuchmix", 0.05},
-		{"zero scale", "easy", "1.0", 1, 8, 10, "trinity", 0},
-		{"infinite scale", "easy", "1.0", 1, 8, 10, "trinity", math.Inf(1)},
-		{"tiny scale", "easy", "1.0", 1, 8, 10, "trinity", 1e-320},
-		{"policy not in registry", "easy,slurm", "1.0", 1, 8, 10, "trinity", 0.05},
-		{"zero load", "easy", "0", 1, 8, 10, "trinity", 0.05},
-		{"-Inf load", "easy", "-Inf", 1, 8, 10, "trinity", 0.05},
-		{"+Inf load", "easy", "+Inf", 1, 8, 10, "trinity", 0.05},
-		{"load above 1e9", "easy", "1e300", 1, 8, 10, "trinity", 0.05},
-		{"huge load", "easy", "1e308", 1, 8, 10, "trinity", 0.05},
-		{"malformed load", "easy", "0x", 1, 8, 10, "trinity", 0.05},
-		{"one bad load of two", "easy", "1.0,oops", 1, 8, 10, "trinity", 0.05},
-	}
-	for _, tc := range cases {
-		if _, err := validate(tc.policies, tc.loads, tc.seeds, tc.nodes, tc.jobs,
-			tc.mix, tc.scale, 0); err == nil {
-			t.Errorf("%s: validate accepted it", tc.name)
+		{"trailing comma in policies", []string{"-policies", "easy,"}},
+		{"duplicate comma in policies", []string{"-policies", "easy,,sharebackfill"}},
+		{"unknown policy", []string{"-policies", "easy,notapolicy"}},
+		{"trailing comma in loads", []string{"-loads", "0.9,1.4,"}},
+		{"duplicate comma in loads", []string{"-loads", "0.9,,1.4"}},
+		{"empty loads", []string{"-loads", ""}},
+		{"non-numeric load", []string{"-loads", "fast"}},
+		{"negative load", []string{"-loads", "-0.5"}},
+		{"NaN load", []string{"-loads", "NaN"}},
+		{"zero seeds", []string{"-seeds", "0"}},
+		{"negative seeds", []string{"-seeds", "-2"}},
+		{"zero nodes", []string{"-nodes", "0"}},
+		{"zero jobs", []string{"-jobs", "0"}},
+		{"bad mix", []string{"-mix", "nosuchmix"}},
+		{"zero scale", []string{"-scale", "0"}},
+		{"infinite scale", []string{"-scale", "+Inf"}},
+		{"tiny scale", []string{"-scale", "1e-320"}},
+		{"policy not in registry", []string{"-policies", "easy,slurm"}},
+		{"zero load", []string{"-loads", "0"}},
+		{"-Inf load", []string{"-loads", "-Inf"}},
+		{"+Inf load", []string{"-loads", "+Inf"}},
+		{"load above 1e9", []string{"-loads", "1e300"}},
+		{"huge load", []string{"-loads", "1e308"}},
+		{"malformed load", []string{"-loads", "0x"}},
+		{"one bad load of two", []string{"-loads", "1.0,oops"}},
+		{"negative workers", []string{"-workers", "-1"}}, // it ran on all cores
+		{"journal without dispatch", []string{"-journal", "grid.journal"}},
+	} {
+		args := append([]string{"-policies", "easy", "-loads", "1.0", "-seeds", "1", "-nodes", "8", "-jobs", "10"}, tc.args...)
+		var out bytes.Buffer
+		if err := run(args, &out); err == nil {
+			t.Errorf("%s: run accepted it", tc.name)
+		}
+		if out.Len() != 0 {
+			t.Errorf("%s: wrote before refusing:\n%s", tc.name, out.Bytes())
 		}
 	}
 }
@@ -163,19 +177,21 @@ func TestInfiniteScaleWritesNothing(t *testing.T) {
 	}
 }
 
+// Every registry policy and the load bound run, and spaces around list
+// entries are trimmed: the grid is byte-for-byte the unspaced one.
 func TestValidateAcceptsSpaces(t *testing.T) {
-	if _, err := validate(strings.Join(sched.Names(), ","), "0.6,1e9", 1, 8, 10, "trinity", 0.05, 0); err != nil {
-		t.Fatalf("every registry policy and the load bound: %v", err)
-	}
-	cfg, err := validate(" easy , sharebackfill ", " 0.9 , 1.4 ", 1, 8, 10, "trinity", 0.05, 0)
-	if err != nil {
+	s := sweepgrid.Spec{Policies: sched.Names(), Loads: []float64{0.6, 1e9}, Seeds: 1, Nodes: 8, Jobs: 10, Mix: "trinity", Scale: 0.05}
+	runToBytes(t, s, 0)
+	s.Policies, s.Loads = []string{"easy", "sharebackfill"}, []float64{0.9, 1.4}
+	want := runToBytes(t, s, 1)
+	args := specArgs(s, 1)
+	args[1], args[3] = " easy , sharebackfill ", " 0.9 , 1.4 "
+	var got bytes.Buffer
+	if err := run(args, &got); err != nil {
 		t.Fatal(err)
 	}
-	if len(cfg.policies) != 2 || cfg.policies[0] != "easy" || cfg.policies[1] != "sharebackfill" {
-		t.Fatalf("policies = %v", cfg.policies)
-	}
-	if len(cfg.loads) != 2 || cfg.loads[0] != 0.9 || cfg.loads[1] != 1.4 {
-		t.Fatalf("loads = %v", cfg.loads)
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Fatalf("spaced lists ran another grid:\n%s\nwant:\n%s", got.Bytes(), want)
 	}
 }
 
@@ -195,11 +211,25 @@ func (w *failAfterWriter) Write(p []byte) (int, error) {
 }
 
 func TestRunReportsWriterError(t *testing.T) {
-	cfg, err := validate("easy", "1.0", 1, 8, 20, "trinity", 0.02, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := run(cfg, &failAfterWriter{n: 10}); err == nil {
+	args := []string{"-policies", "easy", "-loads", "1.0", "-seeds", "1", "-nodes", "8", "-jobs", "20", "-scale", "0.02", "-workers", "1"}
+	if err := run(args, &failAfterWriter{n: 10}); err == nil {
 		t.Fatal("run succeeded despite a failing writer")
 	}
+}
+
+// TestNumericFlags is the cross-command table (cmd/internal/flagtable): every
+// numeric flag with 0, −1, NaN, +Inf and 1e308.
+func TestNumericFlags(t *testing.T) {
+	ok, no := true, false
+	flagtable.Check(t, run, []string{"-policies", "easy", "-loads", "1", "-seeds", "1", "-jobs", "5", "-nodes", "4"}, nil, map[string][5]bool{
+		// The outcomes for 0, −1, NaN, +Inf and 1e308.
+		"seeds":         {no, no, no, no, no},
+		"nodes":         {no, no, no, no, no},
+		"jobs":          {no, no, no, no, no},
+		"scale":         {no, no, no, no, no},
+		"workers":       {ok, no, no, no, no}, // 0: all cores
+		"verify-sample": {ok, no, no, no, no}, // 0: no verification
+		"verify-seed":   {ok, no, no, no, no},
+		"poison-after":  {ok, no, no, no, no}, // 0: the fabric default
+	})
 }

@@ -20,9 +20,6 @@ func splitList(flagName, s string) ([]string, error) {
 		}
 		out = append(out, p)
 	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("-%s: needs at least one entry", flagName)
-	}
 	return out, nil
 }
 

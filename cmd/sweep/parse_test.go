@@ -4,6 +4,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"repro/internal/sweepgrid"
 )
 
 func TestSplitListRejectsEmptyEntries(t *testing.T) {
@@ -14,16 +16,30 @@ func TestSplitListRejectsEmptyEntries(t *testing.T) {
 	}
 }
 
-// validLoads and validPolicies run validate with one list flag fuzzed and
-// every other flag valid.
+// validLoads and validPolicies parse one list flag and check the grid it
+// gives, as run does, with every other flag valid.
 func validLoads(loads string) ([]float64, error) {
-	cfg, err := validate("easy", loads, 1, 8, 10, "trinity", 0.05, 1)
-	return cfg.loads, err
+	l, err := parseLoads(loads)
+	if err != nil {
+		return nil, err
+	}
+	s := validGrid()
+	s.Loads = l
+	return l, s.Validate()
 }
 
 func validPolicies(policies string) ([]string, error) {
-	cfg, err := validate(policies, "1.0", 1, 8, 10, "trinity", 0.05, 1)
-	return cfg.policies, err
+	p, err := splitList("policies", policies)
+	if err != nil {
+		return nil, err
+	}
+	s := validGrid()
+	s.Policies = p
+	return p, s.Validate()
+}
+
+func validGrid() sweepgrid.Spec {
+	return sweepgrid.Spec{Policies: []string{"easy"}, Loads: []float64{1}, Seeds: 1, Nodes: 8, Jobs: 10, Mix: "trinity", Scale: 0.05}
 }
 
 func TestParsePoliciesKnowsRegistry(t *testing.T) {
@@ -52,12 +68,12 @@ func TestParseLoadsValues(t *testing.T) {
 	}
 	for _, bad := range []string{"0", "-1", "NaN", "+Inf", "-Inf", "1e300", "0x", "1.0,oops"} {
 		if out, err := validLoads(bad); err == nil {
-			t.Errorf("validate(-loads %q) = %v, want error", bad, out)
+			t.Errorf("parse(-loads %q) = %v, want error", bad, out)
 		}
 	}
 }
 
-// FuzzParseLoads asserts that validate never panics on a -loads value and
+// FuzzParseLoads asserts that parsing and checking never panic on a -loads value and
 // that every accepted load list round-trips to positive finite values with
 // no empty entries.
 func FuzzParseLoads(f *testing.F) {
@@ -70,20 +86,20 @@ func FuzzParseLoads(f *testing.F) {
 			return
 		}
 		if len(loads) == 0 {
-			t.Fatalf("validate(-loads %q) accepted an empty list", s)
+			t.Fatalf("parse(-loads %q) accepted an empty list", s)
 		}
 		if len(loads) != strings.Count(s, ",")+1 {
-			t.Fatalf("validate(-loads %q) = %v: entry count mismatch", s, loads)
+			t.Fatalf("parse(-loads %q) = %v: entry count mismatch", s, loads)
 		}
 		for _, v := range loads {
 			if !(v > 0) || math.IsInf(v, 0) || math.IsNaN(v) {
-				t.Fatalf("validate(-loads %q) accepted non-positive/non-finite %v", s, v)
+				t.Fatalf("parse(-loads %q) accepted non-positive/non-finite %v", s, v)
 			}
 		}
 	})
 }
 
-// FuzzParsePolicies asserts that validate never panics on a -policies value
+// FuzzParsePolicies asserts that parsing and checking never panic on a -policies value
 // and only ever accepts trimmed, non-empty registry names.
 func FuzzParsePolicies(f *testing.F) {
 	for _, seed := range []string{"easy", "easy,sharebackfill", "", ",", "easy,,easy", " fcfs ", "EASY"} {
@@ -95,11 +111,11 @@ func FuzzParsePolicies(f *testing.F) {
 			return
 		}
 		if len(names) == 0 {
-			t.Fatalf("validate(-policies %q) accepted an empty list", s)
+			t.Fatalf("parse(-policies %q) accepted an empty list", s)
 		}
 		for _, n := range names {
 			if n == "" || n != strings.TrimSpace(n) {
-				t.Fatalf("validate(-policies %q) kept untrimmed/empty entry %q", s, n)
+				t.Fatalf("parse(-policies %q) kept untrimmed/empty entry %q", s, n)
 			}
 		}
 	})

@@ -34,13 +34,11 @@ func main() {
 // stdout, or to the -o file.
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("wlgen", flag.ContinueOnError)
-	jobs := fs.Int("jobs", 300, "number of jobs")
-	mixName := fs.String("mix", "trinity", "application mix: trinity|cpubound|membound|comm")
-	arrival := fs.String("arrival", "poisson", "arrival process: batch|poisson|dailycycle")
-	load := fs.Float64("load", 1.0, "offered load for open arrivals")
-	nodes := fs.Int("nodes", 32, "target machine size (node-count cap and load calibration)")
-	scale := fs.Float64("scale", 1.0, "runtime scale (0.05 shrinks hours to minutes)")
-	seed := fs.Uint64("seed", 42, "generator seed")
+	spec := workload.Spec{
+		Mix: workload.TrinityMix(), Jobs: 300, Arrival: workload.Poisson, Load: 1.0,
+		Cluster: cluster.Trinity(32), RuntimeScale: 1.0, Seed: 42,
+	}
+	workloadFlags := workload.BindFlags(fs, &spec)
 	out := fs.String("o", "", "output file (default stdout)")
 	analyze := fs.String("analyze", "", "print statistics for an existing SWF trace and exit")
 	if err := fs.Parse(args); err != nil {
@@ -60,27 +58,17 @@ func run(args []string, stdout io.Writer) error {
 		return swf.Analyze(tr).Render().Render(stdout)
 	}
 
-	mix, err := workload.MixByName(*mixName)
-	if err != nil {
+	if err := workloadFlags(); err != nil {
 		return err
 	}
-	arr, err := workload.ArrivalByName(*arrival)
-	if err != nil {
-		return err
-	}
-
-	machine := cluster.Trinity(*nodes)
-	generated, err := workload.Generate(workload.Spec{
-		Mix: mix, Jobs: *jobs, Arrival: arr, Load: *load,
-		Cluster: machine, RuntimeScale: *scale, Seed: *seed,
-	})
+	generated, err := workload.Generate(spec)
 	if err != nil {
 		return err
 	}
 
-	trace := swf.FromJobs(generated, machine)
+	trace := swf.FromJobs(generated, spec.Cluster)
 	trace.Header.Comments = append(trace.Header.Comments,
-		fmt.Sprintf("Mix: %s, Arrival: %s, Load: %g, Seed: %d", mix.Name, arr, *load, *seed))
+		fmt.Sprintf("Mix: %s, Arrival: %s, Load: %g, Seed: %d", spec.Mix.Name, spec.Arrival, spec.Load, spec.Seed))
 	if *out == "" {
 		return swf.Write(stdout, trace)
 	}

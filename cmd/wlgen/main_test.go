@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"os"
 	"testing"
+
+	"repro/cmd/internal/flagtable"
 )
 
 // A generated trace is byte-for-byte the recorded one (testdata/golden.swf,
@@ -50,4 +52,18 @@ func TestRefusesBadSpec(t *testing.T) {
 			t.Errorf("%v wrote before refusing:\n%s", args, out.Bytes())
 		}
 	}
+}
+
+// TestNumericFlags is the cross-command table (cmd/internal/flagtable): every
+// numeric flag with 0, −1, NaN, +Inf and 1e308.
+func TestNumericFlags(t *testing.T) {
+	ok, no := true, false
+	flagtable.Check(t, run, []string{"-jobs", "5", "-nodes", "4"}, nil, map[string][5]bool{
+		// The outcomes for 0, −1, NaN, +Inf and 1e308.
+		"nodes": {no, no, no, no, no},
+		"jobs":  {no, no, no, no, no},
+		"load":  {no, no, no, no, no},
+		"scale": {no, no, no, no, no},
+		"seed":  {ok, no, no, no, no},
+	})
 }

@@ -32,7 +32,8 @@ type Config struct {
 	// MTBF is the per-node mean time between failures in simulated seconds;
 	// 0 (or +Inf) disables node failures.
 	MTBF float64
-	// MTTR is the per-node mean time to repair in simulated seconds.
+	// MTTR is the per-node mean time to repair in simulated seconds, at
+	// most MaxDelay.
 	MTTR float64
 	// Shape is the Weibull shape of the time-to-failure distribution:
 	// 1 is exponential (memoryless), <1 models infant mortality, >1 wear-out.
@@ -46,7 +47,8 @@ type Config struct {
 	MaxRetries int
 	// Backoff is the hold applied before a requeued job re-enters the
 	// queue, doubling with each retry (exponential backoff); 0 means no
-	// hold.
+	// hold. It is at most MaxDelay, so the longest hold, BackoffFor(Backoff,
+	// 21) ≈ 1.05e15 s, stays finite and printable as a des.Time.
 	Backoff des.Duration
 	// Seed roots the failure RNG streams.
 	Seed uint64
@@ -58,8 +60,14 @@ type Config struct {
 // operator-forced failures.
 func Defaults() Config { return Config{Shape: 1, MaxRetries: 3, Backoff: 30, Seed: 1} }
 
-// Validate reports whether the configuration is usable. The repair time and
-// the Weibull shape must be positive and finite while node failures are on.
+// MaxDelay bounds the repair time and the base backoff, in simulated
+// seconds: the ceiling workload puts on an offered load.
+const MaxDelay = 1e9
+
+// Validate reports whether the configuration is usable. While node failures
+// are on, the repair time must be in (0, MaxDelay] and the Weibull shape
+// positive and finite, with a positive finite time-to-failure scale (for a
+// shape below ≈ 0.0058 the Gamma function overflows and the scale is 0).
 func (c Config) Validate() error {
 	switch {
 	case !(c.MTBF >= 0):
@@ -68,19 +76,25 @@ func (c Config) Validate() error {
 		return fmt.Errorf("fault: MTTR %g is not non-negative", c.MTTR)
 	case !(c.Shape >= 0):
 		return fmt.Errorf("fault: Weibull shape %g is not non-negative", c.Shape)
-	case c.nodeFailures() && !positiveFinite(c.MTTR):
-		return fmt.Errorf("fault: node failures need a positive finite MTTR, got %g", c.MTTR)
+	case c.nodeFailures() && !(c.MTTR > 0 && c.MTTR <= MaxDelay):
+		return fmt.Errorf("fault: node failures need an MTTR in (0, %g], got %g", float64(MaxDelay), c.MTTR)
 	case c.nodeFailures() && !positiveFinite(c.Shape):
 		return fmt.Errorf("fault: node failures need a positive finite Weibull shape, got %g", c.Shape)
+	case c.nodeFailures() && !positiveFinite(c.weibullScale()):
+		return fmt.Errorf("fault: MTBF %g at Weibull shape %g leaves a time-to-failure scale of %g",
+			c.MTBF, c.Shape, c.weibullScale())
 	case !(c.CrashProb >= 0 && c.CrashProb <= 1):
 		return fmt.Errorf("fault: crash probability %g outside [0,1]", c.CrashProb)
 	case c.MaxRetries < 0:
 		return fmt.Errorf("fault: negative retry budget %d", c.MaxRetries)
-	case !(c.Backoff >= 0) || math.IsInf(float64(c.Backoff), 1):
-		return fmt.Errorf("fault: backoff %g is not non-negative and finite", float64(c.Backoff))
+	case !(c.Backoff >= 0 && c.Backoff <= MaxDelay):
+		return fmt.Errorf("fault: backoff %g outside [0, %g]", float64(c.Backoff), float64(MaxDelay))
 	}
 	return nil
 }
+
+// weibullScale is the time-to-failure scale that gives a mean of MTBF.
+func (c Config) weibullScale() float64 { return c.MTBF / math.Gamma(1+1/c.Shape) }
 
 // Active reports whether the configuration injects any faults at all.
 func (c Config) Active() bool { return c.nodeFailures() || c.CrashProb > 0 }
@@ -150,7 +164,7 @@ func (in *Injector) Install(s *des.Simulator, fail, repair func(node int), workR
 }
 
 func (in *Injector) scheduleFail(s *des.Simulator, ni int, fail, repair func(int), workRemains func() bool) {
-	ttf := in.nodes[ni].Weibull(in.cfg.Shape, in.cfg.MTBF/math.Gamma(1+1/in.cfg.Shape))
+	ttf := in.nodes[ni].Weibull(in.cfg.Shape, in.cfg.weibullScale())
 	s.ScheduleIn(des.Duration(ttf), func(s *des.Simulator) {
 		if !workRemains() {
 			return // quiesce: no workload left to disturb

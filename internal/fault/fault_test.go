@@ -26,6 +26,11 @@ func TestValidate(t *testing.T) {
 		{Backoff: -1},
 		{Backoff: des.Duration(math.NaN())},
 		{Backoff: des.Duration(math.Inf(1))},
+		{Backoff: 1e300},
+		{Backoff: 1e308},
+		{MTBF: 100000, MTTR: 900, Shape: 0.001}, // Γ(1001) overflows: a zero Weibull scale
+		{MTBF: 100000, MTTR: 900, Shape: 0.005},
+		{MTBF: 100, MTTR: 1e308, Shape: 1},
 	}
 	for _, c := range bad {
 		if err := c.Validate(); err == nil {
@@ -38,6 +43,7 @@ func TestValidate(t *testing.T) {
 		{MTBF: 86400, MTTR: 900, Shape: 1},
 		{MTBF: math.Inf(1)}, // +Inf MTBF disables node failures
 		{CrashProb: 1},      // shape and repair time matter only to node failures
+		{MTBF: 100000, MTTR: MaxDelay, Shape: 0.006, Backoff: MaxDelay},
 	}
 	for _, c := range good {
 		if err := c.Validate(); err != nil {

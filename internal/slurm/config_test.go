@@ -79,6 +79,8 @@ func TestParseConfigErrors(t *testing.T) {
 		"neg backoff":     base + "FaultBackoff=-1\n",
 		"zero shape":      base + "FaultMTBF=100\nFaultMTTR=10\nFaultShape=0\n",
 		"inf repair":      base + "FaultMTBF=100\nFaultMTTR=+Inf\n",
+		"tiny shape":      base + "FaultMTBF=100000\nFaultMTTR=900\nFaultShape=0.001\n",
+		"huge backoff":    base + "FaultBackoff=1e300\n",
 	}
 	for name, input := range cases {
 		if _, err := ParseConfig(strings.NewReader(input)); err == nil {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/app"
@@ -16,6 +17,7 @@ import (
 	"repro/internal/job"
 	"repro/internal/sched"
 	"repro/internal/sim"
+	"repro/internal/stats"
 	"repro/internal/topology"
 	"repro/internal/workload"
 )
@@ -149,6 +151,72 @@ func FuzzDecodeSpec(f *testing.F) {
 			t.Fatalf("cell 0 of %s: %q (%v), then %q (%v)", b, first, err1, again, err2)
 		}
 	})
+}
+
+// FuzzScenario holds the scenario door. A scenario built from fuzzed policy,
+// workload and fault fields is refused by Validate or by its workload's
+// Validate, or it runs, and a second run gives the same result. Every input
+// is checked; for time, only a cheap one is run: at most 100 jobs on 64
+// nodes, as in FuzzDecodeSpec; with node failures on, an MTBF of at least
+// 3600 s, a repair time of at most a tenth of it and a shape of at least 0.5;
+// with any faults on, at most 5 retries 3600 s apart, a runtime scale of at
+// most 0.1 and an open-arrival load of at least 0.1. Outside that box faults
+// are slow, not wrong: an MTBF of 10 s on 4 nodes draws 7.8 M failures for
+// two jobs.
+func FuzzScenario(f *testing.F) {
+	// The first seed is the shape that panicked: Γ(1001) overflows, so the
+	// Weibull scale was 0.
+	f.Add("sharebackfill", uint8(0), uint8(1), 5, 4, 1.4, 0.05, uint64(42), 100000.0, 900.0, 0.001, 0.1, 3, 30.0, uint64(1))
+	f.Add("easy", uint8(1), uint8(0), 20, 8, 0.0, 0.05, uint64(7), 0.0, 0.0, 0.0, 0.5, 1, 1e300, uint64(0))
+	f.Add("sharefirstfit", uint8(2), uint8(2), 30, 16, 0.9, 0.02, uint64(3), 86400.0, 900.0, 1.5, 0.02, 0, 0.0, uint64(9))
+	f.Fuzz(func(t *testing.T, policy string, mix, arrival uint8, jobs, nodes int, load, scale float64,
+		seed uint64, mtbf, mttr, shape, crashProb float64, retries int, backoff float64, faultSeed uint64) {
+		mixes := workload.Mixes()
+		sc := Scenario{
+			Workload: workload.Spec{
+				Mix: mixes[int(mix)%len(mixes)], Jobs: jobs, Arrival: workload.Arrival(arrival % 3), Load: load,
+				Cluster: cluster.Trinity(nodes), RuntimeScale: scale, Seed: seed,
+			},
+			Policy: policy,
+			Share:  sched.DefaultShareConfig(),
+			Faults: fault.Config{
+				MTBF: mtbf, MTTR: mttr, Shape: shape, CrashProb: crashProb,
+				MaxRetries: retries, Backoff: des.Duration(backoff), Seed: faultSeed,
+			},
+		}
+		if sc.Validate() != nil || sc.Workload.Validate() != nil || jobs > 100 || nodes > 64 {
+			return
+		}
+		nodeFailures := mtbf > 0 && !math.IsInf(mtbf, 1)
+		if nodeFailures && (mtbf < 3600 || mttr > mtbf/10 || shape < 0.5) ||
+			sc.Faults.Active() && (retries > 5 || backoff > 3600 || scale > 0.1 ||
+				sc.Workload.Arrival != workload.Batch && load < 0.1) {
+			return
+		}
+		first, err := runOutcome(sc)
+		if err != nil {
+			t.Fatalf("%+v: %v", sc, err)
+		}
+		if again, err := runOutcome(sc); err != nil || again != first {
+			t.Fatalf("%+v ran twice to different results (%v):\n%s\n%s", sc, err, first, again)
+		}
+	})
+}
+
+// runOutcome runs the scenario and renders its result, without the
+// wall-clock pass timing, and each finished job's start and end.
+func runOutcome(sc Scenario) (string, error) {
+	r, jobs, err := sc.Run()
+	if err != nil {
+		return "", err
+	}
+	r.DecisionNanos = stats.Summary{}
+	var b strings.Builder
+	fmt.Fprintf(&b, "%+v\n", r)
+	for _, j := range jobs {
+		fmt.Fprintf(&b, "%d %v %v\n", j.ID, j.StartTime(), j.EndTime())
+	}
+	return b.String(), nil
 }
 
 // A cell is a pure function of (spec, index): two executions must produce

@@ -10,8 +10,10 @@
 package workload
 
 import (
+	"flag"
 	"fmt"
 	"math"
+	"strings"
 
 	"repro/internal/app"
 	"repro/internal/cluster"
@@ -142,8 +144,38 @@ func MixByName(name string) (Mix, error) {
 	return Mix{}, fmt.Errorf("workload: unknown mix %q", name)
 }
 
-// ArrivalByName returns the arrival process of the given name (see String).
-func ArrivalByName(name string) (Arrival, error) {
+// BindFlags defines the seven workload flags -nodes, -jobs, -mix, -arrival,
+// -load, -scale and -seed on fs, each defaulting to s's value, so every
+// command keeps its own defaults. Call the returned function after fs.Parse:
+// it sets s's mix and arrival by name and its machine to cluster.Trinity of
+// -nodes, then checks the spec with Validate.
+func BindFlags(fs *flag.FlagSet, s *Spec) func() error {
+	var mixes []string
+	for _, m := range Mixes() {
+		mixes = append(mixes, m.Name)
+	}
+	nodes := fs.Int("nodes", s.Cluster.Nodes, "machine size in Trinity nodes (also caps job sizes and calibrates the load)")
+	mix := fs.String("mix", s.Mix.Name, "application mix: "+strings.Join(mixes, "|"))
+	arrival := fs.String("arrival", s.Arrival.String(), "arrival process: batch|poisson|dailycycle")
+	fs.IntVar(&s.Jobs, "jobs", s.Jobs, "number of jobs")
+	fs.Float64Var(&s.Load, "load", s.Load, "offered load for open arrivals")
+	fs.Float64Var(&s.RuntimeScale, "scale", s.RuntimeScale, "runtime scale (0.05 shrinks hours to minutes)")
+	fs.Uint64Var(&s.Seed, "seed", s.Seed, "workload seed")
+	return func() error {
+		var err error
+		if s.Mix, err = MixByName(*mix); err != nil {
+			return err
+		}
+		if s.Arrival, err = arrivalByName(*arrival); err != nil {
+			return err
+		}
+		s.Cluster = cluster.Trinity(*nodes)
+		return s.Validate()
+	}
+}
+
+// arrivalByName returns the arrival process of the given name (see String).
+func arrivalByName(name string) (Arrival, error) {
 	for _, a := range []Arrival{Batch, Poisson, DailyCycle} {
 		if a.String() == name {
 			return a, nil

@@ -283,11 +283,11 @@ func TestArrivalString(t *testing.T) {
 		if a.String() != want {
 			t.Errorf("%d.String() = %q", int(a), a.String())
 		}
-		if got, err := ArrivalByName(want); err != nil || got != a {
-			t.Errorf("ArrivalByName(%q) = %v, %v", want, got, err)
+		if got, err := arrivalByName(want); err != nil || got != a {
+			t.Errorf("arrivalByName(%q) = %v, %v", want, got, err)
 		}
 	}
-	if _, err := ArrivalByName("arrival(7)"); err == nil {
+	if _, err := arrivalByName("arrival(7)"); err == nil {
 		t.Error("unknown arrival accepted")
 	}
 }
