@@ -42,6 +42,11 @@ func main() {
 	}
 }
 
+// maxSeeds bounds -seeds, which is checked before the seed list is built:
+// every seed is a simulation per policy per experiment, so a thousand is
+// already hours of work.
+const maxSeeds = 1000
+
 // run parses args and writes the tables of the experiments they name (all,
 // by default) to stdout. The numeric flags bind onto exp.Options, which
 // checks them as given before any experiment runs, so a bad flag never
@@ -74,8 +79,8 @@ func run(args []string, stdout io.Writer) error {
 	switch {
 	case *csv && *out == "":
 		return errors.New("-csv requires -out")
-	case *seeds < 1:
-		return fmt.Errorf("-seeds must be ≥ 1, got %d", *seeds)
+	case *seeds < 1 || *seeds > maxSeeds:
+		return fmt.Errorf("-seeds must be in [1, %d], got %d", maxSeeds, *seeds)
 	case *workers < 0:
 		return fmt.Errorf("-workers must be ≥ 0 (0 = all cores), got %d", *workers)
 	}

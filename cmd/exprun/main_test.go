@@ -100,7 +100,8 @@ func TestRunRejectsUnknownID(t *testing.T) {
 // written; zero must not fall through to exp.Options' defaults.
 func TestOptionsRejectsBadFlags(t *testing.T) {
 	for _, args := range [][]string{
-		{"-seeds", "0"},
+		{"-seeds", "0"}, {"-seeds", "1001"},
+		{"-seeds", "1000000000000"}, // it built a seed list of that length first
 		{"-nodes", "0"}, {"-nodes", "-4"},
 		{"-jobs", "0"}, {"-jobs", "-1"},
 		{"-scale", "0"}, {"-scale", "-0.5"}, {"-scale", "NaN"}, {"-scale", "+Inf"},

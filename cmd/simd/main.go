@@ -50,23 +50,58 @@ import (
 )
 
 func main() {
-	dispatch := flag.String("dispatch", "", "dispatcher address (required), e.g. host:7077")
-	id := flag.String("id", "", "stable worker identity (default: hostname-pid)")
-	parallel := flag.Int("parallel", 0, "concurrent cell loops (0 = all cores)")
-	health := flag.String("health", "", "serve the health verb on this address (e.g. :7078)")
-	specTimeout := flag.Duration("spec-timeout", time.Minute,
-		"how long to retry fetching the spec from the dispatcher")
-	maxReconnect := flag.Int("max-reconnect", 0,
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		var code exitCode
+		switch {
+		case errors.Is(err, flag.ErrHelp):
+			return
+		case errors.As(err, &code):
+			os.Exit(int(code))
+		}
+		fatal(err)
+	}
+}
+
+// exitCode is a failure already reported on stderr that exits with its own
+// status: -check-health's 1 and 2.
+type exitCode int
+
+func (c exitCode) Error() string { return fmt.Sprintf("exit status %d", int(c)) }
+
+// run parses args and refuses a bad flag before it does anything else; then
+// it answers -check-health, or runs the daemon until its campaign is done.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("simd", flag.ContinueOnError)
+	dispatch := fs.String("dispatch", "", "dispatcher address (required), e.g. host:7077")
+	id := fs.String("id", "", "stable worker identity (default: hostname-pid)")
+	parallel := fs.Int("parallel", 0, "concurrent cell loops (0 = all cores)")
+	health := fs.String("health", "", "serve the health verb on this address (e.g. :7078)")
+	specTimeout := fs.Duration("spec-timeout", time.Minute,
+		"how long to retry fetching the spec from the dispatcher (0 = one attempt)")
+	maxReconnect := fs.Int("max-reconnect", 0,
 		"give up after this many consecutive failed reconnect rounds (0 = retry forever)")
-	checkHealth := flag.String("check-health", "",
+	checkHealth := fs.String("check-health", "",
 		"query a daemon's -health address and exit by status (0 ok/draining, 2 fenced/quarantined, 1 unreachable)")
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	switch {
+	case *parallel < 0:
+		return fmt.Errorf("-parallel must be ≥ 0 (0 = all cores), got %d", *parallel)
+	case *specTimeout < 0:
+		return fmt.Errorf("-spec-timeout must be ≥ 0 (0 = one attempt), got %v", *specTimeout)
+	case *maxReconnect < 0:
+		return fmt.Errorf("-max-reconnect must be ≥ 0 (0 = retry forever), got %d", *maxReconnect)
+	}
 
 	if *checkHealth != "" {
-		os.Exit(runCheckHealth(*checkHealth, os.Stdout))
+		if code := runCheckHealth(*checkHealth, stdout); code != 0 {
+			return exitCode(code)
+		}
+		return nil
 	}
 	if *dispatch == "" {
-		fatal(fmt.Errorf("-dispatch is required"))
+		return errors.New("-dispatch is required")
 	}
 	if *id == "" {
 		host, err := os.Hostname()
@@ -75,19 +110,19 @@ func main() {
 		}
 		*id = fmt.Sprintf("%s-%d", host, os.Getpid())
 	}
-	if *parallel <= 0 {
+	if *parallel == 0 {
 		*parallel = runtime.NumCPU()
 	}
 
 	d, err := newDaemon(*dispatch, *id, *parallel, *specTimeout, *maxReconnect)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 
 	if *health != "" {
 		bound, stop, err := fabric.ServeHealth(*health, d.healthReport)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		defer stop()
 		fmt.Fprintln(os.Stderr, "simd: health on", bound)
@@ -96,6 +131,7 @@ func main() {
 	// First signal drains, second kills — the shutdown ladder ops expect.
 	sigs := make(chan os.Signal, 2)
 	signal.Notify(sigs, syscall.SIGINT, syscall.SIGTERM)
+	defer signal.Stop(sigs)
 	go func() {
 		<-sigs
 		fmt.Fprintln(os.Stderr, "simd: draining (signal again to kill)")
@@ -110,11 +146,9 @@ func main() {
 	runErr := d.Run(context.Background())
 	rep := d.healthReport()
 	fmt.Fprintf(os.Stderr, "simd: done, %d cells completed\n", rep.Fabric.CellsDone)
-	if runErr != nil {
-		// Typically ErrDispatcherUnreachable after the -max-reconnect budget:
-		// a clean nonzero exit a fleet supervisor can see and act on.
-		fatal(runErr)
-	}
+	// Typically ErrDispatcherUnreachable after the -max-reconnect budget: a
+	// clean nonzero exit a fleet supervisor can see and act on.
+	return runErr
 }
 
 // runCheckHealth is the -check-health query mode: fetch another daemon's

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/cmd/internal/flagtable"
 	"repro/internal/fabric"
 	"repro/internal/sweepgrid"
 )
@@ -228,4 +229,25 @@ func TestRunCheckHealth(t *testing.T) {
 	if got := runCheckHealth(bound, new(bytes.Buffer)); got != 1 {
 		t.Fatalf("check-health(unreachable) = %d, want 1", got)
 	}
+}
+
+// TestNumericFlags is the cross-command table (cmd/internal/flagtable): every
+// numeric flag with 0, −1, NaN, +Inf and 1e308. Flags are checked before any
+// mode runs, so the table runs them in the -check-health mode against a
+// healthy daemon; a value that passes prints that daemon's health.
+func TestNumericFlags(t *testing.T) {
+	bound, stop, err := fabric.ServeHealth("127.0.0.1:0", func() fabric.HealthReport {
+		return fabric.HealthReport{OK: true, Health: fabric.HealthOK}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stop()
+	ok, no := true, false
+	flagtable.Check(t, run, nil, []string{"-check-health", bound}, map[string][5]bool{
+		// The outcomes for 0, −1, NaN, +Inf and 1e308.
+		"parallel":      {ok, no, no, no, no}, // 0: all cores; -1 meant all cores too
+		"spec-timeout":  {ok, no, no, no, no}, // 0: one attempt; the rest are not durations
+		"max-reconnect": {ok, no, no, no, no}, // 0: retry forever; -1 meant that too
+	})
 }

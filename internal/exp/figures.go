@@ -28,9 +28,9 @@ func runF1(o Options) (*report.Table, error) {
 	}
 	base := stats.Mean(ces["easy"])
 	for _, pname := range allPolicies() {
-		s := stats.Summarize(ces[pname])
-		t.Add(pname, report.F(s.Mean, 3), report.F(s.CI95, 3),
-			report.Pct(stats.RelChange(base, s.Mean)))
+		mean := stats.Mean(ces[pname])
+		t.Add(pname, report.F(mean, 3), report.F(stats.CI95(ces[pname]), 3),
+			report.Pct(stats.RelChange(base, mean)))
 	}
 	t.AddNote("paper target: sharing ≈ +19%% computational efficiency vs standard allocation")
 	return t, nil
@@ -56,10 +56,10 @@ func runF2(o Options) (*report.Table, error) {
 	}
 	base := stats.Mean(ses["easy"])
 	for _, pname := range allPolicies() {
-		s := stats.Summarize(ses[pname])
-		t.Add(pname, report.F(s.Mean, 3), report.F(s.CI95, 3),
+		mean := stats.Mean(ses[pname])
+		t.Add(pname, report.F(mean, 3), report.F(stats.CI95(ses[pname]), 3),
 			report.F(stats.Mean(makespans[pname]), 2),
-			report.Pct(stats.RelChange(base, s.Mean)))
+			report.Pct(stats.RelChange(base, mean)))
 	}
 	t.AddNote("SE = packing lower bound / makespan; values above 1 are possible under SMT sharing")
 	t.AddNote("paper target: sharing ≈ +25.2%% scheduling efficiency vs standard allocation")

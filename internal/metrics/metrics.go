@@ -102,23 +102,49 @@ type Result struct {
 	Goodput float64
 }
 
-// Compute fills the derived fields of a Result from its raw observations
-// plus the finished jobs' records. It returns the completed Result.
-func Compute(raw Result, finished []*job.Job, decisionTimes []time.Duration) Result {
-	r := raw
-	r.Finished = len(finished)
+// Samples are the observations a Result summarizes: each finished job's
+// wait, bounded slowdown, stretch and service demand, and each scheduling
+// pass's wall-clock time. Their owner adds to them as the run goes, so a
+// Result computed again after a few more jobs costs those jobs, not the run
+// (see stats.Series). The zero Samples is empty and ready to use.
+type Samples struct {
+	wait, slowdown, stretch, decisionNanos stats.Series
+	// demand is the finished jobs' total service demand, summed in the
+	// order they were added.
+	demand float64
+}
 
-	var waits, slowdowns, stretches []float64
-	r.TotalDemand = 0
-	for _, j := range finished {
-		r.TotalDemand += j.ServiceDemand()
-		waits = append(waits, float64(j.WaitTime()))
-		slowdowns = append(slowdowns, j.BoundedSlowdown(BoundedSlowdownTau))
-		stretches = append(stretches, j.Stretch())
+// AddFinished records finished jobs, in the order given.
+func (s *Samples) AddFinished(jobs []*job.Job) {
+	s.wait.Grow(len(jobs))
+	s.slowdown.Grow(len(jobs))
+	s.stretch.Grow(len(jobs))
+	for _, j := range jobs {
+		s.demand += j.ServiceDemand()
+		s.wait.Add(float64(j.WaitTime()))
+		s.slowdown.Add(j.BoundedSlowdown(BoundedSlowdownTau))
+		s.stretch.Add(j.Stretch())
 	}
-	r.Wait = stats.Summarize(waits)
-	r.Slowdown = stats.Summarize(slowdowns)
-	r.Stretch = stats.Summarize(stretches)
+}
+
+// AddDecisions records scheduling passes' wall-clock times.
+func (s *Samples) AddDecisions(times []time.Duration) {
+	s.decisionNanos.Grow(len(times))
+	for _, d := range times {
+		s.decisionNanos.Add(float64(d.Nanoseconds()))
+	}
+}
+
+// Compute fills the derived fields of a Result from its raw observations
+// plus the samples of the run so far. It returns the completed Result.
+func Compute(raw Result, s *Samples) Result {
+	r := raw
+	r.Wait = s.wait.Summary()
+	r.Slowdown = s.slowdown.Summary()
+	r.Stretch = s.stretch.Summary()
+	r.DecisionNanos = s.decisionNanos.Summary()
+	r.Finished = r.Wait.N
+	r.TotalDemand = s.demand
 
 	if r.BusyNodeSeconds > 0 {
 		r.CompEfficiency = r.TotalDemand / r.BusyNodeSeconds
@@ -129,12 +155,6 @@ func Compute(raw Result, finished []*job.Job, decisionTimes []time.Duration) Res
 		r.SchedEfficiency = ideal / float64(r.Makespan)
 		r.Utilization = r.BusyNodeSeconds / (float64(r.Nodes) * float64(r.Makespan))
 	}
-
-	nanos := make([]float64, len(decisionTimes))
-	for i, d := range decisionTimes {
-		nanos[i] = float64(d.Nanoseconds())
-	}
-	r.DecisionNanos = stats.Summarize(nanos)
 
 	if charged := r.TotalDemand + r.LostNodeSeconds + r.WastedNodeSeconds; charged > 0 {
 		r.Goodput = r.TotalDemand / charged

@@ -32,6 +32,14 @@ func mkFinished(id int64, nodes int, submit, start, end, trueRuntime float64) *j
 	return j
 }
 
+// compute is Compute over samples holding finished and decisionTimes.
+func compute(raw Result, finished []*job.Job, decisionTimes []time.Duration) Result {
+	var s Samples
+	s.AddFinished(finished)
+	s.AddDecisions(decisionTimes)
+	return Compute(raw, &s)
+}
+
 func TestComputeExclusiveBaseline(t *testing.T) {
 	// Two dedicated jobs on a 4-node machine:
 	//   j1: 2 nodes, 0→100 (demand 200)
@@ -45,7 +53,7 @@ func TestComputeExclusiveBaseline(t *testing.T) {
 		Policy: "easy", Submitted: 2, Nodes: 4,
 		Makespan: 200, BusyNodeSeconds: 600, SharedNodeSeconds: 0,
 	}
-	r := Compute(raw, finished, nil)
+	r := compute(raw, finished, nil)
 	if err := r.Validate(); err != nil {
 		t.Fatalf("Validate: %v", err)
 	}
@@ -84,7 +92,7 @@ func TestComputeSharedRaisesCE(t *testing.T) {
 		Policy: "sharefirstfit", Submitted: 2, Nodes: 1,
 		Makespan: 100, BusyNodeSeconds: 100, SharedNodeSeconds: 100,
 	}
-	r := Compute(raw, finished, nil)
+	r := compute(raw, finished, nil)
 	if err := r.Validate(); err != nil {
 		t.Fatalf("Validate: %v", err)
 	}
@@ -109,7 +117,7 @@ func TestComputeWaitAndSlowdown(t *testing.T) {
 		mkFinished(1, 1, 0, 50, 150, 100),  // wait 50, turnaround 150, run 100 → slowdown 1.5
 		mkFinished(2, 1, 0, 150, 250, 100), // wait 150, slowdown 2.5
 	}
-	r := Compute(Result{Submitted: 2, Nodes: 1, Makespan: 250, BusyNodeSeconds: 200}, finished, nil)
+	r := compute(Result{Submitted: 2, Nodes: 1, Makespan: 250, BusyNodeSeconds: 200}, finished, nil)
 	if math.Abs(r.Wait.Mean-100) > 1e-9 {
 		t.Fatalf("Wait mean = %g, want 100", r.Wait.Mean)
 	}
@@ -119,7 +127,7 @@ func TestComputeWaitAndSlowdown(t *testing.T) {
 }
 
 func TestComputeDecisionTimes(t *testing.T) {
-	r := Compute(Result{Submitted: 0, Nodes: 1},
+	r := compute(Result{Submitted: 0, Nodes: 1},
 		nil, []time.Duration{100 * time.Nanosecond, 300 * time.Nanosecond})
 	if r.DecisionNanos.N != 2 || math.Abs(r.DecisionNanos.Mean-200) > 1e-9 {
 		t.Fatalf("DecisionNanos = %+v", r.DecisionNanos)
@@ -127,7 +135,7 @@ func TestComputeDecisionTimes(t *testing.T) {
 }
 
 func TestComputeEmptyRun(t *testing.T) {
-	r := Compute(Result{Policy: "fcfs", Nodes: 8}, nil, nil)
+	r := compute(Result{Policy: "fcfs", Nodes: 8}, nil, nil)
 	if err := r.Validate(); err != nil {
 		t.Fatalf("empty run invalid: %v", err)
 	}
@@ -152,7 +160,7 @@ func TestValidateCatchesNonsense(t *testing.T) {
 }
 
 func TestResultString(t *testing.T) {
-	r := Compute(Result{Policy: "easy", Submitted: 1, Nodes: 2, Makespan: 100, BusyNodeSeconds: 100},
+	r := compute(Result{Policy: "easy", Submitted: 1, Nodes: 2, Makespan: 100, BusyNodeSeconds: 100},
 		[]*job.Job{mkFinished(1, 1, 0, 0, 100, 100)}, nil)
 	s := r.String()
 	for _, frag := range []string{"easy", "CE=", "SE=", "util="} {

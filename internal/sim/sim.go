@@ -132,8 +132,12 @@ type Engine struct {
 	sharedIntegral float64
 
 	decisionTimes []time.Duration
-	schedQueued   bool
-	passFn        des.Handler // the scheduling-pass event, built once
+	// samples are what Result summarizes, fed from finished and
+	// decisionTimes up to the cursors finFed and passFed.
+	samples         metrics.Samples
+	finFed, passFed int
+	schedQueued     bool
+	passFn          des.Handler // the scheduling-pass event, built once
 
 	// ctx is the one scheduling context the engine hands its policy, pass
 	// after pass. It carries the planner's scratch (see sched.Context), so
@@ -994,7 +998,9 @@ func (e *Engine) Pending() []*job.Job { return slices.Clone(e.orderedQueue()) }
 // Running returns a snapshot of the running set ordered by job ID.
 func (e *Engine) Running() []*sched.RunningJob { return slices.Clone(e.runList) }
 
-// Result computes the run's metrics. Call after Run.
+// Result computes the run's metrics. Call after Run, or between steps: a
+// Result after a few more events costs those events' jobs and passes, not
+// the run so far.
 func (e *Engine) Result() metrics.Result {
 	raw := metrics.Result{
 		Policy:            e.pol.Name(),
@@ -1016,7 +1022,10 @@ func (e *Engine) Result() metrics.Result {
 	if e.reschedN > 0 {
 		raw.MeanRescheduleSeconds = e.reschedSum / float64(e.reschedN)
 	}
-	return metrics.Compute(raw, e.finished, e.decisionTimes)
+	e.samples.AddFinished(e.finished[e.finFed:])
+	e.samples.AddDecisions(e.decisionTimes[e.passFed:])
+	e.finFed, e.passFed = len(e.finished), len(e.decisionTimes)
+	return metrics.Compute(raw, &e.samples)
 }
 
 func (e *Engine) trace(format string, args ...any) {

@@ -417,8 +417,8 @@ type admission struct {
 	mu        sync.Mutex // guards ladder
 	ladder    hysteresis
 	staleFor  time.Duration
-	queueLive ttlSlot[[]JobInfo]
-	queueAll  ttlSlot[[]JobInfo]
+	queueLive ttlSlot[queueView]
+	queueAll  ttlSlot[queueView]
 	nodes     ttlSlot[[]NodeInfo]
 	stats     ttlSlot[metrics.Result]
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -50,6 +51,15 @@ type Controller struct {
 	finSeen  int
 	killSeen int
 	rejSeen  int
+
+	// done is every terminal job — finished, killed, failed, rejected or
+	// cancelled — by ascending ID: the history a `queue history` read pages.
+	// doneLocked extends it at read time from the engine's completion lists,
+	// through cursors of its own. Terminal jobs never change again, and done
+	// is only appended to past its end or replaced, never edited, so a view
+	// handed out earlier stays as it was.
+	done                       []*job.Job
+	doneFin, doneKill, doneRej int
 
 	// seq is the last assigned journal sequence number; entries is the
 	// complete in-memory operation log (kept only when journaling or HA is
@@ -647,6 +657,10 @@ type JobInfo struct {
 func (c *Controller) Queue() []JobInfo {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	return c.queueLocked()
+}
+
+func (c *Controller) queueLocked() []JobInfo {
 	now := c.eng.Now()
 	var out []JobInfo
 	for _, r := range c.eng.Running() {
@@ -678,34 +692,102 @@ func (c *Controller) Queue() []JobInfo {
 	return out
 }
 
-// History returns finished and cancelled jobs (sacct-like).
+// History returns finished and cancelled jobs (sacct-like), by ID.
 func (c *Controller) History() []JobInfo {
 	c.mu.Lock()
-	defer c.mu.Unlock()
+	done := c.doneLocked()
+	c.mu.Unlock()
 	var out []JobInfo
-	add := func(j *job.Job) {
-		info := JobInfo{
-			ID: int64(j.ID), Name: j.Name, App: j.App.Name,
-			State: j.State().String(), Nodes: j.Nodes,
-			Submit: float64(j.Submit), Limit: float64(j.ReqWalltime),
-			End: float64(j.EndTime()),
+	for _, j := range done {
+		out = append(out, doneRow(j))
+	}
+	return out
+}
+
+// doneRow is the sacct row of a terminal job.
+func doneRow(j *job.Job) JobInfo {
+	info := JobInfo{
+		ID: int64(j.ID), Name: j.Name, App: j.App.Name,
+		State: j.State().String(), Nodes: j.Nodes,
+		Submit: float64(j.Submit), Limit: float64(j.ReqWalltime),
+		End: float64(j.EndTime()),
+	}
+	if j.State() == job.Finished {
+		info.Start = float64(j.StartTime())
+		info.Shared = j.EverShared()
+	}
+	return info
+}
+
+// doneLocked brings c.done up to date with the engine and returns it. Only
+// the jobs that reached a terminal state since the last call are sorted;
+// they are merged in behind the last job with a smaller ID. Where that is
+// before the end, the merge writes a new slice and leaves the old one to the
+// views that hold it. Callers hold c.mu.
+func (c *Controller) doneLocked() []*job.Job {
+	fin, killed, rej := c.eng.Finished(), c.eng.Killed(), c.eng.Rejected()
+	fresh := slices.Concat(fin[c.doneFin:], killed[c.doneKill:], rej[c.doneRej:])
+	c.doneFin, c.doneKill, c.doneRej = len(fin), len(killed), len(rej)
+	if len(fresh) == 0 {
+		return c.done
+	}
+	slices.SortFunc(fresh, func(a, b *job.Job) int { return cmp.Compare(a.ID, b.ID) })
+	old := c.done
+	i := sort.Search(len(old), func(i int) bool { return old[i].ID > fresh[0].ID })
+	if i == len(old) {
+		c.done = append(old, fresh...)
+	} else {
+		merged := make([]*job.Job, i, len(old)+len(fresh))
+		copy(merged, old[:i])
+		for k := 0; i < len(old) || k < len(fresh); {
+			if k == len(fresh) || (i < len(old) && old[i].ID < fresh[k].ID) {
+				merged = append(merged, old[i])
+				i++
+			} else {
+				merged = append(merged, fresh[k])
+				k++
+			}
 		}
-		if j.State() == job.Finished {
-			info.Start = float64(j.StartTime())
-			info.Shared = j.EverShared()
-		}
-		out = append(out, info)
+		c.done = merged
 	}
-	for _, j := range c.eng.Finished() {
-		add(j)
+	return c.done
+}
+
+// queueView is one queue read before paging: the live queue's rows and,
+// for a history read, every terminal job by ascending ID. It is taken under
+// one lock and never changes after, so it is paged — and at BrownoutStale
+// re-served — without the lock, and only the rows a page keeps become
+// JobInfos.
+type queueView struct {
+	live []JobInfo
+	done []*job.Job
+}
+
+// queueView takes the view a queue read (with history, when asked) pages.
+func (c *Controller) queueView(history bool) queueView {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	v := queueView{live: c.queueLocked()}
+	if history {
+		v.done = c.doneLocked()
 	}
-	for _, j := range c.eng.Killed() {
-		add(j)
+	return v
+}
+
+// rows renders rows [lo, hi) of the view: live rows first, then terminal
+// jobs. A range inside the live rows is a subslice of them.
+func (v queueView) rows(lo, hi int) []JobInfo {
+	n := len(v.live)
+	if hi <= n {
+		return v.live[lo:hi]
 	}
-	for _, j := range c.eng.Rejected() {
-		add(j)
+	out := make([]JobInfo, 0, hi-lo)
+	if lo < n {
+		out = append(out, v.live[lo:]...)
 	}
-	sort.Slice(out, func(i, k int) bool { return out[i].ID < out[k].ID })
+	for _, j := range v.done[max(lo-n, 0) : hi-n] {
+		out = append(out, doneRow(j))
+	}
 	return out
 }
 

@@ -407,6 +407,7 @@ func (c *Controller) resetFromLogLocked(entries []Entry) error {
 	c.publishClock()
 	c.tokens = make(map[string]cluster.JobID)
 	c.finSeen, c.killSeen, c.rejSeen = 0, 0, 0
+	c.done, c.doneFin, c.doneKill, c.doneRej = nil, 0, 0, 0
 	c.seq, c.entries = 0, nil
 	if err := c.replay(entries); err != nil {
 		return err

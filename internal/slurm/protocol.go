@@ -276,11 +276,12 @@ func (s *Server) handleB(req Request, t ticket) Response {
 	case "replicate":
 		return s.ctl.HandleReplicate(req)
 	case "queue":
-		slot, fetch := &s.adm.queueLive, s.ctl.Queue
+		slot := &s.adm.queueLive
 		if req.History {
-			slot, fetch = &s.adm.queueAll, func() []JobInfo { return append(s.ctl.Queue(), s.ctl.History()...) }
+			slot = &s.adm.queueAll
 		}
-		resp = paginate(brownoutRead(t, slot, fetch), req, s.adm.over, t.level)
+		v := brownoutRead(t, slot, func() queueView { return s.ctl.queueView(req.History) })
+		resp = page(v, req, s.adm.over, t.level)
 	case "nodes":
 		resp.Nodes = brownoutRead(t, &s.adm.nodes, s.ctl.Nodes)
 	case "stats":
@@ -296,12 +297,13 @@ func (s *Server) handleB(req Request, t ticket) Response {
 	return resp
 }
 
-// paginate bounds one queue reply. Without explicit Limit/Offset and with
-// no configured HistoryLimit the reply is unchanged (and Total omitted),
-// keeping legacy responses byte-identical. At BrownoutPaged and above the
-// brownout history cap clamps even explicit limits: a browned-out
+// window is the row range [lo, hi) one queue reply of total rows carries,
+// and whether it is a page (the reply then reports Total). Without explicit
+// Limit/Offset and with no configured HistoryLimit the reply is every row and
+// no page, keeping legacy responses byte-identical. At BrownoutPaged and
+// above the brownout history cap clamps even explicit limits: a browned-out
 // controller stops letting bulk sacct scans compete with live traffic.
-func paginate(jobs []JobInfo, req Request, over OverloadConfig, level int) Response {
+func window(total int, req Request, over OverloadConfig, level int) (lo, hi int, paged bool) {
 	limit := req.Limit
 	explicit := req.Limit > 0 || req.Offset > 0
 	if limit <= 0 && req.History {
@@ -313,15 +315,26 @@ func paginate(jobs []JobInfo, req Request, over OverloadConfig, level int) Respo
 			explicit = true // the clamp applies even to default-shaped requests
 		}
 	}
-	if !explicit && (limit <= 0 || len(jobs) <= limit) {
-		return Response{OK: true, Jobs: jobs}
+	if !explicit && (limit <= 0 || total <= limit) {
+		return 0, total, false
 	}
-	total := len(jobs)
-	jobs = jobs[min(max(req.Offset, 0), total):]
-	if limit > 0 && len(jobs) > limit {
-		jobs = jobs[:limit]
+	lo, hi = min(max(req.Offset, 0), total), total
+	if limit > 0 && hi-lo > limit {
+		hi = lo + limit
 	}
-	return Response{OK: true, Jobs: jobs, Total: total}
+	return lo, hi, true
+}
+
+// page is one queue reply: the rows of v inside the request's window, so a
+// page costs its rows, not the history behind them.
+func page(v queueView, req Request, over OverloadConfig, level int) Response {
+	total := len(v.live) + len(v.done)
+	lo, hi, paged := window(total, req, over, level)
+	resp := Response{OK: true, Jobs: v.rows(lo, hi)}
+	if paged {
+		resp.Total = total
+	}
+	return resp
 }
 
 // Close stops the listener and open connections immediately. In-flight

@@ -339,17 +339,17 @@ func TestBrownoutPagedClampsHistory(t *testing.T) {
 		jobs[i] = JobInfo{ID: int64(i + 1)}
 	}
 	// Normal: explicit big limit honored.
-	resp := paginate(jobs, Request{History: true, Limit: 10}, over, BrownoutNormal)
+	resp := page(queueView{live: jobs}, Request{History: true, Limit: 10}, over, BrownoutNormal)
 	if len(resp.Jobs) != 10 {
 		t.Fatalf("normal history rows = %d, want 10", len(resp.Jobs))
 	}
 	// Paged: clamped to the brownout cap, Total still honest.
-	resp = paginate(jobs, Request{History: true, Limit: 10}, over, BrownoutPaged)
+	resp = page(queueView{live: jobs}, Request{History: true, Limit: 10}, over, BrownoutPaged)
 	if len(resp.Jobs) != 4 || resp.Total != 10 {
 		t.Fatalf("paged history rows = %d (total %d), want 4 (total 10)", len(resp.Jobs), resp.Total)
 	}
 	// Paged, live queue: no clamp.
-	resp = paginate(jobs, Request{}, over, BrownoutPaged)
+	resp = page(queueView{live: jobs}, Request{}, over, BrownoutPaged)
 	if len(resp.Jobs) != 10 {
 		t.Fatalf("paged live rows = %d, want 10 (live queue must not be clamped)", len(resp.Jobs))
 	}
