@@ -248,6 +248,15 @@ func serve(args []string) error {
 		}
 		cfg = parsed
 	}
+	// A -lease override must leave the configured heartbeat inside the
+	// fencing window, as the configuration file alone had to.
+	haCfg := cfg.HA
+	if *lease > 0 {
+		haCfg.Lease = *lease
+	}
+	if err := haCfg.Validate(); err != nil {
+		return fmt.Errorf("serve: -lease: %w", err)
+	}
 	var ctl *slurm.Controller
 	var err error
 	if *state != "" {
@@ -268,10 +277,7 @@ func serve(args []string) error {
 		ctl.Close()
 		return fmt.Errorf("serve: -standby-of and -replica are mutually exclusive")
 	}
-	ha := slurm.HAOptions{Lease: cfg.HA.Lease, Heartbeat: cfg.HA.Heartbeat}
-	if *lease > 0 {
-		ha.Lease = *lease
-	}
+	ha := slurm.HAOptions{Lease: haCfg.Lease, Heartbeat: haCfg.Heartbeat}
 	switch {
 	case *standbyOf != "":
 		ha.Standby, ha.Peer = true, *standbyOf

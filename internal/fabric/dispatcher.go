@@ -174,9 +174,25 @@ type Dispatcher struct {
 	srv lineproto.Server
 }
 
+// Validate refuses the containment knobs no campaign can run with: a
+// VerifyFraction that is NaN or outside [0, 1] and a negative PoisonAfter.
+// Zero leaves either to its default. NewDispatcher calls it.
+func (cfg Config) Validate() error {
+	switch {
+	case !(cfg.VerifyFraction >= 0 && cfg.VerifyFraction <= 1):
+		return fmt.Errorf("fabric: VerifyFraction must be in [0, 1], got %g", cfg.VerifyFraction)
+	case cfg.PoisonAfter < 0:
+		return fmt.Errorf("fabric: PoisonAfter must be ≥ 0 (0 = default), got %d", cfg.PoisonAfter)
+	}
+	return nil
+}
+
 // NewDispatcher validates cfg and builds the campaign with every cell
 // PENDING.
 func NewDispatcher(cfg Config) (*Dispatcher, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	if cfg.Cells <= 0 {
 		return nil, fmt.Errorf("fabric: Cells must be ≥ 1, got %d", cfg.Cells)
 	}
@@ -218,12 +234,6 @@ func NewDispatcher(cfg Config) (*Dispatcher, error) {
 	}
 	if cfg.QuarantineAfter <= 0 {
 		cfg.QuarantineAfter = 3
-	}
-	if cfg.VerifyFraction < 0 {
-		cfg.VerifyFraction = 0
-	}
-	if cfg.VerifyFraction > 1 {
-		cfg.VerifyFraction = 1
 	}
 	d := &Dispatcher{
 		cfg:        cfg,

@@ -6,6 +6,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -609,5 +610,32 @@ func TestAggregateHealth(t *testing.T) {
 	})
 	if rep.Health != HealthDraining {
 		t.Fatalf("draining must dominate, got %q", rep.Health)
+	}
+}
+
+// NewDispatcher refuses the containment knobs Config.Validate refuses — a
+// verification fraction that is NaN or outside [0, 1], a negative poison
+// threshold — rather than clamping them, and takes the bounds themselves.
+func TestNewDispatcherRefusesInvalidContainment(t *testing.T) {
+	consume := func(int, []byte) error { return nil }
+	for _, tc := range []struct {
+		verify float64
+		poison int
+		ok     bool
+	}{
+		{0, 0, true}, {1, 0, true}, {0.25, 2, true},
+		{math.NaN(), 0, false}, {-0.01, 0, false}, {1.01, 0, false}, {0, -1, false},
+	} {
+		cfg := Config{Cells: 1, Consume: consume, VerifyFraction: tc.verify, PoisonAfter: tc.poison}
+		if err := cfg.Validate(); (err == nil) != tc.ok {
+			t.Errorf("Validate(VerifyFraction %g, PoisonAfter %d) = %v, want accepted %v", tc.verify, tc.poison, err, tc.ok)
+		}
+		d, err := NewDispatcher(cfg)
+		if (err == nil) != tc.ok {
+			t.Errorf("NewDispatcher(VerifyFraction %g, PoisonAfter %d) = %v, want accepted %v", tc.verify, tc.poison, err, tc.ok)
+		}
+		if d != nil {
+			d.Close()
+		}
 	}
 }

@@ -372,6 +372,15 @@ func TestShareFirstFitDisabledDegradesToFirstFit(t *testing.T) {
 	if len(dec) != 0 {
 		t.Fatalf("disabled sharing still placed a job: %+v", dec)
 	}
+	// With idle nodes it starts what first fit starts, on whole nodes.
+	c = testCluster()
+	running = []*RunningJob{run(t, c, mkJob(membwApp, 3, 1000), []int{0, 1, 2}, 1000)}
+	q := []*job.Job{mkJob(computeApp, 6, 500), mkJob(computeApp, 2, 500), mkJob(membwApp, 3, 500)}
+	dec = (ShareFirstFit{}).Schedule(mkCtx(c, q, running))
+	want := refFirstFit(mkCtx(c, q, running), false)
+	if len(want) != 2 || decisionSignature(dec) != decisionSignature(want) {
+		t.Fatalf("disabled ShareFirstFit planned\n%s, first fit\n%s", decisionSignature(dec), decisionSignature(want))
+	}
 }
 
 func TestShareBackfillCoAllocatesWithoutDelayingHead(t *testing.T) {
@@ -434,6 +443,10 @@ func TestShareBackfillDisabledDegradesToEASY(t *testing.T) {
 	if len(dec) != 1 || dec[0].Job != short || dec[0].Shared {
 		t.Fatalf("disabled ShareBackfill ≠ EASY: %+v", dec)
 	}
+	want, _ := refBackfillExclusive(mkCtx(c, []*job.Job{head, short}, running).withShare(ShareConfig{}), 1)
+	if got, want := decisionSignature(dec), decisionSignature(want); got != want {
+		t.Fatalf("disabled ShareBackfill planned\n%s, EASY\n%s", got, want)
+	}
 }
 
 func TestShareBackfillStartsFittingJobsImmediately(t *testing.T) {
@@ -477,9 +490,9 @@ func TestShareConservativeBasics(t *testing.T) {
 	head := mkJob(membwApp, 8, 1000)
 	short := mkJob(computeApp, 2, 500)
 	dec := (ShareConservative{}).Schedule(mkCtx(c, []*job.Job{head, short}, running))
-	want := (Conservative{}).Schedule(mkCtx(c, []*job.Job{head, short}, running))
-	if len(dec) != len(want) {
-		t.Fatalf("disabled ShareConservative made %d decisions, Conservative %d", len(dec), len(want))
+	want, _ := refBackfillExclusive(mkCtx(c, []*job.Job{head, short}, running).withShare(ShareConfig{}), 2)
+	if len(want) != 1 || decisionSignature(dec) != decisionSignature(want) {
+		t.Fatalf("disabled ShareConservative planned\n%s, Conservative\n%s", decisionSignature(dec), decisionSignature(want))
 	}
 }
 

@@ -167,3 +167,67 @@ func (p *Profile) search(from int, t des.Time) int {
 	}
 	return lo
 }
+
+// openProfile opens the scratch's profile at now with the pass's idle nodes
+// free and replays releases, which must be sorted by time.
+func (sc *scratch) openProfile(now des.Time, releases []nodeRelease) *Profile {
+	sc.profile.start(now, len(sc.idle))
+	for _, rel := range releases {
+		sc.profile.release(rel.at, int(rel.nodes))
+	}
+	return &sc.profile
+}
+
+// appendReleases appends to out when the running jobs' nodes become whole
+// free nodes, sorted by time, and, when relBy is not nil, sets relBy[ni] to
+// the index in ctx.Running of the job that releases node ni (leaving it as
+// it is for a node no job releases).
+//
+// A node shared by several jobs becomes a whole free node only when the
+// latest resident leaves. Each occupied node is released by the first running
+// job whose end is that release time, so the list holds one (end, nodes)
+// release per running job, its slot the job's index: releases at equal times
+// merge in the profile, which makes it the profile of one release per node.
+func appendReleases(ctx *Context, out []nodeRelease, relBy []int32) []nodeRelease {
+	sc := ctx.sc
+	// Zero marks a node no running job occupies, -1 one already released.
+	sc.releaseAt = resize(sc.releaseAt, ctx.Cluster.Size())
+	clear(sc.releaseAt)
+	for _, r := range ctx.Running {
+		end := predictedEnd(r, ctx.Share)
+		for _, ni := range r.NodeIDs {
+			if end > sc.releaseAt[ni] {
+				sc.releaseAt[ni] = end
+			}
+		}
+	}
+	for i, r := range ctx.Running {
+		end := predictedEnd(r, ctx.Share)
+		if end <= 0 {
+			continue // cannot be a release time: those are positive
+		}
+		k := 0
+		for _, ni := range r.NodeIDs {
+			if sc.releaseAt[ni] == end {
+				sc.releaseAt[ni] = -1
+				if relBy != nil {
+					relBy[ni] = int32(i)
+				}
+				k++
+			}
+		}
+		if k > 0 {
+			out = append(out, nodeRelease{at: end, nodes: int32(k), slot: int32(i)})
+		}
+	}
+	slices.SortFunc(out, byTime)
+	return out
+}
+
+// nodeRelease is k nodes becoming whole free nodes at one time, when the
+// running job in slot slot ends.
+type nodeRelease struct {
+	at    des.Time
+	nodes int32
+	slot  int32
+}

@@ -18,8 +18,10 @@ import (
 
 // The unoptimised planner, kept as the reference the optimised one is held
 // against: the profile with the quadratic FindStart, the full-range Reserve
-// and the two insertBreaks, and the two backfill skeletons that walk the
-// whole queue. Nothing outside this file's tests may call them.
+// and the two insertBreaks; the two backfill skeletons that walk the whole
+// queue, the exclusive one as the baselines ran it before they became the
+// sharing skeletons with sharing off; and first fit, exclusive and sharing,
+// without bounds. Nothing outside this file's tests may call them.
 
 type refProfile struct {
 	times []des.Time
@@ -306,27 +308,71 @@ func groupsSignature(groups []hostGroup, cands []shareCandidate) string {
 	return b.String()
 }
 
+// refFirstFit starts every job that fits the unclaimed idle nodes, in queue
+// order, on whole nodes — first fit as it was before it ran ShareFirstFit's
+// skeleton — or, when strict, stops at the first that does not: FCFS.
+func refFirstFit(ctx *Context, strict bool) []Decision {
+	ctx.begin()
+	var out []Decision
+	for _, j := range ctx.Queue {
+		if !fitsMachine(ctx, j) {
+			continue
+		}
+		nodes, ok := pickIdle(ctx, j.Nodes)
+		if !ok {
+			if strict {
+				break
+			}
+			continue
+		}
+		out = append(out, exclusiveDecision(ctx, j, nodes))
+	}
+	return out
+}
+
+// refShareFirstFit is sharing first fit without its bounds: every job that
+// fits the machine is placed through the host groups, idle nodes or not.
+func refShareFirstFit(ctx *Context) []Decision {
+	sc := ctx.beginShare()
+	var out []Decision
+	for _, j := range ctx.Queue {
+		if !fitsMachine(ctx, j) {
+			continue
+		}
+		plan, ok := placeShared(ctx, j, sc.appOf(&j.App))
+		if !ok {
+			continue
+		}
+		out = append(out, plan.decision(ctx, j))
+		for _, s := range sc.slots {
+			sc.claim(s.node)
+		}
+	}
+	return out
+}
+
 // refSchedule plans one pass of the named policy with the reference
-// skeletons. FCFS, FirstFit and ShareFirstFit have no skeleton of their own
-// to refer to: they plan as they always did.
-func refSchedule(t *testing.T, name string, ctx *Context) []Decision {
-	t.Helper()
+// skeletons: the baselines under the zero share configuration whatever the
+// Context carries, the sharing policies under the default one.
+func refSchedule(name string, ctx *Context) []Decision {
 	var out []Decision
 	switch name {
+	case "fcfs":
+		out = refFirstFit(ctx, true)
+	case "firstfit":
+		out = refFirstFit(ctx, false)
 	case "easy":
-		out, _ = refBackfillExclusive(ctx, 1)
+		out, _ = refBackfillExclusive(ctx.withShare(ShareConfig{}), 1)
 	case "conservative":
-		out, _ = refBackfillExclusive(ctx, len(ctx.Queue))
+		out, _ = refBackfillExclusive(ctx.withShare(ShareConfig{}), len(ctx.Queue))
+	case "sharefirstfit":
+		out = refShareFirstFit(ctx.withShare(DefaultShareConfig()))
 	case "sharebackfill":
 		out = refScheduleShare(ctx.withShare(DefaultShareConfig()), 1)
 	case "shareconservative":
 		out = refScheduleShare(ctx.withShare(DefaultShareConfig()), len(ctx.Queue))
 	default:
-		pol, err := New(name, DefaultShareConfig())
-		if err != nil {
-			t.Fatal(err)
-		}
-		out = pol.Schedule(ctx)
+		panic("sched: no reference for policy " + name)
 	}
 	return out
 }
@@ -514,7 +560,7 @@ func TestSkeletonsMatchReference(t *testing.T) {
 						for _, topo := range []bool{false, true} {
 							s := seed*1000 + uint64(depth*17+idle)
 							got := pol.Schedule(deepState(t, s, depth, idle, topo))
-							want := refSchedule(t, name, deepState(t, s, depth, idle, topo))
+							want := refSchedule(name, deepState(t, s, depth, idle, topo))
 							if g, w := decisionSignature(got), decisionSignature(want); g != w {
 								t.Fatalf("seed %d depth %d idle %d topo %v: planned\n%s, the reference\n%s",
 									s, depth, idle, topo, g, w)
@@ -539,9 +585,42 @@ func TestSkeletonsMatchReference(t *testing.T) {
 	}
 }
 
-// Differential: buildNodeProfile, which releases nodes per running job, and
-// the sharing planners' release list kept with their world open the same
-// (times, free) as the per-node build they replaced — on
+// The baselines plan under their own zero share configuration, whatever the
+// caller's Context carries (see New): on the mid-run states, whose running
+// jobs' inflated ends differ from their nominal ones, each plans byte for
+// byte the same under the paper's configuration and under none.
+func TestBaselinesIgnoreCallerShare(t *testing.T) {
+	for _, name := range []string{"easy", "conservative", "firstfit"} {
+		t.Run(name, func(t *testing.T) {
+			pol, err := New(name, ShareConfig{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			started := 0
+			for seed := uint64(1); seed <= 40; seed++ {
+				for _, idle := range []int{1, 3, 6} {
+					withShare := deepState(t, seed, 30, idle, false)
+					without := deepState(t, seed, 30, idle, false)
+					without.Share = ShareConfig{}
+					got, want := pol.Schedule(withShare), pol.Schedule(without)
+					if g, w := decisionSignature(got), decisionSignature(want); g != w {
+						t.Fatalf("seed %d idle %d: under the caller's sharing configuration planned\n%s, under none\n%s",
+							seed, idle, g, w)
+					}
+					started += len(got)
+				}
+			}
+			if started == 0 {
+				t.Fatal("no state planned a start")
+			}
+		})
+	}
+}
+
+// Differential: the release list appendReleases derives per running job,
+// which a pass with sharing off opens its profile from, and the list kept
+// with the sharing world open the same (times, free) as the per-node build
+// they replaced — on
 // seeded mid-run states and on hand-built ones whose shared nodes' residents
 // end together, one after the other either way round, at or before Now, and
 // at 0; each with inflation accounting on and off.
@@ -550,14 +629,15 @@ func TestBuildNodeProfileMatchesReference(t *testing.T) {
 		t.Helper()
 		for _, inflation := range []bool{true, false} {
 			ctx.Share.InflationAccounting = inflation
-			ctx.begin()
-			got, want := buildNodeProfile(ctx), refBuildNodeProfile(ctx)
+			sc := ctx.begin()
+			got := sc.openProfile(ctx.Now, appendReleases(ctx, nil, nil))
+			want := refBuildNodeProfile(ctx)
 			if !slices.Equal(got.times, want.times) || !slices.Equal(got.free, want.free) {
 				t.Fatalf("%s, inflation %v: profile\n%v\n%v, the reference\n%v\n%v",
 					name, inflation, got.times, got.free, want.times, want.free)
 			}
 			// The sharing planners' release list, kept with their world.
-			sc := ctx.beginShare()
+			sc = ctx.beginShare()
 			got = sc.openProfile(ctx.Now, sc.shareRel)
 			if !slices.Equal(got.times, want.times) || !slices.Equal(got.free, want.free) {
 				t.Fatalf("%s, inflation %v: sharing profile\n%v\n%v, the reference\n%v\n%v",

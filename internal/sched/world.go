@@ -156,8 +156,8 @@ func (sc *scratch) rebuildWorld(ctx *Context) {
 		sc.listHosts(int32(s))
 	}
 
-	// Slot i is ctx.Running[i], so the exclusive planners' release list is
-	// this one.
+	// Slot i is ctx.Running[i], so the release list a pass with sharing off
+	// derives is this one.
 	sc.shareRel = appendReleases(ctx, sc.shareRel[:0], sc.relBy)
 	for _, r := range sc.shareRel {
 		sc.bySlot[r.slot].rel = int(r.nodes)

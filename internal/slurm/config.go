@@ -173,7 +173,7 @@ var nodeRangeRe = regexp.MustCompile(`^([a-zA-Z_-]*)\[(\d+)-(\d+)\]$`)
 //	                                    after this long without a heartbeat,
 //	                                    primary self-fences after half of it)
 //	HAHeartbeatSeconds=<float>         (HA: replication heartbeat spacing;
-//	                                    must be shorter than the lease)
+//	                                    must be shorter than half the lease)
 //	JournalCorruptPolicy=FAIL|QUARANTINE (storage: refuse to start on a
 //	                                    corrupt journal record, or salvage
 //	                                    the committed prefix and run

@@ -80,7 +80,10 @@ type HAConfig struct {
 	Heartbeat time.Duration
 }
 
-// Validate checks the HA knobs for internal consistency.
+// Validate checks the HA knobs for internal consistency. The primary fences
+// itself after Lease/2 without an ack, so a heartbeat spaced at or beyond
+// that would fence a healthy pair between pushes: it is refused, not
+// rewritten.
 func (h HAConfig) Validate() error {
 	if h.Lease < 0 || h.Heartbeat < 0 {
 		return fmt.Errorf("slurm: negative HA durations")
@@ -89,8 +92,8 @@ func (h HAConfig) Validate() error {
 	if lease == 0 {
 		lease = DefaultHALease
 	}
-	if h.Heartbeat != 0 && h.Heartbeat >= lease {
-		return fmt.Errorf("slurm: HAHeartbeatSeconds %s must be shorter than the lease %s",
+	if h.Heartbeat != 0 && h.Heartbeat >= lease/2 {
+		return fmt.Errorf("slurm: HAHeartbeatSeconds %s must be shorter than half the lease %s, after which the primary fences itself",
 			h.Heartbeat, lease)
 	}
 	return nil
@@ -112,15 +115,14 @@ type HAOptions struct {
 	Timeout time.Duration
 }
 
+// defaults fills a zero lease, heartbeat and timeout. A round trip bounded
+// at or beyond Lease/2 would outlast the fencing window, so the timeout is
+// also kept inside it.
 func (o *HAOptions) defaults() {
-	if o.Lease <= 0 {
+	if o.Lease == 0 {
 		o.Lease = DefaultHALease
 	}
-	// The primary fences itself after Lease/2 without an ack, so heartbeats
-	// spaced at or beyond that would fence a healthy pair between pushes
-	// (e.g. a conf-file heartbeat combined with a shorter -lease override).
-	// Clamp pacing to stay inside the fencing window.
-	if o.Heartbeat <= 0 || o.Heartbeat >= o.Lease/2 {
+	if o.Heartbeat == 0 {
 		o.Heartbeat = o.Lease / 4
 	}
 	if o.Timeout <= 0 || o.Timeout >= o.Lease/2 {
@@ -132,8 +134,12 @@ func (o *HAOptions) defaults() {
 // after OpenJournaled/NewController and before serving traffic. A primary
 // with a configured peer is strict: mutations are acknowledged only after
 // the standby confirms them, so a standby that never comes up blocks writes
-// (by design — that is what -replica promises).
+// (by design — that is what -replica promises). A lease and heartbeat that
+// HAConfig.Validate refuses are refused here too.
 func (c *Controller) StartHA(o HAOptions) error {
+	if err := (HAConfig{Lease: o.Lease, Heartbeat: o.Heartbeat}).Validate(); err != nil {
+		return err
+	}
 	o.defaults()
 	c.mu.Lock()
 	if c.haOn {
