@@ -6,27 +6,42 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/acct"
 )
 
 func main() {
-	flag.Parse()
-	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: acct-report <file.acct>")
-		os.Exit(2)
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return
+		}
+		fmt.Fprintln(os.Stderr, "acct-report:", err)
+		os.Exit(1)
 	}
-	f, err := os.Open(flag.Arg(0))
+}
+
+// run reads the one accounting file args names and writes its report.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("acct-report", flag.ContinueOnError)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if fs.NArg() != 1 {
+		return errors.New("usage: acct-report <file.acct>")
+	}
+	f, err := os.Open(fs.Arg(0))
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	defer f.Close()
 	records, err := acct.Read(f)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 
 	finished, killed, cancelled, shared := 0, 0, 0, 0
@@ -43,15 +58,7 @@ func main() {
 			shared++
 		}
 	}
-	fmt.Printf("%d records: %d finished, %d killed, %d cancelled; %d ran shared\n\n",
+	fmt.Fprintf(stdout, "%d records: %d finished, %d killed, %d cancelled; %d ran shared\n\n",
 		len(records), finished, killed, cancelled, shared)
-
-	if err := acct.Summary(records).Render(os.Stdout); err != nil {
-		fatal(err)
-	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "acct-report:", err)
-	os.Exit(1)
+	return acct.Summary(records).Render(stdout)
 }

@@ -11,6 +11,7 @@ import (
 
 	"repro/cmd/internal/flagtable"
 	"repro/internal/exp"
+	"repro/internal/golden"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files with current output")
@@ -65,23 +66,7 @@ func TestGoldenTables(t *testing.T) {
 		{"exprun_all_golden.txt", allButF3},
 	} {
 		t.Run(tc.file, func(t *testing.T) {
-			got := runToBytes(t, tc.ids, 4)
-			golden := filepath.Join("testdata", tc.file)
-			if *update {
-				if err := os.MkdirAll("testdata", 0o755); err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(golden, got, 0o644); err != nil {
-					t.Fatal(err)
-				}
-			}
-			want, err := os.ReadFile(golden)
-			if err != nil {
-				t.Fatalf("missing golden file: %v", err)
-			}
-			if !bytes.Equal(got, want) {
-				t.Fatalf("exprun output diverged from %s:\n--- got ---\n%s\n--- want ---\n%s", golden, got, want)
-			}
+			golden.Check(t, filepath.Join("testdata", tc.file), runToBytes(t, tc.ids, 4), *update)
 		})
 	}
 }

@@ -1,10 +1,14 @@
-// Package flagtable is the one table test of the simulation commands'
-// numeric flags: each is tried with the same five values, in process,
-// through the command's run(args, stdout). A row either is refused (an
-// error, nothing on stdout, no panic) or runs (no error, a report on
-// stdout); it runs only for a value whose meaning the flag or the type it
-// fills documents, such as -mtbf 0 (no node failures) or -workers 0 (all
-// cores).
+// Package flagtable is the one table test of the commands' numeric flags:
+// each is tried with the same five values, in process, through the
+// command's run(args, stdout) — for mini-slurm, wrapped to put the
+// subcommand's name first, and run against an in-test controller so a
+// refusal comes from the flag, not from a failed dial. A row either is
+// refused (an error, nothing on stdout, no panic) or runs (no error, a
+// report on stdout); it runs only for a value whose meaning the flag or the
+// type it fills documents, such as -mtbf 0 (no node failures), -workers 0
+// (all cores) or mini-slurm advance -seconds -1 (a no-op). The slurm.conf
+// keys, which a package outside cmd/ parses, get the same five values from
+// slurm.TestConfigKeys.
 package flagtable
 
 import (

@@ -12,6 +12,7 @@ import (
 
 	"repro/cmd/internal/flagtable"
 	"repro/internal/cluster"
+	"repro/internal/golden"
 	"repro/internal/swf"
 	"repro/internal/workload"
 )
@@ -85,22 +86,7 @@ func TestGolden(t *testing.T) {
 	}
 	fmt.Fprintf(&out, "$ cat $TMP/run.acct\n%s", acct)
 
-	golden := filepath.Join("testdata", "golden.txt")
-	if *update {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(golden, out.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("missing golden file: %v", err)
-	}
-	if !bytes.Equal(out.Bytes(), want) {
-		t.Fatalf("nodeshare-sim output diverged from %s:\n--- got ---\n%s", golden, out.Bytes())
-	}
+	golden.Check(t, filepath.Join("testdata", "golden.txt"), out.Bytes(), *update)
 }
 
 // A zero scale used to run unscaled (a 12-day makespan instead of 15 h), a

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"repro/cmd/internal/flagtable"
+	"repro/internal/golden"
 	"repro/internal/sched"
 	"repro/internal/sweepgrid"
 )
@@ -69,23 +70,7 @@ func TestDifferentialWorkers(t *testing.T) {
 // generated before the scheduler's free-capacity index landed; a diff here
 // means scheduler decisions (not just performance) changed.
 func TestGoldenCSV(t *testing.T) {
-	got := runToBytes(t, gridSpec(), 4)
-	golden := filepath.Join("testdata", "sweep_golden.csv")
-	if *update {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(golden, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("missing golden file (regenerate with go test -run TestGoldenCSV -update): %v", err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("sweep output diverged from %s:\n--- got ---\n%s\n--- want ---\n%s", golden, got, want)
-	}
+	golden.Check(t, filepath.Join("testdata", "sweep_golden.csv"), runToBytes(t, gridSpec(), 4), *update)
 }
 
 // TestGridHammerRace floods the worker pool with many small cells; run

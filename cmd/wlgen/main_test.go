@@ -2,10 +2,10 @@ package main
 
 import (
 	"bytes"
-	"os"
 	"testing"
 
 	"repro/cmd/internal/flagtable"
+	"repro/internal/golden"
 )
 
 // A generated trace is byte-for-byte the recorded one (testdata/golden.swf,
@@ -16,13 +16,7 @@ func TestGolden(t *testing.T) {
 	if err := run([]string{"-jobs", "5", "-seed", "3"}, &out); err != nil {
 		t.Fatal(err)
 	}
-	want, err := os.ReadFile("testdata/golden.swf")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(out.Bytes(), want) {
-		t.Fatalf("wlgen output diverged from testdata/golden.swf:\n%s", out.Bytes())
-	}
+	golden.Check(t, "testdata/golden.swf", out.Bytes(), false)
 }
 
 // A scale or load that is not a positive finite number, a load above 1e9, a

@@ -1,11 +1,12 @@
 package main
 
 import (
-	"bytes"
 	"flag"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/golden"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/stdout.golden with current output")
@@ -15,34 +16,18 @@ var update = flag.Bool("update", false, "rewrite testdata/stdout.golden with cur
 // which is why this is not an Example test. Never regenerate the file to make
 // a library change pass.
 func TestStdout(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "stdout")
-	f, err := os.Create(path)
+	f, err := os.Create(filepath.Join(t.TempDir(), "stdout"))
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer f.Close()
 	stdout := os.Stdout
 	os.Stdout = f
+	defer func() { os.Stdout = stdout }()
 	main()
-	os.Stdout = stdout
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	got, err := os.ReadFile(path)
+	got, err := os.ReadFile(f.Name())
 	if err != nil {
 		t.Fatal(err)
 	}
-	golden := filepath.Join("testdata", "stdout.golden")
-	if *update {
-		if err := os.WriteFile(golden, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("stdout differs from %s:\n got:\n%s\nwant:\n%s", golden, got, want)
-	}
+	golden.Check(t, filepath.Join("testdata", "stdout.golden"), got, *update)
 }

@@ -141,16 +141,36 @@ func OpenCampaignJournal(fsys vfs.FS, path string, spec []byte, cells int) (*Cam
 	var log *wal.Log
 	if !rec.Resumed {
 		// Fresh campaign (missing, empty, or torn-before-first-commit file):
-		// header + campaign + generation 1 in one write, synced before any
-		// lease is granted.
+		// header + campaign + generation 1 in one write to a temp file,
+		// synced and renamed into place before any lease is granted, so the
+		// path never holds a half-written campaign another dispatcher could
+		// read as fresh and truncate.
 		rec.Gen = 1
-		log, err = wal.Create(fsys, path, campaignHeader,
+		buf := wal.Encode(campaignHeader, [][]byte{
 			encodeRecord(journalRecord{Kind: "campaign", Cells: cells, SpecSHA: specSHA(spec)}),
-			encodeRecord(journalRecord{Kind: "gen", Gen: 1}))
+			encodeRecord(journalRecord{Kind: "gen", Gen: 1}),
+		}, false)
+		tmp := path + ".tmp"
+		var f vfs.File
+		if f, err = fsys.Create(tmp); err == nil {
+			if _, err = f.Write(buf); err == nil {
+				err = f.Sync()
+			}
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
+		}
+		if err == nil {
+			err = fsys.Rename(tmp, path)
+		}
+		if err == nil {
+			fsys.SyncDir(filepath.Dir(path)) // best effort: the file itself is synced
+			log, err = wal.OpenAppend(fsys, path, int64(len(buf)))
+		}
 		if err != nil {
+			fsys.Remove(tmp)
 			return nil, Recovery{}, fmt.Errorf("fabric: init journal: %w", err)
 		}
-		fsys.SyncDir(filepath.Dir(path)) // best effort: the file itself is synced
 	} else {
 		// Salvage the torn tail, then journal the generation bump. The bump
 		// must be durable before any grant: a worker from the old generation

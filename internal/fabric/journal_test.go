@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -319,5 +320,137 @@ func TestCampaignJournalRefusesDamagedHeader(t *testing.T) {
 	}
 	if got, _ := os.ReadFile(path); !bytes.Equal(got, damaged) {
 		t.Fatalf("refused journal was modified on disk: %d bytes, had %d", len(got), len(damaged))
+	}
+}
+
+// watchFS is vfs.OS that, after every call, reads the journal path and
+// requires it to be absent or to hold a complete fresh campaign: a second
+// dispatcher opening the path at any of those instants must not find a
+// half-written journal, read it as fresh and truncate it under the first.
+type watchFS struct {
+	vfs.OS
+	t     *testing.T
+	path  string
+	calls int
+}
+
+func (w *watchFS) check(op string) {
+	w.t.Helper()
+	w.calls++
+	data, err := os.ReadFile(w.path)
+	if os.IsNotExist(err) {
+		return
+	}
+	if err != nil {
+		w.t.Fatal(err)
+	}
+	if rec, _, err := parseCampaignJournal(data, journalSpec, 8); err != nil || !rec.Resumed || rec.Gen != 1 {
+		w.t.Errorf("after %s the journal holds %q, not a complete campaign", op, data)
+	}
+}
+
+func (w *watchFS) Open(path string) (vfs.File, error) {
+	f, err := w.OS.Open(path)
+	w.check("Open")
+	return f, err
+}
+
+func (w *watchFS) Create(path string) (vfs.File, error) {
+	f, err := w.OS.Create(path)
+	w.check("Create")
+	return watchFile{f, w}, err
+}
+
+func (w *watchFS) OpenAppend(path string) (vfs.File, error) {
+	f, err := w.OS.OpenAppend(path)
+	w.check("OpenAppend")
+	return watchFile{f, w}, err
+}
+
+func (w *watchFS) ReadFile(path string) ([]byte, error) {
+	data, err := w.OS.ReadFile(path)
+	w.check("ReadFile")
+	return data, err
+}
+
+func (w *watchFS) Rename(oldpath, newpath string) error {
+	err := w.OS.Rename(oldpath, newpath)
+	w.check("Rename")
+	return err
+}
+
+func (w *watchFS) Remove(path string) error {
+	err := w.OS.Remove(path)
+	w.check("Remove")
+	return err
+}
+
+func (w *watchFS) Truncate(path string, size int64) error {
+	err := w.OS.Truncate(path, size)
+	w.check("Truncate")
+	return err
+}
+
+func (w *watchFS) MkdirAll(path string, perm fs.FileMode) error {
+	err := w.OS.MkdirAll(path, perm)
+	w.check("MkdirAll")
+	return err
+}
+
+func (w *watchFS) ReadDir(dir string) ([]string, error) {
+	names, err := w.OS.ReadDir(dir)
+	w.check("ReadDir")
+	return names, err
+}
+
+func (w *watchFS) SyncDir(dir string) error {
+	err := w.OS.SyncDir(dir)
+	w.check("SyncDir")
+	return err
+}
+
+// watchFile checks the journal path after each write, sync and close.
+type watchFile struct {
+	vfs.File
+	w *watchFS
+}
+
+func (f watchFile) Write(p []byte) (int, error) {
+	n, err := f.File.Write(p)
+	f.w.check("Write")
+	return n, err
+}
+
+func (f watchFile) Sync() error {
+	err := f.File.Sync()
+	f.w.check("Sync")
+	return err
+}
+
+func (f watchFile) Close() error {
+	err := f.File.Close()
+	f.w.check("Close")
+	return err
+}
+
+// TestFreshJournalNeverHalfWritten opens a fresh campaign journal through
+// watchFS: the header, campaign and generation records reach the path in
+// one rename, so no instant of the open exposes an empty or partial file.
+func TestFreshJournalNeverHalfWritten(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "campaign.journal")
+	w := &watchFS{t: t, path: path}
+	j, rec, err := OpenCampaignJournal(w, path, journalSpec, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	if rec.Resumed || rec.Gen != 1 {
+		t.Fatalf("fresh open: %+v, want gen 1 unresumed", rec)
+	}
+	if w.calls < 5 {
+		t.Fatalf("only %d filesystem calls were watched", w.calls)
+	}
+	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
+		t.Errorf("temp file left behind: %v", err)
 	}
 }

@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/json"
@@ -14,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/des"
+	"repro/internal/golden"
 )
 
 // updateLeaseGolden rewrites testdata/lease_decisions.golden. The file was
@@ -60,25 +62,14 @@ func TestLeasePropertyInterleavings(t *testing.T) {
 		return
 	}
 	path := filepath.Join("testdata", "lease_decisions.golden")
-	if *updateLeaseGolden {
-		if err := os.WriteFile(path, []byte(strings.Join(got, "\n")+"\n"), 0o644); err != nil {
-			t.Fatal(err)
+	text := []byte(strings.Join(got, "\n") + "\n")
+	if testing.Short() { // -short checks the prefix it ran
+		if want, err := os.ReadFile(path); err != nil || !bytes.HasPrefix(want, text) {
+			t.Fatalf("lease decisions moved (%v): the run is not a prefix of %s", err, path)
 		}
 		return
 	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
-	if len(want) < len(got) {
-		t.Fatalf("golden has %d lines, the run produced %d", len(want), len(got))
-	}
-	for i := range got { // -short checks the prefix it ran
-		if got[i] != want[i] {
-			t.Errorf("lease decisions moved:\n got %s\nwant %s", got[i], want[i])
-		}
-	}
+	golden.Check(t, path, text, *updateLeaseGolden)
 }
 
 // heldLease is one lease the property driver knows about — possibly long

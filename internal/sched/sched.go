@@ -27,7 +27,9 @@ package sched
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
+	"strings"
 
 	"repro/internal/cluster"
 	"repro/internal/des"
@@ -149,10 +151,12 @@ type Policy interface {
 
 // New constructs a policy by registry name: "fcfs", "firstfit", "easy",
 // "conservative", "sharefirstfit", "sharebackfill", "shareconservative".
-// The share configuration applies to the sharing policies. The baselines
+// The share configuration applies to the sharing policies, which refuse a
+// MaxDegree below 1 with sharing on and a non-finite threshold. The baselines
 // are the sharing skeletons under the zero configuration: they ignore share,
 // and the Share of the Context they are handed too.
 func New(name string, share ShareConfig) (Policy, error) {
+	var pol Policy
 	switch name {
 	case "fcfs":
 		return FCFS{}, nil
@@ -163,14 +167,23 @@ func New(name string, share ShareConfig) (Policy, error) {
 	case "conservative":
 		return Conservative{}, nil
 	case "sharefirstfit":
-		return ShareFirstFit{Config: share}, nil
+		pol = ShareFirstFit{Config: share}
 	case "sharebackfill":
-		return ShareBackfill{Config: share}, nil
+		pol = ShareBackfill{Config: share}
 	case "shareconservative":
-		return ShareConservative{Config: share}, nil
+		pol = ShareConservative{Config: share}
 	default:
-		return nil, fmt.Errorf("sched: unknown policy %q", name)
+		return nil, fmt.Errorf("sched: unknown policy %q (known: %s)", name, strings.Join(Names(), ", "))
 	}
+	switch {
+	case share.Enabled && share.MaxDegree < 1:
+		return nil, fmt.Errorf("sched: %s shares nodes with a MaxDegree of %d, want at least 1", name, share.MaxDegree)
+	case math.IsNaN(share.MinComplementarity) || math.IsInf(share.MinComplementarity, 0) ||
+		math.IsNaN(share.MinEstimatedRate) || math.IsInf(share.MinEstimatedRate, 0):
+		return nil, fmt.Errorf("sched: %s needs finite sharing thresholds, got MinComplementarity %g and MinEstimatedRate %g",
+			name, share.MinComplementarity, share.MinEstimatedRate)
+	}
+	return pol, nil
 }
 
 // Names returns the registry names of all policies, baselines first.

@@ -14,7 +14,9 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -103,7 +105,9 @@ func DefaultConfig() Config {
 var nodeRangeRe = regexp.MustCompile(`^([a-zA-Z_-]*)\[(\d+)-(\d+)\]$`)
 
 // ParseConfig reads a slurm.conf-style stream: '#' comments, KEY=VALUE
-// pairs, and NodeName/PartitionName lines carrying attribute lists.
+// pairs, and NodeName/PartitionName lines carrying attribute lists. A value
+// out of its range is refused by the type that owns it (noted below); the
+// error names the key and the line that set it.
 //
 // Recognized keys (unknown keys are an error so typos surface):
 //
@@ -112,39 +116,43 @@ var nodeRangeRe = regexp.MustCompile(`^([a-zA-Z_-]*)\[(\d+)-(\d+)\]$`)
 //	                     share_firstfit,share_backfill,
 //	                     share_backfill_conservative}
 //	OverSubscribe=YES|NO
-//	MinComplementarity=<float>         (sharing extension)
-//	MinEstimatedRate=<float>           (sharing extension)
-//	MaxShareDegree=<int>               (sharing extension)
+//	MinComplementarity=<float>         (sharing extension; finite)
+//	MinEstimatedRate=<float>           (sharing extension; finite)
+//	MaxShareDegree=<int>               (sharing extension; ≥ 1 with
+//	                                    OverSubscribe on)
 //	PairingAware=YES|NO                (sharing extension)
 //	InflationAccounting=YES|NO         (sharing extension)
 //	PreferShared=YES|NO                (sharing extension)
 //	NodeName=<name|name[lo-hi]> CPUs=<int> ThreadsPerCore=<int> RealMemory=<MB>
 //	PartitionName=<name> [MaxTime=<seconds>] [MaxNodes=<int>]
-//	PriorityWeightAge=<int>
-//	PriorityWeightJobSize=<int>
-//	PriorityWeightFairshare=<int>
+//	                                   (finite MaxTime, integer MaxNodes,
+//	                                    neither negative)
+//	PriorityWeightAge=<float>          (weights finite, non-negative)
+//	PriorityWeightJobSize=<float>
+//	PriorityWeightFairshare=<float>
 //	PriorityFavorSmall=YES|NO
-//	PriorityMaxAge=<seconds>
+//	PriorityMaxAge=<seconds>           (positive, finite)
 //	FaultMTBF=<seconds>                (fault injection: mean time between
-//	                                    per-node failures; 0 = off)
-//	FaultMTTR=<seconds>                (mean time to repair)
+//	                                    per-node failures; 0 or +Inf = off)
+//	FaultMTTR=<seconds>                (mean time to repair; in (0, 1e9]
+//	                                    with failures on)
 //	FaultShape=<float>                 (Weibull time-to-failure shape;
 //	                                    default 1 = exponential)
-//	JobCrashProb=<float>               (per-attempt crash probability)
+//	JobCrashProb=<float>               (per-attempt crash probability, [0,1])
 //	FaultMaxRetries=<int>              (requeue budget before a job fails;
 //	                                    default 3, 0 = none)
 //	FaultBackoff=<seconds>             (base requeue backoff, doubling;
-//	                                    default 30, 0 = none)
+//	                                    default 30, 0 = none; ≤ 1e9)
 //	FaultSeed=<uint>                   (failure-trace RNG seed; default 1)
 //	MaxClientConns=<int>               (overload: concurrent connection cap;
 //	                                    0 = unlimited)
 //	MaxInflight=<int>                  (overload: concurrent in-flight
 //	                                    request cap; 0 = unlimited)
 //	RateLimitPerConn=<float>           (overload: per-connection requests
-//	                                    per second; 0 = unlimited)
-//	RateLimitBurst=<float>             (overload: token bucket depth)
+//	                                    per second; 0 = unlimited; finite)
+//	RateLimitBurst=<float>             (overload: token bucket depth; finite)
 //	RateLimitControlCost=<float>       (overload: token cost of control
-//	                                    verbs; bulk verbs cost 1)
+//	                                    verbs, [0,1]; bulk verbs cost 1)
 //	BusyRetryAfter=<seconds>           (overload: retry-after hint attached
 //	                                    to BUSY load-shedding responses)
 //	BreakerThreshold=<int>             (overload: consecutive journal
@@ -178,12 +186,16 @@ var nodeRangeRe = regexp.MustCompile(`^([a-zA-Z_-]*)\[(\d+)-(\d+)\]$`)
 //	                                    corrupt journal record, or salvage
 //	                                    the committed prefix and run
 //	                                    read-only; default FAIL)
+//
+// A <seconds> key that fills a wall-clock duration (the overload, serve and
+// HA keys) is refused unless it is finite and fits in int64 nanoseconds.
 func ParseConfig(r io.Reader) (Config, error) {
-	cfg := DefaultConfig()
-	cfg.Machine = cluster.Config{} // must come from NodeName
+	base := DefaultConfig()
+	base.Machine = cluster.Config{} // must come from NodeName
+	cfg := base
+	var applied []keyLine
 	sc := bufio.NewScanner(r)
 	lineNo := 0
-	sawNodes := false
 	for sc.Scan() {
 		lineNo++
 		line := strings.TrimSpace(sc.Text())
@@ -194,120 +206,146 @@ func ParseConfig(r io.Reader) (Config, error) {
 		if !ok {
 			return Config{}, fmt.Errorf("slurm: line %d: expected KEY=VALUE, got %q", lineNo, line)
 		}
-		key = strings.TrimSpace(key)
-		var err error
-		switch key {
-		case "ClusterName":
-			cfg.ClusterName = strings.TrimSpace(rest)
-		case "SchedulerType":
-			pol, known := schedulerTypes[strings.TrimSpace(rest)]
-			if !known {
-				return Config{}, fmt.Errorf("slurm: line %d: unknown SchedulerType %q", lineNo, rest)
-			}
-			cfg.Policy = pol
-		case "OverSubscribe":
-			cfg.Share.Enabled, err = parseYesNo(rest)
-		case "MinComplementarity":
-			cfg.Share.MinComplementarity, err = strconv.ParseFloat(strings.TrimSpace(rest), 64)
-		case "MinEstimatedRate":
-			cfg.Share.MinEstimatedRate, err = strconv.ParseFloat(strings.TrimSpace(rest), 64)
-		case "MaxShareDegree":
-			cfg.Share.MaxDegree, err = strconv.Atoi(strings.TrimSpace(rest))
-		case "PairingAware":
-			cfg.Share.PairingAware, err = parseYesNo(rest)
-		case "InflationAccounting":
-			cfg.Share.InflationAccounting, err = parseYesNo(rest)
-		case "PreferShared":
-			cfg.Share.PreferShared, err = parseYesNo(rest)
-		case "NodeName":
-			cfg.Machine, err = parseNodeLine(rest)
-			sawNodes = err == nil
-		case "PartitionName":
-			cfg.Partition, err = parsePartitionLine(rest)
-		case "PriorityWeightAge":
-			cfg.Priority.WeightAge, err = strconv.ParseFloat(strings.TrimSpace(rest), 64)
-		case "PriorityWeightJobSize":
-			cfg.Priority.WeightJobSize, err = strconv.ParseFloat(strings.TrimSpace(rest), 64)
-		case "PriorityWeightFairshare":
-			cfg.Priority.WeightFairshare, err = strconv.ParseFloat(strings.TrimSpace(rest), 64)
-		case "PriorityFavorSmall":
-			cfg.Priority.FavorSmall, err = parseYesNo(rest)
-		case "PriorityMaxAge":
-			var v float64
-			v, err = strconv.ParseFloat(strings.TrimSpace(rest), 64)
-			cfg.Priority.MaxAge = des.Duration(v)
-		case "FaultMTBF":
-			cfg.Fault.MTBF, err = strconv.ParseFloat(strings.TrimSpace(rest), 64)
-		case "FaultMTTR":
-			cfg.Fault.MTTR, err = strconv.ParseFloat(strings.TrimSpace(rest), 64)
-		case "FaultShape":
-			cfg.Fault.Shape, err = strconv.ParseFloat(strings.TrimSpace(rest), 64)
-		case "JobCrashProb":
-			cfg.Fault.CrashProb, err = strconv.ParseFloat(strings.TrimSpace(rest), 64)
-		case "FaultMaxRetries":
-			cfg.Fault.MaxRetries, err = strconv.Atoi(strings.TrimSpace(rest))
-		case "FaultBackoff":
-			var v float64
-			v, err = strconv.ParseFloat(strings.TrimSpace(rest), 64)
-			cfg.Fault.Backoff = des.Duration(v)
-		case "FaultSeed":
-			cfg.Fault.Seed, err = strconv.ParseUint(strings.TrimSpace(rest), 10, 64)
-		case "MaxClientConns":
-			cfg.Overload.MaxConns, err = strconv.Atoi(strings.TrimSpace(rest))
-		case "MaxInflight":
-			cfg.Overload.MaxInflight, err = strconv.Atoi(strings.TrimSpace(rest))
-		case "RateLimitPerConn":
-			cfg.Overload.RateLimit, err = strconv.ParseFloat(strings.TrimSpace(rest), 64)
-		case "RateLimitBurst":
-			cfg.Overload.RateBurst, err = strconv.ParseFloat(strings.TrimSpace(rest), 64)
-		case "RateLimitControlCost":
-			cfg.Overload.ControlCost, err = strconv.ParseFloat(strings.TrimSpace(rest), 64)
-		case "BusyRetryAfter":
-			cfg.Overload.RetryAfter, err = parseSeconds(rest)
-		case "BreakerThreshold":
-			cfg.Overload.BreakerThreshold, err = strconv.Atoi(strings.TrimSpace(rest))
-		case "BreakerCooldown":
-			cfg.Overload.BreakerCooldown, err = parseSeconds(rest)
-		case "HistoryLimit":
-			cfg.Overload.HistoryLimit, err = strconv.Atoi(strings.TrimSpace(rest))
-		case "ShedTargetLatency":
-			cfg.Overload.ShedTarget, err = parseSeconds(rest)
-		case "ShedWindow":
-			cfg.Overload.ShedWindow, err = parseSeconds(rest)
-		case "BrownoutStepAfter":
-			cfg.Overload.BrownoutStep, err = parseSeconds(rest)
-		case "BrownoutCooldown":
-			cfg.Overload.BrownoutCooldown, err = parseSeconds(rest)
-		case "BrownoutHistoryLimit":
-			cfg.Overload.BrownoutHistoryLimit, err = strconv.Atoi(strings.TrimSpace(rest))
-		case "BrownoutStaleSeconds":
-			cfg.Overload.BrownoutStaleFor, err = parseSeconds(rest)
-		case "ReplicaAddr":
-			cfg.HA.Replica = strings.TrimSpace(rest)
-		case "HALeaseSeconds":
-			cfg.HA.Lease, err = parseSeconds(rest)
-		case "HAHeartbeatSeconds":
-			cfg.HA.Heartbeat, err = parseSeconds(rest)
-		case "JournalCorruptPolicy":
-			cfg.JournalCorruptPolicy = CorruptPolicy(strings.ToLower(strings.TrimSpace(rest)))
-			err = cfg.JournalCorruptPolicy.Validate()
-		default:
-			return Config{}, fmt.Errorf("slurm: line %d: unknown key %q", lineNo, key)
+		kl := keyLine{strings.TrimSpace(key), strings.TrimSpace(rest), lineNo}
+		set, known := confKeys[kl.key]
+		if !known {
+			return Config{}, fmt.Errorf("slurm: line %d: unknown key %q", lineNo, kl.key)
 		}
-		if err != nil {
-			return Config{}, fmt.Errorf("slurm: line %d: %s: %v", lineNo, key, err)
+		if err := set(&cfg, kl.value); err != nil {
+			return Config{}, fmt.Errorf("slurm: line %d: %s: %w", lineNo, kl.key, err)
 		}
+		applied = append(applied, kl)
 	}
 	if err := sc.Err(); err != nil {
 		return Config{}, fmt.Errorf("slurm: read: %w", err)
 	}
-	if !sawNodes {
+	if !slices.ContainsFunc(applied, func(kl keyLine) bool { return kl.key == "NodeName" }) {
 		return Config{}, fmt.Errorf("slurm: configuration has no NodeName line")
 	}
 	if err := cfg.Validate(); err != nil {
+		// Name the last line without which the configuration is valid.
+		for i := len(applied) - 1; i >= 0; i-- {
+			without := base
+			for j, kl := range applied {
+				if j != i {
+					confKeys[kl.key](&without, kl.value)
+				}
+			}
+			if without.Validate() == nil {
+				return Config{}, fmt.Errorf("slurm: line %d: %s: %w", applied[i].line, applied[i].key, err)
+			}
+		}
 		return Config{}, err
 	}
 	return cfg, nil
+}
+
+// keyLine is one KEY=VALUE line ParseConfig applied.
+type keyLine struct {
+	key, value string
+	line       int
+}
+
+// field is the setter of a key that fills the Config field get returns with
+// parse's value; parse is the setter of the field's value type.
+func field[T any](parse func(string) (T, error), get func(*Config) *T) func(*Config, string) error {
+	return func(c *Config, v string) error {
+		x, err := parse(v)
+		*get(c) = x
+		return err
+	}
+}
+
+// confKeys is every key ParseConfig knows, with the field it fills.
+var confKeys = map[string]func(c *Config, value string) error{
+	"ClusterName":             field(text, func(c *Config) *string { return &c.ClusterName }),
+	"SchedulerType":           field(schedulerType, func(c *Config) *string { return &c.Policy }),
+	"OverSubscribe":           field(yesNo, func(c *Config) *bool { return &c.Share.Enabled }),
+	"MinComplementarity":      field(float, func(c *Config) *float64 { return &c.Share.MinComplementarity }),
+	"MinEstimatedRate":        field(float, func(c *Config) *float64 { return &c.Share.MinEstimatedRate }),
+	"MaxShareDegree":          field(strconv.Atoi, func(c *Config) *int { return &c.Share.MaxDegree }),
+	"PairingAware":            field(yesNo, func(c *Config) *bool { return &c.Share.PairingAware }),
+	"InflationAccounting":     field(yesNo, func(c *Config) *bool { return &c.Share.InflationAccounting }),
+	"PreferShared":            field(yesNo, func(c *Config) *bool { return &c.Share.PreferShared }),
+	"NodeName":                field(parseNodeLine, func(c *Config) *cluster.Config { return &c.Machine }),
+	"PartitionName":           field(parsePartitionLine, func(c *Config) *Partition { return &c.Partition }),
+	"PriorityWeightAge":       field(float, func(c *Config) *float64 { return &c.Priority.WeightAge }),
+	"PriorityWeightJobSize":   field(float, func(c *Config) *float64 { return &c.Priority.WeightJobSize }),
+	"PriorityWeightFairshare": field(float, func(c *Config) *float64 { return &c.Priority.WeightFairshare }),
+	"PriorityFavorSmall":      field(yesNo, func(c *Config) *bool { return &c.Priority.FavorSmall }),
+	"PriorityMaxAge":          field(simSeconds, func(c *Config) *des.Duration { return &c.Priority.MaxAge }),
+	"FaultMTBF":               field(float, func(c *Config) *float64 { return &c.Fault.MTBF }),
+	"FaultMTTR":               field(float, func(c *Config) *float64 { return &c.Fault.MTTR }),
+	"FaultShape":              field(float, func(c *Config) *float64 { return &c.Fault.Shape }),
+	"JobCrashProb":            field(float, func(c *Config) *float64 { return &c.Fault.CrashProb }),
+	"FaultMaxRetries":         field(strconv.Atoi, func(c *Config) *int { return &c.Fault.MaxRetries }),
+	"FaultBackoff":            field(simSeconds, func(c *Config) *des.Duration { return &c.Fault.Backoff }),
+	"FaultSeed":               field(unsigned, func(c *Config) *uint64 { return &c.Fault.Seed }),
+	"MaxClientConns":          field(strconv.Atoi, func(c *Config) *int { return &c.Overload.MaxConns }),
+	"MaxInflight":             field(strconv.Atoi, func(c *Config) *int { return &c.Overload.MaxInflight }),
+	"RateLimitPerConn":        field(float, func(c *Config) *float64 { return &c.Overload.RateLimit }),
+	"RateLimitBurst":          field(float, func(c *Config) *float64 { return &c.Overload.RateBurst }),
+	"RateLimitControlCost":    field(float, func(c *Config) *float64 { return &c.Overload.ControlCost }),
+	"BusyRetryAfter":          field(seconds, func(c *Config) *time.Duration { return &c.Overload.RetryAfter }),
+	"BreakerThreshold":        field(strconv.Atoi, func(c *Config) *int { return &c.Overload.BreakerThreshold }),
+	"BreakerCooldown":         field(seconds, func(c *Config) *time.Duration { return &c.Overload.BreakerCooldown }),
+	"HistoryLimit":            field(strconv.Atoi, func(c *Config) *int { return &c.Overload.HistoryLimit }),
+	"ShedTargetLatency":       field(seconds, func(c *Config) *time.Duration { return &c.Overload.ShedTarget }),
+	"ShedWindow":              field(seconds, func(c *Config) *time.Duration { return &c.Overload.ShedWindow }),
+	"BrownoutStepAfter":       field(seconds, func(c *Config) *time.Duration { return &c.Overload.BrownoutStep }),
+	"BrownoutCooldown":        field(seconds, func(c *Config) *time.Duration { return &c.Overload.BrownoutCooldown }),
+	"BrownoutHistoryLimit":    field(strconv.Atoi, func(c *Config) *int { return &c.Overload.BrownoutHistoryLimit }),
+	"BrownoutStaleSeconds":    field(seconds, func(c *Config) *time.Duration { return &c.Overload.BrownoutStaleFor }),
+	"ReplicaAddr":             field(text, func(c *Config) *string { return &c.HA.Replica }),
+	"HALeaseSeconds":          field(seconds, func(c *Config) *time.Duration { return &c.HA.Lease }),
+	"HAHeartbeatSeconds":      field(seconds, func(c *Config) *time.Duration { return &c.HA.Heartbeat }),
+	"JournalCorruptPolicy":    field(corruptPolicy, func(c *Config) *CorruptPolicy { return &c.JournalCorruptPolicy }),
+}
+
+// The setters, one per value type; each gets the value trimmed.
+
+func text(s string) (string, error) { return s, nil }
+
+func yesNo(s string) (bool, error) {
+	switch strings.ToUpper(s) {
+	case "YES":
+		return true, nil
+	case "NO":
+		return false, nil
+	}
+	return false, fmt.Errorf("want YES or NO, got %q", s)
+}
+
+func unsigned(s string) (uint64, error) { return strconv.ParseUint(s, 10, 64) }
+
+func float(s string) (float64, error) { return strconv.ParseFloat(s, 64) }
+
+// simSeconds is simulated time in seconds.
+func simSeconds(s string) (des.Duration, error) {
+	v, err := float(s)
+	return des.Duration(v), err
+}
+
+// seconds is a wall-clock duration in fractional seconds.
+func seconds(s string) (time.Duration, error) {
+	v, err := float(s)
+	ns := v * float64(time.Second)
+	if err == nil && !(ns >= math.MinInt64 && ns < math.MaxInt64) {
+		err = fmt.Errorf("%s seconds is not a finite duration under %d s", s, math.MaxInt64/int64(time.Second))
+	}
+	return time.Duration(ns), err
+}
+
+func schedulerType(s string) (string, error) {
+	if pol, ok := schedulerTypes[s]; ok {
+		return pol, nil
+	}
+	return "", fmt.Errorf("unknown scheduler %q", s)
+}
+
+func corruptPolicy(s string) (CorruptPolicy, error) {
+	p := CorruptPolicy(strings.ToLower(s))
+	return p, p.Validate()
 }
 
 // Validate checks the configuration's internal consistency. The machine,
@@ -395,10 +433,12 @@ func (o OverloadConfig) Validate() error {
 	if o.MaxConns < 0 || o.MaxInflight < 0 || o.BreakerThreshold < 0 || o.HistoryLimit < 0 {
 		return fmt.Errorf("slurm: negative overload limits")
 	}
-	if o.RateLimit < 0 || o.RateBurst < 0 || o.ControlCost < 0 {
-		return fmt.Errorf("slurm: negative rate limit parameters")
+	if !(o.RateLimit >= 0 && o.RateBurst >= 0 && o.ControlCost >= 0) ||
+		math.IsInf(o.RateLimit, 1) || math.IsInf(o.RateBurst, 1) {
+		return fmt.Errorf("slurm: rate limit parameters (%g, %g, %g) must be finite and non-negative",
+			o.RateLimit, o.RateBurst, o.ControlCost)
 	}
-	if o.ControlCost > 1 {
+	if o.ControlCost > 1 { // +Inf too
 		return fmt.Errorf("slurm: RateLimitControlCost %g > 1 would deprioritize control verbs", o.ControlCost)
 	}
 	if o.RetryAfter < 0 || o.BreakerCooldown < 0 {
@@ -415,23 +455,6 @@ func (o OverloadConfig) Validate() error {
 		return fmt.Errorf("slurm: BrownoutStepAfter requires ShedTargetLatency (the ladder's pressure signal is the shedder)")
 	}
 	return nil
-}
-
-// parseSeconds reads a duration key's value, fractional seconds.
-func parseSeconds(s string) (time.Duration, error) {
-	v, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
-	return time.Duration(v * float64(time.Second)), err
-}
-
-func parseYesNo(s string) (bool, error) {
-	switch strings.ToUpper(strings.TrimSpace(s)) {
-	case "YES":
-		return true, nil
-	case "NO":
-		return false, nil
-	default:
-		return false, fmt.Errorf("want YES or NO, got %q", s)
-	}
 }
 
 // parseNodeLine parses "nid[001-032] CPUs=32 ThreadsPerCore=2
@@ -518,8 +541,14 @@ func parsePartitionLine(rest string) (Partition, error) {
 		}
 		switch k {
 		case "MaxTime":
+			if math.IsNaN(n) || math.IsInf(n, 0) {
+				return Partition{}, fmt.Errorf("partition MaxTime %s is not finite", v)
+			}
 			p.MaxTime = des.Duration(n)
 		case "MaxNodes":
+			if n != math.Trunc(n) || math.Abs(n) >= math.MaxInt64 {
+				return Partition{}, fmt.Errorf("partition MaxNodes %s is not an integer", v)
+			}
 			p.MaxNodes = int(n)
 		default:
 			return Partition{}, fmt.Errorf("unknown partition attribute %q", k)

@@ -1,7 +1,9 @@
 package slurm
 
 import (
+	"errors"
 	"os"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -233,5 +235,111 @@ func TestShippedOverloadConfig(t *testing.T) {
 	}
 	if _, err := NewController(cfg); err != nil {
 		t.Fatalf("shipped overload config cannot boot: %v", err)
+	}
+}
+
+// numericValues are cmd/internal/flagtable's Values, which a package
+// outside cmd/ cannot import.
+var numericValues = [5]string{"0", "-1", "NaN", "+Inf", "1e308"}
+
+// TestConfigKeys tries every numeric key of the table with the five values
+// every numeric flag is tried with, on a sharing configuration. A row says
+// whether each value is accepted (true) or refused; a refusal names the key
+// and its line. A key is numeric when its setter meets "x" with a number
+// syntax error; one without a row fails the test.
+func TestConfigKeys(t *testing.T) {
+	const base = "NodeName=n[1-4] CPUs=8 ThreadsPerCore=2 RealMemory=1024\n" +
+		"SchedulerType=sched/share_backfill\nOverSubscribe=YES\n"
+	floor := [5]bool{true, true, false, false, true}      // a threshold: any finite value
+	weight := [5]bool{true, false, false, false, true}    // finite, non-negative
+	onlyZero := [5]bool{true, false, false, false, false} // of the five only 0 is in range: off, none or default
+	rows := map[string][5]bool{
+		"MinComplementarity":      floor,
+		"MinEstimatedRate":        floor,
+		"MaxShareDegree":          {false, false, false, false, false},
+		"PriorityWeightAge":       weight,
+		"PriorityWeightJobSize":   weight,
+		"PriorityWeightFairshare": weight,
+		"PriorityMaxAge":          {false, false, false, false, true},
+		"FaultMTBF":               {true, false, false, true, false}, // 0 and +Inf: no failures; 1e308 needs an MTTR
+		"FaultMTTR":               {true, false, false, true, true},  // bounded only with failures on
+		"FaultShape":              {true, false, false, true, true},  // likewise
+		"JobCrashProb":            onlyZero,
+		"FaultMaxRetries":         onlyZero,
+		"FaultBackoff":            onlyZero,
+		"FaultSeed":               onlyZero,
+		"MaxClientConns":          onlyZero,
+		"MaxInflight":             onlyZero,
+		"RateLimitPerConn":        weight,
+		"RateLimitBurst":          weight,
+		"RateLimitControlCost":    onlyZero,
+		"BusyRetryAfter":          onlyZero,
+		"BreakerThreshold":        onlyZero,
+		"BreakerCooldown":         onlyZero,
+		"HistoryLimit":            onlyZero,
+		"ShedTargetLatency":       onlyZero,
+		"ShedWindow":              onlyZero,
+		"BrownoutStepAfter":       onlyZero,
+		"BrownoutCooldown":        onlyZero,
+		"BrownoutHistoryLimit":    onlyZero,
+		"BrownoutStaleSeconds":    onlyZero,
+		"HALeaseSeconds":          onlyZero,
+		"HAHeartbeatSeconds":      onlyZero,
+	}
+	numeric := map[string]bool{}
+	for name, set := range confKeys {
+		var probe Config
+		if err := set(&probe, "x"); !errors.Is(err, strconv.ErrSyntax) {
+			continue
+		}
+		numeric[name] = true
+		row, ok := rows[name]
+		if !ok {
+			t.Errorf("numeric key %s has no row", name)
+			continue
+		}
+		for i, v := range numericValues {
+			_, err := ParseConfig(strings.NewReader(base + name + "=" + v + "\n"))
+			switch {
+			case row[i] && err != nil:
+				t.Errorf("%s=%s: want it accepted, got %v", name, v, err)
+			case !row[i] && err == nil:
+				t.Errorf("%s=%s: want it refused, got it accepted", name, v)
+			case !row[i] && !strings.Contains(err.Error(), "line 4: "+name+": "):
+				t.Errorf("%s=%s: refusal %q does not name the key and its line", name, v, err)
+			}
+		}
+	}
+	for name := range rows {
+		if !numeric[name] {
+			t.Errorf("row %s names no numeric key", name)
+		}
+	}
+}
+
+// newlyRefused are the values the key table refuses that the per-key switch
+// let through: each parsed and booted a controller (MaxShareDegree with
+// OverSubscribe on), or, for the two huge durations, was refused only
+// because a float to int64 conversion overflowed to a negative number on
+// amd64.
+var newlyRefused = []string{
+	"MaxShareDegree=-1", "MaxShareDegree=0",
+	"MinComplementarity=NaN", "MinEstimatedRate=NaN", "MinEstimatedRate=+Inf",
+	"PriorityWeightAge=NaN", "PriorityWeightAge=+Inf", "PriorityMaxAge=NaN", "PriorityMaxAge=+Inf",
+	"RateLimitPerConn=NaN", "RateLimitBurst=+Inf", "RateLimitControlCost=NaN",
+	"PartitionName=batch MaxTime=NaN", "PartitionName=batch MaxNodes=2.7",
+	"HALeaseSeconds=1e308", "BusyRetryAfter=1e308",
+}
+
+// TestParseConfigRefusals: each newly refused value is refused, naming its
+// key and line.
+func TestParseConfigRefusals(t *testing.T) {
+	const base = "NodeName=n[1-4] CPUs=8 ThreadsPerCore=2 RealMemory=1024\nOverSubscribe=YES\n"
+	for _, line := range newlyRefused {
+		_, err := ParseConfig(strings.NewReader(base + line + "\n"))
+		key, _, _ := strings.Cut(line, "=")
+		if err == nil || !strings.Contains(err.Error(), "line 3: "+key+": ") {
+			t.Errorf("%s: got %v, want a refusal naming line 3 and %s", line, err, key)
+		}
 	}
 }

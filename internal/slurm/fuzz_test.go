@@ -2,14 +2,19 @@ package slurm
 
 import (
 	"encoding/json"
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 )
 
 // FuzzParseConfig drives the slurm.conf parser with arbitrary input: it
-// must never panic, and any configuration it accepts must validate and be
-// able to boot a controller.
+// must never panic, must accept nothing refParseConfig refuses and parse
+// what both accept to the same Config, and any configuration it accepts
+// must validate and be able to boot a controller. The seeds include every
+// shipped configuration.
 func FuzzParseConfig(f *testing.F) {
 	f.Add(sampleConf)
 	f.Add("NodeName=n[1-4] CPUs=8 ThreadsPerCore=2 RealMemory=1024\n")
@@ -40,9 +45,29 @@ func FuzzParseConfig(f *testing.F) {
 	f.Add("NodeName=n CPUs=2 ThreadsPerCore=1 RealMemory=64\nShedTargetLatency=-1\n")
 	f.Add("NodeName=n CPUs=2 ThreadsPerCore=1 RealMemory=64\nBrownoutStepAfter=0.5\n")
 	f.Add("NodeName=n CPUs=2 ThreadsPerCore=1 RealMemory=64\nBrownoutHistoryLimit=-5\n")
+	for _, line := range newlyRefused {
+		f.Add("NodeName=n CPUs=2 ThreadsPerCore=1 RealMemory=64\nOverSubscribe=YES\n" + line + "\n")
+	}
+	confs, err := filepath.Glob("../../configs/*.conf")
+	if err != nil || len(confs) == 0 {
+		f.Fatalf("no shipped configurations: %v", err)
+	}
+	for _, path := range confs {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(string(data))
+	}
 	f.Fuzz(func(t *testing.T, input string) {
 		cfg, err := ParseConfig(strings.NewReader(input))
-		if err != nil {
+		ref, refErr := refParseConfig(strings.NewReader(input))
+		switch {
+		case err == nil && refErr != nil:
+			t.Fatalf("the key table accepts what the per-key switch refuses: %v", refErr)
+		case err == nil && fmt.Sprintf("%+v", cfg) != fmt.Sprintf("%+v", ref): // as text, where NaN equals NaN
+			t.Fatalf("the key table parses\n%+v\nthe per-key switch\n%+v", cfg, ref)
+		case err != nil:
 			return
 		}
 		if err := cfg.Validate(); err != nil {

@@ -2,6 +2,7 @@ package slurm
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/des"
 	"repro/internal/job"
@@ -38,12 +39,14 @@ func DefaultPriorityConfig() PriorityConfig {
 
 // Validate checks the plugin configuration.
 func (c PriorityConfig) Validate() error {
-	if c.WeightAge < 0 || c.WeightJobSize < 0 || c.WeightFairshare < 0 {
-		return fmt.Errorf("slurm: negative priority weights (%g, %g, %g)",
-			c.WeightAge, c.WeightJobSize, c.WeightFairshare)
+	for _, w := range []float64{c.WeightAge, c.WeightJobSize, c.WeightFairshare} {
+		if !(w >= 0 && w <= math.MaxFloat64) {
+			return fmt.Errorf("slurm: priority weights (%g, %g, %g) must be finite and non-negative",
+				c.WeightAge, c.WeightJobSize, c.WeightFairshare)
+		}
 	}
-	if c.MaxAge <= 0 {
-		return fmt.Errorf("slurm: priority MaxAge %v must be positive", c.MaxAge)
+	if !(c.MaxAge > 0 && c.MaxAge <= math.MaxFloat64) {
+		return fmt.Errorf("slurm: priority MaxAge %v must be positive and finite", c.MaxAge)
 	}
 	return nil
 }

@@ -6,7 +6,6 @@ import (
 	"flag"
 	"fmt"
 	"net"
-	"os"
 	"path/filepath"
 	"regexp"
 	"strings"
@@ -14,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/golden"
 	"repro/internal/vfs"
 )
 
@@ -392,19 +392,5 @@ func TestRefusalBytesGolden(t *testing.T) {
 	if t.Failed() {
 		return
 	}
-	path := filepath.Join("testdata", "refusals.golden")
-	text := strings.Join(got, "\n") + "\n"
-	if *updateRefusals {
-		if err := os.WriteFile(path, []byte(text), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if text != string(want) {
-		t.Fatalf("refusal bytes moved:\n--- got ---\n%s--- want ---\n%s", text, want)
-	}
+	golden.Check(t, filepath.Join("testdata", "refusals.golden"), []byte(strings.Join(got, "\n")+"\n"), *updateRefusals)
 }

@@ -13,7 +13,6 @@ import (
 	"encoding/csv"
 	"encoding/json"
 	"fmt"
-	"strings"
 
 	"repro/internal/cluster"
 	"repro/internal/des"
@@ -73,7 +72,7 @@ func (sc Scenario) parts() (sched.Policy, *interference.Model, error) {
 	}
 	pol, err := sched.New(sc.Policy, sc.Share)
 	if err != nil {
-		return nil, nil, fmt.Errorf("%w (known: %s)", err, strings.Join(sched.Names(), ", "))
+		return nil, nil, err
 	}
 	if err := sc.Faults.Validate(); err != nil {
 		return nil, nil, err

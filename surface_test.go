@@ -49,6 +49,8 @@ var keptForTests = map[string]string{
 
 	"(*repro/internal/fault.Injector).Trace": "sim's fault tests compare failure traces across seeds through Engine.FaultTrace",
 
+	"repro/internal/golden.Check": "the golden-file tests of the examples, the commands, slurm and fabric compare their output through it",
+
 	"repro/internal/vfs.NewFaulty":                  "the wal, slurm and fabric storage-fault tests wrap the filesystem with it",
 	"(*repro/internal/vfs.Faulty).Stats":            "the wal, slurm and fabric storage-fault tests check the faults were injected",
 	"(*repro/internal/vfs.Faulty).FailSyncs":        "the wal and slurm storage-fault tests script failed fsyncs",
