@@ -124,8 +124,11 @@ func Read(r io.Reader) ([]Record, error) {
 	return out, nil
 }
 
-// Summary aggregates records per application into a rendered table: counts,
-// waits, stretches, and delivered node-hours.
+// Summary aggregates records per application into a rendered table: job,
+// shared and killed counts over every record; wait and stretch means over the
+// FINISHED ones; and node-hours of delivered work, which is FINISHED work only
+// (a KILLED or FAILED job's occupancy is not counted). An application none of
+// whose jobs finished has no wait or stretch to average: its means read n/a.
 func Summary(records []Record) *report.Table {
 	type agg struct {
 		count, shared, killed int
@@ -169,10 +172,18 @@ func Summary(records []Record) *report.Table {
 			fmt.Sprintf("%d", a.count),
 			fmt.Sprintf("%d", a.shared),
 			fmt.Sprintf("%d", a.killed),
-			report.F(stats.Mean(a.waits), 0),
-			report.F(stats.Mean(a.stretches), 3),
+			meanOrNA(a.waits, 0),
+			meanOrNA(a.stretches, 3),
 			report.F(a.nodeHours, 1),
 		)
 	}
 	return t
+}
+
+// meanOrNA renders the mean of xs, or n/a when there is nothing to average.
+func meanOrNA(xs []float64, places int) string {
+	if len(xs) == 0 {
+		return "n/a"
+	}
+	return report.F(stats.Mean(xs), places)
 }

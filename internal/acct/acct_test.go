@@ -143,3 +143,28 @@ func TestSummary(t *testing.T) {
 		}
 	}
 }
+
+// An application none of whose jobs finished has no wait or stretch mean:
+// the cells read n/a, not a made-up 0, and its node-hours are zero because
+// only FINISHED work is delivered.
+func TestSummaryNoFinishedJobs(t *testing.T) {
+	records := []Record{
+		{JobID: 1, App: "minife", State: "FINISHED", Submit: 0, Start: 20, End: 120, Stretch: 1, Work: 7200},
+		{JobID: 2, App: "minimd", State: "CANCELLED", Submit: 0},
+		{JobID: 3, App: "snap", State: "KILLED", Submit: 0, Start: 5, End: 100, Work: 3600},
+	}
+	want := map[string][3]string{
+		"minife": {"20", "1.000", "2.0"},
+		"minimd": {"n/a", "n/a", "0.0"},
+		"snap":   {"n/a", "n/a", "0.0"},
+	}
+	tbl := Summary(records)
+	if len(tbl.Rows) != len(want) {
+		t.Fatalf("%d rows, want %d:\n%s", len(tbl.Rows), len(want), tbl.String())
+	}
+	for _, row := range tbl.Rows {
+		if got := [3]string{row[4], row[5], row[6]}; got != want[row[0]] {
+			t.Errorf("%s: wait, stretch, node-hours = %q, want %q", row[0], got, want[row[0]])
+		}
+	}
+}
