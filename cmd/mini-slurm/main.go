@@ -10,7 +10,7 @@
 //	mini-slurm squeue -addr 127.0.0.1:6818
 //	mini-slurm sinfo  -addr 127.0.0.1:6818
 //	mini-slurm advance -addr 127.0.0.1:6818 -seconds 3600
-//	mini-slurm scancel -addr 127.0.0.1:6818 -id 3
+//	mini-slurm scancel -addr 127.0.0.1:6818 -id 3         # pending jobs only
 //	mini-slurm scontrol -addr 127.0.0.1:6818 -down 5        # then -up 5
 //	mini-slurm scontrol -addr 127.0.0.1:6818 -requeue 3
 //	mini-slurm stats  -addr 127.0.0.1:6818
@@ -389,9 +389,11 @@ func sinfo(args []string, stdout io.Writer) error {
 	})
 }
 
+// scancel cancels a pending job. A job that has started cannot be cancelled
+// (the simulator does not preempt); scontrol -requeue evicts it instead.
 func scancel(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("scancel", flag.ContinueOnError)
-	id := fs.Int64("id", 0, "job ID to cancel (required)")
+	id := fs.Int64("id", 0, "ID of the pending job to cancel (required; a running job is evicted with scontrol -requeue)")
 	return client(fs, args, func(cl *slurm.Client) error {
 		if *id == 0 {
 			return fmt.Errorf("scancel: -id is required")

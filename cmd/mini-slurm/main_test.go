@@ -233,3 +233,22 @@ func TestVerdictsAreErrors(t *testing.T) {
 		t.Error("unknown subcommand accepted")
 	}
 }
+
+// TestScancelRunningJob: scancel takes pending jobs only, so cancelling a
+// job that has started is refused, and the refusal names the way to evict
+// it; the job keeps running.
+func TestScancelRunningJob(t *testing.T) {
+	addr := startServer(t)
+	if err := run([]string{"sbatch", "-addr", addr, "-app", "minife", "-nodes", "2", "-time", "7200"}, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	err := run([]string{"scancel", "-addr", addr, "-id", "1"}, &out)
+	if err == nil || !strings.Contains(err.Error(), "scontrol -requeue 1") || out.Len() != 0 {
+		t.Fatalf("scancel of a running job: error %v, output %q; want a refusal naming scontrol -requeue 1", err, out.Bytes())
+	}
+	out.Reset()
+	if err := run([]string{"squeue", "-addr", addr}, &out); err != nil || !strings.Contains(out.String(), "RUNNING") {
+		t.Fatalf("after the refused scancel: squeue error %v, output\n%s", err, out.Bytes())
+	}
+}

@@ -17,6 +17,7 @@ import (
 	"repro/internal/des"
 	"repro/internal/job"
 	"repro/internal/metrics"
+	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/sweepgrid"
 	"repro/internal/vfs"
@@ -217,7 +218,14 @@ func (c *Controller) apply(e *Entry) error {
 	case "submit":
 		return c.applySubmit(e)
 	case "cancel":
-		return c.eng.CancelPending(cluster.JobID(e.ID))
+		id := cluster.JobID(e.ID)
+		err := c.eng.CancelPending(id)
+		if err != nil && slices.ContainsFunc(c.eng.Running(), func(r *sched.RunningJob) bool { return r.Job.ID == id }) {
+			// The simulator does not preempt: a started job leaves the
+			// machine only by eviction.
+			return fmt.Errorf("slurm: job %d is running and scancel cancels pending jobs only; scontrol -requeue %d evicts it", id, id)
+		}
+		return err
 	case "advance":
 		if e.Seconds < 0 {
 			return nil // a negative advance is a no-op
