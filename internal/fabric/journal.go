@@ -150,25 +150,11 @@ func OpenCampaignJournal(fsys vfs.FS, path string, spec []byte, cells int) (*Cam
 			encodeRecord(journalRecord{Kind: "campaign", Cells: cells, SpecSHA: specSHA(spec)}),
 			encodeRecord(journalRecord{Kind: "gen", Gen: 1}),
 		}, false)
-		tmp := path + ".tmp"
-		var f vfs.File
-		if f, err = fsys.Create(tmp); err == nil {
-			if _, err = f.Write(buf); err == nil {
-				err = f.Sync()
-			}
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-		}
-		if err == nil {
-			err = fsys.Rename(tmp, path)
-		}
-		if err == nil {
+		if err = wal.Replace(fsys, path, buf); err == nil {
 			fsys.SyncDir(filepath.Dir(path)) // best effort: the file itself is synced
 			log, err = wal.OpenAppend(fsys, path, int64(len(buf)))
 		}
 		if err != nil {
-			fsys.Remove(tmp)
 			return nil, Recovery{}, fmt.Errorf("fabric: init journal: %w", err)
 		}
 	} else {

@@ -512,28 +512,14 @@ func (j *journal) append(group []Entry) error {
 }
 
 // writeSnapshot atomically replaces dir's snapshot with entries: sealed
-// image to a temp file, fsync, rename, directory fsync.
+// image through wal.Replace (temp file, fsync, rename), then a directory
+// fsync whose failure is counted in journal_sync_errors.
 func writeSnapshot(fsys vfs.FS, dir string, entries []Entry) error {
 	data, err := encodeSnapshot(entries)
 	if err != nil {
 		return err
 	}
-	tmp := snapshotFile(dir) + ".tmp"
-	f, err := fsys.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if _, err = f.Write(data); err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = fsys.Rename(tmp, snapshotFile(dir))
-	}
-	if err != nil {
-		fsys.Remove(tmp)
+	if err := wal.Replace(fsys, snapshotFile(dir), data); err != nil {
 		return err
 	}
 	// Without a directory fsync the rename may not survive power loss on

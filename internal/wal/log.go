@@ -48,6 +48,33 @@ func Create(fsys vfs.FS, path, header string, payloads ...[]byte) (*Log, error) 
 	return &Log{fs: fsys, path: path, f: f, committed: int64(len(buf))}, nil
 }
 
+// Replace atomically replaces the content of path with data: it writes
+// path+".tmp", syncs and closes it, and renames it over path, removing the
+// temp file if any step fails, so path holds either its old content or all
+// of data. The directory is not synced: a caller that needs the rename to
+// survive power loss syncs it, and decides what a failed directory sync
+// means.
+func Replace(fsys vfs.FS, path string, data []byte) error {
+	tmp := path + ".tmp"
+	f, err := fsys.Create(tmp)
+	if err != nil {
+		return err
+	}
+	if _, err = f.Write(data); err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = fsys.Rename(tmp, path)
+	}
+	if err != nil {
+		fsys.Remove(tmp)
+	}
+	return err
+}
+
 // OpenAppend opens the existing log at path whose verified prefix is
 // validLen bytes (a Scan's ValidLen, after the caller truncated any torn
 // tail to it).

@@ -337,3 +337,38 @@ func FuzzScan(f *testing.F) {
 		}
 	})
 }
+
+// TestReplace: a replace that fails at the file's fsync or at a torn write
+// leaves the old content and no temp file; one that succeeds leaves the new
+// content and no temp file.
+func TestReplace(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "toy.snap")
+	faulty := vfs.NewFaulty(vfs.OS{}, vfs.FaultProfile{Seed: 3, SyncFailTransient: true})
+	check := func(want string) {
+		t.Helper()
+		if got, err := os.ReadFile(path); err != nil || string(got) != want {
+			t.Fatalf("content %q (%v), want %q", got, err, want)
+		}
+		if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
+			t.Fatalf("temp file left behind: %v", err)
+		}
+	}
+	if err := Replace(faulty, path, []byte("old")); err != nil {
+		t.Fatal(err)
+	}
+	check("old")
+	faulty.FailSyncs(1)
+	if err := Replace(faulty, path, []byte("new")); !errors.Is(err, vfs.ErrSyncFailed) {
+		t.Fatalf("failed fsync: error %v, want ErrSyncFailed", err)
+	}
+	check("old")
+	faulty.TearWrites(1)
+	if err := Replace(faulty, path, []byte("new")); !errors.Is(err, vfs.ErrTornWrite) {
+		t.Fatalf("torn write: error %v, want ErrTornWrite", err)
+	}
+	check("old")
+	if err := Replace(faulty, path, []byte("new")); err != nil {
+		t.Fatal(err)
+	}
+	check("new")
+}
