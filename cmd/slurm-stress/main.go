@@ -21,12 +21,17 @@
 //  3. the deposed primary is fenced (rejects mutations), and
 //  4. on healing, the deposed node rejoins as a standby and resyncs.
 //
-// Exit status is 0 only if every invariant of the scenario held.
+// A non-positive -clients or -submits, a non-positive -health-interval or
+// -lease, and a negative -health-deadline are refused before any server
+// boots. Exit status is 0 only if every invariant of the scenario held (or
+// -h asked for the usage); every error exits 1.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -36,23 +41,45 @@ import (
 )
 
 func main() {
-	cmd, args := "soak", os.Args[1:]
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return
+		}
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+}
+
+// scenarios are the subcommands, each run with the arguments after its name.
+var scenarios = map[string]func(args []string, stdout io.Writer) error{"soak": runSoak, "failover": runFailover}
+
+// run stages the scenario args[0] names (soak when args start with a flag)
+// and prints its verdict line when every invariant held.
+func run(args []string, stdout io.Writer) error {
+	cmd := "soak"
 	if len(args) > 0 && !strings.HasPrefix(args[0], "-") {
 		cmd, args = args[0], args[1:]
 	}
-	run, ok := map[string]func([]string) error{"soak": runSoak, "failover": runFailover}[cmd]
+	scenario, ok := scenarios[cmd]
 	if !ok {
-		fmt.Fprintf(os.Stderr, "slurm-stress: unknown subcommand %q (soak, failover)\n", cmd)
-		os.Exit(2)
+		return fmt.Errorf("slurm-stress: unknown subcommand %q (soak, failover)", cmd)
 	}
-	if err := run(args); err != nil {
-		fmt.Fprintf(os.Stderr, "slurm-stress %s: FAIL: %v\n", cmd, err)
-		os.Exit(1)
+	if err := scenario(args, stdout); err != nil {
+		return fmt.Errorf("slurm-stress %s: FAIL: %w", cmd, err)
 	}
-	fmt.Printf("slurm-stress %s: PASS\n", cmd)
+	fmt.Fprintf(stdout, "slurm-stress %s: PASS\n", cmd)
+	return nil
 }
 
-func runSoak(args []string) error {
+// positive refuses a storm size that would start no client or submit no job.
+func positive(clients, submits int) error {
+	if clients < 1 || submits < 1 {
+		return fmt.Errorf("-clients and -submits must be positive, got %d and %d", clients, submits)
+	}
+	return nil
+}
+
+func runSoak(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("slurm-stress soak", flag.ContinueOnError)
 	var (
 		addr     = fs.String("addr", "", "existing controller to soak (default: boot an in-process server)")
@@ -65,6 +92,13 @@ func runSoak(args []string) error {
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if err := positive(*clients, *submits); err != nil {
+		return err
+	}
+	if *interval <= 0 || *deadline < 0 {
+		// The soak is judged on its health probes, so it needs a cadence.
+		return fmt.Errorf("-health-interval must be positive and -health-deadline not negative, got %s and %s", *interval, *deadline)
 	}
 	if *addr == "" {
 		cfg := slurm.DefaultConfig()
@@ -99,7 +133,7 @@ func runSoak(args []string) error {
 			return err
 		}
 		defer srv.Shutdown(5 * time.Second)
-		fmt.Printf("slurm-stress: in-process server on %s (inflight %d, rate %.0f/s)\n",
+		fmt.Fprintf(stdout, "slurm-stress: in-process server on %s (inflight %d, rate %.0f/s)\n",
 			*addr, cfg.Overload.MaxInflight, cfg.Overload.RateLimit)
 	}
 
@@ -114,7 +148,7 @@ func runSoak(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Println(res)
+	fmt.Fprintln(stdout, res)
 	for _, e := range res.Errors {
 		fmt.Fprintln(os.Stderr, "slurm-stress: sampled error:", e)
 	}
@@ -136,7 +170,7 @@ func runSoak(args []string) error {
 	return nil
 }
 
-func runFailover(args []string) error {
+func runFailover(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("slurm-stress failover", flag.ContinueOnError)
 	var (
 		seed    = fs.Uint64("seed", 1, "chaos and retry-jitter RNG seed")
@@ -146,6 +180,12 @@ func runFailover(args []string) error {
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if err := positive(*clients, *submits); err != nil {
+		return err
+	}
+	if *lease <= 0 {
+		return fmt.Errorf("-lease must be positive, got %s", *lease)
 	}
 	cfg, patience := slurm.DefaultConfig(), *lease*10
 
@@ -198,7 +238,7 @@ func runFailover(args []string) error {
 	if err := ctls[1].StartHA(slurm.HAOptions{Standby: true, Peer: pBA.Addr(), Lease: *lease}); err != nil {
 		return err
 	}
-	fmt.Printf("slurm-stress: primary %s replicating to standby %s (lease %s)\n", addrA, addrB, *lease)
+	fmt.Fprintf(stdout, "slurm-stress: primary %s replicating to standby %s (lease %s)\n", addrA, addrB, *lease)
 
 	res, err := slurm.Storm{
 		Addrs:     pCli.Addr() + "," + addrB,
@@ -208,7 +248,7 @@ func runFailover(args []string) error {
 		Timeout:   300 * time.Millisecond,
 		DisruptAt: *clients * *submits / 4,
 		Disrupt: func() {
-			fmt.Println("slurm-stress: partitioning the primary mid-storm")
+			fmt.Fprintln(stdout, "slurm-stress: partitioning the primary mid-storm")
 			for _, px := range proxies {
 				px.Partition()
 			}
@@ -217,9 +257,9 @@ func runFailover(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Println(res)
+	fmt.Fprintln(stdout, res)
 	for _, e := range res.Errors {
-		fmt.Println("slurm-stress:   error:", e)
+		fmt.Fprintln(stdout, "slurm-stress:   error:", e)
 	}
 
 	// 1. The standby must have promoted within about one lease; the storm's
@@ -227,7 +267,7 @@ func runFailover(args []string) error {
 	if err := waitRole(addrB, slurm.RolePrimary, patience); err != nil {
 		return fmt.Errorf("standby never promoted: %w", err)
 	}
-	fmt.Println("slurm-stress: standby promoted to primary")
+	fmt.Fprintln(stdout, "slurm-stress: standby promoted to primary")
 
 	// 2. Zero lost acknowledged submits on the new primary, exactly once,
 	// and no replayed token given a second job across the promotion.
@@ -237,7 +277,7 @@ func runFailover(args []string) error {
 	if _, err := res.Audit(addrB, *seed); err != nil {
 		return err
 	}
-	fmt.Printf("slurm-stress: all %d acknowledged submits present exactly once\n", len(res.Acked))
+	fmt.Fprintf(stdout, "slurm-stress: all %d acknowledged submits present exactly once\n", len(res.Acked))
 
 	// 3. The deposed primary must be fenced: still reachable (dial its real
 	// address, not the partitioned proxy) but refusing mutations.
@@ -250,7 +290,7 @@ func runFailover(args []string) error {
 	if err == nil {
 		return fmt.Errorf("deposed primary accepted a mutation while partitioned (split brain)")
 	}
-	fmt.Println("slurm-stress: deposed primary is fenced")
+	fmt.Fprintln(stdout, "slurm-stress: deposed primary is fenced")
 
 	// 4. Heal the partition: the deposed node must observe the higher
 	// epoch, demote itself, and resync from the new primary's log.
@@ -263,7 +303,7 @@ func runFailover(args []string) error {
 	if err := waitCaughtUp(addrA, addrB, patience); err != nil {
 		return err
 	}
-	fmt.Println("slurm-stress: deposed primary rejoined as standby and resynced")
+	fmt.Fprintln(stdout, "slurm-stress: deposed primary rejoined as standby and resynced")
 	return nil
 }
 
