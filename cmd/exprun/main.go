@@ -7,12 +7,12 @@
 //	exprun F1 F2 T3              # run selected experiments
 //	exprun -csv -out results F1  # also write results/F1.csv
 //	exprun -seeds 5 -jobs 500    # heavier averaging
-//	exprun -workers 4            # fan experiments across 4 cores
+//	exprun -workers 4            # run 4 simulations at a time
 //
-// Experiments fan out across -workers goroutines (default: all cores); each
-// experiment is an isolated simulation pipeline, and tables are printed in
-// registry order regardless of completion order, so the output is identical
-// for any worker count.
+// Experiments run one after another, in the order requested; each fans its
+// simulations out across -workers goroutines (default: all cores). Every
+// simulation is isolated and results are gathered in index order, never
+// completion order, so the output is identical for any worker count.
 //
 // Experiment IDs, workloads, and paper-anchored expectations are indexed in
 // DESIGN.md §4; measured-vs-paper numbers are recorded in EXPERIMENTS.md.
@@ -28,8 +28,6 @@ import (
 	"path/filepath"
 
 	"repro/internal/exp"
-	"repro/internal/parallel"
-	"repro/internal/report"
 )
 
 func main() {
@@ -51,7 +49,7 @@ const maxSeeds = 1000
 // by default) to stdout. The numeric flags bind onto exp.Options, which
 // checks them as given before any experiment runs, so a bad flag never
 // prints part of the output: zero is not "use the default" here. -seeds N
-// runs seeds 42…42+N−1; it and -workers are the command's own.
+// runs seeds 42…42+N−1 and is the command's own.
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("exprun", flag.ContinueOnError)
 	var opts exp.Options
@@ -65,7 +63,7 @@ func run(args []string, stdout io.Writer) error {
 	fs.Float64Var(&opts.FaultMTTR, "fault-mttr", 900, "F12: per-node mean time to repair in seconds")
 	fs.Float64Var(&opts.FaultShape, "fault-shape", 1, "F12: Weibull shape of time-to-failure (1 = exponential)")
 	fs.Float64Var(&opts.FaultCrashProb, "fault-crashprob", 0.02, "F12: per-attempt job crash probability")
-	workers := fs.Int("workers", 0, "parallel experiment workers (0 = all cores)")
+	fs.IntVar(&opts.Workers, "workers", 0, "parallel simulation workers (0 = all cores)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -81,8 +79,6 @@ func run(args []string, stdout io.Writer) error {
 		return errors.New("-csv requires -out")
 	case *seeds < 1 || *seeds > maxSeeds:
 		return fmt.Errorf("-seeds must be in [1, %d], got %d", maxSeeds, *seeds)
-	case *workers < 0:
-		return fmt.Errorf("-workers must be ≥ 0 (0 = all cores), got %d", *workers)
 	}
 	for s := 0; s < *seeds; s++ {
 		opts.Seeds = append(opts.Seeds, uint64(42+s))
@@ -94,14 +90,13 @@ func run(args []string, stdout io.Writer) error {
 	if len(ids) == 0 {
 		ids = exp.IDs()
 	}
-	return runExperiments(ids, opts, *workers, *out, stdout)
+	return runExperiments(ids, opts, *out, stdout)
 }
 
-// runExperiments executes the selected experiments across workers
-// goroutines and writes their tables to out in the order requested. When
-// csvDir is non-empty, each experiment's CSV is also written to
-// csvDir/<ID>.csv.
-func runExperiments(ids []string, opts exp.Options, workers int, csvDir string, out io.Writer) error {
+// runExperiments executes the selected experiments one after another and
+// writes each table to out as it completes. When csvDir is non-empty, each
+// experiment's CSV is also written to csvDir/<ID>.csv.
+func runExperiments(ids []string, opts exp.Options, csvDir string, out io.Writer) error {
 	// Resolve IDs up front so an unknown experiment fails before any run.
 	exps := make([]exp.Experiment, len(ids))
 	for i, id := range ids {
@@ -116,13 +111,11 @@ func runExperiments(ids []string, opts exp.Options, workers int, csvDir string, 
 			return err
 		}
 	}
-	return parallel.RunOrdered(len(exps), workers, func(i int) (*report.Table, error) {
-		tbl, err := exps[i].Run(opts)
+	for _, e := range exps {
+		tbl, err := e.Run(opts)
 		if err != nil {
-			return nil, fmt.Errorf("%s: %w", exps[i].ID, err)
+			return fmt.Errorf("%s: %w", e.ID, err)
 		}
-		return tbl, nil
-	}, func(i int, tbl *report.Table) error {
 		if err := tbl.Render(out); err != nil {
 			return err
 		}
@@ -130,12 +123,15 @@ func runExperiments(ids []string, opts exp.Options, workers int, csvDir string, 
 			return err
 		}
 		if csvDir == "" {
-			return nil
+			continue
 		}
 		var csv bytes.Buffer
 		if err := tbl.RenderCSV(&csv); err != nil {
 			return err
 		}
-		return os.WriteFile(filepath.Join(csvDir, exps[i].ID+".csv"), csv.Bytes(), 0o644)
-	})
+		if err := os.WriteFile(filepath.Join(csvDir, e.ID+".csv"), csv.Bytes(), 0o644); err != nil {
+			return err
+		}
+	}
+	return nil
 }

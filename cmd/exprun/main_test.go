@@ -31,7 +31,8 @@ func runToBytes(t *testing.T, ids []string, workers int, flags ...string) []byte
 }
 
 // TestDifferentialWorkers: the rendered tables must be byte-identical for
-// any worker count — experiments are pure and are emitted in registry
+// any worker count — one worker runs each experiment's simulations one after
+// another, more run them in parallel, and results are gathered in index
 // order, never completion order.
 func TestDifferentialWorkers(t *testing.T) {
 	ids := []string{"F1", "F2", "T3"}

@@ -10,7 +10,7 @@
 //	mini-slurm squeue -addr 127.0.0.1:6818
 //	mini-slurm sinfo  -addr 127.0.0.1:6818
 //	mini-slurm advance -addr 127.0.0.1:6818 -seconds 3600
-//	mini-slurm scancel -addr 127.0.0.1:6818 -id 3         # pending jobs only
+//	mini-slurm scancel -addr 127.0.0.1:6818 -id 3         # jobs not yet started
 //	mini-slurm scontrol -addr 127.0.0.1:6818 -down 5        # then -up 5
 //	mini-slurm scontrol -addr 127.0.0.1:6818 -requeue 3
 //	mini-slurm stats  -addr 127.0.0.1:6818

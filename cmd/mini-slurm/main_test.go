@@ -234,9 +234,9 @@ func TestVerdictsAreErrors(t *testing.T) {
 	}
 }
 
-// TestScancelRunningJob: scancel takes pending jobs only, so cancelling a
-// job that has started is refused, and the refusal names the way to evict
-// it; the job keeps running.
+// TestScancelRunningJob: scancel takes only jobs that have not started, so
+// cancelling a running job is refused, and the refusal names the way to
+// evict it; the job keeps running.
 func TestScancelRunningJob(t *testing.T) {
 	addr := startServer(t)
 	if err := run([]string{"sbatch", "-addr", addr, "-app", "minife", "-nodes", "2", "-time", "7200"}, io.Discard); err != nil {
@@ -250,5 +250,44 @@ func TestScancelRunningJob(t *testing.T) {
 	out.Reset()
 	if err := run([]string{"squeue", "-addr", addr}, &out); err != nil || !strings.Contains(out.String(), "RUNNING") {
 		t.Fatalf("after the refused scancel: squeue error %v, output\n%s", err, out.Bytes())
+	}
+}
+
+// TestScancelRequeuedJob: a job evicted by scontrol -requeue waits out its
+// backoff listed as PENDING, with reason BeginTime on the wire, and scancel
+// cancels it there; it never runs again.
+func TestScancelRequeuedJob(t *testing.T) {
+	addr := startServer(t)
+	for _, args := range [][]string{
+		{"sbatch", "-addr", addr, "-app", "minife", "-nodes", "2", "-time", "7200"},
+		{"scontrol", "-addr", addr, "-requeue", "1"},
+	} {
+		if err := run(args, io.Discard); err != nil {
+			t.Fatalf("%v: %v", args, err)
+		}
+	}
+	var out bytes.Buffer
+	if err := run([]string{"squeue", "-addr", addr}, &out); err != nil || !strings.Contains(out.String(), "PENDING") {
+		t.Fatalf("after the requeue: squeue error %v, output\n%s", err, out.Bytes())
+	}
+	cl, err := slurm.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	if jobs, err := cl.Queue(false); err != nil || len(jobs) != 1 || jobs[0].State != "PENDING" || jobs[0].Reason != "BeginTime" {
+		t.Fatalf("after the requeue: queue %+v, error %v; want job 1 PENDING with reason BeginTime", jobs, err)
+	}
+	out.Reset()
+	if err := run([]string{"scancel", "-addr", addr, "-id", "1"}, &out); err != nil || out.String() != "Cancelled job 1\n" {
+		t.Fatalf("scancel of a job in backoff: error %v, output %q", err, out.Bytes())
+	}
+	out.Reset()
+	if err := run([]string{"advance", "-addr", addr, "-seconds", "600"}, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{"squeue", "-addr", addr, "-history"}, &out); err != nil ||
+		!strings.Contains(out.String(), "CANCELLED") || strings.Contains(out.String(), "RUNNING") {
+		t.Fatalf("after the scancel: squeue -history error %v, output\n%s", err, out.Bytes())
 	}
 }

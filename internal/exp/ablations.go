@@ -26,7 +26,7 @@ func runA1(o Options) (*report.Table, error) {
 			sc.Share.MinComplementarity = 0
 		}
 	})
-	runs, err := grid(scs, o.Seeds, func(r run) []float64 {
+	runs, err := grid(o, scs, func(r run) []float64 {
 		return []float64{r.CompEfficiency, r.SchedEfficiency, r.Stretch.Mean, r.SharedFraction}
 	})
 	if err != nil {
@@ -61,7 +61,7 @@ func runA2(o Options) (*report.Table, error) {
 		sc.Share.InflationAccounting = variants[i].on
 	})
 	// A run's last two columns are its big-job wait mean and big-job count.
-	runs, err := grid(scs, o.Seeds, func(r run) []float64 {
+	runs, err := grid(o, scs, func(r run) []float64 {
 		// Big jobs (top node-count quartile) are the ones EASY reservations
 		// exist to protect.
 		big, n := 0.0, 0
@@ -101,7 +101,7 @@ func runA3(o Options) (*report.Table, error) {
 	scs := scenarios(o, len(variants), []string{"sharebackfill"}, func(i int, sc *scenario) {
 		sc.Share.PreferShared = variants[i].prefer
 	})
-	runs, err := grid(scs, o.Seeds, func(r run) []float64 {
+	runs, err := grid(o, scs, func(r run) []float64 {
 		return []float64{r.CompEfficiency, r.SchedEfficiency, r.Utilization, r.SharedFraction, r.Stretch.Mean}
 	})
 	if err != nil {
@@ -128,7 +128,7 @@ func runA4(o Options) (*report.Table, error) {
 		sc.StrictLimits = i == 1
 	})
 	// A run's last two columns are its killed share and submitted count.
-	runs, err := grid(scs, o.Seeds, func(r run) []float64 {
+	runs, err := grid(o, scs, func(r run) []float64 {
 		return []float64{r.CompEfficiency, float64(r.Killed), r.WastedNodeSeconds / 3600,
 			float64(r.Killed) / float64(r.Submitted), float64(r.Submitted)}
 	})

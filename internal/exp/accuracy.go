@@ -23,7 +23,7 @@ func runF9(o Options) (*report.Table, error) {
 	scs := scenarios(o, len(ranges), []string{"easy", "sharebackfill"}, func(i int, sc *scenario) {
 		sc.Workload.OverestimateMin, sc.Workload.OverestimateMax = ranges[i].lo, ranges[i].hi
 	})
-	runs, err := grid(scs, o.Seeds, func(r run) []float64 {
+	runs, err := grid(o, scs, func(r run) []float64 {
 		return []float64{r.Wait.Mean, r.Slowdown.Mean, r.CompEfficiency, r.SchedEfficiency}
 	})
 	if err != nil {

@@ -39,7 +39,7 @@ func TestPaperClaims(t *testing.T) {
 			func(r run) float64 { return r.SchedEfficiency }},
 	}
 	for _, c := range claims {
-		runs, err := grid(scenarios(o, 1, []string{"easy", "sharebackfill"}, c.vary), o.Seeds, c.value)
+		runs, err := grid(o, scenarios(o, 1, []string{"easy", "sharebackfill"}, c.vary), c.value)
 		if err != nil {
 			t.Fatal(err)
 		}

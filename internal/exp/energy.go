@@ -76,7 +76,7 @@ func runE1(o Options) (*report.Table, error) {
 	t := report.New("E1 energy — machine energy for one closed Trinity batch",
 		"policy", "energy(kWh)", "J/work", "avg power(kW)", "vs easy")
 	pols := allPolicies()
-	runs, err := grid(scenarios(o, 1, pols, closed(o)), o.Seeds, func(r run) []float64 {
+	runs, err := grid(o, scenarios(o, 1, pols, closed(o)), func(r run) []float64 {
 		rep := energyOf(p, r.Result)
 		return []float64{rep.kWh(), rep.joulesPerWork, rep.avgPowerW / 1000}
 	})

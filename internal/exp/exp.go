@@ -38,13 +38,19 @@ type Options struct {
 	FaultMTTR      float64
 	FaultShape     float64
 	FaultCrashProb float64
+	// Workers bounds the simulations an experiment runs at once (0 = all
+	// cores). Results do not depend on it.
+	Workers int
 }
 
 // Validate checks the options as given, before withDefaults fills a zero:
-// the canonical workload at these nodes, jobs and runtime scale, and the
-// fault configuration F12 runs at every MTBF of its sweep. The seeds are the
-// caller's to supply.
+// the worker count, the canonical workload at these nodes, jobs and runtime
+// scale, and the fault configuration F12 runs at every MTBF of its sweep.
+// The seeds are the caller's to supply.
 func (o Options) Validate() error {
+	if o.Workers < 0 {
+		return fmt.Errorf("exp: workers must be ≥ 0 (0 = all cores), got %d", o.Workers)
+	}
 	sc := canonicalScenario(o, "easy", sched.DefaultShareConfig())
 	sc.Faults = o.faultsAt(86400)
 	if err := sc.Validate(); err != nil {
@@ -168,20 +174,20 @@ type run struct {
 }
 
 // grid is the one fan-out of the experiments: every scenario runs once per
-// seed, all in one parallel.Run in scenario-major order, and out[i][s] is
-// scenario i at seeds[s]. A run's fault configuration is reseeded from its
-// workload seed, so averaging covers failure traces as well as arrival
-// patterns while every scenario at one seed sees the same trace (a paired
-// comparison). keep reduces each run inside its worker, so a run's finished
+// seed of o, all in one parallel.Run over o.Workers in scenario-major order,
+// and out[i][s] is scenario i at o.Seeds[s]. A run's fault configuration is
+// reseeded from its workload seed, so averaging covers failure traces as
+// well as arrival patterns while every scenario at one seed sees the same
+// trace (a paired comparison). keep reduces each run inside its worker, so a run's finished
 // jobs are gone once it has been reduced. Each run is an isolated simulation
 // (its own workload RNG stream, cluster, policy, and engine), and results are
 // reassembled in index order — never completion order — so the output is
 // bit-identical to a sequential loop.
-func grid[T any](scs []scenario, seeds []uint64, keep func(run) T) ([][]T, error) {
-	n := len(seeds)
-	flat, err := parallel.Run(len(scs)*n, 0, func(i int) (T, error) {
+func grid[T any](o Options, scs []scenario, keep func(run) T) ([][]T, error) {
+	n := len(o.Seeds)
+	flat, err := parallel.Run(len(scs)*n, o.Workers, func(i int) (T, error) {
 		sc := scs[i/n]
-		sc.Workload.Seed, sc.Faults.Seed = seeds[i%n], seeds[i%n]
+		sc.Workload.Seed, sc.Faults.Seed = o.Seeds[i%n], o.Seeds[i%n]
 		r, finished, err := sc.Run()
 		if err != nil {
 			var zero T

@@ -33,7 +33,7 @@ func runF8(o Options) (*report.Table, error) {
 			sc.QueueOrder = prio.QueueOrder(o.Nodes)
 		}
 	})
-	runs, err := grid(scs, o.Seeds, func(r run) []float64 {
+	runs, err := grid(o, scs, func(r run) []float64 {
 		byUser := map[string][]float64{}
 		for _, j := range r.finished {
 			byUser[j.User] = append(byUser[j.User], float64(j.WaitTime()))

@@ -18,7 +18,7 @@ func runF1(o Options) (*report.Table, error) {
 	t := report.New("F1 comp-efficiency — computational efficiency, Trinity mix @ load 1.4",
 		"policy", "CE mean", "CE ±95%", "gain vs easy")
 	pols := allPolicies()
-	ces, err := grid(scenarios(o, 1, pols, nil), o.Seeds, func(r run) float64 { return r.CompEfficiency })
+	ces, err := grid(o, scenarios(o, 1, pols, nil), func(r run) float64 { return r.CompEfficiency })
 	if err != nil {
 		return nil, err
 	}
@@ -39,7 +39,7 @@ func runF2(o Options) (*report.Table, error) {
 	t := report.New("F2 sched-efficiency — scheduling efficiency, closed Trinity batch",
 		"policy", "SE mean", "SE ±95%", "makespan(h)", "gain vs easy")
 	pols := allPolicies()
-	runs, err := grid(scenarios(o, 1, pols, closed(o)), o.Seeds, func(r run) []float64 {
+	runs, err := grid(o, scenarios(o, 1, pols, closed(o)), func(r run) []float64 {
 		return []float64{r.SchedEfficiency, float64(r.Makespan) / 3600}
 	})
 	if err != nil {
@@ -116,7 +116,7 @@ func runF4(o Options) (*report.Table, error) {
 	loads := []float64{0.7, 0.9, 1.1}
 	scs := scenarios(o, len(loads), []string{"easy", "sharefirstfit", "sharebackfill"},
 		func(i int, sc *scenario) { sc.Workload.Load = loads[i] })
-	runs, err := grid(scs, o.Seeds, func(r run) []float64 {
+	runs, err := grid(o, scs, func(r run) []float64 {
 		return []float64{r.Wait.Mean, r.Wait.P95, r.Slowdown.Mean, r.Slowdown.P95}
 	})
 	if err != nil {
@@ -207,7 +207,7 @@ func runF7(o Options) (*report.Table, error) {
 // canonical scenario at each of n variants, and returns each variant's
 // {easy, share} seed means of CE, utilization and shared fraction.
 func easyVsShare(o Options, n int, vary func(i int, sc *scenario)) ([][2][]float64, error) {
-	runs, err := grid(scenarios(o, n, []string{"easy", "sharebackfill"}, vary), o.Seeds, func(r run) []float64 {
+	runs, err := grid(o, scenarios(o, n, []string{"easy", "sharebackfill"}, vary), func(r run) []float64 {
 		return []float64{r.CompEfficiency, r.Utilization, r.SharedFraction}
 	})
 	if err != nil {

@@ -21,7 +21,7 @@ func runF11(o Options) (*report.Table, error) {
 	scs := scenarios(o, len(intervals), []string{"easy", "sharebackfill"}, func(i int, sc *scenario) {
 		sc.SchedInterval = des.Duration(intervals[i])
 	})
-	runs, err := grid(scs, o.Seeds, func(r run) []float64 {
+	runs, err := grid(o, scs, func(r run) []float64 {
 		return []float64{r.CompEfficiency, r.Wait.Mean, r.Slowdown.Mean}
 	})
 	if err != nil {

@@ -29,7 +29,7 @@ func runF10(o Options) (*report.Table, error) {
 	scs := scenarios(o, len(variants), []string{"sharebackfill"}, func(i int, sc *scenario) {
 		sc.Topo, sc.LocalityAware = variants[i].topo, variants[i].locality
 	})
-	runs, err := grid(scs, o.Seeds, func(r run) []float64 {
+	runs, err := grid(o, scs, func(r run) []float64 {
 		return []float64{r.CompEfficiency, r.SchedEfficiency, r.Wait.Mean, r.Stretch.Mean}
 	})
 	if err != nil {

@@ -19,7 +19,7 @@ func runT4(o Options) (*report.Table, error) {
 		waits, stretches []float64
 		shared           int
 	}
-	runs, err := grid(scenarios(o, 1, []string{"easy", "sharebackfill"}, nil), o.Seeds, func(r run) map[string]*appRun {
+	runs, err := grid(o, scenarios(o, 1, []string{"easy", "sharebackfill"}, nil), func(r run) map[string]*appRun {
 		byApp := map[string]*appRun{}
 		for _, j := range r.finished {
 			a := byApp[j.App.Name]

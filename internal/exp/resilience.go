@@ -40,7 +40,7 @@ func runF12(o Options) (*report.Table, error) {
 	})
 	// grid seeds each fault trace from its workload seed, so the two
 	// policies at one MTBF see identical node outages.
-	runs, err := grid(scs, o.Seeds, func(r run) []float64 {
+	runs, err := grid(o, scs, func(r run) []float64 {
 		return []float64{r.Goodput, r.CompEfficiency, r.LostNodeSeconds / 3600,
 			float64(r.Requeues), float64(r.FailedJobs), r.MeanRescheduleSeconds}
 	})

@@ -76,7 +76,7 @@ func runT3(o Options) (*report.Table, error) {
 	t := report.New("T3 strategy-summary — canonical Trinity scenario (load 1.4, 32 nodes)",
 		"policy", "CE", "SE", "util", "shared", "makespan(h)", "wait mean(s)", "slowdown mean", "stretch mean")
 	pols := allPolicies()
-	runs, err := grid(scenarios(o, 1, pols, nil), o.Seeds, func(r run) []float64 {
+	runs, err := grid(o, scenarios(o, 1, pols, nil), func(r run) []float64 {
 		return []float64{r.CompEfficiency, r.SchedEfficiency, r.Utilization, r.SharedFraction,
 			float64(r.Makespan) / 3600, r.Wait.Mean, r.Slowdown.Mean, r.Stretch.Mean}
 	})

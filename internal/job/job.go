@@ -97,8 +97,9 @@ type Job struct {
 	sharedSeconds float64 // wall seconds spent at rate < 1
 
 	// Failure statistics.
-	requeues int     // times the job was evicted and returned to the queue
-	lostWork float64 // dedicated-seconds of progress discarded by evictions
+	requeues  int      // times the job was evicted and returned to the queue
+	evictedAt des.Time // when the last eviction happened
+	lostWork  float64  // dedicated-seconds of progress discarded by evictions
 }
 
 // Validate checks submission-time invariants. The time comparisons are
@@ -288,6 +289,7 @@ func (j *Job) Requeue(t des.Time) float64 {
 	}
 	j.lostWork += lost
 	j.requeues++
+	j.evictedAt = t
 	j.state = Pending
 	j.start, j.end = 0, 0
 	j.remaining = 0
@@ -297,6 +299,9 @@ func (j *Job) Requeue(t des.Time) float64 {
 
 // Requeues returns how many times the job was evicted and requeued.
 func (j *Job) Requeues() int { return j.requeues }
+
+// EvictedAt returns when the job was last evicted (zero if never).
+func (j *Job) EvictedAt() des.Time { return j.evictedAt }
 
 // LostWork returns the dedicated-seconds of progress discarded across all of
 // the job's evictions.

@@ -16,4 +16,4 @@ func (e *Engine) FaultTrace() []fault.Event {
 func (e *Engine) QueueLen() int { return len(e.queue) }
 
 // RunningLen returns the number of running jobs.
-func (e *Engine) RunningLen() int { return len(e.running) }
+func (e *Engine) RunningLen() int { return len(e.runList) }

@@ -176,7 +176,7 @@ func TestMaxRetriesBound(t *testing.T) {
 			if j.State() != job.Failed {
 				t.Fatalf("max %d: job %d state = %v, want FAILED", maxRetries, j.ID, j.State())
 			}
-			if got := e.retries[j.ID]; got != maxRetries+1 {
+			if got := j.Requeues(); got != maxRetries+1 {
 				t.Fatalf("job %d suffered %d evictions, want %d (retry budget + final)",
 					j.ID, got, maxRetries+1)
 			}

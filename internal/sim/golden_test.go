@@ -530,23 +530,34 @@ func (c *invariantChecker) check() error {
 		}
 	}
 
-	// INV-5: the queue and the running set are disjoint, and neither holds a
-	// job twice.
-	queued := make(map[cluster.JobID]bool, len(pending))
-	for _, j := range pending {
-		if queued[j.ID] {
-			return fmt.Errorf("INV-5: job %d is queued twice", j.ID)
+	// INV-5: the queue, the held list and the running set are disjoint, and
+	// none holds a job twice.
+	waiting := make(map[cluster.JobID]bool, len(pending))
+	held := e.Held()
+	for k, j := range slices.Concat(pending, held) {
+		where := "queued"
+		if k >= len(pending) {
+			where = "held"
 		}
-		queued[j.ID] = true
+		if waiting[j.ID] {
+			return fmt.Errorf("INV-5: %s job %d is queued or held twice", where, j.ID)
+		}
+		waiting[j.ID] = true
 		if j.State() != job.Pending {
-			return fmt.Errorf("INV-5: queued job %d is in state %v", j.ID, j.State())
+			return fmt.Errorf("INV-5: %s job %d is in state %v", where, j.ID, j.State())
 		}
 		if _, ok := isRunning[j.ID]; ok {
-			return fmt.Errorf("INV-5: job %d is both queued and running", j.ID)
+			return fmt.Errorf("INV-5: %s job %d is running", where, j.ID)
 		}
 		if cl.Holds(j.ID) {
-			return fmt.Errorf("INV-5: queued job %d holds resources", j.ID)
+			return fmt.Errorf("INV-5: %s job %d holds resources", where, j.ID)
 		}
+	}
+	// ... and with the ended jobs they account for every arrival: no job is
+	// lost between them at any event.
+	arrived := e.submitted - e.arrivalsPending
+	if n := len(pending) + len(held) + len(running) + len(e.Finished()) + len(e.Killed()) + len(e.Rejected()); n != arrived {
+		return fmt.Errorf("INV-5: %d jobs have arrived, %d are queued, held, running or ended", arrived, n)
 	}
 	return nil
 }

@@ -78,7 +78,8 @@ type shareConfigurer interface {
 	ShareConfig() sched.ShareConfig
 }
 
-// runRec is the engine's bookkeeping for one running job.
+// runRec is the engine's bookkeeping for one attempt of a running job. Its
+// events capture it, so an event always acts on the attempt that scheduled it.
 type runRec struct {
 	job        *job.Job
 	rec        sched.RunningJob // the scheduler's view; Engine.runList points here
@@ -87,6 +88,13 @@ type runRec struct {
 	completion *des.Event
 	kill       *des.Event // set only under strict limits
 	crash      *des.Event // set only when this attempt drew a crash
+}
+
+// heldJob is an arrived job that may not be queued yet: blocked on an afterok
+// dependency, or requeued and waiting out its backoff until release fires.
+type heldJob struct {
+	job     *job.Job
+	release *des.Event // the backoff's end; nil for a dependency hold
 }
 
 // Engine simulates one batch system instance.
@@ -102,12 +110,13 @@ type Engine struct {
 	strictLimits  bool
 	schedInterval des.Duration
 
+	// Every arrived job that has not ended is in exactly one of queue, held
+	// and runList; an ended one is in ended and one of finished, killed and
+	// rejected.
 	queue    []*job.Job // pending jobs, in arrival order; see enqueue and dequeue
 	unsorted int        // adjacent pairs of queue out of fcfs order
-	held     []*job.Job // arrived but dependency-blocked
-	done     map[cluster.JobID]bool
-	failed   map[cluster.JobID]bool // killed/cancelled: afterok never satisfied
-	running  map[cluster.JobID]*runRec
+	held     []heldJob  // arrived but not yet queueable, in hold order
+	ended    map[cluster.JobID]*job.Job
 	runList  []*sched.RunningJob // the running set by ascending job ID, maintained on start and release
 	nodeRes  [][]*runRec         // per node: its resident jobs by ascending job ID
 	finished []*job.Job
@@ -153,10 +162,7 @@ type Engine struct {
 	injector        *fault.Injector
 	retryMax        int
 	backoffBase     des.Duration
-	retries         map[cluster.JobID]int      // evictions suffered per job
-	requeueAt       map[cluster.JobID]des.Time // eviction time of requeued jobs
-	arrivalsPending int                        // submitted arrival events not yet fired
-	backoffPending  int                        // requeued jobs held in backoff
+	arrivalsPending int // submitted arrival events not yet fired
 	downCount       int
 	downIntegral    float64
 	lostNodeSeconds float64
@@ -206,11 +212,7 @@ func New(cfg Config) *Engine {
 		schedInterval: cfg.SchedInterval,
 		topo:          cfg.Topo,
 		local:         cfg.LocalityAware,
-		running:       make(map[cluster.JobID]*runRec),
-		done:          make(map[cluster.JobID]bool),
-		failed:        make(map[cluster.JobID]bool),
-		retries:       make(map[cluster.JobID]int),
-		requeueAt:     make(map[cluster.JobID]des.Time),
+		ended:         make(map[cluster.JobID]*job.Job),
 	}
 	e.nodeRes = make([][]*runRec, e.cl.Size())
 	// One backing array with room for two residents' rates a node; a node
@@ -265,31 +267,22 @@ func (e *Engine) Submit(j *job.Job) error {
 	e.sim.Schedule(j.Submit, func(*des.Simulator) {
 		e.arrivalsPending--
 		if j.Nodes > e.cl.Size() {
-			j.Cancel(e.sim.Now())
-			e.failed[j.ID] = true
-			e.rejected = append(e.rejected, j)
-			e.trace("reject %s (machine has %d nodes)", j, e.cl.Size())
+			e.reject(j, "reject %s (machine has %d nodes)", j, e.cl.Size())
 			e.releaseHeld()
 			return
 		}
 		if j.App.MemPerNodeMB > e.cl.Config().MemoryPerNodeMB {
-			j.Cancel(e.sim.Now())
-			e.failed[j.ID] = true
-			e.rejected = append(e.rejected, j)
-			e.trace("reject %s (needs %d MB/node, nodes have %d MB)",
+			e.reject(j, "reject %s (needs %d MB/node, nodes have %d MB)",
 				j, j.App.MemPerNodeMB, e.cl.Config().MemoryPerNodeMB)
 			e.releaseHeld()
 			return
 		}
 		if e.depsBroken(j) {
-			j.Cancel(e.sim.Now())
-			e.failed[j.ID] = true
-			e.rejected = append(e.rejected, j)
-			e.trace("cancel %s (dependency failed)", j)
+			e.reject(j, "cancel %s (dependency failed)", j)
 			return
 		}
 		if !e.depsMet(j) {
-			e.held = append(e.held, j)
+			e.held = append(e.held, heldJob{job: j})
 			e.trace("hold %s (dependencies pending)", j)
 			return
 		}
@@ -305,7 +298,7 @@ func (e *Engine) Submit(j *job.Job) error {
 // depsMet reports whether every dependency of j has finished.
 func (e *Engine) depsMet(j *job.Job) bool {
 	for _, dep := range j.After {
-		if !e.done[dep] {
+		if d := e.ended[dep]; d == nil || d.State() != job.Finished {
 			return false
 		}
 	}
@@ -314,18 +307,19 @@ func (e *Engine) depsMet(j *job.Job) bool {
 
 // releaseHeld moves dependency-satisfied held jobs into the queue and
 // cancels jobs whose dependencies can no longer succeed (afterok
-// semantics: a killed or cancelled predecessor dooms the dependent).
+// semantics: a killed or cancelled predecessor dooms the dependent). A job
+// waiting out a backoff is left to its release event.
 func (e *Engine) releaseHeld() {
 	for {
 		progressed := false
 		kept := e.held[:0]
-		for _, j := range e.held {
+		for _, h := range e.held {
+			j := h.job
 			switch {
+			case h.release != nil:
+				kept = append(kept, h)
 			case e.depsBroken(j):
-				j.Cancel(e.sim.Now())
-				e.failed[j.ID] = true
-				e.rejected = append(e.rejected, j)
-				e.trace("cancel %s (dependency failed)", j)
+				e.reject(j, "cancel %s (dependency failed)", j)
 				progressed = true // may doom transitive dependents
 			case e.depsMet(j):
 				e.enqueue(j)
@@ -333,24 +327,52 @@ func (e *Engine) releaseHeld() {
 				e.requestSchedule()
 				progressed = true
 			default:
-				kept = append(kept, j)
+				kept = append(kept, h)
 			}
 		}
-		e.held = append([]*job.Job(nil), kept...)
+		clear(e.held[len(kept):])
+		e.held = kept
 		if !progressed {
 			return
 		}
 	}
 }
 
-// depsBroken reports whether any dependency of j terminally failed.
+// depsBroken reports whether any dependency of j ended without finishing.
 func (e *Engine) depsBroken(j *job.Job) bool {
 	for _, dep := range j.After {
-		if e.failed[dep] {
+		if d := e.ended[dep]; d != nil && d.State() != job.Finished {
 			return true
 		}
 	}
 	return false
+}
+
+// reject cancels a job that never started and files it with the rejected,
+// tracing format. Releasing or dooming its dependents is the caller's.
+func (e *Engine) reject(j *job.Job, format string, args ...any) {
+	j.Cancel(e.sim.Now())
+	e.ended[j.ID] = j
+	e.rejected = append(e.rejected, j)
+	e.trace(format, args...)
+}
+
+// retire files a job whose attempt ended it on the machine — finished,
+// killed at its limit, or failed out of retries — records the placement, and
+// releases or dooms its dependents.
+func (e *Engine) retire(rec *runRec) {
+	j := rec.job
+	e.ended[j.ID] = j
+	if j.State() == job.Finished {
+		e.finished = append(e.finished, j)
+	} else {
+		e.killed = append(e.killed, j)
+	}
+	e.record(rec, j.State())
+	if now := e.sim.Now(); now > e.lastEnd {
+		e.lastEnd = now
+	}
+	e.releaseHeld()
 }
 
 // SubmitAll submits a batch, stopping at the first invalid job.
@@ -423,14 +445,14 @@ func (e *Engine) commit(d sched.Decision) {
 			e.pol.Name(), d.Job.ID, err))
 	}
 	e.removeFromQueue(d.Job.ID)
-	if at, ok := e.requeueAt[d.Job.ID]; ok {
-		e.reschedSum += float64(now - at)
+	// Only an eviction makes a job pending again, so a start after one is a
+	// reschedule.
+	if d.Job.Requeues() > 0 {
+		e.reschedSum += float64(now - d.Job.EvictedAt())
 		e.reschedN++
-		delete(e.requeueAt, d.Job.ID)
 	}
 	d.Job.Start(now)
 
-	id := d.Job.ID
 	rec := &runRec{
 		job: d.Job,
 		rec: sched.RunningJob{
@@ -441,19 +463,19 @@ func (e *Engine) commit(d sched.Decision) {
 			PredictedEnd: now + d.Job.ReqWalltime,
 			Rate:         1,
 		},
-		complete: func(*des.Simulator) { e.onComplete(id) },
 	}
+	rec.complete = func(*des.Simulator) { e.onComplete(rec) }
 	rec.stress = e.effectiveStress(rec)
 	e.enlist(rec)
 	if e.strictLimits {
 		rec.kill = e.sim.Schedule(rec.rec.NominalEnd, func(*des.Simulator) {
-			e.onKill(id)
+			e.onKill(rec)
 		})
 	}
 	if e.injector != nil {
-		if frac, crashes := e.injector.CrashDraw(int64(d.Job.ID), e.retries[d.Job.ID]); crashes {
+		if frac, crashes := e.injector.CrashDraw(int64(d.Job.ID), d.Job.Requeues()); crashes {
 			rec.crash = e.sim.Schedule(now+des.Duration(frac*float64(d.Job.ReqWalltime)),
-				func(*des.Simulator) { e.onJobCrash(id) })
+				func(*des.Simulator) { e.onJobCrash(rec) })
 		}
 	}
 	if e.TraceFn != nil {
@@ -467,37 +489,16 @@ func (e *Engine) commit(d sched.Decision) {
 
 // onComplete finishes a job, releases its resources, and updates the
 // co-residents it leaves behind.
-func (e *Engine) onComplete(id cluster.JobID) {
-	rec, ok := e.running[id]
-	if !ok {
-		panic(fmt.Sprintf("sim: completion for unknown job %d", id))
-	}
+func (e *Engine) onComplete(rec *runRec) {
 	now := e.sim.Now()
 	e.account(now)
 
 	rec.job.Finish(now)
-	if rec.kill != nil {
-		e.sim.Cancel(rec.kill)
-	}
-	// When the kill path detected a zero-residue job and routed here, the
-	// job's own completion event is still pending at this same instant.
-	if rec.completion != nil {
-		e.sim.Cancel(rec.completion)
-	}
-	if rec.crash != nil {
-		e.sim.Cancel(rec.crash)
-	}
 	nodes := e.vacate(rec)
-	e.finished = append(e.finished, rec.job)
-	e.done[id] = true
-	e.record(rec, job.Finished)
-	if now > e.lastEnd {
-		e.lastEnd = now
-	}
 	if e.TraceFn != nil {
 		e.trace("finish %s", rec.job)
 	}
-	e.releaseHeld()
+	e.retire(rec)
 
 	// Survivors on the freed nodes speed up.
 	e.updateRatesOnNodes(nodes)
@@ -507,35 +508,19 @@ func (e *Engine) onComplete(id cluster.JobID) {
 // onKill enforces the walltime limit: the job is terminated with its work
 // discarded. A job whose residual work is round-off (completion and limit
 // coincide) is treated as completed instead.
-func (e *Engine) onKill(id cluster.JobID) {
-	rec, ok := e.running[id]
-	if !ok {
-		return // completed in the same instant; the cancel raced the event
-	}
+func (e *Engine) onKill(rec *runRec) {
 	now := e.sim.Now()
 	if rec.job.WorkDone(now) {
-		e.onComplete(id)
+		e.onComplete(rec)
 		return
 	}
 	e.account(now)
 	rec.job.Kill(now)
-	if rec.completion != nil {
-		e.sim.Cancel(rec.completion)
-	}
-	if rec.crash != nil {
-		e.sim.Cancel(rec.crash)
-	}
 	nodes := e.vacate(rec)
-	e.killed = append(e.killed, rec.job)
-	e.failed[id] = true
-	e.record(rec, job.Killed)
 	e.wastedNodeSeconds += float64(rec.job.Nodes) * float64(rec.job.EndTime()-rec.job.StartTime())
-	if now > e.lastEnd {
-		e.lastEnd = now
-	}
 	e.trace("kill %s at walltime limit (%.0fs of work lost)",
 		rec.job, float64(rec.job.TrueRuntime)-rec.job.DeliveredWork())
-	e.releaseHeld()
+	e.retire(rec)
 
 	e.updateRatesOnNodes(nodes)
 	e.requestSchedule()
@@ -544,8 +529,7 @@ func (e *Engine) onKill(id cluster.JobID) {
 // workRemains reports whether the simulation still has workload to disturb;
 // the fault injector quiesces when it returns false so RunAll terminates.
 func (e *Engine) workRemains() bool {
-	return e.arrivalsPending > 0 || e.backoffPending > 0 ||
-		len(e.queue) > 0 || len(e.held) > 0 || len(e.running) > 0
+	return e.arrivalsPending > 0 || len(e.queue) > 0 || len(e.held) > 0 || len(e.runList) > 0
 }
 
 // onNodeFail is the node-failure reaction: every resident job is evicted
@@ -559,10 +543,10 @@ func (e *Engine) onNodeFail(ni int) {
 		return // already downed by the operator; nothing more to break
 	}
 	e.account(e.sim.Now())
-	victims := n.Jobs() // ascending, and a copy: eviction edits the node's set
+	victims := slices.Clone(e.nodeRes[ni]) // by ascending ID; eviction edits the node's set
 	e.trace("node %d failed (%d resident jobs)", ni, len(victims))
-	for _, id := range victims {
-		e.evict(id, "node failure")
+	for _, rec := range victims {
+		e.evict(rec, "node failure")
 	}
 	e.cl.SetDown(ni, true)
 	e.downCount++
@@ -586,18 +570,14 @@ func (e *Engine) onNodeRepair(ni int) {
 
 // onJobCrash terminates one attempt by software failure. A job whose residual
 // work is round-off at the crash instant completes instead.
-func (e *Engine) onJobCrash(id cluster.JobID) {
-	rec, ok := e.running[id]
-	if !ok {
-		return // completed in the same instant; the cancel raced the event
-	}
+func (e *Engine) onJobCrash(rec *runRec) {
 	if rec.job.WorkDone(e.sim.Now()) {
-		e.onComplete(id)
+		e.onComplete(rec)
 		return
 	}
 	e.crashes++
 	e.trace("crash %s", rec.job)
-	e.evict(id, "crash")
+	e.evict(rec, "crash")
 	e.requestSchedule()
 }
 
@@ -605,58 +585,39 @@ func (e *Engine) onJobCrash(id cluster.JobID) {
 // attempt's partial progress to the lost-work account, and either requeues it
 // (keeping its original submit time, so it re-enters near the queue head, but
 // held out for an exponential backoff) or — once the retry budget is spent —
-// marks it permanently failed.
-func (e *Engine) evict(id cluster.JobID, cause string) {
-	rec, ok := e.running[id]
-	if !ok {
-		panic(fmt.Sprintf("sim: evict non-running job %d", id))
-	}
+// marks it permanently failed. A job held out for a backoff waits in the
+// held list until its release event queues it.
+func (e *Engine) evict(rec *runRec, cause string) {
 	now := e.sim.Now()
 	e.account(now)
-	if rec.completion != nil {
-		e.sim.Cancel(rec.completion)
-	}
-	if rec.kill != nil {
-		e.sim.Cancel(rec.kill)
-	}
-	if rec.crash != nil {
-		e.sim.Cancel(rec.crash)
-	}
-	lost := rec.job.Requeue(now)
-	e.lostNodeSeconds += lost * float64(rec.job.Nodes)
+	j := rec.job
+	lost := j.Requeue(now)
+	e.lostNodeSeconds += lost * float64(j.Nodes)
 	nodes := e.vacate(rec)
-	e.retries[id]++
-	retry := e.retries[id]
+	retry := j.Requeues()
 
 	if retry > e.retryMax {
-		rec.job.Fail(now)
-		e.killed = append(e.killed, rec.job)
-		e.failed[id] = true
+		j.Fail(now)
 		e.permanentFails++
-		e.record(rec, job.Failed)
-		if now > e.lastEnd {
-			e.lastEnd = now
-		}
 		e.trace("fail %s (%s, retries exhausted after %d attempts, %.0fs of work lost)",
-			rec.job, cause, retry, lost)
-		e.releaseHeld()
+			j, cause, retry, lost)
+		e.retire(rec)
 	} else {
 		e.requeues++
-		e.requeueAt[id] = now
 		hold := fault.BackoffFor(e.backoffBase, retry)
 		e.trace("requeue %s (%s, retry %d/%d, backoff %v, %.0fs of work lost)",
-			rec.job, cause, retry, e.retryMax, hold, lost)
+			j, cause, retry, e.retryMax, hold, lost)
 		if hold > 0 {
-			e.backoffPending++
-			j := rec.job
-			e.sim.ScheduleIn(hold, func(*des.Simulator) {
-				e.backoffPending--
+			release := e.sim.ScheduleIn(hold, func(*des.Simulator) {
+				at := slices.IndexFunc(e.held, func(h heldJob) bool { return h.job == j })
+				e.held = slices.Delete(e.held, at, at+1)
 				e.enqueue(j)
 				e.trace("release %s from backoff", j)
 				e.requestSchedule()
 			})
+			e.held = append(e.held, heldJob{job: j, release: release})
 		} else {
-			e.enqueue(rec.job)
+			e.enqueue(j)
 			e.requestSchedule()
 		}
 	}
@@ -692,22 +653,26 @@ func (e *Engine) RepairNode(ni int) error {
 // RequeueRunning evicts one running job and requeues it (scontrol requeue).
 // The eviction charges lost work and counts against the job's retry budget.
 func (e *Engine) RequeueRunning(id cluster.JobID) error {
-	if _, ok := e.running[id]; !ok {
+	at, ok := slices.BinarySearchFunc(e.runList, id, byJobID)
+	if !ok {
 		return fmt.Errorf("sim: job %d is not running", id)
 	}
-	e.evict(id, "operator requeue")
+	// The attempt's runRec is a resident of every node the job holds.
+	r := e.runList[at]
+	res := e.nodeRes[r.NodeIDs[0]]
+	e.evict(res[slices.IndexFunc(res, func(rec *runRec) bool { return &rec.rec == r })], "operator requeue")
 	e.requestSchedule()
 	return nil
 }
 
+// byJobID orders the running list for a binary search by job ID.
+func byJobID(r *sched.RunningJob, id cluster.JobID) int { return cmp.Compare(r.Job.ID, id) }
+
 // enlist enters a started job into the engine's running-set indexes: the
-// ID map, the ID-ordered list the scheduler reads, and each node's residents.
+// ID-ordered list the scheduler reads and each node's residents.
 func (e *Engine) enlist(rec *runRec) {
 	id := rec.job.ID
-	e.running[id] = rec
-	at, _ := slices.BinarySearchFunc(e.runList, id, func(r *sched.RunningJob, id cluster.JobID) int {
-		return cmp.Compare(r.Job.ID, id)
-	})
+	at, _ := slices.BinarySearchFunc(e.runList, id, byJobID)
 	e.runList = slices.Insert(e.runList, at, &rec.rec)
 	for _, ni := range rec.rec.NodeIDs {
 		res := e.nodeRes[ni]
@@ -720,15 +685,19 @@ func (e *Engine) enlist(rec *runRec) {
 	}
 }
 
-// vacate releases a job's resources, drops it from the running-set indexes
-// and returns the nodes it held.
+// vacate ends an attempt: it cancels the attempt's completion, kill and
+// crash events (the one firing, if any, is past cancelling), releases the
+// job's resources, drops it from the running-set indexes and returns the
+// nodes it held.
 func (e *Engine) vacate(rec *runRec) []int {
+	e.sim.Cancel(rec.completion)
+	e.sim.Cancel(rec.kill)
+	e.sim.Cancel(rec.crash)
 	id := rec.job.ID
 	nodes, err := e.cl.Release(id)
 	if err != nil {
 		panic(fmt.Sprintf("sim: release job %d: %v", id, err))
 	}
-	delete(e.running, id)
 	at := slices.Index(e.runList, &rec.rec)
 	e.runList = slices.Delete(e.runList, at, at+1)
 	for _, ni := range rec.rec.NodeIDs {
@@ -884,21 +853,25 @@ func (e *Engine) Kick() {
 // age-dependent priorities re-rank continuously.
 func (e *Engine) SetQueueOrder(less func(a, b *job.Job) bool) { e.lessFn = less }
 
-// CancelPending cancels a job that is still queued. Running or finished
-// jobs cannot be cancelled (the simulator does not model preemption).
+// CancelPending cancels a job that has not started: queued, held on a
+// dependency, or waiting out a requeue backoff (its release is cancelled
+// too). Its afterok dependents are cancelled with it. Running or ended jobs
+// cannot be cancelled (the simulator does not model preemption).
 func (e *Engine) CancelPending(id cluster.JobID) error {
-	for i, j := range e.queue {
-		if j.ID == id {
-			e.dequeue(i)
-			j.Cancel(e.sim.Now())
-			e.failed[j.ID] = true
-			e.rejected = append(e.rejected, j)
-			e.trace("cancel %s", j)
-			e.releaseHeld()
-			return nil
-		}
+	var j *job.Job
+	if at := slices.IndexFunc(e.queue, func(q *job.Job) bool { return q.ID == id }); at >= 0 {
+		j = e.queue[at]
+		e.dequeue(at)
+	} else if at := slices.IndexFunc(e.held, func(h heldJob) bool { return h.job.ID == id }); at >= 0 {
+		j = e.held[at].job
+		e.sim.Cancel(e.held[at].release)
+		e.held = slices.Delete(e.held, at, at+1)
+	} else {
+		return fmt.Errorf("sim: job %d is not pending", id)
 	}
-	return fmt.Errorf("sim: job %d is not pending", id)
+	e.reject(j, "cancel %s", j)
+	e.releaseHeld()
+	return nil
 }
 
 // queueOrder sorts a copy of the pending queue into scheduling order.
@@ -950,12 +923,15 @@ func (e *Engine) Rejected() []*job.Job { return e.rejected }
 // Killed returns jobs terminated at their walltime limit, in kill order.
 func (e *Engine) Killed() []*job.Job { return e.killed }
 
-// Held returns jobs that arrived but are still dependency-blocked. A
-// non-empty held set after RunAll means a dependency references a job that
-// never completed (workload bug).
+// Held returns jobs that arrived but are not queued: blocked on a
+// dependency, or requeued and waiting out their backoff (those have
+// Requeues() > 0). A non-empty held set after RunAll means a dependency
+// references a job that never completed (workload bug).
 func (e *Engine) Held() []*job.Job {
 	out := make([]*job.Job, len(e.held))
-	copy(out, e.held)
+	for i, h := range e.held {
+		out[i] = h.job
+	}
 	return out
 }
 

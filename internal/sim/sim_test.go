@@ -570,6 +570,61 @@ func TestEngineAccessorsAndCancel(t *testing.T) {
 	if len(hist[0].Nodes) != 4 || hist[0].Start != 0 || hist[0].End != 2000 {
 		t.Fatalf("History record = %+v", hist[0])
 	}
+
+	// A requeued job waiting out its backoff is held, and cancellable: it
+	// never runs again, and its cancelled release does not move the clock.
+	e = New(Config{Cluster: smallCluster(), Policy: mustPolicy(t, "easy")})
+	requeued := jb(1, computeApp, 1, 0, 1000, 1000)
+	if err := e.Submit(requeued); err != nil {
+		t.Fatal(err)
+	}
+	e.Run(10)
+	if err := e.RequeueRunning(1); err != nil {
+		t.Fatal(err)
+	}
+	if held := e.Held(); len(held) != 1 || held[0] != requeued || len(e.Pending()) != 0 {
+		t.Fatalf("in backoff: Held = %v, Pending = %v; want the job held", held, e.Pending())
+	}
+	if err := e.CancelPending(1); err != nil {
+		t.Fatalf("cancelling a job in backoff: %v", err)
+	}
+	e.RunAll()
+	if rej := e.Rejected(); len(rej) != 1 || rej[0] != requeued || requeued.State() != job.Cancelled {
+		t.Fatalf("Rejected = %v, state %v; want the job CANCELLED", rej, requeued.State())
+	}
+	if len(e.Held()) != 0 || len(e.Finished()) != 0 || len(e.History()) != 0 {
+		t.Fatalf("cancelled job ran or stayed held: Held %v, Finished %v", e.Held(), e.Finished())
+	}
+	if e.Now() != 10 {
+		t.Fatalf("RunAll ran the clock to %v, want 10: the backoff release still fired", e.Now())
+	}
+
+	// A job held on a dependency is cancellable, and its afterok dependents
+	// are cancelled with it.
+	e = New(Config{Cluster: smallCluster(), Policy: mustPolicy(t, "easy")})
+	parent := jb(1, computeApp, 1, 0, 1000, 1000)
+	child := jb(2, computeApp, 1, 0, 500, 500)
+	child.After = []cluster.JobID{1}
+	grandchild := jb(3, computeApp, 1, 0, 200, 200)
+	grandchild.After = []cluster.JobID{2}
+	if err := e.SubmitAll([]*job.Job{parent, child, grandchild}); err != nil {
+		t.Fatal(err)
+	}
+	e.Run(10)
+	if len(e.Held()) != 2 {
+		t.Fatalf("Held = %v, want the child and the grandchild", e.Held())
+	}
+	if err := e.CancelPending(2); err != nil {
+		t.Fatalf("cancelling a dependency-held job: %v", err)
+	}
+	if child.State() != job.Cancelled || grandchild.State() != job.Cancelled || len(e.Held()) != 0 {
+		t.Fatalf("child %v, grandchild %v, Held %v; want both CANCELLED and none held",
+			child.State(), grandchild.State(), e.Held())
+	}
+	e.RunAll()
+	if parent.State() != job.Finished || len(e.Rejected()) != 2 {
+		t.Fatalf("parent %v, Rejected %v; want the parent FINISHED and two rejected", parent.State(), e.Rejected())
+	}
 }
 
 func TestSetQueueOrderReordersStarts(t *testing.T) {

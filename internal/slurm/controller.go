@@ -655,8 +655,10 @@ type JobInfo struct {
 	NodeList []int   `json:"nodelist,omitempty"`
 	Shared   bool    `json:"shared,omitempty"`
 	Priority float64 `json:"priority"`
-	// Reason explains why a pending job is not running ("Dependency" for
-	// dependency-held jobs), mirroring squeue's REASON column.
+	// Reason explains why a pending job is not queued, mirroring squeue's
+	// REASON column: "Dependency" for a job held on an afterok dependency,
+	// "BeginTime" for a requeued job waiting out its backoff. A queued or
+	// running job has none.
 	Reason string `json:"reason,omitempty"`
 }
 
@@ -690,11 +692,15 @@ func (c *Controller) queueLocked() []JobInfo {
 		})
 	}
 	for _, j := range c.eng.Held() {
+		reason := "Dependency"
+		if j.Requeues() > 0 {
+			reason = "BeginTime" // only an eviction holds a job that has run
+		}
 		out = append(out, JobInfo{
 			ID: int64(j.ID), Name: j.Name, App: j.App.Name,
 			State: j.State().String(), Nodes: j.Nodes,
 			Submit: float64(j.Submit), Limit: float64(j.ReqWalltime),
-			Reason: "Dependency",
+			Reason: reason,
 		})
 	}
 	return out
