@@ -279,6 +279,7 @@ func (e *Engine) Submit(j *job.Job) error {
 		}
 		if e.depsBroken(j) {
 			e.reject(j, "cancel %s (dependency failed)", j)
+			e.releaseHeld()
 			return
 		}
 		if !e.depsMet(j) {

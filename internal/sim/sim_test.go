@@ -493,6 +493,30 @@ func TestDependencyOnFailedJobCancelsChain(t *testing.T) {
 	}
 }
 
+// TestDependentOfArrivalCancelledJobIsCancelled: a job cancelled at its own
+// arrival, because its dependency already failed, dooms the dependents held
+// on it then and there. Job 3 is held on job 2 before job 2 arrives; job 2
+// arrives after job 1 was rejected, so it is cancelled at arrival and job 3
+// with it — not left held after RunAll.
+func TestDependentOfArrivalCancelledJobIsCancelled(t *testing.T) {
+	e := New(Config{Cluster: smallCluster(), Policy: mustPolicy(t, "easy")})
+	doomed := jb(1, computeApp, 99, 0, 100, 100) // rejected: machine too small
+	grandchild := jb(3, computeApp, 1, 1, 100, 100)
+	grandchild.After = []cluster.JobID{2}
+	child := jb(2, computeApp, 1, 2, 100, 100)
+	child.After = []cluster.JobID{1}
+	if err := e.SubmitAll([]*job.Job{doomed, grandchild, child}); err != nil {
+		t.Fatal(err)
+	}
+	e.RunAll()
+	if child.State() != job.Cancelled || grandchild.State() != job.Cancelled {
+		t.Fatalf("dependents not cancelled: child=%v grandchild=%v", child.State(), grandchild.State())
+	}
+	if held := e.Held(); len(held) != 0 {
+		t.Fatalf("%d job(s) still held after RunAll, first %v", len(held), held[0])
+	}
+}
+
 func TestDependencyAlreadySatisfied(t *testing.T) {
 	e := New(Config{Cluster: smallCluster(), Policy: mustPolicy(t, "easy")})
 	parent := jb(1, computeApp, 1, 0, 100, 100)

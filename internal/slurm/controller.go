@@ -64,11 +64,26 @@ type Controller struct {
 
 	// seq is the last assigned journal sequence number; entries is the
 	// complete in-memory operation log (kept only when journaling or HA is
-	// on). The disk snapshot is a compaction — a concatenation, never a
-	// discard — so the in-memory copy mirrors what disk already retains and
-	// is what the primary streams to a standby (including full resyncs).
+	// on). Both move only once a batch is locally durable (commitLocal), so
+	// entries holds locally durable entries only. The disk snapshot is a
+	// compaction — a concatenation, never a discard — so the in-memory copy
+	// mirrors what disk already retains and is what the primary streams to a
+	// standby (including full resyncs).
 	seq     int64
 	entries []Entry
+
+	// The commit pipeline (journal.go: stage L; ha.go: stage R). pending is
+	// the groups applied and waiting for stage L, flight every group applied
+	// and not yet seen resolved, oldest first; committing is set while a
+	// stage-L goroutine runs. readers counts reads waiting at the read
+	// barrier (lockRead); no mutation applies while it is non-zero. cond
+	// (on mu) is broadcast when stage L goes idle and when the last waiting
+	// reader leaves.
+	pending    []*commit
+	flight     []*commit
+	committing bool
+	readers    int
+	cond       *sync.Cond
 
 	// tokens maps client-supplied submit idempotency tokens to the job ID
 	// they created. Tokens ride in the journal's submit entries, so the
@@ -127,6 +142,7 @@ func NewController(cfg Config) (*Controller, error) {
 		return nil, err
 	}
 	c := &Controller{cfg: cfg, eng: eng, tokens: make(map[string]cluster.JobID)}
+	c.cond = sync.NewCond(&c.mu)
 	if cfg.Overload.BreakerThreshold > 0 {
 		c.br = newBreaker(cfg.Overload.BreakerThreshold, cfg.Overload.BreakerCooldown)
 	}
@@ -298,7 +314,8 @@ const DefaultBreakerCooldown = 5 * time.Second
 // into a read-only DEGRADED mode — queries still served, mutations rejected —
 // instead of acknowledging writes it cannot make durable. After a cooldown
 // the breaker goes half-open and lets mutations probe the journal again.
-// feedBreaker feeds it and checkWritable consults it, both under c.mu.
+// feedBreaker feeds it, once per stage-L commit, and checkWritable consults
+// it, both under c.mu.
 type breaker struct {
 	threshold int
 	cooldown  time.Duration
@@ -365,6 +382,9 @@ func (c *Controller) checkWritable() error {
 // breaker is tripped, "fenced" for a primary whose replication lease has
 // lapsed, "ok" otherwise. (The protocol server layers "draining" on top
 // during shutdown.)
+// Neither it nor checkWritable waits on a replication round trip: the lease
+// is read from the replicator's atomic lastAck, and stage R holds no lock
+// while its request is on the wire.
 func (c *Controller) Health() string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -377,79 +397,102 @@ func (c *Controller) Health() string {
 	return HealthOK
 }
 
-// logB makes one mutation durable on this node — the operation entry and the
-// audit records of the completions it caused, as one append (logLocal) — then
-// replicates everything the standby is missing, which is that same group in
-// one round trip. Callers hold c.mu. Replication failures come back wrapped in
-// errReplication so callers can tell "not locally durable" from "locally
-// durable but not yet on the standby". The request's deadline budget is
-// threaded through: once the group is locally durable, an already-expired
-// budget skips the synchronous replication round-trip — the client stopped
-// waiting, so nobody reads the ack it would buy, and the heartbeat loop
-// pushes the pending entries within one Heartbeat anyway. The caller gets
-// ErrDeadlineExceeded (wrapped), which is not an acknowledgement, so HA's
-// ack-after-replication promise holds.
-func (c *Controller) logB(b budget, e Entry) error {
-	if err := c.logLocal(e); err != nil {
-		return err
-	}
-	if c.repl != nil && b.expired(time.Now()) {
-		return fmt.Errorf("%w: %s committed locally, replication deferred to heartbeat", ErrDeadlineExceeded, e.Op)
-	}
-	return c.replicateLocked()
-}
-
 // noteBrownout journals one brownout ladder transition (Op:"brownout",
 // skipped on replay like audit records) so post-incident analysis can line
-// degradation up against the operation log. Best-effort: an append failure
-// already surfaces through the breaker and journal_sync_errors; a follower
+// degradation up against the operation log. It goes through the commit
+// pipeline like any mutation but waits for nothing: an append failure
+// already surfaces through the breaker and journal_sync_errors. A follower
 // journals only what the primary streams, so standbys skip it.
 func (c *Controller) noteBrownout(level int, name string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if (c.jr == nil && !c.haOn) || c.standby {
+	if c.standby {
 		return
 	}
-	c.logLocal(Entry{Op: "brownout", Name: name, ID: int64(level)})
+	c.queueGroupLocked(Entry{Op: "brownout", Name: name, ID: int64(level)})
 }
 
-// logLocal makes one mutation durable: the operation entry followed by an
-// audit record (an acct.Record) for every job that reached a terminal state
-// since the last audit form one group, stamped with consecutive Seqs and the
-// epoch, and reach the local journal as one append — one write, one fsync,
-// one rollback unit. The sequence counter, the in-memory log and the audit
-// cursors move only once the whole group is durable, so a failed append
-// leaves nothing of the mutation behind: not in the file, not in what the
-// standby is sent, not in the Seqs the retry reissues. The circuit breaker is
-// fed with the outcome. Callers hold c.mu. Without a journal and without HA
-// the log is not retained at all (in-memory controllers stay cheap).
-func (c *Controller) logLocal(e Entry) error {
+// queueGroupLocked is the end of the apply stage: it builds one mutation's
+// group — the operation entry followed by an audit record (an acct.Record)
+// for every job that reached a terminal state since the last group — and
+// queues it for stage L, starting a stage-L goroutine if none runs. The
+// group is stamped with the epoch it was accepted under now and with its
+// Seqs in stage L; the audit cursors move now, so the next group does not
+// audit the same completions, and a failed stage L rewinds them. It returns the group's ticket. Without a journal and without
+// HA the log is not retained at all (in-memory controllers stay cheap), and
+// the ticket is nil: the apply was the whole mutation. Callers hold c.mu.
+func (c *Controller) queueGroupLocked(e Entry) *commit {
 	if c.jr == nil && !c.haOn {
 		return nil
 	}
 	fin, killed, rej := c.eng.Finished(), c.eng.Killed(), c.eng.Rejected()
-	group := []Entry{e}
+	t := newCommit([]Entry{e}, [3]int{c.finSeen, c.killSeen, c.rejSeen})
 	for _, jobs := range [][]*job.Job{fin[c.finSeen:], killed[c.killSeen:], rej[c.rejSeen:]} {
 		for _, j := range jobs {
 			rec := acct.FromJob(j)
-			group = append(group, Entry{Op: "record", Record: &rec})
+			t.group = append(t.group, Entry{Op: "record", Record: &rec})
 		}
 	}
-	for i := range group {
-		group[i].Seq = c.seq + 1 + int64(i)
-		if c.haOn && group[i].Epoch == 0 {
-			group[i].Epoch = c.epoch
-		}
-	}
-	if c.jr != nil {
-		if err := c.jr.append(group); err != nil {
-			return c.feedBreaker(err)
-		}
-	}
-	c.seq += int64(len(group))
-	c.entries = append(c.entries, group...)
 	c.finSeen, c.killSeen, c.rejSeen = len(fin), len(killed), len(rej)
-	return c.feedBreaker(nil)
+	for i := range t.group {
+		if c.haOn && t.group[i].Epoch == 0 {
+			t.group[i].Epoch = c.epoch // the term it was accepted under
+		}
+	}
+	for len(c.flight) > 0 && c.flight[0].resolved() {
+		c.flight[0] = nil
+		c.flight = c.flight[1:]
+	}
+	c.flight = append(c.flight, t)
+	c.pending = append(c.pending, t)
+	if !c.committing {
+		c.committing = true
+		go c.commitLocal()
+	}
+	return t
+}
+
+// inFlightLocked returns the unresolved ticket of the group that carries
+// token, or nil. Callers hold c.mu.
+func (c *Controller) inFlightLocked(token string) *commit {
+	for _, t := range c.flight {
+		if t.group[0].Token == token && !t.resolved() {
+			return t
+		}
+	}
+	return nil
+}
+
+// awaitLocalLocked waits until no stage-L goroutine runs, so the caller may
+// touch the journal, c.seq and c.entries itself. Callers hold c.mu, which
+// the wait releases; the state they checked before it may have moved.
+func (c *Controller) awaitLocalLocked() {
+	for c.committing {
+		c.cond.Wait()
+	}
+}
+
+// lockRead takes c.mu for a read of engine state — queue, nodes, stats,
+// history — once every group applied before it has cleared the pipeline
+// (acknowledged or failed): a read sees only acknowledged state. Groups
+// resolve in the order they were applied, so waiting for the newest one
+// waits for all. While a read waits no mutation applies, so reads cannot
+// starve behind a stream of writes. The caller unlocks c.mu.
+func (c *Controller) lockRead() {
+	c.mu.Lock()
+	n := len(c.flight)
+	if n == 0 || c.flight[n-1].resolved() {
+		return
+	}
+	last := c.flight[n-1]
+	c.readers++
+	c.mu.Unlock()
+	<-last.done
+	c.mu.Lock()
+	c.readers--
+	if c.readers == 0 {
+		c.cond.Broadcast()
+	}
 }
 
 // feedBreaker reports one journal write's outcome to the circuit breaker
@@ -474,12 +517,13 @@ func (c *Controller) skipAudits() {
 	c.rejSeen = len(c.eng.Rejected())
 }
 
-// Close stops HA replication, then flushes and releases the journal (no-op
-// without one).
+// Close stops HA replication, waits for stage L to finish what was applied,
+// then releases the journal (no-op without one).
 func (c *Controller) Close() error {
 	c.StopHA()
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.awaitLocalLocked()
 	if c.jr == nil {
 		return nil
 	}
@@ -506,38 +550,58 @@ func (c *Controller) publishClock() {
 
 // mutate is the one live write path: every mutating verb — from the wire
 // (Server.handleB) or the exported methods below — arrives as the Entry it
-// will be journaled as. An already-spent deadline budget is refused before
-// the apply and the fsync; one that expires between the local commit and
-// replication skips the synchronous round-trip (see logB). For a submit,
-// e.ID carries the assigned job ID back, also when a repeat of an accepted
-// idempotency token is answered without enqueueing anything.
+// will be journaled as. The apply stage (applyStage) runs under c.mu and
+// queues the mutation's group; mutate then waits, without c.mu, on the
+// group's ticket while stages L and R commit it (journal.go, ha.go). An
+// already-spent deadline budget is refused before the apply; one that runs
+// out while the ticket waits for replication returns ErrDeadlineExceeded
+// once the group is locally durable (commit.wait), which is not an
+// acknowledgement — the group still commits. For a submit, e.ID carries the
+// assigned job ID back, also when a repeat of an accepted idempotency token
+// is answered without enqueueing anything. A repeat whose first attempt is
+// still in flight waits on that attempt's ticket and gets its outcome; if
+// the first attempt never became durable, the repeat is enqueued afresh.
 func (c *Controller) mutate(b budget, e *Entry) error {
+	for {
+		t, joined, err := c.applyStage(b, e)
+		if t == nil || err != nil {
+			return err
+		}
+		err = t.wait(b, e.Op)
+		if !joined || !errors.Is(err, ErrJournalAppend) {
+			return err
+		}
+		e.ID = 0 // the token was withdrawn with its failed group
+	}
+}
+
+// applyStage is mutate's part under c.mu: wait out a read at the barrier,
+// dedupe the idempotency token, check the budget and writability, apply the
+// entry and queue its group. It returns the ticket to wait on — the
+// mutation's own, or (joined) that of the in-flight group a repeated token
+// belongs to — or nil when there is nothing to wait for.
+func (c *Controller) applyStage(b budget, e *Entry) (t *commit, joined bool, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	for c.readers > 0 {
+		c.cond.Wait()
+	}
 	if e.Token != "" {
 		if id, ok := c.tokens[e.Token]; ok {
 			e.ID = int64(id)
-			return nil
+			return c.inFlightLocked(e.Token), true, nil
 		}
 	}
 	if b.expired(time.Now()) {
-		return fmt.Errorf("%w: budget spent before work began", ErrDeadlineExceeded)
+		return nil, false, fmt.Errorf("%w: budget spent before work began", ErrDeadlineExceeded)
 	}
 	if err := c.checkWritable(); err != nil {
-		return err
+		return nil, false, err
 	}
 	if err := c.apply(e); err != nil {
-		return err
+		return nil, false, err
 	}
-	err := c.logB(b, *e)
-	if e.Token != "" && err != nil && !errors.Is(err, errReplication) && !errors.Is(err, ErrDeadlineExceeded) {
-		// Not locally durable: the job is in the engine but a restart will
-		// forget it, so a retry of the token must enqueue afresh rather than
-		// be acknowledged against it. (Failed or deferred replication is
-		// different — the job exists here, and a retry must dedupe.)
-		delete(c.tokens, e.Token)
-	}
-	return err
+	return c.queueGroupLocked(*e), false, nil
 }
 
 // applySubmit admits a job at the current simulated time, enforcing
@@ -636,7 +700,7 @@ func (c *Controller) AdvanceChecked(d des.Duration) (des.Time, error) {
 
 // Stats computes the evaluation metrics for the work so far.
 func (c *Controller) Stats() metrics.Result {
-	c.mu.Lock()
+	c.lockRead()
 	defer c.mu.Unlock()
 	return c.eng.Result()
 }
@@ -665,7 +729,7 @@ type JobInfo struct {
 // Queue returns pending and running jobs, running first (like squeue's
 // default sort), pending in priority order.
 func (c *Controller) Queue() []JobInfo {
-	c.mu.Lock()
+	c.lockRead()
 	defer c.mu.Unlock()
 	return c.queueLocked()
 }
@@ -708,7 +772,7 @@ func (c *Controller) queueLocked() []JobInfo {
 
 // History returns finished and cancelled jobs (sacct-like), by ID.
 func (c *Controller) History() []JobInfo {
-	c.mu.Lock()
+	c.lockRead()
 	done := c.doneLocked()
 	c.mu.Unlock()
 	var out []JobInfo
@@ -779,7 +843,7 @@ type queueView struct {
 
 // queueView takes the view a queue read (with history, when asked) pages.
 func (c *Controller) queueView(history bool) queueView {
-	c.mu.Lock()
+	c.lockRead()
 	defer c.mu.Unlock()
 	v := queueView{live: c.queueLocked()}
 	if history {
@@ -816,7 +880,7 @@ type NodeInfo struct {
 
 // Nodes returns per-node allocation state.
 func (c *Controller) Nodes() []NodeInfo {
-	c.mu.Lock()
+	c.lockRead()
 	defer c.mu.Unlock()
 	cl := c.eng.Cluster()
 	out := make([]NodeInfo, 0, cl.Size())

@@ -92,3 +92,14 @@ func (c *Controller) DrainChecked() (des.Time, error) {
 	err := c.mutate(budget{}, &Entry{Op: "drain"})
 	return c.Now(), err
 }
+
+// resend has stage R push the whole log to the follower now, as a heartbeat
+// with something to send would, and returns the outcome.
+func (c *Controller) resend() error {
+	c.mu.Lock()
+	t := newCommit(nil, [3]int{})
+	c.replicateLocked([]*commit{t}, c.seq)
+	c.mu.Unlock()
+	<-t.done
+	return t.err
+}

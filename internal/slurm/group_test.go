@@ -463,10 +463,7 @@ func TestHAStandbyStoppedMidGroupConverges(t *testing.T) {
 
 	// The primary still believes the standby is at groupStart, so the resend
 	// overlaps what the standby already holds.
-	a.mu.Lock()
-	err = a.replicateLocked()
-	a.mu.Unlock()
-	if err != nil {
+	if err := a.resend(); err != nil {
 		t.Fatalf("resend after the standby's restart: %v", err)
 	}
 	if b2.seq != a.seq || len(b2.entries) != len(scan.entries) {

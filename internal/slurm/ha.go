@@ -3,7 +3,6 @@ package slurm
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -13,7 +12,10 @@ import (
 // High availability. A controller pair runs one primary and one warm
 // standby: the primary streams every journal entry to the standby over the
 // wire protocol's `replicate` verb and only acknowledges a mutation once the
-// standby has applied and persisted it (semi-synchronous replication).
+// standby has applied and persisted it (semi-synchronous replication). The
+// push is stage R of the commit pipeline: it sends only batches stage L
+// already made durable, so the standby never runs ahead of the primary's
+// disk, and it sends batch k while stage L makes batch k+1 durable.
 // Because the simulation is deterministic, applying the same operation log
 // yields the same state, so the standby is a pure log follower — no state
 // transfer format exists beyond the journal itself.
@@ -242,7 +244,9 @@ func (c *Controller) promotionMonitor() {
 			c.mu.Unlock()
 			return
 		}
-		if time.Since(c.lastHeard) > c.haOpts.Lease {
+		if time.Since(c.lastHeard) > c.haOpts.Lease && !c.committing {
+			// (A node deposed a moment ago may still be committing what it
+			// applied as primary; the journal is stage L's until it lands.)
 			if !c.promotableLocked() {
 				// Refusing promotion on a bad log: reset the lease clock so
 				// the check reruns at lease pace, not every tick, while we
@@ -286,10 +290,12 @@ func (c *Controller) promoteLocked() {
 	c.standby = false
 	c.needFull = false
 	c.epoch++
-	// Journal the new term before acknowledging any write under it. A
-	// failure here feeds the breaker like any append failure: the node
-	// promotes but starts out DEGRADED rather than silently non-durable.
-	c.logLocal(Entry{Op: "epoch", Epoch: c.epoch})
+	// Journal the new term before acknowledging any write under it: the
+	// pipeline commits in order, so every later group lands behind it, and
+	// fails with it. A failure here feeds the breaker like any append
+	// failure: the node promotes but starts out DEGRADED rather than
+	// silently non-durable.
+	c.queueGroupLocked(Entry{Op: "epoch", Epoch: c.epoch})
 	c.startReplicatorLocked(true)
 }
 
@@ -306,7 +312,10 @@ func (c *Controller) demoteLocked(newEpoch int64) {
 	c.standby = true
 	c.needFull = true
 	c.lastHeard = time.Now()
-	c.repl = nil // its run loop notices and exits
+	if c.repl != nil {
+		c.repl.stopLocked() // fails what it had queued; its run loop exits
+		c.repl = nil
+	}
 	if !c.haStopped {
 		c.haWG.Add(1)
 		go c.promotionMonitor()
@@ -321,6 +330,10 @@ func (c *Controller) demoteLocked(newEpoch int64) {
 func (c *Controller) HandleReplicate(req Request) Response {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	return c.handleReplicateLocked(req)
+}
+
+func (c *Controller) handleReplicateLocked(req Request) Response {
 	if !c.haOn {
 		return Response{Error: "replication not enabled on this node"}
 	}
@@ -340,6 +353,12 @@ func (c *Controller) HandleReplicate(req Request) Response {
 		}
 	}
 	c.lastHeard = time.Now()
+	if c.committing {
+		// Deposed a moment ago: stage L still owns the journal for what
+		// this node applied as primary. Let it land, then look again.
+		c.awaitLocalLocked()
+		return c.handleReplicateLocked(req)
+	}
 	if req.Full {
 		if err := c.resetFromLogLocked(req.Entries); err != nil {
 			return Response{Error: fmt.Sprintf("full resync: %v", err),
@@ -433,31 +452,36 @@ func (c *Controller) resetFromLogLocked(entries []Entry) error {
 	return nil
 }
 
-// replicateLocked pushes everything the standby is missing and, in strict
-// mode, fails if the follower did not confirm the full log. Callers hold
-// c.mu.
-func (c *Controller) replicateLocked() error {
+// replicateLocked hands a batch stage L made durable — its tickets and the
+// Seq it ends at — to stage R, or resolves it here when there is no stage R
+// to go through: without HA the local commit is the whole promise, and on a
+// node deposed (or stopped) since the batch applied nobody will replicate
+// it. Callers hold c.mu.
+func (c *Controller) replicateLocked(batch []*commit, end int64) {
 	r := c.repl
-	if r == nil {
-		return nil
+	switch {
+	case !c.haOn:
+		resolveAll(batch, nil)
+	case c.standby || r == nil || r.stopped:
+		resolveAll(batch, fmt.Errorf("%w: no longer replicating (deposed or stopped)", errReplication))
+	default:
+		r.queue = append(r.queue, durableBatch{batch, end})
+		select {
+		case r.kick <- struct{}{}:
+		default:
+		}
 	}
-	r.mu.Lock()
-	err := r.pushLocked()
-	caughtUp := int(r.ackSeq) >= len(c.entries) && !r.needFull
-	r.mu.Unlock()
-	if r.detached.Load() {
-		return nil // no live follower yet; solo acknowledgements allowed
-	}
-	if err != nil {
-		return fmt.Errorf("%w: %v", errReplication, err)
-	}
-	if !caughtUp {
-		return fmt.Errorf("%w: follower behind after push", errReplication)
-	}
-	return nil
 }
 
-// replicator pushes the journal to the peer and tracks the lease.
+// durableBatch is a stage-L batch waiting for stage R: its tickets, and the
+// Seq of its last entry.
+type durableBatch struct {
+	commits []*commit
+	end     int64
+}
+
+// replicator is stage R of the commit pipeline: it pushes the journal to
+// the peer and tracks the lease.
 type replicator struct {
 	c *Controller
 	o HAOptions
@@ -465,17 +489,29 @@ type replicator struct {
 	// detached marks a freshly promoted primary with no live follower: it may
 	// acknowledge writes solo, and by definition holds its own lease.
 	detached atomic.Bool
+	// lastAck is when the follower last acknowledged (Unix nanoseconds):
+	// checkWritable and Health read the lease from it without waiting on a
+	// round trip.
+	lastAck atomic.Int64
+	// kick wakes the run loop when stage L queues a batch.
+	kick chan struct{}
 
-	mu      sync.Mutex
-	cl      *Client
-	ackSeq  int64
-	lastAck time.Time
+	// Under c.mu: the batches stage L made durable, oldest first, and
+	// whether the run loop has stopped taking them.
+	queue   []durableBatch
+	stopped bool
+
+	// Owned by the run loop.
+	cl     *Client
+	ackSeq int64
 	// needFull records the follower's request for a full resync.
 	needFull bool
 }
 
 func newReplicator(c *Controller, o HAOptions) *replicator {
-	return &replicator{c: c, o: o, lastAck: time.Now()}
+	r := &replicator{c: c, o: o, kick: make(chan struct{}, 1)}
+	r.lastAck.Store(time.Now().UnixNano())
+	return r
 }
 
 // leaseLost reports whether the primary must fence itself: more than half
@@ -485,55 +521,95 @@ func (r *replicator) leaseLost(now time.Time) bool {
 	if r.detached.Load() {
 		return false
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return now.Sub(r.lastAck) > r.o.Lease/2
+	return now.Sub(time.Unix(0, r.lastAck.Load())) > r.o.Lease/2
 }
 
-// run is the heartbeat loop: every Heartbeat it pushes pending entries (or
-// an empty keep-alive) so the standby's lease stays fresh and a follower
-// that fell behind catches up. It exits when HA stops or the node demotes.
+// stopLocked ends stage R for this replicator: batches still queued fail
+// with errReplication, later ones fail as they arrive (replicateLocked), and
+// the run loop is woken to exit. Idempotent. Callers hold c.mu.
+func (r *replicator) stopLocked() {
+	r.stopped = true
+	for _, b := range r.queue {
+		resolveAll(b.commits, fmt.Errorf("%w: replication stopped", errReplication))
+	}
+	r.queue = nil
+	select {
+	case r.kick <- struct{}{}:
+	default:
+	}
+}
+
+// run is stage R and the heartbeat in one goroutine, the only sender to the
+// peer. Each batch stage L queued is pushed on its own, from a snapshot of
+// the epoch and of the log through the batch's last Seq taken under c.mu —
+// the push itself holds no lock — and its tickets resolve with the outcome.
+// When a heartbeat comes due with nothing queued it pushes whatever the
+// follower is missing, or an empty keep-alive, so the standby's lease stays
+// fresh and a follower that fell behind catches up. It exits when HA stops
+// or the node demotes, failing what is still queued.
 func (r *replicator) run() {
-	defer r.c.haWG.Done()
+	c := r.c
+	defer c.haWG.Done()
 	defer func() {
-		r.mu.Lock()
 		if r.cl != nil {
 			r.cl.Close()
 			r.cl = nil
 		}
-		r.mu.Unlock()
+		c.mu.Lock()
+		r.stopLocked()
+		c.mu.Unlock()
 	}()
 	tick := time.NewTicker(r.o.Heartbeat)
 	defer tick.Stop()
 	for {
+		beat := false
 		select {
-		case <-r.c.haStop:
+		case <-c.haStop:
 			return
 		case <-tick.C:
+			beat = true
+		case <-r.kick:
 		}
-		r.c.mu.Lock()
-		if r.c.repl != r {
-			r.c.mu.Unlock()
-			return // demoted or replaced
+		for {
+			c.mu.Lock()
+			if c.repl != r || c.haStopped {
+				c.mu.Unlock()
+				return // demoted, replaced or stopped
+			}
+			epoch, entries := c.epoch, c.entries
+			var b durableBatch
+			if len(r.queue) > 0 {
+				b, r.queue[0], r.queue = r.queue[0], durableBatch{}, r.queue[1:]
+				entries = entries[:b.end]
+			}
+			c.mu.Unlock()
+			if b.commits == nil && !beat {
+				break
+			}
+			err := r.push(epoch, entries)
+			if b.commits == nil {
+				break // the heartbeat: persistent failure surfaces via the lease
+			}
+			beat = false // a batch's push keeps the lease as well
+			if err != nil && !r.detached.Load() {
+				err = fmt.Errorf("%w: %v", errReplication, err)
+			} else {
+				err = nil // no live follower yet: solo acknowledgements allowed
+			}
+			resolveAll(b.commits, err)
 		}
-		r.mu.Lock()
-		r.pushLocked() // persistent failure surfaces via the lease
-		r.mu.Unlock()
-		r.c.mu.Unlock()
 	}
 }
 
-// pushLocked drives replication until the follower confirms the whole log
-// (or an error): each request carries up to replicateBatch of the entries
-// the follower is missing — after a mutation, its whole group — and the
-// follower persists a request's entries with one append before it answers,
-// so a mutation costs one round trip and one fsync on each side. Callers
-// hold both c.mu and r.mu; the network round trips happen under the
-// controller lock deliberately — replication is part of the mutation
-// critical section, and Timeout bounds the stall.
-func (r *replicator) pushLocked() error {
-	c := r.c
-	maxRounds := len(c.entries)/replicateBatch + 4
+// push drives replication of entries — a snapshot of the log under epoch —
+// until the follower confirms all of it (or an error): each request carries
+// up to replicateBatch of the entries the follower is missing — after a
+// batch, that batch — and the follower persists a request's entries with
+// one append before it answers, so a batch costs one round trip and one
+// fsync on each side. It runs on the run loop alone and holds no lock; it
+// takes c.mu only to demote on a higher epoch.
+func (r *replicator) push(epoch int64, entries []Entry) error {
+	maxRounds := len(entries)/replicateBatch + 4
 	for round := 0; ; round++ {
 		if round > maxRounds {
 			return fmt.Errorf("replication not converging after %d rounds", round)
@@ -546,46 +622,40 @@ func (r *replicator) pushLocked() error {
 			cl.Timeout = r.o.Timeout
 			r.cl = cl
 		}
-		req := Request{Op: "replicate", Epoch: c.epoch}
+		req := Request{Op: "replicate", Epoch: epoch}
 		switch {
 		case r.needFull:
-			n := len(c.entries)
-			if n > replicateBatch {
-				n = replicateBatch
-			}
-			req.Entries, req.Full = c.entries[:n], true
-		case int(r.ackSeq) < len(c.entries):
+			req.Entries, req.Full = entries[:min(len(entries), replicateBatch)], true
+		case int(r.ackSeq) < len(entries):
 			lo := int(r.ackSeq)
-			hi := lo + replicateBatch
-			if hi > len(c.entries) {
-				hi = len(c.entries)
-			}
-			req.Entries = c.entries[lo:hi]
+			req.Entries = entries[lo:min(len(entries), lo+replicateBatch)]
 		}
 		wasFull := req.Full
 		resp, err := r.cl.Do(req)
 		if err != nil {
-			if resp.Epoch > c.epoch {
+			if resp.Epoch > epoch {
 				// A higher epoch exists: we were deposed while away.
-				c.demoteLocked(resp.Epoch)
+				r.c.mu.Lock()
+				r.c.demoteLocked(resp.Epoch)
+				r.c.mu.Unlock()
 				return fmt.Errorf("deposed by epoch %d", resp.Epoch)
 			}
 			r.cl.Close()
 			r.cl = nil
 			return err
 		}
-		r.lastAck = time.Now()
+		r.lastAck.Store(time.Now().UnixNano())
 		r.needFull = resp.NeedFull
 		if r.needFull && wasFull {
 			return fmt.Errorf("follower rejected full resync")
 		}
 		r.ackSeq = resp.Seq
-		if int(r.ackSeq) > len(c.entries) {
+		if int(r.ackSeq) > len(entries) {
 			// Follower claims more log than we have: histories diverged.
 			r.needFull = true
 			continue
 		}
-		if !r.needFull && int(r.ackSeq) >= len(c.entries) {
+		if !r.needFull && int(r.ackSeq) >= len(entries) {
 			// Caught up: from here on replication is strict again.
 			r.detached.Store(false)
 			return nil

@@ -9,6 +9,7 @@ import (
 	"log"
 	"path/filepath"
 	"sync"
+	"time"
 
 	"repro/internal/acct"
 	"repro/internal/vfs"
@@ -138,11 +139,15 @@ func syncDir(fsys vfs.FS, dir string) {
 }
 
 // journal is the append side of the write-ahead log. The unit of durability
-// is the mutation: an operation entry and the completion records it caused
-// are one append — one write, one fsync — synced to stable storage before the
-// operation is acknowledged. Sequence numbers are assigned by the controller
-// (which also owns the in-memory copy of the log for replication); the
-// journal persists entries exactly as given.
+// is the stage-L batch: the groups of the mutations applied since the last
+// commit — each an operation entry and the completion records it caused —
+// are one append, one write and one fsync, synced to stable storage before
+// any of them is acknowledged. A sequential caller's batch is its one
+// mutation. Sequence numbers are assigned by the controller (which also owns
+// the in-memory copy of the log for replication); the journal persists
+// entries exactly as given. Only one goroutine appends at a time: stage L on
+// a primary, the replicate handler on a standby, which first waits for
+// stage L to go idle.
 type journal struct {
 	fs  vfs.FS
 	dir string
@@ -471,13 +476,14 @@ func (j *journal) ensureLog() error {
 	return j.openLog(scan)
 }
 
-// append durably logs one group — the entries of one mutation, whose Seqs the
-// caller has already assigned — as a single write and a single fsync, then
-// compacts if the journal grew past the snapshot threshold. The group commits
+// append durably logs one batch — the entries of one or more mutations,
+// whose Seqs the caller has already assigned — as a single write and a
+// single fsync, then
+// compacts if the journal grew past the snapshot threshold. The batch commits
 // or fails as a whole: a failed append is rolled back by the wal, frames
 // written before the fault included, so the retry's reissued Seqs never
-// collide with a half-persisted group; failures wrap ErrJournalAppend. The
-// error speaks for the group alone: once it is durable a failed compaction
+// collide with a half-persisted batch; failures wrap ErrJournalAppend. The
+// error speaks for the batch alone: once it is durable a failed compaction
 // cannot un-commit it (a caller told otherwise would reissue its Seqs and
 // corrupt the log), so that is counted, logged once, and retried by the next
 // append — ops stays over the threshold.
@@ -509,6 +515,137 @@ func (j *journal) append(group []Entry) error {
 		}
 	}
 	return nil
+}
+
+// commit is one mutation's group on its way through the commit pipeline,
+// and the ticket its caller waits on: durable closes once stage L has made
+// the group locally durable, done once the group has cleared every stage it
+// goes through (err nil) or failed one of them (err set). Tickets resolve
+// in the order their groups were applied.
+type commit struct {
+	group []Entry
+	// audit is the audit cursors (finSeen, killSeen, rejSeen) as the group
+	// found them: where a failed stage L rewinds them to.
+	audit   [3]int
+	durable chan struct{}
+	done    chan struct{}
+	err     error
+}
+
+func newCommit(group []Entry, audit [3]int) *commit {
+	return &commit{group: group, audit: audit, durable: make(chan struct{}), done: make(chan struct{})}
+}
+
+func (t *commit) resolve(err error) {
+	t.err = err
+	close(t.done)
+}
+
+func (t *commit) resolved() bool {
+	select {
+	case <-t.done:
+		return true
+	default:
+		return false
+	}
+}
+
+// resolveAll resolves every ticket of a batch with the same outcome.
+func resolveAll(batch []*commit, err error) {
+	for _, t := range batch {
+		t.resolve(err)
+	}
+}
+
+// wait blocks until the ticket resolves and returns its outcome. The
+// request's budget bounds the wait for replication, not for the local
+// commit: once the budget has run out, wait returns as soon as the group is
+// locally durable, with ErrDeadlineExceeded — not an acknowledgement; the
+// client stopped waiting, so nobody reads the ack the round trip would buy,
+// and stage R replicates the group all the same. A group the node commits
+// alone (no HA) is acknowledged at its local commit, as it always was.
+func (t *commit) wait(b budget, op string) error {
+	if b.active() {
+		timer := time.NewTimer(b.remaining(time.Now()))
+		defer timer.Stop()
+		select {
+		case <-t.done:
+			return t.err
+		case <-timer.C:
+		}
+		select {
+		case <-t.done:
+		case <-t.durable:
+		}
+		if !t.resolved() {
+			return fmt.Errorf("%w: %s committed locally, replication deferred to heartbeat", ErrDeadlineExceeded, op)
+		}
+	}
+	<-t.done
+	return t.err
+}
+
+// commitLocal is stage L of the commit pipeline, run on its own goroutine
+// while groups are pending. It takes every pending group as one batch,
+// stamps consecutive Seqs, and makes the batch durable as one
+// journal append — one write, one fsync — outside c.mu, so the mutations
+// behind it apply meanwhile. Only then do c.seq and c.entries move: the
+// in-memory log, which the heartbeat and the standby are sent, holds locally
+// durable entries only, and the batch goes on to stage R (replicateLocked).
+// The breaker is fed once per commit. A failed append fails the batch and
+// every group applied behind it (failLocalLocked): each was built on state
+// the journal does not hold.
+func (c *Controller) commitLocal() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for len(c.pending) > 0 {
+		batch := c.pending
+		c.pending = nil
+		var entries []Entry
+		for _, t := range batch {
+			entries = append(entries, t.group...)
+		}
+		for i := range entries {
+			entries[i].Seq = c.seq + 1 + int64(i)
+		}
+		var err error
+		if jr := c.jr; jr != nil {
+			c.mu.Unlock()
+			err = jr.append(entries)
+			c.mu.Lock()
+		}
+		if err := c.feedBreaker(err); err != nil {
+			c.failLocalLocked(append(batch, c.pending...), err)
+			c.pending = nil
+			continue
+		}
+		c.seq += int64(len(entries))
+		c.entries = append(c.entries, entries...)
+		c.replicateLocked(batch, c.seq)
+		for _, t := range batch {
+			close(t.durable)
+		}
+	}
+	c.committing = false
+	c.cond.Broadcast()
+}
+
+// failLocalLocked fails groups that did not become durable and rewinds what
+// their apply stage moved past the last durable point: the audit cursors go
+// back to where the oldest of them found them, so those completions ride
+// with the next group, and their idempotency tokens are withdrawn, so a
+// retry enqueues afresh rather than being acknowledged against a job a
+// restart forgets. c.seq and c.entries never moved for them. The engine
+// keeps their effects, as it keeps those of any mutation whose append
+// failed. Callers hold c.mu.
+func (c *Controller) failLocalLocked(failed []*commit, err error) {
+	c.finSeen, c.killSeen, c.rejSeen = failed[0].audit[0], failed[0].audit[1], failed[0].audit[2]
+	for _, t := range failed {
+		if tok := t.group[0].Token; tok != "" {
+			delete(c.tokens, tok)
+		}
+	}
+	resolveAll(failed, err)
 }
 
 // writeSnapshot atomically replaces dir's snapshot with entries: sealed
