@@ -372,9 +372,9 @@ func TestHysteresisMatchesBothOldMachines(t *testing.T) {
 // --- a refusal does not wait on the controller ---------------------------
 
 // TestAdmissionRefusalDoesNotWaitOnController: with Controller.mu held — a
-// writer inside its fsync + replicate round trip, the very condition that
-// causes refusals — a request refused by the in-flight bound, the shed level,
-// an expired deadline or the connection cap is still answered at once. Every
+// stalled controller, the very condition that causes refusals — a request
+// refused by the in-flight bound, the shed level, an expired deadline or the
+// connection cap is still answered at once. Every
 // reply used to be stamped through Controller.Now(), which took the lock.
 func TestAdmissionRefusalDoesNotWaitOnController(t *testing.T) {
 	over := OverloadConfig{MaxConns: 3, MaxInflight: 1, ShedTarget: time.Hour, ShedWindow: time.Hour}
