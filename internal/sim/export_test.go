@@ -1,6 +1,9 @@
 package sim
 
-import "repro/internal/fault"
+import (
+	"repro/internal/fault"
+	"repro/internal/job"
+)
 
 // Engine queries only the tests read.
 
@@ -17,3 +20,10 @@ func (e *Engine) QueueLen() int { return len(e.queue) }
 
 // RunningLen returns the number of running jobs.
 func (e *Engine) RunningLen() int { return len(e.runList) }
+
+// heldJobs returns the held jobs in hold order.
+func (e *Engine) heldJobs() []*job.Job {
+	var out []*job.Job
+	e.Held(func(j *job.Job, _ string) { out = append(out, j) })
+	return out
+}

@@ -113,9 +113,9 @@ func TestFaultConservationUnderChurn(t *testing.T) {
 			t.Fatalf("%s: job conservation broken: %d finished + %d killed != %d submitted",
 				policy, r.Finished, r.Killed, r.Submitted)
 		}
-		if e.QueueLen() != 0 || e.RunningLen() != 0 || len(e.Held()) != 0 {
+		if e.QueueLen() != 0 || e.RunningLen() != 0 || len(e.heldJobs()) != 0 {
 			t.Fatalf("%s: jobs stranded: queue=%d running=%d held=%d",
-				policy, e.QueueLen(), e.RunningLen(), len(e.Held()))
+				policy, e.QueueLen(), e.RunningLen(), len(e.heldJobs()))
 		}
 		if e.Cluster().BusyThreads() != 0 {
 			t.Fatalf("%s: %d threads leaked after run", policy, e.Cluster().BusyThreads())

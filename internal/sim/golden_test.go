@@ -270,7 +270,7 @@ func TestGoldenPlacements(t *testing.T) {
 	for i, c := range configs {
 		e, _ := c.build(t)
 		e.RunAll()
-		if n := len(e.Held()); n != 0 {
+		if n := len(e.heldJobs()); n != 0 {
 			t.Errorf("%s: %d jobs still held", c.name, n)
 		}
 		if c.check != nil {
@@ -533,7 +533,7 @@ func (c *invariantChecker) check() error {
 	// INV-5: the queue, the held list and the running set are disjoint, and
 	// none holds a job twice.
 	waiting := make(map[cluster.JobID]bool, len(pending))
-	held := e.Held()
+	held := e.heldJobs()
 	for k, j := range slices.Concat(pending, held) {
 		where := "queued"
 		if k >= len(pending) {
@@ -551,6 +551,34 @@ func (c *invariantChecker) check() error {
 		}
 		if cl.Holds(j.ID) {
 			return fmt.Errorf("INV-5: %s job %d holds resources", where, j.ID)
+		}
+	}
+	// INV-5 (hold rule): a job is held only while it must wait, so no held
+	// job could be queued. One held on a dependency has a dependency that
+	// has not ended and none that ended unfinished; one held for its backoff
+	// has its release event pending (the event clears it as it fires).
+	for _, h := range e.held {
+		j := h.job
+		switch h.reason {
+		case "Dependency":
+			waits := false
+			for _, dep := range j.After {
+				switch d := c.byID[dep]; {
+				case d == nil || d.State() == job.Pending || d.State() == job.Running:
+					waits = true
+				case d.State() != job.Finished:
+					return fmt.Errorf("INV-5: job %d is held on dependency %d, which ended %v", j.ID, dep, d.State())
+				}
+			}
+			if !waits {
+				return fmt.Errorf("INV-5: job %d is held though its dependencies %v all finished", j.ID, j.After)
+			}
+		case "BeginTime":
+			if h.release == nil || j.Requeues() == 0 {
+				return fmt.Errorf("INV-5: job %d is held for its backoff with no release pending or no requeue", j.ID)
+			}
+		default:
+			return fmt.Errorf("INV-5: job %d is held for %q", j.ID, h.reason)
 		}
 	}
 	// ... and with the ended jobs they account for every arrival: no job is

@@ -90,12 +90,16 @@ type runRec struct {
 	crash      *des.Event // set only when this attempt drew a crash
 }
 
-// heldJob is an arrived job that may not be queued yet: blocked on an afterok
-// dependency, or requeued and waiting out its backoff until release fires.
+// heldJob is an arrived job that may not be queued yet.
 type heldJob struct {
 	job     *job.Job
-	release *des.Event // the backoff's end; nil for a dependency hold
+	reason  string     // why it waits, as squeue names it: "Dependency" or "BeginTime"
+	release *des.Event // the backoff's end while it is pending
 }
+
+// queuedTrace is the trace line of a job settle queues, by why it waited.
+var queuedTrace = map[string]string{"": "submit %s",
+	"Dependency": "release %s (dependencies met)", "BeginTime": "release %s from backoff"}
 
 // Engine simulates one batch system instance.
 type Engine struct {
@@ -115,7 +119,7 @@ type Engine struct {
 	// rejected.
 	queue    []*job.Job // pending jobs, in arrival order; see enqueue and dequeue
 	unsorted int        // adjacent pairs of queue out of fcfs order
-	held     []heldJob  // arrived but not yet queueable, in hold order
+	held     []*heldJob // arrived but not yet queueable, in hold order
 	ended    map[cluster.JobID]*job.Job
 	runList  []*sched.RunningJob // the running set by ascending job ID, maintained on start and release
 	nodeRes  [][]*runRec         // per node: its resident jobs by ascending job ID
@@ -254,10 +258,11 @@ func (e *Engine) Cluster() *cluster.Cluster { return e.cl }
 // Now returns the current simulated time.
 func (e *Engine) Now() des.Time { return e.sim.Now() }
 
-// Submit registers a job for arrival at j.Submit. Jobs whose node request
-// exceeds the machine are recorded as rejected at arrival time. Submission
-// is also legal mid-run (the interactive SLURM layer uses it) as long as
-// j.Submit is not in the simulated past.
+// Submit registers a job for arrival at j.Submit. A job that asks for more
+// nodes or more memory per node than the machine has is rejected at arrival,
+// and one whose afterok dependency already ended unfinished is cancelled:
+// both are recorded as rejected. Submission is also legal mid-run (the
+// interactive SLURM layer uses it) as long as j.Submit is not in the past.
 func (e *Engine) Submit(j *job.Job) error {
 	if err := j.Validate(); err != nil {
 		return err
@@ -266,34 +271,48 @@ func (e *Engine) Submit(j *job.Job) error {
 	e.arrivalsPending++
 	e.sim.Schedule(j.Submit, func(*des.Simulator) {
 		e.arrivalsPending--
-		if j.Nodes > e.cl.Size() {
+		switch {
+		case j.Nodes > e.cl.Size():
 			e.reject(j, "reject %s (machine has %d nodes)", j, e.cl.Size())
-			e.releaseHeld()
-			return
-		}
-		if j.App.MemPerNodeMB > e.cl.Config().MemoryPerNodeMB {
+		case j.App.MemPerNodeMB > e.cl.Config().MemoryPerNodeMB:
 			e.reject(j, "reject %s (needs %d MB/node, nodes have %d MB)",
 				j, j.App.MemPerNodeMB, e.cl.Config().MemoryPerNodeMB)
-			e.releaseHeld()
-			return
+		default:
+			if _, cancelled := e.settle(heldJob{job: j}); !cancelled {
+				return
+			}
 		}
-		if e.depsBroken(j) {
-			e.reject(j, "cancel %s (dependency failed)", j)
-			e.releaseHeld()
-			return
-		}
-		if !e.depsMet(j) {
-			e.held = append(e.held, heldJob{job: j})
-			e.trace("hold %s (dependencies pending)", j)
-			return
-		}
-		e.enqueue(j)
-		if e.TraceFn != nil {
-			e.trace("submit %s", j)
-		}
-		e.requestSchedule()
+		e.releaseHeld()
 	})
 	return nil
+}
+
+// settle is the one verdict on an arrived job that is not queued, running or
+// ended: wait out a pending backoff, cancel on a dependency that ended
+// unfinished, wait on one not yet finished, or queue. h.reason is empty at
+// arrival, where a job that must wait joins e.held. A cancel may doom held
+// dependents, so the caller of a settle that cancelled runs releaseHeld.
+func (e *Engine) settle(h heldJob) (waits, cancelled bool) {
+	j := h.job
+	switch {
+	case h.release != nil:
+		return true, false
+	case e.depsBroken(j):
+		e.reject(j, "cancel %s (dependency failed)", j)
+		return false, true
+	case !e.depsMet(j):
+		if h.reason == "" {
+			e.held = append(e.held, &heldJob{job: j, reason: "Dependency"})
+			e.trace("hold %s (dependencies pending)", j)
+		}
+		return true, false
+	}
+	e.enqueue(j)
+	if e.TraceFn != nil {
+		e.trace(queuedTrace[h.reason], j)
+	}
+	e.requestSchedule()
+	return false, false
 }
 
 // depsMet reports whether every dependency of j has finished.
@@ -306,36 +325,23 @@ func (e *Engine) depsMet(j *job.Job) bool {
 	return true
 }
 
-// releaseHeld moves dependency-satisfied held jobs into the queue and
-// cancels jobs whose dependencies can no longer succeed (afterok
-// semantics: a killed or cancelled predecessor dooms the dependent). A job
-// waiting out a backoff is left to its release event.
+// releaseHeld settles every held job again after a job ended or a backoff
+// ran out (afterok semantics: a killed or cancelled predecessor dooms the
+// dependent), sweeping until a sweep cancels nothing, as a cancel may doom
+// transitive dependents.
 func (e *Engine) releaseHeld() {
-	for {
-		progressed := false
+	for again := true; again; {
+		again = false
 		kept := e.held[:0]
 		for _, h := range e.held {
-			j := h.job
-			switch {
-			case h.release != nil:
-				kept = append(kept, h)
-			case e.depsBroken(j):
-				e.reject(j, "cancel %s (dependency failed)", j)
-				progressed = true // may doom transitive dependents
-			case e.depsMet(j):
-				e.enqueue(j)
-				e.trace("release %s (dependencies met)", j)
-				e.requestSchedule()
-				progressed = true
-			default:
+			waits, cancelled := e.settle(*h)
+			if waits {
 				kept = append(kept, h)
 			}
+			again = again || cancelled
 		}
 		clear(e.held[len(kept):])
 		e.held = kept
-		if !progressed {
-			return
-		}
 	}
 }
 
@@ -445,7 +451,11 @@ func (e *Engine) commit(d sched.Decision) {
 		panic(fmt.Sprintf("sim: policy %s produced invalid placement for job %d: %v",
 			e.pol.Name(), d.Job.ID, err))
 	}
-	e.removeFromQueue(d.Job.ID)
+	at := slices.Index(e.queue, d.Job)
+	if at < 0 {
+		panic(fmt.Sprintf("sim: started job %d not in queue", d.Job.ID))
+	}
+	e.dequeue(at)
 	// Only an eviction makes a job pending again, so a start after one is a
 	// reschedule.
 	if d.Job.Requeues() > 0 {
@@ -587,7 +597,8 @@ func (e *Engine) onJobCrash(rec *runRec) {
 // (keeping its original submit time, so it re-enters near the queue head, but
 // held out for an exponential backoff) or — once the retry budget is spent —
 // marks it permanently failed. A job held out for a backoff waits in the
-// held list until its release event queues it.
+// held list until its release event settles it like any held job; a zero
+// backoff settles it at once.
 func (e *Engine) evict(rec *runRec, cause string) {
 	now := e.sim.Now()
 	e.account(now)
@@ -608,18 +619,15 @@ func (e *Engine) evict(rec *runRec, cause string) {
 		hold := fault.BackoffFor(e.backoffBase, retry)
 		e.trace("requeue %s (%s, retry %d/%d, backoff %v, %.0fs of work lost)",
 			j, cause, retry, e.retryMax, hold, lost)
+		h := &heldJob{job: j, reason: "BeginTime"}
 		if hold > 0 {
-			release := e.sim.ScheduleIn(hold, func(*des.Simulator) {
-				at := slices.IndexFunc(e.held, func(h heldJob) bool { return h.job == j })
-				e.held = slices.Delete(e.held, at, at+1)
-				e.enqueue(j)
-				e.trace("release %s from backoff", j)
-				e.requestSchedule()
+			h.release = e.sim.ScheduleIn(hold, func(*des.Simulator) {
+				h.release = nil
+				e.releaseHeld()
 			})
-			e.held = append(e.held, heldJob{job: j, release: release})
+			e.held = append(e.held, h)
 		} else {
-			e.enqueue(j)
-			e.requestSchedule()
+			e.settle(*h)
 		}
 	}
 	e.updateRatesOnNodes(nodes)
@@ -806,16 +814,6 @@ func (e *Engine) account(t des.Time) {
 	e.lastAccount = t
 }
 
-func (e *Engine) removeFromQueue(id cluster.JobID) {
-	for i, j := range e.queue {
-		if j.ID == id {
-			e.dequeue(i)
-			return
-		}
-	}
-	panic(fmt.Sprintf("sim: started job %d not in queue", id))
-}
-
 // enqueue appends j to the pending queue. It and dequeue are the only
 // writers of e.queue: they keep e.unsorted, the number of adjacent pairs out
 // of fcfs order, so orderedQueue knows without a look whether the queue is
@@ -863,7 +861,7 @@ func (e *Engine) CancelPending(id cluster.JobID) error {
 	if at := slices.IndexFunc(e.queue, func(q *job.Job) bool { return q.ID == id }); at >= 0 {
 		j = e.queue[at]
 		e.dequeue(at)
-	} else if at := slices.IndexFunc(e.held, func(h heldJob) bool { return h.job.ID == id }); at >= 0 {
+	} else if at := slices.IndexFunc(e.held, func(h *heldJob) bool { return h.job.ID == id }); at >= 0 {
 		j = e.held[at].job
 		e.sim.Cancel(e.held[at].release)
 		e.held = slices.Delete(e.held, at, at+1)
@@ -924,16 +922,14 @@ func (e *Engine) Rejected() []*job.Job { return e.rejected }
 // Killed returns jobs terminated at their walltime limit, in kill order.
 func (e *Engine) Killed() []*job.Job { return e.killed }
 
-// Held returns jobs that arrived but are not queued: blocked on a
-// dependency, or requeued and waiting out their backoff (those have
-// Requeues() > 0). A non-empty held set after RunAll means a dependency
-// references a job that never completed (workload bug).
-func (e *Engine) Held() []*job.Job {
-	out := make([]*job.Job, len(e.held))
-	for i, h := range e.held {
-		out[i] = h.job
+// Held calls visit, in hold order, with each arrived job that is not queued
+// and why it waits: "Dependency" on an unfinished afterok dependency (after
+// RunAll, one that never completed: a workload bug) or "BeginTime" for a
+// requeued job's backoff. visit must not change the engine.
+func (e *Engine) Held(visit func(j *job.Job, reason string)) {
+	for _, h := range e.held {
+		visit(h.job, h.reason)
 	}
-	return out
 }
 
 // PlacementRecord is the completed execution of one job: where it ran and

@@ -468,8 +468,8 @@ func TestJobDependencies(t *testing.T) {
 	if grandchild.StartTime() != 1500 {
 		t.Fatalf("grandchild started at %v, want 1500", grandchild.StartTime())
 	}
-	if len(e.Held()) != 0 {
-		t.Fatalf("held jobs remain: %d", len(e.Held()))
+	if len(e.heldJobs()) != 0 {
+		t.Fatalf("held jobs remain: %d", len(e.heldJobs()))
 	}
 }
 
@@ -488,7 +488,7 @@ func TestDependencyOnFailedJobCancelsChain(t *testing.T) {
 		t.Fatalf("dependents not cancelled: child=%v grandchild=%v",
 			child.State(), grandchild.State())
 	}
-	if len(e.Held()) != 0 {
+	if len(e.heldJobs()) != 0 {
 		t.Fatal("cancelled dependents still held")
 	}
 }
@@ -512,7 +512,7 @@ func TestDependentOfArrivalCancelledJobIsCancelled(t *testing.T) {
 	if child.State() != job.Cancelled || grandchild.State() != job.Cancelled {
 		t.Fatalf("dependents not cancelled: child=%v grandchild=%v", child.State(), grandchild.State())
 	}
-	if held := e.Held(); len(held) != 0 {
+	if held := e.heldJobs(); len(held) != 0 {
 		t.Fatalf("%d job(s) still held after RunAll, first %v", len(held), held[0])
 	}
 }
@@ -606,7 +606,7 @@ func TestEngineAccessorsAndCancel(t *testing.T) {
 	if err := e.RequeueRunning(1); err != nil {
 		t.Fatal(err)
 	}
-	if held := e.Held(); len(held) != 1 || held[0] != requeued || len(e.Pending()) != 0 {
+	if held := e.heldJobs(); len(held) != 1 || held[0] != requeued || len(e.Pending()) != 0 {
 		t.Fatalf("in backoff: Held = %v, Pending = %v; want the job held", held, e.Pending())
 	}
 	if err := e.CancelPending(1); err != nil {
@@ -616,8 +616,8 @@ func TestEngineAccessorsAndCancel(t *testing.T) {
 	if rej := e.Rejected(); len(rej) != 1 || rej[0] != requeued || requeued.State() != job.Cancelled {
 		t.Fatalf("Rejected = %v, state %v; want the job CANCELLED", rej, requeued.State())
 	}
-	if len(e.Held()) != 0 || len(e.Finished()) != 0 || len(e.History()) != 0 {
-		t.Fatalf("cancelled job ran or stayed held: Held %v, Finished %v", e.Held(), e.Finished())
+	if len(e.heldJobs()) != 0 || len(e.Finished()) != 0 || len(e.History()) != 0 {
+		t.Fatalf("cancelled job ran or stayed held: Held %v, Finished %v", e.heldJobs(), e.Finished())
 	}
 	if e.Now() != 10 {
 		t.Fatalf("RunAll ran the clock to %v, want 10: the backoff release still fired", e.Now())
@@ -635,15 +635,15 @@ func TestEngineAccessorsAndCancel(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.Run(10)
-	if len(e.Held()) != 2 {
-		t.Fatalf("Held = %v, want the child and the grandchild", e.Held())
+	if len(e.heldJobs()) != 2 {
+		t.Fatalf("Held = %v, want the child and the grandchild", e.heldJobs())
 	}
 	if err := e.CancelPending(2); err != nil {
 		t.Fatalf("cancelling a dependency-held job: %v", err)
 	}
-	if child.State() != job.Cancelled || grandchild.State() != job.Cancelled || len(e.Held()) != 0 {
+	if child.State() != job.Cancelled || grandchild.State() != job.Cancelled || len(e.heldJobs()) != 0 {
 		t.Fatalf("child %v, grandchild %v, Held %v; want both CANCELLED and none held",
-			child.State(), grandchild.State(), e.Held())
+			child.State(), grandchild.State(), e.heldJobs())
 	}
 	e.RunAll()
 	if parent.State() != job.Finished || len(e.Rejected()) != 2 {

@@ -240,9 +240,10 @@ func TestFormatters(t *testing.T) {
 		{ID: 1, Name: "a-very-long-job-name", App: "minife", State: "RUNNING",
 			Nodes: 2, Shared: true, NodeList: []int{0, 1, 2, 5}, Limit: 3600},
 		{ID: 2, Name: "b", App: "minimd", State: "PENDING", Nodes: 1, Limit: 60},
+		{ID: 3, Name: "c", App: "amg", State: "PENDING", Nodes: 1, Limit: 60, Reason: "BeginTime"},
 	}
 	out := Squeue(jobs)
-	for _, frag := range []string{"JOBID", "RUNNING", "PENDING", "[0-2,5]", "yes"} {
+	for _, frag := range []string{"JOBID", "NODELIST(REASON)", "RUNNING", "PENDING", "[0-2,5]", "yes", "  (BeginTime)\n"} {
 		if !strings.Contains(out, frag) {
 			t.Errorf("squeue output missing %q:\n%s", frag, out)
 		}

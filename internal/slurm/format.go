@@ -7,17 +7,22 @@ import (
 	"repro/internal/des"
 )
 
-// Squeue renders jobs in squeue-like columns.
+// Squeue renders jobs in squeue-like columns. As in SLURM's
+// NODELIST(REASON), a held job shows why it waits where a running job shows
+// its nodes; a queued job shows neither.
 func Squeue(jobs []JobInfo) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%8s %-12s %-10s %-10s %6s %6s %12s %12s  %s\n",
-		"JOBID", "NAME", "APP", "STATE", "NODES", "SHARED", "SUBMIT", "TIMELIMIT", "NODELIST")
+		"JOBID", "NAME", "APP", "STATE", "NODES", "SHARED", "SUBMIT", "TIMELIMIT", "NODELIST(REASON)")
 	for _, j := range jobs {
 		shared := ""
 		if j.Shared {
 			shared = "yes"
 		}
 		nodelist := compressNodeList(j.NodeList)
+		if j.Reason != "" {
+			nodelist = "(" + j.Reason + ")"
+		}
 		fmt.Fprintf(&b, "%8d %-12s %-10s %-10s %6d %6s %12s %12s  %s\n",
 			j.ID, clip(j.Name, 12), clip(j.App, 10), j.State, j.Nodes, shared,
 			des.Time(j.Submit).String(), des.Duration(j.Limit).String(), nodelist)
